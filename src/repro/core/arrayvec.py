@@ -1,17 +1,16 @@
 """Array-backed BRV/CRV/SRV — the flat fast path behind the registry.
 
 These classes inherit every algorithm (COMPARE, conflict/segment-bit
-helpers, the segment-partition cache) from the linked-backend classes
+helpers, the segment-partition cache) from the linked-list classes
 and swap only the storage: :attr:`order_cls` points at
 :class:`~repro.core.arrayorder.ArrayElementOrder`, and the hot
 constructors/accessors are overridden with bulk array passes.
 
-The two backends are interchangeable — byte-identical wire traffic,
-identical ``bench_fingerprint``s — which
-``tests/core/test_array_equivalence.py`` (hypothesis) and the
-``perf.compare --require-same-bits`` CI gate both enforce.  Pick a
-backend per run via ``ProtocolSpec.vector_class(backend)`` or the
-``backend`` field on cluster/store/bench configs.
+These are the classes the protocol registry instantiates.  The linked
+base classes stay as the reference they must match — byte-identical
+wire traffic, identical ``bench_fingerprint``s — which
+``tests/core/test_array_model.py`` (hypothesis) and the tier-1
+oracle test (``tests.helpers.linked_vectors``) both enforce.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.core.versionvector import VersionVector
 class ArrayBasicRotatingVector(BasicRotatingVector):
     """BRV over parallel arrays; see §3.1 and :mod:`repro.core.arrayorder`."""
 
-    backend = "array"
     order_cls = ArrayElementOrder
 
     __slots__ = ()

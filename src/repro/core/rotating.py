@@ -39,9 +39,6 @@ class BasicRotatingVector:
     #: Human-readable tag used by wire accounting and reports.
     kind = "brv"
 
-    #: Storage backend tag; the array subclasses override it.
-    backend = "linked"
-
     #: The element-order implementation this class instantiates.  Array
     #: subclasses (:mod:`repro.core.arrayvec`) swap in the flat
     #: :class:`~repro.core.arrayorder.ArrayElementOrder` while inheriting

@@ -32,7 +32,6 @@ Tracing and metrics reuse the PR 1 instruments: pass a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -46,41 +45,12 @@ from repro.net.runner import (SessionOptions, TimedSessionResult, launch,
 from repro.net.sharding import ShardMap, build_shard_map
 from repro.net.simulator import Simulator
 from repro.net.stats import TransferStats
-from repro.net.topology import LinkProfile, TopologySpec
+from repro.net.topology import TopologySpec
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs.metrics import MetricsRegistry, observe_session
 from repro.obs.trace import Tracer
 from repro.protocols import registry
 from repro.workload.cluster import SessionRequest, UpdateRequest
-
-
-class _ProtocolTable:
-    """Legacy read-only view of the registry: name -> (vector_cls, reconciles).
-
-    Kept so historical call sites (``PROTOCOLS["srv"]``, ``in PROTOCOLS``,
-    ``sorted(PROTOCOLS)``) keep working; all dispatch goes through
-    :mod:`repro.protocols.registry`.
-    """
-
-    def __getitem__(self, name: str) -> Tuple[type, bool]:
-        spec = registry.get(name)
-        return (spec.vector_cls, spec.reconciles)
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and name in registry.names()
-
-    def __iter__(self):
-        return iter(registry.names())
-
-    def __len__(self) -> int:
-        return len(registry.names())
-
-    def keys(self):
-        return registry.names()
-
-
-#: protocol name -> (vector class, supports automatic reconciliation)
-PROTOCOLS = _ProtocolTable()
 
 
 @dataclass(frozen=True)
@@ -107,11 +77,6 @@ class ClusterConfig:
         retry: ARQ knobs (timeouts, backoff, retry and resume budgets)
             applied to every session when the channel's fault spec is
             enabled; inert on a perfect link.
-        backend: vector storage backend — ``array`` (flat parallel-array
-            representation, the default fast path) or ``linked`` (the
-            pointer-chasing oracle).  Both produce byte-identical wire
-            traffic and identical fingerprints; the choice is purely an
-            in-memory speed/verification trade-off.
         topology: optional :class:`~repro.net.topology.TopologySpec`.
             When set, every session prices its wire hop over the channel
             of its endpoints' region pair (``topology.channel_for``)
@@ -131,15 +96,10 @@ class ClusterConfig:
     n_objects: int = 1
     batch_size: int = 1
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    backend: str = "array"
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}; "
-                             f"expected one of {sorted(PROTOCOLS)}")
-        # Resolve eagerly so a typo'd backend fails at config time.
-        registry.get(self.protocol).vector_class(self.backend)
+        registry.get(self.protocol)  # a typo'd protocol fails at config time
         if self.fanout < 1:
             raise ValueError(f"fanout must be >= 1, got {self.fanout}")
         if self.n_objects < 1:
@@ -290,7 +250,7 @@ class ClusterRunner:
         self.shards = shards
         self.topology = config.topology
         spec = registry.get(config.protocol)
-        vector_cls = spec.vector_class(config.backend)
+        vector_cls = spec.vector_cls
         self._reconciles = spec.reconciles
         self._site_set = set(self.sites)
         if shards is not None:
@@ -322,14 +282,14 @@ class ClusterRunner:
         self._usage: Dict[str, int] = {site: 0 for site in self.sites}
         self._deferred: Dict[str, List[UpdateRequest]] = {
             site: [] for site in self.sites}
-        # Pending sessions keyed by arrival sequence (insertion-ordered),
-        # with a per-site index of waiting sequence numbers so a finish
-        # only rescans requests touching the freed endpoints.
-        self._pending: Dict[int, SessionRequest] = {}
+        # Pending (request, requested-at) entries keyed by arrival
+        # sequence (insertion-ordered), with a per-site index of waiting
+        # sequence numbers so a finish only rescans requests touching the
+        # freed endpoints.
+        self._pending: Dict[int, Tuple[SessionRequest, float]] = {}
         self._pending_by_site: Dict[str, List[int]] = {
             site: [] for site in self.sites}
         self._next_seq = 0
-        self._requested_at: Dict[int, float] = {}
         self._records: List[ClusterSessionRecord] = []
         self._log: List[LogEntry] = []
         self._totals = TransferStats()
@@ -467,7 +427,6 @@ class ClusterRunner:
             # never produce these; hand-written schedules may.
             self._skipped_sessions += 1
             return
-        self._requested_at[id(request)] = self._sim.now
         if self.tracer is not None:
             # The session index is unknown until the session starts;
             # the analyzer matches requests to starts FIFO per (src,
@@ -481,11 +440,11 @@ class ClusterRunner:
         fanout = self.config.fanout
         if (self._usage[request.src] < fanout
                 and self._usage[request.dst] < fanout):
-            self._start(request)
+            self._start(request, self._sim.now)
             return
         seq = self._next_seq
         self._next_seq += 1
-        self._pending[seq] = request
+        self._pending[seq] = (request, self._sim.now)
         self._pending_by_site[request.src].append(seq)
         self._pending_by_site[request.dst].append(seq)
 
@@ -508,13 +467,14 @@ class ClusterRunner:
             by_site[site] = live
             candidates.update(live)
         for seq in sorted(candidates):
-            request = pending.get(seq)
-            if request is None:
+            entry = pending.get(seq)
+            if entry is None:
                 continue  # started earlier in this very scan
+            request, requested_at = entry
             if (self._usage[request.src] < fanout
                     and self._usage[request.dst] < fanout):
                 del pending[seq]
-                self._start(request)
+                self._start(request, requested_at)
 
     def _session_objects(self, request: SessionRequest
                          ) -> Tuple[int, ...]:
@@ -550,7 +510,7 @@ class ClusterRunner:
             pairs.append((sender, receiver))
         return verdicts, reconciled_flags, tuple(pairs)
 
-    def _start(self, request: SessionRequest) -> None:
+    def _start(self, request: SessionRequest, requested_at: float) -> None:
         sim = self._sim
         config = self.config
         src, dst = request.src, request.dst
@@ -559,8 +519,7 @@ class ClusterRunner:
         verdicts, reconciled_flags, pairs = self._build_pairs(src, dst, objs)
         record = ClusterSessionRecord(
             index=len(self._records), src=src, dst=dst,
-            requested_at=self._requested_at.pop(id(request), sim.now),
-            started_at=sim.now, verdict=verdicts[0],
+            requested_at=requested_at, started_at=sim.now, verdict=verdicts[0],
             reconciled=reconciled_flags[0], verdicts=tuple(verdicts),
             reconciled_objects=tuple(reconciled_flags), objects=objs)
         self._records.append(record)
@@ -674,21 +633,6 @@ class ClusterRunner:
         self._dispatch((src, dst))
 
 
-def build_session_coroutines(protocol: str, b: BasicRotatingVector,
-                             a: BasicRotatingVector, verdict: Ordering, *,
-                             tracer: Optional[Tracer] = None
-                             ) -> Tuple[Any, Any, bool]:
-    """(sender, receiver, reconciled) for ``SYNC*_b(a)`` under ``verdict``.
-
-    ``reconciled`` reports whether the receiver will perform an automatic
-    merge (always False for BRV, which raises on concurrent inputs
-    instead — Algorithm 2's ``Require: a ∦ b``).  Thin delegation to
-    :meth:`repro.protocols.registry.ProtocolSpec.build` — the registry is
-    the single dispatch authority.
-    """
-    return registry.get(protocol).build(b, a, verdict, tracer=tracer)
-
-
 def replay_sequential(sites: Iterable[str], config: ClusterConfig,
                       log: Iterable[LogEntry], *,
                       shards: Optional[ShardMap] = None
@@ -710,7 +654,7 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
     per-session results and every site's object-0 vector.
     """
     spec = registry.get(config.protocol)
-    vector_cls = spec.vector_class(config.backend)
+    vector_cls = spec.vector_cls
     if shards is not None:
         objects: Dict[str, Any] = {
             site: {obj: vector_cls()
@@ -784,12 +728,6 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
     return results, {site: objs[0] for site, objs in objects.items()}
 
 
-#: Legacy ``launch_cluster`` keyword arguments that now live on the
-#: :class:`~repro.net.topology.TopologySpec`; accepted behind a
-#: DeprecationWarning, forbidden for in-repo callers by the CI grep lint.
-_DEPRECATED_LAUNCH_KWARGS = ("fanout", "channel", "chaos_loss")
-
-
 def launch_cluster(spec: TopologySpec, *, protocol: str = "srv",
                    n_objects: int = 1, batch_size: int = 1,
                    encoding: Encoding = DEFAULT_ENCODING,
@@ -797,12 +735,10 @@ def launch_cluster(spec: TopologySpec, *, protocol: str = "srv",
                    increment_on_merge: bool = True,
                    max_steps: int = 10_000_000,
                    retry: Optional[RetryPolicy] = None,
-                   backend: str = "array",
                    shard: Optional[bool] = None,
                    tracer: Optional[Tracer] = None,
                    metrics: Optional[MetricsRegistry] = None,
-                   monitor: Optional[Any] = None,
-                   **deprecated: Any) -> ClusterRunner:
+                   monitor: Optional[Any] = None) -> ClusterRunner:
     """The unified cluster entry point: one ``TopologySpec``, one runner.
 
     Follows the ``launch(sim, SessionOptions)`` precedent: every fleet-
@@ -812,52 +748,15 @@ def launch_cluster(spec: TopologySpec, *, protocol: str = "srv",
     ``spec.site_names()``, sharded via the consistent-hash ring whenever
     the spec carries a replication factor (``shard=`` forces it either
     way).
-
-    The legacy per-config knobs ``fanout=``, ``channel=``, and
-    ``chaos_loss=`` are still accepted as shims, each raising a
-    ``DeprecationWarning`` — new code expresses them through the spec
-    (``gossip.fanout``, link profiles, per-link ``loss``), and the CI
-    grep lint keeps in-repo callers off the shims.
     """
-    unknown = set(deprecated) - set(_DEPRECATED_LAUNCH_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"launch_cluster() got unexpected keyword arguments "
-            f"{sorted(unknown)}")
     fanout = spec.gossip.fanout if spec.replication is None else 1
-    channel: Optional[ChannelSpec] = None
-    topology: Optional[TopologySpec] = spec
-    if "fanout" in deprecated:
-        warnings.warn(
-            "launch_cluster(fanout=...) is deprecated; set "
-            "TopologySpec.gossip.fanout instead",
-            DeprecationWarning, stacklevel=2)
-        fanout = deprecated["fanout"]
-    if "chaos_loss" in deprecated:
-        warnings.warn(
-            "launch_cluster(chaos_loss=...) is deprecated; set the loss "
-            "on the spec's LinkProfiles instead",
-            DeprecationWarning, stacklevel=2)
-        loss = deprecated["chaos_loss"]
-        profile = LinkProfile(latency=spec.inter.latency,
-                              bandwidth=spec.inter.bandwidth, loss=loss)
-        channel = profile.channel(seed=spec.chaos_seed)
-        topology = None
-    if "channel" in deprecated:
-        warnings.warn(
-            "launch_cluster(channel=...) is deprecated; describe the "
-            "links on the TopologySpec instead",
-            DeprecationWarning, stacklevel=2)
-        channel = deprecated["channel"]
-        topology = None
     config = ClusterConfig(
         protocol=protocol, encoding=encoding, fanout=fanout,
         stop_and_wait=stop_and_wait, proc_time=proc_time,
         increment_on_merge=increment_on_merge, max_steps=max_steps,
         n_objects=n_objects, batch_size=batch_size,
         retry=retry if retry is not None else RetryPolicy(),
-        backend=backend, topology=topology,
-        **({"channel": channel} if channel is not None else {}))
+        topology=spec)
     do_shard = shard if shard is not None else spec.replication is not None
     shards = build_shard_map(spec, n_objects) if do_shard else None
     return ClusterRunner(spec.site_names(), config, tracer=tracer,

@@ -26,9 +26,6 @@ All session launching goes through one door::
 spawns the session's processes on a shared simulator and returns a live
 :class:`SessionHandle`.  :func:`run_timed` is the private-simulator
 convenience (build a sim, launch, run to completion, return the result).
-The historical entry points — ``launch_session``, ``launch_batch_session``,
-``run_timed_session`` — survive as thin shims that forward to the unified
-API and emit :class:`DeprecationWarning`.
 
 Reliability
 -----------
@@ -72,7 +69,6 @@ honest, and they are recorded at the ack's simulated *arrival* instant.
 from __future__ import annotations
 
 import random
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
@@ -930,99 +926,3 @@ def _run_timed(options: SessionOptions, *,
     if handle.result is None:
         raise SessionError("timed session ended with unfinished parties")
     return handle.result
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims (PR 4 API redesign) — forward to the unified launcher.
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(old: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use repro.net.runner.launch(sim, "
-        f"SessionOptions(...)) (or run_timed for a private simulator)",
-        DeprecationWarning, stacklevel=3)
-
-
-def launch_session(sim: Simulator, sender: ProtocolCoroutine,
-                   receiver: ProtocolCoroutine, *,
-                   channel: ChannelSpec = ChannelSpec(),
-                   encoding: Encoding = DEFAULT_ENCODING,
-                   stop_and_wait: bool = False,
-                   proc_time: float = 0.0,
-                   max_steps: int = 10_000_000,
-                   tracer: Optional[Tracer] = None,
-                   party_names: Tuple[str, str] = ("sender", "receiver"),
-                   on_complete: Optional[
-                       Callable[[TimedSessionResult], None]] = None,
-                   ) -> TransferStats:
-    """Deprecated: use :func:`launch` with :class:`SessionOptions`."""
-    _deprecated("launch_session")
-    handle = launch(sim, SessionOptions(
-        pairs=((sender, receiver),), channel=channel, encoding=encoding,
-        stop_and_wait=stop_and_wait, proc_time=proc_time,
-        max_steps=max_steps, tracer=tracer, party_names=party_names,
-        on_complete=on_complete))
-    return handle.stats
-
-
-def launch_batch_session(sim: Simulator,
-                         pairs: Sequence[SessionPair], *,
-                         batch_size: int = 1,
-                         channel: ChannelSpec = ChannelSpec(),
-                         encoding: Encoding = DEFAULT_ENCODING,
-                         stop_and_wait: bool = False,
-                         proc_time: float = 0.0,
-                         max_steps: int = 10_000_000,
-                         tracer: Optional[Tracer] = None,
-                         party_names: Tuple[str, str] = ("sender",
-                                                         "receiver"),
-                         on_complete: Optional[
-                             Callable[[TimedSessionResult], None]] = None,
-                         ) -> TransferStats:
-    """Deprecated: use :func:`launch` with :class:`SessionOptions`."""
-    _deprecated("launch_batch_session")
-    pair_list = tuple(pairs)
-    if not pair_list:
-        raise ValueError("launch_batch_session needs at least one pair")
-
-    adapted = on_complete
-    if on_complete is not None:
-        def adapted(result: TimedSessionResult) -> None:
-            # The historical batch API always reported per-object lists,
-            # even for a single pair.
-            if not isinstance(result.sender_result, list):
-                result = TimedSessionResult(
-                    stats=result.stats,
-                    sender_result=[result.sender_result],
-                    receiver_result=[result.receiver_result],
-                    completion_time=result.completion_time,
-                    sender_finish=result.sender_finish,
-                    receiver_finish=result.receiver_finish,
-                    start_time=result.start_time)
-            on_complete(result)
-
-    handle = launch(sim, SessionOptions(
-        pairs=pair_list, batch_size=batch_size, channel=channel,
-        encoding=encoding, stop_and_wait=stop_and_wait, proc_time=proc_time,
-        max_steps=max_steps, tracer=tracer, party_names=party_names,
-        on_complete=adapted))
-    return handle.stats
-
-
-def run_timed_session(sender: ProtocolCoroutine, receiver: ProtocolCoroutine,
-                      *, channel: ChannelSpec = ChannelSpec(),
-                      encoding: Encoding = DEFAULT_ENCODING,
-                      stop_and_wait: bool = False,
-                      proc_time: float = 0.0,
-                      max_steps: int = 10_000_000,
-                      tracer: Optional[Tracer] = None,
-                      trace_dispatch: bool = False,
-                      span_name: str = "session") -> TimedSessionResult:
-    """Deprecated: use :func:`run_timed` with :class:`SessionOptions`."""
-    _deprecated("run_timed_session")
-    return run_timed(SessionOptions(
-        pairs=((sender, receiver),), channel=channel, encoding=encoding,
-        stop_and_wait=stop_and_wait, proc_time=proc_time,
-        max_steps=max_steps, tracer=tracer),
-        trace_dispatch=trace_dispatch, span_name=span_name)

@@ -73,12 +73,6 @@ class BenchConfig:
 
     site_counts: Tuple[int, ...] = DEFAULT_SITE_COUNTS
     protocols: Tuple[str, ...] = ("brv", "crv", "srv")
-    #: Vector storage backend for every cell — ``array`` (flat fast
-    #: path) or ``linked`` (pointer-chasing oracle).  Wire traffic is
-    #: byte-identical either way, so the two backends' fingerprints must
-    #: agree cell for cell (``perf.compare --require-same-bits``); only
-    #: ``wall_seconds`` — masked from the fingerprint — may differ.
-    backend: str = "array"
     rounds: int = 3
     updates_per_site: float = 2.0
     gossip_period: float = 1.0
@@ -205,7 +199,6 @@ def _run_one(protocol: str, n_sites: int, config: BenchConfig, *,
         channel=config.channel(),
         encoding=Encoding.for_system(n_sites, max(16, n_updates)),
         fanout=config.fanout,
-        backend=config.backend,
     )
     sessions = gossip_schedule(
         sites, rounds=config.rounds, period=config.gossip_period,
@@ -278,7 +271,6 @@ def _run_batched_one(batch_size: int, config: BenchConfig, *,
         stop_and_wait=True,
         n_objects=n_objects,
         batch_size=batch_size,
-        backend=config.backend,
     )
     sessions = gossip_schedule(
         sites, rounds=config.rounds, period=config.gossip_period,
@@ -356,7 +348,6 @@ def _run_chaos_one(protocol: str, loss: float, config: BenchConfig, *,
         fanout=config.fanout,
         n_objects=n_objects,
         batch_size=config.chaos_batch_size,
-        backend=config.backend,
     )
     sessions = gossip_schedule(
         sites, rounds=config.rounds, period=config.gossip_period,
@@ -442,7 +433,7 @@ def _run_store_one(config: BenchConfig, *,
         n_clients=config.store_clients, ops=config.store_ops,
         read_ratio=config.store_read_ratio, zipf=config.store_zipf,
         net_latency=config.latency, bandwidth=config.bandwidth,
-        seed=config.seed, backend=config.backend)
+        seed=config.seed)
     cell_monitor = None
     if monitor:
         from repro.obs.consistency import (ConsistencyConfig,
@@ -534,7 +525,7 @@ def _run_multiregion_one(config: BenchConfig, *,
         spec, protocol="srv", n_objects=n_objects,
         batch_size=config.mr_batch_size,
         encoding=Encoding.for_system(n_sites, max(16, n_updates)),
-        backend=config.backend, metrics=metrics, monitor=cell_monitor,
+        metrics=metrics, monitor=cell_monitor,
         tracer=cell_tracer)
     shards = runner.shards
     sessions = epidemic_schedule(
@@ -759,14 +750,12 @@ def bench_fingerprint(document: Dict[str, Any]) -> str:
     """SHA-256 over the document minus its measurement-irrelevant fields.
 
     ``created_unix`` and each run's ``wall_seconds`` are host-time
-    measurements, and ``config.backend`` is an in-memory representation
-    choice that is *required* not to affect any measured quantity;
-    everything else is a pure function of the config.  Two documents
-    from the same workload — serial or parallel, array or linked, today
-    or next year — must fingerprint identically, and the comparator uses
-    this to separate "the numbers moved" from "you re-ran it".  (Masking
-    the backend is what makes the cross-backend CI check a fingerprint
-    equality, not just a bits equality.)
+    measurements; everything else is a pure function of the config.
+    Two documents from the same workload — serial or parallel, today or
+    next year — must fingerprint identically, and the comparator uses
+    this to separate "the numbers moved" from "you re-ran it".  The
+    retired ``config.backend`` key is dropped so documents written
+    before it was removed still compare.
     """
     masked = dict(document)
     masked.pop("created_unix", None)
@@ -819,14 +808,12 @@ def bench_main(argv: List[str]) -> int:
     chaos_loss_rates: Tuple[float, ...] = BenchConfig().chaos_loss_rates
     chaos_seed = BenchConfig().chaos_seed
     store_ops = BenchConfig().store_ops
-    backend = BenchConfig().backend
     topology: Optional[TopologySpec] = BenchConfig().topology
 
     def fail(message: str) -> int:
         print(message)
         print("usage: python -m repro bench [--sites 8,32,128] "
-              "[--protocols brv,crv,srv] [--backend array|linked] "
-              "[--rounds N] [--seed N] "
+              "[--protocols brv,crv,srv] [--rounds N] [--seed N] "
               "[--workers N] [--profile] [--profile-out bench.pstats] "
               "[--chaos-loss 0.01,0.1] [--chaos-seed N] [--no-chaos] "
               "[--store-ops N] [--no-store] [--no-multiregion] "
@@ -854,8 +841,8 @@ def bench_main(argv: List[str]) -> int:
         elif argument == "--no-multiregion":
             topology = None
             index += 1
-        elif argument in ("--sites", "--protocols", "--backend", "--rounds",
-                          "--seed", "--workers", "--profile-out", "--out",
+        elif argument in ("--sites", "--protocols", "--rounds", "--seed",
+                          "--workers", "--profile-out", "--out",
                           "--chaos-loss", "--chaos-seed", "--store-ops"):
             if index + 1 >= len(argv):
                 return fail(f"{argument} requires a value")
@@ -874,11 +861,6 @@ def bench_main(argv: List[str]) -> int:
                            if p not in ("brv", "crv", "srv")]
                 if unknown:
                     return fail(f"unknown protocols: {', '.join(unknown)}")
-            elif argument == "--backend":
-                if value not in ("array", "linked"):
-                    return fail(f"unknown backend {value!r}; "
-                                f"expected array or linked")
-                backend = value
             elif argument == "--rounds":
                 try:
                     rounds = int(value)
@@ -927,7 +909,7 @@ def bench_main(argv: List[str]) -> int:
         else:
             return fail(f"unknown argument {argument!r}")
     config = BenchConfig(site_counts=site_counts, protocols=protocols,
-                         backend=backend, rounds=rounds, seed=seed,
+                         rounds=rounds, seed=seed,
                          chaos_loss_rates=chaos_loss_rates,
                          chaos_seed=chaos_seed, store_ops=store_ops,
                          topology=topology)
@@ -935,7 +917,7 @@ def bench_main(argv: List[str]) -> int:
                    else f"{len(topology.regions)}×"
                         f"{topology.regions[0].sites} sites")
     print(f"cluster bench: n ∈ {list(site_counts)}, "
-          f"protocols {list(protocols)}, backend {backend}, "
+          f"protocols {list(protocols)}, "
           f"{rounds} rounds, seed {seed}, "
           f"chaos loss {list(chaos_loss_rates)}, store ops {store_ops}, "
           f"multi-region {multiregion}")

@@ -25,10 +25,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.arrayvec import (ArrayBasicRotatingVector,
                                  ArrayConflictRotatingVector,
                                  ArraySkipRotatingVector)
-from repro.core.conflict import ConflictRotatingVector
 from repro.core.order import Ordering
 from repro.core.rotating import BasicRotatingVector
-from repro.core.skip import SkipRotatingVector
 from repro.errors import ConcurrentVectorsError
 from repro.obs.trace import Tracer
 from repro.protocols.session import ProtocolCoroutine
@@ -66,28 +64,6 @@ class ProtocolSpec:
     reconciles: bool
     make_sender: SenderFactory
     make_receiver: ReceiverFactory
-    #: Storage backends for this scheme's vector: backend tag → class.
-    #: Empty means "only vector_cls" (single-backend scheme); the three
-    #: built-in schemes map ``linked`` (pointer-chasing oracle) and
-    #: ``array`` (flat fast path) to interchangeable classes.
-    backends: Tuple[Tuple[str, type], ...] = ()
-
-    def vector_class(self, backend: Optional[str] = None) -> type:
-        """The vector class for ``backend`` (default: :attr:`vector_cls`).
-
-        Both backends speak identical wire bits; the choice only affects
-        in-memory representation and speed.
-        """
-        if backend is None:
-            return self.vector_cls
-        for tag, cls in self.backends:
-            if tag == backend:
-                return cls
-        if backend == "linked" or not self.backends:
-            return self.vector_cls
-        known = sorted({"linked"} | {tag for tag, _ in self.backends})
-        raise ValueError(f"unknown backend {backend!r} for protocol "
-                         f"{self.name!r}; expected one of {known}")
 
     def build(self, b: BasicRotatingVector, a: BasicRotatingVector,
               verdict: Ordering, *, tracer: Optional[Tracer] = None
@@ -135,17 +111,11 @@ def names() -> List[str]:
 
 
 register(ProtocolSpec(
-    name="brv", vector_cls=BasicRotatingVector, reconciles=False,
-    make_sender=syncb_sender, make_receiver=syncb_receiver,
-    backends=(("linked", BasicRotatingVector),
-              ("array", ArrayBasicRotatingVector))))
+    name="brv", vector_cls=ArrayBasicRotatingVector, reconciles=False,
+    make_sender=syncb_sender, make_receiver=syncb_receiver))
 register(ProtocolSpec(
-    name="crv", vector_cls=ConflictRotatingVector, reconciles=True,
-    make_sender=syncc_sender, make_receiver=syncc_receiver,
-    backends=(("linked", ConflictRotatingVector),
-              ("array", ArrayConflictRotatingVector))))
+    name="crv", vector_cls=ArrayConflictRotatingVector, reconciles=True,
+    make_sender=syncc_sender, make_receiver=syncc_receiver))
 register(ProtocolSpec(
-    name="srv", vector_cls=SkipRotatingVector, reconciles=True,
-    make_sender=syncs_sender, make_receiver=syncs_receiver,
-    backends=(("linked", SkipRotatingVector),
-              ("array", ArraySkipRotatingVector))))
+    name="srv", vector_cls=ArraySkipRotatingVector, reconciles=True,
+    make_sender=syncs_sender, make_receiver=syncs_receiver))

@@ -91,7 +91,15 @@ class AntiEntropyResult:
 
 
 class AntiEntropySimulation:
-    """Periodic gossip + scheduled updates over a state-transfer system."""
+    """Periodic gossip + scheduled updates over a state-transfer system.
+
+    The schedule — jittered gossip, exponential update arrivals,
+    partition windows, the convergence clock — lives in :meth:`_run`.
+    What is specific to state transfer sits in the small methods above
+    it (system construction, object creation, the update value, the
+    consistency check, the error label), which
+    :class:`OpAntiEntropySimulation` replaces.
+    """
 
     def __init__(self, config: AntiEntropyConfig,
                  value_factory: Optional[Callable[[str, int], Any]] = None,
@@ -102,12 +110,35 @@ class AntiEntropySimulation:
         self.metrics = metrics
         self.value_factory = value_factory or (
             lambda site, seq: frozenset({f"{site}#{seq}"}))
-        self.system = StateTransferSystem(
-            metadata=config.metadata,
+        self.system = self._build_system()
+        self._sites = site_names(config.n_sites)
+
+    def _build_system(self) -> Any:
+        return StateTransferSystem(
+            metadata=self.config.metadata,
             resolution=AutomaticResolution(union_merge),
             track_graph=False,
-            tracer=tracer, metrics=metrics)
-        self._sites = site_names(config.n_sites)
+            tracer=self.tracer, metrics=self.metrics)
+
+    def _create_object(self, site: str) -> None:
+        self.system.create_object(site, self.config.object_id,
+                                  self.value_factory(site, 0))
+
+    def _update(self, site: str, seq: int) -> None:
+        object_id = self.config.object_id
+        replica = self.system.replica(site, object_id)
+        self.system.update(site, object_id,
+                           replica.value | self.value_factory(site, seq))
+
+    def _is_consistent(self) -> bool:
+        check = (self.system.is_consistent
+                 if self.config.convergence == "full"
+                 else self.system.values_consistent)
+        return check(self.config.object_id)
+
+    def _describe(self) -> str:
+        return (f"scheme {self.config.metadata}, "
+                f"period {self.config.gossip_period}")
 
     def run(self) -> AntiEntropyResult:
         """Execute the schedule; returns the measured result.
@@ -137,8 +168,7 @@ class AntiEntropySimulation:
         sites = self._sites
         object_id = config.object_id
 
-        system.create_object(sites[0], object_id,
-                             self.value_factory(sites[0], 0))
+        self._create_object(sites[0])
         for site in sites[1:]:
             system.clone_replica(sites[0], site, object_id)
 
@@ -159,9 +189,7 @@ class AntiEntropySimulation:
                 return
             site = rng.choice(sites)
             state["seq"] += 1
-            replica = system.replica(site, object_id)
-            value = replica.value | self.value_factory(site, state["seq"])
-            system.update(site, object_id, value)
+            self._update(site, state["seq"])
             state["updates_left"] -= 1
             state["last_update_time"] = sim.now
             state["converged_at"] = None  # consistency must be re-reached
@@ -201,11 +229,9 @@ class AntiEntropySimulation:
                     metrics.counter("antientropy.gossips").inc()
                     metrics.histogram(
                         "antientropy.bits_per_exchange").observe(bits)
-            check = (system.is_consistent if config.convergence == "full"
-                     else system.values_consistent)
             if (state["updates_left"] == 0
                     and state["converged_at"] is None
-                    and check(object_id)):
+                    and self._is_consistent()):
                 state["converged_at"] = sim.now
                 if tracer is not None:
                     tracer.event("converged", party=dst)
@@ -219,7 +245,7 @@ class AntiEntropySimulation:
         if state["converged_at"] is None:
             raise ReproError(
                 f"no convergence within {config.max_time}s "
-                f"(scheme {config.metadata}, period {config.gossip_period})")
+                f"({self._describe()})")
         if metrics is not None:
             metrics.histogram("antientropy.convergence_seconds").observe(
                 state["converged_at"] - state["last_update_time"])
@@ -228,130 +254,49 @@ class AntiEntropySimulation:
             convergence_time=state["converged_at"],
             syncs_performed=state["syncs"],
             updates_applied=config.n_updates,
-            metadata_bits=system.total_metadata_bits(),
-            payload_bits=system.total_payload_bits(),
+            metadata_bits=sum(o.metadata_bits for o in system.outcomes),
+            payload_bits=sum(o.payload_bits for o in system.outcomes),
         )
 
 
-class OpAntiEntropySimulation:
+class OpAntiEntropySimulation(AntiEntropySimulation):
     """The operation-transfer counterpart: gossip over causal graphs.
 
-    Same schedule semantics as :class:`AntiEntropySimulation` but the
-    underlying system logs operations and synchronizes with SYNCG (or the
-    whole-graph baseline via ``use_syncg=False``).  Convergence means all
-    replicas hold identical graphs.
+    Same schedule (partition windows included) as
+    :class:`AntiEntropySimulation`, but the underlying system logs
+    operations and synchronizes with SYNCG (or the whole-graph baseline
+    via ``use_syncg=False``).  Convergence means all replicas hold
+    identical graphs, so only ``convergence="full"`` is defined; any
+    other setting raises :class:`ReproError`.
     """
 
     def __init__(self, config: AntiEntropyConfig, *,
                  use_syncg: bool = True,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        from repro.replication.opsystem import OpTransferSystem
-        self.config = config
-        self.tracer = tracer
-        self.metrics = metrics
-        self.system = OpTransferSystem(use_syncg=use_syncg,
-                                       tracer=tracer, metrics=metrics)
-        self._sites = site_names(config.n_sites)
-
-    def run(self) -> AntiEntropyResult:
-        """Execute the schedule; returns the measured result."""
-        if self.tracer is None:
-            return self._run()
-        previous_clock = self.tracer.clock
-        try:
-            return self._run()
-        finally:
-            self.tracer.clock = previous_clock
-
-    def _run(self) -> AntiEntropyResult:
-        config = self.config
-        system = self.system
-        tracer = self.tracer
-        metrics = self.metrics
-        sim = Simulator()
-        if tracer is not None:
-            tracer.clock = lambda: sim.now
-        rng = random.Random(config.seed)
-        sites = self._sites
-        object_id = config.object_id
-
-        system.create_object(sites[0], object_id)
-        for site in sites[1:]:
-            system.clone_replica(sites[0], site, object_id)
-
-        state = {"updates_left": config.n_updates, "last_update_time": 0.0,
-                 "converged_at": None, "syncs": 0, "seq": 0}
-
-        def schedule_update() -> None:
-            sim.call_after(rng.expovariate(1.0 / config.update_interval),
-                           apply_update)
-
-        def apply_update() -> None:
-            if state["updates_left"] <= 0:
-                return
-            site = rng.choice(sites)
-            state["seq"] += 1
-            system.update(site, object_id, f"{site}#{state['seq']}")
-            state["updates_left"] -= 1
-            state["last_update_time"] = sim.now
-            state["converged_at"] = None
-            if tracer is not None:
-                tracer.event("update", party=site, seq=state["seq"])
-            if metrics is not None:
-                metrics.counter("antientropy.updates").inc()
-            if state["updates_left"] > 0:
-                schedule_update()
-
-        def schedule_gossip(site_index: int) -> None:
-            jitter = 1 + config.gossip_jitter * (2 * rng.random() - 1)
-            sim.call_after(config.gossip_period * jitter,
-                           lambda: gossip(site_index))
-
-        def gossip(site_index: int) -> None:
-            if (state["converged_at"] is not None
-                    and state["updates_left"] == 0):
-                return
-            src, dst = config.topology.pair(rng, state["syncs"], sites)
-            system.sync_bidirectional(dst, src, object_id)
-            state["syncs"] += 2
-            if tracer is not None or metrics is not None:
-                recent = system.outcomes[-2:]
-                bits = sum(o.metadata_bits + o.payload_bits for o in recent)
-                if tracer is not None:
-                    tracer.event("gossip", party=dst, peer=src, bits=bits)
-                if metrics is not None:
-                    metrics.counter("antientropy.gossips").inc()
-                    metrics.histogram(
-                        "antientropy.bits_per_exchange").observe(bits)
-            if (state["updates_left"] == 0
-                    and state["converged_at"] is None
-                    and system.is_consistent(object_id)):
-                state["converged_at"] = sim.now
-                if tracer is not None:
-                    tracer.event("converged", party=dst)
-            schedule_gossip(site_index)
-
-        for index in range(len(sites)):
-            schedule_gossip(index)
-        schedule_update()
-        sim.run(until=config.max_time)
-        if state["converged_at"] is None:
+        if config.convergence != "full":
             raise ReproError(
-                f"no convergence within {config.max_time}s (op transfer)")
-        if metrics is not None:
-            metrics.histogram("antientropy.convergence_seconds").observe(
-                state["converged_at"] - state["last_update_time"])
-        payload = sum(o.payload_bits for o in system.outcomes)
-        metadata = sum(o.metadata_bits for o in system.outcomes)
-        return AntiEntropyResult(
-            last_update_time=state["last_update_time"],
-            convergence_time=state["converged_at"],
-            syncs_performed=state["syncs"],
-            updates_applied=config.n_updates,
-            metadata_bits=metadata,
-            payload_bits=payload,
-        )
+                f"operation transfer converges on identical graphs; "
+                f"convergence={config.convergence!r} is not defined for it")
+        self._use_syncg = use_syncg
+        super().__init__(config, tracer=tracer, metrics=metrics)
+
+    def _build_system(self) -> Any:
+        from repro.replication.opsystem import OpTransferSystem
+        return OpTransferSystem(use_syncg=self._use_syncg,
+                                tracer=self.tracer, metrics=self.metrics)
+
+    def _create_object(self, site: str) -> None:
+        self.system.create_object(site, self.config.object_id)
+
+    def _update(self, site: str, seq: int) -> None:
+        self.system.update(site, self.config.object_id, f"{site}#{seq}")
+
+    def _is_consistent(self) -> bool:
+        return self.system.is_consistent(self.config.object_id)
+
+    def _describe(self) -> str:
+        return "op transfer"
 
 
 def compare_schemes(config: AntiEntropyConfig,

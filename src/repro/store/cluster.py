@@ -93,9 +93,13 @@ class StoreConfig:
             supersedes every sibling the coordinator just observed.
             This is the standard defense against sibling explosion
             (unbounded sibling growth under many writers with stale
-            contexts); siblings then arise only from genuinely
-            concurrent cross-site writes and stay bounded by the fleet
-            size.  Off, puts use the client context verbatim.
+            contexts); siblings then arise only from concurrent
+            cross-site writes.  They are *not* bounded by the fleet
+            size: values merge by union without per-value dots, and
+            ``bench/baseline.json`` measures
+            ``store.kv.siblings_per_key_max`` = 103–158 on
+            ``store_hot``'s 8 sites.  Off, puts use the client context
+            verbatim.
         read_repair: consult a peer replica on ``get`` and schedule a
             per-key repair session when the replicas diverge.
         retry: ARQ knobs for faulted channels (inert on perfect links).
@@ -118,7 +122,6 @@ class StoreConfig:
     read_repair: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     max_steps: int = 10_000_000
-    backend: str = "array"
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:
@@ -126,10 +129,6 @@ class StoreConfig:
             raise ValidationError(
                 f"unknown protocol {self.protocol!r}; "
                 f"expected one of {registry.names()}")
-        try:
-            registry.get(self.protocol).vector_class(self.backend)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
         if self.batch_size < 1:
             raise ValidationError(
                 f"batch_size must be >= 1, got {self.batch_size}")
@@ -299,9 +298,8 @@ class StoreCluster:
         self.monitor = monitor
         spec = registry.get(config.protocol)
         self._spec = spec
-        vector_cls = spec.vector_class(config.backend)
         self.stores: Dict[str, SiteStore] = {
-            site: SiteStore(site, vector_cls) for site in self.sites}
+            site: SiteStore(site, spec.vector_cls) for site in self.sites}
         self.sim = Simulator()
         self._usage: Dict[str, int] = {site: 0 for site in self.sites}
         self._deferred_ops: Dict[str, List[Tuple[ClientOp, float, Optional[
@@ -384,9 +382,10 @@ class StoreCluster:
         With coordinated writes (the default) the coordinator unions the
         client's context with its own current context for the key — an
         atomic read-modify-write that covers every sibling the site
-        holds, keeping sibling sets bounded by the number of genuinely
-        concurrent writers (the fleet size) instead of growing with
-        every stale-context put.
+        holds, so a stale-context put no longer adds a sibling.  Sets
+        still outgrow the fleet size through union merges of concurrent
+        cross-site writes (``store.kv.siblings_per_key_max`` reaches
+        103–158 on 8 sites in ``bench/baseline.json``).
         """
         if not self.config.coordinated_writes:
             return op.context

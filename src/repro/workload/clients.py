@@ -62,8 +62,6 @@ class StoreWorkloadConfig:
     #: Anti-entropy round period, seconds.
     sync_period: float = 1.0
     protocol: str = "srv"
-    #: Vector storage backend (``array`` fast path or ``linked`` oracle).
-    backend: str = "array"
     batch_size: int = 8
     #: Nominal chaos loss rate on the inter-site links (0 = perfect).
     loss_rate: float = 0.0
@@ -245,7 +243,7 @@ def build_store_cluster(config: StoreWorkloadConfig, *,
                ChannelSpec(latency=config.net_latency,
                            bandwidth=config.bandwidth))
     store_config = StoreConfig(
-        protocol=config.protocol, backend=config.backend, channel=channel,
+        protocol=config.protocol, channel=channel,
         batch_size=config.batch_size, client_latency=config.client_latency,
         read_repair=config.read_repair,
         retry=RetryPolicy(seed=config.chaos_seed))

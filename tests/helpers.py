@@ -10,14 +10,17 @@ property tests generate command lists, not raw vectors.
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import Dict, List, Sequence, Tuple, Type, Union
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Sequence, Tuple, Type, Union
 
 from repro.core.conflict import ConflictRotatingVector
 from repro.core.order import Ordering
 from repro.core.rotating import BasicRotatingVector
 from repro.core.skip import SkipRotatingVector
 from repro.net.wire import DEFAULT_ENCODING
+from repro.protocols import registry
 from repro.protocols.session import (SessionResult, run_session,
                                      run_session_randomized)
 from repro.protocols.syncb import syncb_receiver, syncb_sender
@@ -95,3 +98,28 @@ def expected_merge(a: BasicRotatingVector,
     for site, value in b.to_version_vector().as_dict().items():
         result[site] = max(result.get(site, 0), value)
     return result
+
+
+#: The linked-list reference class behind each registered scheme.
+LINKED_CLASSES = {"brv": BasicRotatingVector, "crv": ConflictRotatingVector,
+                  "srv": SkipRotatingVector}
+
+
+@contextmanager
+def linked_vectors() -> Iterator[None]:
+    """Run the body with ``brv``/``crv``/``srv`` over the linked-list oracle.
+
+    Re-registers each scheme with its linked base class as ``vector_cls``
+    and puts the array-backed originals back on exit, so a test can run
+    the same cluster, store, or bench twice and demand identical bits.
+    In-process only: a worker pool would import a fresh registry.
+    """
+    originals = [registry.get(name) for name in LINKED_CLASSES]
+    try:
+        for spec in originals:
+            registry.register(dataclasses.replace(
+                spec, vector_cls=LINKED_CLASSES[spec.name]))
+        yield
+    finally:
+        for spec in originals:
+            registry.register(spec)

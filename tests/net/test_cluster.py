@@ -98,6 +98,22 @@ class TestQueueing:
         times = [r.started_at for r in result.records]
         assert times == sorted(times)
 
+    def test_a_request_listed_twice_keeps_both_request_times(self):
+        # Regression: request times were keyed by id(request), so a
+        # schedule reusing one SessionRequest object overwrote the first
+        # waiter's entry and reported queue_wait == 0.0 for the second.
+        first = SessionRequest(0.0, "A", "B")
+        again = SessionRequest(0.001, "A", "B")
+        aliased = run_cluster(["A", "B"], [first, again, again])
+        distinct = run_cluster(
+            ["A", "B"], [first, again, SessionRequest(0.001, "A", "B")])
+        waits = [r.queue_wait for r in aliased.records]
+        assert waits == [r.queue_wait for r in distinct.records]
+        assert waits[0] == 0.0
+        assert 0.0 < waits[1] < waits[2]
+        assert [r.requested_at for r in aliased.records] == [0.0, 0.001,
+                                                             0.001]
+
 
 class TestDeferredUpdates:
     def test_update_during_session_is_deferred(self):

@@ -1,6 +1,4 @@
-"""The unified session-launch API: options, validation, and the shims."""
-
-import warnings
+"""The unified session-launch API: options and validation."""
 
 import pytest
 
@@ -9,8 +7,7 @@ from repro.core.skip import SkipRotatingVector
 from repro.errors import SessionError, ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.faults import FaultSpec, RetryPolicy
-from repro.net.runner import (SessionOptions, launch, launch_batch_session,
-                              launch_session, run_timed, run_timed_session)
+from repro.net.runner import SessionOptions, launch, run_timed
 from repro.net.simulator import Simulator
 from repro.net.wire import Encoding
 from repro.protocols.syncb import syncb_receiver, syncb_sender
@@ -165,51 +162,3 @@ class TestOnAbandon:
             encoding=ENC, on_abandon=seen.append))
         sim.run()
         assert not seen
-
-
-class TestDeprecatedShims:
-    def test_run_timed_session_warns_and_matches_the_new_path(self):
-        a1, b = brv_pair()
-        with pytest.warns(DeprecationWarning, match="run_timed_session"):
-            old = run_timed_session(syncb_sender(b), syncb_receiver(a1),
-                                    channel=CHANNEL, encoding=ENC)
-        a2, _ = brv_pair()
-        new = run_timed(SessionOptions.for_pair(
-            syncb_sender(b), syncb_receiver(a2),
-            channel=CHANNEL, encoding=ENC))
-        assert old.stats.total_bits == new.stats.total_bits
-        assert old.completion_time == new.completion_time
-        assert a1.same_structure(a2)
-
-    def test_launch_session_warns_and_returns_stats(self):
-        a, b = brv_pair()
-        sim = Simulator()
-        with pytest.warns(DeprecationWarning, match="launch_session"):
-            stats = launch_session(sim, syncb_sender(b), syncb_receiver(a),
-                                   channel=CHANNEL, encoding=ENC)
-        sim.run()
-        assert stats.total_bits > 0
-
-    def test_launch_batch_session_single_pair_still_reports_lists(self):
-        a, b = srv_pair()
-        seen = []
-        sim = Simulator()
-        with pytest.warns(DeprecationWarning, match="launch_batch_session"):
-            launch_batch_session(
-                sim,
-                [(syncs_sender(b),
-                  syncs_receiver(a, reconcile=a.compare(b).is_concurrent))],
-                batch_size=1, channel=CHANNEL, encoding=ENC,
-                on_complete=seen.append)
-        sim.run()
-        assert len(seen) == 1
-        assert isinstance(seen[0].sender_result, list)
-        assert isinstance(seen[0].receiver_result, list)
-
-    def test_new_entry_points_do_not_warn(self):
-        a, b = brv_pair()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_timed(SessionOptions.for_pair(
-                syncb_sender(b), syncb_receiver(a),
-                channel=CHANNEL, encoding=ENC))

@@ -1,13 +1,12 @@
 """Tests for the unified ``launch_cluster`` entry point.
 
 The API-redesign contract: one ``TopologySpec`` drives everything —
-sites, channels, sharding, gossip — with the legacy per-knob kwargs
-surviving only as deprecation shims, and two launches of the same spec
-and seed producing byte-identical reports.
+sites, channels, sharding, gossip — with no per-knob kwargs beside it,
+and two launches of the same spec and seed producing byte-identical
+reports.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -91,35 +90,11 @@ class TestApiSurface:
     def test_unknown_kwargs_raise_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             launch_cluster(fleet_spec(), encoding=ENC, fan_out=3)
-
-
-class TestDeprecationShims:
-    def test_fanout_shim_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="gossip.fanout"):
-            runner = launch_cluster(TopologySpec.single(4), n_objects=1,
-                                    encoding=ENC, fanout=3)
-        assert runner.config.fanout == 3
-
-    def test_channel_shim_warns_and_overrides_the_spec(self):
-        channel = ChannelSpec(latency=0.123, bandwidth=1e6)
-        with pytest.warns(DeprecationWarning, match="TopologySpec"):
-            runner = launch_cluster(TopologySpec.single(4), n_objects=1,
-                                    encoding=ENC, channel=channel)
-        assert runner.config.channel is channel
-        assert runner.config.topology is None
-
-    def test_chaos_loss_shim_builds_a_lossy_channel(self):
-        with pytest.warns(DeprecationWarning, match="LinkProfile"):
-            runner = launch_cluster(TopologySpec.single(4, chaos_seed=7),
-                                    n_objects=1, encoding=ENC,
-                                    chaos_loss=0.1)
-        faults = runner.config.channel.faults
-        assert faults.drop == 0.1 and faults.seed == 7
-
-    def test_new_style_spec_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            launch_cluster(fleet_spec(), n_objects=4, encoding=ENC)
+        # The fleet-shape knobs live on the spec and nowhere else.
+        for retired in ({"fanout": 2}, {"channel": ChannelSpec()},
+                        {"chaos_loss": 0.1}, {"backend": "linked"}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                launch_cluster(fleet_spec(), encoding=ENC, **retired)
 
 
 class TestDeterminism:

@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.core.conflict import ConflictRotatingVector
+from repro.core.arrayvec import (ArrayBasicRotatingVector,
+                                 ArrayConflictRotatingVector,
+                                 ArraySkipRotatingVector)
 from repro.core.rotating import BasicRotatingVector
 from repro.core.skip import SkipRotatingVector
 from repro.errors import ConcurrentVectorsError
-from repro.net.cluster import PROTOCOLS, build_session_coroutines
+from repro.net.cluster import ClusterConfig, ClusterRunner
 from repro.net.wire import Encoding
 from repro.protocols import registry
 from repro.protocols.session import run_session
+from tests.helpers import linked_vectors
 
 ENC = Encoding(site_bits=8, value_bits=16)
 
@@ -23,9 +26,19 @@ class TestRegistryLookup:
             registry.get("gossip")
 
     def test_vector_classes(self):
-        assert registry.get("brv").vector_cls is BasicRotatingVector
-        assert registry.get("crv").vector_cls is ConflictRotatingVector
-        assert registry.get("srv").vector_cls is SkipRotatingVector
+        assert registry.get("brv").vector_cls is ArrayBasicRotatingVector
+        assert registry.get("crv").vector_cls is ArrayConflictRotatingVector
+        assert registry.get("srv").vector_cls is ArraySkipRotatingVector
+
+    def test_linked_oracle_is_reached_by_re_registering(self):
+        sites = ["A", "B"]
+        with linked_vectors():
+            assert registry.get("srv").vector_cls is SkipRotatingVector
+            runner = ClusterRunner(sites, ClusterConfig(protocol="srv"))
+            assert type(runner.vectors["A"]) is SkipRotatingVector
+        assert registry.get("srv").vector_cls is ArraySkipRotatingVector
+        runner = ClusterRunner(sites, ClusterConfig(protocol="srv"))
+        assert type(runner.vectors["A"]) is ArraySkipRotatingVector
 
     def test_reconciliation_traits(self):
         assert not registry.get("brv").reconciles
@@ -72,28 +85,3 @@ class TestBuild:
         b.record_update("B")
         _, _, reconciled = registry.get("srv").build(b, a, a.compare(b))
         assert not reconciled
-
-
-class TestClusterFacade:
-    def test_protocols_table_is_a_registry_view(self):
-        assert set(PROTOCOLS.keys()) == {"brv", "crv", "srv"}
-        assert len(PROTOCOLS) == 3
-        assert "srv" in PROTOCOLS
-        assert "xyz" not in PROTOCOLS
-        assert sorted(PROTOCOLS) == registry.names()
-        assert PROTOCOLS["crv"][0] is ConflictRotatingVector
-
-    def test_build_session_coroutines_delegates_to_registry(self):
-        a = SkipRotatingVector.from_pairs([("A", 1)])
-        b = a.copy()
-        b.record_update("B")
-        sender, receiver, reconciled = build_session_coroutines(
-            "srv", b, a, a.compare(b))
-        assert not reconciled
-        run_session(sender, receiver, encoding=ENC)
-        assert a.to_version_vector().as_dict() == {"A": 1, "B": 1}
-
-    def test_build_session_coroutines_unknown_protocol(self):
-        a = SkipRotatingVector()
-        with pytest.raises(ValueError, match="unknown protocol"):
-            build_session_coroutines("nope", a, a, a.compare(a))

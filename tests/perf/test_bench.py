@@ -1,5 +1,6 @@
 """Tests for the cluster benchmark driver and its CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from repro.perf.bench import (BenchConfig, bench_fingerprint, bench_main,
                               format_bench_table, run_cluster_bench,
                               write_bench)
 from repro.perf.schema import SCHEMA_ID, validate_bench, validate_file
+from tests.helpers import linked_vectors
 
 #: A deliberately tiny sweep so driver tests stay fast (no batched,
 #: chaos, or multi-region scenario; those have their own tests below).
@@ -179,15 +181,16 @@ class TestStoreScenario:
         assert bench_fingerprint(first) == bench_fingerprint(second)
 
     def test_backends_fingerprint_identically(self):
-        # The storage backend is an in-memory representation choice: the
-        # two documents must carry identical bits, sim times, and — with
-        # config.backend masked — identical fingerprints.
-        import dataclasses
-        array_doc = run_cluster_bench(TINY, created_unix=0.0)
-        linked_doc = run_cluster_bench(
-            dataclasses.replace(TINY, backend="linked"), created_unix=0.0)
-        assert array_doc["config"]["backend"] == "array"
-        assert linked_doc["config"]["backend"] == "linked"
+        # The linked-list classes are the array vectors' oracle: the same
+        # sweep over either must carry identical bits, sim times, and
+        # fingerprints, store cell included.
+        config = dataclasses.replace(
+            TINY, store_site_count=4, store_keys=6, store_clients=8,
+            store_ops=400)
+        array_doc = run_cluster_bench(config, created_unix=0.0)
+        with linked_vectors():
+            linked_doc = run_cluster_bench(config, created_unix=0.0)
+        assert "backend" not in array_doc["config"]
         for array_run, linked_run in zip(array_doc["runs"],
                                          linked_doc["runs"]):
             assert array_run["total_bits"] == linked_run["total_bits"]
@@ -434,6 +437,9 @@ class TestBenchFingerprint:
         reference = bench_fingerprint(document)
         document["created_unix"] = 12345.0
         document["runs"][0]["wall_seconds"] = 99.0
+        # Documents written while the config still had a backend key
+        # must keep comparing equal to ones written since.
+        document["config"]["backend"] = "array"
         assert bench_fingerprint(document) == reference
         document["runs"][0]["total_bits"] += 1
         assert bench_fingerprint(document) != reference
@@ -516,6 +522,7 @@ class TestBenchCli:
         ["--workers", "zero"],             # not an integer
         ["--workers", "0"],                # below minimum
         ["--frobnicate"],                  # unknown flag
+        ["--backend", "linked"],           # retired: one representation
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         assert bench_main(argv) == 2

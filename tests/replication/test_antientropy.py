@@ -177,6 +177,29 @@ class TestOpTransferAntiEntropy:
             OpAntiEntropySimulation(
                 small_config(gossip_period=50.0, max_time=10.0)).run()
 
+    def test_no_sync_crosses_an_active_cut(self):
+        # Regression: the op-transfer loop ignored config.partitions.
+        from repro.obs.trace import Tracer
+        from repro.replication.antientropy import OpAntiEntropySimulation
+        left = frozenset({"S000", "S001"})
+        tracer = Tracer()
+        result = OpAntiEntropySimulation(
+            small_config(seed=8, update_interval=0.2, n_updates=15,
+                         partitions=((0.0, 30.0, left),)),
+            tracer=tracer).run()
+        gossips = [e for e in tracer.events if e.kind == "gossip"]
+        during = [e for e in gossips if e.time < 30.0]
+        assert during and len(during) < len(gossips)
+        assert all((e.party in left) == (e.fields["peer"] in left)
+                   for e in during)
+        # Updates landed on both sides, so graphs agree only after the heal.
+        assert result.convergence_time >= 30.0
+
+    def test_values_convergence_is_rejected_not_ignored(self):
+        from repro.replication.antientropy import OpAntiEntropySimulation
+        with pytest.raises(ReproError, match="convergence='values'"):
+            OpAntiEntropySimulation(small_config(convergence="values"))
+
 
 class TestSchemeComparison:
     def test_identical_schedule_across_schemes(self):

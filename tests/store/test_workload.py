@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.skip import SkipRotatingVector
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.workload.clients import (StoreWorkloadConfig, generate_client_ops,
                                     hot_key_order, run_store_workload)
+from tests.helpers import linked_vectors
 
 #: Small enough to stay fast, large enough to exercise every path.
 SMALL = StoreWorkloadConfig(n_sites=4, n_keys=8, n_clients=8, ops=400,
@@ -99,6 +101,16 @@ class TestRunWorkload:
         second = run_store_workload(SMALL).digest()
         assert first == second
         assert "wall" not in " ".join(first)
+
+    def test_linked_oracle_produces_the_same_digest(self):
+        # The store over the linked-list reference vectors must reach
+        # the same state hash, bit count, and latencies as the default.
+        default = run_store_workload(SMALL)
+        with linked_vectors():
+            linked = run_store_workload(SMALL)
+        record = next(iter(linked.store.stores["S000"].table.values()))
+        assert type(record.vector) is SkipRotatingVector
+        assert linked.digest() == default.digest()
 
     def test_chaos_faults_apply_to_store_sessions(self):
         config = StoreWorkloadConfig(n_sites=4, n_keys=8, n_clients=8,
