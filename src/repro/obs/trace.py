@@ -108,6 +108,10 @@ SAMPLING = "sampling"
 STORE_OP = "store_op"
 #: A divergent read scheduled a per-key repair session (store runs).
 READ_REPAIR = "read_repair"
+#: A store site opened an anti-entropy pull by sending its knowledge
+#: vector to ``fields["peer"]`` (``fields["entries"]`` origins, for
+#: session ``fields["session"]``).
+KNOWLEDGE_ADVERT = "knowledge_advert"
 #: The consistency observatory caught a session-guarantee breach;
 #: ``fields["check"]`` names the guarantee (``read_your_writes``,
 #: ``monotonic_reads``, ``resurrection``, ``visibility_watermark``) and

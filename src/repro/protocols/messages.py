@@ -109,6 +109,17 @@ class FullVectorMsg(Message):
             for _, value in self.pairs)
 
 
+@dataclass(frozen=True)
+class KnowledgeMsg(FullVectorMsg):
+    """A store site's knowledge vector ``{origin: events seen}``.
+
+    Opens an anti-entropy pull (receiver → sender, the *advert*) and
+    rides back on the reply; it is a whole vector and is priced as one.
+    Key *names* are not priced anywhere in the store — frames carry
+    γ(object index), as read-repair sessions always have.
+    """
+
+
 # -- COMPARE -----------------------------------------------------------------------
 
 

@@ -98,6 +98,8 @@ def format_store_report(result) -> str:
         f"({store.sessions_abandoned} abandoned), "
         f"{store.read_repairs} read repairs, "
         f"{store.reconciliations} reconciliations",
+        f"  anti-entropy: {store.keys_streamed} keys streamed, "
+        f"{store.keys_useful} useful, {store.advert_bits} advert bits",
         f"  wire: {store.total_bits} bits; "
         f"sim completion {store.completion_time:.3f} s",
         f"  get latency: {_format_summary(result.latency_summary('get'))}",

@@ -10,14 +10,33 @@ over them:
   writes must never mutate a vector a live coroutine is iterating.  The
   deferral wait is the dominant realistic source of tail latency and is
   measured per op.
-* **Anti-entropy sessions** synchronize a key set between two sites by
-  running one stock SYNC* coroutine pair *per key* through the unified
+* **Sessions** synchronize a key set between two sites by running one
+  stock SYNC* coroutine pair *per key* through the unified
   :func:`~repro.net.runner.launch` transport — so channel faults, ARQ
   retransmission, and transactional resume apply to store traffic
   unchanged.  Sibling sets are folded in afterwards by the pre-session
   verdicts (:meth:`~repro.store.kv.SiteStore.absorb`), and §2.2's
   post-reconciliation self-increment keeps COMPARE's freshness
-  precondition per key.
+  precondition per key.  A read-repair session names its keys; an
+  **anti-entropy pull** streams only the keys the puller lacks (below).
+
+Anti-entropy: O(changed keys), not O(keys)
+-----------------------------------------
+
+A pull ``dst ← src`` opens with one priced message from ``dst`` carrying
+a snapshot of its knowledge vector (:mod:`repro.store.kv`) — the
+*advert*, a one-message exchange through :func:`launch` that occupies
+neither site while in flight.  When it has arrived and both sites are
+idle, ``src`` selects exactly the keys whose stamp the advert does not
+cover, from its own index and the advert alone, and runs the per-key
+batch over them with its own knowledge vector leading the first key's
+stream (alone, when nothing was selected).  Only on completion does
+``dst`` raise its knowledge to the max of both; an abort or abandon
+leaves it untouched.  A stale advert (``dst`` learned more while it
+flew) only over-sends keys that then compare ``EQUAL``/``AFTER``; a
+read-repair that adopts a stamp beyond ``dst``'s knowledge only makes
+``dst`` offer that key to peers sooner.  Neither can skip a key the
+puller lacks, because knowledge never runs ahead of state.
 
 Abort safety (the torn-vector contract)
 ---------------------------------------
@@ -40,16 +59,17 @@ and idempotent, and the vectors themselves converge by the paper's sync
 protocols, so any schedule that eventually pairs every site (directly or
 transitively) drives all sites to identical per-key sibling sets.
 :meth:`StoreCluster.run` can append a deterministic star sweep (gather
-into a hub, then scatter back out) that *provably* closes convergence
-for fault-free and resumable runs — the same pattern the monitor CLI
-uses for its fleet score.
+into a hub, drain, then scatter back out) that *provably* closes
+convergence for fault-free and resumable runs — the same pattern the
+monitor CLI uses for its fleet score.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.core.order import Ordering
 from repro.errors import SessionError, SimulationError, ValidationError
@@ -65,6 +85,8 @@ from repro.obs.consistency import ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry, observe_session
 from repro.obs.trace import Tracer
 from repro.protocols import registry
+from repro.protocols.effects import Recv, Send
+from repro.protocols.messages import KnowledgeMsg
 from repro.store.kv import (TOMBSTONE, CausalContext, KeySnapshot,
                             ReadResult, SiteStore, merge_siblings)
 
@@ -179,7 +201,17 @@ class OpOutcome:
 
 @dataclass
 class StoreSessionRecord:
-    """One anti-entropy session between two sites, over ``keys``."""
+    """One session in which ``dst`` pulls ``keys`` from ``src``.
+
+    Born when it is requested (``index`` is request order).  A
+    read-repair session names its keys up front.  An anti-entropy pull
+    starts as an advert of ``dst``'s knowledge vector, sent at
+    ``requested_at``: ``advert`` is that vector once it has reached
+    ``src`` (``None`` before, and for read-repair), ``advert_bits`` what
+    the exchange cost on the wire, and ``keys`` what ``src`` selected
+    from it when the session started.  ``queue_wait`` therefore covers
+    the advert's flight as well as the wait for both sites to be idle.
+    """
 
     index: int
     src: str
@@ -191,18 +223,32 @@ class StoreSessionRecord:
     reconciled: Dict[str, bool] = field(default_factory=dict)
     aborted: bool = False
     result: Optional[TimedSessionResult] = None
+    advert: Optional[Dict[str, int]] = None
+    advert_bits: int = 0
 
     @property
     def queue_wait(self) -> float:
         return self.started_at - self.requested_at
 
+    @property
+    def keys_useful(self) -> int:
+        """Keys whose verdict moved data: ``BEFORE`` or ``CONCURRENT``."""
+        return sum(1 for verdict in self.verdicts.values()
+                   if verdict is Ordering.BEFORE or verdict.is_concurrent)
 
-@dataclass
-class _SyncRequest:
-    src: str
-    dst: str
-    keys: Optional[Tuple[str, ...]]
-    requested_at: float
+
+def _knowledge_msg(store: SiteStore) -> KnowledgeMsg:
+    """A snapshot of ``store``'s knowledge vector, as it goes on the wire."""
+    return KnowledgeMsg(tuple(sorted(store.knowledge.items())))
+
+
+def _prefixed(effect: Any, then: Any = None) -> Any:
+    """Protocol coroutine ``then`` with one knowledge-vector effect —
+    ``Send(KnowledgeMsg)`` or the matching ``Recv()`` — run first; alone,
+    one side of a one-message exchange."""
+    yield effect
+    if then is not None:
+        return (yield from then)
 
 
 @dataclass
@@ -222,6 +268,26 @@ class StoreRunResult:
     @property
     def sessions(self) -> int:
         return len(self.records)
+
+    def _completed_pulls(self) -> List[StoreSessionRecord]:
+        return [record for record in self.records
+                if record.advert is not None and record.result is not None]
+
+    @property
+    def keys_streamed(self) -> int:
+        """Keys completed anti-entropy pulls ran a SYNC* exchange for."""
+        return sum(len(record.keys) for record in self._completed_pulls())
+
+    @property
+    def keys_useful(self) -> int:
+        """How many of :attr:`keys_streamed` moved data (``BEFORE`` or
+        ``CONCURRENT`` verdicts)."""
+        return sum(record.keys_useful for record in self._completed_pulls())
+
+    @property
+    def advert_bits(self) -> int:
+        """Wire bits of every advert exchange, lost ones included."""
+        return sum(record.advert_bits for record in self.records)
 
     @property
     def total_bits(self) -> int:
@@ -302,9 +368,12 @@ class StoreCluster:
             site: SiteStore(site, spec.vector_cls) for site in self.sites}
         self.sim = Simulator()
         self._usage: Dict[str, int] = {site: 0 for site in self.sites}
-        self._deferred_ops: Dict[str, List[Tuple[ClientOp, float, Optional[
-            Callable[[OpOutcome], None]]]]] = {site: [] for site in self.sites}
-        self._pending: List[_SyncRequest] = []
+        self._deferred_ops: Dict[str, Deque[Tuple[ClientOp, float, Optional[
+            Callable[[OpOutcome], None]]]]] = {
+                site: deque() for site in self.sites}
+        #: Sessions ready to start (advert arrived, or keys named) whose
+        #: endpoints are not both idle yet, in arrival order.
+        self._pending: List[StoreSessionRecord] = []
         #: (src, dst, key) triples with a repair session already queued;
         #: keeps hot keys from flooding the queue with duplicate repairs.
         self._repair_inflight: set = set()
@@ -452,41 +521,120 @@ class StoreCluster:
 
     def request_sync(self, src: str, dst: str, *,
                      keys: Optional[Sequence[str]] = None) -> None:
-        """Request that ``dst`` pull ``keys`` (default: all) from ``src``."""
+        """Request that ``dst`` pull from ``src``.
+
+        With ``keys`` (read-repair) the session syncs exactly those and
+        starts as soon as both sites are idle.  Without, it is an
+        anti-entropy pull: ``dst`` sends its knowledge vector now —
+        busy or not, the advert occupies no site — and the session
+        starts once it has reached ``src``, over the keys ``src`` finds
+        it does not cover.
+        """
         for name in (src, dst):
             if name not in self.stores:
                 raise ValidationError(f"unknown site {name!r}")
         if src == dst:
             raise ValidationError(f"sync pairs a site with itself: {src}")
-        request = _SyncRequest(src=src, dst=dst,
-                               keys=tuple(keys) if keys is not None else None,
-                               requested_at=self.sim.now)
+        now = self.sim.now
+        record = StoreSessionRecord(
+            index=len(self._records), src=src, dst=dst,
+            keys=tuple(keys) if keys is not None else (),
+            requested_at=now, started_at=now)
+        self._records.append(record)
         if self.tracer is not None:
             self.tracer.event(obs.SESSION_REQUEST, party=dst, peer=src)
-        self._pending.append(request)
-        self._dispatch()
+        if keys is None:
+            self._advertise(record)
+        else:
+            self._pending.append(record)
+            self._dispatch()
+
+    def _session_options(self, record: StoreSessionRecord,
+                         channel: ChannelSpec, *, fault_index: int,
+                         **kwargs: Any) -> SessionOptions:
+        """What the advert and the batch of one session share."""
+        config = self.config
+        return SessionOptions(
+            channel=channel, encoding=config.encoding,
+            proc_time=config.proc_time, max_steps=config.max_steps,
+            tracer=self.tracer, party_names=(record.src, record.dst),
+            retry=config.retry, session_id=record.index,
+            fault_seed=(derive_seed(channel.faults.seed, fault_index)
+                        if channel.faults.enabled else None),
+            **kwargs)
+
+    def _advertise(self, record: StoreSessionRecord) -> None:
+        """Send ``dst``'s knowledge vector to ``src``; queue on arrival."""
+        src, dst = record.src, record.dst
+        advert = _knowledge_msg(self.stores[dst])
+        if self.tracer is not None:
+            self.tracer.event(obs.KNOWLEDGE_ADVERT, party=dst, peer=src,
+                              session=record.index,
+                              entries=len(advert.pairs))
+
+        def spent(stats: TransferStats) -> None:
+            record.advert_bits = stats.total_bits
+            self._totals.merge(stats)
+            if self.metrics is not None:
+                self.metrics.counter("store.advert_bits").inc(
+                    stats.total_bits)
+
+        def arrived(result: TimedSessionResult) -> None:
+            spent(result.stats)
+            record.advert = dict(advert.pairs)
+            self._pending.append(record)
+            self._dispatch()
+
+        def lost(error: SessionError) -> None:
+            spent(handle.stats)
+            self._abandoned(record)
+
+        # ``src`` is the session's sender throughout, so the advert is
+        # its one backward message; adverts draw their fault schedules
+        # from the negative indices, batches from the record's own.
+        handle = launch(self.sim, self._session_options(
+            record, self._channel_for(src, dst),
+            fault_index=-1 - record.index,
+            rebuild=lambda: ((_prefixed(Recv()), _prefixed(Send(advert))),),
+            on_complete=arrived, on_abandon=lost))
+
+    def _abandoned(self, record: StoreSessionRecord) -> None:
+        """Count a session that gave up for good (advert or batch)."""
+        record.aborted = True
+        self._sessions_abandoned += 1
+        if self.metrics is not None:
+            self.metrics.counter("store.sessions_abandoned").inc()
 
     def _dispatch(self) -> None:
-        still_pending: List[_SyncRequest] = []
-        for request in self._pending:
-            if (self._usage[request.src] == 0
-                    and self._usage[request.dst] == 0):
-                self._start(request)
-            else:
-                still_pending.append(request)
-        self._pending = still_pending
+        usage = self._usage
+        still_pending: Optional[List[StoreSessionRecord]] = None
+        for position, record in enumerate(self._pending):
+            if usage[record.src] == 0 and usage[record.dst] == 0:
+                if still_pending is None:
+                    still_pending = self._pending[:position]
+                self._start(record)
+            elif still_pending is not None:
+                still_pending.append(record)
+        if still_pending is not None:
+            self._pending = still_pending
 
-    def _session_keys(self, request: _SyncRequest) -> Tuple[str, ...]:
-        if request.keys is not None:
-            return request.keys
-        keys = set(self.stores[request.src].table)
-        keys.update(self.stores[request.dst].table)
-        return tuple(sorted(keys))
+    def _session_keys(self, record: StoreSessionRecord) -> Tuple[str, ...]:
+        """The keys a starting session syncs: the ones it was given, or
+        — for a pull — those ``src``'s stamp index says the advert does
+        not cover.  Reads nothing of ``dst`` but the advert."""
+        if record.advert is None:
+            return record.keys
+        return tuple(self.stores[record.src].keys_beyond(record.advert))
 
     def _build_pairs(self, src: str, dst: str, keys: Tuple[str, ...],
                      record: StoreSessionRecord) -> Tuple[Tuple[Any, Any],
                                                           ...]:
-        """Fresh per-key coroutine pairs over the current records."""
+        """Fresh per-key coroutine pairs over the current records.
+
+        The verdict computed here is the session's own bookkeeping — it
+        decides reconciliation and the sibling fold — and is never used
+        to choose *which* keys a pull streams (:meth:`_session_keys`).
+        """
         pairs: List[Tuple[Any, Any]] = []
         for key in keys:
             src_vector = self.stores[src].record(key).vector
@@ -507,37 +655,41 @@ class StoreCluster:
             return self.config.channel
         return self.config.topology.channel_for(src, dst)
 
-    def _start(self, request: _SyncRequest) -> None:
-        config = self.config
-        src, dst = request.src, request.dst
-        if request.keys is not None and len(request.keys) == 1:
-            self._repair_inflight.discard((src, dst, request.keys[0]))
-        keys = self._session_keys(request)
-        record = StoreSessionRecord(
-            index=len(self._records), src=src, dst=dst, keys=keys,
-            requested_at=request.requested_at, started_at=self.sim.now)
-        self._records.append(record)
-        if not keys:
-            # Nothing to synchronize (no keys written yet anywhere);
-            # keep the record for accounting but skip the wire.
-            record.result = None
-            return
+    def _start(self, record: StoreSessionRecord) -> None:
+        src, dst = record.src, record.dst
+        record.started_at = self.sim.now
+        record.keys = keys = self._session_keys(record)
+        reply: Optional[KnowledgeMsg] = None
+        if record.advert is not None:
+            reply = _knowledge_msg(self.stores[src])
+        elif len(keys) == 1:
+            self._repair_inflight.discard((src, dst, keys[0]))
         self._usage[src] += 1
         self._usage[dst] += 1
         if self.tracer is not None:
             self.tracer.event(obs.SESSION_START, party=dst, peer=src,
                               session=record.index, keys=len(keys))
+
+        def build_pairs() -> Tuple[Tuple[Any, Any], ...]:
+            pairs = self._build_pairs(src, dst, keys, record)
+            if reply is not None:
+                # The sender's knowledge leads the first key's stream
+                # (no extra frame entry, no extra chunk); an empty
+                # selection sends it alone.
+                sender, receiver = pairs[0] if pairs else (None, None)
+                pairs = ((_prefixed(Send(reply), sender),
+                          _prefixed(Recv(), receiver)),) + pairs[1:]
+            return pairs
+
         channel = self._channel_for(src, dst)
+        pairs = build_pairs()
         common = dict(
-            batch_size=config.batch_size if len(keys) > 1 else 1,
-            channel=channel, encoding=config.encoding,
-            proc_time=config.proc_time, max_steps=config.max_steps,
-            tracer=self.tracer, party_names=(src, dst), retry=config.retry,
-            session_id=record.index,
-            on_complete=lambda result: self._finish(record, result))
-        pairs = self._build_pairs(src, dst, keys, record)
+            fault_index=record.index,
+            batch_size=self.config.batch_size if len(pairs) > 1 else 1,
+            on_complete=lambda result: self._finish(record, result, reply))
         if not channel.faults.enabled:
-            launch(self.sim, SessionOptions(pairs=pairs, **common))
+            launch(self.sim, self._session_options(
+                record, channel, pairs=pairs, **common))
             return
 
         # Transactional attempts: snapshot the receiver's records now;
@@ -555,23 +707,20 @@ class StoreCluster:
             if first_pairs:
                 return first_pairs.pop()
             restore_all()
-            return self._build_pairs(src, dst, keys, record)
+            return build_pairs()
 
         def abandon(error: SessionError) -> None:
             restore_all()
-            record.aborted = True
-            self._sessions_abandoned += 1
-            if self.metrics is not None:
-                self.metrics.counter("store.sessions_abandoned").inc()
+            self._totals.merge(handle.stats)
+            self._abandoned(record)
             self._release(record, stats=None)
 
-        launch(self.sim, SessionOptions(
-            rebuild=rebuild, on_abandon=abandon,
-            fault_seed=derive_seed(channel.faults.seed, record.index),
-            **common))
+        handle = launch(self.sim, self._session_options(
+            record, channel, rebuild=rebuild, on_abandon=abandon, **common))
 
     def _finish(self, record: StoreSessionRecord,
-                result: TimedSessionResult) -> None:
+                result: TimedSessionResult,
+                reply: Optional[KnowledgeMsg]) -> None:
         record.result = result
         self._totals.merge(result.stats)
         src, dst = record.src, record.dst
@@ -579,7 +728,7 @@ class StoreCluster:
         for key in record.keys:
             src_record = self.stores[src].record(key)
             dst_store.absorb(key, record.verdicts[key], src_record.siblings,
-                             src_record.updated_at)
+                             src_record.updated_at, src_record.stamp)
             if self.monitor is not None:
                 self.monitor.on_absorb(dst, key,
                                        dst_store.record(key).updated_at,
@@ -592,6 +741,15 @@ class StoreCluster:
                 if self.tracer is not None:
                     self.tracer.event(obs.RECONCILE, party=dst, key=key,
                                       session=record.index)
+        if reply is not None:
+            # Every key the advert did not cover is now synchronized, so
+            # the sender's knowledge is ours too.
+            dst_store.learn(dict(reply.pairs))
+            if self.metrics is not None:
+                self.metrics.counter("store.keys_streamed").inc(
+                    len(record.keys))
+                self.metrics.counter("store.keys_useful").inc(
+                    record.keys_useful)
         if self.metrics is not None:
             observe_session(self.metrics, result.stats,
                             protocol=f"store.{self.config.protocol}",
@@ -622,30 +780,38 @@ class StoreCluster:
             # mutate vectors the fresh session's coroutines (and its
             # transactional snapshot) already captured.
             while self._usage[site] == 0 and self._deferred_ops[site]:
-                op, submitted_at, on_done = self._deferred_ops[site].pop(0)
+                op, submitted_at, on_done = self._deferred_ops[site].popleft()
                 self._execute_op(op, submitted_at, on_done)
         self._dispatch()
 
     # -- convergence sweep -------------------------------------------------
 
-    def sweep(self, hub: Optional[str] = None) -> None:
-        """Issue a gather/scatter star through ``hub`` at the current time.
-
-        All 2(n−1) requests funnel through the hub, whose fanout-1
-        serialization executes them strictly in request order: first the
-        hub absorbs every site's state (so it dominates the fleet), then
-        every site adopts the hub's.  After a fault-free (or fully
-        resumed) sweep all sites hold identical per-key records.
-        """
-        hub = hub if hub is not None else self.sites[0]
+    def _spokes(self, hub: str) -> List[str]:
         if hub not in self.stores:
             raise ValidationError(f"unknown hub {hub!r}")
-        for site in self.sites:
-            if site != hub:
-                self.request_sync(site, hub)
-        for site in self.sites:
-            if site != hub:
-                self.request_sync(hub, site)
+        return [site for site in self.sites if site != hub]
+
+    def gather(self, hub: str) -> None:
+        """First half of the star sweep: ``hub`` pulls from every site.
+
+        Once these sessions have drained, the hub's knowledge and state
+        dominate the fleet's.
+        """
+        for site in self._spokes(hub):
+            self.request_sync(site, hub)
+
+    def scatter(self, hub: str) -> None:
+        """Second half: every site pulls from ``hub``.
+
+        Must only be issued after :meth:`gather` has *drained*: a pull's
+        start is set by its advert's arrival and by what the hub is busy
+        with, not by request order, so a scatter requested alongside the
+        gather can run first and hand out a hub that has not yet heard
+        from everyone.  After a fault-free (or fully resumed) gather and
+        scatter all sites hold identical per-key records.
+        """
+        for site in self._spokes(hub):
+            self.request_sync(hub, site)
 
     # -- the run -----------------------------------------------------------
 
@@ -653,9 +819,10 @@ class StoreCluster:
         """Drain the schedule; optionally append a convergence sweep.
 
         With ``converge_via`` set (a hub site name), the run first drains
-        everything already scheduled, then issues the star sweep and
-        drains again — so the sweep provably runs after the last client
-        op has landed.
+        everything already scheduled, then gathers into the hub, drains,
+        scatters back out and drains again — so the sweep provably runs
+        after the last client op has landed, and the scatter after the
+        last gather.
         """
         if self._finished:
             raise SimulationError("StoreCluster instances are one-shot")
@@ -675,7 +842,9 @@ class StoreCluster:
         try:
             self.sim.run()
             if converge_via is not None:
-                self.sweep(converge_via)
+                self.gather(converge_via)
+                self.sim.run()
+                self.scatter(converge_via)
                 self.sim.run()
         finally:
             if span is not None:

@@ -25,12 +25,31 @@ unmodified SYNC* protocols synchronize them key by key.  Sibling sets are
 kept in a canonical sort order and merged by set union, which is
 order-insensitive and idempotent — the convergence argument for
 anti-entropy (see :mod:`repro.store.cluster`) rests on it.
+
+Knowledge vector and stamps
+---------------------------
+
+One level up, the *keyspace* is synchronized the way the paper
+synchronizes a vector: by sending only what the peer lacks.  Every state
+change of a key is an *event* with a :data:`Dot` ``(origin, counter)``:
+a local put/delete or a concurrent merge mints the next dot of this
+site, and adopting a dominating peer state copies the peer's dot along
+with the state — so one dot names one state of one key, fleet-wide.  A
+record's ``stamp`` is the dot of its current state, and
+:attr:`SiteStore.knowledge` is ``{origin: counter}`` with the invariant
+anti-entropy rests on: for every event ``(o, n)`` with
+``n <= knowledge[o]``, this site's vector for that event's key dominates
+the vector the key had right after the event.  A per-origin index of the
+stamps, sorted by counter, answers "which keys does a peer with
+knowledge ``K`` lack" (:meth:`SiteStore.keys_beyond`) in time
+proportional to the answer, never to the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left, insort
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.order import Ordering
 from repro.core.rotating import BasicRotatingVector
@@ -51,6 +70,9 @@ TOMBSTONE = _Tombstone()
 #: A causal context: a plain ``{site: count}`` vector snapshot.
 CausalContext = Dict[str, int]
 
+#: One key-state event's identity: ``(origin site, origin's counter)``.
+Dot = Tuple[str, int]
+
 
 def _sort_key(value: Any) -> Tuple[int, str]:
     # Tombstones last, everything else by its string form: a canonical
@@ -65,12 +87,24 @@ def merge_siblings(*groups: Iterable[Any]) -> Tuple[Any, ...]:
     that have exchanged the same writes end up with the identical tuple
     regardless of delivery order — the CRDT-style property the store's
     convergence check relies on.
+
+    Must stay linear in the total input: hot keys grow sibling sets of a
+    hundred and more, and how many depends on the interleaving, so
+    anything superlinear here makes a run's cost swing severalfold with
+    the seed.  Only unhashable values are compared pairwise.
     """
     merged: List[Any] = []
+    seen: set = set()
     for group in groups:
         for value in group:
-            if not any(value is other or value == other for other in merged):
-                merged.append(value)
+            try:
+                if value in seen:
+                    continue
+                seen.add(value)
+            except TypeError:
+                if any(value is other or value == other for other in merged):
+                    continue
+            merged.append(value)
     merged.sort(key=_sort_key)
     return tuple(merged)
 
@@ -118,6 +152,9 @@ class KeyRecord:
     #: Newest client-write simulated time reflected here (local writes
     #: and writes absorbed via anti-entropy alike) — the staleness clock.
     updated_at: float = 0.0
+    #: Dot of the event that produced this state; ``None`` only for a
+    #: never-written placeholder (which has nothing to offer a peer).
+    stamp: Optional[Dot] = None
 
     def live_values(self) -> Tuple[Any, ...]:
         """The sibling values a client sees: tombstones filtered out."""
@@ -131,6 +168,7 @@ class KeySnapshot:
     vector: BasicRotatingVector
     siblings: Tuple[Any, ...]
     updated_at: float
+    stamp: Optional[Dot] = None
 
 
 class SiteStore:
@@ -148,6 +186,10 @@ class SiteStore:
         self.site = site
         self.vector_cls = vector_cls
         self.table: Dict[str, KeyRecord] = {}
+        #: ``{origin: events seen}`` — see the module docstring.
+        self.knowledge: Dict[str, int] = {}
+        #: origin → ``(counter, key)`` of every current stamp, sorted.
+        self._stamped: Dict[str, List[Tuple[int, str]]] = {}
 
     # -- local state -------------------------------------------------------
 
@@ -180,6 +222,54 @@ class SiteStore:
         return max((record.updated_at for record in self.table.values()),
                    default=0.0)
 
+    # -- knowledge and stamps ----------------------------------------------
+
+    def _stamp(self, key: str, record: KeyRecord,
+               dot: Optional[Dot]) -> None:
+        """Move ``key`` to ``dot`` in the per-origin index."""
+        old = record.stamp
+        if old == dot:
+            return
+        if old is not None:
+            entries = self._stamped[old[0]]
+            del entries[bisect_left(entries, (old[1], key))]
+        if dot is not None:
+            # Own dots only grow, so a mint appends; an adopted dot can
+            # arrive in any order (read-repair runs ahead of knowledge).
+            insort(self._stamped.setdefault(dot[0], []), (dot[1], key))
+        record.stamp = dot
+
+    def _mint(self, key: str, record: KeyRecord) -> None:
+        """Stamp ``key`` with this site's next dot."""
+        counter = self.knowledge.get(self.site, 0) + 1
+        self.knowledge[self.site] = counter
+        self._stamp(key, record, (self.site, counter))
+
+    def keys_beyond(self, knowledge: Mapping[str, int]) -> List[str]:
+        """Keys whose stamp ``knowledge`` does not cover, sorted.
+
+        The keys a peer that has seen ``knowledge`` may lack.  Costs one
+        binary search per origin plus the selected keys — the table is
+        never walked.
+        """
+        selected: List[str] = []
+        for origin, entries in self._stamped.items():
+            start = bisect_left(entries, (knowledge.get(origin, 0) + 1,))
+            selected += [key for _, key in entries[start:]]
+        selected.sort()
+        return selected
+
+    def learn(self, knowledge: Mapping[str, int]) -> None:
+        """Raise :attr:`knowledge` to the element-wise max with a peer's.
+
+        Only sound once every key :meth:`keys_beyond` selected at that
+        peer has been synchronized here — the caller's obligation.
+        """
+        own = self.knowledge
+        for origin, counter in knowledge.items():
+            if counter > own.get(origin, 0):
+                own[origin] = counter
+
     # -- client operations -------------------------------------------------
 
     def get(self, key: str) -> ReadResult:
@@ -208,6 +298,7 @@ class SiteStore:
         record.vector.record_update(self.site)
         record.siblings = siblings
         record.updated_at = max(record.updated_at, now)
+        self._mint(key, record)
         return ReadResult(key=key, values=record.live_values(),
                           context=dict(record.vector.elements()),
                           as_of=record.updated_at)
@@ -221,7 +312,8 @@ class SiteStore:
     # -- anti-entropy ------------------------------------------------------
 
     def absorb(self, key: str, verdict: Ordering,
-               src_siblings: Tuple[Any, ...], src_updated_at: float) -> bool:
+               src_siblings: Tuple[Any, ...], src_updated_at: float,
+               src_stamp: Optional[Dot] = None) -> bool:
         """Fold a completed sync session's outcome into ``key``.
 
         The session already synchronized the *vectors* (the receiver's
@@ -229,9 +321,13 @@ class SiteStore:
         this applies the matching sibling rule, keyed on the pre-session
         verdict:
 
-        * ``BEFORE`` — the sender strictly dominated: adopt its siblings.
+        * ``BEFORE`` — the sender strictly dominated: adopt its siblings
+          and, with them, its stamp (the same state carries the same dot
+          everywhere; without a ``src_stamp`` a fresh one is minted,
+          which is safe and merely re-offers the key to peers).
         * concurrent — the receiver merged the vectors: union the
-          sibling sets (no write from either side is dropped).
+          sibling sets (no write from either side is dropped).  The
+          merged state is new, so it gets a fresh dot of this site.
         * ``AFTER``/``EQUAL`` — the receiver knew everything: no change.
 
         Returns True when the sibling set (or staleness clock) moved.
@@ -240,10 +336,15 @@ class SiteStore:
         if verdict is Ordering.BEFORE:
             changed = record.siblings != src_siblings
             record.siblings = src_siblings
+            if src_stamp is None:
+                self._mint(key, record)
+            else:
+                self._stamp(key, record, src_stamp)
         elif verdict.is_concurrent:
             merged = merge_siblings(record.siblings, src_siblings)
             changed = record.siblings != merged
             record.siblings = merged
+            self._mint(key, record)
         else:
             return False
         if src_updated_at > record.updated_at:
@@ -258,7 +359,8 @@ class SiteStore:
         record = self.record(key)
         return KeySnapshot(vector=record.vector.copy(),
                            siblings=record.siblings,
-                           updated_at=record.updated_at)
+                           updated_at=record.updated_at,
+                           stamp=record.stamp)
 
     def restore(self, key: str, snapshot: KeySnapshot) -> None:
         """Roll the key back to ``snapshot``, preserving vector identity.
@@ -268,9 +370,12 @@ class SiteStore:
         that alias it stay valid — the same contract the cluster runner's
         transactional resume relies on.  A mid-session abort therefore
         can never leave a read observing a torn vector: the abort path
-        restores before the site is released to serve reads again.
+        restores before the site is released to serve reads again.  The
+        stamp goes back into the per-origin index with it;
+        :attr:`knowledge` is left alone — dots are never reissued.
         """
         record = self.record(key)
         record.vector.restore(snapshot.vector)
         record.siblings = snapshot.siblings
         record.updated_at = snapshot.updated_at
+        self._stamp(key, record, snapshot.stamp)

@@ -215,6 +215,9 @@ class StoreWorkloadResult:
             "sessions_abandoned": self.store.sessions_abandoned,
             "read_repairs": self.store.read_repairs,
             "reconciliations": self.store.reconciliations,
+            "keys_streamed": self.store.keys_streamed,
+            "keys_useful": self.store.keys_useful,
+            "advert_bits": self.store.advert_bits,
             "total_bits": self.store.total_bits,
             "sim_completion_seconds": round(self.store.completion_time, 9),
             "converged": self.converged,

@@ -26,6 +26,7 @@ from repro.protocols.session import (SessionResult, run_session,
 from repro.protocols.syncb import syncb_receiver, syncb_sender
 from repro.protocols.syncc import syncc_receiver, syncc_sender
 from repro.protocols.syncs import syncs_receiver, syncs_sender
+from repro.store.kv import SiteStore
 
 #: A history command: ("update", site_index) or ("sync", dst_index, src_index).
 Command = Union[Tuple[str, int], Tuple[str, int, int]]
@@ -123,3 +124,41 @@ def linked_vectors() -> Iterator[None]:
     finally:
         for spec in originals:
             registry.register(spec)
+
+
+# -- the store's full-keyspace walk, kept as an oracle --------------------------
+
+
+def clone_store(store: SiteStore) -> SiteStore:
+    """A deep copy of one site's table, stamps, index and knowledge."""
+    twin = SiteStore(store.site, store.vector_cls)
+    for key in store.table:
+        twin.restore(key, store.snapshot(key))
+    twin.knowledge.update(store.knowledge)
+    return twin
+
+
+def full_walk_pull(src: SiteStore, dst: SiteStore, *,
+                   protocol: str = "srv") -> SiteStore:
+    """What ``dst`` holds after pulling *every* key from ``src``.
+
+    The anti-entropy session the store ran before knowledge vectors: one
+    SYNC* exchange per key of the sorted union of both tables, siblings
+    folded by the pre-session verdict, §2.2's self-increment after each
+    reconciled key.  Runs on deep copies, under the
+    instant driver, and returns the pulled copy of ``dst`` — the state a
+    delta session over the same two sites must reproduce.
+    """
+    src, dst = clone_store(src), clone_store(dst)
+    spec = registry.get(protocol)
+    for key in sorted(set(src.table) | set(dst.table)):
+        src_record, dst_record = src.record(key), dst.record(key)
+        verdict = dst_record.vector.compare(src_record.vector)
+        sender, receiver, reconciled = spec.build(
+            src_record.vector, dst_record.vector, verdict)
+        run_session(sender, receiver, encoding=DEFAULT_ENCODING)
+        dst.absorb(key, verdict, src_record.siblings, src_record.updated_at,
+                   src_record.stamp)
+        if reconciled:
+            dst_record.vector.record_update(dst.site)
+    return dst

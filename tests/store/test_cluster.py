@@ -87,7 +87,8 @@ class TestDeferral:
     def test_ops_defer_while_site_is_in_session(self):
         c = cluster(sites=("A", "B"))
         c.submit(ClientOp(kind="put", site="A", key="k", value="v1"))
-        c.request_sync("A", "B")  # starts immediately, occupies both
+        c.request_sync("A", "B")
+        c.sim.run(until=0.011)  # the advert has landed: both occupied
         outcomes = []
         c.submit(ClientOp(kind="put", site="B", key="k", value="v2"),
                  on_done=outcomes.append)
@@ -135,6 +136,7 @@ class TestReadRepair:
         c.submit(ClientOp(kind="put", site="B", key="k", value="vb"))
         # Park A and B in a session; gets at C may not consult either.
         c.request_sync("A", "B")
+        c.sim.run(until=0.011)  # past the advert's flight
         for _ in range(5):
             c.submit(ClientOp(kind="get", site="C", key="k",
                               repair_peer="A"))
@@ -197,6 +199,77 @@ class TestAbortSafety:
         # were abandoned; the trailing put must have survived them.
         assert result.sessions_abandoned == 2
         assert "vb" in c.stores["B"].get("k").values
+
+    def test_flush_started_repair_keeps_later_ops_deferred(self):
+        """The same erasure hazard, entered through the flush: a named-
+        key session occupies both sites at once, so the get really is
+        flushed — and the repair it starts must hold the put back."""
+        c = chaos_cluster(drop=1.0)
+        c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
+        c.submit(ClientOp(kind="put", site="B", key="k", value="vother"))
+        c.request_sync("A", "B", keys=("k",))  # doomed, occupies both
+        c.submit(ClientOp(kind="get", site="B", key="k", repair_peer="A"))
+        c.submit(ClientOp(kind="put", site="B", key="k", value="vb"))
+        result = c.run()
+        assert result.ops_deferred == 2
+        assert result.sessions_abandoned == 2
+        assert "vb" in c.stores["B"].get("k").values
+
+    @staticmethod
+    def fingerprint(store):
+        return (dict(store.knowledge),
+                {key: (record.stamp, record.siblings, record.updated_at,
+                       dict(record.vector.elements()))
+                 for key, record in store.table.items()},
+                store.keys_beyond({}))
+
+    def test_abandoned_pull_leaves_knowledge_stamps_and_index_alone(self):
+        # The link goes down for good once the advert (and its ack) are
+        # through: the batch starts, tears, resumes, and is abandoned.
+        channel = ChannelSpec(latency=0.01, bandwidth=1e6, faults=FaultSpec(
+            partitions=((0.022, 100.0),), seed=5))
+        c = StoreCluster(["A", "B"], StoreConfig(
+            channel=channel, retry=RetryPolicy(
+                max_retries=1, initial_rto=0.05, max_session_attempts=2)))
+        c.submit(ClientOp(kind="put", site="A", key="j", value="ja"))
+        c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
+        c.submit(ClientOp(kind="put", site="B", key="k", value="vb"))
+        before = {site: self.fingerprint(c.stores[site]) for site in "AB"}
+        c.request_sync("A", "B")
+        result = c.run()
+        (record,) = result.records
+        assert record.advert == {"B": 1} and record.keys == ("j", "k")
+        assert record.aborted and result.sessions_abandoned == 1
+        assert result.totals.resumes == 1
+        assert result.keys_streamed == 0
+        # B's vectors were torn twice and restored twice; "j", which B
+        # had never heard of, is back to an unstamped empty placeholder.
+        placeholder = c.stores["B"].table.pop("j")
+        assert placeholder.stamp is None and not placeholder.siblings
+        assert not dict(placeholder.vector.elements())
+        assert {site: self.fingerprint(c.stores[site])
+                for site in "AB"} == before
+
+    def test_lost_advert_is_an_abandoned_session_that_touched_nothing(self):
+        c = chaos_cluster(drop=1.0)
+        c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
+        c.submit(ClientOp(kind="put", site="B", key="k", value="vb"))
+        before = {site: self.fingerprint(c.stores[site]) for site in "AB"}
+        c.request_sync("A", "B")
+        outcomes = []
+        c.sim.call_at(0.005, lambda: c.submit(
+            ClientOp(kind="get", site="A", key="k"),
+            on_done=outcomes.append))
+        result = c.run()
+        (record,) = result.records
+        assert record.aborted and record.advert is None
+        assert result.sessions_abandoned == 1
+        # Neither site was ever occupied: the mid-flight get ran at once.
+        assert result.ops_deferred == 0 and outcomes[0].queue_wait == 0
+        # The lost copies were still sent, and are still counted.
+        assert result.total_bits == result.advert_bits > 0
+        assert {site: self.fingerprint(c.stores[site])
+                for site in "AB"} == before
 
     def test_resumable_chaos_still_converges(self):
         c = chaos_cluster(drop=0.2, attempts=8)

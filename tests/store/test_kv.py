@@ -21,6 +21,41 @@ class TestMergeSiblings:
     def test_tombstone_sorts_last(self):
         assert merge_siblings((TOMBSTONE,), ("a",)) == ("a", TOMBSTONE)
 
+    def test_equal_values_of_different_types_are_one_sibling(self):
+        assert merge_siblings((1, "a"), (1.0, True)) == (1, "a")
+
+    def test_unhashable_values_dedupe_by_equality(self):
+        merged = merge_siblings(([1], {"k": 2}, "a"), ([1], "a", [2]))
+        assert merged == ([1], [2], "a", {"k": 2})
+
+    def test_cost_is_linear_in_the_sibling_count(self):
+        # A hot key's sibling set runs past a hundred and its size
+        # depends on the interleaving: a superlinear merge makes the cost
+        # of a whole run swing with the seed.
+        compared = [0]
+
+        class Value:
+            def __init__(self, n):
+                self.n = n
+
+            def __hash__(self):
+                return hash(self.n)
+
+            def __eq__(self, other):
+                compared[0] += 1
+                return self.n == other.n
+
+            def __str__(self):
+                return f"{self.n:04d}"
+
+        left = tuple(Value(n) for n in range(0, 400))
+        right = tuple(Value(n) for n in range(200, 600))
+        merged = merge_siblings(left, right)
+        assert [value.n for value in merged] == list(range(600))
+        # One comparison per duplicate (plus hash collisions, of which
+        # small ints have none); a pairwise scan makes ~200,000.
+        assert compared[0] <= 2 * len(right)
+
 
 class TestContextCovers:
     def test_none_never_covers(self):
