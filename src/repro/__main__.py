@@ -16,13 +16,14 @@ an installed distribution can show itself without the source tree.  The
 demo and prints the structured timeline afterwards (optionally exporting
 the raw events as JSON lines).  The ``bench`` subcommand runs the
 cluster-scale performance harness (:mod:`repro.perf.bench`) and writes
-``BENCH_cluster.json``; it owns its own flag set (``--sites``,
-``--protocols``, ``--rounds``, ``--seed``, ``--workers``, ``--profile``,
-``--profile-out``, ``--out``).
+``BENCH_cluster.json``; like ``store``, ``monitor``, ``analyze``,
+``history`` and ``otlp-validate`` it owns its flag set — ask it with
+``--help``.
 """
 
 from __future__ import annotations
 
+import importlib
 import sys
 from typing import Callable, Dict, Optional
 
@@ -209,24 +210,23 @@ DEMOS: Dict[str, Callable[..., None]] = {
 }
 
 
+#: Subcommands with their own argparse parser: ``name → (module, main)``.
+SUBCOMMANDS = {
+    "bench": ("repro.perf.bench", "bench_main"),
+    "store": ("repro.store.cli", "store_main"),
+    "monitor": ("repro.obs.cli", "monitor_main"),
+    "analyze": ("repro.obs.cli", "analyze_main"),
+    "history": ("repro.perf.history", "history_main"),
+    "otlp-validate": ("repro.obs.otlp_schema", "schema_main"),
+}
+
+
 def _usage() -> None:
     print("usage: python -m repro [--seed N] <demo>|all\n"
           "       python -m repro [--seed N] trace <demo>|<trace.jsonl> "
           "[--stats] [--jsonl PATH] [--filter kind,...]\n"
-          "       python -m repro bench [--sites 8,32,128] [--workers N] "
-          "[--profile] [--out BENCH_cluster.json]\n"
-          "       python -m repro store [--demo] [--sites N] [--ops N] "
-          "[--loss F] [--seed N] [--monitor] [--strict-consistency] "
-          "[--prom PATH] [--otlp PATH] [--html PATH] [--consistency PATH] "
-          "[--trace PATH]\n"
-          "       python -m repro monitor [--protocols brv,crv,srv] "
-          "[--loss 0.1] [--strict-invariants] [--html report.html]\n"
-          "       python -m repro analyze <trace.jsonl>|--fleet "
-          "[--critical-path] [--attribute] [--waterfall] [--json PATH]\n"
-          "       python -m repro history BENCH1.json BENCH2.json ... "
-          "[--gate]\n"
-          "       python -m repro otlp-validate <export.json> "
-          "[--schema schema.json]\n\n"
+          "       python -m repro bench|store|monitor|analyze|history|"
+          "otlp-validate [--help]\n\n"
           "demos:")
     for name, fn in DEMOS.items():
         print(f"  {name:12} {fn.__doc__.splitlines()[0]}")
@@ -274,26 +274,12 @@ def _trace_file(path: str, *, stats: bool,
 def main(argv: list[str] | None = None) -> int:
     """Dispatch ``python -m repro <demo>``; returns an exit code."""
     arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "bench":
-        # The bench harness owns its flag set; hand the raw tail over
-        # before the demo-oriented parsing below can reject it.
-        from repro.perf.bench import bench_main
-        return bench_main(arguments[1:])
-    if arguments and arguments[0] == "store":
-        from repro.store.cli import store_main
-        return store_main(arguments[1:])
-    if arguments and arguments[0] == "monitor":
-        from repro.obs.cli import monitor_main
-        return monitor_main(arguments[1:])
-    if arguments and arguments[0] == "otlp-validate":
-        from repro.obs.otlp_schema import schema_main
-        return schema_main(arguments[1:])
-    if arguments and arguments[0] == "analyze":
-        from repro.obs.cli import analyze_main
-        return analyze_main(arguments[1:])
-    if arguments and arguments[0] == "history":
-        from repro.perf.history import history_main
-        return history_main(arguments[1:])
+    if arguments and arguments[0] in SUBCOMMANDS:
+        # These own their flag sets (each answers ``--help``); hand the
+        # raw tail over before the demo-oriented parsing below can
+        # reject it.
+        module, entry = SUBCOMMANDS[arguments[0]]
+        return getattr(importlib.import_module(module), entry)(arguments[1:])
     seed: Optional[int] = None
     jsonl: Optional[str] = None
     kinds: Optional[list[str]] = None

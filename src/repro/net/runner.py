@@ -30,16 +30,16 @@ convenience (build a sim, launch, run to completion, return the result).
 Reliability
 -----------
 
-When the channel carries an enabled :class:`~repro.net.faults.FaultSpec`
-(or ``SessionOptions.reliable`` forces it), the driver swaps its transport
-for a stop-and-wait ARQ: every protocol message gets a per-direction
-sequence number and must be acknowledged before the next one starts;
-acknowledgments and data both pass through the seeded
-:class:`~repro.net.faults.FaultInjector` (drop/duplicate/reorder/
-partition), timeouts retransmit with exponential backoff and deterministic
-jitter (:class:`~repro.net.faults.RetryPolicy`), the receiver's transport
-de-duplicates by sequence number, and a message that exhausts its retry
-budget aborts the session attempt.  An aborted session *resumes* — when
+When the channel carries an enabled :class:`~repro.net.faults.FaultSpec`,
+the driver swaps its transport for a stop-and-wait ARQ: every protocol
+message gets a per-direction sequence number and must be acknowledged
+before the next one starts; acknowledgments and data both pass through
+the seeded :class:`~repro.net.faults.FaultInjector` (drop/duplicate/
+reorder/partition), timeouts retransmit with exponential backoff and
+deterministic jitter (:class:`~repro.net.faults.RetryPolicy`), the
+receiver's transport de-duplicates by sequence number, and a message
+that exhausts its retry budget aborts the session attempt.  An aborted
+session *resumes* — when
 ``SessionOptions.rebuild`` can produce fresh coroutines — by
 re-handshaking from the receiver's last *committed* state.  Attempts are
 transactional: the protocols stream Δ newest-first, so a torn attempt's
@@ -153,9 +153,6 @@ class SessionOptions:
             when both parties of the final attempt have finished.
         retry: ARQ knobs for the reliable transport (timeouts, backoff,
             retry budget, resume budget).
-        reliable: force the reliable transport on (``True``) or assert it
-            off (``False``); ``None`` engages it exactly when the
-            channel's fault spec is enabled.
         fault_seed: per-session override of the fault spec's seed, so
             many sessions on one channel draw independent-but-replayable
             fault schedules (the cluster runner passes the session
@@ -187,7 +184,6 @@ class SessionOptions:
     party_names: Tuple[str, str] = ("sender", "receiver")
     on_complete: Optional[Callable[[TimedSessionResult], None]] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    reliable: Optional[bool] = None
     fault_seed: Optional[int] = None
     session_id: Optional[int] = None
     on_abandon: Optional[Callable[[SessionError], None]] = None
@@ -211,10 +207,6 @@ class SessionOptions:
             raise ValidationError(
                 f"party_names must be two distinct labels, "
                 f"got {self.party_names!r}")
-        if self.reliable is False and self.channel.faults.enabled:
-            raise ValidationError(
-                "a faulted channel requires the reliable transport; "
-                "leave reliable=None or drop the fault spec")
 
     @classmethod
     def for_pair(cls, sender: ProtocolCoroutine,
@@ -225,10 +217,9 @@ class SessionOptions:
 
     @property
     def use_reliable(self) -> bool:
-        """Whether this launch engages the ARQ transport."""
-        if self.reliable is None:
-            return self.channel.faults.enabled
-        return self.reliable
+        """Whether this launch engages the ARQ transport: exactly when
+        the channel's fault spec can produce a fault."""
+        return self.channel.faults.enabled
 
 
 @dataclass

@@ -17,21 +17,15 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InvariantViolationError
-from repro.net.channel import ChannelSpec
-from repro.net.cluster import ClusterConfig, ClusterRunner, launch_cluster
-from repro.net.topology import LinkProfile, TopologySpec
-from repro.net.wire import Encoding
+from repro.net.cluster import ClusterRunner
 from repro.obs.dashboard import render_dashboard, write_html_report
 from repro.obs.exporters import to_otlp, to_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ClusterMonitor, MonitorConfig
 from repro.obs.otlp_schema import validate_otlp
 from repro.obs.trace import SamplingPolicy, Tracer
-from repro.workload.cluster import (SessionRequest, chaos_faults,
-                                    gossip_schedule, site_names,
-                                    update_schedule)
-from repro.workload.epidemic import (closing_sweep, epidemic_schedule,
-                                     sharded_update_schedule)
+from repro.perf.bench import SCENARIOS, BenchConfig, bench_topology
+from repro.workload.cluster import SessionRequest
 
 
 def run_monitored_fleet(protocol: str, *, n_sites: int = 8,
@@ -50,10 +44,11 @@ def run_monitored_fleet(protocol: str, *, n_sites: int = 8,
     :class:`~repro.obs.trace.SamplingPolicy` for ``repro analyze``); the
     monitor still observes the live stream through its subscription.
 
-    The workload is the benchmark's chaos cell — same schedules, same
-    per-session fault seeds — so what the dashboard shows is the same
-    regime the regression gate measures.  ``loss=0`` runs the fleet on a
-    perfect link (useful for a fast smoke pass).
+    The fleet *is* the benchmark's chaos cell — built by the ``chaos``
+    row of :data:`repro.perf.bench.SCENARIOS`, so same config, same
+    schedules, same per-session fault seeds — and what the dashboard
+    shows is the regime the regression gate measures.  ``loss=0`` runs
+    the fleet on a perfect link (useful for a fast smoke pass).
 
     ``converge_sweep`` appends a deterministic star sweep well after the
     gossip schedule: every site pushes into ``sites[0]`` (the hub, which
@@ -63,33 +58,19 @@ def run_monitored_fleet(protocol: str, *, n_sites: int = 8,
     the dashboard's convergence scores must all close at 1.0, which is
     itself a checkable property of the whole pipeline.
     """
-    sites = site_names(n_sites)
-    n_updates = max(1, round(n_sites * 2.0))
-    faults = (chaos_faults(loss, latency=latency, seed=chaos_seed)
-              if loss > 0 else None)
-    channel = (ChannelSpec(latency=latency, bandwidth=bandwidth,
-                           faults=faults)
-               if faults is not None
-               else ChannelSpec(latency=latency, bandwidth=bandwidth))
-    cluster_config = ClusterConfig(
-        protocol=protocol,
-        channel=channel,
-        encoding=Encoding.for_system(n_sites, max(16, n_updates)),
-        n_objects=n_objects,
-        batch_size=batch_size,
-    )
-    sessions = gossip_schedule(sites, rounds=rounds, period=1.0,
-                               jitter=0.2, seed=seed)
-    # BRV cannot reconcile concurrent vectors (Algorithm 2's
-    # precondition), so its fleet takes single-writer updates.
-    writers = [sites[0]] if protocol == "brv" else None
-    updates = update_schedule(sites, n_updates=n_updates, interval=0.25,
-                              seed=seed + 1, writers=writers,
-                              n_objects=n_objects)
+    fleet = SCENARIOS["chaos"].build(
+        BenchConfig(rounds=rounds, seed=seed, latency=latency,
+                    bandwidth=bandwidth, batched_site_count=n_sites,
+                    batched_objects=n_objects, chaos_batch_size=batch_size,
+                    chaos_seed=chaos_seed),
+        protocol, loss, metrics=metrics,
+        monitor=ClusterMonitor(monitor_config, metrics=metrics),
+        tracer=tracer)
+    runner, sessions = fleet.runner, fleet.sessions
     if converge_sweep:
-        hub = sites[0]
+        hub, spokes = runner.sites[0], runner.sites[1:]
         last = max([request.at for request in sessions]
-                   + [update.at for update in updates], default=0.0)
+                   + [update.at for update in fleet.updates], default=0.0)
         # The 50-second idle margins let the gossip/gather queues drain
         # fully (simulated time is free) before the next phase begins.
         gather_at = last + 50.0
@@ -97,15 +78,11 @@ def run_monitored_fleet(protocol: str, *, n_sites: int = 8,
         sessions = list(sessions)
         sessions.extend(
             SessionRequest(src=site, dst=hub, at=gather_at + index * 0.01)
-            for index, site in enumerate(sites[1:]))
+            for index, site in enumerate(spokes))
         sessions.extend(
             SessionRequest(src=hub, dst=site, at=scatter_at + index * 0.01)
-            for index, site in enumerate(sites[1:]))
-    monitor = ClusterMonitor(monitor_config, metrics=metrics)
-    runner = ClusterRunner(sites, cluster_config, metrics=metrics,
-                           monitor=monitor, tracer=tracer)
-    result = runner.run(sessions, updates)
-    return monitor, runner, result
+            for index, site in enumerate(spokes))
+    return runner.monitor, runner, runner.run(sessions, fleet.updates)
 
 
 def run_monitored_region_fleet(protocol: str, *, regions: int = 3,
@@ -120,39 +97,54 @@ def run_monitored_region_fleet(protocol: str, *, regions: int = 3,
                                tracer: Optional[Tracer] = None
                                ) -> Tuple[ClusterMonitor, ClusterRunner,
                                           Any]:
-    """One monitored *sharded multi-region* run via :func:`launch_cluster`.
+    """One monitored *sharded multi-region* run.
 
-    The multi-region analogue of :func:`run_monitored_fleet`: a
-    ``TopologySpec.grid`` fleet (slow lossy WAN between regions, fast
-    clean LAN inside them), consistent-hash sharding at the given
-    replication factor, epidemic push/pull dissemination among shard
-    peers, and the deterministic two-phase closing sweep — so the run
-    provably ends with every replica group converged, which the
-    dashboard's per-region scores make visible.
+    The multi-region analogue of :func:`run_monitored_fleet`, built by
+    the ``multiregion`` row of :data:`repro.perf.bench.SCENARIOS` on a
+    :func:`~repro.perf.bench.bench_topology` fleet (slow lossy WAN
+    between regions, fast clean LAN inside them): consistent-hash
+    sharding at the given replication factor, epidemic push/pull
+    dissemination among shard peers, and the deterministic two-phase
+    closing sweep — so the run provably ends with every replica group
+    converged, which the dashboard's per-region scores make visible.
     """
-    spec = TopologySpec.grid(
-        regions, sites_per_region,
-        intra=LinkProfile(latency=0.002, bandwidth=1_000_000.0),
-        inter=LinkProfile(latency=0.04, bandwidth=250_000.0, loss=loss),
-        replication=replication, seed=seed, chaos_seed=chaos_seed)
-    n_sites = spec.n_sites
-    n_updates = max(1, round(n_sites * 2.0))
-    monitor = ClusterMonitor(monitor_config, metrics=metrics)
-    runner = launch_cluster(
-        spec, protocol=protocol, n_objects=n_objects,
-        batch_size=batch_size,
-        encoding=Encoding.for_system(n_sites, max(16, n_updates)),
-        monitor=monitor, metrics=metrics, tracer=tracer)
-    shards = runner.shards
-    sessions = epidemic_schedule(spec, shards, rounds=rounds)
-    updates = sharded_update_schedule(
-        spec, shards, n_updates=n_updates, interval=0.25,
-        leader_only=protocol == "brv", seed=seed + 1)
-    last = max([request.at for request in sessions]
-               + [update.at for update in updates], default=0.0)
-    sessions = list(sessions) + closing_sweep(shards, start=last + 500.0)
-    result = runner.run(sessions, updates)
-    return monitor, runner, result
+    fleet = SCENARIOS["multiregion"].build(
+        BenchConfig(seed=seed, mr_objects=n_objects, mr_rounds=rounds,
+                    mr_batch_size=batch_size,
+                    topology=bench_topology(
+                        regions, sites_per_region, loss=loss,
+                        replication=replication, seed=seed,
+                        chaos_seed=chaos_seed)),
+        protocol, metrics=metrics,
+        monitor=ClusterMonitor(monitor_config, metrics=metrics),
+        tracer=tracer)
+    return fleet.runner.monitor, fleet.runner, fleet.run()
+
+
+def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
+    """The chaos-cell shape flags ``monitor`` and ``analyze`` share."""
+    parser.add_argument("--sites", type=int, default=8,
+                        help="fleet size (default: 8)")
+    parser.add_argument("--objects", type=int, default=32,
+                        help="replicated objects per site (default: 32)")
+    parser.add_argument("--batch", type=int, default=8,
+                        help="objects per wire frame (default: 8)")
+    parser.add_argument("--loss", type=float, default=0.1,
+                        help="nominal loss rate of the chaos mix "
+                             "(default: 0.1; 0 disables faults)")
+    parser.add_argument("--rounds", type=int, default=3,
+                        help="gossip rounds (default: 3)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="workload seed (default: 0)")
+    parser.add_argument("--chaos-seed", type=int, default=11,
+                        help="fault-injection seed (default: 11)")
+
+
+def _fleet_shape(args: argparse.Namespace) -> Dict[str, Any]:
+    """Those flags as the fleet builders' keyword arguments."""
+    return dict(n_objects=args.objects, batch_size=args.batch,
+                loss=args.loss, rounds=args.rounds, seed=args.seed,
+                chaos_seed=args.chaos_seed)
 
 
 def monitor_main(argv: Optional[List[str]] = None) -> int:
@@ -164,30 +156,15 @@ def monitor_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--protocols", default="brv,crv,srv",
                         help="comma-separated protocol list "
                              "(default: brv,crv,srv)")
-    parser.add_argument("--sites", type=int, default=8,
-                        help="fleet size (default: 8); with --regions this "
-                             "is the per-region site count")
-    parser.add_argument("--objects", type=int, default=32,
-                        help="replicated objects per site (default: 32)")
-    parser.add_argument("--batch", type=int, default=8,
-                        help="objects per wire frame (default: 8)")
+    _add_fleet_arguments(parser)
     parser.add_argument("--regions", type=int, default=0,
                         help="run a sharded multi-region fleet with this "
-                             "many regions instead of the classic "
-                             "single-region chaos cell (default: 0 = "
-                             "classic)")
+                             "many regions (--sites in each) instead of "
+                             "the classic single-region chaos cell "
+                             "(default: 0 = classic)")
     parser.add_argument("--replication", type=int, default=3,
                         help="replicas per object in multi-region mode "
                              "(default: 3)")
-    parser.add_argument("--loss", type=float, default=0.1,
-                        help="nominal loss rate of the chaos mix "
-                             "(default: 0.1; 0 disables faults)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="gossip rounds (default: 3)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload seed (default: 0)")
-    parser.add_argument("--chaos-seed", type=int, default=11,
-                        help="fault-injection seed (default: 11)")
     parser.add_argument("--cadence", type=float, default=0.25,
                         help="simulated seconds between health samples "
                              "(default: 0.25)")
@@ -224,19 +201,14 @@ def monitor_main(argv: Optional[List[str]] = None) -> int:
                       f"loss {args.loss:g} ===")
                 monitor, runner, result = run_monitored_region_fleet(
                     protocol, regions=args.regions,
-                    sites_per_region=args.sites, n_objects=args.objects,
-                    replication=args.replication, batch_size=args.batch,
-                    loss=args.loss, rounds=args.rounds, seed=args.seed,
-                    chaos_seed=args.chaos_seed,
+                    sites_per_region=args.sites,
+                    replication=args.replication, **_fleet_shape(args),
                     monitor_config=monitor_config, metrics=metrics)
             else:
                 print(f"=== monitor {protocol}: {args.sites} sites × "
                       f"{args.objects} objects, loss {args.loss:g} ===")
                 monitor, runner, result = run_monitored_fleet(
-                    protocol, n_sites=args.sites, n_objects=args.objects,
-                    batch_size=args.batch, loss=args.loss,
-                    rounds=args.rounds, seed=args.seed,
-                    chaos_seed=args.chaos_seed,
+                    protocol, n_sites=args.sites, **_fleet_shape(args),
                     monitor_config=monitor_config, metrics=metrics)
         except InvariantViolationError as error:
             print(f"ABORTED: {error}")
@@ -352,21 +324,7 @@ def analyze_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--protocol", default="srv",
                         choices=("brv", "crv", "srv"),
                         help="fleet protocol (default: srv)")
-    parser.add_argument("--sites", type=int, default=8,
-                        help="fleet size (default: 8)")
-    parser.add_argument("--objects", type=int, default=32,
-                        help="replicated objects per site (default: 32)")
-    parser.add_argument("--batch", type=int, default=8,
-                        help="objects per wire frame (default: 8)")
-    parser.add_argument("--loss", type=float, default=0.1,
-                        help="nominal chaos loss rate (default: 0.1; "
-                             "0 disables faults)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="gossip rounds (default: 3)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload seed (default: 0)")
-    parser.add_argument("--chaos-seed", type=int, default=11,
-                        help="fault-injection seed (default: 11)")
+    _add_fleet_arguments(parser)
     parser.add_argument("--sample", action="store_true",
                         help="trace the fleet under deterministic "
                              "per-session sampling")
@@ -411,9 +369,8 @@ def analyze_main(argv: Optional[List[str]] = None) -> int:
         print(f"=== analyze fleet {args.protocol}: {args.sites} sites × "
               f"{args.objects} objects, loss {args.loss:g} ===")
         _monitor, _runner, result = run_monitored_fleet(
-            args.protocol, n_sites=args.sites, n_objects=args.objects,
-            batch_size=args.batch, loss=args.loss, rounds=args.rounds,
-            seed=args.seed, chaos_seed=args.chaos_seed, tracer=tracer)
+            args.protocol, n_sites=args.sites, **_fleet_shape(args),
+            tracer=tracer)
         tracer.flush_sampling()
         events = tracer.events
         print(f"fleet done: {result.sessions} sessions, "

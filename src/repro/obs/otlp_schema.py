@@ -1,10 +1,11 @@
 """A checked-in schema for the OTLP-style JSON export, plus its validator.
 
 Third-party schema validators are a dependency this repo does not take,
-so :func:`validate` implements the small JSON-Schema subset the document
-needs — ``type``, ``required``, ``properties``, ``items``, ``enum``,
-``minimum``, ``pattern`` — and :data:`OTLP_SCHEMA` is the embedded source
-of truth.  ``schemas/repro.obs.otlp.schema.json`` at the repository root
+so :func:`validate` implements the small JSON-Schema subset this repo's
+documents need — ``type``, ``required``, ``properties``,
+``additionalProperties`` (schema-valued), ``items``, ``enum``,
+``minimum``, ``maximum``, ``pattern`` — and :data:`OTLP_SCHEMA` is the
+embedded source of truth.  ``schemas/repro.obs.otlp.schema.json`` at the repository root
 is the same schema checked in for external tooling (CI validates exports
 against the file; a unit test pins file == dict so they cannot drift).
 
@@ -289,10 +290,12 @@ def validate(document: Any, schema: Dict[str, Any],
              path: str = "$") -> List[str]:
     """Violations of ``schema`` in ``document`` (empty list = valid).
 
-    Supports the JSON-Schema subset the OTLP export uses: ``type``,
-    ``required``, ``properties``, ``items``, ``enum``, ``minimum``,
-    ``pattern``.  Unknown keys in the document are allowed (OTLP is
-    forward-extensible); unknown keywords in the *schema* are ignored.
+    Supports the JSON-Schema subset the checked-in schemas use:
+    ``type``, ``required``, ``properties``, ``additionalProperties``,
+    ``items``, ``enum``, ``minimum``, ``maximum``, ``pattern``.  Keys a
+    schema does not name are allowed (OTLP is forward-extensible) unless
+    ``additionalProperties`` gives the schema their values must satisfy;
+    unknown keywords in the *schema* are ignored.
     """
     errors: List[str] = []
     expected = schema.get("type")
@@ -306,10 +309,13 @@ def validate(document: Any, schema: Dict[str, Any],
             return errors  # structural mismatch; nothing deeper to check
     if "enum" in schema and document not in schema["enum"]:
         errors.append(f"{path}: {document!r} not in {schema['enum']!r}")
-    if "minimum" in schema and isinstance(document, (int, float)) \
-            and not isinstance(document, bool) \
-            and document < schema["minimum"]:
-        errors.append(f"{path}: {document} < minimum {schema['minimum']}")
+    if isinstance(document, (int, float)) and not isinstance(document, bool):
+        if "minimum" in schema and document < schema["minimum"]:
+            errors.append(f"{path}: {document} < minimum "
+                          f"{schema['minimum']}")
+        if "maximum" in schema and document > schema["maximum"]:
+            errors.append(f"{path}: {document} > maximum "
+                          f"{schema['maximum']}")
     if "pattern" in schema and isinstance(document, str) \
             and not re.search(schema["pattern"], document):
         errors.append(f"{path}: {document!r} does not match "
@@ -318,10 +324,17 @@ def validate(document: Any, schema: Dict[str, Any],
         for key in schema.get("required", ()):
             if key not in document:
                 errors.append(f"{path}: missing required key {key!r}")
-        for key, subschema in schema.get("properties", {}).items():
+        properties = schema.get("properties", {})
+        for key, subschema in properties.items():
             if key in document:
                 errors.extend(validate(document[key], subschema,
                                        f"{path}.{key}"))
+        if "additionalProperties" in schema:
+            for key, value in document.items():
+                if key not in properties:
+                    errors.extend(validate(
+                        value, schema["additionalProperties"],
+                        f"{path}.{key}"))
     if isinstance(document, list) and "items" in schema:
         for index, item in enumerate(document):
             errors.extend(validate(item, schema["items"],

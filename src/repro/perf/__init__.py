@@ -1,10 +1,15 @@
 """Performance harness: cluster-scale benchmark regression.
 
-* :mod:`repro.perf.bench` — runs the paper's workload scenarios on the
-  :class:`~repro.net.cluster.ClusterRunner` at several fleet sizes and
-  emits a machine-readable ``BENCH_cluster.json`` document.
-* :mod:`repro.perf.schema` — the document's schema and a dependency-free
-  validator (also runnable: ``python -m repro.perf.schema FILE``).
+* :mod:`repro.perf.bench` — one cell runner over a scenario table
+  (:data:`~repro.perf.bench.SCENARIOS`: gossip, batched, chaos, store,
+  multi-region) emitting the machine-readable ``BENCH_cluster.json``;
+  ``repro monitor`` / ``repro analyze --fleet`` build their fleets from
+  the same rows.
+* :mod:`repro.perf.schema` — the document's schema as a dict checked by
+  the repo's one JSON-Schema-subset validator, plus the cross-field
+  identities a schema cannot say (``python -m repro.perf.schema FILE``).
+* :mod:`repro.perf.compare` / :mod:`repro.perf.history` — diff two
+  documents, trend and gate a sequence of them.
 
 The CLI entry point is ``python -m repro bench`` (or ``repro bench`` for
 an installed distribution).

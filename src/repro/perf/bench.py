@@ -28,50 +28,64 @@ scheduling must not change traffic — via
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import cProfile
 import hashlib
 import json
 import multiprocessing
+import pstats
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import (ClusterConfig, ClusterResult, ClusterRunner,
                                launch_cluster, replay_sequential)
-from repro.net.sharding import ShardMap
+from repro.net.stats import TransferStats
 from repro.net.topology import LinkProfile, TopologySpec
 from repro.net.wire import Encoding
 from repro.obs.causal import analyze_tracer
+from repro.obs.consistency import ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry, wall_timer
 from repro.obs.monitor import ClusterMonitor, MonitorConfig
 from repro.obs.trace import Tracer
-from repro.perf.schema import SCHEMA_ID, validate_bench
-from repro.workload.cluster import (chaos_faults, gossip_schedule,
+from repro.perf.schema import PROTOCOLS, SCHEMA_ID, validate_bench
+from repro.workload.clients import (StoreWorkloadConfig, StoreWorkloadResult,
+                                    run_store_workload)
+from repro.workload.cluster import (SessionRequest, UpdateRequest,
+                                    chaos_faults, gossip_schedule,
                                     site_names, update_schedule)
 from repro.workload.epidemic import (closing_sweep, epidemic_schedule,
                                      sharded_update_schedule)
 
-#: Fleet sizes of the standing regression trajectory.
-DEFAULT_SITE_COUNTS = (8, 32, 128)
 DEFAULT_OUTPUT = "BENCH_cluster.json"
 
-#: The standing multi-region fleet of the E13 bench cell: three regions
-#: of 16 sites on fast clean LANs, joined by a slow WAN carrying the
-#: standard chaos mix at 1% nominal loss, objects sharded 3-way on the
-#: consistent-hash ring.
-DEFAULT_BENCH_TOPOLOGY = TopologySpec.grid(
-    3, 16,
-    intra=LinkProfile(latency=0.002, bandwidth=1_000_000.0),
-    inter=LinkProfile(latency=0.04, bandwidth=250_000.0, loss=0.01),
-    replication=3, chaos_seed=11)
+
+def bench_topology(regions: int = 3, sites_per_region: int = 16, *,
+                   loss: float = 0.01, replication: int = 3, seed: int = 0,
+                   chaos_seed: int = 11) -> TopologySpec:
+    """The multi-region fleet shape of the E13 cell.
+
+    Fast clean LANs inside each region, joined by a slow WAN carrying
+    the standard chaos mix at the nominal ``loss``, objects sharded
+    ``replication``-way on the consistent-hash ring.  The defaults are
+    the standing bench fleet: three regions of 16 sites, 1% WAN loss.
+    """
+    return TopologySpec.grid(
+        regions, sites_per_region,
+        intra=LinkProfile(latency=0.002, bandwidth=1_000_000.0),
+        inter=LinkProfile(latency=0.04, bandwidth=250_000.0, loss=loss),
+        replication=replication, seed=seed, chaos_seed=chaos_seed)
 
 
 @dataclass(frozen=True)
 class BenchConfig:
     """Knobs of one benchmark sweep (all deterministic given ``seed``)."""
 
-    site_counts: Tuple[int, ...] = DEFAULT_SITE_COUNTS
+    #: Fleet sizes of the standing regression trajectory.
+    site_counts: Tuple[int, ...] = (8, 32, 128)
     protocols: Tuple[str, ...] = ("brv", "crv", "srv")
     rounds: int = 3
     updates_per_site: float = 2.0
@@ -124,49 +138,381 @@ class BenchConfig:
     #: the ClusterMonitor health digest (per-region scores, shard load)
     #: — that visibility is the scenario's point.  ``topology=None``
     #: skips the scenario (the pre-E13 document shape).
-    topology: Optional[TopologySpec] = DEFAULT_BENCH_TOPOLOGY
+    topology: Optional[TopologySpec] = bench_topology()
     mr_objects: int = 512
     mr_rounds: int = 4
     mr_batch_size: int = 8
 
-    def channel(self) -> ChannelSpec:
-        """The link model every session runs over."""
-        return ChannelSpec(latency=self.latency, bandwidth=self.bandwidth)
 
-    def chaos_channel(self, loss: float) -> ChannelSpec:
-        """The same link carrying the standard fault mix for ``loss``."""
-        return ChannelSpec(
-            latency=self.latency, bandwidth=self.bandwidth,
-            faults=chaos_faults(loss, latency=self.latency,
-                                seed=self.chaos_seed))
+def _common_fields(protocol: str, n_sites: int, totals: TransferStats,
+                   per_session_bits: List[int],
+                   **measured: Any) -> Dict[str, Any]:
+    """The record fields every cell carries, whatever kind of fleet ran
+    it; ``measured`` holds the ones whose source differs per kind."""
+    ranked = sorted(per_session_bits)
+    return {
+        "protocol": protocol,
+        "n_sites": n_sites,
+        **measured,
+        "total_bits": totals.total_bits,
+        "traffic": totals.summary(),
+        "bits_per_session": {
+            "mean": sum(ranked) / len(ranked) if ranked else 0,
+            "p50": ranked[len(ranked) // 2] if ranked else 0,
+            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
+                   if ranked else 0,
+            "max": ranked[-1] if ranked else 0,
+        },
+    }
 
 
-def _scenario_for(protocol: str) -> str:
-    return ("single-writer-gossip" if protocol == "brv"
-            else "multi-writer-gossip")
+@dataclass
+class Fleet:
+    """A ready cluster cell: the runner and the schedules it will run.
 
-
-def _make_monitor(enabled: bool) -> Optional[ClusterMonitor]:
-    """The per-cell monitor, or ``None`` (the byte-identical default).
-
-    Bench cells run the monitor in counting mode: a violation must land
-    in the document (where the comparator gate fails on it), not abort
-    the sweep halfway through.
+    The one definition of each scenario's fleet — the bench times it,
+    ``repro monitor`` and ``repro analyze --fleet`` watch the very same
+    runner and schedules (adding only their converge sweep).
     """
+
+    runner: ClusterRunner
+    sessions: List[SessionRequest]
+    updates: List[UpdateRequest]
+
+    def run(self) -> ClusterResult:
+        """Run the schedules to completion (one-shot, like the runner)."""
+        return self.runner.run(self.sessions, self.updates)
+
+    def replay(self, result: ClusterResult) -> None:
+        """Concurrent and sequential execution must move identical bits."""
+        runner = self.runner
+        sequential, _ = replay_sequential(runner.sites, runner.config,
+                                          result.log, shards=runner.shards)
+        concurrent_bits = result.per_session_bits()
+        sequential_bits = [r.stats.total_bits for r in sequential]
+        if concurrent_bits != sequential_bits:
+            mismatches = [i for i, (c, s) in
+                          enumerate(zip(concurrent_bits, sequential_bits))
+                          if c != s]
+            raise ReproError(
+                f"cluster scheduling changed traffic accounting: "
+                f"{len(mismatches)} of {len(concurrent_bits)} sessions "
+                f"differ (first at index "
+                f"{mismatches[0] if mismatches else '?'}) — "
+                f"this falsifies the harness, not the workload")
+
+    def measure(self, result: ClusterResult) -> Dict[str, Any]:
+        """The common record fields, plus the live-health digest when a
+        monitor rode along (picklable either way)."""
+        runner, monitor = self.runner, self.runner.monitor
+        health = ({} if monitor is None else
+                  {"invariant_violations": monitor.violation_count,
+                   "health": monitor.health_summary()})
+        return {**health, **_common_fields(
+            runner.config.protocol, len(runner.sites), result.totals,
+            result.per_session_bits(),
+            sessions=result.sessions,
+            updates=result.updates_applied,
+            updates_deferred=result.updates_deferred,
+            reconciliations=result.reconciliations,
+            sim_completion_seconds=result.completion_time,
+            max_queue_wait_seconds=result.max_queue_wait,
+            consistent=result.consistent())}
+
+
+@dataclass
+class _StoreCell:
+    """The store-workload cell: client traffic against the KV store.
+
+    Per-key store sessions have no sequential-replay oracle, and the
+    cluster health monitor's ancestor-closure check assumes whole-state
+    sessions — so ``replay`` has nothing to assert and a monitored cell
+    embeds the *consistency* observatory's digest instead.
+    """
+
+    workload: StoreWorkloadConfig
+    observers: Dict[str, Any]
+
+    def run(self) -> StoreWorkloadResult:
+        return run_store_workload(self.workload, **self.observers)
+
+    def replay(self, result: StoreWorkloadResult) -> None:
+        pass
+
+    def measure(self, result: StoreWorkloadResult) -> Dict[str, Any]:
+        """``updates`` counts client writes, ``updates_deferred`` the ops
+        parked behind a busy site, ``consistent`` per-key sibling-set
+        convergence."""
+        store = result.store
+        digest = ({} if result.consistency is None
+                  else {"consistency": result.consistency})
+        return {**digest, **_common_fields(
+            self.workload.protocol, self.workload.n_sites, store.totals,
+            [record.result.stats.total_bits for record in store.records
+             if record.result is not None],
+            sessions=store.sessions,
+            updates=result.writes + result.deletes,
+            updates_deferred=store.ops_deferred,
+            reconciliations=store.reconciliations,
+            sim_completion_seconds=store.completion_time,
+            max_queue_wait_seconds=store.max_queue_wait,
+            consistent=result.converged)}
+
+
+def _flat_fleet(config: BenchConfig, protocol: str, n_sites: int, *,
+                loss: float = 0.0, n_objects: int = 1, batch_size: int = 1,
+                header_bits: int = 0, stop_and_wait: bool = False,
+                **observers: Any) -> Fleet:
+    """The single-region fleet the gossip, batched and chaos cells share.
+
+    Every session runs over one link model carrying the standard fault
+    mix for the nominal ``loss`` — at 0 a perfect link, on which the
+    fault spec is inert and the reliable ARQ transport never engages.
+    """
+    sites = site_names(n_sites)
+    n_updates = max(1, round(n_sites * config.updates_per_site))
+    cluster_config = ClusterConfig(
+        protocol=protocol,
+        channel=ChannelSpec(
+            latency=config.latency, bandwidth=config.bandwidth,
+            faults=chaos_faults(loss, latency=config.latency,
+                                seed=config.chaos_seed)),
+        encoding=replace(Encoding.for_system(n_sites, max(16, n_updates)),
+                         session_header_bits=header_bits),
+        fanout=config.fanout,
+        stop_and_wait=stop_and_wait,
+        n_objects=n_objects,
+        batch_size=batch_size,
+    )
+    sessions = gossip_schedule(
+        sites, rounds=config.rounds, period=config.gossip_period,
+        jitter=config.gossip_jitter, seed=config.seed)
+    # BRV cannot reconcile concurrent vectors (Algorithm 2's
+    # precondition), so its fleet takes single-writer updates.
+    writers = [sites[0]] if protocol == "brv" else None
+    updates = update_schedule(
+        sites, n_updates=n_updates, interval=config.update_interval,
+        seed=config.seed + 1, writers=writers, n_objects=n_objects)
+    return Fleet(ClusterRunner(sites, cluster_config, **observers),
+                 sessions, updates)
+
+
+def _batched_fleet(config: BenchConfig, batch_size: int,
+                   **observers: Any) -> Fleet:
+    """Always SRV, stop-and-wait, with a per-session header.
+
+    That is the regime where framing pays: ``batch_size=1`` ships one
+    header and one ack stream per object, larger sizes one header and
+    one ack per frame.
+    """
+    return _flat_fleet(config, "srv", config.batched_site_count,
+                       n_objects=config.batched_objects,
+                       batch_size=batch_size,
+                       header_bits=config.batched_header_bits,
+                       stop_and_wait=True, **observers)
+
+
+def _chaos_fleet(config: BenchConfig, protocol: str, loss: float,
+                 **observers: Any) -> Fleet:
+    """The batched fleet on a channel injecting the fault mix for ``loss``.
+
+    The paired sequential replay applies here too — per-session injector
+    seeds make even chaotic runs scheduling-independent.
+    """
+    return _flat_fleet(config, protocol, config.batched_site_count,
+                       loss=loss, n_objects=config.batched_objects,
+                       batch_size=config.chaos_batch_size, **observers)
+
+
+def _multiregion_fleet(config: BenchConfig, protocol: str = "srv",
+                       **observers: Any) -> Fleet:
+    """The ``config.topology`` fleet via :func:`launch_cluster`.
+
+    The closing sweep makes convergence structural — ``consistent``
+    asserts that every replica group converged under loss, not that it
+    probably did.
+    """
+    spec = config.topology
+    if spec is None:  # pragma: no cover - the grid gates on the spec
+        raise ReproError("multi-region cell needs a BenchConfig.topology")
+    n_updates = max(1, round(spec.n_sites * config.updates_per_site))
+    runner = launch_cluster(
+        spec, protocol=protocol, n_objects=config.mr_objects,
+        batch_size=config.mr_batch_size,
+        encoding=Encoding.for_system(spec.n_sites, max(16, n_updates)),
+        **observers)
+    shards = runner.shards
+    sessions = epidemic_schedule(
+        spec, shards, rounds=config.mr_rounds, period=config.gossip_period,
+        jitter=config.gossip_jitter, seed=config.seed)
+    updates = sharded_update_schedule(
+        spec, shards, n_updates=n_updates, interval=config.update_interval,
+        leader_only=protocol == "brv", seed=config.seed + 1)
+    last = max([request.at for request in sessions]
+               + [update.at for update in updates], default=0.0)
+    return Fleet(runner,
+                 sessions + closing_sweep(shards, start=last + 500.0),
+                 updates)
+
+
+def _store_cell(config: BenchConfig, **observers: Any) -> _StoreCell:
+    return _StoreCell(
+        StoreWorkloadConfig(
+            n_sites=config.store_site_count, n_keys=config.store_keys,
+            n_clients=config.store_clients, ops=config.store_ops,
+            read_ratio=config.store_read_ratio, zipf=config.store_zipf,
+            net_latency=config.latency, bandwidth=config.bandwidth,
+            seed=config.seed),
+        observers)
+
+
+def _batch_fields(fleet: Fleet) -> Dict[str, Any]:
+    return {"n_objects": fleet.runner.config.n_objects,
+            "batch_size": fleet.runner.config.batch_size}
+
+
+def _goodput_fields(totals: TransferStats) -> Dict[str, Any]:
+    """Goodput vs retransmitted bits and the ARQ counters."""
+    return {
+        "goodput_bits": totals.total_goodput_bits,
+        "retransmitted_bits": totals.total_retransmitted_bits,
+        "retries": totals.retries,
+        "timeouts": totals.timeouts,
+        "resumes": totals.resumes,
+        "goodput_overhead_pct": (
+            (totals.total_bits - totals.total_goodput_bits)
+            / totals.total_goodput_bits * 100
+            if totals.total_goodput_bits else 0.0),
+    }
+
+
+def _gossip_fields(config: BenchConfig, fleet: Fleet, result: ClusterResult,
+                   protocol: str, n_sites: int) -> Dict[str, Any]:
+    return {"scenario": ("single-writer-gossip" if protocol == "brv"
+                         else "multi-writer-gossip")}
+
+
+def _batched_fields(config: BenchConfig, fleet: Fleet, result: ClusterResult,
+                    batch_size: int) -> Dict[str, Any]:
+    synced_objects = result.sessions * config.batched_objects
+    return {"scenario": "batched-many-objects",
+            **_batch_fields(fleet),
+            "wire_bits_per_object": (result.total_bits / synced_objects
+                                     if synced_objects else 0.0)}
+
+
+def _chaos_fields(config: BenchConfig, fleet: Fleet, result: ClusterResult,
+                  protocol: str, loss: float) -> Dict[str, Any]:
+    return {"scenario": "chaos-loss",
+            **_batch_fields(fleet),
+            "loss_rate": loss,
+            "chaos_seed": config.chaos_seed,
+            **_goodput_fields(result.totals)}
+
+
+def _store_fields(config: BenchConfig, cell: _StoreCell,
+                  result: StoreWorkloadResult) -> Dict[str, Any]:
+    """The client-felt numbers: op mix, read-repair count, and exact
+    latency/staleness percentiles."""
+    def percentiles(summary: Dict[str, float]) -> Dict[str, float]:
+        return {name: summary[name] for name in ("p50", "p90", "p99")}
+
+    return {
+        "scenario": "store-workload",
+        "n_objects": cell.workload.n_keys,
+        "batch_size": cell.workload.batch_size,
+        "client": {
+            "ops": result.ops,
+            "reads": result.reads,
+            "writes": result.writes,
+            "deletes": result.deletes,
+            "read_repairs": result.store.read_repairs,
+            "sessions_abandoned": result.store.sessions_abandoned,
+            "get_latency_seconds": percentiles(
+                result.latency_summary("get")),
+            "put_latency_seconds": percentiles(
+                result.latency_summary("put")),
+            "staleness_seconds": percentiles(result.staleness_summary()),
+        },
+    }
+
+
+def _multiregion_fields(config: BenchConfig, fleet: Fleet,
+                        result: ClusterResult) -> Dict[str, Any]:
+    spec, shards = fleet.runner.topology, fleet.runner.shards
+    return {"scenario": "multi-region-sharded",
+            **_batch_fields(fleet),
+            "regions": len(spec.regions),
+            "replication": spec.replication,
+            "shard_groups": len(shards.groups()),
+            "shard_load": shards.load_summary(),
+            "loss_rate": spec.inter.loss,
+            "chaos_seed": spec.chaos_seed,
+            "skipped_sessions": result.skipped_sessions,
+            **_goodput_fields(result.totals)}
+
+
+def _health_monitor(enabled: bool) -> Optional[ClusterMonitor]:
+    """Bench cells run the monitor in counting mode: a violation must
+    land in the document (where the comparator gate fails on it), not
+    abort the sweep halfway through."""
     return ClusterMonitor(MonitorConfig(strict=False)) if enabled else None
 
 
-def _monitor_fields(monitor: Optional[ClusterMonitor]) -> Dict[str, Any]:
-    """The extra record fields a monitored cell carries (picklable)."""
-    if monitor is None:
-        return {}
-    return {"invariant_violations": monitor.violation_count,
-            "health": monitor.health_summary()}
+@dataclass(frozen=True)
+class Scenario:
+    """One row of the cell table: only what is the scenario's own.
+
+    Timing, observer attachment and the paired replay live once, in
+    :func:`_run_cell`; the common record fields and the
+    ``bits_per_session`` block once, in :func:`_common_fields`.  A new
+    scenario is a new row (plus its optional fields in
+    :data:`repro.perf.schema.BENCH_SCHEMA`).
+    """
+
+    #: This scenario's cells — argument tuples, in document order.
+    grid: Callable[[BenchConfig], List[Tuple[Any, ...]]]
+    #: ``(config, *args, metrics=, monitor=, tracer=)`` → the ready cell.
+    build: Callable[..., Any]
+    #: ``(config, cell, result, *args)`` → the record fields only this
+    #: scenario carries.
+    fields: Callable[..., Dict[str, Any]]
+    #: Wall-timer metric infix, formatted with the cell's arguments.
+    timer: str
+    #: ``enabled → observer``: what ``--monitor`` attaches to the cell.
+    monitor: Callable[[bool], Any] = _health_monitor
 
 
-def _make_tracer(enabled: bool) -> Optional[Tracer]:
-    """The per-cell causal tracer, or ``None`` (the default)."""
-    return Tracer() if enabled else None
+#: The grid order *is* the document's run order, whether cells run
+#: serially or fan out across workers.
+SCENARIOS: Dict[str, Scenario] = {
+    "gossip": Scenario(
+        grid=lambda config: [(protocol, n_sites)
+                             for n_sites in config.site_counts
+                             for protocol in config.protocols],
+        build=_flat_fleet, fields=_gossip_fields, timer="{0}"),
+    "batched": Scenario(
+        grid=lambda config: [(size,) for size in config.batched_sizes],
+        build=_batched_fleet, fields=_batched_fields, timer="batched"),
+    "chaos": Scenario(
+        grid=lambda config: [(protocol, loss)
+                             for loss in config.chaos_loss_rates
+                             for protocol in config.protocols],
+        build=_chaos_fleet, fields=_chaos_fields, timer="chaos.{0}"),
+    "store": Scenario(
+        grid=lambda config: [()] if config.store_ops > 0 else [],
+        build=_store_cell, fields=_store_fields, timer="store",
+        monitor=lambda enabled: ConsistencyMonitor() if enabled else None),
+    # The health digest (per-region scores, shard load) is this
+    # scenario's deliverable, so the monitor rides along whether or not
+    # the sweep opted in; attaching it is deterministic, so the record
+    # is identical either way.
+    "multiregion": Scenario(
+        grid=lambda config: [()] if (config.topology is not None
+                                     and config.mr_objects > 0) else [],
+        build=_multiregion_fleet, fields=_multiregion_fields,
+        timer="multiregion", monitor=lambda enabled: _health_monitor(True)),
+}
 
 
 def _analyze_fields(tracer: Optional[Tracer]) -> Dict[str, Any]:
@@ -179,8 +525,7 @@ def _analyze_fields(tracer: Optional[Tracer]) -> Dict[str, Any]:
     """
     if tracer is None:
         return {}
-    analysis = analyze_tracer(tracer)
-    path = analysis.critical_path
+    path = analyze_tracer(tracer).critical_path
     if path is None:
         return {"critical_path_seconds": 0.0, "critical_path_hops": 0,
                 "critical_path_attribution": {}}
@@ -189,483 +534,33 @@ def _analyze_fields(tracer: Optional[Tracer]) -> Dict[str, Any]:
             "critical_path_attribution": path["attribution"]}
 
 
-def _run_one(protocol: str, n_sites: int, config: BenchConfig, *,
-             metrics: Optional[MetricsRegistry] = None,
-             monitor: bool = False, analyze: bool = False) -> Dict[str, Any]:
-    sites = site_names(n_sites)
-    n_updates = max(1, round(n_sites * config.updates_per_site))
-    cluster_config = ClusterConfig(
-        protocol=protocol,
-        channel=config.channel(),
-        encoding=Encoding.for_system(n_sites, max(16, n_updates)),
-        fanout=config.fanout,
-    )
-    sessions = gossip_schedule(
-        sites, rounds=config.rounds, period=config.gossip_period,
-        jitter=config.gossip_jitter, seed=config.seed)
-    writers = [sites[0]] if protocol == "brv" else None
-    updates = update_schedule(
-        sites, n_updates=n_updates, interval=config.update_interval,
-        seed=config.seed + 1, writers=writers)
-    cell_monitor = _make_monitor(monitor)
-    cell_tracer = _make_tracer(analyze)
-    runner = ClusterRunner(sites, cluster_config, metrics=metrics,
-                           monitor=cell_monitor, tracer=cell_tracer)
-    start = time.perf_counter()
-    with wall_timer(metrics, f"bench.cluster.{protocol}.wall_seconds"):
-        result = runner.run(sessions, updates)
-    wall_seconds = time.perf_counter() - start
-    if config.paired:
-        _assert_scheduling_independent(sites, cluster_config, result)
-    per_session = result.per_session_bits()
-    ranked = sorted(per_session)
-    return {
-        **_monitor_fields(cell_monitor),
-        **_analyze_fields(cell_tracer),
-        "scenario": _scenario_for(protocol),
-        "protocol": protocol,
-        "n_sites": n_sites,
-        "sessions": result.sessions,
-        "updates": result.updates_applied,
-        "updates_deferred": result.updates_deferred,
-        "reconciliations": result.reconciliations,
-        "total_bits": result.total_bits,
-        "traffic": result.totals.summary(),
-        "bits_per_session": {
-            "mean": sum(per_session) / len(per_session) if per_session else 0,
-            "p50": ranked[len(ranked) // 2] if ranked else 0,
-            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
-                   if ranked else 0,
-            "max": ranked[-1] if ranked else 0,
-        },
-        "sim_completion_seconds": result.completion_time,
-        "wall_seconds": wall_seconds,
-        "max_queue_wait_seconds": result.max_queue_wait,
-        "consistent": result.consistent(),
-    }
-
-
-def _run_batched_one(batch_size: int, config: BenchConfig, *,
-                     metrics: Optional[MetricsRegistry] = None,
-                     monitor: bool = False,
-                     analyze: bool = False) -> Dict[str, Any]:
-    """One batched many-objects run (always SRV, stop-and-wait).
-
-    Stop-and-wait plus a non-zero per-session header is the regime where
-    framing pays: ``batch_size=1`` ships one header and one ack stream
-    per object, larger sizes one header and one ack per frame.  The
-    record adds ``n_objects``/``batch_size``/``wire_bits_per_object`` on
-    top of the standard fields so two batch sizes are directly
-    comparable.
-    """
-    n_sites = config.batched_site_count
-    n_objects = config.batched_objects
-    sites = site_names(n_sites)
-    n_updates = max(1, round(n_sites * config.updates_per_site))
-    cluster_config = ClusterConfig(
-        protocol="srv",
-        channel=config.channel(),
-        encoding=replace(Encoding.for_system(n_sites, max(16, n_updates)),
-                         session_header_bits=config.batched_header_bits),
-        fanout=config.fanout,
-        stop_and_wait=True,
-        n_objects=n_objects,
-        batch_size=batch_size,
-    )
-    sessions = gossip_schedule(
-        sites, rounds=config.rounds, period=config.gossip_period,
-        jitter=config.gossip_jitter, seed=config.seed)
-    updates = update_schedule(
-        sites, n_updates=n_updates, interval=config.update_interval,
-        seed=config.seed + 1, n_objects=n_objects)
-    cell_monitor = _make_monitor(monitor)
-    cell_tracer = _make_tracer(analyze)
-    runner = ClusterRunner(sites, cluster_config, metrics=metrics,
-                           monitor=cell_monitor, tracer=cell_tracer)
-    start = time.perf_counter()
-    with wall_timer(metrics, "bench.cluster.batched.wall_seconds"):
-        result = runner.run(sessions, updates)
-    wall_seconds = time.perf_counter() - start
-    if config.paired:
-        _assert_scheduling_independent(sites, cluster_config, result)
-    per_session = result.per_session_bits()
-    ranked = sorted(per_session)
-    synced_objects = result.sessions * n_objects
-    return {
-        **_monitor_fields(cell_monitor),
-        **_analyze_fields(cell_tracer),
-        "scenario": "batched-many-objects",
-        "protocol": "srv",
-        "n_sites": n_sites,
-        "n_objects": n_objects,
-        "batch_size": batch_size,
-        "sessions": result.sessions,
-        "updates": result.updates_applied,
-        "updates_deferred": result.updates_deferred,
-        "reconciliations": result.reconciliations,
-        "total_bits": result.total_bits,
-        "wire_bits_per_object": (result.total_bits / synced_objects
-                                 if synced_objects else 0.0),
-        "traffic": result.totals.summary(),
-        "bits_per_session": {
-            "mean": sum(per_session) / len(per_session) if per_session else 0,
-            "p50": ranked[len(ranked) // 2] if ranked else 0,
-            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
-                   if ranked else 0,
-            "max": ranked[-1] if ranked else 0,
-        },
-        "sim_completion_seconds": result.completion_time,
-        "wall_seconds": wall_seconds,
-        "max_queue_wait_seconds": result.max_queue_wait,
-        "consistent": result.consistent(),
-    }
-
-
-def _run_chaos_one(protocol: str, loss: float, config: BenchConfig, *,
-                   metrics: Optional[MetricsRegistry] = None,
-                   monitor: bool = False,
-                   analyze: bool = False) -> Dict[str, Any]:
-    """One chaos cell: the batched fleet on a faulted channel.
-
-    Every protocol runs the same ``batched_site_count`` ×
-    ``batched_objects`` workload (single-writer updates for BRV, which
-    cannot reconcile concurrent vectors) over a channel injecting the
-    standard fault mix for ``loss``.  The reliable ARQ transport engages
-    automatically; the record separates goodput from retransmitted bits
-    and carries the retry/timeout/resume counters, so the per-scheme
-    robustness overhead is machine-diffable across PRs.  The paired
-    sequential replay applies here too — per-session injector seeds make
-    even chaotic runs scheduling-independent.
-    """
-    n_sites = config.batched_site_count
-    n_objects = config.batched_objects
-    sites = site_names(n_sites)
-    n_updates = max(1, round(n_sites * config.updates_per_site))
-    cluster_config = ClusterConfig(
-        protocol=protocol,
-        channel=config.chaos_channel(loss),
-        encoding=Encoding.for_system(n_sites, max(16, n_updates)),
-        fanout=config.fanout,
-        n_objects=n_objects,
-        batch_size=config.chaos_batch_size,
-    )
-    sessions = gossip_schedule(
-        sites, rounds=config.rounds, period=config.gossip_period,
-        jitter=config.gossip_jitter, seed=config.seed)
-    writers = [sites[0]] if protocol == "brv" else None
-    updates = update_schedule(
-        sites, n_updates=n_updates, interval=config.update_interval,
-        seed=config.seed + 1, writers=writers, n_objects=n_objects)
-    cell_monitor = _make_monitor(monitor)
-    cell_tracer = _make_tracer(analyze)
-    runner = ClusterRunner(sites, cluster_config, metrics=metrics,
-                           monitor=cell_monitor, tracer=cell_tracer)
-    start = time.perf_counter()
-    with wall_timer(metrics, f"bench.cluster.chaos.{protocol}.wall_seconds"):
-        result = runner.run(sessions, updates)
-    wall_seconds = time.perf_counter() - start
-    if config.paired:
-        _assert_scheduling_independent(sites, cluster_config, result)
-    per_session = result.per_session_bits()
-    ranked = sorted(per_session)
-    totals = result.totals
-    return {
-        **_monitor_fields(cell_monitor),
-        **_analyze_fields(cell_tracer),
-        "scenario": "chaos-loss",
-        "protocol": protocol,
-        "n_sites": n_sites,
-        "n_objects": n_objects,
-        "batch_size": config.chaos_batch_size,
-        "loss_rate": loss,
-        "chaos_seed": config.chaos_seed,
-        "sessions": result.sessions,
-        "updates": result.updates_applied,
-        "updates_deferred": result.updates_deferred,
-        "reconciliations": result.reconciliations,
-        "total_bits": result.total_bits,
-        "goodput_bits": totals.total_goodput_bits,
-        "retransmitted_bits": totals.total_retransmitted_bits,
-        "retries": totals.retries,
-        "timeouts": totals.timeouts,
-        "resumes": totals.resumes,
-        "goodput_overhead_pct": (
-            (result.total_bits - totals.total_goodput_bits)
-            / totals.total_goodput_bits * 100
-            if totals.total_goodput_bits else 0.0),
-        "traffic": totals.summary(),
-        "bits_per_session": {
-            "mean": sum(per_session) / len(per_session) if per_session else 0,
-            "p50": ranked[len(ranked) // 2] if ranked else 0,
-            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
-                   if ranked else 0,
-            "max": ranked[-1] if ranked else 0,
-        },
-        "sim_completion_seconds": result.completion_time,
-        "wall_seconds": wall_seconds,
-        "max_queue_wait_seconds": result.max_queue_wait,
-        "consistent": result.consistent(),
-    }
-
-
-def _run_store_one(config: BenchConfig, *,
-                   metrics: Optional[MetricsRegistry] = None,
-                   monitor: bool = False,
-                   analyze: bool = False) -> Dict[str, Any]:
-    """One store-workload cell: client traffic against the KV store.
-
-    The record keeps the standard cluster shape (``updates`` counts
-    client writes, ``updates_deferred`` the ops parked behind a busy
-    site, ``consistent`` the per-key sibling-set convergence check) and
-    adds a ``client`` object with the client-felt numbers: op mix,
-    read-repair count, and exact latency/staleness percentiles.  A
-    monitored sweep attaches the *consistency* observatory
-    (:mod:`repro.obs.consistency`) rather than the cluster health
-    monitor — the health monitor's ancestor-closure oracle assumes
-    whole-state sessions, which per-key store sessions are not — and
-    embeds its digest as the record's ``consistency`` object
-    (schema-validated alongside the rest of the document).
-    """
-    from repro.workload.clients import StoreWorkloadConfig, run_store_workload
-
-    workload_config = StoreWorkloadConfig(
-        n_sites=config.store_site_count, n_keys=config.store_keys,
-        n_clients=config.store_clients, ops=config.store_ops,
-        read_ratio=config.store_read_ratio, zipf=config.store_zipf,
-        net_latency=config.latency, bandwidth=config.bandwidth,
-        seed=config.seed)
-    cell_monitor = None
-    if monitor:
-        from repro.obs.consistency import (ConsistencyConfig,
-                                           ConsistencyMonitor)
-        cell_monitor = ConsistencyMonitor(ConsistencyConfig())
-    cell_tracer = _make_tracer(analyze)
-    start = time.perf_counter()
-    with wall_timer(metrics, "bench.cluster.store.wall_seconds"):
-        result = run_store_workload(workload_config, tracer=cell_tracer,
-                                    metrics=metrics, monitor=cell_monitor)
-    wall_seconds = time.perf_counter() - start
-    store = result.store
-    per_session = [record.result.stats.total_bits
-                   for record in store.records if record.result is not None]
-    ranked = sorted(per_session)
-
-    def _percentiles(summary: Dict[str, float]) -> Dict[str, float]:
-        return {name: summary[name] for name in ("p50", "p90", "p99")}
-
-    return {
-        **_analyze_fields(cell_tracer),
-        "scenario": "store-workload",
-        "protocol": workload_config.protocol,
-        "n_sites": workload_config.n_sites,
-        "n_objects": workload_config.n_keys,
-        "batch_size": workload_config.batch_size,
-        "sessions": store.sessions,
-        "updates": result.writes + result.deletes,
-        "updates_deferred": store.ops_deferred,
-        "reconciliations": store.reconciliations,
-        "total_bits": store.total_bits,
-        "traffic": store.totals.summary(),
-        "bits_per_session": {
-            "mean": sum(per_session) / len(per_session) if per_session else 0,
-            "p50": ranked[len(ranked) // 2] if ranked else 0,
-            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
-                   if ranked else 0,
-            "max": ranked[-1] if ranked else 0,
-        },
-        "sim_completion_seconds": store.completion_time,
-        "wall_seconds": wall_seconds,
-        "max_queue_wait_seconds": store.max_queue_wait,
-        "consistent": result.converged,
-        "client": {
-            "ops": result.ops,
-            "reads": result.reads,
-            "writes": result.writes,
-            "deletes": result.deletes,
-            "read_repairs": store.read_repairs,
-            "sessions_abandoned": store.sessions_abandoned,
-            "get_latency_seconds": _percentiles(
-                result.latency_summary("get")),
-            "put_latency_seconds": _percentiles(
-                result.latency_summary("put")),
-            "staleness_seconds": _percentiles(result.staleness_summary()),
-        },
-        **({"consistency": result.consistency}
-           if result.consistency is not None else {}),
-    }
-
-
-def _run_multiregion_one(config: BenchConfig, *,
-                         metrics: Optional[MetricsRegistry] = None,
-                         monitor: bool = False,
-                         analyze: bool = False) -> Dict[str, Any]:
-    """One multi-region sharded cell (always SRV, always monitored).
-
-    The fleet comes straight from ``config.topology`` via
-    :func:`~repro.net.cluster.launch_cluster`: consistent-hash sharding
-    at the spec's replication factor, epidemic push/pull dissemination
-    among shard peers, chaos-faulted WAN links, and the deterministic
-    two-phase closing sweep — so ``consistent`` asserts that every
-    replica group converged under loss, not that it probably did.  The
-    monitor rides along unconditionally (ignoring the ``monitor`` flag,
-    which other cells use as an opt-in): the per-region scores and
-    shard-load spread in ``health`` are the scenario's deliverable, and
-    attaching it is deterministic, so the record is identical either
-    way.
-    """
-    spec = config.topology
-    if spec is None:  # pragma: no cover - the grid gates on the spec
-        raise ReproError("multi-region cell needs a BenchConfig.topology")
-    n_sites = spec.n_sites
-    n_objects = config.mr_objects
-    n_updates = max(1, round(n_sites * config.updates_per_site))
-    cell_monitor = _make_monitor(True)
-    cell_tracer = _make_tracer(analyze)
-    runner = launch_cluster(
-        spec, protocol="srv", n_objects=n_objects,
-        batch_size=config.mr_batch_size,
-        encoding=Encoding.for_system(n_sites, max(16, n_updates)),
-        metrics=metrics, monitor=cell_monitor,
-        tracer=cell_tracer)
-    shards = runner.shards
-    sessions = epidemic_schedule(
-        spec, shards, rounds=config.mr_rounds, period=config.gossip_period,
-        jitter=config.gossip_jitter, seed=config.seed)
-    updates = sharded_update_schedule(
-        spec, shards, n_updates=n_updates, interval=config.update_interval,
-        seed=config.seed + 1)
-    last = max([request.at for request in sessions]
-               + [update.at for update in updates], default=0.0)
-    sessions = list(sessions) + closing_sweep(shards, start=last + 500.0)
-    start = time.perf_counter()
-    with wall_timer(metrics, "bench.cluster.multiregion.wall_seconds"):
-        result = runner.run(sessions, updates)
-    wall_seconds = time.perf_counter() - start
-    if config.paired:
-        _assert_scheduling_independent(runner.sites, runner.config, result,
-                                       shards=shards)
-    per_session = result.per_session_bits()
-    ranked = sorted(per_session)
-    totals = result.totals
-    return {
-        **_monitor_fields(cell_monitor),
-        **_analyze_fields(cell_tracer),
-        "scenario": "multi-region-sharded",
-        "protocol": "srv",
-        "n_sites": n_sites,
-        "n_objects": n_objects,
-        "batch_size": config.mr_batch_size,
-        "regions": len(spec.regions),
-        "replication": spec.replication,
-        "shard_groups": len(shards.groups()),
-        "shard_load": shards.load_summary(),
-        "loss_rate": spec.inter.loss,
-        "chaos_seed": spec.chaos_seed,
-        "sessions": result.sessions,
-        "skipped_sessions": result.skipped_sessions,
-        "updates": result.updates_applied,
-        "updates_deferred": result.updates_deferred,
-        "reconciliations": result.reconciliations,
-        "total_bits": result.total_bits,
-        "goodput_bits": totals.total_goodput_bits,
-        "retransmitted_bits": totals.total_retransmitted_bits,
-        "retries": totals.retries,
-        "timeouts": totals.timeouts,
-        "resumes": totals.resumes,
-        "goodput_overhead_pct": (
-            (result.total_bits - totals.total_goodput_bits)
-            / totals.total_goodput_bits * 100
-            if totals.total_goodput_bits else 0.0),
-        "traffic": totals.summary(),
-        "bits_per_session": {
-            "mean": sum(per_session) / len(per_session) if per_session else 0,
-            "p50": ranked[len(ranked) // 2] if ranked else 0,
-            "p90": ranked[min(len(ranked) - 1, (9 * len(ranked)) // 10)]
-                   if ranked else 0,
-            "max": ranked[-1] if ranked else 0,
-        },
-        "sim_completion_seconds": result.completion_time,
-        "wall_seconds": wall_seconds,
-        "max_queue_wait_seconds": result.max_queue_wait,
-        "consistent": result.consistent(),
-    }
-
-
-def _assert_scheduling_independent(sites: Sequence[str],
-                                   cluster_config: ClusterConfig,
-                                   result: ClusterResult, *,
-                                   shards: Optional[ShardMap] = None
-                                   ) -> None:
-    """Concurrent and sequential execution must move identical bits."""
-    sequential, _ = replay_sequential(sites, cluster_config, result.log,
-                                      shards=shards)
-    concurrent_bits = result.per_session_bits()
-    sequential_bits = [r.stats.total_bits for r in sequential]
-    if concurrent_bits != sequential_bits:
-        mismatches = [i for i, (c, s) in
-                      enumerate(zip(concurrent_bits, sequential_bits))
-                      if c != s]
-        raise ReproError(
-            f"cluster scheduling changed traffic accounting: "
-            f"{len(mismatches)} of {len(concurrent_bits)} sessions differ "
-            f"(first at index {mismatches[0] if mismatches else '?'}) — "
-            f"this falsifies the harness, not the workload")
-
-
-#: One grid cell: ``("gossip", protocol, n_sites)``,
-#: ``("batched", batch_size)``, ``("chaos", protocol, loss_rate)``,
-#: ``("store",)``, or ``("multiregion",)``.
-#: The grid order *is* the document's run order, whether cells run
-#: serially or fan out across workers.
-_BenchTask = Tuple[Any, ...]
-
-
-def _task_grid(config: BenchConfig) -> List[_BenchTask]:
-    tasks: List[_BenchTask] = [("gossip", protocol, n_sites)
-                               for n_sites in config.site_counts
-                               for protocol in config.protocols]
-    tasks.extend(("batched", batch_size)
-                 for batch_size in config.batched_sizes)
-    tasks.extend(("chaos", protocol, loss)
-                 for loss in config.chaos_loss_rates
-                 for protocol in config.protocols)
-    if config.store_ops > 0:
-        tasks.append(("store",))
-    if config.topology is not None and config.mr_objects > 0:
-        tasks.append(("multiregion",))
-    return tasks
-
-
-def _run_task(task_and_config: Tuple[_BenchTask, BenchConfig, bool, bool]
+def _run_cell(name: str, args: Tuple[Any, ...], config: BenchConfig,
+              monitor: bool = False, analyze: bool = False
               ) -> Tuple[Dict[str, Any], MetricsRegistry]:
-    """Execute one grid cell with a private registry (pool-picklable).
+    """Build, time, check and record one cell: the ``name`` row of
+    :data:`SCENARIOS` at one of its ``grid`` arguments (pool-picklable).
 
-    Every cell derives its schedules from ``config.seed`` alone — no
-    state is shared between cells — so the record is identical whether
-    the cell runs in the parent or in a pool worker.  ``monitor`` and
-    ``analyze`` ride along as plain flags (not ``BenchConfig`` fields —
-    the config is embedded in the document, and neither observation mode
-    may move the default fingerprint); opted-in cells embed only the
-    picklable digest.
+    Every cell derives its schedules from ``config.seed`` alone and
+    fills a private registry — no state is shared between cells — so the
+    record is identical whether the cell runs in the parent or in a pool
+    worker; observed cells embed only the picklable digest.
     """
-    task, config, monitor, analyze = task_and_config
+    scenario = SCENARIOS[name]
     metrics = MetricsRegistry()
-    if task[0] == "gossip":
-        record = _run_one(task[1], task[2], config, metrics=metrics,
-                          monitor=monitor, analyze=analyze)
-    elif task[0] == "chaos":
-        record = _run_chaos_one(task[1], task[2], config, metrics=metrics,
-                                monitor=monitor, analyze=analyze)
-    elif task[0] == "store":
-        record = _run_store_one(config, metrics=metrics,
-                                monitor=monitor, analyze=analyze)
-    elif task[0] == "multiregion":
-        record = _run_multiregion_one(config, metrics=metrics,
-                                      monitor=monitor, analyze=analyze)
-    else:
-        record = _run_batched_one(task[1], config, metrics=metrics,
-                                  monitor=monitor, analyze=analyze)
-    return record, metrics
+    tracer = Tracer() if analyze else None
+    cell = scenario.build(config, *args, metrics=metrics,
+                          monitor=scenario.monitor(monitor), tracer=tracer)
+    timer = f"bench.cluster.{scenario.timer.format(*args)}.wall_seconds"
+    start = time.perf_counter()
+    with wall_timer(metrics, timer):
+        result = cell.run()
+    wall_seconds = time.perf_counter() - start
+    if config.paired:
+        cell.replay(result)
+    return {**_analyze_fields(tracer),
+            **scenario.fields(config, cell, result, *args),
+            **cell.measure(result),
+            "wall_seconds": wall_seconds}, metrics
 
 
 def _echo_record(echo: Any, record: Dict[str, Any]) -> None:
@@ -721,12 +616,14 @@ def run_cluster_bench(config: BenchConfig = BenchConfig(), *,
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(task, config, monitor, analyze) for task in _task_grid(config)]
+    tasks = [(name, args, config, monitor, analyze)
+             for name, scenario in SCENARIOS.items()
+             for args in scenario.grid(config)]
     if workers > 1 and len(tasks) > 1:
         with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-            outcomes = pool.map(_run_task, tasks)
+            outcomes = pool.starmap(_run_cell, tasks)
     else:
-        outcomes = [_run_task(task) for task in tasks]
+        outcomes = [_run_cell(*task) for task in tasks]
     runs: List[Dict[str, Any]] = []
     for record, task_metrics in outcomes:
         runs.append(record)
@@ -793,161 +690,105 @@ def format_bench_table(document: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def bench_main(argv: List[str]) -> int:
+def _csv(parse: Callable[[str], Any]) -> Callable[[str], Tuple[Any, ...]]:
+    """An argparse ``type`` for comma-separated lists of ``parse``."""
+    def parse_list(text: str) -> Tuple[Any, ...]:
+        return tuple(parse(part) for part in text.split(","))
+    parse_list.__name__ = f"comma-separated {parse.__name__} list"
+    return parse_list
+
+
+def bench_main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro bench [--sites CSV] [--workers N] ...``."""
-    site_counts: Tuple[int, ...] = DEFAULT_SITE_COUNTS
-    protocols: Tuple[str, ...] = ("brv", "crv", "srv")
-    rounds = 3
-    seed = 0
-    out = DEFAULT_OUTPUT
-    workers = 1
-    profile = False
-    monitor = False
-    analyze = False
-    profile_out = "bench.pstats"
-    chaos_loss_rates: Tuple[float, ...] = BenchConfig().chaos_loss_rates
-    chaos_seed = BenchConfig().chaos_seed
-    store_ops = BenchConfig().store_ops
-    topology: Optional[TopologySpec] = BenchConfig().topology
-
-    def fail(message: str) -> int:
-        print(message)
-        print("usage: python -m repro bench [--sites 8,32,128] "
-              "[--protocols brv,crv,srv] [--rounds N] [--seed N] "
-              "[--workers N] [--profile] [--profile-out bench.pstats] "
-              "[--chaos-loss 0.01,0.1] [--chaos-seed N] [--no-chaos] "
-              "[--store-ops N] [--no-store] [--no-multiregion] "
-              "[--monitor] [--analyze] [--out BENCH_cluster.json]")
-        return 2
-
-    index = 0
-    while index < len(argv):
-        argument = argv[index]
-        if argument == "--profile":
-            profile = True
-            index += 1
-        elif argument == "--monitor":
-            monitor = True
-            index += 1
-        elif argument == "--analyze":
-            analyze = True
-            index += 1
-        elif argument == "--no-chaos":
-            chaos_loss_rates = ()
-            index += 1
-        elif argument == "--no-store":
-            store_ops = 0
-            index += 1
-        elif argument == "--no-multiregion":
-            topology = None
-            index += 1
-        elif argument in ("--sites", "--protocols", "--rounds", "--seed",
-                          "--workers", "--profile-out", "--out",
-                          "--chaos-loss", "--chaos-seed", "--store-ops"):
-            if index + 1 >= len(argv):
-                return fail(f"{argument} requires a value")
-            value = argv[index + 1]
-            if argument == "--sites":
-                try:
-                    site_counts = tuple(int(part)
-                                        for part in value.split(","))
-                except ValueError:
-                    return fail(f"--sites expects integers, got {value!r}")
-                if any(n < 2 for n in site_counts):
-                    return fail("--sites values must be >= 2")
-            elif argument == "--protocols":
-                protocols = tuple(value.split(","))
-                unknown = [p for p in protocols
-                           if p not in ("brv", "crv", "srv")]
-                if unknown:
-                    return fail(f"unknown protocols: {', '.join(unknown)}")
-            elif argument == "--rounds":
-                try:
-                    rounds = int(value)
-                except ValueError:
-                    return fail(f"--rounds expects an integer, got {value!r}")
-            elif argument == "--seed":
-                try:
-                    seed = int(value)
-                except ValueError:
-                    return fail(f"--seed expects an integer, got {value!r}")
-            elif argument == "--workers":
-                try:
-                    workers = int(value)
-                except ValueError:
-                    return fail(f"--workers expects an integer, "
-                                f"got {value!r}")
-                if workers < 1:
-                    return fail("--workers must be >= 1")
-            elif argument == "--profile-out":
-                profile_out = value
-            elif argument == "--chaos-loss":
-                try:
-                    chaos_loss_rates = tuple(float(part)
-                                             for part in value.split(","))
-                except ValueError:
-                    return fail(f"--chaos-loss expects floats, got {value!r}")
-                if any(not 0 <= rate <= 1 for rate in chaos_loss_rates):
-                    return fail("--chaos-loss rates must be in [0, 1]")
-            elif argument == "--chaos-seed":
-                try:
-                    chaos_seed = int(value)
-                except ValueError:
-                    return fail(f"--chaos-seed expects an integer, "
-                                f"got {value!r}")
-            elif argument == "--store-ops":
-                try:
-                    store_ops = int(value)
-                except ValueError:
-                    return fail(f"--store-ops expects an integer, "
-                                f"got {value!r}")
-                if store_ops < 0:
-                    return fail("--store-ops must be >= 0")
-            else:
-                out = value
-            index += 2
-        else:
-            return fail(f"unknown argument {argument!r}")
-    config = BenchConfig(site_counts=site_counts, protocols=protocols,
-                         rounds=rounds, seed=seed,
-                         chaos_loss_rates=chaos_loss_rates,
-                         chaos_seed=chaos_seed, store_ops=store_ops,
-                         topology=topology)
+    defaults = BenchConfig()
+    parser = argparse.ArgumentParser(
+        prog="repro bench",
+        description="Run the cluster benchmark sweep and write the "
+                    "BENCH_cluster.json regression document.")
+    parser.add_argument("--sites", type=_csv(int),
+                        default=defaults.site_counts, metavar="N,N,...",
+                        help="gossip fleet sizes (default: 8,32,128)")
+    parser.add_argument("--protocols", type=_csv(str),
+                        default=defaults.protocols, metavar="P,P,...",
+                        help="protocols to sweep (default: brv,crv,srv)")
+    parser.add_argument("--rounds", type=int, default=defaults.rounds,
+                        help="gossip rounds (default: 3)")
+    parser.add_argument("--seed", type=int, default=defaults.seed,
+                        help="workload seed (default: 0)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="process-pool size (default: 1 = serial)")
+    parser.add_argument("--profile", action="store_true",
+                        help="run serially under cProfile")
+    parser.add_argument("--profile-out", default="bench.pstats",
+                        metavar="PATH", help="where --profile dumps stats")
+    parser.add_argument("--chaos-loss", type=_csv(float),
+                        default=defaults.chaos_loss_rates, metavar="F,F,...",
+                        help="chaos-cell loss rates (default: 0.01,0.1)")
+    parser.add_argument("--no-chaos", dest="chaos_loss",
+                        action="store_const", const=(),
+                        help="skip the chaos scenario")
+    parser.add_argument("--chaos-seed", type=int,
+                        default=defaults.chaos_seed,
+                        help="fault-injection seed (default: 11)")
+    parser.add_argument("--store-ops", type=int, default=defaults.store_ops,
+                        help="client ops of the store cell (default: 2000)")
+    parser.add_argument("--no-store", dest="store_ops",
+                        action="store_const", const=0,
+                        help="skip the store scenario")
+    parser.add_argument("--no-multiregion", dest="topology",
+                        action="store_const", const=None,
+                        default=defaults.topology,
+                        help="skip the multi-region scenario")
+    parser.add_argument("--monitor", action="store_true",
+                        help="embed each cell's health/consistency digest")
+    parser.add_argument("--analyze", action="store_true",
+                        help="embed each cell's causal critical path")
+    parser.add_argument("--out", default=DEFAULT_OUTPUT, metavar="PATH",
+                        help=f"output document (default: {DEFAULT_OUTPUT})")
+    args = parser.parse_args(argv)
+    if any(n < 2 for n in args.sites):
+        parser.error("--sites values must be >= 2")
+    unknown = [p for p in args.protocols if p not in PROTOCOLS]
+    if unknown:
+        parser.error(f"unknown protocols: {', '.join(unknown)}")
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
+    if any(not 0 <= rate <= 1 for rate in args.chaos_loss):
+        parser.error("--chaos-loss rates must be in [0, 1]")
+    if args.store_ops < 0:
+        parser.error("--store-ops must be >= 0")
+    topology = args.topology
+    config = BenchConfig(site_counts=args.sites, protocols=args.protocols,
+                         rounds=args.rounds, seed=args.seed,
+                         chaos_loss_rates=args.chaos_loss,
+                         chaos_seed=args.chaos_seed,
+                         store_ops=args.store_ops, topology=topology)
     multiregion = ("off" if topology is None
                    else f"{len(topology.regions)}×"
                         f"{topology.regions[0].sites} sites")
-    print(f"cluster bench: n ∈ {list(site_counts)}, "
-          f"protocols {list(protocols)}, "
-          f"{rounds} rounds, seed {seed}, "
-          f"chaos loss {list(chaos_loss_rates)}, store ops {store_ops}, "
+    print(f"cluster bench: n ∈ {list(config.site_counts)}, "
+          f"protocols {list(config.protocols)}, "
+          f"{config.rounds} rounds, seed {config.seed}, "
+          f"chaos loss {list(config.chaos_loss_rates)}, "
+          f"store ops {config.store_ops}, "
           f"multi-region {multiregion}")
-    if profile:
-        # Profiling a process pool attributes everything to pickling and
-        # waiting; force the serial path so the numbers mean something.
-        if workers > 1:
-            print("profiling forces --workers 1")
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            document = run_cluster_bench(config, echo=print,
-                                         monitor=monitor, analyze=analyze)
-        finally:
-            profiler.disable()
-        profiler.dump_stats(profile_out)
-    else:
-        document = run_cluster_bench(config, echo=print, workers=workers,
-                                     monitor=monitor, analyze=analyze)
-    path = write_bench(document, out)
+    # Profiling a process pool attributes everything to pickling and
+    # waiting; force the serial path so the numbers mean something.
+    if args.profile and args.workers > 1:
+        print("profiling forces --workers 1")
+    profiler = cProfile.Profile() if args.profile else None
+    with profiler or contextlib.nullcontext():
+        document = run_cluster_bench(
+            config, echo=print, workers=1 if args.profile else args.workers,
+            monitor=args.monitor, analyze=args.analyze)
+    path = write_bench(document, args.out)
     print()
     print(format_bench_table(document))
     print(f"\nwrote {path} ({SCHEMA_ID})")
     print(f"fingerprint {bench_fingerprint(document)}")
-    if profile:
-        print(f"\nprofile written to {profile_out}; top 20 by cumulative "
-              f"time:")
-        stats = pstats.Stats(profile_out)
-        stats.sort_stats("cumulative").print_stats(20)
+    if profiler is not None:
+        profiler.dump_stats(args.profile_out)
+        print(f"\nprofile written to {args.profile_out}; top 20 by "
+              f"cumulative time:")
+        pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
     return 0

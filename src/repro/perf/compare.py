@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.perf.bench import bench_fingerprint
-from repro.perf.schema import validate_bench
+from repro.perf.schema import load_bench
 
 #: Identity of one run within a document (None fields when absent).
 #: Chaos cells add their loss rate and fault seed so two chaos runs of
@@ -153,16 +153,6 @@ def format_comparison(comparison: Comparison) -> str:
     return "\n".join(lines)
 
 
-def _load(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    errors = validate_bench(document)
-    if errors:
-        raise ValueError(f"{path} is not a valid bench document: "
-                         f"{'; '.join(errors)}")
-    return document
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro.perf.compare OLD NEW [--require-same-bits]``.
 
@@ -180,7 +170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               "[--require-same-bits]")
         return 2
     try:
-        old, new = _load(paths[0]), _load(paths[1])
+        old, new = load_bench(paths[0]), load_bench(paths[1])
     except (OSError, json.JSONDecodeError, ValueError) as error:
         print(error)
         return 2

@@ -25,14 +25,14 @@ bench suite, and CI.
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.dashboard import sparkline
 from repro.perf.compare import RunKey, _format_key, run_key
-from repro.perf.schema import validate_bench
+from repro.perf.schema import load_bench
 
 #: Relative tolerance for "deterministic" float metrics: identical code
 #: must reproduce them, but a foreign platform may round the last ulp.
@@ -230,16 +230,6 @@ def format_history(cells: Dict[RunKey, Dict[str, List[Optional[float]]]],
     return "\n".join(lines)
 
 
-def _load(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    errors = validate_bench(document)
-    if errors:
-        raise ValueError(f"{path} is not a valid bench document: "
-                         f"{'; '.join(errors)}")
-    return document
-
-
 def history_main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro history DOC.json ... [--gate] [--band 0.5]``.
 
@@ -247,45 +237,32 @@ def history_main(argv: Optional[List[str]] = None) -> int:
     rendered (no flags, or no ``--gate``); 1 — ``--gate`` and at least
     one movement beyond tolerance; 2 — usage or unreadable documents.
     """
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    gate = "--gate" in arguments
-    band = 0.5
-    paths: List[str] = []
-    index = 0
-    while index < len(arguments):
-        argument = arguments[index]
-        if argument == "--gate":
-            index += 1
-        elif argument == "--band":
-            if index + 1 >= len(arguments):
-                print("--band requires a value")
-                return 2
-            try:
-                band = float(arguments[index + 1])
-            except ValueError:
-                print(f"--band expects a number, "
-                      f"got {arguments[index + 1]!r}")
-                return 2
-            if band <= 0:
-                print(f"--band must be > 0, got {band:g}")
-                return 2
-            index += 2
-        else:
-            paths.append(argument)
-            index += 1
-    if len(paths) < 2:
-        print("usage: python -m repro history OLD.json [...] NEW.json "
-              "[--gate] [--band 0.5]")
-        return 2
+    parser = argparse.ArgumentParser(
+        prog="repro history",
+        description="Trend each bench cell across a chronological "
+                    "sequence of BENCH_cluster.json documents.")
+    parser.add_argument("documents", nargs="+", metavar="DOC.json",
+                        help="bench documents, oldest to newest (>= 2)")
+    parser.add_argument("--gate", action="store_true",
+                        help="exit 1 when the newest document moved "
+                             "beyond tolerance")
+    parser.add_argument("--band", type=float, default=0.5,
+                        help="noise band for measured metrics "
+                             "(default: 0.5 = ±50%%)")
+    args = parser.parse_intermixed_args(argv)
+    if len(args.documents) < 2:
+        parser.error("need at least two documents to trend")
+    if args.band <= 0:
+        parser.error(f"--band must be > 0, got {args.band:g}")
     try:
-        documents = [_load(path) for path in paths]
+        documents = [load_bench(path) for path in args.documents]
     except (OSError, json.JSONDecodeError, ValueError) as error:
         print(error)
         return 2
     cells = extract_trajectories(documents)
-    flags = detect_flags(cells, band=band)
+    flags = detect_flags(cells, band=args.band)
     print(format_history(cells, flags, n_documents=len(documents)))
-    if gate and flags:
+    if args.gate and flags:
         print("\nhistory gate FAILED: the newest document moved beyond "
               "the noise band; investigate or regenerate the baseline")
         return 1

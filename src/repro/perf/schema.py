@@ -2,94 +2,25 @@
 
 The benchmark trajectory only works if every PR emits the *same shape*:
 a diff between two runs must be a field-by-field comparison, never a
-parser archaeology session.  This module pins that shape with a
-dependency-free validator (the container has no ``jsonschema``), used by
-the benchmark tests, the CI smoke job, and anyone diffing two documents.
+parser archaeology session.  :data:`BENCH_SCHEMA` pins that shape in the
+JSON-Schema subset :func:`repro.obs.otlp_schema.validate` checks — the
+one validator that also checks the OTLP export, the causal analysis and
+the consistency digest.  ``schemas/repro.bench.cluster.schema.json`` is
+the same schema checked in for external tooling (a unit test pins file
+== dict).
 
-Document layout (version ``repro.bench.cluster/1``)::
+What the subset cannot say stays as code in :func:`validate_bench`, and
+nothing else does: ``runs`` is non-empty; four cross-field identities
+(``total_bits == traffic.total_bits``, ``goodput_bits +
+retransmitted_bits == total_bits``, ``reads + writes + deletes == ops``,
+``invariant_violations == health.invariant_violations``); and an
+embedded ``consistency`` block is handed to its own schema
+(:func:`repro.obs.consistency.validate_consistency`), so the bench
+document and the standalone ``--consistency`` export cannot drift apart.
 
-    {
-      "schema": "repro.bench.cluster/1",
-      "created_unix": 1754500000.0,        # wall clock at emission
-      "config": { ... BenchConfig fields ... },
-      "runs": [
-        {
-          "scenario": "multi-writer-gossip",
-          "protocol": "srv",               # brv | crv | srv
-          "n_sites": 8,
-          "sessions": 24,
-          "updates": 16,
-          "updates_deferred": 0,
-          "reconciliations": 3,
-          "total_bits": 4242,              # == traffic.total_bits
-          "traffic": {                     # TransferStats.summary()
-            "forward_bits": ..., "backward_bits": ..., "total_bits": ...,
-            "forward_messages": ..., "backward_messages": ...,
-            "by_type": {"forward": {...}, "backward": {...}}
-          },
-          "bits_per_session": {"mean": ..., "p50": ..., "p90": ..., "max": ...},
-          "sim_completion_seconds": 4.25,  # simulated clock at drain
-          "wall_seconds": 0.08,            # measured host time
-          "max_queue_wait_seconds": 0.01,
-          "consistent": true,
-          # Batched many-objects runs additionally carry (all optional,
-          # validated when present):
-          "n_objects": 32,                 # replicated objects per site
-          "batch_size": 64,                # objects per framed session
-          "wire_bits_per_object": 103.4,   # total_bits / synced objects
-          # Chaos (faulted-channel) runs additionally carry:
-          "loss_rate": 0.1,                # nominal fault rate in [0, 1]
-          "chaos_seed": 11,                # fault-schedule seed
-          "goodput_bits": 4000,            # first-transmission bits
-          "retransmitted_bits": 242,       # == total_bits - goodput_bits
-          "retries": 6,                    # data retransmissions
-          "timeouts": 6,                   # expired ARQ timers
-          "resumes": 0,                    # session re-handshakes
-          "goodput_overhead_pct": 6.05,    # retransmitted/goodput * 100
-          # Store-workload runs (the repro.store client scenario)
-          # additionally carry the client-felt digest:
-          "client": {
-            "ops": 2000, "reads": 1802, "writes": 157, "deletes": 41,
-            "read_repairs": 310, "sessions_abandoned": 0,
-            # p999 is validated when present (newer cells carry it):
-            "get_latency_seconds": {"p50": 0.01, "p90": ..., "p99": ...},
-            "put_latency_seconds": {"p50": 0.01, "p90": ..., "p99": ...},
-            "staleness_seconds":   {"p50": 0.08, "p90": ..., "p99": ...}
-          },
-          # Monitored store runs additionally embed the consistency
-          # observatory digest, validated against its own schema
-          # (repro.obs.consistency/1 — see schemas/ for the JSON copy):
-          "consistency": {
-            "schema": "repro.obs.consistency/1",
-            "w_k_seconds": {...}, "w_all_seconds": {...},
-            "audit": {...}, "worst_keys": [...], ...
-          },
-          # Multi-region sharded runs (the E13 scenario) additionally
-          # carry the fleet shape and shard accounting:
-          "regions": 3,                    # regions in the TopologySpec
-          "replication": 3,                # replicas per object
-          "shard_groups": 61,              # distinct replica groups
-          "shard_load": {"min": 24.0, "mean": 32.0, "max": 41.0},
-          "skipped_sessions": 0,           # gossip pairs sharing no object
-          # Analyzed runs (``--analyze``) additionally carry the causal
-          # digest from ``repro.obs.causal``:
-          "critical_path_seconds": 4.21,   # convergence critical path
-          "critical_path_hops": 12,        # hops on that path
-          "critical_path_attribution": {   # category → simulated seconds
-            "latency": 0.04, "serialization": 0.002, ...
-          },
-          # Monitored runs (``--monitor``) additionally carry:
-          "invariant_violations": 0,       # inline-checker failures
-          "health": {                      # ClusterMonitor.health_summary()
-            "samples": 18, "sites": 8, "invariant_violations": 0,
-            "sessions_checked": 24, "final_scores": {"S000": 1.0, ...},
-            "min_final_score": 1.0, "mean_final_score": 1.0
-          }
-        }, ...
-      ]
-    }
-
-Validate from the command line::
+Every run carries the required fields; batched, chaos, store,
+multi-region, ``--analyze`` and ``--monitor`` cells add optional ones,
+validated when present.  Validate from the command line::
 
     PYTHONPATH=src python -m repro.perf.schema BENCH_cluster.json
 """
@@ -97,293 +28,179 @@ Validate from the command line::
 from __future__ import annotations
 
 import json
-import numbers
 import sys
 from typing import Any, Dict, List
+
+from repro.obs.consistency import validate_consistency
+from repro.obs.otlp_schema import validate
 
 SCHEMA_ID = "repro.bench.cluster/1"
 
 PROTOCOLS = ("brv", "crv", "srv")
 
-#: Required numeric count fields of one run record (all ≥ 0).
-_RUN_COUNTS = ("n_sites", "sessions", "updates", "updates_deferred",
-               "reconciliations", "total_bits")
-#: Required numeric duration fields of one run record (all ≥ 0).
-_RUN_SECONDS = ("sim_completion_seconds", "wall_seconds",
-                "max_queue_wait_seconds")
-_TRAFFIC_FIELDS = ("forward_bits", "backward_bits", "total_bits",
-                   "forward_messages", "backward_messages")
-_BPS_FIELDS = ("mean", "p50", "p90", "max")
+_COUNT = {"type": "integer", "minimum": 0}
+_POSITIVE_COUNT = {"type": "integer", "minimum": 1}
+_AMOUNT = {"type": "number", "minimum": 0}
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _record(required: Dict[str, Any],
+            optional: Dict[str, Any] | None = None) -> Dict[str, Any]:
+    """An object schema: ``required`` properties plus ``optional`` ones."""
+    return {"type": "object", "required": list(required),
+            "properties": {**required, **(optional or {})}}
 
 
-def _check_number(errors: List[str], where: str, record: Dict[str, Any],
-                  name: str, *, integer: bool = False) -> None:
-    value = record.get(name)
-    if value is None:
-        errors.append(f"{where}: missing field {name!r}")
-    elif not _is_number(value) or (integer and not isinstance(value, int)):
-        kind = "an integer" if integer else "a number"
-        errors.append(f"{where}: field {name!r} must be {kind}, "
-                      f"got {value!r}")
-    elif value < 0:
-        errors.append(f"{where}: field {name!r} must be >= 0, got {value!r}")
+#: ``p999`` is newer than the committed baselines: validated when
+#: present, never required.
+_PERCENTILES = _record({"p50": _AMOUNT, "p90": _AMOUNT, "p99": _AMOUNT},
+                       {"p999": _AMOUNT})
+
+_SCORES = {"min_final_score": _AMOUNT, "mean_final_score": _AMOUNT}
+
+_RUN_SCHEMA = _record({
+    "scenario": {"type": "string", "pattern": "."},
+    "protocol": {"enum": list(PROTOCOLS)},
+    "n_sites": _POSITIVE_COUNT,
+    "sessions": _COUNT,
+    "updates": _COUNT,
+    "updates_deferred": _COUNT,
+    "reconciliations": _COUNT,
+    "total_bits": _COUNT,
+    # TransferStats.summary()
+    "traffic": _record({
+        "forward_bits": _COUNT, "backward_bits": _COUNT,
+        "total_bits": _COUNT, "forward_messages": _COUNT,
+        "backward_messages": _COUNT, "by_type": {"type": "object"}}),
+    "bits_per_session": _record({
+        "mean": _AMOUNT, "p50": _AMOUNT, "p90": _AMOUNT, "max": _AMOUNT}),
+    "sim_completion_seconds": _AMOUNT,   # simulated clock at drain
+    "wall_seconds": _AMOUNT,             # measured host time
+    "max_queue_wait_seconds": _AMOUNT,
+    "consistent": {"type": "boolean"},
+}, {
+    # Batched many-objects cells:
+    "n_objects": _POSITIVE_COUNT,        # replicated objects per site
+    "batch_size": _POSITIVE_COUNT,       # objects per framed session
+    "wire_bits_per_object": _AMOUNT,     # total_bits / synced objects
+    # Chaos (faulted-channel) cells:
+    "loss_rate": {"type": "number", "minimum": 0, "maximum": 1},
+    "chaos_seed": _COUNT,                # fault-schedule seed
+    "goodput_bits": _COUNT,              # first-transmission bits
+    "retransmitted_bits": _COUNT,
+    "retries": _COUNT,                   # data retransmissions
+    "timeouts": _COUNT,                  # expired ARQ timers
+    "resumes": _COUNT,                   # session re-handshakes
+    "goodput_overhead_pct": _AMOUNT,     # retransmitted/goodput * 100
+    # Multi-region sharded cells:
+    "regions": _COUNT,
+    "replication": _COUNT,               # replicas per object
+    "shard_groups": _COUNT,              # distinct replica groups
+    "skipped_sessions": _COUNT,          # gossip pairs sharing no object
+    "shard_load": _record({"min": _AMOUNT, "mean": _AMOUNT,
+                           "max": _AMOUNT}),
+    # Store-workload cells, the client-felt digest:
+    "client": _record({
+        "ops": _COUNT, "reads": _COUNT, "writes": _COUNT,
+        "deletes": _COUNT, "read_repairs": _COUNT,
+        "sessions_abandoned": _COUNT,
+        "get_latency_seconds": _PERCENTILES,
+        "put_latency_seconds": _PERCENTILES,
+        "staleness_seconds": _PERCENTILES}),
+    # Monitored store cells (checked against repro.obs.consistency/1):
+    "consistency": {"type": "object"},
+    # Analyzed cells (``--analyze``), the repro.obs.causal digest:
+    "critical_path_seconds": _AMOUNT,
+    "critical_path_hops": _COUNT,
+    "critical_path_attribution": {       # category → simulated seconds
+        "type": "object", "additionalProperties": _AMOUNT},
+    # Monitored cells (``--monitor``), ClusterMonitor.health_summary():
+    "invariant_violations": _COUNT,
+    "health": _record({
+        "samples": _COUNT, "sites": _COUNT,
+        "invariant_violations": _COUNT, "sessions_checked": _COUNT,
+        "final_scores": {"type": "object"}, **_SCORES,
+    }, {
+        "per_region": {
+            "type": "object",
+            "additionalProperties": _record({"sites": _COUNT, **_SCORES})},
+        "shards": _record({"groups": _COUNT, "objects": _COUNT,
+                           "load": {"type": "object"}}),
+    }),
+})
+
+#: The ``BENCH_cluster.json`` document :func:`repro.perf.bench.
+#: run_cluster_bench` emits.
+BENCH_SCHEMA: Dict[str, Any] = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "$id": "repro.bench.cluster.schema.json",
+    "title": "repro cluster bench document",
+    **_record({
+        "schema": {"enum": [SCHEMA_ID]},
+        "created_unix": _AMOUNT,         # wall clock at emission
+        "config": {"type": "object"},    # BenchConfig fields
+        "runs": {"type": "array", "items": _RUN_SCHEMA},
+    }),
+}
 
 
-def _validate_consistency_block(errors: List[str], where: str,
-                                digest: Any) -> None:
-    """Validate an embedded consistency-observatory digest.
-
-    Delegates to the digest's own schema
-    (:func:`repro.obs.consistency.validate_consistency`) so the bench
-    document and the standalone ``--consistency`` export can never
-    drift apart; the returned paths are re-rooted under ``where``.
-    """
-    from repro.obs.consistency import validate_consistency
-    if not isinstance(digest, dict):
-        errors.append(f"{where}: 'consistency' must be an object, "
-                      f"got {type(digest).__name__}")
-        return
-    for error in validate_consistency(digest):
-        errors.append(f"{where}.consistency: {error}")
+def _sum_identity(errors: List[str], where: str, record: Dict[str, Any],
+                  parts: List[str], total: str) -> None:
+    """``sum(record[parts]) == record[total]`` when all are integers."""
+    names = parts + [total]
+    if all(isinstance(record.get(name), int) for name in names) \
+            and sum(record[name] for name in parts) != record[total]:
+        terms = " + ".join(f"{name} ({record[name]})" for name in parts)
+        errors.append(f"{where}: {terms} must equal {total} "
+                      f"({record[total]})")
 
 
-def _validate_run(errors: List[str], index: int,
-                  run: Dict[str, Any]) -> None:
-    where = f"runs[{index}]"
-    if not isinstance(run, dict):
-        errors.append(f"{where}: must be an object, got {type(run).__name__}")
-        return
-    if not isinstance(run.get("scenario"), str) or not run.get("scenario"):
-        errors.append(f"{where}: missing or empty 'scenario'")
-    if run.get("protocol") not in PROTOCOLS:
-        errors.append(f"{where}: 'protocol' must be one of {PROTOCOLS}, "
-                      f"got {run.get('protocol')!r}")
-    for name in _RUN_COUNTS:
-        _check_number(errors, where, run, name, integer=True)
-    for name in _RUN_SECONDS:
-        _check_number(errors, where, run, name)
-    if isinstance(run.get("n_sites"), int) and run["n_sites"] < 1:
-        errors.append(f"{where}: 'n_sites' must be >= 1")
-    if not isinstance(run.get("consistent"), bool):
-        errors.append(f"{where}: 'consistent' must be a boolean")
-    traffic = run.get("traffic")
-    if not isinstance(traffic, dict):
-        errors.append(f"{where}: missing 'traffic' object")
-    else:
-        for name in _TRAFFIC_FIELDS:
-            _check_number(errors, f"{where}.traffic", traffic, name,
-                          integer=True)
-        if isinstance(traffic.get("total_bits"), int) \
-                and isinstance(run.get("total_bits"), int) \
-                and traffic["total_bits"] != run["total_bits"]:
-            errors.append(f"{where}: total_bits ({run['total_bits']}) "
-                          f"disagrees with traffic.total_bits "
-                          f"({traffic['total_bits']})")
-        if not isinstance(traffic.get("by_type"), dict):
-            errors.append(f"{where}.traffic: missing 'by_type' object")
-    bits_per_session = run.get("bits_per_session")
-    if not isinstance(bits_per_session, dict):
-        errors.append(f"{where}: missing 'bits_per_session' object")
-    else:
-        for name in _BPS_FIELDS:
-            _check_number(errors, f"{where}.bits_per_session",
-                          bits_per_session, name)
-    # Batched many-objects runs carry extra fields; optional, but when
-    # present they must be well-formed.
-    for name in ("n_objects", "batch_size"):
-        if name in run:
-            _check_number(errors, where, run, name, integer=True)
-            if isinstance(run[name], int) and run[name] < 1:
-                errors.append(f"{where}: {name!r} must be >= 1")
-    if "wire_bits_per_object" in run:
-        _check_number(errors, where, run, "wire_bits_per_object")
-    # Chaos (faulted-channel) runs carry the reliability accounting;
-    # optional, but when present they must be well-formed and the
-    # goodput identity must hold exactly.
-    for name in ("chaos_seed", "goodput_bits", "retransmitted_bits",
-                 "retries", "timeouts", "resumes"):
-        if name in run:
-            _check_number(errors, where, run, name, integer=True)
-    if "loss_rate" in run:
-        _check_number(errors, where, run, "loss_rate")
-        if _is_number(run["loss_rate"]) and run["loss_rate"] > 1:
-            errors.append(f"{where}: 'loss_rate' must be <= 1, "
-                          f"got {run['loss_rate']!r}")
-    if "goodput_overhead_pct" in run:
-        _check_number(errors, where, run, "goodput_overhead_pct")
-    # Multi-region sharded runs carry the fleet shape and shard
-    # accounting; optional, but when present they must be well-formed.
-    for name in ("regions", "replication", "shard_groups",
-                 "skipped_sessions"):
-        if name in run:
-            _check_number(errors, where, run, name, integer=True)
-    if "shard_load" in run:
-        load = run["shard_load"]
-        if not isinstance(load, dict):
-            errors.append(f"{where}: 'shard_load' must be an object, "
-                          f"got {type(load).__name__}")
-        else:
-            for name in ("min", "mean", "max"):
-                _check_number(errors, f"{where}.shard_load", load, name)
-    # Store-workload runs carry the client-felt digest; optional, but
-    # when present the counts and percentile maps must be well-formed
-    # and the op mix must add up.
-    if "client" in run:
-        client = run["client"]
-        if not isinstance(client, dict):
-            errors.append(f"{where}: 'client' must be an object, "
-                          f"got {type(client).__name__}")
-        else:
-            for name in ("ops", "reads", "writes", "deletes",
-                         "read_repairs", "sessions_abandoned"):
-                _check_number(errors, f"{where}.client", client, name,
-                              integer=True)
-            if all(isinstance(client.get(name), int)
-                   for name in ("ops", "reads", "writes", "deletes")) \
-                    and client["reads"] + client["writes"] \
-                    + client["deletes"] != client["ops"]:
-                errors.append(
-                    f"{where}.client: reads ({client['reads']}) + writes "
-                    f"({client['writes']}) + deletes ({client['deletes']}) "
-                    f"must equal ops ({client['ops']})")
-            for name in ("get_latency_seconds", "put_latency_seconds",
-                         "staleness_seconds"):
-                summary = client.get(name)
-                if not isinstance(summary, dict):
-                    errors.append(f"{where}.client: missing {name!r} object")
-                    continue
-                for percentile in ("p50", "p90", "p99"):
-                    _check_number(errors, f"{where}.client.{name}",
-                                  summary, percentile)
-                # The tail percentile is newer than the committed
-                # baselines: validated when present, never required.
-                if "p999" in summary:
-                    _check_number(errors, f"{where}.client.{name}",
-                                  summary, "p999")
-    # Monitored store runs carry the consistency-observatory digest
-    # (``repro.obs.consistency``); optional, but when present the
-    # visibility summaries and audit counts must be well-formed.
-    if "consistency" in run:
-        _validate_consistency_block(errors, where, run["consistency"])
-    # Analyzed runs (``--analyze``) carry the causal digest; optional,
-    # but when present the attribution must be a category→seconds map.
-    if "critical_path_seconds" in run:
-        _check_number(errors, where, run, "critical_path_seconds")
-    if "critical_path_hops" in run:
-        _check_number(errors, where, run, "critical_path_hops",
-                      integer=True)
-    if "critical_path_attribution" in run:
-        attribution = run["critical_path_attribution"]
-        if not isinstance(attribution, dict):
-            errors.append(f"{where}: 'critical_path_attribution' must be "
-                          f"an object, got {type(attribution).__name__}")
-        else:
-            for name, value in attribution.items():
-                if not _is_number(value) or value < 0:
-                    errors.append(
-                        f"{where}.critical_path_attribution: field "
-                        f"{name!r} must be a number >= 0, got {value!r}")
-    # Monitored runs carry the live-health digest; optional, but when
-    # present the count must be sane and the summary well-formed.
-    if "invariant_violations" in run:
-        _check_number(errors, where, run, "invariant_violations",
-                      integer=True)
-    if "health" in run:
-        health = run["health"]
-        if not isinstance(health, dict):
-            errors.append(f"{where}: 'health' must be an object, "
-                          f"got {type(health).__name__}")
-        else:
-            for name in ("samples", "sites", "invariant_violations",
-                         "sessions_checked"):
-                _check_number(errors, f"{where}.health", health, name,
-                              integer=True)
-            for name in ("min_final_score", "mean_final_score"):
-                _check_number(errors, f"{where}.health", health, name)
-            if not isinstance(health.get("final_scores"), dict):
-                errors.append(f"{where}.health: missing 'final_scores' "
-                              f"object")
-            # Multi-region monitors roll scores up per region and, when
-            # sharded, report the shard-load spread; optional, but when
-            # present each rollup must be well-formed.
-            if "per_region" in health:
-                per_region = health["per_region"]
-                if not isinstance(per_region, dict):
-                    errors.append(f"{where}.health: 'per_region' must be "
-                                  f"an object, "
-                                  f"got {type(per_region).__name__}")
-                else:
-                    for region, stats in per_region.items():
-                        region_where = f"{where}.health.per_region" \
-                                       f"[{region!r}]"
-                        if not isinstance(stats, dict):
-                            errors.append(f"{region_where}: must be an "
-                                          f"object, "
-                                          f"got {type(stats).__name__}")
-                            continue
-                        _check_number(errors, region_where, stats, "sites",
-                                      integer=True)
-                        for name in ("min_final_score",
-                                     "mean_final_score"):
-                            _check_number(errors, region_where, stats,
-                                          name)
-            if "shards" in health:
-                shard_info = health["shards"]
-                if not isinstance(shard_info, dict):
-                    errors.append(f"{where}.health: 'shards' must be an "
-                                  f"object, "
-                                  f"got {type(shard_info).__name__}")
-                else:
-                    for name in ("groups", "objects"):
-                        _check_number(errors, f"{where}.health.shards",
-                                      shard_info, name, integer=True)
-                    if not isinstance(shard_info.get("load"), dict):
-                        errors.append(f"{where}.health.shards: missing "
-                                      f"'load' object")
-            if ("invariant_violations" in run
-                    and isinstance(run["invariant_violations"], int)
-                    and isinstance(health.get("invariant_violations"), int)
-                    and run["invariant_violations"]
-                    != health["invariant_violations"]):
-                errors.append(
-                    f"{where}: invariant_violations "
-                    f"({run['invariant_violations']}) disagrees with "
-                    f"health.invariant_violations "
-                    f"({health['invariant_violations']})")
-    if (isinstance(run.get("goodput_bits"), int)
-            and isinstance(run.get("retransmitted_bits"), int)
-            and isinstance(run.get("total_bits"), int)
-            and run["goodput_bits"] + run["retransmitted_bits"]
-            != run["total_bits"]):
-        errors.append(
-            f"{where}: goodput_bits ({run['goodput_bits']}) + "
-            f"retransmitted_bits ({run['retransmitted_bits']}) must equal "
-            f"total_bits ({run['total_bits']})")
+def _check_identities(errors: List[str], where: str,
+                      run: Dict[str, Any]) -> None:
+    """The cross-field rules of one run a schema cannot express."""
+    for field, block in (("total_bits", "traffic"),
+                         ("invariant_violations", "health")):
+        inner = run.get(block)
+        if isinstance(inner, dict) and isinstance(run.get(field), int) \
+                and isinstance(inner.get(field), int) \
+                and run[field] != inner[field]:
+            errors.append(f"{where}: {field} ({run[field]}) disagrees with "
+                          f"{block}.{field} ({inner[field]})")
+    _sum_identity(errors, where, run,
+                  ["goodput_bits", "retransmitted_bits"], "total_bits")
+    if isinstance(run.get("client"), dict):
+        _sum_identity(errors, f"{where}.client", run["client"],
+                      ["reads", "writes", "deletes"], "ops")
+    if isinstance(run.get("consistency"), dict):
+        errors.extend(f"{where}.consistency: {error}"
+                      for error in validate_consistency(run["consistency"]))
 
 
 def validate_bench(doc: Any) -> List[str]:
     """All schema violations in ``doc`` (empty list == valid)."""
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return [f"document must be an object, got {type(doc).__name__}"]
-    if doc.get("schema") != SCHEMA_ID:
-        errors.append(f"'schema' must be {SCHEMA_ID!r}, "
-                      f"got {doc.get('schema')!r}")
-    if not _is_number(doc.get("created_unix")) or doc.get("created_unix") < 0:
-        errors.append("'created_unix' must be a non-negative number")
-    if not isinstance(doc.get("config"), dict):
-        errors.append("'config' must be an object")
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        errors.append("'runs' must be a non-empty array")
-    else:
+    errors = validate(doc, BENCH_SCHEMA)
+    runs = doc.get("runs") if isinstance(doc, dict) else None
+    if runs == []:
+        errors.append("$.runs: must be a non-empty array")
+    if isinstance(runs, list):
         for index, run in enumerate(runs):
-            _validate_run(errors, index, run)
+            if isinstance(run, dict):
+                _check_identities(errors, f"$.runs[{index}]", run)
     return errors
+
+
+def load_bench(path: str) -> Dict[str, Any]:
+    """The validated document at ``path``.
+
+    Raises ``OSError``/``json.JSONDecodeError`` when it cannot be read
+    and ``ValueError`` when it is not a valid bench document.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    errors = validate_bench(document)
+    if errors:
+        raise ValueError(f"{path} is not a valid bench document: "
+                         f"{'; '.join(errors)}")
+    return document
 
 
 def validate_file(path: str) -> List[str]:

@@ -29,7 +29,9 @@ vectors on every site after the final sweep), 1 otherwise — or on a
 
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.errors import InvariantViolationError, ReproError
@@ -120,93 +122,64 @@ DEMO_CONFIG = StoreWorkloadConfig(n_sites=8, n_keys=32, n_clients=64,
                                   ops=20_000, op_interval=0.0005, seed=0)
 
 
-def store_main(argv: List[str]) -> int:
+#: ``--flag`` → the :class:`StoreWorkloadConfig` field it overrides.
+_CONFIG_FLAGS = {"--sites": ("n_sites", int), "--keys": ("n_keys", int),
+                 "--clients": ("n_clients", int), "--ops": ("ops", int),
+                 "--read-ratio": ("read_ratio", float),
+                 "--zipf": ("zipf", float), "--loss": ("loss_rate", float),
+                 "--protocol": ("protocol", str), "--seed": ("seed", int)}
+_EXPORTS = ("prom", "otlp", "html", "consistency", "trace")
+
+
+def store_main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro store [--demo] [--monitor] [--sites N] ...``."""
-    demo = False
-    monitor_on = False
-    strict = False
-    visibility_k: Optional[int] = None
-    exports = {"--prom": None, "--otlp": None, "--html": None,
-               "--consistency": None, "--trace": None}
-    overrides: dict = {}
-
-    def fail(message: str) -> int:
-        print(message)
-        print("usage: python -m repro store [--demo] [--sites N] [--keys N] "
-              "[--clients N] [--ops N] [--read-ratio F] [--zipf F] "
-              "[--loss F] [--protocol brv|crv|srv] [--seed N] "
-              "[--monitor] [--strict-consistency] [--visibility-k N] "
-              "[--prom PATH] [--otlp PATH] [--html PATH] "
-              "[--consistency PATH] [--trace PATH]")
-        return 2
-
-    flags = {"--sites": ("n_sites", int), "--keys": ("n_keys", int),
-             "--clients": ("n_clients", int), "--ops": ("ops", int),
-             "--read-ratio": ("read_ratio", float),
-             "--zipf": ("zipf", float), "--loss": ("loss_rate", float),
-             "--protocol": ("protocol", str), "--seed": ("seed", int)}
-    index = 0
-    while index < len(argv):
-        argument = argv[index]
-        if argument == "--demo":
-            demo = True
-            index += 1
-        elif argument == "--monitor":
-            monitor_on = True
-            index += 1
-        elif argument == "--strict-consistency":
-            monitor_on = True
-            strict = True
-            index += 1
-        elif argument == "--visibility-k":
-            if index + 1 >= len(argv):
-                return fail(f"{argument} requires a value")
-            try:
-                visibility_k = int(argv[index + 1])
-            except ValueError:
-                return fail(f"{argument} expects int, "
-                            f"got {argv[index + 1]!r}")
-            monitor_on = True
-            index += 2
-        elif argument in exports:
-            if index + 1 >= len(argv):
-                return fail(f"{argument} requires a value")
-            exports[argument] = argv[index + 1]
-            monitor_on = True
-            index += 2
-        elif argument in flags:
-            if index + 1 >= len(argv):
-                return fail(f"{argument} requires a value")
-            name, parse = flags[argument]
-            try:
-                overrides[name] = parse(argv[index + 1])
-            except ValueError:
-                return fail(f"{argument} expects {parse.__name__}, "
-                            f"got {argv[index + 1]!r}")
-            index += 2
-        else:
-            return fail(f"unknown argument {argument!r}")
+    parser = argparse.ArgumentParser(
+        prog="repro store",
+        description="Run one seeded client workload against the "
+                    "replicated store and print a deterministic report.")
+    parser.add_argument("--demo", action="store_true",
+                        help="the 8-site, 20k-op acceptance preset")
+    for flag, (name, parse) in _CONFIG_FLAGS.items():
+        parser.add_argument(flag, dest=name, type=parse, default=None,
+                            help=f"override StoreWorkloadConfig.{name}")
+    parser.add_argument("--monitor", action="store_true",
+                        help="attach the consistency observatory")
+    parser.add_argument("--strict-consistency", action="store_true",
+                        help="abort on the first session-guarantee "
+                             "violation (implies --monitor)")
+    parser.add_argument("--visibility-k", type=int, default=None,
+                        help="sites a write must reach for w_k "
+                             "(implies --monitor)")
+    for name in _EXPORTS:
+        parser.add_argument(f"--{name}", metavar="PATH", default=None,
+                            help=f"write the {name} export "
+                                 f"(implies --monitor)")
+    args = parser.parse_args(argv)
+    overrides = {name: getattr(args, name)
+                 for name, _ in _CONFIG_FLAGS.values()
+                 if getattr(args, name) is not None}
+    exports = {name: getattr(args, name) for name in _EXPORTS}
 
     monitor = None
-    if monitor_on:
+    if (args.monitor or args.strict_consistency
+            or args.visibility_k is not None
+            or any(path is not None for path in exports.values())):
         from repro.obs.consistency import (ConsistencyConfig,
                                            ConsistencyMonitor)
         try:
             monitor_config = (
-                ConsistencyConfig(strict=strict, visibility_k=visibility_k)
-                if visibility_k is not None
-                else ConsistencyConfig(strict=strict))
+                ConsistencyConfig(strict=args.strict_consistency,
+                                  visibility_k=args.visibility_k)
+                if args.visibility_k is not None
+                else ConsistencyConfig(strict=args.strict_consistency))
         except ValueError as error:
-            return fail(str(error))
+            parser.error(str(error))
         monitor = ConsistencyMonitor(monitor_config)
 
-    base = DEMO_CONFIG if demo else StoreWorkloadConfig()
+    base = DEMO_CONFIG if args.demo else StoreWorkloadConfig()
     try:
-        config = StoreWorkloadConfig(
-            **{**{name: getattr(base, name)
-                  for name in StoreWorkloadConfig.__dataclass_fields__},
-               **overrides})
-        result = run_store_workload(config, monitor=monitor)
+        result = run_store_workload(replace(base, **overrides),
+                                    monitor=monitor)
     except InvariantViolationError as error:
         print(f"ABORTED: {error}")
         return 1
@@ -221,13 +194,13 @@ def store_main(argv: List[str]) -> int:
 
 def _write_exports(result, monitor, exports: dict) -> bool:
     """Write the requested export files; False on a validation failure."""
-    if exports["--prom"] is not None:
+    if exports["prom"] is not None:
         from repro.obs.exporters import to_prometheus
-        with open(exports["--prom"], "w", encoding="utf-8") as handle:
+        with open(exports["prom"], "w", encoding="utf-8") as handle:
             handle.write(to_prometheus(result.metrics,
                                        consistency=monitor))
-        print(f"wrote Prometheus text to {exports['--prom']}")
-    if exports["--otlp"] is not None:
+        print(f"wrote Prometheus text to {exports['prom']}")
+    if exports["otlp"] is not None:
         from repro.obs.exporters import to_otlp
         from repro.obs.otlp_schema import validate_otlp
         document = to_otlp(monitor.tracer, result.metrics,
@@ -240,15 +213,15 @@ def _write_exports(result, monitor, exports: dict) -> bool:
             for error in errors[:10]:
                 print(f"  {error}")
             return False
-        with open(exports["--otlp"], "w", encoding="utf-8") as handle:
+        with open(exports["otlp"], "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
-        print(f"wrote OTLP JSON to {exports['--otlp']}")
-    if exports["--html"] is not None:
+        print(f"wrote OTLP JSON to {exports['otlp']}")
+    if exports["html"] is not None:
         from repro.obs.dashboard import write_consistency_html_report
         label = f"store:{result.config.protocol}"
-        write_consistency_html_report(exports["--html"], {label: monitor})
-        print(f"wrote HTML report to {exports['--html']}")
-    if exports["--consistency"] is not None:
+        write_consistency_html_report(exports["html"], {label: monitor})
+        print(f"wrote HTML report to {exports['html']}")
+    if exports["consistency"] is not None:
         from repro.obs.consistency import validate_consistency
         digest = result.consistency
         errors = validate_consistency(digest)
@@ -258,19 +231,17 @@ def _write_exports(result, monitor, exports: dict) -> bool:
             for error in errors[:10]:
                 print(f"  {error}")
             return False
-        with open(exports["--consistency"], "w", encoding="utf-8") as handle:
+        with open(exports["consistency"], "w", encoding="utf-8") as handle:
             json.dump(digest, handle, indent=2, sort_keys=True)
-        print(f"wrote consistency digest to {exports['--consistency']}")
-    if exports["--trace"] is not None:
+        print(f"wrote consistency digest to {exports['consistency']}")
+    if exports["trace"] is not None:
         from repro.obs.export import write_jsonl
-        count = write_jsonl(monitor.tracer.events, exports["--trace"])
-        print(f"wrote {count} trace events to {exports['--trace']} "
-              f"(render with: python -m repro trace {exports['--trace']} "
+        count = write_jsonl(monitor.tracer.events, exports["trace"])
+        print(f"wrote {count} trace events to {exports['trace']} "
+              f"(render with: python -m repro trace {exports['trace']} "
               f"--filter put,get,delete,read_repair,consistency_violation)")
     return True
 
 
 if __name__ == "__main__":
-    import sys
-
-    raise SystemExit(store_main(sys.argv[1:]))
+    raise SystemExit(store_main())

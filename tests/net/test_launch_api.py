@@ -52,21 +52,6 @@ class TestSessionOptionsValidation:
         with pytest.raises(ValidationError, match="party_names"):
             SessionOptions(pairs=pairs, party_names=("x", "x"))
 
-    def test_reliable_false_with_faults_is_contradictory(self):
-        a, b = brv_pair()
-        faulty = ChannelSpec(faults=FaultSpec(drop=0.1))
-        with pytest.raises(ValidationError, match="reliable"):
-            SessionOptions(pairs=((syncb_sender(b), syncb_receiver(a)),),
-                           channel=faulty, reliable=False)
-
-    def test_use_reliable_follows_the_fault_spec(self):
-        a, b = brv_pair()
-        pairs = ((syncb_sender(b), syncb_receiver(a)),)
-        assert not SessionOptions(pairs=pairs).use_reliable
-        assert SessionOptions(pairs=pairs, reliable=True).use_reliable
-        faulty = ChannelSpec(faults=FaultSpec(drop=0.1))
-        assert SessionOptions(pairs=pairs, channel=faulty).use_reliable
-
     def test_options_are_immutable(self):
         a, b = brv_pair()
         options = SessionOptions.for_pair(syncb_sender(b), syncb_receiver(a))

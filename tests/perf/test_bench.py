@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
 from repro.__main__ import main as repro_main
 from repro.obs.metrics import MetricsRegistry
 from repro.net.topology import LinkProfile, TopologySpec
-from repro.perf.bench import (BenchConfig, bench_fingerprint, bench_main,
+from repro.obs.cli import run_monitored_fleet
+from repro.perf.bench import (SCENARIOS, BenchConfig, _run_cell,
+                              bench_fingerprint, bench_main,
                               format_bench_table, run_cluster_bench,
                               write_bench)
 from repro.perf.schema import SCHEMA_ID, validate_bench, validate_file
@@ -521,12 +524,22 @@ class TestBenchCli:
         ["--protocols", "vv"],
         ["--workers", "zero"],             # not an integer
         ["--workers", "0"],                # below minimum
+        ["--chaos-loss", "1.5"],           # not a probability
+        ["--store-ops", "-1"],             # below minimum
         ["--frobnicate"],                  # unknown flag
         ["--backend", "linked"],           # retired: one representation
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
-        assert bench_main(argv) == 2
-        assert "usage" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(argv)
+        assert exit_info.value.code == 2
+        assert "usage" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["bench", "--help"])
+        assert exit_info.value.code == 0
+        assert "--chaos-loss" in capsys.readouterr().out
 
     def test_dispatch_through_module_main(self, tmp_path, capsys,
                                           monkeypatch):
@@ -591,3 +604,77 @@ class TestMonitoredBench:
         assert bench_fingerprint(serial) == bench_fingerprint(parallel)
         for run_a, run_b in zip(serial["runs"], parallel["runs"]):
             assert run_a["health"] == run_b["health"]
+
+
+#: Fields every record carries, whatever its scenario.
+COMMON_KEYS = {
+    "scenario", "protocol", "n_sites", "sessions", "updates",
+    "updates_deferred", "reconciliations", "total_bits", "traffic",
+    "bits_per_session", "sim_completion_seconds", "wall_seconds",
+    "max_queue_wait_seconds", "consistent"}
+GOODPUT_KEYS = {"goodput_bits", "retransmitted_bits", "retries", "timeouts",
+                "resumes", "goodput_overhead_pct"}
+HEALTH_KEYS = {"invariant_violations", "health"}
+ANALYZE_KEYS = {"critical_path_seconds", "critical_path_hops",
+                "critical_path_attribution"}
+
+
+class TestScenarioTable:
+    """One ``_run_cell`` over five rows: each row's record keeps exactly
+    the key set its hand-written cell function emitted."""
+
+    @pytest.mark.parametrize("task, config, own, observer", [
+        (("gossip", "brv", 4), TINY, set(), HEALTH_KEYS),
+        (("batched", 4), TINY_BATCHED,
+         {"n_objects", "batch_size", "wire_bits_per_object"}, HEALTH_KEYS),
+        (("chaos", "srv", 0.05), TINY_CHAOS,
+         {"n_objects", "batch_size", "loss_rate", "chaos_seed"}
+         | GOODPUT_KEYS, HEALTH_KEYS),
+        (("store",), TINY_STORE, {"n_objects", "batch_size", "client"},
+         {"consistency"}),
+        (("multiregion",), TINY_MULTIREGION,
+         {"n_objects", "batch_size", "regions", "replication",
+          "shard_groups", "shard_load", "loss_rate", "chaos_seed",
+          "skipped_sessions"} | GOODPUT_KEYS | HEALTH_KEYS, set()),
+    ], ids=["gossip", "batched", "chaos", "store", "multiregion"])
+    def test_record_key_sets(self, task, config, own, observer):
+        record, _metrics = _run_cell(task[0], task[1:], config)
+        assert set(record) == COMMON_KEYS | own
+        record, _metrics = _run_cell(task[0], task[1:], config,
+                                     monitor=True, analyze=True)
+        assert set(record) == COMMON_KEYS | own | observer | ANALYZE_KEYS
+
+    @pytest.mark.parametrize("config", [TINY, TINY_BATCHED, TINY_CHAOS,
+                                        TINY_STORE, TINY_MULTIREGION],
+                             ids=["gossip", "batched", "chaos", "store",
+                                  "multiregion"])
+    def test_monitored_analyzed_sweep_validates(self, config):
+        document = run_cluster_bench(config, monitor=True, analyze=True)
+        assert validate_bench(document) == []
+        for run in document["runs"]:
+            assert "critical_path_attribution" in run
+            assert "health" in run or "consistency" in run
+
+    def test_grid_order_is_the_table_order(self):
+        config = BenchConfig(site_counts=(4,), protocols=("crv", "srv"))
+        document_order = [name for name, scenario in SCENARIOS.items()
+                          for _ in scenario.grid(config)]
+        assert document_order == (["gossip"] * 2 + ["batched"] * 2
+                                  + ["chaos"] * 4 + ["store", "multiregion"])
+
+    @pytest.mark.parametrize("loss", [0.01, 0.1])
+    def test_monitor_fleet_is_the_committed_chaos_cell(self, loss):
+        # `repro monitor` / `repro analyze --fleet` build their fleet
+        # from the chaos row: without the converge sweep they move
+        # exactly the bits BENCH_cluster.json records for that cell.
+        root = pathlib.Path(__file__).resolve().parents[2]
+        with open(root / "BENCH_cluster.json", encoding="utf-8") as handle:
+            committed = json.load(handle)
+        (cell,) = [run for run in committed["runs"]
+                   if (run["scenario"], run["protocol"],
+                       run.get("loss_rate")) == ("chaos-loss", "srv", loss)]
+        _monitor, _runner, result = run_monitored_fleet(
+            "srv", loss=loss, converge_sweep=False)
+        assert result.total_bits == cell["total_bits"]
+        assert result.sessions == cell["sessions"]
+        assert result.completion_time == cell["sim_completion_seconds"]

@@ -3,6 +3,8 @@
 import copy
 import json
 
+import pytest
+
 from repro.perf.history import (Flag, detect_flags, extract_trajectories,
                                 format_history, history_main)
 from repro.perf.schema import SCHEMA_ID
@@ -195,11 +197,24 @@ class TestCli:
         assert history_main([old, new, "--gate", "--band", "0.1"]) == 1
 
     def test_usage_errors_exit_two(self, tmp_path, capsys):
-        assert history_main([]) == 2
-        assert history_main(["only-one.json"]) == 2
-        bad_band = write(tmp_path, "a.json", make_doc())
-        assert history_main([bad_band, bad_band, "--band", "x"]) == 2
-        assert history_main([bad_band, bad_band, "--band", "0"]) == 2
+        doc = write(tmp_path, "a.json", make_doc())
+        for argv in ([], ["only-one.json"], [doc, doc, "--band", "x"],
+                     [doc, doc, "--band", "0"], [doc, doc, "--frobnicate"]):
+            with pytest.raises(SystemExit) as exit_info:
+                history_main(argv)
+            assert exit_info.value.code == 2
+            assert "usage" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            history_main(["--help"])
+        assert exit_info.value.code == 0
+        assert "--gate" in capsys.readouterr().out
+
+    def test_flags_may_precede_the_documents(self, tmp_path, capsys):
+        old = write(tmp_path, "old.json", make_doc(wall=0.1))
+        new = write(tmp_path, "new.json", make_doc(wall=0.2))
+        assert history_main(["--gate", old, "--band", "0.5", new]) == 1
 
     def test_invalid_document_exits_two(self, tmp_path, capsys):
         good = write(tmp_path, "good.json", make_doc())

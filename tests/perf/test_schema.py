@@ -2,8 +2,12 @@
 
 import copy
 import json
+import pathlib
 
-from repro.perf.schema import SCHEMA_ID, main, validate_bench, validate_file
+from repro.perf.schema import (BENCH_SCHEMA, SCHEMA_ID, main, validate_bench,
+                               validate_file)
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 VALID_RUN = {
     "scenario": "multi-writer-gossip",
@@ -46,11 +50,11 @@ class TestValidateBench:
 
     def test_non_object_document(self):
         assert validate_bench([1, 2]) \
-            == ["document must be an object, got list"]
+            == ["$: expected object, got list"]
 
     def test_wrong_schema_id(self):
         doc = dict(VALID_DOC, schema="repro.bench.cluster/0")
-        assert any("'schema'" in e for e in validate_bench(doc))
+        assert any(".schema:" in e for e in validate_bench(doc))
 
     def test_missing_runs(self):
         doc = dict(VALID_DOC, runs=[])
@@ -58,7 +62,7 @@ class TestValidateBench:
 
     def test_unknown_protocol(self):
         errors = validate_bench(doc_with(protocol="vv"))
-        assert any("'protocol'" in e for e in errors)
+        assert any(".protocol:" in e for e in errors)
 
     def test_missing_count_field(self):
         doc = doc_with()
@@ -67,11 +71,13 @@ class TestValidateBench:
 
     def test_float_where_integer_required(self):
         errors = validate_bench(doc_with(sessions=24.5))
-        assert any("sessions" in e and "an integer" in e for e in errors)
+        assert any("sessions" in e and "expected integer" in e
+                   for e in errors)
 
     def test_negative_seconds(self):
         errors = validate_bench(doc_with(wall_seconds=-0.1))
-        assert any("wall_seconds" in e and ">= 0" in e for e in errors)
+        assert any("wall_seconds" in e and "< minimum 0" in e
+                   for e in errors)
 
     def test_bool_is_not_a_number(self):
         errors = validate_bench(doc_with(total_bits=True))
@@ -156,12 +162,12 @@ class TestClientRunFields:
 
     def test_client_must_be_an_object(self):
         errors = validate_bench(doc_with(client=7))
-        assert any("'client' must be an object" in e for e in errors)
+        assert any(".client: expected object" in e for e in errors)
 
     def test_non_integer_count_rejected(self):
         client = dict(copy.deepcopy(CLIENT), read_repairs=1.5)
         errors = validate_bench(doc_with(client=client))
-        assert any("read_repairs" in e and "an integer" in e
+        assert any("read_repairs" in e and "expected integer" in e
                    for e in errors)
 
     def test_op_mix_must_add_up(self):
@@ -195,7 +201,7 @@ class TestMonitoredRunFields:
 
     def test_health_must_be_an_object(self):
         errors = validate_bench(doc_with(health=7))
-        assert any("'health' must be an object" in e for e in errors)
+        assert any(".health: expected object" in e for e in errors)
 
     def test_health_missing_scores_rejected(self):
         health = {k: v for k, v in HEALTH.items() if k != "final_scores"}
@@ -243,11 +249,102 @@ class TestConsistencyRunFields:
 
     def test_consistency_must_be_an_object(self):
         errors = validate_bench(doc_with(consistency=7))
-        assert any("'consistency' must be an object" in e for e in errors)
+        assert any(".consistency: expected object" in e for e in errors)
 
     def test_broken_consistency_block_is_rerooted(self):
         block = _consistency_block()
         block.pop("w_all_seconds")
         errors = validate_bench(doc_with(consistency=block))
-        assert any(e.startswith("runs[0].consistency:")
+        assert any(e.startswith("$.runs[0].consistency:")
                    and "w_all_seconds" in e for e in errors)
+
+
+class TestOptionalRunFields:
+    def test_loss_rate_is_a_probability(self):
+        assert validate_bench(doc_with(loss_rate=1)) == []
+        errors = validate_bench(doc_with(loss_rate=1.5))
+        assert any("loss_rate" in e and "> maximum 1" in e for e in errors)
+
+    def test_goodput_identity(self):
+        errors = validate_bench(doc_with(goodput_bits=4000,
+                                         retransmitted_bits=241))
+        assert any("must equal total_bits" in e for e in errors)
+
+    def test_attribution_values_are_nonnegative_seconds(self):
+        assert validate_bench(doc_with(
+            critical_path_attribution={"latency": 0.04, "queue": 0})) == []
+        errors = validate_bench(doc_with(
+            critical_path_attribution={"latency": -0.04, "queue": "long"}))
+        assert any("critical_path_attribution.latency" in e for e in errors)
+        assert any("critical_path_attribution.queue" in e for e in errors)
+
+    def test_per_region_rollups_are_checked(self):
+        region = {"sites": 4, "min_final_score": 1.0,
+                  "mean_final_score": 1.0}
+        health = dict(copy.deepcopy(HEALTH), per_region={"r0": region})
+        assert validate_bench(doc_with(invariant_violations=0,
+                                       health=health)) == []
+        health["per_region"]["r1"] = {"sites": 4.5, "min_final_score": 1.0}
+        errors = validate_bench(doc_with(invariant_violations=0,
+                                         health=health))
+        assert any("per_region.r1.sites" in e for e in errors)
+        assert any("per_region.r1" in e and "mean_final_score" in e
+                   for e in errors)
+
+
+def _required_fields(record, schema, path=()):
+    """Every (path, value) the schema requires of ``record``, nested."""
+    for name in schema.get("required", ()):
+        value = record[name]
+        yield path + (name,), value
+        if isinstance(value, dict):
+            yield from _required_fields(value, schema["properties"][name],
+                                        path + (name,))
+
+
+def _mutants(value):
+    """Ill-typed or out-of-range stand-ins for one required value."""
+    if isinstance(value, bool) or isinstance(value, dict):
+        return ["x"]
+    if isinstance(value, (int, float)):
+        return [-value - 1, "x"]
+    return [7]
+
+
+class TestCommittedDocument:
+    """The validator swap, pinned against the committed trajectory."""
+
+    def _document(self):
+        with open(REPO_ROOT / "BENCH_cluster.json", encoding="utf-8") as f:
+            return json.load(f)
+
+    def test_committed_document_is_valid(self):
+        assert validate_bench(self._document()) == []
+
+    def test_every_required_field_of_every_run_is_guarded(self):
+        document = self._document()
+        run_schema = BENCH_SCHEMA["properties"]["runs"]["items"]
+        checked = 0
+        for index, run in enumerate(document["runs"]):
+            for path, value in _required_fields(run, run_schema):
+                for mutant in [None] + _mutants(value):
+                    broken = copy.deepcopy(document)
+                    holder = broken["runs"][index]
+                    for name in path[:-1]:
+                        holder = holder[name]
+                    if mutant is None:
+                        del holder[path[-1]]
+                    else:
+                        holder[path[-1]] = mutant
+                    errors = validate_bench(broken)
+                    assert any(f"runs[{index}]" in e and path[-1] in e
+                               for e in errors), (index, path, mutant)
+                    checked += 1
+        # 14 required fields + the nested traffic/bits_per_session ones,
+        # three mutations each for the numeric majority.
+        assert checked > 60 * len(document["runs"])
+
+    def test_schema_file_matches_the_source(self):
+        path = REPO_ROOT / "schemas" / "repro.bench.cluster.schema.json"
+        with open(path, "r", encoding="utf-8") as handle:
+            assert json.load(handle) == BENCH_SCHEMA
