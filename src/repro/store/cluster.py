@@ -5,11 +5,14 @@ site on a single discrete-event simulator and drives two kinds of work
 over them:
 
 * **Client operations** (:class:`ClientOp`) execute against one site's
-  table.  A site that is mid-session defers its client ops until the
-  session ends — reads must never observe a torn mid-sync vector, and
-  writes must never mutate a vector a live coroutine is iterating.  The
-  deferral wait is the dominant realistic source of tail latency and is
-  measured per op.
+  table.  An op waits only for its *own key*: it is deferred while a
+  live session at its site has the key in its key set — reads must
+  never observe a torn mid-sync vector, and writes must never mutate a
+  vector a live coroutine is iterating — or while a read-repair that
+  will pull the key into its site is still queued (below).  Ops on any
+  other key run at submit time, mid-session or not: clients thread one
+  causal context per key, so per-(site, key) FIFO is all the ordering a
+  client can observe.  The deferral wait is measured per op.
 * **Sessions** synchronize a key set between two sites by running one
   stock SYNC* coroutine pair *per key* through the unified
   :func:`~repro.net.runner.launch` transport — so channel faults, ARQ
@@ -46,9 +49,25 @@ before the first attempt.  Each *resume* restores them (in place —
 vector identity survives) before rebuilding coroutines, and a session
 that aborts **permanently** restores them too, via the launcher's
 ``on_abandon`` hook, before the endpoints are released.  Since client
-ops defer while their site is in a session, no read can ever observe a
+ops on a session's keys defer while it runs, no read can ever observe a
 torn prefix of an aborted attempt: the key's get result after a failed
-session equals its pre-session snapshot exactly.
+session equals its pre-session snapshot exactly.  Ops on *other* keys
+run during the session and survive its rollback — a session reads and
+writes no record outside its key set, and every dot such an op mints is
+above the advert and reply snapshots the session carries, so it is
+beyond the peer's knowledge and offered again by the next pull.
+
+A queued repair holds its key
+-----------------------------
+
+A read-repairing get hands its client the *union* of both replicas —
+values and causal context — while the stale replica catches up only when
+the repair session has run.  From the moment the repair is queued until
+it starts (where the session's own hold takes over) its key is busy at
+the site it will be pulled into, so a later get of that key there waits
+for the repair instead of reading the stale replica and handing the same
+client an older context than the one it already holds (a monotonic-reads
+violation).
 
 Convergence
 -----------
@@ -68,6 +87,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -334,8 +354,12 @@ class StoreCluster:
     schedule work (``sim.call_at`` + :meth:`submit` /
     :meth:`request_sync`), :meth:`run` once, read the result.  Sites are
     strictly serialized (fanout 1): a site is in at most one session at
-    a time, which is what makes the transactional snapshot/restore story
-    sound — no other writer can touch a key mid-rollback.
+    a time.  Client ops are admitted per key: a session holds exactly
+    the keys it syncs, at both endpoints, and a queued read-repair holds
+    its key at the site it will repair — which is what makes the
+    transactional snapshot/restore story sound (no other writer can
+    touch a session's key mid-rollback) while ops on every other key of
+    a mid-session site run at once.
     """
 
     def __init__(self, sites: Optional[Iterable[str]], config: StoreConfig,
@@ -368,14 +392,25 @@ class StoreCluster:
             site: SiteStore(site, spec.vector_cls) for site in self.sites}
         self.sim = Simulator()
         self._usage: Dict[str, int] = {site: 0 for site in self.sites}
-        self._deferred_ops: Dict[str, Deque[Tuple[ClientOp, float, Optional[
-            Callable[[OpOutcome], None]]]]] = {
-                site: deque() for site in self.sites}
+        #: site → key → holds on the key there: one per live session
+        #: with the key in ``record.keys`` (src and dst alike), one per
+        #: queued read-repair that will pull the key into the site.  A
+        #: key is *busy* at a site while it has an entry.
+        self._held: Dict[str, Dict[str, int]] = {
+            site: {} for site in self.sites}
+        #: site → key → the ops waiting for that key, oldest first, as
+        #: ``(arrival number, op, submitted_at, on_done)``.  A queue
+        #: exists only while its key is busy.
+        self._deferred_ops: Dict[str, Dict[str, Deque[Tuple[
+            int, ClientOp, float,
+            Optional[Callable[[OpOutcome], None]]]]]] = {
+                site: {} for site in self.sites}
         #: Sessions ready to start (advert arrived, or keys named) whose
         #: endpoints are not both idle yet, in arrival order.
         self._pending: List[StoreSessionRecord] = []
-        #: (src, dst, key) triples with a repair session already queued;
-        #: keeps hot keys from flooding the queue with duplicate repairs.
+        #: (src, dst, key) triples with a repair session queued and not
+        #: yet started; keeps hot keys from flooding the queue with
+        #: duplicate repairs, and each holds ``key`` at ``dst``.
         self._repair_inflight: set = set()
         self._records: List[StoreSessionRecord] = []
         self._totals = TransferStats()
@@ -393,15 +428,19 @@ class StoreCluster:
                ) -> None:
         """Submit ``op`` at the current simulated time.
 
-        Executes immediately when the site is idle; defers until the
-        site's session ends otherwise (FIFO per site, so one client's
-        sticky-session ops stay ordered).
+        Executes immediately unless ``op.key`` is busy at ``op.site`` —
+        in a live session's key set there, or awaited by a queued
+        read-repair into the site; then it defers until the key is free
+        (FIFO per site and key, the only order a client threading one
+        context per key can observe).  Whatever else the site is doing,
+        an op on any other key has ``queue_wait == 0``.
         """
         if op.site not in self.stores:
             raise ValidationError(f"unknown site {op.site!r}")
         now = self.sim.now
-        if self._usage[op.site] > 0:
-            self._deferred_ops[op.site].append((op, now, on_done))
+        if op.key in self._held[op.site]:
+            self._deferred_ops[op.site].setdefault(op.key, deque()).append(
+                (self._ops_deferred, op, now, on_done))
             self._ops_deferred += 1
             if self.metrics is not None:
                 self.metrics.counter("store.ops_deferred").inc()
@@ -469,9 +508,13 @@ class StoreCluster:
         """Consult a peer replica; merge the read and schedule a repair.
 
         The peer is only consulted while idle — a mid-session peer could
-        expose a torn vector.  On divergence the *stale* replica pulls
-        from the fresh one (both ways on concurrency would double the
-        traffic; the reverse direction is left to background rounds).
+        expose a torn vector.  (Idle as a site, not per key: consulting
+        a busy peer on its untouched keys was measured to start half as
+        many sessions again and cost +25% wire bits per op.)  On
+        divergence the *stale* replica pulls from the fresh one (both
+        ways on concurrency would double the traffic; the reverse
+        direction is left to background rounds), and the queued repair
+        holds the key at the stale side until it has started.
         """
         store = self.stores[op.site]
         peer_store = self.stores[op.repair_peer]
@@ -490,8 +533,12 @@ class StoreCluster:
         if triple not in self._repair_inflight:
             # At most one queued repair per (pair, key): a hot key read
             # at every op would otherwise flood the session queue with
-            # duplicates that all sync the same divergence.
+            # duplicates that all sync the same divergence.  Until it
+            # starts it holds the key at the stale side: the client now
+            # carries the union context, and a get of the stale replica
+            # in the meantime would hand it an older one.
             self._repair_inflight.add(triple)
+            self._hold(triple[1], op.key)
             self.request_sync(triple[0], triple[1], keys=(op.key,))
             self._read_repairs += 1
             if self.metrics is not None:
@@ -662,10 +709,16 @@ class StoreCluster:
         reply: Optional[KnowledgeMsg] = None
         if record.advert is not None:
             reply = _knowledge_msg(self.stores[src])
-        elif len(keys) == 1:
-            self._repair_inflight.discard((src, dst, keys[0]))
+        elif (src, dst, *keys) in self._repair_inflight:
+            # The queued repair's hold on its key ends here; the
+            # session's own (just below) takes over.
+            self._repair_inflight.remove((src, dst, *keys))
+            self._unhold(dst, keys[0])
         self._usage[src] += 1
         self._usage[dst] += 1
+        for key in keys:
+            self._hold(src, key)
+            self._hold(dst, key)
         if self.tracer is not None:
             self.tracer.event(obs.SESSION_START, party=dst, peer=src,
                               session=record.index, keys=len(keys))
@@ -758,10 +811,14 @@ class StoreCluster:
 
     def _release(self, record: StoreSessionRecord,
                  stats: Optional[TransferStats]) -> None:
-        """Free the endpoints, land deferred ops, dispatch queued syncs."""
+        """Free the endpoints and the session's keys, land the deferred
+        ops those keys were holding back, dispatch queued syncs."""
         src, dst = record.src, record.dst
         self._usage[src] -= 1
         self._usage[dst] -= 1
+        for key in record.keys:
+            self._unhold(src, key)
+            self._unhold(dst, key)
         if self.tracer is not None:
             self.tracer.event(obs.SESSION_END, party=dst, peer=src,
                               session=record.index,
@@ -774,15 +831,51 @@ class StoreCluster:
         if self.monitor is not None:
             self.monitor.on_session_end(self.sim.now)
         for site in (src, dst):
-            # Flush FIFO, but re-check before every op: a flushed get can
-            # start a read-repair session that re-occupies the site, and
-            # the ops behind it must stay deferred — executing them would
-            # mutate vectors the fresh session's coroutines (and its
-            # transactional snapshot) already captured.
-            while self._usage[site] == 0 and self._deferred_ops[site]:
-                op, submitted_at, on_done = self._deferred_ops[site].popleft()
-                self._execute_op(op, submitted_at, on_done)
+            self._flush(site, record.keys)
         self._dispatch()
+
+    def _hold(self, site: str, key: str) -> None:
+        """One more reason ``key`` is busy at ``site``."""
+        held = self._held[site]
+        held[key] = held.get(key, 0) + 1
+
+    def _unhold(self, site: str, key: str) -> None:
+        """One reason fewer; the key is free once none is left."""
+        held = self._held[site]
+        if held[key] == 1:
+            del held[key]
+        else:
+            held[key] -= 1
+
+    def _flush(self, site: str, keys: Iterable[str]) -> None:
+        """Land, in arrival order, the ops deferred at ``site`` on those
+        of ``keys`` that are no longer busy.
+
+        Every hold on a key ends in the release of a session that has it
+        in ``record.keys``, so the just-released keys are the only queues
+        that can have come free: the cost follows what the release freed,
+        never the site's standing backlog.  Busy is re-checked before
+        every op: a flushed get can start a read-repair session over its
+        key, and the ops behind it must stay deferred — executing them
+        would mutate vectors the fresh session's coroutines (and its
+        transactional snapshot) already captured.  Ops on the other
+        freed keys still land.
+        """
+        held = self._held[site]
+        queues = self._deferred_ops[site]
+        heads = [(queues[key][0][0], key) for key in keys if key in queues]
+        heapify(heads)
+        while heads:
+            _, key = heappop(heads)
+            if key in held:
+                continue
+            queue = queues[key]
+            _, op, submitted_at, on_done = queue.popleft()
+            if queue:
+                heappush(heads, (queue[0][0], key))
+            else:
+                del queues[key]
+            self._execute_op(op, submitted_at, on_done)
 
     # -- convergence sweep -------------------------------------------------
 
@@ -854,9 +947,12 @@ class StoreCluster:
                 tracer.clock = previous_clock
         if self.monitor is not None:
             self.monitor.finalize()
-        if self._pending or any(self._usage.values()):
+        if (self._pending or any(self._usage.values())
+                or any(self._held.values())
+                or any(self._deferred_ops.values())):
             raise SimulationError(  # pragma: no cover - defensive
-                "store cluster drained with sessions still queued or active")
+                "store cluster drained with sessions still queued or "
+                "active, or client ops still deferred")
         return StoreRunResult(
             stores=self.stores,
             records=self._records,

@@ -370,7 +370,7 @@ class SiteStore:
         that alias it stay valid — the same contract the cluster runner's
         transactional resume relies on.  A mid-session abort therefore
         can never leave a read observing a torn vector: the abort path
-        restores before the site is released to serve reads again.  The
+        restores before the key is released to serve reads again.  The
         stamp goes back into the per-origin index with it;
         :attr:`knowledge` is left alone — dots are never reissued.
         """

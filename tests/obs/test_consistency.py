@@ -276,7 +276,7 @@ class TestDigest:
         _, monitored = _monitored_run()
         assert monitored.digest() == baseline
         assert baseline["state_sha256"] == (
-            "047bf06fa00f5f8e9e4b5a21a3677ce8cee089b2b3830262d53ef2b2a27afbaf")
+            "04f28c40dccae65cab34af59d03fbe8e6922388af594620265b00f3a49fbc01c")
 
     def test_worst_keys_limit_is_honored(self):
         monitor, _ = _monitored_run(worst_keys=2)

@@ -97,6 +97,103 @@ class TestDeferral:
         assert outcomes and outcomes[0].queue_wait > 0
         assert result.ops_deferred == 1
 
+    @staticmethod
+    def mid_pull_over_k():
+        """A and B, both mid-session in a pull A -> B that selected
+        exactly ``k`` (B already holds ``j``)."""
+        c = cluster(sites=("A", "B"))
+        c.submit(ClientOp(kind="put", site="A", key="j", value="j1"))
+        c.request_sync("A", "B")
+        c.sim.run()
+        c.submit(ClientOp(kind="put", site="A", key="k", value="k1"))
+        c.request_sync("A", "B")
+        c.sim.run(until=c.sim.now + 0.011)  # past the advert's flight
+        return c
+
+    def test_ops_on_other_keys_land_mid_session_at_src_and_dst(self):
+        c = self.mid_pull_over_k()
+        outcomes = []
+        c.submit(ClientOp(kind="put", site="A", key="j", value="j2"),
+                 on_done=outcomes.append)
+        c.submit(ClientOp(kind="get", site="B", key="j"),
+                 on_done=outcomes.append)
+        c.submit(ClientOp(kind="put", site="B", key="fresh", value="f"),
+                 on_done=outcomes.append)
+        assert [o.queue_wait for o in outcomes] == [0, 0, 0]
+        assert outcomes[1].result.values == ("j1",)
+        c.submit(ClientOp(kind="get", site="A", key="k"),
+                 on_done=outcomes.append)
+        assert len(outcomes) == 3  # the session's own key: deferred
+        result = c.run()
+        assert result.records[-1].keys == ("k",)
+        assert outcomes[3].queue_wait > 0
+        assert result.ops_deferred == 1
+
+    def test_fifo_per_key_while_another_key_overtakes(self):
+        c = self.mid_pull_over_k()
+        order = []
+        for kind, key, value in (("put", "k", "k2"), ("get", "k", None),
+                                 ("get", "j", None)):
+            c.submit(ClientOp(kind=kind, site="B", key=key, value=value),
+                     on_done=order.append)
+        assert [(o.op.kind, o.op.key) for o in order] == [("get", "j")]
+        result = c.run()
+        assert [(o.op.kind, o.op.key) for o in order] == [
+            ("get", "j"), ("put", "k"), ("get", "k")]
+        put, get = order[1:]
+        assert put.executed_at == get.executed_at > put.submitted_at
+        assert get.result.values == ("k2",)  # it ran after the put
+        assert result.ops_deferred == 2
+
+    def test_a_put_on_another_key_survives_the_sessions_rollback(self):
+        c = chaos_cluster(drop=1.0)
+        c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
+        c.submit(ClientOp(kind="put", site="B", key="k", value="vb"))
+        before = c.stores["B"].get("k")
+        c.request_sync("A", "B", keys=("k",))  # doomed, occupies both
+        outcomes = []
+        c.sim.call_at(0.03, lambda: c.submit(
+            ClientOp(kind="put", site="B", key="j", value="vj"),
+            on_done=outcomes.append))
+        result = c.run()
+        (record,) = result.records
+        assert record.aborted and result.sessions_abandoned == 1
+        # It ran inside the session ...
+        assert outcomes[0].queue_wait == 0 and result.ops_deferred == 0
+        assert (record.started_at < outcomes[0].executed_at
+                < c.sim.now)
+        # ... and the rollback touched the session's key only.
+        assert c.stores["B"].get("j").values == ("vj",)
+        after = c.stores["B"].get("k")
+        assert (after.values, after.context) == (before.values,
+                                                 before.context)
+
+    def test_the_flush_walks_past_a_rebusied_key(self):
+        """``get k`` is flushed and starts a repair over ``k``; ``put
+        k`` behind it has to wait for that repair too, but ``put j``
+        behind both is on a free key and lands with the get."""
+        c = cluster(sites=("A", "B"))
+        c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
+        c.submit(ClientOp(kind="put", site="B", key="k", value="vb"))
+        c.request_sync("A", "B", keys=("j", "k"))  # occupies both at once
+        order = []
+        for op in (ClientOp(kind="get", site="B", key="k", repair_peer="A"),
+                   ClientOp(kind="put", site="B", key="k", value="vb2"),
+                   ClientOp(kind="put", site="B", key="j", value="vj")):
+            c.submit(op, on_done=order.append)
+        assert not order
+        result = c.run()
+        assert [(o.op.kind, o.op.key) for o in order] == [
+            ("get", "k"), ("put", "j"), ("put", "k")]
+        get, put_j, put_k = order
+        # B merged, so it is ahead of A and the get repairs A from B.
+        assert get.repaired and result.read_repairs == 1
+        repair = result.records[-1]
+        assert (repair.src, repair.dst, repair.keys) == ("B", "A", ("k",))
+        assert put_j.executed_at == get.executed_at == repair.started_at
+        assert put_k.executed_at == repair.result.completion_time
+        assert result.ops_deferred == 3
+
 
 class TestCoordinatedWrites:
     def test_blind_puts_supersede_at_the_coordinator(self):

@@ -2,9 +2,12 @@
 
 The full-keyspace walk the store used to run survives in
 ``tests.helpers.full_walk_pull`` as the oracle: per completed pull, the
-delta session must leave ``dst`` exactly where the walk would have.  The
-second property is the invariant that makes skipping keys sound —
-knowledge never runs ahead of state.
+delta session must leave its keys at ``dst`` exactly where the walk
+would have, and the walk must have had nothing to move on any other key
+(client ops on those run mid-session, so the live store is no longer
+comparable there — the pre-session twins are).  The second property is
+the invariant that makes skipping keys sound — knowledge never runs
+ahead of state.
 """
 
 import sys
@@ -40,6 +43,8 @@ class CheckedCluster(StoreCluster):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        #: index of a live session -> (record, src twin, dst twin), the
+        #: twins cloned as the session started.
         self.twins = {}
         self.pulls_checked = 0
         #: dot -> (key, vector values right after the event).
@@ -63,35 +68,58 @@ class CheckedCluster(StoreCluster):
                 f"for {key}, which had {then} right after it")
 
     def _execute_op(self, op, submitted_at, on_done):
+        # The torn-vector contract: no op touches a key a live session
+        # at its site is syncing.
+        for record, _, _ in self.twins.values():
+            assert (op.site not in (record.src, record.dst)
+                    or op.key not in record.keys), (
+                f"{op.kind} {op.key} at {op.site} ran inside session "
+                f"{record.index} {record.src}->{record.dst} over "
+                f"{record.keys}")
         super()._execute_op(op, submitted_at, on_done)
         self.note_events(op.site)
         self.check_knowledge(op.site)
 
     def _start(self, record):
-        self.twins[record.index] = (clone_store(self.stores[record.src]),
+        self.twins[record.index] = (record,
+                                    clone_store(self.stores[record.src]),
                                     clone_store(self.stores[record.dst]))
         super()._start(record)
 
     def _release(self, record, stats):
         # Entered with the session's outcome folded in and before any
         # deferred op lands: the state the oracle has to match.
-        src_before, dst_before = self.twins.pop(record.index)
+        _, src_before, dst_before = self.twins.pop(record.index)
         dst = self.stores[record.dst]
         if stats is None:
-            assert dst.knowledge == dst_before.knowledge
-            for key in set(dst.table) | set(dst_before.table):
+            # Rolled back: the session's keys are the twin's again, and
+            # knowledge moved only by the dots dst minted meanwhile for
+            # ops on other keys.
+            for key in record.keys:
                 assert state_of(dst, key) == state_of(dst_before, key)
+            minted = dst.knowledge.get(record.dst, 0)
+            assert minted >= dst_before.knowledge.get(record.dst, 0)
+            assert ({**dst.knowledge, record.dst: minted}
+                    == {**dst_before.knowledge, record.dst: minted})
         else:
             self.note_events(record.dst)
             self.check_knowledge(record.dst)
             if record.advert is not None:
                 walked = full_walk_pull(
                     src_before, dst_before, protocol=self.config.protocol)
-                for key in set(dst.table) | set(walked.table):
+                for key in record.keys:
                     assert state_of(dst, key) == state_of(walked, key), (
                         f"session {record.index} {record.src}->"
                         f"{record.dst} streamed {record.keys}; {key} "
                         f"differs from the full walk")
+                # Every other key the walk found nothing to move on —
+                # the knowledge invariant, and why skipping it was sound.
+                for key in set(walked.table) - set(record.keys):
+                    assert (state_of(walked, key)
+                            == state_of(dst_before, key)), (
+                        f"session {record.index} {record.src}->"
+                        f"{record.dst} streamed {record.keys} and "
+                        f"skipped {key}, which the full walk moves")
                 self.pulls_checked += 1
         super()._release(record, stats)
 

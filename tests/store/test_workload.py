@@ -4,8 +4,11 @@ import pytest
 
 from repro.core.skip import SkipRotatingVector
 from repro.errors import ReproError
+from repro.net.channel import ChannelSpec
+from repro.obs.consistency import ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.store.cluster import ClientOp, StoreCluster, StoreConfig
 from repro.workload.clients import (StoreWorkloadConfig, generate_client_ops,
                                     hot_key_order, run_store_workload)
 from tests.helpers import linked_vectors
@@ -159,9 +162,55 @@ class TestRunWorkload:
         assert digest["staleness_p99"] == round(summary["p99"], 9)
 
     def test_consistency_digest_rides_along_when_monitored(self):
-        from repro.obs.consistency import ConsistencyMonitor
         monitor = ConsistencyMonitor()
         result = run_store_workload(SMALL, monitor=monitor)
         assert result.consistency is not None
         assert result.consistency["audit"]["ops_audited"] == SMALL.ops
         assert run_store_workload(SMALL).consistency is None
+
+
+class TestMonotonicReads:
+    """A read-repairing get hands out the union context of two replicas;
+    until the repair has run, the stale replica must not serve that key
+    again — or the same client reads an older context than it holds."""
+
+    @pytest.mark.parametrize("n_keys", [32, 1024])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fault_free_runs_audit_clean(self, n_keys, seed):
+        """1-5 ``monotonic_reads`` violations each before queued repairs
+        held their key."""
+        result = run_store_workload(
+            StoreWorkloadConfig(n_sites=8, n_keys=n_keys, n_clients=64,
+                                ops=6000, seed=seed),
+            monitor=ConsistencyMonitor())
+        audit = result.consistency["audit"]
+        assert result.converged and audit["ops_audited"] == 6000
+        assert audit["monotonic_reads"] == 0
+        assert audit["read_your_writes"] == 0
+
+    def test_a_queued_repair_holds_its_key_at_the_stale_site(self):
+        channel = ChannelSpec(latency=0.01, bandwidth=1e6)
+        c = StoreCluster(["A", "B", "C"], StoreConfig(channel=channel))
+        c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
+        c.submit(ClientOp(kind="put", site="C", key="j", value="vj"))
+        c.request_sync("C", "B", keys=("j",))  # B is mid-session over j
+        reads = []
+        get = ClientOp(kind="get", site="B", key="k", repair_peer="A")
+        c.submit(get, on_done=reads.append)
+        # Another key than B's session: it ran at once, consulted idle
+        # A, and returned the merged view; the repair waits for B.
+        (first,) = reads
+        assert first.queue_wait == 0 and first.repaired
+        assert first.result.values == ("va",)
+        assert c.stores["B"].get("k").values == ()  # B itself: stale
+        c.submit(get, on_done=reads.append)
+        assert len(reads) == 1  # held by the queued repair
+        result = c.run()
+        repair = result.records[-1]
+        assert (repair.src, repair.dst, repair.keys) == ("A", "B", ("k",))
+        second = reads[1]
+        assert second.executed_at == repair.result.completion_time
+        assert second.result.values == ("va",)
+        assert all(second.result.context.get(site, 0) >= count
+                   for site, count in first.result.context.items())
+        assert result.ops_deferred == 1 and result.read_repairs == 1
