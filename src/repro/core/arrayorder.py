@@ -18,16 +18,24 @@ Why it is faster than the linked representation:
   per-element anchor checks ``rotate_after`` pays, so ``from_pairs`` and
   ``from_segments`` are one pass.
 * batch walks (:meth:`as_tuples`, :meth:`pairs_in_order`,
-  :meth:`values_in_order`, :meth:`record_update`, :meth:`rotate_many`)
+  :meth:`values_dict`, :meth:`record_update`, :meth:`rotate_many`)
   read the arrays directly with the index hops inlined, instead of
   attribute-chasing node objects.
 
-Protocol code that holds individual elements (`sender` walks via
-``element.next``, receivers write ``element.value``) gets lightweight
-:class:`ArrayElement` *views*: slotted handles onto one index whose
-properties read and write the arrays in place.  Views are cached per
-slot, so identity is stable for the lifetime of the element and repeated
-walks allocate nothing.
+COMPARE and the SYNC* protocols run on five array-level methods and
+never hold an element: COMPARE reads :meth:`ArrayElementOrder.front`,
+senders stream :meth:`~ArrayElementOrder.rows`, receivers look up
+:meth:`~ArrayElementOrder.value` and place each new element with one
+:meth:`~ArrayElementOrder.place_after` call (ROTATE plus the field
+writes), and SYNCS seals a run with
+:meth:`~ArrayElementOrder.set_segment`.
+
+Code that does want an element in hand (``first()``, ``get()``,
+iteration) gets a lightweight :class:`ArrayElement` *view*: a slotted
+handle onto one index whose properties read and write the arrays in
+place.  Views are created on first request and cached per slot, so
+identity is stable for the lifetime of the element; an order nobody asks
+for a view allocates none.
 
 Removal (§7 site retirement) unlinks the slot and drops it from the site
 table but leaves the row in place — exactly like a detached linked-list
@@ -38,6 +46,9 @@ number of removals and vanish at the next :meth:`copy` (clones compact).
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
+
+#: One element as the protocols see it: ``(site, value, conflict, segment)``.
+Row = Tuple[str, int, bool, bool]
 
 #: Index sentinel for "no neighbor" (the linked ``None``).
 _NIL = -1
@@ -125,7 +136,7 @@ class ArrayElementOrder:
         self._by_site: Dict[str, int] = {}
         self._head = _NIL
         self._tail = _NIL
-        self._views: List[Optional[ArrayElement]] = []
+        self._views: Optional[Dict[int, ArrayElement]] = None
         self._version = 0
 
     # -- change tracking -------------------------------------------------------
@@ -142,9 +153,12 @@ class ArrayElementOrder:
     # -- views -----------------------------------------------------------------
 
     def _view(self, index: int) -> ArrayElement:
-        view = self._views[index]
+        views = self._views
+        if views is None:
+            views = self._views = {}
+        view = views.get(index)
         if view is None:
-            view = self._views[index] = ArrayElement(self, index)
+            view = views[index] = ArrayElement(self, index)
         return view
 
     # -- lookups -------------------------------------------------------------
@@ -168,6 +182,12 @@ class ArrayElementOrder:
     def first(self) -> Optional[ArrayElement]:
         """``⌊v⌋`` — the least (front, most recently modified) element."""
         return None if self._head == _NIL else self._view(self._head)
+
+    def front(self) -> Optional[Tuple[str, int]]:
+        """``⌊v⌋`` as a ``(site, value)`` pair — all COMPARE reads of it."""
+        head = self._head
+        return None if head == _NIL else (self._sites[head],
+                                          self._values[head])
 
     def last(self) -> Optional[ArrayElement]:
         """``⌈v⌉`` — the greatest (back, oldest) element."""
@@ -234,7 +254,6 @@ class ArrayElementOrder:
         self._segments.append(False)
         self._prv.append(_NIL)
         self._nxt.append(_NIL)
-        self._views.append(None)
         self._by_site[site] = index
         return index
 
@@ -266,20 +285,24 @@ class ArrayElementOrder:
 
     # -- ROTATE ---------------------------------------------------------------
 
-    def rotate_front(self, site: str) -> ArrayElement:
-        """``ROTATE(φ, site)``: move (or insert) the element to the front."""
+    def _front(self, site: str) -> int:
+        """``ROTATE(φ, site)`` on the arrays; returns the slot index."""
         self._version += 1
         index = self._by_site.get(site)
         if index is None:
             index = self._new_slot(site, 0)
         elif index == self._head:
-            return self._view(index)
+            return index
         elif self._prv[index] != _NIL:
             # Linked and not the head; detached slots skip straight to
             # the relink, mirroring the linked backend's fast path.
             self._unlink(index)
         self._link_front(index)
-        return self._view(index)
+        return index
+
+    def rotate_front(self, site: str) -> ArrayElement:
+        """``ROTATE(φ, site)``: move (or insert) the element to the front."""
+        return self._view(self._front(site))
 
     def record_update(self, site: str) -> int:
         """Local-update fast path: rotate front, increment, clear bits.
@@ -361,37 +384,64 @@ class ArrayElementOrder:
             self._unlink(index)
         return view
 
+    def _place(self, prev_site: Optional[str], site: str) -> int:
+        """``ROTATE(prev_site, site)`` on the arrays; returns the slot index."""
+        if prev_site is None:
+            return self._front(site)
+        self._version += 1
+        by_site = self._by_site
+        if prev_site == site:
+            index = by_site.get(site)
+            return self._new_slot(site, 0) if index is None else index
+        anchor = by_site.get(prev_site)
+        if anchor is None:
+            raise KeyError(f"anchor element {prev_site!r} not in order")
+        index = by_site.get(site)
+        if index is None:
+            index = self._new_slot(site, 0)
+        prv, nxt = self._prv, self._nxt
+        if nxt[anchor] == index:
+            return index
+        if prv[index] != _NIL or index == self._head:
+            self._unlink(index)
+        # Link after the anchor.
+        after = nxt[anchor]
+        prv[index] = anchor
+        nxt[index] = after
+        if after != _NIL:
+            prv[after] = index
+        else:
+            self._tail = index
+        nxt[anchor] = index
+        return index
+
     def rotate_after(self, prev_site: Optional[str], site: str
                      ) -> ArrayElement:
         """``ROTATE(prev_site, site)``: place the element after ``prev``."""
-        if prev_site is None:
-            return self.rotate_front(site)
-        self._version += 1
-        if prev_site == site:
-            index = self._by_site.get(site)
-            if index is None:
-                index = self._new_slot(site, 0)
-            return self._view(index)
-        anchor = self._by_site.get(prev_site)
-        if anchor is None:
-            raise KeyError(f"anchor element {prev_site!r} not in order")
+        return self._view(self._place(prev_site, site))
+
+    def place_after(self, prev_site: Optional[str], site: str, value: int,
+                    conflict: bool = False, segment: bool = False) -> None:
+        """``ROTATE(prev_site, site)`` and write the element, in one call.
+
+        The receive-side primitive of the SYNC* protocols: exactly
+        :meth:`rotate_after` (front placement on ``prev_site=None``,
+        self-anchor and already-adjacent no-ops, the segment-bit carry on
+        unlink, one version bump) followed by the three field writes,
+        without handing out a view.
+        """
+        index = self._place(prev_site, site)
+        self._values[index] = value
+        self._conflicts[index] = conflict
+        self._segments[index] = segment
+
+    def set_segment(self, site: str, flag: bool = True) -> None:
+        """Write ``site``'s segment bit (a declared mutation: bumps version)."""
         index = self._by_site.get(site)
         if index is None:
-            index = self._new_slot(site, 0)
-        if self._nxt[anchor] == index:
-            return self._view(index)
-        if self._prv[index] != _NIL or index == self._head:
-            self._unlink(index)
-        # Link after the anchor.
-        after = self._nxt[anchor]
-        self._prv[index] = anchor
-        self._nxt[index] = after
-        if after != _NIL:
-            self._prv[after] = index
-        else:
-            self._tail = index
-        self._nxt[anchor] = index
-        return self._view(index)
+            raise KeyError(f"no element for site {site!r}")
+        self._segments[index] = flag
+        self._version += 1
 
     # -- bulk construction -----------------------------------------------------
 
@@ -413,7 +463,6 @@ class ArrayElementOrder:
         count = len(rows)
         self._conflicts.extend([False] * count)
         self._segments.extend([False] * count)
-        self._views.extend([None] * count)
         self._prv.extend(range(base - 1, base + count - 1))
         self._nxt.extend(range(base + 1, base + count + 1))
         self._nxt[-1] = _NIL
@@ -436,6 +485,7 @@ class ArrayElementOrder:
         """
         clone = ArrayElementOrder.__new__(ArrayElementOrder)
         clone._version = 0
+        clone._views = None
         if len(self._by_site) == len(self._sites):
             clone._sites = self._sites.copy()
             clone._values = self._values.copy()
@@ -446,7 +496,6 @@ class ArrayElementOrder:
             clone._by_site = self._by_site.copy()
             clone._head = self._head
             clone._tail = self._tail
-            clone._views = [None] * len(self._sites)
             return clone
         # Compacting path: walk the links once, emitting rows in ≺ order.
         sites: List[str] = []
@@ -474,20 +523,28 @@ class ArrayElementOrder:
                           for position, site in enumerate(sites)}
         clone._head = 0 if count else _NIL
         clone._tail = count - 1 if count else _NIL
-        clone._views = [None] * count
         return clone
 
-    def as_tuples(self) -> List[Tuple[str, int, bool, bool]]:
-        """``(site, value, conflict, segment)`` rows in ``≺`` order."""
-        result: List[Tuple[str, int, bool, bool]] = []
+    def rows(self) -> Iterator[Row]:
+        """Lazily walk ``(site, value, conflict, segment)`` rows in ``≺`` order.
+
+        The send-side primitive of the SYNC* protocols: the same hop as an
+        ``element.next`` chain, taken on the arrays.  Each row is read when
+        the walk reaches it, so the order must not be written while a walk
+        is in flight — every driver already guarantees that of a sender's
+        vector for the length of a session (busy-site deferral in the
+        cluster runner, key holds in the store).
+        """
         index = self._head
         sites, values = self._sites, self._values
         conflicts, segments, nxt = self._conflicts, self._segments, self._nxt
         while index != _NIL:
-            result.append((sites[index], values[index],
-                           conflicts[index], segments[index]))
+            yield sites[index], values[index], conflicts[index], segments[index]
             index = nxt[index]
-        return result
+
+    def as_tuples(self) -> List[Row]:
+        """``(site, value, conflict, segment)`` rows in ``≺`` order."""
+        return list(self.rows())
 
     def __repr__(self) -> str:
         return "⟨" + ", ".join(repr(e) for e in self) + "⟩"

@@ -54,7 +54,9 @@ class ElementOrder:
 
     * ``first()`` / ``last()`` — ``⌊v⌋`` and ``⌈v⌉``.
     * ``rotate_front(site)`` — ``ROTATE(φ, i)``.
-    * ``rotate_after(prev_site, site)`` — ``ROTATE(p, i)``.
+    * ``rotate_after(prev_site, site)`` — ``ROTATE(p, i)``;
+      ``place_after`` is the same plus the element's field writes.
+    * ``rows()`` — the ``≺`` walk the SYNC* senders stream.
     * element lookup by site name.
     """
 
@@ -104,6 +106,11 @@ class ElementOrder:
     def first(self) -> Optional[Element]:
         """``⌊v⌋`` — the least (front, most recently modified) element."""
         return self._head
+
+    def front(self) -> Optional[Tuple[str, int]]:
+        """``⌊v⌋`` as a ``(site, value)`` pair — all COMPARE reads of it."""
+        head = self._head
+        return None if head is None else (head.site, head.value)
 
     def last(self) -> Optional[Element]:
         """``⌈v⌉`` — the greatest (back, oldest) element."""
@@ -247,6 +254,22 @@ class ElementOrder:
         self._link_after(anchor, element)
         return element
 
+    def place_after(self, prev_site: Optional[str], site: str, value: int,
+                    conflict: bool = False, segment: bool = False) -> None:
+        """``ROTATE(prev_site, site)`` and write the element, in one call."""
+        element = self.rotate_after(prev_site, site)
+        element.value = value
+        element.conflict = conflict
+        element.segment = segment
+
+    def set_segment(self, site: str, flag: bool = True) -> None:
+        """Write ``site``'s segment bit (a declared mutation: bumps version)."""
+        element = self._by_site.get(site)
+        if element is None:
+            raise KeyError(f"no element for site {site!r}")
+        element.segment = flag
+        self._version += 1
+
     # -- snapshots -----------------------------------------------------------
 
     def copy(self) -> "ElementOrder":
@@ -277,9 +300,14 @@ class ElementOrder:
         clone._tail = tail
         return clone
 
+    def rows(self) -> Iterator[Tuple[str, int, bool, bool]]:
+        """Lazily walk ``(site, value, conflict, segment)`` rows in ``≺`` order."""
+        for e in self:
+            yield e.site, e.value, e.conflict, e.segment
+
     def as_tuples(self) -> List[Tuple[str, int, bool, bool]]:
         """``(site, value, conflict, segment)`` rows in ``≺`` order."""
-        return [(e.site, e.value, e.conflict, e.segment) for e in self]
+        return list(self.rows())
 
     def __repr__(self) -> str:
         return "⟨" + ", ".join(repr(e) for e in self) + "⟩"

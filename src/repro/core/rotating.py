@@ -68,8 +68,7 @@ class BasicRotatingVector:
                 raise ValueError(f"element {site!r} must have positive value")
             if site in vector.order:
                 raise ValueError(f"duplicate site {site!r} in pairs")
-            element = vector.order.rotate_after(previous, site)
-            element.value = value
+            vector.order.place_after(previous, site, value)
             previous = site
         return vector
 
@@ -162,15 +161,15 @@ class BasicRotatingVector:
         concurrent vectors (§2.2, Parker et al. §C); compare
         ``tests/core/test_compare.py::test_unincremented_merge_anomaly``.
         """
-        mine, theirs = self.first(), other.first()
+        mine, theirs = self.order.front(), other.order.front()
         if mine is None and theirs is None:
             return Ordering.EQUAL
         if mine is None:
             return Ordering.BEFORE
         if theirs is None:
             return Ordering.AFTER
-        la, ua = mine.site, mine.value
-        lb, ub = theirs.site, theirs.value
+        la, ua = mine
+        lb, ub = theirs
         if ua == other[la] and self[lb] == ub:
             return Ordering.EQUAL
         if ua <= other[la]:

@@ -71,11 +71,7 @@ class SkipRotatingVector(ConflictRotatingVector):
         for segment in segments:
             if not segment:
                 raise ValueError("segments must be non-empty")
-            last_site = segment[-1][0]
-            element = vector.order.get(last_site)
-            assert element is not None
-            element.segment = True
-        vector.order.touch()
+            vector.order.set_segment(segment[-1][0])
         return vector
 
     def restore(self, snapshot: "BasicRotatingVector") -> None:
@@ -98,11 +94,7 @@ class SkipRotatingVector(ConflictRotatingVector):
 
     def set_segment_bit(self, site: str, flag: bool = True) -> None:
         """Set or clear ``v.s[site]``; the element must exist."""
-        element = self.order.get(site)
-        if element is None:
-            raise KeyError(f"no element for site {site!r}")
-        element.segment = flag
-        self.order.touch()
+        self.order.set_segment(site, flag)
 
     def partition(self) -> SegmentPartition:
         """The cached segment partition, front segment first.

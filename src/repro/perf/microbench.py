@@ -13,7 +13,10 @@ optimization and everything silently fell back to the slow path".
 
 The E4/E11 cells gate the headline pipelines: E4 ships one SRV's whole
 element walk (parse + messages + wire) and E11 round-trips the 8×32
-chaos fleet's batched frame; both carry a 5× floor.
+chaos fleet's batched frame; both carry a 5× floor.  The two ``sync.*``
+cells gate the array-level protocol path — a sender's ``rows()`` walk
+(1.2×, message construction included on both sides) and a receiver's
+``place_after`` (1.6×) against the per-element view idiom they replaced.
 
 The workloads are deterministic (fixed seeds, fixed sizes) and sized so
 a healthy fast path clears its floor with margin — far above scheduler
@@ -318,11 +321,81 @@ def bench_e11_batch_frame(*, n_objects: int = 32, msgs_per_object: int = 5,
                             _best_of(oracle), min_speedup=5.0)
 
 
+def bench_sync_stream_rows(*, n_segments: int = 250, segment_len: int = 4,
+                           repeats: int = 10) -> MicrobenchResult:
+    """A SYNCS sender's walk of a whole 1,000-element SRV, messages built.
+
+    Fast: the ``rows()`` walk the senders stream.  Oracle: the same
+    vector hopped view by view (``first()``, four field properties,
+    ``.next``) — the idiom the protocols ran on before, views already
+    cached.  Message construction is on both sides, as it is in a
+    session, so the floor is what the walk alone buys end to end.
+    """
+    vector = ArraySkipRotatingVector.from_segments(
+        _srv_segment_spec(n_segments, segment_len))
+
+    def fast() -> None:
+        for _ in range(repeats):
+            for site, value, conflict, segment in vector.order.rows():
+                ElementSMsg(site, value, conflict, segment)
+
+    def oracle() -> None:
+        for _ in range(repeats):
+            element = vector.first()
+            while element is not None:
+                ElementSMsg(element.site, element.value, element.conflict,
+                            element.segment)
+                element = element.next
+
+    return MicrobenchResult("sync.stream_rows", _best_of(fast),
+                            _best_of(oracle), min_speedup=1.2)
+
+
+def bench_sync_place_after(*, n_segments: int = 250, segment_len: int = 4,
+                           repeats: int = 10) -> MicrobenchResult:
+    """A reconciling SYNCS receive of 1,000 elements, all of them news.
+
+    The receiver holds the same sites in another order with older
+    values, so every element is re-anchored behind the previous one and
+    tagged.  Fast: one ``place_after`` per element.  Oracle:
+    ``rotate_after`` plus three writes through the returned view.  Each
+    repeat starts from a fresh copy of the receiver on both sides.
+    """
+    spec = _srv_segment_spec(n_segments, segment_len)
+    rows = ArraySkipRotatingVector.from_segments(
+        [[(site, value + 1) for site, value in segment] for segment in spec]
+    ).order.as_tuples()
+    stale = [pair for segment in spec for pair in segment]
+    random.Random(8).shuffle(stale)
+    receiver = ArraySkipRotatingVector.from_pairs(stale)
+
+    def fast() -> None:
+        for _ in range(repeats):
+            order, prev = receiver.order.copy(), None
+            for site, value, _, segment in rows:
+                order.place_after(prev, site, value, True, segment)
+                prev = site
+
+    def oracle() -> None:
+        for _ in range(repeats):
+            order, prev = receiver.order.copy(), None
+            for site, value, _, segment in rows:
+                element = order.rotate_after(prev, site)
+                element.value = value
+                element.conflict = True
+                element.segment = segment
+                prev = site
+
+    return MicrobenchResult("sync.place_after", _best_of(fast),
+                            _best_of(oracle), min_speedup=1.6)
+
+
 def run_microbench() -> List[MicrobenchResult]:
     """All fast-path-vs-oracle probes, in a stable order."""
     return [bench_srv_segments(), bench_crg_pi_sweep(),
             bench_vector_copy(), bench_vector_rotate(),
-            bench_e4_segment_stream(), bench_e11_batch_frame()]
+            bench_e4_segment_stream(), bench_e11_batch_frame(),
+            bench_sync_stream_rows(), bench_sync_place_after()]
 
 
 def format_results(results: List[MicrobenchResult]) -> str:

@@ -52,7 +52,7 @@ from typing import (Any, Callable, Deque, Iterable, List, Optional, Sequence,
 from repro.errors import SessionError
 from repro.extensions.varint import elias_gamma_bits
 from repro.net.wire import DEFAULT_ENCODING, Encoding
-from repro.protocols.effects import Drain, Poll, Recv, Send
+from repro.protocols.effects import RECV, Drain, Poll, Recv, Send
 from repro.protocols.messages import Message
 from repro.protocols.session import (ProtocolCoroutine, SessionResult,
                                      run_session)
@@ -78,9 +78,9 @@ class BatchFrame(Message):
         """Wire size in bits (see the class docstring)."""
         total = 0
         for index, messages in self.entries:
-            total += elias_gamma_bits(index)
-            total += elias_gamma_bits(len(messages))
-            total += sum(message.bits(encoding) for message in messages)
+            total += elias_gamma_bits(index) + elias_gamma_bits(len(messages))
+            for message in messages:
+                total += message.bits(encoding)
         return total
 
     @property
@@ -118,40 +118,48 @@ class _MuxObject:
         except StopIteration as stop:
             self.done, self.result = True, stop.value
 
-    def _advance(self, value: Any) -> None:
-        try:
-            self.pending = self.gen.send(value)
-        except StopIteration as stop:
-            self.done, self.result = True, stop.value
-            self.pending = None
-
-    def run_turn(self, buffer: List[Tuple[int, List[Message]]]) -> int:
+    def run_turn(self, buffer: List[Tuple[int, List[Message]]],
+                 steps: int, max_steps: int) -> int:
         """Advance until the object parks on an empty ``Recv`` or finishes.
 
-        Sends append to ``buffer`` under this object's entry; returns the
-        number of effects resolved (for the shared step budget).
+        Sends append to ``buffer`` under this object's entry.  ``steps`` is
+        the session's shared count of resolved effects so far; the new
+        count is returned, and passing ``max_steps`` raises — inside the
+        turn, so an object that never parks cannot spin forever.
         """
-        steps = 0
+        if self.done:
+            return steps
         entry: Optional[List[Message]] = None
-        while not self.done:
-            effect = self.pending
-            if isinstance(effect, Send):
-                if entry is None:
-                    entry = []
-                    buffer.append((self.index, entry))
-                entry.append(effect.message)
-                self._advance(None)
-            elif isinstance(effect, (Poll, Drain)):
-                self._advance(self.inbox.popleft() if self.inbox else None)
-            elif isinstance(effect, Recv):
-                if not self.inbox:
-                    return steps  # parked until the next frame demuxes
-                self._advance(self.inbox.popleft())
-            else:  # pragma: no cover - defensive
-                raise SessionError(
-                    f"unknown effect {effect!r} in batched object "
-                    f"{self.index}")
-            steps += 1
+        inbox, send = self.inbox, self.gen.send
+        effect = self.pending
+        try:
+            while True:
+                kind = effect.__class__
+                if kind is Send:
+                    if entry is None:
+                        entry = []
+                        buffer.append((self.index, entry))
+                    entry.append(effect.message)
+                    value = None
+                elif kind is Poll or kind is Drain:
+                    value = inbox.popleft() if inbox else None
+                elif kind is Recv:
+                    if not inbox:
+                        # Parked until the next frame demuxes.
+                        self.pending = effect
+                        return steps
+                    value = inbox.popleft()
+                else:  # pragma: no cover - defensive
+                    raise SessionError(
+                        f"unknown effect {effect!r} in batched object "
+                        f"{self.index}")
+                steps += 1
+                if steps > max_steps:
+                    raise SessionError(
+                        f"batched session exceeded {max_steps} steps")
+                effect = send(value)
+        except StopIteration as stop:
+            self.done, self.result, self.pending = True, stop.value, None
         return steps
 
 
@@ -181,10 +189,7 @@ def batch_party(generators: Sequence[ProtocolCoroutine], *,
             if not waiting:
                 buffer: List[Tuple[int, List[Message]]] = []
                 for obj in objects:
-                    steps += obj.run_turn(buffer)
-                    if steps > max_steps:
-                        raise SessionError(
-                            f"batched session exceeded {max_steps} steps")
+                    steps = obj.run_turn(buffer, steps, max_steps)
                 if buffer:
                     frame = BatchFrame(tuple(
                         (index, tuple(messages))
@@ -195,7 +200,7 @@ def batch_party(generators: Sequence[ProtocolCoroutine], *,
             waiting = False
             if all(obj.done for obj in objects):
                 return [obj.result for obj in objects]
-            frame = yield Recv()
+            frame = yield RECV
             if not isinstance(frame, BatchFrame):  # pragma: no cover
                 raise SessionError(
                     f"batch party expected a BatchFrame, got {frame!r}")

@@ -27,16 +27,14 @@ from repro.core.rotating import BasicRotatingVector
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
-from repro.protocols.effects import Recv, Send
+from repro.protocols.effects import RECV, Send
 from repro.protocols.messages import CompareLeast, VerdictBit
 from repro.protocols.session import SessionResult, run_session
 
 
 def _least(vector: BasicRotatingVector) -> CompareLeast:
-    front = vector.first()
-    if front is None:
-        return CompareLeast(None)
-    return CompareLeast(front.site, front.value)
+    front = vector.order.front()
+    return CompareLeast(None) if front is None else CompareLeast(*front)
 
 
 def _knows(vector: BasicRotatingVector, peer_least: CompareLeast) -> bool:
@@ -66,11 +64,11 @@ def compare_party(vector: BasicRotatingVector, *,
     :meth:`~repro.core.order.Ordering.flipped` images).
     """
     yield Send(_least(vector))
-    peer_least = yield Recv()
+    peer_least = yield RECV
     assert isinstance(peer_least, CompareLeast)
     i_know_peer = _knows(vector, peer_least)
     yield Send(VerdictBit(i_know_peer))
-    peer_bit = yield Recv()
+    peer_bit = yield RECV
     assert isinstance(peer_bit, VerdictBit)
     verdict = _verdict(i_know_peer, peer_bit.dominated)
     if tracer is not None:

@@ -63,3 +63,8 @@ class Poll(Effect):
 @dataclass(frozen=True)
 class Drain(Effect):
     """Instantly report an already-delivered message, or ``None``; never parks."""
+
+
+#: The argument-less effects carry no state, so the protocol coroutines
+#: yield these shared instances instead of building one per resumption.
+RECV, POLL, DRAIN = Recv(), Poll(), Drain()

@@ -17,7 +17,7 @@ from repro.core.rotating import BasicRotatingVector
 from repro.core.versionvector import VersionVector
 from repro.graphs.causalgraph import CausalGraph, GraphNode
 from repro.net.wire import DEFAULT_ENCODING, Encoding
-from repro.protocols.effects import Recv, Send
+from repro.protocols.effects import RECV, Send
 from repro.protocols.messages import FullGraphMsg, FullVectorMsg
 from repro.protocols.session import SessionResult, run_session
 
@@ -36,7 +36,7 @@ def full_vector_sender(b: AnyVector) -> Generator[Any, Any, int]:
 
 def full_vector_receiver(a: AnyVector) -> Generator[Any, Any, int]:
     """Merge the received vector elementwise; returns elements overwritten."""
-    message = yield Recv()
+    message = yield RECV
     assert isinstance(message, FullVectorMsg)
     overwritten = 0
     if isinstance(a, BasicRotatingVector):
@@ -45,8 +45,7 @@ def full_vector_receiver(a: AnyVector) -> Generator[Any, Any, int]:
         prev: str | None = None
         for site, value in message.pairs:
             if value > a[site]:
-                element = a.order.rotate_after(prev, site)
-                element.value = value
+                a.order.place_after(prev, site, value)
                 overwritten += 1
                 prev = site
             else:
@@ -76,7 +75,7 @@ def full_graph_sender(b: CausalGraph) -> Generator[Any, Any, int]:
 
 def full_graph_receiver(a: CausalGraph) -> Generator[Any, Any, int]:
     """Install every received node; returns how many were new."""
-    message = yield Recv()
+    message = yield RECV
     assert isinstance(message, FullGraphMsg)
     added = 0
     for node_id, left, right in message.nodes:

@@ -31,7 +31,7 @@ from repro.errors import ConcurrentVectorsError
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
-from repro.protocols.effects import Drain, Poll, Recv, Send
+from repro.protocols.effects import DRAIN, POLL, RECV, Send
 from repro.protocols.messages import ElementMsg, Halt, Message
 from repro.protocols.reports import VectorReceiverReport, VectorSenderReport
 from repro.protocols.session import SessionResult, run_session
@@ -43,27 +43,24 @@ def syncb_sender(b: BasicRotatingVector, *, tracer: Tracer | None = None
                  ) -> Generator[Any, Any, VectorSenderReport]:
     """The sending side (*b*'s hosting site) of ``SYNCB_b(a)``."""
     report = VectorSenderReport()
-    element = b.first()
-    if element is None:
-        # An empty vector precedes everything; announce completion.
-        yield Send(Halt(_HALT_BITS))
-        report.reached_end = True
-        return report
-    while True:
-        yield Send(ElementMsg(element.site, element.value))
+    first = True
+    for site, value, _, _ in b.order.rows():
+        if first:
+            first = False
+        else:
+            incoming = yield POLL
+            if isinstance(incoming, Halt):
+                if tracer is not None:
+                    tracer.event(obs.CONTROL, party="sender",
+                                 signal="halt_received")
+                report.halted_by_peer = True
+                return report
+        yield Send(ElementMsg(site, value))
         report.elements_sent += 1
-        if element.next is None:  # cur = ⌈b⌉
-            yield Send(Halt(_HALT_BITS))
-            report.reached_end = True
-            return report
-        element = element.next
-        incoming = yield Poll()
-        if isinstance(incoming, Halt):
-            if tracer is not None:
-                tracer.event(obs.CONTROL, party="sender",
-                             signal="halt_received")
-            report.halted_by_peer = True
-            return report
+    # cur = ⌈b⌉ (or an empty vector, which precedes everything).
+    yield Send(Halt(_HALT_BITS))
+    report.reached_end = True
+    return report
 
 
 def syncb_receiver(a: BasicRotatingVector, *, tracer: Tracer | None = None
@@ -74,9 +71,10 @@ def syncb_receiver(a: BasicRotatingVector, *, tracer: Tracer | None = None
     ``≺_a`` have the same order and values as the least *k* of ``≺_b``.
     """
     report = VectorReceiverReport()
+    order = a.order
     prev: str | None = None
     while True:
-        message: Message = yield Recv()
+        message: Message = yield RECV
         if isinstance(message, Halt):
             if tracer is not None:
                 tracer.event(obs.CONTROL, party="receiver",
@@ -84,7 +82,7 @@ def syncb_receiver(a: BasicRotatingVector, *, tracer: Tracer | None = None
             report.received_halt = True
             return report
         assert isinstance(message, ElementMsg)
-        if message.value <= a[message.site]:
+        if message.value <= order.value(message.site):
             report.redundant_elements += 1
             if tracer is not None:
                 tracer.event(obs.GAMMA_RETRANSMIT, party="receiver",
@@ -92,7 +90,7 @@ def syncb_receiver(a: BasicRotatingVector, *, tracer: Tracer | None = None
             # Drain delivered traffic: if the sender already HALTed (it hit
             # ⌈b⌉ right behind this element) our own HALT would be wasted.
             while True:
-                extra = yield Drain()
+                extra = yield DRAIN
                 if extra is None:
                     break
                 if isinstance(extra, Halt):
@@ -105,8 +103,7 @@ def syncb_receiver(a: BasicRotatingVector, *, tracer: Tracer | None = None
                              signal="halt_sent")
             report.sent_halt = True
             return report
-        element = a.order.rotate_after(prev, message.site)
-        element.value = message.value
+        order.place_after(prev, message.site, message.value)
         prev = message.site
         report.new_elements += 1
         if tracer is not None:

@@ -27,7 +27,7 @@ from repro.core.conflict import ConflictRotatingVector
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
-from repro.protocols.effects import Drain, Poll, Recv, Send
+from repro.protocols.effects import DRAIN, POLL, RECV, Send
 from repro.protocols.messages import ElementCMsg, Halt, Message
 from repro.protocols.reports import VectorReceiverReport, VectorSenderReport
 from repro.protocols.session import SessionResult, run_session
@@ -39,26 +39,23 @@ def syncc_sender(b: ConflictRotatingVector, *, tracer: Tracer | None = None
                  ) -> Generator[Any, Any, VectorSenderReport]:
     """The sending side of ``SYNCC_b(a)``: SYNCB's sender with triples."""
     report = VectorSenderReport()
-    element = b.first()
-    if element is None:
-        yield Send(Halt(_HALT_BITS))
-        report.reached_end = True
-        return report
-    while True:
-        yield Send(ElementCMsg(element.site, element.value, element.conflict))
+    first = True
+    for site, value, conflict, _ in b.order.rows():
+        if first:
+            first = False
+        else:
+            incoming = yield POLL
+            if isinstance(incoming, Halt):
+                if tracer is not None:
+                    tracer.event(obs.CONTROL, party="sender",
+                                 signal="halt_received")
+                report.halted_by_peer = True
+                return report
+        yield Send(ElementCMsg(site, value, conflict))
         report.elements_sent += 1
-        if element.next is None:
-            yield Send(Halt(_HALT_BITS))
-            report.reached_end = True
-            return report
-        element = element.next
-        incoming = yield Poll()
-        if isinstance(incoming, Halt):
-            if tracer is not None:
-                tracer.event(obs.CONTROL, party="sender",
-                             signal="halt_received")
-            report.halted_by_peer = True
-            return report
+    yield Send(Halt(_HALT_BITS))
+    report.reached_end = True
+    return report
 
 
 def syncc_receiver(a: ConflictRotatingVector, *, reconcile: bool,
@@ -73,9 +70,10 @@ def syncc_receiver(a: ConflictRotatingVector, *, reconcile: bool,
             set, so it can never hide unmodified elements from a later sync.
     """
     report = VectorReceiverReport()
+    order = a.order
     prev: str | None = None
     while True:
-        message: Message = yield Recv()
+        message: Message = yield RECV
         if isinstance(message, Halt):
             if tracer is not None:
                 tracer.event(obs.CONTROL, party="receiver",
@@ -84,7 +82,7 @@ def syncc_receiver(a: ConflictRotatingVector, *, reconcile: bool,
             return report
         assert isinstance(message, ElementCMsg)
         site, value, conflict = message.site, message.value, message.conflict
-        if value <= a[site]:
+        if value <= order.value(site):
             report.redundant_elements += 1
             if tracer is not None:
                 tracer.event(obs.GAMMA_RETRANSMIT, party="receiver",
@@ -94,7 +92,7 @@ def syncc_receiver(a: ConflictRotatingVector, *, reconcile: bool,
                 reconcile = True
                 continue
             while True:
-                extra = yield Drain()
+                extra = yield DRAIN
                 if extra is None:
                     break
                 if isinstance(extra, Halt):
@@ -107,15 +105,14 @@ def syncc_receiver(a: ConflictRotatingVector, *, reconcile: bool,
                              signal="halt_sent")
             report.sent_halt = True
             return report
-        element = a.order.rotate_after(prev, site)
+        tagged = True if reconcile else conflict
+        order.place_after(prev, site, value, tagged)
         prev = site
-        element.value = value
-        element.conflict = True if reconcile else conflict
         report.new_elements += 1
         if tracer is not None:
             tracer.event(obs.DELTA_ELEMENT, party="receiver",
                          site=site, value=value)
-            if element.conflict:
+            if tagged:
                 tracer.event(obs.CONFLICT_BIT, party="receiver", site=site,
                              inherited=conflict)
 

@@ -42,7 +42,7 @@ from repro.graphs.causalgraph import CausalGraph, GraphNode, NodeId
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
-from repro.protocols.effects import Poll, Recv, Send
+from repro.protocols.effects import POLL, RECV, Send
 from repro.protocols.messages import (AbortMsg, GraphNodeMsg, Halt, Message,
                                       SkipToMsg)
 from repro.protocols.reports import GraphReceiverReport, GraphSenderReport
@@ -60,7 +60,7 @@ def syncg_sender(b: CausalGraph, *, tracer: Tracer | None = None
     while stack:
         # Drain redirections (and a possible abort) before the next step.
         while True:
-            incoming = yield Poll()
+            incoming = yield POLL
             if incoming is None:
                 break
             if isinstance(incoming, (AbortMsg, Halt)):
@@ -132,7 +132,7 @@ def syncg_receiver(a: CausalGraph, *, enable_redirect: bool = True,
         return node_id in a or node_id in staged_ids
 
     while True:
-        message: Message = yield Recv()
+        message: Message = yield RECV
         if isinstance(message, Halt):
             for node in staged:
                 a.install(node)

@@ -33,7 +33,7 @@ from repro.core.skip import SkipRotatingVector
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
-from repro.protocols.effects import Drain, Poll, Recv, Send
+from repro.protocols.effects import DRAIN, POLL, RECV, Send
 from repro.protocols.messages import ElementSMsg, Halt, Message, Skip
 from repro.protocols.reports import VectorReceiverReport, VectorSenderReport
 from repro.protocols.session import SessionResult, run_session
@@ -56,17 +56,12 @@ def syncs_sender(b: SkipRotatingVector, *,
     measures exactly that cost.
     """
     report = VectorSenderReport()
-    element = b.first()
-    if element is None:
-        yield Send(Halt(_HALT_BITS))
-        report.reached_end = True
-        return report
     segs = 0
     skipping = False
-    while True:
+    for site, value, conflict, segment in b.order.rows():
         # Drain asynchronous control traffic before touching the next element.
         while True:
-            incoming = yield Poll()
+            incoming = yield POLL
             if incoming is None:
                 break
             if isinstance(incoming, Halt):
@@ -85,25 +80,22 @@ def syncs_sender(b: SkipRotatingVector, *,
                 tracer.event(obs.CONTROL, party="sender",
                              signal="stale_skip", segs=incoming.segs)
             # Anything else is a stale SKIP whose segment already streamed.
-        if not skipping or (element.segment and forward_terminators):
+        if not skipping or (segment and forward_terminators):
             # Terminators are sent even inside a skip so the receiver sees
             # every boundary and the two segs counters stay in lock-step.
-            yield Send(ElementSMsg(element.site, element.value,
-                                   element.conflict, element.segment))
+            yield Send(ElementSMsg(site, value, conflict, segment))
             report.elements_sent += 1
         else:
             report.elements_suppressed += 1
             if tracer is not None:
-                tracer.event("element_suppressed", party="sender",
-                             site=element.site)
-        if element.segment:
+                tracer.event("element_suppressed", party="sender", site=site)
+        if segment:
             segs += 1
             skipping = False
-        if element.next is None:
-            yield Send(Halt(_HALT_BITS))
-            report.reached_end = True
-            return report
-        element = element.next
+    # ⌈b⌉ passed (or b is empty and precedes everything).
+    yield Send(Halt(_HALT_BITS))
+    report.reached_end = True
+    return report
 
 
 def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
@@ -111,12 +103,13 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                    ) -> Generator[Any, Any, VectorReceiverReport]:
     """The receiving side of ``SYNCS_b(a)``; mutates ``a`` in place."""
     report = VectorReceiverReport()
+    order = a.order
     prev: str | None = None
     segs = 0
     skipping = False
     try:
         while True:
-            message: Message = yield Recv()
+            message: Message = yield RECV
             if isinstance(message, Halt):
                 # The sender exhausted ⌈b⌉.  During a reconciliation the run of
                 # freshly written elements still needs its terminator: what
@@ -124,10 +117,7 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                 # boundary a later local update would fuse the two runs into
                 # one (unskippable-safe but also *unsafe*) segment.
                 if reconcile and prev is not None:
-                    boundary = a.order.get(prev)
-                    assert boundary is not None
-                    boundary.segment = True
-                    a.order.touch()
+                    order.set_segment(prev)
                 if tracer is not None:
                     tracer.event(obs.CONTROL, party="receiver",
                                  signal="halt_received")
@@ -135,7 +125,7 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                 return report
             assert isinstance(message, ElementSMsg)
             site, value = message.site, message.value
-            if value <= a[site]:
+            if value <= order.value(site):
                 if skipping:
                     report.ignored_elements += 1
                 else:
@@ -147,10 +137,7 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                     # A skip (or halt) cuts the run of freshly written elements:
                     # the last one written now ends a segment of ≺_a (§4).
                     if reconcile and prev is not None:
-                        boundary = a.order.get(prev)
-                        assert boundary is not None
-                        boundary.segment = True
-                        a.order.touch()
+                        order.set_segment(prev)
                     if message.conflict:
                         reconcile = True
                         if not message.segment:
@@ -170,7 +157,7 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                                              segs=segs)
                     else:
                         while True:
-                            extra = yield Drain()
+                            extra = yield DRAIN
                             if extra is None:
                                 break
                             if isinstance(extra, Halt):
@@ -185,16 +172,14 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                         return report
             else:
                 skipping = False
-                element = a.order.rotate_after(prev, site)
+                tagged = True if reconcile else message.conflict
+                order.place_after(prev, site, value, tagged, message.segment)
                 prev = site
-                element.value = value
-                element.conflict = True if reconcile else message.conflict
-                element.segment = message.segment
                 report.new_elements += 1
                 if tracer is not None:
                     tracer.event(obs.DELTA_ELEMENT, party="receiver",
                                  site=site, value=value)
-                    if element.conflict:
+                    if tagged:
                         tracer.event(obs.CONFLICT_BIT, party="receiver",
                                      site=site, inherited=message.conflict)
             if message.segment:
@@ -211,10 +196,7 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
         # a pre-session snapshot, per SessionOptions.rebuild's contract;
         # the seal only keeps ≺_a structurally sane for direct users.
         if reconcile and prev is not None:
-            boundary = a.order.get(prev)
-            assert boundary is not None
-            boundary.segment = True
-            a.order.touch()
+            order.set_segment(prev)
         raise
 
 

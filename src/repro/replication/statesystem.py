@@ -459,8 +459,7 @@ class StateTransferSystem:
             rebuilt = make_metadata(self.metadata_kind)
             previous = None
             for peer_site, value in sorted(merged_vector.items()):
-                element = rebuilt.order.rotate_after(previous, peer_site)  # type: ignore[union-attr]
-                element.value = value
+                rebuilt.order.place_after(previous, peer_site, value)  # type: ignore[union-attr]
                 previous = peer_site
             replica.meta = rebuilt
         replica.value = merged_value

@@ -105,7 +105,7 @@ from repro.obs.consistency import ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry, observe_session
 from repro.obs.trace import Tracer
 from repro.protocols import registry
-from repro.protocols.effects import Recv, Send
+from repro.protocols.effects import RECV, Send
 from repro.protocols.messages import KnowledgeMsg
 from repro.store.kv import (TOMBSTONE, CausalContext, KeySnapshot,
                             ReadResult, SiteStore, merge_siblings)
@@ -642,7 +642,7 @@ class StoreCluster:
         handle = launch(self.sim, self._session_options(
             record, self._channel_for(src, dst),
             fault_index=-1 - record.index,
-            rebuild=lambda: ((_prefixed(Recv()), _prefixed(Send(advert))),),
+            rebuild=lambda: ((_prefixed(RECV), _prefixed(Send(advert))),),
             on_complete=arrived, on_abandon=lost))
 
     def _abandoned(self, record: StoreSessionRecord) -> None:
@@ -731,7 +731,7 @@ class StoreCluster:
                 # selection sends it alone.
                 sender, receiver = pairs[0] if pairs else (None, None)
                 pairs = ((_prefixed(Send(reply), sender),
-                          _prefixed(Recv(), receiver)),) + pairs[1:]
+                          _prefixed(RECV, receiver)),) + pairs[1:]
             return pairs
 
         channel = self._channel_for(src, dst)

@@ -192,6 +192,40 @@ class TestMultiObjectCluster:
         assert result.per_session_bits() \
             == [r.stats.total_bits for r in sequential]
 
+    def test_sessions_never_ask_for_an_element_view(self, monkeypatch):
+        """A gossip pass runs on the order's arrays end to end.
+
+        COMPARE, the SYNCS coroutines (rows out, ``place_after`` and
+        ``set_segment`` in), reconciliation increments and the
+        consistency check: none of them may fall back to per-element
+        ``ArrayElement`` views, the cost the array path exists to avoid.
+        """
+        from repro.core.arrayorder import ArrayElement
+        created = []
+        init = ArrayElement.__init__
+
+        def counting_init(self, order, index):
+            created.append(index)
+            init(self, order, index)
+
+        cfg = cluster_config(n_objects=4, batch_size=4)
+        sites = site_names(12)
+        sessions = gossip_schedule(sites, rounds=6, seed=41)
+        updates = update_schedule(sites, n_updates=64, seed=42, n_objects=4,
+                                  interval=0.05)
+        runner = ClusterRunner(sites, cfg)
+        monkeypatch.setattr(ArrayElement, "__init__", counting_init)
+        result = runner.run(sessions, updates)
+        result.consistent()
+        assert created == []
+        # The counter does see a view once somebody asks for one ...
+        runner.objects[sites[0]][0].first()
+        assert len(created) == 1
+        # ... and the pass did exercise every receive-side path.
+        assert result.reconciliations > 0
+        assert any(vector.segment_count() > 1
+                   for vector in result.objects[sites[0]])
+
     def test_out_of_range_object_in_update_rejected(self):
         cfg = cluster_config(n_objects=2)
         sites = site_names(3)

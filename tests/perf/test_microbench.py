@@ -11,7 +11,9 @@ from repro.perf.microbench import (MicrobenchResult, _grown_crg,
                                    bench_crg_pi_sweep,
                                    bench_e4_segment_stream,
                                    bench_e11_batch_frame,
-                                   bench_srv_segments, bench_vector_copy,
+                                   bench_srv_segments,
+                                   bench_sync_place_after,
+                                   bench_sync_stream_rows, bench_vector_copy,
                                    bench_vector_rotate, format_results,
                                    run_microbench)
 
@@ -63,6 +65,8 @@ class TestWorkloads:
                                 rotations=50, repeats=2),
             bench_e4_segment_stream(n_segments=20, segment_len=2, repeats=2),
             bench_e11_batch_frame(n_objects=4, msgs_per_object=3, repeats=2),
+            bench_sync_stream_rows(n_segments=20, segment_len=2, repeats=2),
+            bench_sync_place_after(n_segments=20, segment_len=2, repeats=2),
         ]
         for result in probes:
             assert result.cached_seconds > 0
@@ -73,6 +77,13 @@ class TestWorkloads:
         e11 = bench_e11_batch_frame(n_objects=2, msgs_per_object=2, repeats=1)
         assert e4.min_speedup == 5.0
         assert e11.min_speedup == 5.0
+
+    def test_sync_cells_carry_their_floors(self):
+        rows = bench_sync_stream_rows(n_segments=10, segment_len=2, repeats=1)
+        place = bench_sync_place_after(n_segments=10, segment_len=2,
+                                       repeats=1)
+        assert (rows.name, rows.min_speedup) == ("sync.stream_rows", 1.2)
+        assert (place.name, place.min_speedup) == ("sync.place_after", 1.6)
 
 
 class TestReporting:
@@ -92,4 +103,5 @@ class TestReporting:
         names = [result.name for result in run_microbench()]
         assert names == ["srv.segments", "crg.pi_sweep", "vector.copy",
                          "vector.rotate", "e4.segment_stream",
-                         "e11.batch_frame"]
+                         "e11.batch_frame", "sync.stream_rows",
+                         "sync.place_after"]

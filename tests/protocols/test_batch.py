@@ -13,13 +13,17 @@ Contracts under test:
 
 import random
 
+import pytest
+
 from repro.core.conflict import ConflictRotatingVector
 from repro.core.rotating import BasicRotatingVector
 from repro.core.skip import SkipRotatingVector
 from repro.extensions.varint import elias_gamma_bits
 from repro.net.stats import TransferStats
 from repro.net.wire import Encoding
-from repro.protocols.batch import BatchFrame, run_batch
+from repro.errors import SessionError
+from repro.protocols.batch import BatchFrame, batch_party, run_batch
+from repro.protocols.effects import POLL
 from repro.protocols.messages import ElementSMsg, Halt
 from repro.protocols.syncb import sync_brv, syncb_receiver, syncb_sender
 from repro.protocols.syncc import sync_crv, syncc_receiver, syncc_sender
@@ -102,6 +106,20 @@ def test_batched_crv_and_brv_end_states_match():
     for (pa, _), (ba, _) in zip(plain_brv, brv_pairs):
         assert ba.same_values(pa)
     assert result.stats.frames >= 1
+
+
+@pytest.mark.parametrize("initiator", [True, False])
+def test_step_budget_stops_an_object_that_never_parks(initiator):
+    """The shared budget is enforced inside a turn, not between objects."""
+    def spin():
+        while True:
+            yield POLL
+
+    party = batch_party([spin()], initiator=initiator, max_steps=100)
+    with pytest.raises(SessionError, match="exceeded 100 steps"):
+        next(party)  # the initiator's first turn runs right away ...
+        # ... the other side's starts with the first incoming frame.
+        party.send(BatchFrame(((0, (Halt(1),)),)))
 
 
 def test_session_header_charged_once_per_session():
