@@ -223,9 +223,8 @@ class ArrayElementOrder:
     def values_dict(self) -> Dict[str, int]:
         """``{site: value}`` over the *linked* elements only.
 
-        Walks the links rather than dumping the site table so detached
-        zero elements (``rotate_after``'s self-anchor no-op) are excluded,
-        exactly like iterating the linked backend.
+        Walks the links rather than dumping the site table, exactly like
+        iterating the linked backend.
         """
         result: Dict[str, int] = {}
         index = self._head
@@ -294,8 +293,7 @@ class ArrayElementOrder:
         elif index == self._head:
             return index
         elif self._prv[index] != _NIL:
-            # Linked and not the head; detached slots skip straight to
-            # the relink, mirroring the linked backend's fast path.
+            # Linked and not the head, mirroring the linked backend.
             self._unlink(index)
         self._link_front(index)
         return index
@@ -356,8 +354,6 @@ class ArrayElementOrder:
                         prv[after] = before
                     else:
                         tail = before
-                # A detached slot (``before == _NIL`` but not head) goes
-                # straight to the relink.
             prv[index] = _NIL
             nxt[index] = head
             if head != _NIL:
@@ -390,12 +386,11 @@ class ArrayElementOrder:
             return self._front(site)
         self._version += 1
         by_site = self._by_site
-        if prev_site == site:
-            index = by_site.get(site)
-            return self._new_slot(site, 0) if index is None else index
         anchor = by_site.get(prev_site)
         if anchor is None:
             raise KeyError(f"anchor element {prev_site!r} not in order")
+        if prev_site == site:
+            return anchor
         index = by_site.get(site)
         if index is None:
             index = self._new_slot(site, 0)

@@ -185,9 +185,7 @@ class ElementOrder:
         most receiver-side re-anchors call it), so the unlink/relink is
         inlined rather than routed through the helpers.  A non-head element
         found linked always has a predecessor (a linked ``prev is None``
-        node *is* the head, which returned already); an element registered
-        but detached (``rotate_after``'s self-anchor no-op) has neither
-        neighbor and skips straight to the relink.
+        node *is* the head, which returned already).
         """
         self._version += 1
         element = self._by_site.get(site)
@@ -236,16 +234,17 @@ class ElementOrder:
 
         ``prev_site=None`` stands for the paper's ``p = φ`` and is equivalent
         to :meth:`rotate_front`.  Rotating an element after itself is a
-        structural no-op (it already occupies the requested slot).
+        structural no-op (it already occupies the requested slot); like
+        any anchor, it must be present, or this raises ``KeyError``.
         """
         if prev_site is None:
             return self.rotate_front(site)
         self._version += 1
-        if prev_site == site:
-            return self._obtain(site)
         anchor = self._by_site.get(prev_site)
         if anchor is None:
             raise KeyError(f"anchor element {prev_site!r} not in order")
+        if prev_site == site:
+            return anchor
         element = self._obtain(site)
         if anchor.next is element:
             return element

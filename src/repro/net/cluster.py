@@ -24,6 +24,12 @@ sender/receiver processes on a single :class:`~repro.net.simulator.Simulator`:
   the guarantee is forfeit — useful for throughput realism, not for
   regression accounting.)
 
+The mechanism — :class:`SessionScheduler`, :func:`launch_transactional`
+and the :func:`session_run` frame — is shared with the replicated store's
+:class:`~repro.store.cluster.StoreCluster`.  The two differ in what a
+session holds: the fleet admits per *site* (an update waits for its whole
+site), the store per *key* (a client op waits for its own key only).
+
 Tracing and metrics reuse the PR 1 instruments: pass a
 :class:`~repro.obs.trace.Tracer` for clock-stamped per-site events and a
 :class:`~repro.obs.metrics.MetricsRegistry` for the standard
@@ -32,16 +38,21 @@ Tracing and metrics reuse the PR 1 instruments: pass a
 
 from __future__ import annotations
 
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from itertools import count
+from typing import (Any, Callable, Deque, Dict, Hashable, Iterable, Iterator,
+                    List, Optional, Set, Tuple)
 
 from repro.core.order import Ordering
 from repro.core.rotating import BasicRotatingVector
-from repro.errors import SimulationError
+from repro.errors import SessionError, SimulationError, ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.faults import RetryPolicy, derive_seed
-from repro.net.runner import (SessionOptions, TimedSessionResult, launch,
-                              run_timed)
+from repro.net.runner import (SessionHandle, SessionOptions,
+                              TimedSessionResult, launch, run_timed)
 from repro.net.sharding import ShardMap, build_shard_map
 from repro.net.simulator import Simulator
 from repro.net.stats import TransferStats
@@ -51,6 +62,23 @@ from repro.obs.metrics import MetricsRegistry, observe_session
 from repro.obs.trace import Tracer
 from repro.protocols import registry
 from repro.workload.cluster import SessionRequest, UpdateRequest
+
+
+def check_session_config(config: Any, **minimums: int) -> None:
+    """Raise :class:`~repro.errors.ValidationError` unless ``config``
+    names a registered ``protocol``, has ``batch_size >= 1``,
+    ``proc_time >= 0``, ``max_steps >= 1`` and each ``field >= minimum``
+    in ``minimums``."""
+    if config.protocol not in registry.names():
+        raise ValidationError(
+            f"unknown protocol {config.protocol!r}; "
+            f"expected one of {registry.names()}")
+    for name, minimum in dict(batch_size=1, proc_time=0, max_steps=1,
+                              **minimums).items():
+        value = getattr(config, name)
+        if value < minimum:
+            raise ValidationError(
+                f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -99,18 +127,11 @@ class ClusterConfig:
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:
-        registry.get(self.protocol)  # a typo'd protocol fails at config time
-        if self.fanout < 1:
-            raise ValueError(f"fanout must be >= 1, got {self.fanout}")
-        if self.n_objects < 1:
-            raise ValueError(f"n_objects must be >= 1, got {self.n_objects}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, "
-                             f"got {self.batch_size}")
+        check_session_config(self, fanout=1, n_objects=1)
         faulted = self.channel.faults.enabled if self.topology is None \
             else self.topology.has_faults
         if faulted and self.fanout > 1:
-            raise ValueError(
+            raise ValidationError(
                 "faulted channels require fanout=1: session resume "
                 "restores the receiver's pre-session snapshot, which is "
                 "only sound when no other session writes the same site "
@@ -222,6 +243,290 @@ class ClusterResult:
         return [r.result.stats.total_bits for r in self.records]
 
 
+def session_options(config: Any, src: str, dst: str, session_id: int, *,
+                    tracer: Optional[Tracer],
+                    fault_index: Optional[int] = None) -> Dict[str, Any]:
+    """The :class:`~repro.net.runner.SessionOptions` fields one
+    ``src → dst`` session of a cluster shares, as keywords.
+
+    The channel is the endpoints' region pair when ``config`` carries a
+    topology, its single shared channel otherwise; a faulted channel
+    draws its schedule from ``fault_index`` (default: ``session_id``).
+    """
+    channel = config.channel if config.topology is None \
+        else config.topology.channel_for(src, dst)
+    return dict(
+        channel=channel, encoding=config.encoding,
+        proc_time=config.proc_time, max_steps=config.max_steps,
+        tracer=tracer, party_names=(src, dst), retry=config.retry,
+        session_id=session_id,
+        fault_seed=(derive_seed(channel.faults.seed, session_id
+                                if fault_index is None else fault_index)
+                    if channel.faults.enabled else None))
+
+
+#: A fleet session holds each endpoint whole: its updates wait for it.
+_WHOLE_SITE = "<site>"
+
+
+class SessionScheduler:
+    """Admission for pairwise sessions on one clock.
+
+    * **Occupancy.**  ``usage[site]`` counts a site's live sessions; a
+      session starts only while both endpoints are below ``capacity``.
+    * **Holds.**  ``held[site][resource]`` counts the reasons a resource
+      is busy at a site; work :meth:`admit` gets on a busy one waits FIFO
+      per resource until a release frees it.
+    * **Pending queue.**  A request that finds an endpoint at capacity
+      waits; freed capacity goes to the waiting requests, oldest first.
+
+    The owner supplies the policy: ``start(item)`` launches a session and
+    must :meth:`occupy` its endpoints; the session's end calls
+    :meth:`release` with the same resources.
+    """
+
+    def __init__(self, sites: Iterable[str], capacity: int,
+                 start: Callable[[Any], None]) -> None:
+        self.capacity = capacity
+        self._start = start
+        self.usage: Dict[str, int] = {site: 0 for site in sites}
+        self.held: Dict[str, Dict[Hashable, int]] = {
+            site: {} for site in self.usage}
+        #: site → resource → ``(arrival number, work, args)``, oldest
+        #: first; a queue exists only while its resource is busy.
+        self._deferred: Dict[str, Dict[Hashable, Deque[Tuple[Any, ...]]]] = {
+            site: {} for site in self.usage}
+        #: Work items ever deferred; also the next arrival number.
+        self.deferrals = 0
+        # Pending (src, dst, item) entries by arrival number, indexed per
+        # site so a dispatch rescans only the freed sites' requests.
+        self._pending: Dict[int, Tuple[str, str, Any]] = {}
+        self._pending_by_site: Dict[str, List[int]] = {
+            site: [] for site in self.usage}
+        self._arrivals = count()
+        self._freed: Set[str] = set()
+        self.ran = False
+
+    def admit(self, site: str, resource: Hashable,
+              work: Callable[..., None], *args: Any) -> bool:
+        """Run ``work(*args)`` now, or — while ``resource`` is busy at
+        ``site`` — once a release frees it.  Returns whether it waits."""
+        if resource not in self.held[site]:
+            work(*args)
+            return False
+        self._deferred[site].setdefault(resource, deque()).append(
+            (self.deferrals, work, args))
+        self.deferrals += 1
+        return True
+
+    def hold(self, site: str, resource: Hashable) -> None:
+        """One more reason ``resource`` is busy at ``site``."""
+        held = self.held[site]
+        held[resource] = held.get(resource, 0) + 1
+
+    def unhold(self, site: str, resource: Hashable) -> None:
+        """One reason fewer; the resource is free once none is left (its
+        deferred work still waits for the next :meth:`release`)."""
+        held = self.held[site]
+        if held[resource] == 1:
+            del held[resource]
+        else:
+            held[resource] -= 1
+
+    def _flush(self, site: str, resources: Iterable[Hashable]) -> None:
+        """Land, in arrival order, the work deferred at ``site`` on those
+        of the just-released ``resources`` that are no longer busy.
+
+        Busy is re-checked before every item: a landed item can start a
+        session over its resource, and the items behind it must stay
+        deferred — running them would mutate state the fresh session's
+        coroutines (and its transactional snapshot) already captured.
+        """
+        queues = self._deferred[site]
+        held = self.held[site]
+        heads = [(queues[resource][0][0], resource)
+                 for resource in resources if resource in queues]
+        heapify(heads)
+        while heads:
+            _, resource = heappop(heads)
+            if resource in held:
+                continue
+            queue = queues[resource]
+            _, work, args = queue.popleft()
+            if queue:
+                heappush(heads, (queue[0][0], resource))
+            else:
+                del queues[resource]
+            work(*args)
+
+    def request(self, src: str, dst: str, item: Any) -> None:
+        """Start ``item`` now if both endpoints have capacity, else queue it.
+
+        Requests waiting on sites freed since the last dispatch go first:
+        deferred work landing mid-release may ask for a session, and the
+        older requests keep their turn.  Every other waiting request has
+        an endpoint at capacity, so starts always follow an oldest-first
+        scan over every pending request.
+        """
+        if self._freed:
+            self._dispatch()
+        usage, capacity = self.usage, self.capacity
+        if usage[src] < capacity and usage[dst] < capacity:
+            self._start(item)
+            return
+        seq = next(self._arrivals)
+        self._pending[seq] = (src, dst, item)
+        self._pending_by_site[src].append(seq)
+        self._pending_by_site[dst].append(seq)
+
+    def occupy(self, src: str, dst: str,
+               resources: Iterable[Hashable]) -> None:
+        """A session starts, holding ``resources`` at both endpoints."""
+        self.usage[src] += 1
+        self.usage[dst] += 1
+        for held in (self.held[src], self.held[dst]):
+            for resource in resources:
+                held[resource] = held.get(resource, 0) + 1
+
+    def release(self, src: str, dst: str,
+                resources: Iterable[Hashable]) -> None:
+        """The session :meth:`occupy` started has ended: free its capacity
+        and holds, land the work they deferred, start what can start."""
+        self.usage[src] -= 1
+        self.usage[dst] -= 1
+        for held in (self.held[src], self.held[dst]):
+            for resource in resources:
+                if held[resource] == 1:
+                    del held[resource]
+                else:
+                    held[resource] -= 1
+        self._freed.add(src)
+        self._freed.add(dst)
+        for site in (src, dst):
+            if self._deferred[site]:
+                self._flush(site, resources)
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        """Start queued sessions made startable by the freed sites.
+
+        Only requests touching a freed endpoint can have become
+        startable, so the scan covers just those sites' queues, in
+        global arrival order; entries started by an earlier scan are
+        pruned lazily here.
+        """
+        capacity, usage = self.capacity, self.usage
+        pending = self._pending
+        by_site = self._pending_by_site
+        candidates: Set[int] = set()
+        for site in self._freed:
+            live = [seq for seq in by_site[site] if seq in pending]
+            by_site[site] = live
+            candidates.update(live)
+        self._freed.clear()
+        for seq in sorted(candidates):
+            entry = pending.get(seq)
+            if entry is None:
+                continue  # started earlier in this very scan
+            src, dst, item = entry
+            if usage[src] < capacity and usage[dst] < capacity:
+                del pending[seq]
+                self._start(item)
+
+    def drained(self) -> bool:
+        """Nothing queued, live, held or deferred."""
+        return not (self._pending or any(self.usage.values())
+                    or any(self.held.values())
+                    or any(self._deferred.values()))
+
+
+def launch_transactional(
+        sim: Simulator, pairs: Tuple[Tuple[Any, Any], ...], *,
+        snapshot: Callable[[], Any], restore: Callable[[Any], None],
+        rebuild: Callable[[], Any],
+        on_abandon: Optional[Callable[[SessionError], None]] = None,
+        **options: Any) -> SessionHandle:
+    """Launch a session whose attempts are transactional on a faulted link.
+
+    ``options`` are the remaining :class:`~repro.net.runner.SessionOptions`
+    fields.  ``pairs`` is the first attempt, and all of it on a perfect
+    channel.  On a faulted one the protocols stream Δ newest-first, so a
+    torn attempt's acked prefix is never ancestor-closed; committing it
+    would leave a vector claiming an element without its causal past
+    (which halts every later sync prematurely).  So ``snapshot()``
+    captures the receiver's state up front, every resume calls
+    ``restore(saved)`` before ``rebuild()`` makes the next pairs, and a
+    permanent abort restores before ``on_abandon`` runs.  Sound because
+    the owner's holds keep every other writer off that state.
+    """
+    if not options["channel"].faults.enabled:
+        return launch(sim, SessionOptions(pairs=pairs, **options))
+    saved = snapshot()
+    first_pairs = [pairs]
+
+    def attempt() -> Tuple[Tuple[Any, Any], ...]:
+        if first_pairs:
+            return first_pairs.pop()
+        restore(saved)
+        return rebuild()
+
+    if on_abandon is not None:
+        def abandon(error: SessionError) -> None:
+            restore(saved)
+            on_abandon(error)
+        options["on_abandon"] = abandon
+    return launch(sim, SessionOptions(rebuild=attempt, **options))
+
+
+@contextmanager
+def session_run(owner: Any, sim: Simulator, scheduler: SessionScheduler,
+                kind: str, *, finalize_in_span: bool = False,
+                **span_attrs: Any) -> Iterator[None]:
+    """The frame of one cluster run, around the body that drains ``sim``.
+
+    Refuses a second run, attaches ``owner.monitor`` and binds the tracer
+    to the simulated clock inside a ``kind:protocol`` span; on the way out it
+    closes the span, flushes tail sampling, restores the clock, finalizes
+    the monitor (before the span closes, with ``finalize_in_span``) and
+    checks that the scheduler drained.
+    """
+    if scheduler.ran:
+        raise SimulationError(
+            f"{type(owner).__name__} instances are one-shot")
+    scheduler.ran = True
+    tracer, monitor, config = owner.tracer, owner.monitor, owner.config
+    if monitor is not None:
+        monitor.attach(owner)
+    previous_clock = tracer.clock if tracer is not None else None
+    span = None
+    if tracer is not None:
+        tracer.clock = lambda: sim.now
+        # The channel parameters on the span let the causal analyzer
+        # decompose every send→deliver hop exactly (latency +
+        # bits/bandwidth + fault-injected delay, zero residual).
+        span = tracer.span(f"{kind}:{config.protocol}",
+                           sites=len(owner.sites), **span_attrs,
+                           protocol=config.protocol,
+                           latency=config.channel.latency,
+                           bandwidth=config.channel.bandwidth)
+    try:
+        yield
+        if monitor is not None and finalize_in_span:
+            monitor.finalize()
+    finally:
+        if span is not None:
+            span.end()
+        if tracer is not None:
+            tracer.flush_sampling()
+            tracer.clock = previous_clock
+    if monitor is not None and not finalize_in_span:
+        monitor.finalize()
+    if not scheduler.drained():
+        raise SimulationError(  # pragma: no cover - defensive
+            "cluster drained with sessions still queued or active, or "
+            "work still deferred")
+
+
 class ClusterRunner:
     """Schedules many concurrent pairwise sessions on one simulator.
 
@@ -237,7 +542,7 @@ class ClusterRunner:
                  shards: Optional[ShardMap] = None) -> None:
         self.sites = list(sites)
         if len(set(self.sites)) != len(self.sites):
-            raise ValueError("duplicate site names in cluster")
+            raise ValidationError("duplicate site names in cluster")
         self.config = config
         if monitor is not None and tracer is None:
             # The monitor feeds on the trace stream; a run launched
@@ -249,18 +554,16 @@ class ClusterRunner:
         self.monitor = monitor
         self.shards = shards
         self.topology = config.topology
-        spec = registry.get(config.protocol)
-        vector_cls = spec.vector_cls
-        self._reconciles = spec.reconciles
+        vector_cls = registry.get(config.protocol).vector_cls
         self._site_set = set(self.sites)
         if shards is not None:
             if shards.n_objects != config.n_objects:
-                raise ValueError(
+                raise ValidationError(
                     f"shard map covers {shards.n_objects} objects but the "
                     f"config declares {config.n_objects}")
             unknown = set(shards.hosted) - self._site_set
             if unknown:
-                raise ValueError(
+                raise ValidationError(
                     f"shard map names sites outside the cluster: "
                     f"{sorted(unknown)}")
             # Sharded fleets host only their assigned objects, keyed by
@@ -278,26 +581,15 @@ class ClusterRunner:
             #: Object-0 view, the whole state for single-object clusters.
             self.vectors = {
                 site: self.objects[site][0] for site in self.sites}
-        self._sim: Optional[Simulator] = None
-        self._usage: Dict[str, int] = {site: 0 for site in self.sites}
-        self._deferred: Dict[str, List[UpdateRequest]] = {
-            site: [] for site in self.sites}
-        # Pending (request, requested-at) entries keyed by arrival
-        # sequence (insertion-ordered), with a per-site index of waiting
-        # sequence numbers so a finish only rescans requests touching the
-        # freed endpoints.
-        self._pending: Dict[int, Tuple[SessionRequest, float]] = {}
-        self._pending_by_site: Dict[str, List[int]] = {
-            site: [] for site in self.sites}
-        self._next_seq = 0
+        self._sim = Simulator()
+        self._scheduler = SessionScheduler(
+            self.sites, config.fanout, self._start)
         self._records: List[ClusterSessionRecord] = []
         self._log: List[LogEntry] = []
         self._totals = TransferStats()
         self._updates_applied = 0
-        self._updates_deferred = 0
         self._reconciliations = 0
         self._skipped_sessions = 0
-        self._finished = False
 
     def hosted_objects(self, site: str) -> Tuple[int, ...]:
         """Object ids ``site`` replicates (all of them when unsharded)."""
@@ -305,43 +597,18 @@ class ClusterRunner:
             return tuple(range(self.config.n_objects))
         return self.shards.hosted.get(site, ())
 
-    def _channel_for(self, src: str, dst: str) -> ChannelSpec:
-        """The channel one session uses — region-pair aware when a
-        topology is set, the single shared channel otherwise."""
-        if self.topology is None:
-            return self.config.channel
-        return self.topology.channel_for(src, dst)
-
     # -- scheduling ------------------------------------------------------------
 
     def run(self, sessions: Iterable[SessionRequest],
             updates: Iterable[UpdateRequest] = ()) -> ClusterResult:
         """Execute the schedule to completion; returns the measurements."""
-        if self._finished:
-            raise SimulationError("ClusterRunner instances are one-shot")
-        self._finished = True
-        sim = self._sim = Simulator()
-        tracer = self.tracer
-        previous_clock = tracer.clock if tracer is not None else None
-        span = None
-        if tracer is not None:
-            tracer.clock = lambda: sim.now
-            # The channel parameters on the span let the causal analyzer
-            # decompose every send→deliver hop exactly (latency +
-            # bits/bandwidth + fault-injected delay, zero residual).
-            span = tracer.span(f"cluster:{self.config.protocol}",
-                               sites=len(self.sites),
-                               fanout=self.config.fanout,
-                               protocol=self.config.protocol,
-                               latency=self.config.channel.latency,
-                               bandwidth=self.config.channel.bandwidth)
-        if self.monitor is not None:
-            self.monitor.attach(self)
-        try:
+        sim = self._sim
+        with session_run(self, sim, self._scheduler, "cluster",
+                         finalize_in_span=True, fanout=self.config.fanout):
             for request in sessions:
                 self._check_sites(request.src, request.dst)
                 if request.src == request.dst:
-                    raise ValueError(
+                    raise ValidationError(
                         f"session {request} pairs a site with itself")
                 sim.call_at(request.at,
                             lambda r=request: self._on_session_request(r))
@@ -349,35 +616,24 @@ class ClusterRunner:
                 self._check_sites(update.site)
                 obj = getattr(update, "obj", 0)
                 if not 0 <= obj < self.config.n_objects:
-                    raise ValueError(
+                    raise ValidationError(
                         f"update {update} names object {obj}, but the "
                         f"cluster has {self.config.n_objects}")
                 if self.shards is not None \
                         and not self.shards.hosts(update.site, obj):
-                    raise ValueError(
+                    raise ValidationError(
                         f"update {update} lands on {update.site}, which "
                         f"does not replicate object {obj}")
                 sim.call_at(update.at,
                             lambda u=update: self._on_update_request(u))
             sim.run()
-            if self.monitor is not None:
-                self.monitor.finalize()
-        finally:
-            if span is not None:
-                span.end()
-            if tracer is not None:
-                tracer.flush_sampling()
-                tracer.clock = previous_clock
-        if self._pending or any(self._usage.values()):
-            raise SimulationError(  # pragma: no cover - defensive
-                "cluster drained with sessions still queued or active")
         return ClusterResult(
             records=self._records,
             log=self._log,
             totals=self._totals,
             completion_time=sim.now,
             updates_applied=self._updates_applied,
-            updates_deferred=self._updates_deferred,
+            updates_deferred=self._scheduler.deferrals,
             reconciliations=self._reconciliations,
             vectors=self.vectors,
             objects=self.objects,
@@ -388,20 +644,17 @@ class ClusterRunner:
     def _check_sites(self, *names: str) -> None:
         for name in names:
             if name not in self._site_set:
-                raise ValueError(f"unknown site {name!r} in schedule")
+                raise ValidationError(f"unknown site {name!r} in schedule")
 
     # -- updates ---------------------------------------------------------------
 
     def _on_update_request(self, update: UpdateRequest) -> None:
-        if self._usage[update.site] > 0:
-            # Mid-session: mutating a vector a live coroutine iterates
-            # would corrupt the session; hold the update until it frees.
-            self._deferred[update.site].append(update)
-            self._updates_deferred += 1
-            if self.metrics is not None:
-                self.metrics.counter("cluster.updates_deferred").inc()
-            return
-        self._apply_update(update.site, getattr(update, "obj", 0))
+        # Mid-session, mutating a vector a live coroutine iterates would
+        # corrupt the session: the update waits until its site frees.
+        if self._scheduler.admit(update.site, _WHOLE_SITE, self._apply_update,
+                                 update.site, getattr(update, "obj", 0)) \
+                and self.metrics is not None:
+            self.metrics.counter("cluster.updates_deferred").inc()
 
     def _apply_update(self, site: str, obj: int = 0) -> None:
         self.objects[site][obj].record_update(site)
@@ -430,51 +683,11 @@ class ClusterRunner:
         if self.tracer is not None:
             # The session index is unknown until the session starts;
             # the analyzer matches requests to starts FIFO per (src,
-            # dst) pair — exactly the order _dispatch starts them.
+            # dst) pair — exactly the order the scheduler starts them.
             self.tracer.event("session_request", party=request.dst,
                               peer=request.src)
-        # Dispatch invariant: every already-pending request has at least
-        # one endpoint at capacity (established by the freed-site scan
-        # below), and nothing has freed since — so the only request that
-        # can start right now is this one.
-        fanout = self.config.fanout
-        if (self._usage[request.src] < fanout
-                and self._usage[request.dst] < fanout):
-            self._start(request, self._sim.now)
-            return
-        seq = self._next_seq
-        self._next_seq += 1
-        self._pending[seq] = (request, self._sim.now)
-        self._pending_by_site[request.src].append(seq)
-        self._pending_by_site[request.dst].append(seq)
-
-    def _dispatch(self, freed: Tuple[str, ...]) -> None:
-        """Start queued sessions startable now that ``freed`` has capacity.
-
-        Only requests touching a freed endpoint can have become
-        startable (everything else kept its saturated endpoint), so the
-        scan covers just those two sites' queues — in global arrival
-        order, consuming capacity exactly as the historical full
-        oldest-first pass over all pending requests did.  Entries
-        consumed by an earlier scan are pruned lazily here.
-        """
-        fanout = self.config.fanout
-        pending = self._pending
-        by_site = self._pending_by_site
-        candidates = set()
-        for site in freed:
-            live = [seq for seq in by_site[site] if seq in pending]
-            by_site[site] = live
-            candidates.update(live)
-        for seq in sorted(candidates):
-            entry = pending.get(seq)
-            if entry is None:
-                continue  # started earlier in this very scan
-            request, requested_at = entry
-            if (self._usage[request.src] < fanout
-                    and self._usage[request.dst] < fanout):
-                del pending[seq]
-                self._start(request, requested_at)
+        self._scheduler.request(request.src, request.dst,
+                                (request, self._sim.now))
 
     def _session_objects(self, request: SessionRequest
                          ) -> Tuple[int, ...]:
@@ -487,107 +700,82 @@ class ClusterRunner:
             return shared
         extra = set(objs) - set(shared)
         if extra:
-            raise ValueError(
+            raise ValidationError(
                 f"session {request.src}->{request.dst} names objects "
                 f"{sorted(extra)} the pair does not share")
         return tuple(objs)
 
-    def _build_pairs(self, src: str, dst: str, objs: Tuple[int, ...]
-                     ) -> Tuple[List[Ordering], List[bool],
-                                Tuple[Tuple[Any, Any], ...]]:
-        """Fresh coroutine pairs over the endpoints' *current* state."""
-        spec = registry.get(self.config.protocol)
-        verdicts: List[Ordering] = []
-        reconciled_flags: List[bool] = []
-        pairs: List[Tuple[Any, Any]] = []
-        for obj in objs:
-            verdict = self.objects[dst][obj].compare(self.objects[src][obj])
-            sender, receiver, reconciled = spec.build(
-                self.objects[src][obj], self.objects[dst][obj], verdict,
-                tracer=self.tracer)
-            verdicts.append(verdict)
-            reconciled_flags.append(reconciled)
-            pairs.append((sender, receiver))
-        return verdicts, reconciled_flags, tuple(pairs)
+    def _build_pairs(self, record: ClusterSessionRecord
+                     ) -> Tuple[Tuple[Any, Any], ...]:
+        """Fresh coroutine pairs over the endpoints' *current* state.
 
-    def _start(self, request: SessionRequest, requested_at: float) -> None:
+        The record takes their verdicts; an object counts as reconciled
+        once any attempt of the session reconciled it.
+        """
+        spec = registry.get(self.config.protocol)
+        src, dst = self.objects[record.src], self.objects[record.dst]
+        verdicts: List[Ordering] = []
+        flags: List[bool] = []
+        pairs: List[Tuple[Any, Any]] = []
+        for obj in record.objects:
+            verdict = dst[obj].compare(src[obj])
+            sender, receiver, reconciled = spec.build(
+                src[obj], dst[obj], verdict, tracer=self.tracer)
+            verdicts.append(verdict)
+            flags.append(reconciled)
+            pairs.append((sender, receiver))
+        before = record.reconciled_objects or (False,) * len(flags)
+        merged = tuple(old or new for old, new in zip(before, flags))
+        self._reconciliations += sum(merged) - sum(before)
+        record.verdicts, record.verdict = tuple(verdicts), verdicts[0]
+        record.reconciled_objects, record.reconciled = merged, merged[0]
+        return tuple(pairs)
+
+    def _start(self, entry: Tuple[SessionRequest, float]) -> None:
+        request, requested_at = entry
         sim = self._sim
         config = self.config
         src, dst = request.src, request.dst
         objs = self._session_objects(request)
-        channel = self._channel_for(src, dst)
-        verdicts, reconciled_flags, pairs = self._build_pairs(src, dst, objs)
         record = ClusterSessionRecord(
             index=len(self._records), src=src, dst=dst,
-            requested_at=requested_at, started_at=sim.now, verdict=verdicts[0],
-            reconciled=reconciled_flags[0], verdicts=tuple(verdicts),
-            reconciled_objects=tuple(reconciled_flags), objects=objs)
+            requested_at=requested_at, started_at=sim.now,
+            verdict=Ordering.EQUAL, reconciled=False, objects=objs)
+        pairs = self._build_pairs(record)  # sets the verdict fields
         self._records.append(record)
         # Sharded logs carry the synchronized object subset so replay
         # rebuilds the identical per-session pairing; unsharded entries
         # keep the historical three-tuple shape.
         self._log.append(("session", src, dst) if self.shards is None
                          else ("session", src, dst, objs))
-        self._usage[src] += 1
-        self._usage[dst] += 1
-        self._reconciliations += sum(reconciled_flags)
+        self._scheduler.occupy(src, dst, (_WHOLE_SITE,))
         if self.tracer is not None:
             self.tracer.event("session_start", party=dst, peer=src,
-                              verdict=verdicts[0].name.lower(),
+                              verdict=record.verdict.name.lower(),
                               session=record.index)
         if self.monitor is not None:
             # Before launch: the monitor snapshots the endpoints here so
             # its post-session ancestor-closure oracle has the pre-state.
             self.monitor.on_session_start(record)
-        common = dict(
-            # A single-object session runs the historical per-object
-            # path regardless of batch_size, as it always has.
-            batch_size=config.batch_size if len(pairs) > 1 else 1,
-            channel=channel, encoding=config.encoding,
-            stop_and_wait=config.stop_and_wait, proc_time=config.proc_time,
-            max_steps=config.max_steps, tracer=self.tracer,
-            party_names=(src, dst), retry=config.retry,
-            session_id=record.index,
-            on_complete=lambda result: self._finish(record, result))
-        if not channel.faults.enabled:
-            launch(sim, SessionOptions(pairs=pairs, **common))
-            return
 
-        first_pairs: List[Tuple[Tuple[Any, Any], ...]] = [pairs]
-        # Attempts are transactional: the protocols stream Δ newest-first,
-        # so a torn attempt's acked prefix is never ancestor-closed and
-        # committing it would corrupt the receiver's knowledge state (a
-        # vector claiming an element without its causal past halts every
-        # later sync prematurely).  Snapshot the receiver's objects now;
-        # resume restores them and re-handshakes from this state.  Safe
-        # because updates to a busy site are deferred and fanout capacity
-        # means no other session writes ``dst`` meanwhile.
-        snapshots = tuple(self.objects[dst][obj].copy() for obj in objs)
-
-        def rebuild() -> Tuple[Tuple[Any, Any], ...]:
-            if first_pairs:
-                return first_pairs.pop()
+        def restore(snapshots: Tuple[Any, ...]) -> None:
             for obj, snapshot in zip(objs, snapshots):
                 # In place: result views and the site table alias these
                 # objects, so identity must survive the rollback.
                 self.objects[dst][obj].restore(snapshot)
-            new_verdicts, new_flags, new_pairs = self._build_pairs(
-                src, dst, objs)
-            merged = tuple(old or new for old, new
-                           in zip(record.reconciled_objects, new_flags))
-            self._reconciliations += sum(
-                1 for old, new in zip(record.reconciled_objects, new_flags)
-                if new and not old)
-            record.verdicts = tuple(new_verdicts)
-            record.reconciled_objects = merged
-            record.verdict = new_verdicts[0]
-            record.reconciled = merged[0]
-            return new_pairs
 
-        launch(sim, SessionOptions(
-            rebuild=rebuild,
-            fault_seed=derive_seed(channel.faults.seed, record.index),
-            **common))
+        launch_transactional(
+            sim, pairs, rebuild=lambda: self._build_pairs(record),
+            restore=restore,
+            snapshot=lambda: tuple(self.objects[dst][obj].copy()
+                                   for obj in objs),
+            # A single-object session runs the historical per-object
+            # path regardless of batch_size, as it always has.
+            batch_size=config.batch_size if len(pairs) > 1 else 1,
+            stop_and_wait=config.stop_and_wait,
+            on_complete=lambda result: self._finish(record, result),
+            **session_options(config, src, dst, record.index,
+                              tracer=self.tracer))
 
     def _finish(self, record: ClusterSessionRecord,
                 result: TimedSessionResult) -> None:
@@ -598,8 +786,6 @@ class ClusterRunner:
             # expects the receiver to hold exactly max(pre-state, sender).
             self.monitor.on_session_end(record, result)
         src, dst = record.src, record.dst
-        self._usage[src] -= 1
-        self._usage[dst] -= 1
         if self.config.increment_on_merge:
             # §2.2: the pulling site increments its own element after an
             # automatic merge, per reconciled object.  Not logged — replay
@@ -625,12 +811,7 @@ class ClusterRunner:
                 record.queue_wait)
         # Updates that arrived mid-session land before anything queued
         # gets to start on the freed endpoints.
-        for site in (src, dst):
-            if self._usage[site] == 0 and self._deferred[site]:
-                deferred, self._deferred[site] = self._deferred[site], []
-                for update in deferred:
-                    self._apply_update(site, getattr(update, "obj", 0))
-        self._dispatch((src, dst))
+        self._scheduler.release(src, dst, (_WHOLE_SITE,))
 
 
 def replay_sequential(sites: Iterable[str], config: ClusterConfig,

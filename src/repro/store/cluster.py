@@ -2,7 +2,11 @@
 
 :class:`StoreCluster` hosts one :class:`~repro.store.kv.SiteStore` per
 site on a single discrete-event simulator and drives two kinds of work
-over them:
+over them.  It is a policy over
+:class:`~repro.net.cluster.SessionScheduler`, the mechanism the fleet's
+:class:`~repro.net.cluster.ClusterRunner` runs on too: the fleet admits
+work per *site*, the store per *key* — sites take one session at a time,
+and the scheduler's hold table holds keys rather than whole sites.
 
 * **Client operations** (:class:`ClientOp`) execute against one site's
   table.  An op waits only for its *own key*: it is deferred while a
@@ -44,13 +48,12 @@ puller lacks, because knowledge never runs ahead of state.
 Abort safety (the torn-vector contract)
 ---------------------------------------
 
-On a faulted channel every session snapshots the receiver's records
-before the first attempt.  Each *resume* restores them (in place —
-vector identity survives) before rebuilding coroutines, and a session
-that aborts **permanently** restores them too, via the launcher's
-``on_abandon`` hook, before the endpoints are released.  Since client
-ops on a session's keys defer while it runs, no read can ever observe a
-torn prefix of an aborted attempt: the key's get result after a failed
+On a faulted channel every session is
+:func:`~repro.net.cluster.launch_transactional`: each *resume*, and a
+permanent abort before its endpoints are released, restores the
+receiver's pre-session records in place.  Since client ops on a
+session's keys defer while it runs, no read can ever observe a torn
+prefix of an aborted attempt: the key's get result after a failed
 session equals its pre-session snapshot exactly.  Ops on *other* keys
 run during the session and survive its rollback — a session reads and
 writes no record outside its key set, and every dot such an op mints is
@@ -62,11 +65,10 @@ A queued repair holds its key
 
 A read-repairing get hands its client the *union* of both replicas —
 values and causal context — while the stale replica catches up only when
-the repair session has run.  From the moment the repair is queued until
-it starts (where the session's own hold takes over) its key is busy at
-the site it will be pulled into, so a later get of that key there waits
-for the repair instead of reading the stale replica and handing the same
-client an older context than the one it already holds (a monotonic-reads
+the repair session has run.  Until it starts (where the session's own
+hold takes over) the repair holds its key at the site it will pull into,
+so a later get there waits for it instead of handing the same client an
+older context than the one it already holds (a monotonic-reads
 violation).
 
 Convergence
@@ -85,16 +87,17 @@ monitor CLI uses for its fleet score.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.order import Ordering
-from repro.errors import SessionError, SimulationError, ValidationError
+from repro.errors import SessionError, ValidationError
 from repro.net.channel import ChannelSpec
-from repro.net.faults import RetryPolicy, derive_seed
+from repro.net.cluster import (SessionScheduler, check_session_config,
+                               launch_transactional, session_options,
+                               session_run)
+from repro.net.faults import RetryPolicy
 from repro.net.runner import SessionOptions, TimedSessionResult, launch
 from repro.net.simulator import Simulator
 from repro.net.stats import TransferStats
@@ -167,22 +170,7 @@ class StoreConfig:
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:
-        if self.protocol not in registry.names():
-            raise ValidationError(
-                f"unknown protocol {self.protocol!r}; "
-                f"expected one of {registry.names()}")
-        if self.batch_size < 1:
-            raise ValidationError(
-                f"batch_size must be >= 1, got {self.batch_size}")
-        if self.proc_time < 0:
-            raise ValidationError(
-                f"proc_time must be >= 0, got {self.proc_time}")
-        if self.client_latency < 0:
-            raise ValidationError(
-                f"client_latency must be >= 0, got {self.client_latency}")
-        if self.max_steps < 1:
-            raise ValidationError(
-                f"max_steps must be >= 1, got {self.max_steps}")
+        check_session_config(self, client_latency=0)
 
 
 @dataclass
@@ -352,14 +340,9 @@ class StoreCluster:
 
     One-shot like :class:`~repro.net.cluster.ClusterRunner`: construct,
     schedule work (``sim.call_at`` + :meth:`submit` /
-    :meth:`request_sync`), :meth:`run` once, read the result.  Sites are
-    strictly serialized (fanout 1): a site is in at most one session at
-    a time.  Client ops are admitted per key: a session holds exactly
-    the keys it syncs, at both endpoints, and a queued read-repair holds
-    its key at the site it will repair — which is what makes the
-    transactional snapshot/restore story sound (no other writer can
-    touch a session's key mid-rollback) while ops on every other key of
-    a mid-session site run at once.
+    :meth:`request_sync`), :meth:`run` once, read the result.  A site is
+    in at most one session at a time; client ops are admitted per key
+    (see the module notes).
     """
 
     def __init__(self, sites: Optional[Iterable[str]], config: StoreConfig,
@@ -386,28 +369,13 @@ class StoreCluster:
         self.tracer = tracer
         self.metrics = metrics
         self.monitor = monitor
-        spec = registry.get(config.protocol)
-        self._spec = spec
+        self._spec = spec = registry.get(config.protocol)
         self.stores: Dict[str, SiteStore] = {
             site: SiteStore(site, spec.vector_cls) for site in self.sites}
         self.sim = Simulator()
-        self._usage: Dict[str, int] = {site: 0 for site in self.sites}
-        #: site → key → holds on the key there: one per live session
-        #: with the key in ``record.keys`` (src and dst alike), one per
-        #: queued read-repair that will pull the key into the site.  A
-        #: key is *busy* at a site while it has an entry.
-        self._held: Dict[str, Dict[str, int]] = {
-            site: {} for site in self.sites}
-        #: site → key → the ops waiting for that key, oldest first, as
-        #: ``(arrival number, op, submitted_at, on_done)``.  A queue
-        #: exists only while its key is busy.
-        self._deferred_ops: Dict[str, Dict[str, Deque[Tuple[
-            int, ClientOp, float,
-            Optional[Callable[[OpOutcome], None]]]]]] = {
-                site: {} for site in self.sites}
-        #: Sessions ready to start (advert arrived, or keys named) whose
-        #: endpoints are not both idle yet, in arrival order.
-        self._pending: List[StoreSessionRecord] = []
+        #: Capacity 1 per site; keys are the held resources — a session's
+        #: at both endpoints, a queued read-repair's where it pulls into.
+        self._scheduler = SessionScheduler(self.sites, 1, self._start)
         #: (src, dst, key) triples with a repair session queued and not
         #: yet started; keeps hot keys from flooding the queue with
         #: duplicate repairs, and each holds ``key`` at ``dst``.
@@ -415,11 +383,9 @@ class StoreCluster:
         self._records: List[StoreSessionRecord] = []
         self._totals = TransferStats()
         self._ops_applied = 0
-        self._ops_deferred = 0
         self._read_repairs = 0
         self._reconciliations = 0
         self._sessions_abandoned = 0
-        self._finished = False
 
     # -- client operations -------------------------------------------------
 
@@ -428,24 +394,17 @@ class StoreCluster:
                ) -> None:
         """Submit ``op`` at the current simulated time.
 
-        Executes immediately unless ``op.key`` is busy at ``op.site`` —
-        in a live session's key set there, or awaited by a queued
-        read-repair into the site; then it defers until the key is free
-        (FIFO per site and key, the only order a client threading one
-        context per key can observe).  Whatever else the site is doing,
-        an op on any other key has ``queue_wait == 0``.
+        Executes immediately unless ``op.key`` is held at ``op.site``;
+        then it defers, FIFO per site and key, until the key is free.
+        Whatever else the site is doing, an op on any other key has
+        ``queue_wait == 0``.
         """
         if op.site not in self.stores:
             raise ValidationError(f"unknown site {op.site!r}")
-        now = self.sim.now
-        if op.key in self._held[op.site]:
-            self._deferred_ops[op.site].setdefault(op.key, deque()).append(
-                (self._ops_deferred, op, now, on_done))
-            self._ops_deferred += 1
-            if self.metrics is not None:
-                self.metrics.counter("store.ops_deferred").inc()
-            return
-        self._execute_op(op, now, on_done)
+        if self._scheduler.admit(op.site, op.key, self._execute_op,
+                                 op, self.sim.now, on_done) \
+                and self.metrics is not None:
+            self.metrics.counter("store.ops_deferred").inc()
 
     def _execute_op(self, op: ClientOp, submitted_at: float,
                     on_done: Optional[Callable[[OpOutcome], None]]) -> None:
@@ -465,7 +424,7 @@ class StoreCluster:
             if (self.config.read_repair and op.repair_peer is not None
                     and op.repair_peer != op.site
                     and op.repair_peer in self.stores
-                    and self._usage[op.repair_peer] == 0):
+                    and self._scheduler.usage[op.repair_peer] == 0):
                 result, repaired = self._repaired_read(op, result)
         self._ops_applied += 1
         if self.metrics is not None:
@@ -487,13 +446,10 @@ class StoreCluster:
                        ) -> Optional[CausalContext]:
         """The causal context a write executes under.
 
-        With coordinated writes (the default) the coordinator unions the
-        client's context with its own current context for the key — an
-        atomic read-modify-write that covers every sibling the site
-        holds, so a stale-context put no longer adds a sibling.  Sets
-        still outgrow the fleet size through union merges of concurrent
-        cross-site writes (``store.kv.siblings_per_key_max`` reaches
-        103–158 on 8 sites in ``bench/baseline.json``).
+        With :attr:`StoreConfig.coordinated_writes` (the default) the
+        coordinator unions the client's context with its own for the key
+        — an atomic read-modify-write, so a stale-context put no longer
+        adds a sibling.
         """
         if not self.config.coordinated_writes:
             return op.context
@@ -513,8 +469,7 @@ class StoreCluster:
         many sessions again and cost +25% wire bits per op.)  On
         divergence the *stale* replica pulls from the fresh one (both
         ways on concurrency would double the traffic; the reverse
-        direction is left to background rounds), and the queued repair
-        holds the key at the stale side until it has started.
+        direction is left to background rounds).
         """
         store = self.stores[op.site]
         peer_store = self.stores[op.repair_peer]
@@ -533,12 +488,10 @@ class StoreCluster:
         if triple not in self._repair_inflight:
             # At most one queued repair per (pair, key): a hot key read
             # at every op would otherwise flood the session queue with
-            # duplicates that all sync the same divergence.  Until it
-            # starts it holds the key at the stale side: the client now
-            # carries the union context, and a get of the stale replica
-            # in the meantime would hand it an older one.
+            # duplicates that all sync the same divergence.  It holds
+            # the key at the stale side (module notes) until it starts.
             self._repair_inflight.add(triple)
-            self._hold(triple[1], op.key)
+            self._scheduler.hold(triple[1], op.key)
             self.request_sync(triple[0], triple[1], keys=(op.key,))
             self._read_repairs += 1
             if self.metrics is not None:
@@ -593,22 +546,7 @@ class StoreCluster:
         if keys is None:
             self._advertise(record)
         else:
-            self._pending.append(record)
-            self._dispatch()
-
-    def _session_options(self, record: StoreSessionRecord,
-                         channel: ChannelSpec, *, fault_index: int,
-                         **kwargs: Any) -> SessionOptions:
-        """What the advert and the batch of one session share."""
-        config = self.config
-        return SessionOptions(
-            channel=channel, encoding=config.encoding,
-            proc_time=config.proc_time, max_steps=config.max_steps,
-            tracer=self.tracer, party_names=(record.src, record.dst),
-            retry=config.retry, session_id=record.index,
-            fault_seed=(derive_seed(channel.faults.seed, fault_index)
-                        if channel.faults.enabled else None),
-            **kwargs)
+            self._scheduler.request(src, dst, record)
 
     def _advertise(self, record: StoreSessionRecord) -> None:
         """Send ``dst``'s knowledge vector to ``src``; queue on arrival."""
@@ -629,8 +567,7 @@ class StoreCluster:
         def arrived(result: TimedSessionResult) -> None:
             spent(result.stats)
             record.advert = dict(advert.pairs)
-            self._pending.append(record)
-            self._dispatch()
+            self._scheduler.request(src, dst, record)
 
         def lost(error: SessionError) -> None:
             spent(handle.stats)
@@ -639,11 +576,12 @@ class StoreCluster:
         # ``src`` is the session's sender throughout, so the advert is
         # its one backward message; adverts draw their fault schedules
         # from the negative indices, batches from the record's own.
-        handle = launch(self.sim, self._session_options(
-            record, self._channel_for(src, dst),
-            fault_index=-1 - record.index,
+        handle = launch(self.sim, SessionOptions(
             rebuild=lambda: ((_prefixed(RECV), _prefixed(Send(advert))),),
-            on_complete=arrived, on_abandon=lost))
+            on_complete=arrived, on_abandon=lost,
+            **session_options(self.config, src, dst, record.index,
+                              tracer=self.tracer,
+                              fault_index=-1 - record.index)))
 
     def _abandoned(self, record: StoreSessionRecord) -> None:
         """Count a session that gave up for good (advert or batch)."""
@@ -652,27 +590,6 @@ class StoreCluster:
         if self.metrics is not None:
             self.metrics.counter("store.sessions_abandoned").inc()
 
-    def _dispatch(self) -> None:
-        usage = self._usage
-        still_pending: Optional[List[StoreSessionRecord]] = None
-        for position, record in enumerate(self._pending):
-            if usage[record.src] == 0 and usage[record.dst] == 0:
-                if still_pending is None:
-                    still_pending = self._pending[:position]
-                self._start(record)
-            elif still_pending is not None:
-                still_pending.append(record)
-        if still_pending is not None:
-            self._pending = still_pending
-
-    def _session_keys(self, record: StoreSessionRecord) -> Tuple[str, ...]:
-        """The keys a starting session syncs: the ones it was given, or
-        — for a pull — those ``src``'s stamp index says the advert does
-        not cover.  Reads nothing of ``dst`` but the advert."""
-        if record.advert is None:
-            return record.keys
-        return tuple(self.stores[record.src].keys_beyond(record.advert))
-
     def _build_pairs(self, src: str, dst: str, keys: Tuple[str, ...],
                      record: StoreSessionRecord) -> Tuple[Tuple[Any, Any],
                                                           ...]:
@@ -680,7 +597,7 @@ class StoreCluster:
 
         The verdict computed here is the session's own bookkeeping — it
         decides reconciliation and the sibling fold — and is never used
-        to choose *which* keys a pull streams (:meth:`_session_keys`).
+        to choose *which* keys a pull streams (:meth:`_start`).
         """
         pairs: List[Tuple[Any, Any]] = []
         for key in keys:
@@ -695,30 +612,22 @@ class StoreCluster:
             pairs.append((sender, receiver))
         return tuple(pairs)
 
-    def _channel_for(self, src: str, dst: str) -> ChannelSpec:
-        """The channel one session uses — region-pair aware when the
-        config carries a topology, the single shared channel otherwise."""
-        if self.config.topology is None:
-            return self.config.channel
-        return self.config.topology.channel_for(src, dst)
-
     def _start(self, record: StoreSessionRecord) -> None:
         src, dst = record.src, record.dst
         record.started_at = self.sim.now
-        record.keys = keys = self._session_keys(record)
         reply: Optional[KnowledgeMsg] = None
         if record.advert is not None:
+            # A pull syncs the keys ``src``'s stamp index says the advert
+            # does not cover; it reads nothing of ``dst`` but the advert.
+            record.keys = tuple(self.stores[src].keys_beyond(record.advert))
             reply = _knowledge_msg(self.stores[src])
-        elif (src, dst, *keys) in self._repair_inflight:
+        elif (src, dst, *record.keys) in self._repair_inflight:
             # The queued repair's hold on its key ends here; the
             # session's own (just below) takes over.
-            self._repair_inflight.remove((src, dst, *keys))
-            self._unhold(dst, keys[0])
-        self._usage[src] += 1
-        self._usage[dst] += 1
-        for key in keys:
-            self._hold(src, key)
-            self._hold(dst, key)
+            self._repair_inflight.remove((src, dst, *record.keys))
+            self._scheduler.unhold(dst, record.keys[0])
+        keys = record.keys
+        self._scheduler.occupy(src, dst, keys)
         if self.tracer is not None:
             self.tracer.event(obs.SESSION_START, party=dst, peer=src,
                               session=record.index, keys=len(keys))
@@ -734,42 +643,26 @@ class StoreCluster:
                           _prefixed(RECV, receiver)),) + pairs[1:]
             return pairs
 
-        channel = self._channel_for(src, dst)
         pairs = build_pairs()
-        common = dict(
-            fault_index=record.index,
-            batch_size=self.config.batch_size if len(pairs) > 1 else 1,
-            on_complete=lambda result: self._finish(record, result, reply))
-        if not channel.faults.enabled:
-            launch(self.sim, self._session_options(
-                record, channel, pairs=pairs, **common))
-            return
+        dst_store = self.stores[dst]
 
-        # Transactional attempts: snapshot the receiver's records now;
-        # every resume — and a permanent abandon — restores them before
-        # anything else can observe the torn prefix.
-        snapshots: Dict[str, KeySnapshot] = {
-            key: self.stores[dst].snapshot(key) for key in keys}
-        first_pairs: List[Tuple[Tuple[Any, Any], ...]] = [pairs]
-
-        def restore_all() -> None:
+        def restore(snapshots: Dict[str, KeySnapshot]) -> None:
             for key, snapshot in snapshots.items():
-                self.stores[dst].restore(key, snapshot)
-
-        def rebuild() -> Tuple[Tuple[Any, Any], ...]:
-            if first_pairs:
-                return first_pairs.pop()
-            restore_all()
-            return build_pairs()
+                dst_store.restore(key, snapshot)
 
         def abandon(error: SessionError) -> None:
-            restore_all()
             self._totals.merge(handle.stats)
             self._abandoned(record)
             self._release(record, stats=None)
 
-        handle = launch(self.sim, self._session_options(
-            record, channel, rebuild=rebuild, on_abandon=abandon, **common))
+        handle = launch_transactional(
+            self.sim, pairs,
+            snapshot=lambda: {key: dst_store.snapshot(key) for key in keys},
+            restore=restore, rebuild=build_pairs, on_abandon=abandon,
+            batch_size=self.config.batch_size if len(pairs) > 1 else 1,
+            on_complete=lambda result: self._finish(record, result, reply),
+            **session_options(self.config, src, dst, record.index,
+                              tracer=self.tracer))
 
     def _finish(self, record: StoreSessionRecord,
                 result: TimedSessionResult,
@@ -811,14 +704,8 @@ class StoreCluster:
 
     def _release(self, record: StoreSessionRecord,
                  stats: Optional[TransferStats]) -> None:
-        """Free the endpoints and the session's keys, land the deferred
-        ops those keys were holding back, dispatch queued syncs."""
+        """Free the session's sites and keys; land ops, start syncs."""
         src, dst = record.src, record.dst
-        self._usage[src] -= 1
-        self._usage[dst] -= 1
-        for key in record.keys:
-            self._unhold(src, key)
-            self._unhold(dst, key)
         if self.tracer is not None:
             self.tracer.event(obs.SESSION_END, party=dst, peer=src,
                               session=record.index,
@@ -830,52 +717,7 @@ class StoreCluster:
                 record.queue_wait)
         if self.monitor is not None:
             self.monitor.on_session_end(self.sim.now)
-        for site in (src, dst):
-            self._flush(site, record.keys)
-        self._dispatch()
-
-    def _hold(self, site: str, key: str) -> None:
-        """One more reason ``key`` is busy at ``site``."""
-        held = self._held[site]
-        held[key] = held.get(key, 0) + 1
-
-    def _unhold(self, site: str, key: str) -> None:
-        """One reason fewer; the key is free once none is left."""
-        held = self._held[site]
-        if held[key] == 1:
-            del held[key]
-        else:
-            held[key] -= 1
-
-    def _flush(self, site: str, keys: Iterable[str]) -> None:
-        """Land, in arrival order, the ops deferred at ``site`` on those
-        of ``keys`` that are no longer busy.
-
-        Every hold on a key ends in the release of a session that has it
-        in ``record.keys``, so the just-released keys are the only queues
-        that can have come free: the cost follows what the release freed,
-        never the site's standing backlog.  Busy is re-checked before
-        every op: a flushed get can start a read-repair session over its
-        key, and the ops behind it must stay deferred — executing them
-        would mutate vectors the fresh session's coroutines (and its
-        transactional snapshot) already captured.  Ops on the other
-        freed keys still land.
-        """
-        held = self._held[site]
-        queues = self._deferred_ops[site]
-        heads = [(queues[key][0][0], key) for key in keys if key in queues]
-        heapify(heads)
-        while heads:
-            _, key = heappop(heads)
-            if key in held:
-                continue
-            queue = queues[key]
-            _, op, submitted_at, on_done = queue.popleft()
-            if queue:
-                heappush(heads, (queue[0][0], key))
-            else:
-                del queues[key]
-            self._execute_op(op, submitted_at, on_done)
+        self._scheduler.release(src, dst, record.keys)
 
     # -- convergence sweep -------------------------------------------------
 
@@ -917,49 +759,20 @@ class StoreCluster:
         after the last client op has landed, and the scatter after the
         last gather.
         """
-        if self._finished:
-            raise SimulationError("StoreCluster instances are one-shot")
-        self._finished = True
-        if self.monitor is not None:
-            self.monitor.attach(self)
-        tracer = self.tracer
-        previous_clock = tracer.clock if tracer is not None else None
-        span = None
-        if tracer is not None:
-            tracer.clock = lambda: self.sim.now
-            span = tracer.span(f"store:{self.config.protocol}",
-                               sites=len(self.sites),
-                               protocol=self.config.protocol,
-                               latency=self.config.channel.latency,
-                               bandwidth=self.config.channel.bandwidth)
-        try:
+        with session_run(self, self.sim, self._scheduler, "store"):
             self.sim.run()
             if converge_via is not None:
                 self.gather(converge_via)
                 self.sim.run()
                 self.scatter(converge_via)
                 self.sim.run()
-        finally:
-            if span is not None:
-                span.end()
-            if tracer is not None:
-                tracer.flush_sampling()
-                tracer.clock = previous_clock
-        if self.monitor is not None:
-            self.monitor.finalize()
-        if (self._pending or any(self._usage.values())
-                or any(self._held.values())
-                or any(self._deferred_ops.values())):
-            raise SimulationError(  # pragma: no cover - defensive
-                "store cluster drained with sessions still queued or "
-                "active, or client ops still deferred")
         return StoreRunResult(
             stores=self.stores,
             records=self._records,
             totals=self._totals,
             completion_time=self.sim.now,
             ops_applied=self._ops_applied,
-            ops_deferred=self._ops_deferred,
+            ops_deferred=self._scheduler.deferrals,
             read_repairs=self._read_repairs,
             reconciliations=self._reconciliations,
             sessions_abandoned=self._sessions_abandoned,

@@ -73,14 +73,7 @@ class ArrayVsLinkedMachine(RuleBasedStateMachine):
         """
         prev = None if anchor is None else SITES[anchor]
         args = (prev, SITES[index], value, conflict, segment)
-        if prev == SITES[index] and prev not in self.linked:
-            # Self-anchoring an *absent* site registers a detached element
-            # (``rotate_after``'s old corner): a linked ``copy`` drops it, a
-            # verbatim array ``copy`` keeps it.  No protocol can get there —
-            # ``prev`` is always the site placed just before.
-            return
-        if prev is not None and prev != SITES[index] \
-                and prev not in self.linked:
+        if prev is not None and prev not in self.linked:
             before = self.linked.order.as_tuples()
             for vector in (self.array, self.linked):
                 with pytest.raises(KeyError):
@@ -216,7 +209,14 @@ def test_place_after_cases(cls):
     before, version = rows(), order.version
     with pytest.raises(KeyError):
         order.place_after("Z", "A", 9)
-    assert rows() == before and order.version == version + 1
+    # Self-anchoring is a no-op only for a present site; an absent one is
+    # an unknown anchor like any other, and registers nothing.
+    with pytest.raises(KeyError):
+        order.place_after("Z", "Z", 9)
+    with pytest.raises(KeyError):
+        order.rotate_after("Z", "Z")
+    assert "Z" not in order and list(order.copy().rows()) == before
+    assert rows() == before and order.version == version + 3
     assert list(order.rows()) == before
 
 

@@ -41,14 +41,12 @@ class _ListModel:
         if prev_site is None:
             self.rotate_front(site)
             return
-        if prev_site == site:
-            if self._find(site) is None:
-                self.rows.append([site, 0, False, False])
-            return
         index = self._find(site)
         anchor = self._find(prev_site)
         if anchor is None:
             raise KeyError(prev_site)
+        if prev_site == site:
+            return  # already in its own slot
         if index is not None:
             if index == anchor + 1:
                 return  # already in place

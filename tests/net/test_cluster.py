@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.errors import ConcurrentVectorsError, SimulationError
+from repro.errors import ConcurrentVectorsError, ReproError, SimulationError
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import (ClusterConfig, ClusterRunner,
                                replay_sequential)
+from repro.net.sharding import ShardMap
 from repro.net.wire import Encoding
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.workload.cluster import (SessionRequest, UpdateRequest,
-                                    gossip_schedule, site_names,
-                                    update_schedule)
+                                    chaos_faults, gossip_schedule,
+                                    site_names, update_schedule)
 
 ENC = Encoding(site_bits=8, value_bits=16)
 #: A slow link so sessions have measurable duration in simulated time.
@@ -55,6 +56,40 @@ class TestValidation:
         runner.run([SessionRequest(0.0, "A", "B")])
         with pytest.raises(SimulationError, match="one-shot"):
             runner.run([SessionRequest(0.0, "A", "B")])
+
+    #: Objects 0 and 1 replicated on A+B and B+C.
+    SHARDS = ShardMap([("A", "B"), ("B", "C")])
+    LOSSY = ChannelSpec(faults=chaos_faults(0.1, latency=0.01))
+
+    @pytest.mark.parametrize("match, build", [
+        ("unknown protocol", lambda: config(protocol="vv")),
+        ("fanout", lambda: config(fanout=0)),
+        ("n_objects", lambda: config(n_objects=0)),
+        ("batch_size", lambda: config(batch_size=0)),
+        ("proc_time", lambda: config(proc_time=-0.001)),
+        ("max_steps", lambda: config(max_steps=0)),
+        ("fanout=1", lambda: config(fanout=2, channel=TestValidation.LOSSY)),
+        ("duplicate site", lambda: ClusterRunner(["A", "A"], config())),
+        ("shard map covers", lambda: ClusterRunner(
+            ["A", "B", "C"], config(), shards=TestValidation.SHARDS)),
+        ("outside the cluster", lambda: ClusterRunner(
+            ["A", "B"], config(n_objects=2), shards=TestValidation.SHARDS)),
+        ("unknown site", lambda: run_cluster(
+            ["A", "B"], [SessionRequest(0.0, "A", "Z")])),
+        ("itself", lambda: run_cluster(
+            ["A", "B"], [SessionRequest(0.0, "A", "A")])),
+        ("names object", lambda: run_cluster(
+            ["A", "B"], [], [UpdateRequest(0.0, "A", obj=1)])),
+        ("does not replicate", lambda: run_cluster(
+            ["A", "B", "C"], [], [UpdateRequest(0.0, "A", obj=1)],
+            cfg=config(n_objects=2), shards=TestValidation.SHARDS)),
+        ("does not share", lambda: run_cluster(
+            ["A", "B", "C"], [SessionRequest(0.0, "A", "B", objs=(1,))],
+            cfg=config(n_objects=2), shards=TestValidation.SHARDS)),
+    ])
+    def test_every_rejection_raises_the_package_error(self, match, build):
+        with pytest.raises(ReproError, match=match):
+            build()
 
 
 class TestQueueing:
