@@ -10,10 +10,10 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.errors import ReproError
+from repro.net.topology import RingTopology
 from repro.replication.antientropy import (AntiEntropyConfig,
                                            AntiEntropySimulation,
                                            compare_schemes)
-from repro.workload.topology import RingTopology
 
 
 def config(**overrides):

@@ -9,7 +9,8 @@
 * :mod:`repro.net.codec` — real bit-level serialization of every message;
   the serialized session driver proves priced bits == wire bits.
 * :mod:`repro.net.topology` — declarative multi-region fleet shapes
-  (:class:`TopologySpec`) with per-region-pair link profiles.
+  (:class:`TopologySpec`) with per-region-pair link profiles, and the
+  peer and pair samplers every schedule draws through.
 * :mod:`repro.net.sharding` — consistent-hash object→site-group
   assignment for fleets too large to replicate everything everywhere.
 * :func:`repro.net.cluster.launch_cluster` — the unified keyword-only

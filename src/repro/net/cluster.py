@@ -497,28 +497,26 @@ def session_run(owner: Any, sim: Simulator, scheduler: SessionScheduler,
     tracer, monitor, config = owner.tracer, owner.monitor, owner.config
     if monitor is not None:
         monitor.attach(owner)
-    previous_clock = tracer.clock if tracer is not None else None
-    span = None
-    if tracer is not None:
-        tracer.clock = lambda: sim.now
-        # The channel parameters on the span let the causal analyzer
-        # decompose every send→deliver hop exactly (latency +
-        # bits/bandwidth + fault-injected delay, zero residual).
-        span = tracer.span(f"{kind}:{config.protocol}",
-                           sites=len(owner.sites), **span_attrs,
-                           protocol=config.protocol,
-                           latency=config.channel.latency,
-                           bandwidth=config.channel.bandwidth)
-    try:
-        yield
-        if monitor is not None and finalize_in_span:
-            monitor.finalize()
-    finally:
-        if span is not None:
-            span.end()
+    with sim.stamping(tracer):
+        span = None
         if tracer is not None:
-            tracer.flush_sampling()
-            tracer.clock = previous_clock
+            # The channel parameters on the span let the causal analyzer
+            # decompose every send→deliver hop exactly (latency +
+            # bits/bandwidth + fault-injected delay, zero residual).
+            span = tracer.span(f"{kind}:{config.protocol}",
+                               sites=len(owner.sites), **span_attrs,
+                               protocol=config.protocol,
+                               latency=config.channel.latency,
+                               bandwidth=config.channel.bandwidth)
+        try:
+            yield
+            if monitor is not None and finalize_in_span:
+                monitor.finalize()
+        finally:
+            if span is not None:
+                span.end()
+            if tracer is not None:
+                tracer.flush_sampling()
     if monitor is not None and not finalize_in_span:
         monitor.finalize()
     if not scheduler.drained():

@@ -113,6 +113,23 @@ class FaultSpec:
         return any(start <= now < end for start, end in self.partitions)
 
 
+def chaos_faults(loss: float, *, latency: float,
+                 seed: int = 0) -> FaultSpec:
+    """The standard chaos profile for a nominal loss rate.
+
+    One scalar — the nominal ``loss`` rate — expands into the full fault
+    mix the benchmark grid, the chaos demo and every lossy
+    :class:`~repro.net.topology.LinkProfile` share: drops at ``loss``,
+    duplication at half of it, reordering at ``loss`` with a window of
+    four propagation latencies (enough to land a copy behind traffic sent
+    later, not enough to dwarf the ARQ timeout).  Keeping the expansion
+    here means every consumer labels a run by one number and still
+    injects the identical, seeded fault mix.
+    """
+    return FaultSpec(drop=loss, duplicate=loss / 2, reorder=loss,
+                     reorder_window=4 * latency, seed=seed)
+
+
 #: The fate of one transmission: extra delivery delay (seconds beyond the
 #: channel's propagation latency) per arriving copy.  An empty tuple means
 #: the transmission was lost; ``(0.0,)`` is a clean, on-time delivery.

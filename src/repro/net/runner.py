@@ -890,30 +890,22 @@ def run_timed(options: SessionOptions, *, trace_dispatch: bool = False,
     ``trace_dispatch`` additionally traces every kernel dispatch.
     """
     tracer = options.tracer
-    if tracer is None:
-        return _run_timed(options, trace_dispatch=False)
-    # The channel parameters let post-hoc analysis decompose each
-    # send→deliver hop exactly (latency + bits/bandwidth + fault delay).
-    span = tracer.span(span_name, driver="timed", time=0.0,
-                       latency=options.channel.latency,
-                       bandwidth=options.channel.bandwidth)
-    previous_clock = tracer.clock
-    try:
-        return _run_timed(options, trace_dispatch=trace_dispatch)
-    finally:
-        span.end()
-        tracer.clock = previous_clock
-
-
-def _run_timed(options: SessionOptions, *,
-               trace_dispatch: bool) -> TimedSessionResult:
-    tracer = options.tracer
     sim = Simulator(tracer=tracer if trace_dispatch else None)
+    span = None
     if tracer is not None:
-        # Stamp every event with the simulated clock, dispatch-traced or not.
-        tracer.clock = lambda: sim.now
-    handle = launch(sim, options)
-    sim.run()
+        # The channel parameters let post-hoc analysis decompose each
+        # send→deliver hop exactly (latency + bits/bandwidth + fault delay).
+        span = tracer.span(span_name, driver="timed", time=0.0,
+                           latency=options.channel.latency,
+                           bandwidth=options.channel.bandwidth)
+    # Every event carries the simulated clock, dispatch-traced or not.
+    with sim.stamping(tracer):
+        try:
+            handle = launch(sim, options)
+            sim.run()
+        finally:
+            if span is not None:
+                span.end()
     if handle.result is None:
         raise SessionError("timed session ended with unfinished parties")
     return handle.result

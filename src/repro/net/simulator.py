@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, List, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import (Any, Callable, Generator, Iterator, List, Optional, Tuple,
+                    Union)
 
 from repro.errors import SimulationError
 from repro.obs import trace as obs
@@ -107,10 +109,9 @@ class Simulator:
 
     Pass a :class:`~repro.obs.trace.Tracer` to observe the kernel itself:
     every dispatched event becomes a ``sim_dispatch`` trace event stamped
-    with the simulated clock, and the tracer's default clock is bound to
-    ``self.now`` so events emitted by hosted processes carry simulated
-    time without each call site passing ``time=``.  The ``None`` default
-    keeps the dispatch loop untouched.
+    with the simulated clock.  The ``None`` default keeps the dispatch
+    loop untouched.  Events emitted by hosted processes carry simulated
+    time inside a :meth:`stamping` block.
     """
 
     __slots__ = ("now", "_queue", "_sequence", "_active_processes",
@@ -127,8 +128,21 @@ class Simulator:
         #: compaction resets it to truth, so drift is self-correcting.
         self._cancelled = 0
         self.tracer = tracer
-        if tracer is not None and tracer.clock is None:
-            tracer.clock = lambda: self.now
+
+    @contextmanager
+    def stamping(self, tracer: Optional[Tracer]) -> Iterator[None]:
+        """Stamp ``tracer``'s events with this simulator's clock for the
+        block, then give the tracer its previous clock back (on error
+        too).  Without a tracer the block just runs."""
+        if tracer is None:
+            yield
+            return
+        previous = tracer.clock
+        tracer.clock = lambda: self.now
+        try:
+            yield
+        finally:
+            tracer.clock = previous
 
     # -- event scheduling ---------------------------------------------------------
 

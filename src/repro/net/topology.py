@@ -8,10 +8,10 @@ region pairs may ride dedicated (named) interconnects.  This module is
 the declarative description of that shape:
 
 * :class:`LinkProfile` — latency/bandwidth/loss of one class of link.
-  A positive ``loss`` expands to the standard chaos fault mix (drop at
-  ``loss``, duplicate at ``loss/2``, reorder at ``loss``) exactly as
-  :func:`repro.workload.cluster.chaos_faults` prices it, so "1% loss"
-  means the same thing here as in every chaos bench cell.
+  A positive ``loss`` expands to the standard chaos fault mix
+  (:func:`repro.net.faults.chaos_faults`: drop at ``loss``, duplicate at
+  ``loss/2``, reorder at ``loss``), so "1% loss" means the same thing
+  here as in every chaos bench cell.
 * :class:`RegionSpec` — one region: a name, a site count, and the
   intra-region link profile.
 * :class:`RegionLink` — a named override for one inter-region pair.
@@ -28,35 +28,32 @@ The spec is pure data: frozen, validated eagerly, hashable, and
 :class:`~repro.perf.bench.BenchConfig` and land verbatim in the
 committed ``BENCH_cluster.json`` document.
 
-:func:`select_peer` at the bottom is the single uniform peer-sampling
-primitive.  ``repro.store.cluster.gossip_peers`` and the epidemic
-scheduler (:mod:`repro.workload.epidemic`) both draw through it, so
-store anti-entropy and cluster gossip consume the *same* seeded stream
-— there is exactly one way to pick "a random peer that is not me" in
-this repo.
+It is also the one vocabulary for *who syncs with whom*.
+:func:`select_peer` is the single uniform peer-sampling primitive: the
+store's anti-entropy, the epidemic scheduler and the store's client
+read-repairs all draw through it.  The :class:`PairSampler` classes
+pick the pair of one synchronization for the gossip schedules, the
+trace generator and the anti-entropy loop alike; the pattern sets the
+conflict rate (a star funnels everything through a hub and rarely
+conflicts, random pairwise gossip conflicts often).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.net.channel import ChannelSpec
-from repro.net.faults import FaultSpec
+from repro.net.faults import FaultSpec, chaos_faults
 
 
 def select_peer(rng: random.Random, dst: str,
                 candidates: Sequence[str]) -> str:
-    """One uniform draw of a peer for ``dst`` from ``candidates``.
-
-    This is the shared sampling primitive: one ``rng.choice`` over the
-    candidate list with ``dst`` itself filtered out.  Both the store's
-    :func:`~repro.store.cluster.gossip_peers` and the epidemic scheduler
-    route their uniform draws through here, which is what keeps their
-    seeded streams in lockstep (same rng state in, same peer out).
-    """
+    """One uniform draw of a peer for ``dst`` from ``candidates``: one
+    ``rng.choice`` over the candidates with ``dst`` filtered out (same
+    rng state in, same peer out, whoever draws)."""
     return rng.choice([site for site in candidates if site != dst])
 
 
@@ -66,11 +63,9 @@ def uniform_peer_rounds(sites: Sequence[str], *, rounds: int, seed: int = 0,
     """The uniform anti-entropy plan: per round, every site pulls once.
 
     Returns ``(round, src, dst)`` triples where ``dst`` pulls from
-    ``src``.  The draw stream is ``random.Random(f"{stream}:{seed}")``
-    advanced by one :func:`select_peer` call per (round, dst) — the
-    exact historical stream of ``repro.store.cluster.gossip_peers``,
-    which now delegates here (asserted byte-for-byte by the seeding
-    tests; changing this function changes committed store digests).
+    ``src``, one :func:`select_peer` draw per (round, dst) from
+    ``random.Random(f"{stream}:{seed}")``.  Changing this stream changes
+    every committed store digest.
     """
     rng = random.Random(f"{stream}:{seed}")
     plan: List[Tuple[float, str, str]] = []
@@ -78,6 +73,87 @@ def uniform_peer_rounds(sites: Sequence[str], *, rounds: int, seed: int = 0,
         for dst in sites:
             plan.append((float(round_no), select_peer(rng, dst, sites), dst))
     return plan
+
+
+class PairSampler(Protocol):
+    """Chooses the ``(src, dst)`` pair of one synchronization event.
+
+    Samplers are deterministic functions of the seeded RNG and the step
+    index, so every schedule drawn through one is reproducible.
+    """
+
+    def pair(self, rng: random.Random, step: int,
+             sites: List[str]) -> Tuple[str, str]:
+        """Return ``(src, dst)``: dst pulls from src."""
+        ...
+
+
+class RandomPairTopology:
+    """Uniform random gossip: any distinct ordered pair."""
+
+    def pair(self, rng: random.Random, step: int,
+             sites: List[str]) -> Tuple[str, str]:
+        """Pick a uniformly random ordered pair of distinct sites."""
+        src, dst = rng.sample(sites, 2)
+        return src, dst
+
+
+class RingTopology:
+    """Each sync moves clockwise: site i pulls from site i−1."""
+
+    def pair(self, rng: random.Random, step: int,
+             sites: List[str]) -> Tuple[str, str]:
+        """The clockwise pair for this step index."""
+        index = step % len(sites)
+        return sites[(index - 1) % len(sites)], sites[index]
+
+
+class StarTopology:
+    """Spokes exchange with a hub (the first site), alternating direction."""
+
+    def pair(self, rng: random.Random, step: int,
+             sites: List[str]) -> Tuple[str, str]:
+        """A hub↔spoke pair, direction alternating by step parity."""
+        hub = sites[0]
+        spoke = rng.choice(sites[1:]) if len(sites) > 1 else hub
+        if step % 2 == 0:
+            return spoke, hub   # hub pulls from spoke
+        return hub, spoke       # spoke pulls from hub
+
+
+class ClusteredTopology:
+    """Mostly-local gossip: pairs inside a cluster, occasional bridges.
+
+    Models multi-regional collaboration (§1): sites split into ``clusters``
+    groups; with probability ``bridge_probability`` a sync crosses groups.
+    """
+
+    def __init__(self, clusters: int = 2,
+                 bridge_probability: float = 0.1) -> None:
+        if clusters < 1:
+            raise ValidationError("clusters must be >= 1")
+        if not 0 <= bridge_probability <= 1:
+            raise ValidationError("bridge_probability must be in [0, 1]")
+        self.clusters = clusters
+        self.bridge_probability = bridge_probability
+
+    def _cluster_of(self, index: int, n: int) -> int:
+        size = max(1, (n + self.clusters - 1) // self.clusters)
+        return index // size
+
+    def pair(self, rng: random.Random, step: int,
+             sites: List[str]) -> Tuple[str, str]:
+        """A pair inside one cluster, or a bridge with small probability."""
+        n = len(sites)
+        if n < 2:
+            return sites[0], sites[0]
+        for _ in range(32):
+            i, j = rng.sample(range(n), 2)
+            same = self._cluster_of(i, n) == self._cluster_of(j, n)
+            cross = rng.random() < self.bridge_probability
+            if same != cross:
+                return sites[i], sites[j]
+        return sites[i], sites[j]  # degenerate cluster layout: accept any
 
 
 @dataclass(frozen=True)
@@ -106,17 +182,11 @@ class LinkProfile:
                 f"link loss must be in [0, 1), got {self.loss}")
 
     def faults(self, *, seed: int) -> FaultSpec:
-        """The chaos fault mix this profile's ``loss`` prices out to.
-
-        Mirrors :func:`repro.workload.cluster.chaos_faults`: drop at the
-        nominal loss, duplicates at half of it, reordering at the loss
-        rate within a four-latency window.
-        """
+        """The :func:`~repro.net.faults.chaos_faults` mix this profile's
+        ``loss`` prices out to (no faults at all when it is 0)."""
         if self.loss <= 0:
             return FaultSpec()
-        return FaultSpec(drop=self.loss, duplicate=self.loss / 2,
-                         reorder=self.loss,
-                         reorder_window=4 * self.latency, seed=seed)
+        return chaos_faults(self.loss, latency=self.latency, seed=seed)
 
     def channel(self, *, seed: int) -> ChannelSpec:
         """This profile as a concrete :class:`ChannelSpec`."""

@@ -232,8 +232,9 @@ class Tracer:
 
     A single tracer may span many sessions (e.g. a whole anti-entropy run):
     its ``seq`` counter totally orders everything it saw.  The optional
-    ``clock`` callable (set by timed drivers) stamps events that do not
-    pass an explicit ``time=``.
+    ``clock`` callable (bound for a run by
+    :meth:`~repro.net.simulator.Simulator.stamping`) stamps events that
+    do not pass an explicit ``time=``.
 
     ``sampling`` bounds retention of high-volume kinds (see
     :class:`SamplingPolicy`); ``strict_subscribers`` re-raises subscriber

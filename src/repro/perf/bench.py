@@ -43,6 +43,7 @@ from repro.errors import ReproError
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import (ClusterConfig, ClusterResult, ClusterRunner,
                                launch_cluster, replay_sequential)
+from repro.net.faults import chaos_faults
 from repro.net.stats import TransferStats
 from repro.net.topology import LinkProfile, TopologySpec
 from repro.net.wire import Encoding
@@ -55,8 +56,8 @@ from repro.perf.schema import PROTOCOLS, SCHEMA_ID, validate_bench
 from repro.workload.clients import (StoreWorkloadConfig, StoreWorkloadResult,
                                     run_store_workload)
 from repro.workload.cluster import (SessionRequest, UpdateRequest,
-                                    chaos_faults, gossip_schedule,
-                                    site_names, update_schedule)
+                                    gossip_schedule, site_names,
+                                    update_schedule)
 from repro.workload.epidemic import (closing_sweep, epidemic_schedule,
                                      sharded_update_schedule)
 
@@ -109,7 +110,7 @@ class BenchConfig:
     batched_sizes: Tuple[int, ...] = (1, 64)
     batched_header_bits: int = 64
     #: The chaos scenario (E11): the batched fleet re-run per protocol
-    #: over a faulted channel (:func:`repro.workload.cluster.chaos_faults`
+    #: over a faulted channel (:func:`repro.net.faults.chaos_faults`
     #: expands each nominal loss rate into the standard drop/duplicate/
     #: reorder mix) with the reliable ARQ transport engaged.  The record
     #: reports goodput vs retransmitted bits, retry/timeout/resume

@@ -8,10 +8,14 @@ over a pluggable topology) while updates arrive on a schedule, and the
 simulation measures *when* consistency is actually reached after the last
 update — alongside the metadata traffic each scheme spent getting there.
 
-The synchronization protocols themselves still run under the instant
-driver (their internal message timing is negligible against gossip
-periods); the DES schedules the *sessions*.  Experiment E9 sweeps gossip
-period and scheme on identical schedules.
+The loop keeps only its own *schedule*: jittered gossip timers, update
+arrivals, partition windows and the convergence clock.  Pairs come from
+the samplers of :mod:`repro.net.topology` and the clock binding from
+:meth:`~repro.net.simulator.Simulator.stamping`, as everywhere else.
+Sessions run under the instant driver (their message timing is
+negligible against gossip periods), so one costs no simulated time,
+never overlaps another and needs no session scheduler.  Experiment E9
+sweeps gossip period and scheme on identical schedules.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.net.simulator import Simulator
+from repro.net.topology import PairSampler, RandomPairTopology
 from repro.obs.metrics import MetricsRegistry, wall_timer
 from repro.obs.trace import Tracer
 from repro.replication.resolver import AutomaticResolution, union_merge
 from repro.replication.statesystem import StateTransferSystem
 from repro.workload.cluster import site_names
-from repro.workload.topology import RandomPairTopology, Topology
 
 
 @dataclass
@@ -42,8 +46,9 @@ class AntiEntropyConfig:
         n_updates: total updates injected; the clock of interest starts at
             the last one.
         metadata: vector scheme for the underlying system.
-        topology: partner selection; the *initiating* site is the pair's
-            destination (it pulls, then pushes back).
+        topology: partner selection (a :mod:`repro.net.topology` pair
+            sampler); the *initiating* site is the pair's destination
+            (it pulls, then pushes back).
         seed: RNG seed; the schedule is identical across schemes.
         object_id: the single replicated object under observation.
     """
@@ -54,7 +59,7 @@ class AntiEntropyConfig:
     update_interval: float = 0.7
     n_updates: int = 20
     metadata: str = "srv"
-    topology: Topology = field(default_factory=RandomPairTopology)
+    topology: PairSampler = field(default_factory=RandomPairTopology)
     seed: int = 0
     object_id: str = "obj"
     max_time: float = 10_000.0
@@ -71,6 +76,27 @@ class AntiEntropyConfig:
     #: §1 availability story — and reconciliation absorbs the divergence
     #: once the partition heals.
     partitions: Tuple[Tuple[float, float, frozenset], ...] = ()
+
+    def __post_init__(self) -> None:
+        sites = set(site_names(self.n_sites))
+        rules = {
+            "n_sites >= 2": self.n_sites >= 2,
+            "gossip_period > 0": self.gossip_period > 0,
+            "0 <= gossip_jitter <= 1": 0 <= self.gossip_jitter <= 1,
+            "update_interval > 0": self.update_interval > 0,
+            "n_updates >= 0": self.n_updates >= 0,
+            "max_time > 0": self.max_time > 0,
+            "convergence is 'full' or 'values'":
+                self.convergence in ("full", "values"),
+            "partitions are (start, end, left_sites) windows with "
+            "0 <= start < end over known sites": all(
+                len(w) == 3 and 0 <= w[0] < w[1] and set(w[2]) <= sites
+                for w in self.partitions),
+        }
+        broken = [rule for rule, holds in rules.items() if not holds]
+        if broken:
+            raise ValidationError(
+                f"AntiEntropyConfig needs {'; '.join(broken)}")
 
 
 @dataclass
@@ -93,12 +119,10 @@ class AntiEntropyResult:
 class AntiEntropySimulation:
     """Periodic gossip + scheduled updates over a state-transfer system.
 
-    The schedule — jittered gossip, exponential update arrivals,
-    partition windows, the convergence clock — lives in :meth:`_run`.
-    What is specific to state transfer sits in the small methods above
-    it (system construction, object creation, the update value, the
-    consistency check, the error label), which
-    :class:`OpAntiEntropySimulation` replaces.
+    The schedule lives in :meth:`_run`.  What is specific to state
+    transfer sits in the small methods above it (system construction,
+    object creation, the update value, the consistency check, the error
+    label), which :class:`OpAntiEntropySimulation` replaces.
     """
 
     def __init__(self, config: AntiEntropyConfig,
@@ -147,23 +171,16 @@ class AntiEntropySimulation:
         ``max_time`` — which would falsify eventual consistency for the
         configured scheme and is therefore a hard error, not a statistic.
         """
-        if self.tracer is None:
-            return self._run()
-        previous_clock = self.tracer.clock
-        try:
-            return self._run()
-        finally:
-            self.tracer.clock = previous_clock
+        sim = Simulator()
+        # Sync-session spans and gossip events carry simulated time.
+        with sim.stamping(self.tracer):
+            return self._run(sim)
 
-    def _run(self) -> AntiEntropyResult:
+    def _run(self, sim: Simulator) -> AntiEntropyResult:
         config = self.config
         system = self.system
         tracer = self.tracer
         metrics = self.metrics
-        sim = Simulator()
-        if tracer is not None:
-            # Stamp sync-session spans and gossip events with simulated time.
-            tracer.clock = lambda: sim.now
         rng = random.Random(config.seed)
         sites = self._sites
         object_id = config.object_id
@@ -200,23 +217,21 @@ class AntiEntropySimulation:
             if state["updates_left"] > 0:
                 schedule_update()
 
-        def schedule_gossip(site_index: int) -> None:
+        def schedule_gossip() -> None:
             jitter = 1 + config.gossip_jitter * (2 * rng.random() - 1)
-            sim.call_after(config.gossip_period * jitter,
-                           lambda: gossip(site_index))
+            sim.call_after(config.gossip_period * jitter, gossip)
 
         def crosses_partition(src: str, dst: str) -> bool:
-            for start, end, left in config.partitions:
-                if start <= sim.now < end and ((src in left) != (dst in left)):
-                    return True
-            return False
+            return any(start <= sim.now < end
+                       and (src in left) != (dst in left)
+                       for start, end, left in config.partitions)
 
-        def gossip(site_index: int) -> None:
+        def gossip() -> None:
             if state["converged_at"] is not None and state["updates_left"] == 0:
                 return  # done: let the event queue drain
             src, dst = config.topology.pair(rng, state["syncs"], sites)
             if crosses_partition(src, dst):
-                schedule_gossip(site_index)  # encounter suppressed
+                schedule_gossip()  # encounter suppressed
                 return
             system.sync_bidirectional(dst, src, object_id)
             state["syncs"] += 2
@@ -235,10 +250,10 @@ class AntiEntropySimulation:
                 state["converged_at"] = sim.now
                 if tracer is not None:
                     tracer.event("converged", party=dst)
-            schedule_gossip(site_index)
+            schedule_gossip()
 
-        for index in range(len(sites)):
-            schedule_gossip(index)
+        for _ in sites:  # one gossip timer per site
+            schedule_gossip()
         schedule_update()
 
         sim.run(until=config.max_time)

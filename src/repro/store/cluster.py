@@ -781,14 +781,7 @@ class StoreCluster:
 
 def gossip_peers(sites: Sequence[str], *, rounds: int, seed: int = 0
                  ) -> List[Tuple[float, str, str]]:
-    """A deterministic anti-entropy pairing: per round, each site pulls
-    from a seeded-random peer.  Returns ``(round_index, src, dst)``-style
-    tuples with the round index as a float for direct scheduling.
-
-    Delegates to :func:`repro.net.topology.uniform_peer_rounds` — the
-    shared seeded sampler behind both store anti-entropy and cluster
-    gossip — with the historical ``store-gossip`` stream label, so the
-    plan (and every committed store digest built on it) stays
-    byte-identical to the pre-topology implementation.
-    """
+    """The store's anti-entropy plan: per round, each site pulls from a
+    seeded-random peer, as ``(float(round), src, dst)`` triples drawn by
+    :func:`repro.net.topology.uniform_peer_rounds`."""
     return uniform_peer_rounds(sites, rounds=rounds, seed=seed)

@@ -1,4 +1,9 @@
-"""Workload generation, topologies, scripted scenarios, and trace replay."""
+"""Workload generation, scripted scenarios, and trace replay.
+
+The pair samplers that decide who syncs with whom (``RingTopology`` and
+friends) live with the rest of the fleet vocabulary in
+:mod:`repro.net.topology`.
+"""
 
 from repro.workload.events import (CloneEvent, CreateEvent, SyncEvent,
                                    TraceEvent, UpdateEvent)
@@ -11,21 +16,14 @@ from repro.workload.scenarios import (FIGURE1_ORDERS, FIGURE1_VECTORS,
                                       all_write_then_gossip_trace,
                                       chain_trace, figure1_graph,
                                       figure1_vectors, figure3_graphs)
-from repro.workload.topology import (ClusteredTopology, RandomPairTopology,
-                                     RingTopology, StarTopology, Topology)
 
 __all__ = [
     "CloneEvent",
-    "ClusteredTopology",
     "CreateEvent",
     "FIGURE1_ORDERS",
     "FIGURE1_VECTORS",
-    "RandomPairTopology",
     "ReplaySummary",
-    "RingTopology",
-    "StarTopology",
     "SyncEvent",
-    "Topology",
     "TraceEvent",
     "UpdateEvent",
     "WorkloadConfig",

@@ -32,13 +32,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.net.channel import ChannelSpec
-from repro.net.faults import RetryPolicy
+from repro.net.faults import RetryPolicy, chaos_faults
+from repro.net.topology import select_peer
 from repro.obs.consistency import ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.store.cluster import (ClientOp, StoreCluster, StoreConfig,
                                  StoreRunResult, gossip_peers)
-from repro.workload.cluster import chaos_faults, site_names
+from repro.workload.cluster import site_names
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def generate_client_ops(config: StoreWorkloadConfig) -> List[PlannedOp]:
         site = client_site[client]
         key = rng.choices(keys, weights=weights, k=1)[0]
         draw = rng.random()
-        peer = rng.choice([s for s in sites if s != site])
+        peer = select_peer(rng, site, sites)
         if draw < config.read_ratio:
             plan.append(PlannedOp(at=clock, client=client, site=site,
                                   kind="get", key=key, value=None,

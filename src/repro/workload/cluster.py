@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.net.faults import FaultSpec
-from repro.workload.topology import RandomPairTopology, Topology
+from repro.errors import ValidationError
+from repro.net.topology import PairSampler, RandomPairTopology
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def site_names(n_sites: int) -> List[str]:
 
 def gossip_schedule(sites: Sequence[str], *, rounds: int,
                     period: float = 1.0, jitter: float = 0.2,
-                    topology: Optional[Topology] = None,
+                    topology: Optional[PairSampler] = None,
                     seed: int = 0) -> List[SessionRequest]:
     """A fixed gossip schedule: every site initiates once per round.
 
@@ -72,9 +72,9 @@ def gossip_schedule(sites: Sequence[str], *, rounds: int,
     executing it is deterministic.
     """
     if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+        raise ValidationError(f"rounds must be >= 1, got {rounds}")
     if period <= 0:
-        raise ValueError(f"period must be > 0, got {period}")
+        raise ValidationError(f"period must be > 0, got {period}")
     topology = topology or RandomPairTopology()
     rng = random.Random(seed)
     requests: List[SessionRequest] = []
@@ -107,14 +107,14 @@ def update_schedule(sites: Sequence[str], *, n_updates: int,
     seeded schedules are unchanged).
     """
     if n_updates < 0:
-        raise ValueError(f"n_updates must be >= 0, got {n_updates}")
+        raise ValidationError(f"n_updates must be >= 0, got {n_updates}")
     if interval <= 0:
-        raise ValueError(f"interval must be > 0, got {interval}")
+        raise ValidationError(f"interval must be > 0, got {interval}")
     if n_objects < 1:
-        raise ValueError(f"n_objects must be >= 1, got {n_objects}")
+        raise ValidationError(f"n_objects must be >= 1, got {n_objects}")
     pool = list(writers) if writers is not None else list(sites)
     if n_updates and not pool:
-        raise ValueError("no writers to draw updates from")
+        raise ValidationError("no writers to draw updates from")
     rng = random.Random(seed)
     clock = 0.0
     requests: List[UpdateRequest] = []
@@ -124,19 +124,3 @@ def update_schedule(sites: Sequence[str], *, n_updates: int,
         requests.append(UpdateRequest(at=clock, site=rng.choice(pool),
                                       obj=obj))
     return requests
-
-
-def chaos_faults(loss: float, *, latency: float,
-                 seed: int = 0) -> FaultSpec:
-    """The standard chaos profile for a nominal loss rate.
-
-    One scalar — the nominal ``loss`` rate — expands into the full fault
-    mix the benchmark grid and the chaos demo share: drops at ``loss``,
-    duplication at half of it, reordering at ``loss`` with a window of
-    four propagation latencies (enough to land a copy behind traffic sent
-    later, not enough to dwarf the ARQ timeout).  Keeping the expansion
-    here means every consumer labels a run by one number and still
-    injects the identical, seeded fault mix.
-    """
-    return FaultSpec(drop=loss, duplicate=loss / 2, reorder=loss,
-                     reorder_window=4 * latency, seed=seed)

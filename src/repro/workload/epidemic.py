@@ -1,6 +1,6 @@
 """Epidemic dissemination schedules for sharded multi-region fleets.
 
-The fixed star/ring sweeps in :mod:`repro.workload.cluster` assume every
+The flat gossip schedules in :mod:`repro.workload.cluster` assume every
 site replicates everything — gather-at-hub closes the whole fleet.  A
 sharded fleet needs a different shape: updates to an object only concern
 its replica group, so dissemination is *epidemic* (seeded push/pull
@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ValidationError
 from repro.net.sharding import ShardMap
 from repro.net.topology import TopologySpec, select_peer
 from repro.workload.cluster import SessionRequest, UpdateRequest
@@ -55,9 +56,9 @@ def epidemic_schedule(spec: TopologySpec, shards: ShardMap, *,
     anti-entropy shape.
     """
     if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+        raise ValidationError(f"rounds must be >= 1, got {rounds}")
     if period <= 0:
-        raise ValueError(f"period must be > 0, got {period}")
+        raise ValidationError(f"period must be > 0, got {period}")
     gossip = spec.gossip
     rng = random.Random(f"epidemic:{spec.seed if seed is None else seed}")
     sites = spec.site_names()
@@ -105,9 +106,9 @@ def sharded_update_schedule(spec: TopologySpec, shards: ShardMap, *,
     single-writer ``writers=[hub]`` restriction.
     """
     if n_updates < 0:
-        raise ValueError(f"n_updates must be >= 0, got {n_updates}")
+        raise ValidationError(f"n_updates must be >= 0, got {n_updates}")
     if interval <= 0:
-        raise ValueError(f"interval must be > 0, got {interval}")
+        raise ValidationError(f"interval must be > 0, got {interval}")
     rng = random.Random(
         f"epidemic-updates:{spec.seed if seed is None else seed}")
     clock = 0.0
@@ -146,9 +147,9 @@ def closing_sweep(shards: ShardMap, *, start: float,
     are free.
     """
     if spacing <= 0:
-        raise ValueError(f"spacing must be > 0, got {spacing}")
+        raise ValidationError(f"spacing must be > 0, got {spacing}")
     if settle <= 0:
-        raise ValueError(f"settle must be > 0, got {settle}")
+        raise ValidationError(f"settle must be > 0, got {settle}")
     pair_objs: Dict[Tuple[str, str], List[int]] = {}
     order: List[Tuple[str, str]] = []
     for obj, group in enumerate(shards.replicas):

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.errors import ValidationError
+from repro.net.topology import PairSampler, RandomPairTopology
+from repro.workload.cluster import site_names
 from repro.workload.events import (CloneEvent, CreateEvent, SyncEvent,
                                    TraceEvent, UpdateEvent)
-from repro.workload.topology import RandomPairTopology, Topology
 
 
 def default_value_factory(site: str, object_id: str, sequence: int) -> Any:
@@ -56,7 +57,7 @@ class WorkloadConfig:
     steps: int = 200
     update_ratio: float = 0.5
     update_site_bias: float = 0.0
-    topology: Topology = field(default_factory=RandomPairTopology)
+    topology: PairSampler = field(default_factory=RandomPairTopology)
     bidirectional: bool = False
     seed: int = 0
     value_factory: Callable[[str, str, int], Any] = default_value_factory
@@ -80,7 +81,7 @@ class WorkloadConfig:
 
     def site_names(self) -> List[str]:
         """The generated site names, in id order."""
-        return [f"S{i:03d}" for i in range(self.n_sites)]
+        return site_names(self.n_sites)
 
     def object_names(self) -> List[str]:
         """The generated object names."""

@@ -24,6 +24,7 @@ from repro.graphs.causalgraph import CausalGraph, build_graph
 from repro.graphs.replicationgraph import ReplicationGraph
 from repro.protocols.syncc import sync_crv
 from repro.protocols.syncs import sync_srv
+from repro.workload.cluster import site_names
 from repro.workload.events import (CloneEvent, CreateEvent, SyncEvent,
                                    TraceEvent, UpdateEvent)
 
@@ -143,7 +144,7 @@ def chain_trace(n_sites: int, rounds: int, object_id: str = "obj0"
     Every round: one update at site 0, then a cascade of pulls
     1←0, 2←1, …; no two updates are ever concurrent.
     """
-    sites = [f"S{i:03d}" for i in range(n_sites)]
+    sites = site_names(n_sites)
     trace: List[TraceEvent] = [CreateEvent(sites[0], object_id, "v0")]
     trace.extend(CloneEvent(sites[0], dst, object_id) for dst in sites[1:])
     for round_no in range(rounds):
@@ -161,7 +162,7 @@ def all_write_then_gossip_trace(n_sites: int, rounds: int,
     append-only replicated log where nearly every synchronization is a
     (syntactic-only) reconciliation.
     """
-    sites = [f"S{i:03d}" for i in range(n_sites)]
+    sites = site_names(n_sites)
     trace: List[TraceEvent] = [CreateEvent(sites[0], object_id, "v0")]
     trace.extend(CloneEvent(sites[0], dst, object_id) for dst in sites[1:])
     for round_no in range(rounds):

@@ -21,8 +21,9 @@ from repro.net.runner import SessionOptions, run_timed
 from repro.net.wire import Encoding
 from repro.protocols.session import run_session
 from repro.protocols.syncs import syncs_receiver, syncs_sender
-from repro.workload.cluster import (chaos_faults, gossip_schedule,
-                                    site_names, update_schedule)
+from repro.net.faults import chaos_faults
+from repro.workload.cluster import (gossip_schedule, site_names,
+                                    update_schedule)
 from tests.helpers import build_history
 
 ENC = Encoding(site_bits=8, value_bits=16)

@@ -6,13 +6,14 @@ from repro.errors import ConcurrentVectorsError, ReproError, SimulationError
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import (ClusterConfig, ClusterRunner,
                                replay_sequential)
+from repro.net.faults import chaos_faults
 from repro.net.sharding import ShardMap
 from repro.net.wire import Encoding
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.workload.cluster import (SessionRequest, UpdateRequest,
-                                    chaos_faults, gossip_schedule,
-                                    site_names, update_schedule)
+                                    gossip_schedule, site_names,
+                                    update_schedule)
 
 ENC = Encoding(site_bits=8, value_bits=16)
 #: A slow link so sessions have measurable duration in simulated time.

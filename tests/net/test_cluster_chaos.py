@@ -11,10 +11,9 @@ import pytest
 
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import ClusterConfig, ClusterRunner, replay_sequential
-from repro.net.faults import FaultSpec, RetryPolicy
+from repro.net.faults import FaultSpec, RetryPolicy, chaos_faults
 from repro.net.wire import Encoding
-from repro.workload.cluster import (chaos_faults, gossip_schedule, site_names,
-                                    update_schedule)
+from repro.workload.cluster import gossip_schedule, site_names, update_schedule
 
 ENC = Encoding(site_bits=8, value_bits=16)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.net.simulator import _COMPACT_MIN_CANCELLED, Simulator
+from repro.obs.trace import Tracer
 
 
 class TestEventQueue:
@@ -247,3 +248,30 @@ class TestTimerCompaction:
         sim.call_after(2.0, lambda: fired.append("after"))
         sim.run()
         assert fired == ["after"]
+
+
+class TestStamping:
+    def test_events_carry_simulated_time_inside_the_block_only(self):
+        tracer = Tracer()
+        tracer.clock = lambda: -1.0
+        sim = Simulator()
+        with sim.stamping(tracer):
+            sim.call_at(2.5, lambda: tracer.event("tick"))
+            sim.run()
+        tracer.event("after")
+        assert [(e.kind, e.time) for e in tracer.events] == [
+            ("tick", 2.5), ("after", -1.0)]
+
+    def test_previous_clock_comes_back_on_error(self):
+        tracer = Tracer()
+        sim = Simulator()
+        with pytest.raises(RuntimeError):
+            with sim.stamping(tracer):
+                raise RuntimeError("boom")
+        assert tracer.clock is None
+
+    def test_no_tracer_just_runs_the_block(self):
+        sim = Simulator()
+        with sim.stamping(None):
+            sim.call_at(1.0, lambda: None)
+            assert sim.run() == 1.0

@@ -7,15 +7,15 @@ import pytest
 
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import ClusterConfig, ClusterRunner
-from repro.net.faults import RetryPolicy
+from repro.net.faults import RetryPolicy, chaos_faults
 from repro.net.wire import Encoding
 from repro.obs import trace as obs
 from repro.obs.causal import (CATEGORIES, CAUSAL_SCHEMA, analyze_events,
                               analyze_tracer, validate_analysis)
 from repro.obs.trace import SamplingPolicy, Tracer
 from repro.workload.cluster import (SessionRequest, UpdateRequest,
-                                    chaos_faults, gossip_schedule,
-                                    site_names, update_schedule)
+                                    gossip_schedule, site_names,
+                                    update_schedule)
 
 ENC = Encoding(site_bits=8, value_bits=16)
 #: Round numbers so the star oracle below is hand-checkable.

@@ -8,15 +8,15 @@ from repro.errors import InvariantViolationError
 from repro.net.stats import TransferStats
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import ClusterConfig, ClusterRunner
-from repro.net.faults import RetryPolicy
+from repro.net.faults import RetryPolicy, chaos_faults
 from repro.net.wire import Encoding
 from repro.obs import trace as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import (GAUGE_NAMES, ClusterMonitor, MonitorConfig,
                                RingBuffer)
 from repro.workload.cluster import (SessionRequest, UpdateRequest,
-                                    chaos_faults, gossip_schedule,
-                                    site_names, update_schedule)
+                                    gossip_schedule, site_names,
+                                    update_schedule)
 
 ENC = Encoding(site_bits=8, value_bits=16)
 SLOW = ChannelSpec(latency=0.05, bandwidth=1e5)

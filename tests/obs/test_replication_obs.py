@@ -1,5 +1,8 @@
 """Observability threaded through the replication layer."""
 
+import pytest
+
+from repro.errors import ReproError
 from repro.obs import MetricsRegistry, Tracer
 from repro.replication.antientropy import (AntiEntropyConfig,
                                            AntiEntropySimulation,
@@ -58,6 +61,14 @@ class TestAntiEntropy:
         assert snapshot["counters"]["antientropy.gossips"] == len(gossips)
         latency = snapshot["histograms"]["antientropy.convergence_seconds"]
         assert latency["total"] == result.convergence_latency
+
+    def test_clock_restored_when_the_run_fails(self):
+        tracer = Tracer()
+        config = AntiEntropyConfig(n_sites=4, gossip_period=50.0,
+                                   max_time=10.0)
+        with pytest.raises(ReproError, match="convergence"):
+            AntiEntropySimulation(config, tracer=tracer).run()
+        assert tracer.clock is None
 
     def test_tracer_does_not_change_the_measurement(self):
         traced = AntiEntropySimulation(self.CONFIG, tracer=Tracer()).run()

@@ -1,12 +1,15 @@
 """Tests for the anti-entropy simulation (§2.1's eventual consistency)."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ReproError
+from repro.net.topology import RingTopology
 from repro.replication.antientropy import (AntiEntropyConfig,
                                            AntiEntropySimulation,
+                                           OpAntiEntropySimulation,
                                            compare_schemes)
-from repro.workload.topology import RingTopology
 
 
 def small_config(**overrides):
@@ -217,3 +220,67 @@ class TestSchemeComparison:
         assert len(payloads) == 1  # same values moved
         bits = {scheme: r.metadata_bits for scheme, r in results.items()}
         assert len(set(bits.values())) > 1  # schemes priced differently
+
+
+LEFT = frozenset({"S000", "S001"})
+
+
+class TestSeededMatrix:
+    """The loop's results over four seeds, pinned per configuration.
+
+    The digests cover convergence times, sync counts and both bit
+    totals, so any drift in the pair samplers, the shared jitter/update
+    stream or the partition filter shows up here.
+    """
+
+    CASES = {
+        "vv": lambda seed: AntiEntropySimulation(
+            small_config(metadata="vv", seed=seed)),
+        "crv": lambda seed: AntiEntropySimulation(
+            small_config(metadata="crv", seed=seed)),
+        "srv": lambda seed: AntiEntropySimulation(
+            small_config(metadata="srv", seed=seed)),
+        "partitioned": lambda seed: AntiEntropySimulation(small_config(
+            seed=seed, partitions=((0.0, 10.0, LEFT),))),
+        "ring-values": lambda seed: AntiEntropySimulation(small_config(
+            seed=seed, topology=RingTopology(), convergence="values")),
+        "op-syncg": lambda seed: OpAntiEntropySimulation(
+            small_config(seed=seed)),
+        "op-full-graph": lambda seed: OpAntiEntropySimulation(
+            small_config(seed=seed), use_syncg=False),
+    }
+
+    @pytest.mark.parametrize("label, digest", [
+        pytest.param("vv", "bfccbeec82f34644", id="vv"),
+        pytest.param("crv", "11dc18a00768543c", id="crv"),
+        pytest.param("srv", "1c3b58c0effe1ab7", id="srv"),
+        pytest.param("partitioned", "0979e6ce237bfdfe", id="partitioned"),
+        pytest.param("ring-values", "4d14a2370400a253", id="ring-values"),
+        pytest.param("op-syncg", "dcf936f5aa3b63b8", id="op-syncg"),
+        pytest.param("op-full-graph", "fe9dc474e619df1e", id="op-full-graph"),
+    ])
+    def test_results_are_pinned(self, label, digest):
+        results = [self.CASES[label](seed).run() for seed in range(4)]
+        assert hashlib.sha256(
+            repr(results).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(n_sites=1), id="one-site"),
+    pytest.param(dict(gossip_period=0.0), id="zero-period"),
+    pytest.param(dict(gossip_jitter=-0.1), id="negative-jitter"),
+    pytest.param(dict(gossip_jitter=1.5), id="jitter-above-one"),
+    pytest.param(dict(update_interval=0.0), id="zero-update-interval"),
+    pytest.param(dict(n_updates=-1), id="negative-updates"),
+    pytest.param(dict(max_time=0.0), id="zero-max-time"),
+    pytest.param(dict(convergence="eventually"), id="unknown-convergence"),
+    pytest.param(dict(partitions=((5.0, 5.0, LEFT),)), id="empty-window"),
+    pytest.param(dict(partitions=((-1.0, 5.0, LEFT),)),
+                 id="negative-window"),
+    pytest.param(dict(partitions=((0.0, 5.0, frozenset({"S999"})),)),
+                 id="unknown-site-in-cut"),
+    pytest.param(dict(partitions=((0.0, 5.0),)), id="window-without-cut"),
+])
+def test_config_rejections_are_repro_errors(overrides):
+    with pytest.raises(ReproError):
+        small_config(**overrides)

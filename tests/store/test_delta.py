@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core.order import Ordering
 from repro.net.channel import ChannelSpec
-from repro.net.faults import RetryPolicy
+from repro.net.faults import RetryPolicy, chaos_faults
 from repro.store.cluster import ClientOp, StoreCluster, StoreConfig
 from repro.store.kv import SiteStore
 from repro.workload.clients import StoreWorkloadConfig, run_store_workload
-from repro.workload.cluster import chaos_faults
 from tests.helpers import clone_store, full_walk_pull
 
 SITES = ("A", "B", "C", "D")

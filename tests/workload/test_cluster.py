@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.errors import ValidationError
+from repro.net.topology import RingTopology
 from repro.workload.cluster import (gossip_schedule, site_names,
                                     update_schedule)
-from repro.workload.topology import RingTopology
 
 
 class TestSiteNames:
@@ -44,9 +45,9 @@ class TestGossipSchedule:
         assert all(frozenset((r.src, r.dst)) in ring for r in schedule)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="rounds"):
+        with pytest.raises(ValidationError, match="rounds"):
             gossip_schedule(site_names(4), rounds=0)
-        with pytest.raises(ValueError, match="period"):
+        with pytest.raises(ValidationError, match="period"):
             gossip_schedule(site_names(4), rounds=1, period=0.0)
 
 
@@ -69,9 +70,12 @@ class TestUpdateSchedule:
             == update_schedule(site_names(4), n_updates=9, seed=7)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="n_updates"):
+        with pytest.raises(ValidationError, match="n_updates"):
             update_schedule(site_names(4), n_updates=-1)
-        with pytest.raises(ValueError, match="interval"):
+        with pytest.raises(ValidationError, match="interval"):
             update_schedule(site_names(4), n_updates=1, interval=0.0)
-        with pytest.raises(ValueError, match="writers"):
+        with pytest.raises(ValidationError, match="n_objects"):
+            update_schedule(site_names(4), n_updates=1, n_objects=0)
+        with pytest.raises(ValidationError, match="writers"):
             update_schedule(site_names(4), n_updates=1, writers=[])
+

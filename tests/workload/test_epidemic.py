@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.net.sharding import build_shard_map
 from repro.net.topology import GossipSpec, LinkProfile, TopologySpec
 from repro.workload.epidemic import (closing_sweep, epidemic_schedule,
@@ -68,9 +69,9 @@ class TestEpidemicSchedule:
         assert all(0.75 * 2.0 <= r.at <= 3 * 2.0 * 1.25 for r in plan)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             epidemic_schedule(SPEC, SHARDS, rounds=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             epidemic_schedule(SPEC, SHARDS, rounds=1, period=0.0)
 
 
@@ -97,9 +98,9 @@ class TestShardedUpdateSchedule:
         assert len(set(times)) == len(times)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             sharded_update_schedule(SPEC, SHARDS, n_updates=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             sharded_update_schedule(SPEC, SHARDS, n_updates=1,
                                     interval=0.0)
 
@@ -134,7 +135,7 @@ class TestClosingSweep:
         assert covered == expected
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             closing_sweep(SHARDS, start=0.0, spacing=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             closing_sweep(SHARDS, start=0.0, settle=0.0)
