@@ -444,7 +444,8 @@ def launch_transactional(
         sim: Simulator, pairs: Tuple[Tuple[Any, Any], ...], *,
         snapshot: Callable[[], Any], restore: Callable[[Any], None],
         rebuild: Callable[[], Any],
-        on_abandon: Optional[Callable[[SessionError], None]] = None,
+        on_abandon: Optional[Callable[[SessionError, TransferStats],
+                                      None]] = None,
         **options: Any) -> SessionHandle:
     """Launch a session whose attempts are transactional on a faulted link.
 
@@ -471,9 +472,9 @@ def launch_transactional(
         return rebuild()
 
     if on_abandon is not None:
-        def abandon(error: SessionError) -> None:
+        def abandon(error: SessionError, stats: TransferStats) -> None:
             restore(saved)
-            on_abandon(error)
+            on_abandon(error, stats)
         options["on_abandon"] = abandon
     return launch(sim, SessionOptions(rebuild=attempt, **options))
 

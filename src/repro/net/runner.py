@@ -161,11 +161,14 @@ class SessionOptions:
             wire trace event as ``fields["session"]`` (the cluster
             runner passes its record index); ``None`` leaves standalone
             session events exactly as before.
-        on_abandon: fires (with the :class:`~repro.errors.SessionError`
-            describing the failure) when the session aborts
-            *permanently* — retry budget exhausted and no resume
-            possible — instead of raising out of the simulator.  The
-            handle's ``result`` stays ``None``.  Hosts that own shared
+        on_abandon: ``on_abandon(error, stats)`` fires with the
+            :class:`~repro.errors.SessionError` describing the failure
+            and the session's spent :class:`TransferStats` (every
+            attempt's wire bits, the aborted ones included) when the
+            session aborts *permanently* — retry budget exhausted and no
+            resume possible — instead of raising out of the simulator;
+            no callback needs the handle (capturing it would be a cycle
+            per session).  ``result`` stays ``None``.  Hosts that own shared
             state (e.g. a replicated store's per-key tables) use this to
             roll the receiver back to its pre-session snapshot and keep
             the fleet running; leaving it ``None`` keeps the historical
@@ -186,7 +189,7 @@ class SessionOptions:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     fault_seed: Optional[int] = None
     session_id: Optional[int] = None
-    on_abandon: Optional[Callable[[SessionError], None]] = None
+    on_abandon: Optional[Callable[[SessionError, TransferStats], None]] = None
 
     def __post_init__(self) -> None:
         if bool(self.pairs) == (self.rebuild is not None):
@@ -282,19 +285,19 @@ class _Mailbox:
 
 
 def _launch_wire(sim: Simulator, sender: ProtocolCoroutine,
-                 receiver: ProtocolCoroutine, *, stats: TransferStats,
-                 channel: ChannelSpec, encoding: Encoding,
-                 stop_and_wait: bool, proc_time: float, max_steps: int,
-                 tracer: Optional[Tracer],
-                 party_names: Tuple[str, str],
-                 on_complete: Callable[[TimedSessionResult], None],
-                 session_id: Optional[int] = None) -> None:
+                 receiver: ProtocolCoroutine, stats: TransferStats,
+                 options: SessionOptions,
+                 on_complete: Callable[[TimedSessionResult], None]) -> None:
     """Spawn one wire session's two processes on the perfect-link path."""
+    channel, encoding, tracer = \
+        options.channel, options.encoding, options.tracer
+    stop_and_wait, proc_time = options.stop_and_wait, options.proc_time
+    max_steps, session_id = options.max_steps, options.session_id
     if encoding.session_header_bits:
         # Per-session fixed overhead: priced, not timed (it models
         # connection state, not a serialized message — see wire.py).
         stats.forward.record("SessionHeader", encoding.session_header_bits)
-    sender_name, receiver_name = party_names
+    sender_name, receiver_name = options.party_names
     session_fields = {} if session_id is None else {"session": session_id}
     mailboxes = {sender_name: _Mailbox(sim, sender_name, tracer, session_id),
                  receiver_name: _Mailbox(sim, receiver_name, tracer,
@@ -419,27 +422,21 @@ class _ReliableWire:
     """
 
     def __init__(self, sim: Simulator, stats: TransferStats,
-                 channel: ChannelSpec, encoding: Encoding,
-                 retry: RetryPolicy, injector: FaultInjector,
-                 jitter_rng: random.Random, tracer: Optional[Tracer],
-                 party_names: Tuple[str, str],
-                 proc_time: float, max_steps: int,
-                 session_id: Optional[int] = None) -> None:
+                 options: SessionOptions, injector: FaultInjector,
+                 jitter_rng: random.Random) -> None:
         self.sim = sim
         self.stats = stats
-        self.channel = channel
-        self.encoding = encoding
-        self.retry = retry
+        self.channel = options.channel
+        self.encoding = options.encoding
+        self.retry = options.retry
         self.injector = injector
         self.jitter_rng = jitter_rng
-        self.tracer = tracer
-        self.proc_time = proc_time
-        self.max_steps = max_steps
+        self.tracer = tracer = options.tracer
         self.aborted = False
+        session_id = options.session_id
         self.session_fields = ({} if session_id is None
                                else {"session": session_id})
-        sender_name, receiver_name = party_names
-        self.party_names = party_names
+        sender_name, receiver_name = self.party_names = options.party_names
         self.mailboxes = {
             sender_name: _Mailbox(sim, sender_name, tracer, session_id),
             receiver_name: _Mailbox(sim, receiver_name, tracer, session_id)}
@@ -618,24 +615,19 @@ class _ReliableWire:
 
 
 def _launch_wire_reliable(sim: Simulator, sender: ProtocolCoroutine,
-                          receiver: ProtocolCoroutine, *,
-                          stats: TransferStats, channel: ChannelSpec,
-                          encoding: Encoding, retry: RetryPolicy,
-                          injector: FaultInjector,
-                          jitter_rng: random.Random, proc_time: float,
-                          max_steps: int, tracer: Optional[Tracer],
-                          party_names: Tuple[str, str],
+                          receiver: ProtocolCoroutine, stats: TransferStats,
+                          options: SessionOptions, injector: FaultInjector,
+                          jitter_rng: random.Random,
                           on_complete: Callable[[TimedSessionResult], None],
-                          on_abort: Callable[[], None],
-                          session_id: Optional[int] = None) -> None:
+                          on_abort: Callable[[], None]) -> None:
     """Spawn one wire-session attempt on the ARQ transport."""
-    if encoding.session_header_bits:
+    header_bits = options.encoding.session_header_bits
+    if header_bits:
         # Every attempt is a fresh handshake; it re-pays the header.
-        stats.forward.record("SessionHeader", encoding.session_header_bits)
-    wire = _ReliableWire(sim, stats, channel, encoding, retry, injector,
-                         jitter_rng, tracer, party_names, proc_time,
-                         max_steps, session_id)
-    sender_name, receiver_name = party_names
+        stats.forward.record("SessionHeader", header_bits)
+    wire = _ReliableWire(sim, stats, options, injector, jitter_rng)
+    proc_time, max_steps = options.proc_time, options.max_steps
+    sender_name, receiver_name = options.party_names
     start_time = sim.now
     finish_times: Dict[str, float] = {}
     results: Dict[str, Any] = {}
@@ -715,6 +707,132 @@ def _launch_wire_reliable(sim: Simulator, sender: ProtocolCoroutine,
 # ---------------------------------------------------------------------------
 
 
+class _Attempt:
+    """One attempt of a launched session, its chunks run back to back.
+
+    The wires call back into its bound methods, and nothing it holds
+    leads back to it: once its last callback returns, the attempt and its
+    wires' mailboxes, signals and spent generators are freed by reference
+    counting.  A resume is a fresh attempt.
+    """
+
+    __slots__ = ("sim", "handle", "injector", "jitter_rng", "start_time",
+                 "single", "chunks", "index", "stats", "frames",
+                 "sender_results", "receiver_results")
+
+    def __init__(self, sim: Simulator, handle: SessionHandle,
+                 injector: Optional[FaultInjector],
+                 jitter_rng: Optional[random.Random],
+                 start_time: float) -> None:
+        options = handle.options
+        handle.attempts += 1
+        pairs = list(options.rebuild()) if options.rebuild is not None \
+            else list(options.pairs)
+        if not pairs:
+            raise SessionError("a session needs at least one coroutine pair")
+        size = options.batch_size
+        self.sim, self.handle, self.start_time = sim, handle, start_time
+        self.injector, self.jitter_rng = injector, jitter_rng
+        self.single = len(pairs) == 1 and size == 1
+        self.chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
+        self.sender_results: List[Any] = []
+        self.receiver_results: List[Any] = []
+
+    def launch_chunk(self, index: int) -> None:
+        """Spawn chunk ``index``'s wire session, framed when batching."""
+        options = self.handle.options
+        chunk = self.chunks[index]
+        self.index = index
+        self.stats = stats = TransferStats()
+        self.frames: Optional[List[BatchFrame]] = None
+        if options.batch_size == 1:
+            wire_sender, wire_receiver = chunk[0]
+        else:
+            self.frames = frames = []
+            wire_sender = batch_party(
+                [s for s, _ in chunk], initiator=True,
+                max_steps=options.max_steps, on_frame=frames.append)
+            wire_receiver = batch_party(
+                [r for _, r in chunk], initiator=False,
+                max_steps=options.max_steps, on_frame=frames.append)
+        if self.injector is None:
+            _launch_wire(self.sim, wire_sender, wire_receiver, stats,
+                         options, self.finish_chunk)
+        else:
+            _launch_wire_reliable(self.sim, wire_sender, wire_receiver,
+                                  stats, options, self.injector,
+                                  self.jitter_rng, self.finish_chunk,
+                                  self.abort_chunk)
+
+    def finish_chunk(self, result: TimedSessionResult) -> None:
+        """The chunk's wire completed: fold it in, then run the next
+        chunk or finish the session."""
+        handle, stats, frames = self.handle, self.stats, self.frames
+        if frames is None:
+            self.sender_results.append(result.sender_result)
+            self.receiver_results.append(result.receiver_result)
+        else:
+            for frame in frames:
+                stats.note_frame(frame.object_count)
+            self.sender_results.extend(result.sender_result)
+            self.receiver_results.extend(result.receiver_result)
+        handle.stats.merge(stats)
+        if self.index + 1 < len(self.chunks):
+            self.launch_chunk(self.index + 1)
+            return
+        single = self.single
+        handle.result = final = TimedSessionResult(
+            stats=handle.stats,
+            sender_result=(self.sender_results[0] if single
+                           else self.sender_results),
+            receiver_result=(self.receiver_results[0] if single
+                             else self.receiver_results),
+            completion_time=result.completion_time,
+            sender_finish=result.sender_finish,
+            receiver_finish=result.receiver_finish,
+            start_time=self.start_time,
+        )
+        if handle.options.on_complete is not None:
+            handle.options.on_complete(final)
+
+    def abort_chunk(self) -> None:
+        """The chunk's wire gave up.  Its traffic was spent: fold it in
+        before deciding (which may raise) to resume or abandon."""
+        handle = self.handle
+        options, stats = handle.options, handle.stats
+        stats.merge(self.stats)
+        tracer = options.tracer
+        session = ({} if options.session_id is None
+                   else {"session": options.session_id})
+        if options.rebuild is None \
+                or handle.attempts >= options.retry.max_session_attempts:
+            error = SessionError(
+                f"session {options.party_names[0]}->"
+                f"{options.party_names[1]} aborted permanently after "
+                f"{handle.attempts} attempt(s): a message exhausted its "
+                f"retry budget ({options.retry.max_retries} retries) "
+                + ("and no rebuild factory was provided to resume from"
+                   if options.rebuild is None else
+                   "and the resume budget "
+                   f"({options.retry.max_session_attempts} attempts) "
+                   f"is spent"))
+            if options.on_abandon is None:
+                raise error
+            if tracer is not None:
+                tracer.event(obs.CONTROL, party=options.party_names[1],
+                             signal="session_abandon",
+                             attempts=handle.attempts, **session)
+            options.on_abandon(error, stats)
+            return
+        stats.resumes += 1
+        if tracer is not None:
+            tracer.event(obs.CONTROL, party=options.party_names[1],
+                         signal="session_resume",
+                         attempt=handle.attempts + 1, **session)
+        _Attempt(self.sim, handle, self.injector, self.jitter_rng,
+                 self.start_time).launch_chunk(0)
+
+
 def launch(sim: Simulator, options: SessionOptions) -> SessionHandle:
     """Spawn one session (single, batched, or fault-tolerant) on ``sim``.
 
@@ -732,152 +850,18 @@ def launch(sim: Simulator, options: SessionOptions) -> SessionHandle:
     prefix is already applied).  A session that cannot resume raises
     :class:`~repro.errors.SessionError` out of the simulator run — unless
     ``options.on_abandon`` is set, in which case the callback is invoked
-    with that error and the simulation continues (the handle stays
-    incomplete).
+    with that error and the session's spent stats, and the simulation
+    continues (the handle stays incomplete).
     """
     handle = SessionHandle(options=options)
-    reliable = options.use_reliable
     injector: Optional[FaultInjector] = None
     jitter_rng: Optional[random.Random] = None
-    if reliable:
+    if options.use_reliable:
         base_seed = (options.channel.faults.seed
                      if options.fault_seed is None else options.fault_seed)
         injector = FaultInjector(options.channel.faults, seed=base_seed)
         jitter_rng = random.Random(base_seed * 1_000_003 + options.retry.seed)
-    start_time = sim.now
-    tracer = options.tracer
-
-    def build_pairs() -> List[SessionPair]:
-        pairs = list(options.rebuild()) if options.rebuild is not None \
-            else list(options.pairs)
-        if not pairs:
-            raise SessionError("a session needs at least one coroutine pair")
-        return pairs
-
-    def start_attempt() -> None:
-        handle.attempts += 1
-        pairs = build_pairs()
-        single = len(pairs) == 1 and options.batch_size == 1
-        chunks = [pairs[i:i + options.batch_size]
-                  for i in range(0, len(pairs), options.batch_size)]
-        sender_results: List[Any] = []
-        receiver_results: List[Any] = []
-
-        def on_attempt_abort() -> None:
-            can_resume = (options.rebuild is not None
-                          and handle.attempts
-                          < options.retry.max_session_attempts)
-            if not can_resume:
-                error = SessionError(
-                    f"session {options.party_names[0]}->"
-                    f"{options.party_names[1]} aborted permanently after "
-                    f"{handle.attempts} attempt(s): a message exhausted its "
-                    f"retry budget ({options.retry.max_retries} retries) "
-                    + ("and no rebuild factory was provided to resume from"
-                       if options.rebuild is None else
-                       "and the resume budget "
-                       f"({options.retry.max_session_attempts} attempts) "
-                       f"is spent"))
-                if options.on_abandon is not None:
-                    if tracer is not None:
-                        tracer.event(
-                            obs.CONTROL, party=options.party_names[1],
-                            signal="session_abandon",
-                            attempts=handle.attempts,
-                            **({} if options.session_id is None
-                               else {"session": options.session_id}))
-                    options.on_abandon(error)
-                    return
-                raise error
-            handle.stats.resumes += 1
-            if tracer is not None:
-                tracer.event(obs.CONTROL, party=options.party_names[1],
-                             signal="session_resume",
-                             attempt=handle.attempts + 1,
-                             **({} if options.session_id is None
-                                else {"session": options.session_id}))
-            start_attempt()
-
-        def finish_session(result: TimedSessionResult) -> None:
-            final = TimedSessionResult(
-                stats=handle.stats,
-                sender_result=(sender_results[0] if single
-                               else sender_results),
-                receiver_result=(receiver_results[0] if single
-                                 else receiver_results),
-                completion_time=result.completion_time,
-                sender_finish=result.sender_finish,
-                receiver_finish=result.receiver_finish,
-                start_time=start_time,
-            )
-            handle.result = final
-            if options.on_complete is not None:
-                options.on_complete(final)
-
-        def launch_chunk(chunk_index: int) -> None:
-            chunk = chunks[chunk_index]
-            framed = options.batch_size > 1
-            chunk_stats = TransferStats()
-
-            def finish_chunk(result: TimedSessionResult) -> None:
-                handle.stats.merge(chunk_stats)
-                if framed:
-                    sender_results.extend(result.sender_result)
-                    receiver_results.extend(result.receiver_result)
-                else:
-                    sender_results.append(result.sender_result)
-                    receiver_results.append(result.receiver_result)
-                if chunk_index + 1 < len(chunks):
-                    launch_chunk(chunk_index + 1)
-                else:
-                    finish_session(result)
-
-            if not framed:
-                wire_sender, wire_receiver = chunk[0]
-            else:
-                frames: List[BatchFrame] = []
-                wire_sender = batch_party(
-                    [s for s, _ in chunk], initiator=True,
-                    max_steps=options.max_steps, on_frame=frames.append)
-                wire_receiver = batch_party(
-                    [r for _, r in chunk], initiator=False,
-                    max_steps=options.max_steps, on_frame=frames.append)
-
-                inner_finish = finish_chunk
-
-                def finish_chunk(result: TimedSessionResult) -> None:
-                    for frame in frames:
-                        chunk_stats.note_frame(frame.object_count)
-                    inner_finish(result)
-
-            if reliable:
-                def abort_chunk() -> None:
-                    # The aborted attempt's traffic was spent: fold it in
-                    # before the resume decision (which may raise).
-                    handle.stats.merge(chunk_stats)
-                    on_attempt_abort()
-
-                _launch_wire_reliable(
-                    sim, wire_sender, wire_receiver, stats=chunk_stats,
-                    channel=options.channel, encoding=options.encoding,
-                    retry=options.retry, injector=injector,
-                    jitter_rng=jitter_rng, proc_time=options.proc_time,
-                    max_steps=options.max_steps, tracer=tracer,
-                    party_names=options.party_names,
-                    on_complete=finish_chunk, on_abort=abort_chunk,
-                    session_id=options.session_id)
-                return
-            _launch_wire(
-                sim, wire_sender, wire_receiver, stats=chunk_stats,
-                channel=options.channel, encoding=options.encoding,
-                stop_and_wait=options.stop_and_wait,
-                proc_time=options.proc_time, max_steps=options.max_steps,
-                tracer=tracer, party_names=options.party_names,
-                on_complete=finish_chunk, session_id=options.session_id)
-
-        launch_chunk(0)
-
-    start_attempt()
+    _Attempt(sim, handle, injector, jitter_rng, sim.now).launch_chunk(0)
     return handle
 
 

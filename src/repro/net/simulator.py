@@ -104,6 +104,54 @@ class Signal:
         return len(self._waiters)
 
 
+class _Process:
+    """One spawned generator process.  The queue and signals hold its bound
+    :meth:`step`/:meth:`resume` and nothing it holds leads back to it, so
+    a finished process is freed by reference counting, not by the cycle
+    collector (as a closure rescheduling itself through its cell was)."""
+
+    __slots__ = ("sim", "send", "on_exit")
+
+    def __init__(self, sim: "Simulator", process: ProcessGen,
+                 on_exit: Optional[Callable[[Any], None]]) -> None:
+        self.sim = sim
+        self.send = process.send
+        self.on_exit = on_exit
+
+    def step(self, send_value: Any = None) -> None:
+        """Resume the generator once and act on what it yields."""
+        sim = self.sim
+        try:
+            yielded = self.send(send_value)
+        except StopIteration as stop:
+            sim._active_processes -= 1
+            if self.on_exit is not None:
+                self.on_exit(stop.value)
+            return
+        # Sleeps vastly outnumber signal waits on the hot path.
+        if type(yielded) is float or type(yielded) is int:
+            if yielded < 0:
+                raise SimulationError(f"process slept {yielded} < 0")
+            sim._schedule(sim.now + yielded, self.step)
+        elif isinstance(yielded, Signal):
+            sim._blocked_processes += 1
+            yielded._add_waiter(self.resume)
+        elif isinstance(yielded, (int, float)):
+            # Number subclasses (bool, numpy scalars) take the slow
+            # branch but keep the historical contract.
+            if yielded < 0:
+                raise SimulationError(f"process slept {yielded} < 0")
+            sim._schedule(sim.now + float(yielded), self.step)
+        else:
+            raise SimulationError(
+                f"process yielded unsupported value {yielded!r}")
+
+    def resume(self) -> None:
+        """The signal this process waited on fired."""
+        self.sim._blocked_processes -= 1
+        self.step()
+
+
 class Simulator:
     """Deterministic event queue with a floating-point clock.
 
@@ -207,40 +255,7 @@ class Simulator:
         ``on_exit`` receives the generator's return value.
         """
         self._active_processes += 1
-        send = process.send
-
-        def step(send_value: Any = None) -> None:
-            try:
-                yielded = send(send_value)
-            except StopIteration as stop:
-                self._active_processes -= 1
-                if on_exit is not None:
-                    on_exit(stop.value)
-                return
-            # Sleeps vastly outnumber signal waits on the hot path.
-            if type(yielded) is float or type(yielded) is int:
-                if yielded < 0:
-                    raise SimulationError(f"process slept {yielded} < 0")
-                self._schedule(self.now + yielded, step)
-            elif isinstance(yielded, Signal):
-                self._blocked_processes += 1
-
-                def resume() -> None:
-                    self._blocked_processes -= 1
-                    step(None)
-
-                yielded._add_waiter(resume)
-            elif isinstance(yielded, (int, float)):
-                # Number subclasses (bool, numpy scalars) take the slow
-                # branch but keep the historical contract.
-                if yielded < 0:
-                    raise SimulationError(f"process slept {yielded} < 0")
-                self._schedule(self.now + float(yielded), step)
-            else:
-                raise SimulationError(
-                    f"process yielded unsupported value {yielded!r}")
-
-        self._schedule(self.now, step)
+        self._schedule(self.now, _Process(self, process, on_exit).step)
 
     # -- execution ---------------------------------------------------------------------
 

@@ -569,14 +569,14 @@ class StoreCluster:
             record.advert = dict(advert.pairs)
             self._scheduler.request(src, dst, record)
 
-        def lost(error: SessionError) -> None:
-            spent(handle.stats)
+        def lost(error: SessionError, stats: TransferStats) -> None:
+            spent(stats)
             self._abandoned(record)
 
         # ``src`` is the session's sender throughout, so the advert is
         # its one backward message; adverts draw their fault schedules
         # from the negative indices, batches from the record's own.
-        handle = launch(self.sim, SessionOptions(
+        launch(self.sim, SessionOptions(
             rebuild=lambda: ((_prefixed(RECV), _prefixed(Send(advert))),),
             on_complete=arrived, on_abandon=lost,
             **session_options(self.config, src, dst, record.index,
@@ -650,12 +650,12 @@ class StoreCluster:
             for key, snapshot in snapshots.items():
                 dst_store.restore(key, snapshot)
 
-        def abandon(error: SessionError) -> None:
-            self._totals.merge(handle.stats)
+        def abandon(error: SessionError, stats: TransferStats) -> None:
+            self._totals.merge(stats)
             self._abandoned(record)
             self._release(record, stats=None)
 
-        handle = launch_transactional(
+        launch_transactional(
             self.sim, pairs,
             snapshot=lambda: {key: dst_store.snapshot(key) for key in keys},
             restore=restore, rebuild=build_pairs, on_abandon=abandon,

@@ -130,12 +130,16 @@ class TestOnAbandon:
         seen = []
         completed = []
         sim = Simulator()
-        launch(sim, self._doomed_options(on_abandon=seen.append,
-                                         on_complete=completed.append))
+        handle = launch(sim, self._doomed_options(
+            on_abandon=lambda error, stats: seen.append((error, stats)),
+            on_complete=completed.append))
         sim.run()  # must not raise
         assert len(seen) == 1
-        assert isinstance(seen[0], SessionError)
-        assert "aborted permanently" in str(seen[0])
+        error, stats = seen[0]
+        assert isinstance(error, SessionError)
+        assert "aborted permanently" in str(error)
+        # The spent traffic comes with the error: no handle needed.
+        assert stats is handle.stats and stats.total_bits > 0
         assert not completed  # an abandoned session never completes
 
     def test_on_abandon_unused_on_success(self):
@@ -144,6 +148,7 @@ class TestOnAbandon:
         sim = Simulator()
         launch(sim, SessionOptions.for_pair(
             syncb_sender(b), syncb_receiver(a), channel=CHANNEL,
-            encoding=ENC, on_abandon=seen.append))
+            encoding=ENC,
+            on_abandon=lambda error, stats: seen.append(error)))
         sim.run()
         assert not seen

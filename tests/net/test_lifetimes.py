@@ -1,0 +1,127 @@
+"""Per-session object graphs are acyclic.
+
+A finished session — its processes, mailboxes, signals, wire, spent
+coroutines and transactional snapshot — must be freed by reference
+counting the moment its last callback returns.  One self-reference on
+that path (a closure reaching itself through its own cell, a callback
+capturing the handle whose options hold it) turns every session into
+cyclic garbage, and the cycle collector then re-walks the whole live
+fleet to find it.
+
+Each test runs a workload with the collector off and counts what
+``gc.collect()`` finds afterwards, with the run's result and its cluster
+still alive (the cluster <-> scheduler pair is the one cycle left, and
+it is per run).  The count must not grow with the sessions: 4x the
+sessions, same count.
+"""
+
+import gc
+
+import pytest
+
+from repro.core.arrayvec import ArraySkipRotatingVector
+from repro.net.channel import ChannelSpec
+from repro.net.cluster import launch_cluster
+from repro.net.faults import FaultSpec, RetryPolicy
+from repro.net.runner import SessionOptions, run_timed
+from repro.net.topology import LinkProfile, TopologySpec
+from repro.net.wire import Encoding
+from repro.protocols.syncs import syncs_receiver, syncs_sender
+from repro.store.cluster import ClientOp, StoreCluster, StoreConfig
+from repro.workload.epidemic import epidemic_schedule, sharded_update_schedule
+
+ENC = Encoding(site_bits=8, value_bits=16)
+CHANNEL = ChannelSpec(latency=0.01, bandwidth=1e6)
+
+
+def cyclic_garbage(run, size):
+    """``run(size)``'s result and the objects only the cycle collector
+    could free once it returned."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kept = run(size)
+        return kept, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def garbage_at(run, sizes=(1, 4)):
+    """Results and garbage counts at each size, after one warm-up run."""
+    cyclic_garbage(run, sizes[0])
+    return [cyclic_garbage(run, size) for size in sizes]
+
+
+def lossy_fleet(size):
+    spec = TopologySpec.grid(
+        2, 3, intra=LinkProfile(latency=0.002, loss=0.1),
+        inter=LinkProfile(latency=0.04, bandwidth=250_000.0, loss=0.1),
+        replication=2, seed=1, chaos_seed=7)
+    # No retransmission: every lost message tears its attempt, so the
+    # run resumes sessions; the attempt budget keeps any from giving up.
+    runner = launch_cluster(
+        spec, n_objects=8, batch_size=4, encoding=ENC,
+        retry=RetryPolicy(max_retries=0, max_session_attempts=64))
+    sessions = epidemic_schedule(spec, runner.shards, rounds=3 * size)
+    updates = sharded_update_schedule(spec, runner.shards,
+                                      n_updates=6 * size)
+    return runner, runner.run(sessions, updates)
+
+
+def chaotic_store(size):
+    channel = ChannelSpec(latency=0.01, bandwidth=1e6,
+                          faults=FaultSpec(drop=0.4, seed=5))
+    store = StoreCluster(["A", "B", "C", "D"], StoreConfig(
+        channel=channel, retry=RetryPolicy(
+            max_retries=1, initial_rto=0.05, max_session_attempts=2)))
+    sites = store.sites
+    for i in range(12 * size):
+        site, peer = sites[i % 4], sites[(i + 1) % 4]
+        store.sim.call_at(i * 0.5, lambda s=site, p=peer, i=i: (
+            store.submit(ClientOp(kind="put", site=s, key=f"k{i % 3}",
+                                  value=i)),
+            store.request_sync(s, p)))
+    return store, store.run()
+
+
+def srv_pair():
+    # The array vectors every cluster runs on; the linked ones are
+    # cyclic by construction (doubly linked elements).
+    a = ArraySkipRotatingVector.from_pairs([("A", 1)])
+    b = a.copy()
+    a.record_update("A")
+    b.record_update("B")
+    return syncs_sender(b), syncs_receiver(a, reconcile=True)
+
+
+class TestCyclicGarbageIsConstantInSessions:
+    def test_sharded_lossy_fleet_with_resumes(self):
+        ((_, small), at_1), ((_, large), at_4) = garbage_at(lossy_fleet)
+        assert large.sessions > 3 * small.sessions
+        assert small.totals.resumes > 0 and large.totals.resumes > 0
+        assert at_1 == at_4
+
+    def test_store_with_lost_adverts_and_abandoned_sessions(self):
+        ((_, small), at_1), ((_, large), at_4) = garbage_at(chaotic_store)
+        for result in (small, large):
+            aborted = [r for r in result.records if r.aborted]
+            assert any(r.advert is None for r in aborted)  # lost advert
+            assert any(r.advert is not None for r in aborted)  # torn pull
+        assert len(large.records) == 4 * len(small.records)
+        assert at_1 == at_4
+
+    @pytest.mark.parametrize("objects, options", [
+        (1, {}), (1, {"stop_and_wait": True}), (3, {"batch_size": 2}),
+    ], ids=["pipelined", "stop_and_wait", "batched"])
+    def test_run_timed(self, objects, options):
+        def sessions(size):
+            return [run_timed(SessionOptions(
+                pairs=tuple(srv_pair() for _ in range(objects)),
+                channel=CHANNEL, encoding=ENC, **options))
+                for _ in range(5 * size)]
+
+        (small, at_1), (large, at_4) = garbage_at(sessions)
+        assert len(large) == 4 * len(small)
+        assert at_1 == at_4

@@ -175,6 +175,72 @@ class TestProcesses:
         assert trace == [("fast", 1.0), ("fast", 2.0), ("slow", 2.5),
                          ("fast", 3.0)]
 
+    def test_negative_sleep_rejected(self):
+        sim = Simulator()
+
+        def backwards():
+            yield -0.5
+
+        sim.spawn(backwards())
+        with pytest.raises(SimulationError, match="slept"):
+            sim.run()
+
+    def test_int_sleep(self):
+        sim = Simulator()
+        woke = []
+
+        def sleeper():
+            yield 2
+            woke.append(sim.now)
+
+        sim.spawn(sleeper())
+        sim.run()
+        assert woke == [2.0]
+
+    def test_number_subclass_sleep_takes_the_slow_branch(self):
+        # ``bool`` is neither exactly float nor int: it sleeps float(value).
+        sim = Simulator()
+        woke = []
+
+        def sleeper():
+            yield True
+            woke.append(sim.now)
+            yield False
+            woke.append(sim.now)
+
+        sim.spawn(sleeper())
+        sim.run()
+        assert woke == [1.0, 1.0]
+        assert all(type(t) is float for t in woke)
+
+    def test_on_exit_gets_the_return_value_after_a_signal_wait(self):
+        sim = Simulator()
+        signal = sim.signal("go")
+        results = []
+
+        def waiter():
+            yield signal
+            return ("woke", sim.now)
+
+        sim.spawn(waiter(), on_exit=results.append)
+        sim.call_at(4.0, signal.fire)
+        sim.run()
+        assert results == [("woke", 4.0)]
+
+    def test_resumed_waiter_is_not_a_deadlock(self):
+        sim = Simulator()
+        signal = sim.signal("go")
+
+        def waiter():
+            for _ in range(3):
+                yield signal
+
+        sim.spawn(waiter())
+        for at in (1.0, 2.0, 3.0):
+            sim.call_at(at, signal.fire)
+        assert sim.run() == 3.0  # no false deadlock
+        assert sim._blocked_processes == 0
+
 
 class TestTimerCompaction:
     """Cancelled timers must not accumulate in the heap (the ARQ leak)."""
