@@ -113,7 +113,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments with get-or-create accessors."""
+    """Named instruments with get-or-create accessors.
+
+    The accessors sit on per-op and per-session paths, so a hit is one
+    dict lookup and an instrument is constructed only on a miss.
+    """
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
@@ -122,15 +126,24 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """The counter named ``name``, created on first use."""
-        return self.counters.setdefault(name, Counter())
+        instrument = self.counters.get(name)
+        if instrument is None:
+            instrument = self.counters[name] = Counter()
+        return instrument
 
     def gauge(self, name: str) -> Gauge:
         """The gauge named ``name``, created on first use."""
-        return self.gauges.setdefault(name, Gauge())
+        instrument = self.gauges.get(name)
+        if instrument is None:
+            instrument = self.gauges[name] = Gauge()
+        return instrument
 
     def histogram(self, name: str) -> Histogram:
         """The histogram named ``name``, created on first use."""
-        return self.histograms.setdefault(name, Histogram())
+        instrument = self.histograms.get(name)
+        if instrument is None:
+            instrument = self.histograms[name] = Histogram()
+        return instrument
 
     def snapshot(self) -> Dict[str, Any]:
         """A plain-dict view safe to serialize or embed in a report."""

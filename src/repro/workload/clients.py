@@ -26,8 +26,10 @@ through the standard :class:`~repro.obs.metrics.MetricsRegistry`.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
@@ -94,6 +96,12 @@ class StoreWorkloadConfig:
             raise ValidationError(
                 f"read_ratio + delete_ratio must be <= 1, got "
                 f"{self.read_ratio} + {self.delete_ratio}")
+        # NaN slips past every comparison and inf breaks generation, so
+        # the float knobs must be finite before their ranges are checked.
+        for name in ("zipf", "op_interval", "sync_period"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.zipf < 0:
             raise ValidationError(f"zipf must be >= 0, got {self.zipf}")
         if self.op_interval <= 0:
@@ -134,7 +142,11 @@ def generate_client_ops(config: StoreWorkloadConfig) -> List[PlannedOp]:
     rng = random.Random(f"store-workload:{config.seed}")
     sites = site_names(config.n_sites)
     keys = hot_key_order(config.key_names(), config.seed)
-    weights = [(rank + 1) ** -config.zipf for rank in range(len(keys))]
+    # The cumulative table is built once per plan: handing ``choices``
+    # plain weights would re-accumulate all ``n_keys`` of them on every
+    # draw.  The single random() + bisect draw is the same either way.
+    cum_weights = list(accumulate(
+        (rank + 1) ** -config.zipf for rank in range(len(keys))))
     # Sticky sessions: every client is pinned to one coordinator site.
     client_site = [rng.choice(sites) for _ in range(config.n_clients)]
     plan: List[PlannedOp] = []
@@ -143,7 +155,7 @@ def generate_client_ops(config: StoreWorkloadConfig) -> List[PlannedOp]:
         clock += rng.expovariate(1.0 / config.op_interval)
         client = rng.randrange(config.n_clients)
         site = client_site[client]
-        key = rng.choices(keys, weights=weights, k=1)[0]
+        key = rng.choices(keys, cum_weights=cum_weights, k=1)[0]
         draw = rng.random()
         peer = select_peer(rng, site, sites)
         if draw < config.read_ratio:

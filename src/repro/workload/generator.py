@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from itertools import accumulate
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.net.topology import PairSampler, RandomPairTopology
@@ -125,14 +126,32 @@ def hot_site_order(sites: Sequence[str], seed: int) -> List[str]:
     return order
 
 
-def _pick_update_site(rng: random.Random, sites: List[str], bias: float,
-                      hot_order: Optional[Sequence[str]] = None) -> str:
+#: A biased placement's draw table: the hot-ranked sites and their
+#: cumulative zipf weights.
+_SiteTable = Tuple[List[str], List[float]]
+
+
+def _update_site_table(sites: Sequence[str], bias: float,
+                       seed: int) -> Optional[_SiteTable]:
+    """The cumulative draw table for ``bias``, or ``None`` when uniform.
+
+    Built once per trace so each biased update is one bisect, not a
+    fresh O(sites) weight list.
+    """
     if bias <= 0:
-        return rng.choice(sites)
+        return None
     # Zipf-ish skew: weight the i-th *hottest* site by (i+1)^-bias.
-    ranked = list(hot_order) if hot_order is not None else sites
-    weights = [(index + 1) ** -bias for index in range(len(ranked))]
-    return rng.choices(ranked, weights=weights, k=1)[0]
+    ranked = hot_site_order(sites, seed)
+    return ranked, list(accumulate(
+        (index + 1) ** -bias for index in range(len(ranked))))
+
+
+def _pick_update_site(rng: random.Random, sites: List[str],
+                      table: Optional[_SiteTable]) -> str:
+    if table is None:
+        return rng.choice(sites)
+    ranked, cum_weights = table
+    return rng.choices(ranked, cum_weights=cum_weights, k=1)[0]
 
 
 def generate_trace(config: WorkloadConfig) -> List[TraceEvent]:
@@ -145,8 +164,8 @@ def generate_trace(config: WorkloadConfig) -> List[TraceEvent]:
     rng = random.Random(config.seed)
     sites = config.site_names()
     objects = config.object_names()
-    hot_order = (hot_site_order(sites, config.seed)
-                 if config.update_site_bias > 0 else None)
+    site_table = _update_site_table(sites, config.update_site_bias,
+                                    config.seed)
 
     trace: List[TraceEvent] = []
     for object_id in objects:
@@ -160,8 +179,7 @@ def generate_trace(config: WorkloadConfig) -> List[TraceEvent]:
         object_id = rng.choice(objects)
         if rng.random() < config.update_ratio:
             sequence += 1
-            site = _pick_update_site(rng, sites, config.update_site_bias,
-                                     hot_order=hot_order)
+            site = _pick_update_site(rng, sites, site_table)
             trace.append(UpdateEvent(
                 site, object_id,
                 config.value_factory(site, object_id, sequence)))

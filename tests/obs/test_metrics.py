@@ -89,6 +89,41 @@ class TestRegistry:
         assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
 
+    @pytest.mark.parametrize("kind, cls", [
+        ("counter", Counter), ("gauge", Gauge), ("histogram", Histogram)])
+    def test_hit_constructs_no_instrument(self, monkeypatch, kind, cls):
+        registry = MetricsRegistry()
+        lookup = getattr(registry, kind)
+        first = lookup("x")
+        built = []
+        original = cls.__init__
+
+        def counting_init(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+        assert all(lookup("x") is first for _ in range(5))
+        assert built == []
+        lookup("y")
+        assert len(built) == 1
+
+    def test_snapshot_after_repeated_lookups(self):
+        registry = MetricsRegistry()
+        for _ in range(3):
+            registry.counter("c").inc()
+            registry.gauge("g").set(2.5)
+            registry.histogram("h").observe(4.0)
+        registry.gauge("unset")
+        assert registry.snapshot() == {
+            "counters": {"c": 3},
+            "gauges": {"g": 2.5, "unset": None},
+            "histograms": {"h": {
+                "count": 3, "total": 12.0, "min": 4.0, "max": 4.0,
+                "mean": 4.0, "p50": 4.0, "p90": 4.0, "p95": 4.0,
+                "p99": 4.0, "p999": 4.0}},
+        }
+
     def test_snapshot_is_plain_and_sorted(self):
         registry = MetricsRegistry()
         registry.counter("b").inc(2)

@@ -1,5 +1,8 @@
 """The client-workload driver: planning, validation, and measurement."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.core.skip import SkipRotatingVector
@@ -35,6 +38,13 @@ class TestConfigValidation:
     def test_rejects_nonsense(self, overrides):
         with pytest.raises(ReproError):
             StoreWorkloadConfig(**overrides)
+
+    @pytest.mark.parametrize("name", ["zipf", "op_interval", "sync_period"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_floats(self, name, value):
+        # NaN passes every range comparison; inf breaks generation.
+        with pytest.raises(ReproError, match="finite"):
+            StoreWorkloadConfig(**{name: value})
 
     def test_boundaries_are_inclusive(self):
         StoreWorkloadConfig(read_ratio=1.0, delete_ratio=0.0)
@@ -87,6 +97,70 @@ class TestPlanning:
                 assert op.repair_peer != op.site
             else:
                 assert op.repair_peer is None
+
+
+#: sha256 of ``repr(generate_client_ops(cfg))`` for the three bench store
+#: shapes at 2,000 ops, seeds 0-2.  Pinned so any change to how keys are
+#: drawn shows up as a changed plan, not as a silent metric drift.
+PINNED_PLANS = {
+    ("store_hot", 0):
+        "0cbb87c240e5199a29733bfdfadea039470023b057f5dab9ab437ca124998c99",
+    ("store_hot", 1):
+        "8a9518154bb6abb87f9feda52f449ef186f8798440a38088109ecf731b256e9f",
+    ("store_hot", 2):
+        "399ba8796a0ac501f8a0cf7ced6b05787ac93b3ae74ac050a0cfef42492d0f9c",
+    ("store_wide", 0):
+        "d67a755395dae27461b7e9e4f1895e12331db0d05fed0bae391ff04a4ee26495",
+    ("store_wide", 1):
+        "430d91d58a35a753f71f645392346405179ecda4fdb8ff7888242b84241275a8",
+    ("store_wide", 2):
+        "0c33e4eb9f317013c40f12433eaaf750de765ac27d0042d39760206db9693077",
+    ("store_writes", 0):
+        "89ba21dc1b91ef4c9e699683fcc519222bca033dfeb3c3c4d30e0e90d239039a",
+    ("store_writes", 1):
+        "4d9f0df27549df7cba1c57a51e724a2e0c78cbca2e9747aad07f7ee7341c5bf0",
+    ("store_writes", 2):
+        "6815f81ff9585b4b1692fc401559b5ccec5e886354f7dd3a0f39421ef421b632",
+}
+
+#: The bench's store shapes (``bench/workloads.py``) at a test-sized op
+#: count.
+SHAPES = {
+    "store_hot": dict(n_keys=32, read_ratio=0.9),
+    "store_wide": dict(n_keys=1024, read_ratio=0.9),
+    "store_writes": dict(n_keys=64, read_ratio=0.5),
+}
+
+
+def _shape_config(shape: str, seed: int) -> StoreWorkloadConfig:
+    return StoreWorkloadConfig(n_sites=8, n_clients=64, op_interval=0.002,
+                               ops=2000, seed=seed, **SHAPES[shape])
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("shape, seed", sorted(PINNED_PLANS))
+    def test_plan_is_pinned(self, shape, seed):
+        plan = generate_client_ops(_shape_config(shape, seed))
+        digest = hashlib.sha256(repr(plan).encode()).hexdigest()
+        assert digest == PINNED_PLANS[(shape, seed)]
+
+    def test_every_key_draw_bisects_one_table(self, monkeypatch):
+        # A per-draw ``weights=`` list costs O(n_keys) per op; the plan
+        # must build one cumulative table and hand it to every draw.
+        tables = []
+        original = random.Random.choices
+
+        def spy(self, population, weights=None, *, cum_weights=None, k=1):
+            assert weights is None
+            tables.append(cum_weights)
+            return original(self, population, cum_weights=cum_weights, k=k)
+
+        monkeypatch.setattr(random.Random, "choices", spy)
+        config = _shape_config("store_wide", 0)
+        generate_client_ops(config)
+        assert len(tables) == config.ops
+        assert all(table is tables[0] for table in tables)
+        assert len(tables[0]) == config.n_keys
 
 
 class TestRunWorkload:

@@ -1,5 +1,8 @@
 """Tests for workload generation."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.workload.events import (CloneEvent, CreateEvent, SyncEvent,
@@ -64,6 +67,51 @@ class TestStructure:
             if isinstance(event, UpdateEvent):
                 counts[event.site] = counts.get(event.site, 0) + 1
         assert counts[hot] > counts.get(cold, 0) * 3
+
+
+#: sha256 of ``repr(generate_trace(cfg))`` for biased placement, keyed by
+#: ``(update_site_bias, seed)``.  Pinned so a change to how update sites
+#: are drawn shows up as a changed trace.
+PINNED_TRACES = {
+    (1.0, 0):
+        "bea2b55b5a3913c7af03b601492e748cc4c2aae6842c57b24bb4812e88f3c5ac",
+    (1.0, 5):
+        "25a9625ad2f48a58efcc09e8051836b5f450c842036cd604f149090f75e7d6bf",
+    (3.0, 0):
+        "011f8886ded1beca52f791b84ec6a1d8b32de7a77783a9fbd7eae584b69d2b18",
+    (3.0, 5):
+        "88e003361f1e876755250bed7f90a9da53f3fb6b5378bf837009e900dcbcc9db",
+}
+
+
+def _biased_config(bias: float, seed: int) -> WorkloadConfig:
+    return WorkloadConfig(n_sites=8, steps=500, update_ratio=0.7,
+                          update_site_bias=bias, seed=seed)
+
+
+class TestBiasedDrawStream:
+    @pytest.mark.parametrize("bias, seed", sorted(PINNED_TRACES))
+    def test_trace_is_pinned(self, bias, seed):
+        trace = generate_trace(_biased_config(bias, seed))
+        digest = hashlib.sha256(repr(trace).encode()).hexdigest()
+        assert digest == PINNED_TRACES[(bias, seed)]
+
+    def test_every_site_draw_bisects_one_table(self, monkeypatch):
+        tables = []
+        original = random.Random.choices
+
+        def spy(self, population, weights=None, *, cum_weights=None, k=1):
+            assert weights is None
+            tables.append(cum_weights)
+            return original(self, population, cum_weights=cum_weights, k=k)
+
+        monkeypatch.setattr(random.Random, "choices", spy)
+        config = _biased_config(3.0, 0)
+        updates = sum(isinstance(event, UpdateEvent)
+                      for event in generate_trace(config))
+        assert len(tables) == updates > 0
+        assert all(table is tables[0] for table in tables)
+        assert len(tables[0]) == config.n_sites
 
 
 class TestHotSitePermutation:
