@@ -815,18 +815,12 @@ class Codec:
         entries: List[Tuple[int, Tuple[Message, ...]]] = []
         group_index = -1
         remaining_msgs: Optional[int] = 0 if frame else None
-        # Frozen-dataclass __init__ (one object.__setattr__ per field) is
-        # the single biggest per-message decode cost; the messages are
-        # plain non-slots dataclasses, so filling the instance dict
-        # directly halves it.  The oracle equivalence tests compare these
-        # against normally constructed messages, which keeps this honest.
-        if srv:
-            msg_cls: type = ElementSMsg
-        elif crv:
-            msg_cls = ElementCMsg
-        else:
-            msg_cls = ElementMsg
-        msg_new = msg_cls.__new__
+        # Messages are tuples of their fields (repro.protocols.messages),
+        # so each decoded element is built from its fields in one C call,
+        # with no Python-level constructor.  The oracle equivalence tests
+        # compare these against normally constructed messages.
+        msg_cls: type = (ElementSMsg if srv else ElementCMsg if crv
+                         else ElementMsg)
 
         def refill(need: int) -> None:
             """Top up the local accumulator to ``need`` bits."""
@@ -959,13 +953,8 @@ class Codec:
                 two = acc >> nacc
                 acc &= (1 << nacc) - 1
                 position += 2
-                message = msg_new(msg_cls)
-                fields = message.__dict__
-                fields["site"] = site
-                fields["value"] = value
-                fields["conflict"] = two >= 2
-                fields["segment"] = (two & 1) == 1
-                append(message)
+                append(tuple.__new__(msg_cls, (site, value, two >= 2,
+                                               (two & 1) == 1)))
             elif crv:
                 if position >= bit_length:
                     raise ProtocolError("bitstream underrun")
@@ -975,18 +964,9 @@ class Codec:
                 bit = acc >> nacc
                 acc &= (1 << nacc) - 1
                 position += 1
-                message = msg_new(msg_cls)
-                fields = message.__dict__
-                fields["site"] = site
-                fields["value"] = value
-                fields["conflict"] = bit == 1
-                append(message)
+                append(tuple.__new__(msg_cls, (site, value, bit == 1)))
             else:
-                message = msg_new(msg_cls)
-                fields = message.__dict__
-                fields["site"] = site
-                fields["value"] = value
-                append(message)
+                append(tuple.__new__(msg_cls, (site, value)))
         reader._position = position
         reader._byte_pos = byte_pos
         reader._acc = acc

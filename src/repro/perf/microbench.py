@@ -17,6 +17,8 @@ chaos fleet's batched frame; both carry a 5× floor.  The two ``sync.*``
 cells gate the array-level protocol path — a sender's ``rows()`` walk
 (1.2×, message construction included on both sides) and a receiver's
 ``place_after`` (1.6×) against the per-element view idiom they replaced.
+``messages.element_build`` (2×) gates the sender's message build itself:
+tuple-backed wire values against the dict-backed dataclass they were.
 
 The workloads are deterministic (fixed seeds, fixed sizes) and sized so
 a healthy fast path clears its floor with margin — far above scheduler
@@ -31,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
+from repro.core.arrayorder import Row
 from repro.core.arrayvec import ArraySkipRotatingVector
 from repro.core.skip import SkipRotatingVector
 from repro.extensions.varint import AdaptiveEncoding
@@ -38,6 +41,7 @@ from repro.graphs.crg import coalesce
 from repro.graphs.replicationgraph import ReplicationGraph
 from repro.net.codec import BitByBitReader, BitByBitWriter, Codec
 from repro.protocols.batch import BatchFrame
+from repro.protocols.effects import Send
 from repro.protocols.messages import ElementSMsg, Halt
 from repro.replication.membership import SiteRegistry
 
@@ -390,22 +394,80 @@ def bench_sync_place_after(*, n_segments: int = 250, segment_len: int = 4,
                             _best_of(oracle), min_speedup=1.6)
 
 
+@dataclass(frozen=True)
+class _DataclassElementSMsg:
+    """The dict-backed frozen dataclass ElementSMsg was: the oracle."""
+
+    site: str
+    value: int
+    conflict: bool
+    segment: bool
+
+
+@dataclass(frozen=True)
+class _DataclassSend:
+    """The dict-backed frozen dataclass Send was: the oracle."""
+
+    message: _DataclassElementSMsg
+
+
+def build_element_sends(rows: List[Row]) -> List[Send]:
+    """``Send(ElementSMsg)`` per row, built as the SYNCS sender builds it."""
+    return [tuple.__new__(Send, (tuple.__new__(ElementSMsg, row),))
+            for row in rows]
+
+
+def build_element_sends_oracle(rows: List[Row]) -> List[_DataclassSend]:
+    """The same sends through the dataclass twins' ``__init__``."""
+    return [_DataclassSend(_DataclassElementSMsg(site, value, conflict,
+                                                 segment))
+            for site, value, conflict, segment in rows]
+
+
+def bench_messages_element_build(*, n_segments: int = 250,
+                                 segment_len: int = 4, repeats: int = 10
+                                 ) -> MicrobenchResult:
+    """Building 1,000 ``Send(ElementSMsg)`` effects from SRV rows.
+
+    Fast: the wire values built from each row in one C call apiece, as
+    the SYNCS sender does.  Oracle: a plain ``@dataclass(frozen=True)``
+    twin with the same fields — an instance dict and one
+    ``object.__setattr__`` per field, the representation messages had
+    before.  The 2× floor guards against a dict-backed wire value coming
+    back.
+    """
+    rows = ArraySkipRotatingVector.from_segments(
+        _srv_segment_spec(n_segments, segment_len)).order.as_tuples()
+
+    def fast() -> None:
+        for _ in range(repeats):
+            build_element_sends(rows)
+
+    def oracle() -> None:
+        for _ in range(repeats):
+            build_element_sends_oracle(rows)
+
+    return MicrobenchResult("messages.element_build", _best_of(fast),
+                            _best_of(oracle), min_speedup=2.0)
+
+
 def run_microbench() -> List[MicrobenchResult]:
     """All fast-path-vs-oracle probes, in a stable order."""
     return [bench_srv_segments(), bench_crg_pi_sweep(),
             bench_vector_copy(), bench_vector_rotate(),
             bench_e4_segment_stream(), bench_e11_batch_frame(),
-            bench_sync_stream_rows(), bench_sync_place_after()]
+            bench_sync_stream_rows(), bench_sync_place_after(),
+            bench_messages_element_build()]
 
 
 def format_results(results: List[MicrobenchResult]) -> str:
     """Render the probe timings as an aligned table with verdicts."""
-    header = (f"{'probe':20} {'fast ms':>10} {'oracle ms':>10} "
+    header = (f"{'probe':22} {'fast ms':>10} {'oracle ms':>10} "
               f"{'speedup':>8} {'floor':>6} {'status':>8}")
     lines = [header, "-" * len(header)]
     for result in results:
         lines.append(
-            f"{result.name:20} {result.cached_seconds * 1000:>10.2f} "
+            f"{result.name:22} {result.cached_seconds * 1000:>10.2f} "
             f"{result.uncached_seconds * 1000:>10.2f} "
             f"{result.speedup:>7.1f}x "
             f"{result.min_speedup:>5.1f}x "

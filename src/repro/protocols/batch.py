@@ -45,7 +45,6 @@ at size 1 is bit-for-bit the unbatched path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import (Any, Callable, Deque, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -53,7 +52,7 @@ from repro.errors import SessionError
 from repro.extensions.varint import elias_gamma_bits
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.protocols.effects import RECV, Drain, Poll, Recv, Send
-from repro.protocols.messages import Message
+from repro.protocols.messages import Message, wire_value
 from repro.protocols.session import (ProtocolCoroutine, SessionResult,
                                      run_session)
 
@@ -61,7 +60,7 @@ from repro.protocols.session import (ProtocolCoroutine, SessionResult,
 BatchEntry = Tuple[int, Tuple[Message, ...]]
 
 
-@dataclass(frozen=True)
+@wire_value
 class BatchFrame(Message):
     """One wire frame multiplexing several objects' protocol messages.
 

@@ -32,35 +32,33 @@ property the test suite checks explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.protocols.messages import Message
+from repro.protocols.messages import Halt, Message, WireValue, wire_value
 
 
-class Effect:
+class Effect(WireValue):
     """Base class for protocol effects."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@wire_value
 class Send(Effect):
     """Transmit ``message`` to the peer."""
 
     message: Message
 
 
-@dataclass(frozen=True)
+@wire_value
 class Recv(Effect):
     """Block until the next message from the peer arrives."""
 
 
-@dataclass(frozen=True)
+@wire_value
 class Poll(Effect):
     """Non-blocking check for a pending message; resolves to ``None`` if idle."""
 
 
-@dataclass(frozen=True)
+@wire_value
 class Drain(Effect):
     """Instantly report an already-delivered message, or ``None``; never parks."""
 
@@ -68,3 +66,8 @@ class Drain(Effect):
 #: The argument-less effects carry no state, so the protocol coroutines
 #: yield these shared instances instead of building one per resumption.
 RECV, POLL, DRAIN = Recv(), Poll(), Drain()
+
+#: SYNCS's HALT ends every SRV session; either party yields this one
+#: instance.  It costs 1 bit: Table 2's SRV bound is
+#: n·log(8mn) + n·log(2n) + 1.
+SEND_HALT1 = Send(Halt(1))

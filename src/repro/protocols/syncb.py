@@ -55,7 +55,7 @@ def syncb_sender(b: BasicRotatingVector, *, tracer: Tracer | None = None
                                  signal="halt_received")
                 report.halted_by_peer = True
                 return report
-        yield Send(ElementMsg(site, value))
+        yield tuple.__new__(Send, (tuple.__new__(ElementMsg, (site, value)),))
         report.elements_sent += 1
     # cur = ⌈b⌉ (or an empty vector, which precedes everything).
     yield Send(Halt(_HALT_BITS))
@@ -82,11 +82,12 @@ def syncb_receiver(a: BasicRotatingVector, *, tracer: Tracer | None = None
             report.received_halt = True
             return report
         assert isinstance(message, ElementMsg)
-        if message.value <= order.value(message.site):
+        site, value = message
+        if value <= order.value(site):
             report.redundant_elements += 1
             if tracer is not None:
                 tracer.event(obs.GAMMA_RETRANSMIT, party="receiver",
-                             site=message.site, value=message.value)
+                             site=site, value=value)
             # Drain delivered traffic: if the sender already HALTed (it hit
             # ⌈b⌉ right behind this element) our own HALT would be wasted.
             while True:
@@ -103,12 +104,12 @@ def syncb_receiver(a: BasicRotatingVector, *, tracer: Tracer | None = None
                              signal="halt_sent")
             report.sent_halt = True
             return report
-        order.place_after(prev, message.site, message.value)
-        prev = message.site
+        order.place_after(prev, site, value)
+        prev = site
         report.new_elements += 1
         if tracer is not None:
             tracer.event(obs.DELTA_ELEMENT, party="receiver",
-                         site=message.site, value=message.value)
+                         site=site, value=value)
 
 
 def sync_brv(a: BasicRotatingVector, b: BasicRotatingVector, *,

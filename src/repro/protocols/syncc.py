@@ -51,7 +51,8 @@ def syncc_sender(b: ConflictRotatingVector, *, tracer: Tracer | None = None
                                  signal="halt_received")
                 report.halted_by_peer = True
                 return report
-        yield Send(ElementCMsg(site, value, conflict))
+        yield tuple.__new__(Send, (tuple.__new__(ElementCMsg,
+                                                 (site, value, conflict)),))
         report.elements_sent += 1
     yield Send(Halt(_HALT_BITS))
     report.reached_end = True
@@ -81,7 +82,7 @@ def syncc_receiver(a: ConflictRotatingVector, *, reconcile: bool,
             report.received_halt = True
             return report
         assert isinstance(message, ElementCMsg)
-        site, value, conflict = message.site, message.value, message.conflict
+        site, value, conflict = message
         if value <= order.value(site):
             report.redundant_elements += 1
             if tracer is not None:

@@ -33,12 +33,10 @@ from repro.core.skip import SkipRotatingVector
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
-from repro.protocols.effects import DRAIN, POLL, RECV, Send
+from repro.protocols.effects import DRAIN, POLL, RECV, SEND_HALT1, Send
 from repro.protocols.messages import ElementSMsg, Halt, Message, Skip
 from repro.protocols.reports import VectorReceiverReport, VectorSenderReport
 from repro.protocols.session import SessionResult, run_session
-
-_HALT_BITS = 1  # Table 2: the SRV bound is n·log(8mn) + n·log(2n) + 1.
 
 
 def syncs_sender(b: SkipRotatingVector, *,
@@ -58,7 +56,7 @@ def syncs_sender(b: SkipRotatingVector, *,
     report = VectorSenderReport()
     segs = 0
     skipping = False
-    for site, value, conflict, segment in b.order.rows():
+    for row in b.order.rows():
         # Drain asynchronous control traffic before touching the next element.
         while True:
             incoming = yield POLL
@@ -80,20 +78,23 @@ def syncs_sender(b: SkipRotatingVector, *,
                 tracer.event(obs.CONTROL, party="sender",
                              signal="stale_skip", segs=incoming.segs)
             # Anything else is a stale SKIP whose segment already streamed.
+        segment = row[3]
         if not skipping or (segment and forward_terminators):
             # Terminators are sent even inside a skip so the receiver sees
             # every boundary and the two segs counters stay in lock-step.
-            yield Send(ElementSMsg(site, value, conflict, segment))
+            # The row is the message's field tuple: one C call each.
+            yield tuple.__new__(Send, (tuple.__new__(ElementSMsg, row),))
             report.elements_sent += 1
         else:
             report.elements_suppressed += 1
             if tracer is not None:
-                tracer.event("element_suppressed", party="sender", site=site)
+                tracer.event("element_suppressed", party="sender",
+                             site=row[0])
         if segment:
             segs += 1
             skipping = False
     # ⌈b⌉ passed (or b is empty and precedes everything).
-    yield Send(Halt(_HALT_BITS))
+    yield SEND_HALT1
     report.reached_end = True
     return report
 
@@ -124,7 +125,7 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                 report.received_halt = True
                 return report
             assert isinstance(message, ElementSMsg)
-            site, value = message.site, message.value
+            site, value, conflict, segment = message
             if value <= order.value(site):
                 if skipping:
                     report.ignored_elements += 1
@@ -133,14 +134,14 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                     if tracer is not None:
                         tracer.event(obs.GAMMA_RETRANSMIT, party="receiver",
                                      site=site, value=value,
-                                     conflict=message.conflict)
+                                     conflict=conflict)
                     # A skip (or halt) cuts the run of freshly written elements:
                     # the last one written now ends a segment of ≺_a (§4).
                     if reconcile and prev is not None:
                         order.set_segment(prev)
-                    if message.conflict:
+                    if conflict:
                         reconcile = True
-                        if not message.segment:
+                        if not segment:
                             yield Send(Skip(segs))
                             report.skips_issued += 1
                             skipping = True
@@ -164,7 +165,7 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                                 report.received_halt = True
                                 return report
                             report.ignored_elements += 1
-                        yield Send(Halt(_HALT_BITS))
+                        yield SEND_HALT1
                         if tracer is not None:
                             tracer.event(obs.CONTROL, party="receiver",
                                          signal="halt_sent")
@@ -172,8 +173,8 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                         return report
             else:
                 skipping = False
-                tagged = True if reconcile else message.conflict
-                order.place_after(prev, site, value, tagged, message.segment)
+                tagged = True if reconcile else conflict
+                order.place_after(prev, site, value, tagged, segment)
                 prev = site
                 report.new_elements += 1
                 if tracer is not None:
@@ -181,8 +182,8 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
                                  site=site, value=value)
                     if tagged:
                         tracer.event(obs.CONFLICT_BIT, party="receiver",
-                                     site=site, inherited=message.conflict)
-            if message.segment:
+                                     site=site, inherited=conflict)
+            if segment:
                 segs += 1
                 skipping = False
     except GeneratorExit:

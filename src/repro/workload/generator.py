@@ -75,7 +75,7 @@ class WorkloadConfig:
         if not 0.0 <= self.update_ratio <= 1.0:
             raise ValidationError(
                 f"update_ratio must be in [0, 1], got {self.update_ratio}")
-        if self.update_site_bias < 0:
+        if not self.update_site_bias >= 0:  # NaN fails this too
             raise ValidationError(
                 f"update_site_bias must be >= 0, "
                 f"got {self.update_site_bias}")

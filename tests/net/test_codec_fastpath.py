@@ -77,8 +77,9 @@ def test_stream_bits_and_messages_match_oracle(encoding, channel_stream):
     slow_out = slow.decode_elements(slow_data, slow_bits, channel)
     assert fast_out == list(messages) == slow_out
     for decoded, original in zip(fast_out, messages):
-        # The fast path constructs messages without __init__; the result
-        # must still be a first-class frozen dataclass instance.
+        # The fast path builds messages with tuple.__new__, bypassing
+        # the constructor; the result must still be a first-class frozen
+        # dataclass instance.
         assert type(decoded) is type(original)
         assert repr(decoded) == repr(original)
         if dataclasses.fields(decoded):

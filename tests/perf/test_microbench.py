@@ -7,15 +7,20 @@ with their oracles.  The actual timing verdict (fast path clears its
 on loaded machines.
 """
 
+import dataclasses
+
+from repro.core.arrayvec import ArraySkipRotatingVector
 from repro.perf.microbench import (MicrobenchResult, _grown_crg,
-                                   bench_crg_pi_sweep,
+                                   _srv_segment_spec, bench_crg_pi_sweep,
                                    bench_e4_segment_stream,
                                    bench_e11_batch_frame,
+                                   bench_messages_element_build,
                                    bench_srv_segments,
                                    bench_sync_place_after,
                                    bench_sync_stream_rows, bench_vector_copy,
-                                   bench_vector_rotate, format_results,
-                                   run_microbench)
+                                   bench_vector_rotate, build_element_sends,
+                                   build_element_sends_oracle,
+                                   format_results, run_microbench)
 
 
 class TestMicrobenchResult:
@@ -67,6 +72,8 @@ class TestWorkloads:
             bench_e11_batch_frame(n_objects=4, msgs_per_object=3, repeats=2),
             bench_sync_stream_rows(n_segments=20, segment_len=2, repeats=2),
             bench_sync_place_after(n_segments=20, segment_len=2, repeats=2),
+            bench_messages_element_build(n_segments=20, segment_len=2,
+                                         repeats=2),
         ]
         for result in probes:
             assert result.cached_seconds > 0
@@ -84,6 +91,20 @@ class TestWorkloads:
                                        repeats=1)
         assert (rows.name, rows.min_speedup) == ("sync.stream_rows", 1.2)
         assert (place.name, place.min_speedup) == ("sync.place_after", 1.6)
+        build = bench_messages_element_build(n_segments=10, segment_len=2,
+                                             repeats=1)
+        assert (build.name, build.min_speedup) == ("messages.element_build",
+                                                   2.0)
+
+    def test_element_build_matches_its_dataclass_oracle(self):
+        rows = ArraySkipRotatingVector.from_segments(
+            _srv_segment_spec(30, 3)).order.as_tuples()
+        fast = build_element_sends(rows)
+        oracle = build_element_sends_oracle(rows)
+        assert len(fast) == len(oracle) == 90
+        assert ([dataclasses.astuple(send) for send in fast]
+                == [dataclasses.astuple(send) for send in oracle]
+                == [(row,) for row in rows])
 
 
 class TestReporting:
@@ -104,4 +125,4 @@ class TestReporting:
         assert names == ["srv.segments", "crg.pi_sweep", "vector.copy",
                          "vector.rotate", "e4.segment_stream",
                          "e11.batch_frame", "sync.stream_rows",
-                         "sync.place_after"]
+                         "sync.place_after", "messages.element_build"]

@@ -143,12 +143,21 @@ class TestValidation:
         {"steps": -1},
         {"n_objects": 0},
         {"update_site_bias": -0.5},
+        {"update_site_bias": float("nan")},
         {"n_sites": 1},
         {"n_sites": 0},
     ])
     def test_rejects_out_of_range_parameters(self, kwargs):
         with pytest.raises(ReproError):
             WorkloadConfig(**kwargs)
+
+    def test_infinite_bias_sends_every_update_to_the_hottest_site(self):
+        config = WorkloadConfig(n_sites=4, steps=60, update_ratio=1.0,
+                                update_site_bias=float("inf"), seed=3)
+        hottest = hot_site_order(config.site_names(), config.seed)[0]
+        sites = {event.site for event in generate_trace(config)
+                 if isinstance(event, UpdateEvent)}
+        assert sites == {hottest}
 
     def test_boundaries_are_inclusive(self):
         for ratio in (0.0, 1.0):
