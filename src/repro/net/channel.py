@@ -49,13 +49,13 @@ class ChannelSpec:
     faults: FaultSpec = field(default_factory=FaultSpec)
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
+        if not self.latency >= 0:
             raise ValidationError(
                 f"latency must be >= 0, got {self.latency}")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValidationError(
                 f"bandwidth must be > 0, got {self.bandwidth}")
-        if self.ack_bits < 1:
+        if not self.ack_bits >= 1:
             raise ValidationError(
                 f"ack_bits must be >= 1, got {self.ack_bits}")
         if not isinstance(self.faults, FaultSpec):

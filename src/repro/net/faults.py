@@ -86,7 +86,7 @@ class FaultSpec:
         _check_probability("drop", self.drop)
         _check_probability("duplicate", self.duplicate)
         _check_probability("reorder", self.reorder)
-        if self.reorder_window < 0:
+        if not self.reorder_window >= 0:
             raise ValidationError(
                 f"reorder_window must be >= 0, got {self.reorder_window}")
         if (self.reorder > 0 or self.duplicate > 0) \
@@ -97,7 +97,7 @@ class FaultSpec:
                 raise ValidationError(
                     f"partition window must be (start, end), got {window!r}")
             start, end = window
-            if start < 0 or end <= start:
+            if not 0 <= start < end:
                 raise ValidationError(
                     f"partition window must satisfy 0 <= start < end, "
                     f"got {window!r}")
@@ -218,15 +218,15 @@ class RetryPolicy:
         if self.max_retries < 0:
             raise ValidationError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.initial_rto is not None and self.initial_rto <= 0:
+        if self.initial_rto is not None and not self.initial_rto > 0:
             raise ValidationError(
                 f"initial_rto must be > 0, got {self.initial_rto}")
-        if self.backoff < 1.0:
+        if not self.backoff >= 1.0:
             raise ValidationError(
                 f"backoff must be >= 1, got {self.backoff}")
-        if self.max_rto <= 0:
+        if not self.max_rto > 0:
             raise ValidationError(f"max_rto must be > 0, got {self.max_rto}")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ValidationError(f"jitter must be >= 0, got {self.jitter}")
         if self.max_session_attempts < 1:
             raise ValidationError(

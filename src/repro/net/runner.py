@@ -23,7 +23,7 @@ All session launching goes through one door::
 
 :class:`SessionOptions` is a keyword-only value object covering the single
 -object, batched multi-object, and fault-tolerant regimes; :func:`launch`
-spawns the session's processes on a shared simulator and returns a live
+starts the session's two parties on a shared simulator and returns a live
 :class:`SessionHandle`.  :func:`run_timed` is the private-simulator
 convenience (build a sim, launch, run to completion, return the result).
 
@@ -69,16 +69,15 @@ honest, and they are recorded at the ack's simulated *arrival* instant.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
-                    Tuple)
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SessionError, ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.faults import FaultInjector, RetryPolicy
-from repro.net.simulator import Simulator
-from repro.net.stats import DirectionStats, TransferStats
+from repro.net.simulator import Simulator, Timer
+from repro.net.stats import TransferStats
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
@@ -102,7 +101,7 @@ class TimedSessionResult:
     sender typically outlives the receiver by roughly one rtt while its
     overshoot drains).  For sessions launched on a shared simulator the
     times are absolute simulator clock values; ``start_time`` records when
-    the session's processes were spawned.
+    the session's parties were started.
     """
 
     stats: TransferStats
@@ -115,7 +114,7 @@ class TimedSessionResult:
 
     @property
     def duration(self) -> float:
-        """Seconds from spawn to the last party's finish."""
+        """Seconds from start to the last party's finish."""
         return self.completion_time - self.start_time
 
 
@@ -199,7 +198,7 @@ class SessionOptions:
         if self.batch_size < 1:
             raise ValidationError(
                 f"batch_size must be >= 1, got {self.batch_size}")
-        if self.proc_time < 0:
+        if not self.proc_time >= 0:
             raise ValidationError(
                 f"proc_time must be >= 0, got {self.proc_time}")
         if self.max_steps < 1:
@@ -244,462 +243,464 @@ class SessionHandle:
         return self.result is not None
 
 
-class _Mailbox:
-    """FIFO of delivered messages with a wakeup signal."""
+# ---------------------------------------------------------------------------
+# Wire parties: the two sides of one wire session, stepped by kernel events.
+# ---------------------------------------------------------------------------
 
-    def __init__(self, sim: Simulator, name: str,
-                 tracer: Optional[Tracer] = None,
-                 session_id: Optional[int] = None) -> None:
-        self._messages: Deque[Message] = deque()
-        self.arrival = sim.signal(f"{name}-arrival")
-        self._name = name
-        self._tracer = tracer
-        self._session_id = session_id
+#: What a party is parked on (``_Party.parked``); ``None`` when it is not.
+_INBOX = "inbox"
+_ACK = "ack"
 
-    def push(self, message: Message,
-             sent_seq: Optional[int] = None) -> None:
-        if self._tracer is not None:
+
+class _Wire:
+    """What the two parties of one wire session share.
+
+    It never refers to a party, so the only cycle on the path is the
+    parties' peer links, and :meth:`_Party.exit` cuts those when the
+    second party finishes.
+    """
+
+    __slots__ = ("sim", "stats", "channel", "encoding", "tracer",
+                 "session_fields", "stop_and_wait", "proc_time", "max_steps",
+                 "retry", "injector", "jitter_rng", "steps", "start_time",
+                 "on_complete", "on_abort")
+
+    def __init__(self, sim: Simulator, stats: TransferStats,
+                 options: SessionOptions,
+                 on_complete: Callable[[TimedSessionResult], None],
+                 on_abort: Callable[[], None],
+                 injector: Optional[FaultInjector],
+                 jitter_rng: Optional[random.Random]) -> None:
+        self.sim, self.stats = sim, stats
+        self.channel, self.encoding = options.channel, options.encoding
+        self.tracer = options.tracer
+        self.session_fields = ({} if options.session_id is None
+                               else {"session": options.session_id})
+        self.stop_and_wait = options.stop_and_wait
+        self.proc_time, self.max_steps = options.proc_time, options.max_steps
+        self.retry = options.retry
+        self.injector, self.jitter_rng = injector, jitter_rng
+        self.steps = 0
+        self.start_time = sim.now
+        self.on_complete, self.on_abort = on_complete, on_abort
+
+
+class _Party:
+    """One side of a wire session on the perfect link.
+
+    Each kernel event this party schedules calls one of its bound
+    methods, and :meth:`advance` runs the protocol coroutine from there
+    until an effect takes simulated time (a ``Send`` serializing, a
+    ``Recv`` on an empty inbox, a ``Recv``'s processing delay).  Which
+    events are scheduled, at what instant, from which float expression
+    and in what order is fixed (DESIGN.md §5, "Wire parties"): it decides
+    every kernel sequence number, and ``tests/net/test_wire_trace.py``
+    pins it.
+    """
+
+    __slots__ = ("wire", "sim", "name", "forward", "coroutine", "out_stats",
+                 "peer", "inbox", "parked", "aborted", "outgoing",
+                 "sent_seq", "result", "finish")
+
+    def __init__(self, wire: _Wire, name: str, coroutine: ProtocolCoroutine,
+                 forward: bool) -> None:
+        self.wire, self.sim, self.name = wire, wire.sim, name
+        self.forward = forward
+        self.coroutine = coroutine
+        #: This party's outgoing direction (data it serializes, acks it
+        #: returns under the ARQ transport).
+        self.out_stats = (wire.stats.forward if forward
+                          else wire.stats.backward)
+        self.peer: Optional[_Party] = None
+        self.inbox: List[Message] = []
+        self.parked: Optional[str] = None
+        self.aborted = False
+        self.outgoing: Optional[Message] = None
+        self.sent_seq: Optional[int] = None
+        self.result: Any = None
+        self.finish: Optional[float] = None
+
+    # -- the stepping loop --------------------------------------------------
+
+    def advance(self, value: Any = None) -> None:
+        """Send ``value`` into the coroutine and interpret its effects
+        until one takes simulated time (the first call starts it)."""
+        wire = self.wire
+        send = self.coroutine.send
+        inbox = self.inbox
+        while True:
+            try:
+                effect = send(value)
+            except StopIteration as stop:
+                self.exit(stop.value)
+                return
+            wire.steps += 1
+            if wire.steps > wire.max_steps:
+                raise SessionError(
+                    f"timed session exceeded {wire.max_steps} steps")
+            if isinstance(effect, Send):
+                self.transmit(effect.message)
+                return
+            if isinstance(effect, Recv):
+                if not inbox:
+                    self.parked = _INBOX
+                    self.sim.park()
+                    return
+                if wire.proc_time > 0:
+                    self.process()
+                    return
+                value = inbox.pop(0)
+            elif isinstance(effect, (Poll, Drain)):
+                value = inbox.pop(0) if inbox else None
+            else:  # pragma: no cover - defensive
+                raise SessionError(f"unknown effect {effect!r} in {self.name}")
+
+    def wake(self) -> None:
+        """A delivery (or an abort) woke this party from its inbox."""
+        self.sim.unpark()
+        if self.aborted:
+            self.quit()
+            return
+        if self.wire.proc_time > 0:
+            self.process()
+            return
+        self.advance(self.inbox.pop(0))
+
+    def process(self) -> None:
+        """Spend the per-message processing time before taking it."""
+        sim = self.sim
+        sim.schedule(sim.now + self.wire.proc_time, self.processed)
+
+    def processed(self) -> None:
+        if self.aborted:
+            self.quit()
+            return
+        self.advance(self.inbox.pop(0))
+
+    def quit(self) -> None:
+        """The attempt aborted: close the coroutine and leave."""
+        self.coroutine.close()
+        self.exit(None)
+
+    def exit(self, result: Any) -> None:
+        self.result = result
+        self.finish = self.sim.now
+        peer = self.peer
+        if peer.finish is None:
+            return
+        # The second party out cuts the peer links, so the finished
+        # session holds no cycle (DESIGN.md §5).
+        self.peer = peer.peer = None
+        wire = self.wire
+        if self.aborted:
+            wire.on_abort()
+            return
+        sender, receiver = (self, peer) if self.forward else (peer, self)
+        wire.on_complete(TimedSessionResult(
+            stats=wire.stats,
+            sender_result=sender.result,
+            receiver_result=receiver.result,
+            completion_time=max(sender.finish, receiver.finish),
+            sender_finish=sender.finish,
+            receiver_finish=receiver.finish,
+            start_time=wire.start_time,
+        ))
+
+    # -- perfect-link transport ---------------------------------------------
+
+    def transmit(self, message: Message) -> None:
+        """Occupy the link for ``message``'s serialization delay."""
+        wire = self.wire
+        bits = message.bits(wire.encoding)
+        self.out_stats.record(message.type_name, bits)
+        if wire.tracer is not None:
+            self.sent_seq = wire.tracer.event(
+                obs.MESSAGE, party=self.name, message=message.type_name,
+                bits=bits, direction="forward" if self.forward else "backward",
+                **wire.session_fields).seq
+        self.outgoing = message
+        sim = self.sim
+        sim.schedule(sim.now + wire.channel.serialization_delay(bits),
+                     self.serialized)
+
+    def serialized(self) -> None:
+        """The last bit left: it lands one propagation latency later."""
+        wire, sim = self.wire, self.sim
+        sim.schedule(sim.now + wire.channel.latency,
+                     partial(self.peer.deliver, self.outgoing, self.sent_seq))
+        if wire.stop_and_wait:
+            # The implicit ack crosses back only after the data message
+            # lands; record it when it *arrives* here (now + rtt + ack
+            # serialization), not when the data finished serializing —
+            # otherwise traces show the Ack before the deliver it
+            # acknowledges.
+            sim.schedule(sim.now + wire.channel.stop_and_wait_overhead(),
+                         self.implicitly_acked)
+            return
+        self.advance()
+
+    def implicitly_acked(self) -> None:
+        wire = self.wire
+        ack_bits = wire.channel.ack_bits
+        peer = self.peer
+        peer.out_stats.record("Ack", ack_bits)
+        if wire.tracer is not None:
+            wire.tracer.event(obs.MESSAGE, party=peer.name, message="Ack",
+                              bits=ack_bits,
+                              direction=("backward" if self.forward
+                                         else "forward"),
+                              **wire.session_fields)
+        self.advance()
+
+    def deliver(self, message: Message, sent_seq: Optional[int]) -> None:
+        """A message landed in this party's inbox."""
+        tracer = self.wire.tracer
+        if tracer is not None:
             fields: Dict[str, Any] = {}
             if sent_seq is not None:
                 # The trace seq of the MESSAGE event whose copy landed —
                 # the send→deliver happens-before edge, by construction
                 # acyclic (the send was emitted strictly earlier).
                 fields["sent_seq"] = sent_seq
-            if self._session_id is not None:
-                fields["session"] = self._session_id
-            self._tracer.event(obs.DELIVER, party=self._name,
-                               message=message.type_name, **fields)
-        self._messages.append(message)
-        self.arrival.fire()
-
-    def pop_now(self) -> Optional[Message]:
-        return self._messages.popleft() if self._messages else None
-
-    def __bool__(self) -> bool:
-        return bool(self._messages)
+            fields.update(self.wire.session_fields)
+            tracer.event(obs.DELIVER, party=self.name,
+                         message=message.type_name, **fields)
+        self.inbox.append(message)
+        if self.parked is _INBOX:
+            # A zero-delay hop, not an inline call: the party resumes at
+            # this instant but behind everything already due now.
+            self.parked = None
+            self.sim.schedule(self.sim.now, self.wake)
 
 
-# ---------------------------------------------------------------------------
-# The historical (fault-free) wire session, byte-for-byte.
-# ---------------------------------------------------------------------------
+class _ArqParty(_Party):
+    """One side of a wire-session attempt on the ARQ transport.
 
-
-def _launch_wire(sim: Simulator, sender: ProtocolCoroutine,
-                 receiver: ProtocolCoroutine, stats: TransferStats,
-                 options: SessionOptions,
-                 on_complete: Callable[[TimedSessionResult], None]) -> None:
-    """Spawn one wire session's two processes on the perfect-link path."""
-    channel, encoding, tracer = \
-        options.channel, options.encoding, options.tracer
-    stop_and_wait, proc_time = options.stop_and_wait, options.proc_time
-    max_steps, session_id = options.max_steps, options.session_id
-    if encoding.session_header_bits:
-        # Per-session fixed overhead: priced, not timed (it models
-        # connection state, not a serialized message — see wire.py).
-        stats.forward.record("SessionHeader", encoding.session_header_bits)
-    sender_name, receiver_name = options.party_names
-    session_fields = {} if session_id is None else {"session": session_id}
-    mailboxes = {sender_name: _Mailbox(sim, sender_name, tracer, session_id),
-                 receiver_name: _Mailbox(sim, receiver_name, tracer,
-                                         session_id)}
-    start_time = sim.now
-    finish_times: Dict[str, float] = {}
-    results: Dict[str, Any] = {}
-    steps = 0
-
-    def make_process(name: str, peer: str, gen: ProtocolCoroutine,
-                     forward: bool, out_stats: DirectionStats,
-                     ack_stats: DirectionStats):
-        def process():
-            nonlocal steps
-            mailbox = mailboxes[name]
-            try:
-                pending = next(gen)
-            except StopIteration as stop:
-                results[name] = stop.value
-                return
-            while True:
-                steps += 1
-                if steps > max_steps:
-                    raise SessionError(
-                        f"timed session exceeded {max_steps} steps")
-                if isinstance(pending, Send):
-                    message = pending.message
-                    bits = message.bits(encoding)
-                    out_stats.record(message.type_name, bits)
-                    sent_seq: Optional[int] = None
-                    if tracer is not None:
-                        sent_seq = tracer.event(
-                            obs.MESSAGE, party=name,
-                            message=message.type_name, bits=bits,
-                            direction=("forward" if forward
-                                       else "backward"),
-                            **session_fields).seq
-                    yield channel.serialization_delay(bits)
-                    # Delivery fires one propagation latency later; note the
-                    # mailbox is captured now but pushed at arrival time.
-                    sim.call_after(
-                        channel.latency,
-                        lambda m=message, s=sent_seq:
-                            mailboxes[peer].push(m, sent_seq=s))
-                    if stop_and_wait:
-                        # The implicit ack crosses back only after the data
-                        # message lands; record it when it *arrives* here
-                        # (now + rtt + ack serialization), not when the
-                        # data finished serializing — otherwise traces show
-                        # the Ack before the deliver it acknowledges.
-                        yield channel.stop_and_wait_overhead()
-                        ack_stats.record("Ack", channel.ack_bits)
-                        if tracer is not None:
-                            tracer.event(obs.MESSAGE, party=peer,
-                                         message="Ack", bits=channel.ack_bits,
-                                         direction=("backward" if forward
-                                                    else "forward"),
-                                         **session_fields)
-                    value: Any = None
-                elif isinstance(pending, (Poll, Drain)):
-                    value = mailbox.pop_now()
-                elif isinstance(pending, Recv):
-                    while not mailbox:
-                        yield mailbox.arrival
-                    if proc_time > 0:
-                        yield proc_time
-                    value = mailbox.pop_now()
-                else:  # pragma: no cover - defensive
-                    raise SessionError(f"unknown effect {pending!r} in {name}")
-                try:
-                    pending = gen.send(value)
-                except StopIteration as stop:
-                    results[name] = stop.value
-                    return
-
-        def on_exit(_value: Any) -> None:
-            finish_times[name] = sim.now
-            if len(finish_times) == 2:
-                on_complete(TimedSessionResult(
-                    stats=stats,
-                    sender_result=results[sender_name],
-                    receiver_result=results[receiver_name],
-                    completion_time=max(finish_times.values()),
-                    sender_finish=finish_times[sender_name],
-                    receiver_finish=finish_times[receiver_name],
-                    start_time=start_time,
-                ))
-
-        sim.spawn(process(), on_exit=on_exit)
-
-    make_process(sender_name, receiver_name, sender, True,
-                 stats.forward, stats.backward)
-    make_process(receiver_name, sender_name, receiver, False,
-                 stats.backward, stats.forward)
-
-
-# ---------------------------------------------------------------------------
-# The reliable (ARQ) wire session.
-# ---------------------------------------------------------------------------
-
-
-class _AckWait:
-    """The sender side's one-outstanding-message acknowledgment wait."""
-
-    __slots__ = ("seq", "acked", "signal", "timer")
-
-    def __init__(self, seq: int) -> None:
-        self.seq = seq
-        self.acked = False
-        self.signal = None
-        self.timer = None
-
-
-class _ReliableWire:
-    """Transport state of one wire-session attempt over a faulty link.
-
-    Stop-and-wait ARQ per direction: outgoing messages carry a sequence
-    number, the receiving transport delivers in-order exactly once and
+    Stop-and-wait per direction: an outgoing message carries a sequence
+    number, the receiving side delivers in order exactly once and
     acknowledges every arriving copy, and the sender retransmits on
-    timeout.  All transmissions — data and acks — pass through the
-    session's seeded :class:`~repro.net.faults.FaultInjector`.
+    timeout with backoff and jitter.  Every transmission — data and acks
+    — passes through the session's seeded
+    :class:`~repro.net.faults.FaultInjector`.  The ack wait is party
+    state (``parked`` is ``"ack"``); the retransmission timeout is the
+    one cancellable event the wire schedules.
     """
 
-    def __init__(self, sim: Simulator, stats: TransferStats,
-                 options: SessionOptions, injector: FaultInjector,
-                 jitter_rng: random.Random) -> None:
-        self.sim = sim
-        self.stats = stats
-        self.channel = options.channel
-        self.encoding = options.encoding
-        self.retry = options.retry
-        self.injector = injector
-        self.jitter_rng = jitter_rng
-        self.tracer = tracer = options.tracer
-        self.aborted = False
-        session_id = options.session_id
-        self.session_fields = ({} if session_id is None
-                               else {"session": session_id})
-        sender_name, receiver_name = self.party_names = options.party_names
-        self.mailboxes = {
-            sender_name: _Mailbox(sim, sender_name, tracer, session_id),
-            receiver_name: _Mailbox(sim, receiver_name, tracer, session_id)}
-        #: Each party's outgoing direction counters (data it serializes).
-        self.out_stats: Dict[str, DirectionStats] = {
-            sender_name: stats.forward, receiver_name: stats.backward}
-        self.next_seq: Dict[str, int] = {sender_name: 0, receiver_name: 0}
-        self.expected: Dict[str, int] = {sender_name: 0, receiver_name: 0}
-        self.acked_once: Dict[str, set] = {sender_name: set(),
-                                           receiver_name: set()}
-        self.waits: Dict[str, Optional[_AckWait]] = {sender_name: None,
-                                                     receiver_name: None}
+    __slots__ = ("next_seq", "expected", "seq", "bits", "attempt", "rto",
+                 "timeout", "acked", "timer")
 
-    # -- fault plumbing -----------------------------------------------------
+    def __init__(self, wire: _Wire, name: str, coroutine: ProtocolCoroutine,
+                 forward: bool) -> None:
+        super().__init__(wire, name, coroutine, forward)
+        self.next_seq = 0       # our next outgoing sequence number
+        self.expected = 0       # the peer's next sequence number we take
+        self.seq = -1           # the outgoing message awaiting its ack
+        self.bits = 0
+        self.attempt = 0
+        self.rto = 0.0
+        self.timeout = 0.0
+        self.acked = False
+        self.timer: Optional[Timer] = None
 
-    def _fate(self, party: str, kind: str, seq: int) -> Tuple[float, ...]:
-        fate = self.injector.fate(self.sim.now)
-        if self.tracer is not None:
+    def fate(self, kind: str, seq: int) -> Tuple[float, ...]:
+        wire = self.wire
+        fate = wire.injector.fate(self.sim.now)
+        tracer = wire.tracer
+        if tracer is not None:
             if not fate:
-                self.tracer.event(obs.FAULT, party=party, fault="drop",
-                                  traffic=kind, seq=seq,
-                                  **self.session_fields)
+                tracer.event(obs.FAULT, party=self.name, fault="drop",
+                             traffic=kind, seq=seq, **wire.session_fields)
             else:
                 if len(fate) > 1:
-                    self.tracer.event(obs.FAULT, party=party,
-                                      fault="duplicate", traffic=kind,
-                                      seq=seq, **self.session_fields)
+                    tracer.event(obs.FAULT, party=self.name,
+                                 fault="duplicate", traffic=kind, seq=seq,
+                                 **wire.session_fields)
                 if fate[0] > 0:
-                    self.tracer.event(obs.FAULT, party=party,
-                                      fault="reorder", traffic=kind, seq=seq,
-                                      delay=fate[0], **self.session_fields)
+                    tracer.event(obs.FAULT, party=self.name,
+                                 fault="reorder", traffic=kind, seq=seq,
+                                 delay=fate[0], **wire.session_fields)
         return fate
 
-    # -- sender side --------------------------------------------------------
+    # -- sending side -------------------------------------------------------
 
-    def send_reliably(self, name: str, peer: str, message: Message):
-        """Generator subroutine: transmit until acked or budget exhausted.
+    def transmit(self, message: Message) -> None:
+        wire = self.wire
+        self.outgoing = message
+        self.bits = message.bits(wire.encoding)
+        self.seq = self.next_seq
+        self.next_seq += 1
+        self.acked = False
+        self.rto = wire.retry.rto_for(wire.channel)
+        self.attempt = 0
+        self.send_copy()
 
-        Yields the usual simulator effects; returns True on ack, False
-        when the session aborted (either by this message's exhausted
-        budget or by the peer).
-        """
-        out_stats = self.out_stats[name]
-        bits = message.bits(self.encoding)
-        type_name = message.type_name
-        seq = self.next_seq[name]
-        self.next_seq[name] += 1
-        wait = _AckWait(seq)
-        self.waits[name] = wait
-        rto = self.retry.rto_for(self.channel)
-        attempt = 0
-        forward = name == self.party_names[0]
-        direction = "forward" if forward else "backward"
-        while True:
-            attempt += 1
-            if attempt == 1:
-                out_stats.record(type_name, bits)
-            else:
-                out_stats.record_retransmit(type_name, bits)
-                self.stats.retries += 1
-                if self.tracer is not None:
-                    self.tracer.event(obs.RETRY, party=name,
-                                      message=type_name, seq=seq,
-                                      attempt=attempt, **self.session_fields)
-            sent_seq: Optional[int] = None
-            if self.tracer is not None:
-                sent_seq = self.tracer.event(
-                    obs.MESSAGE, party=name, message=type_name,
-                    bits=bits, direction=direction,
-                    seq=seq, attempt=attempt, **self.session_fields).seq
-            yield self.channel.serialization_delay(bits)
-            if self.aborted:
-                return False
-            for delay in self._fate(name, "data", seq):
-                self.sim.call_after(
-                    self.channel.latency + delay,
-                    lambda m=message, s=seq, ss=sent_seq:
-                        self._on_data(peer, name, s, m, ss))
-            if wait.acked:
-                # A late ack for an earlier copy landed while this copy
-                # was serializing; the message is delivered.
-                self.waits[name] = None
-                return True
-            wait.signal = self.sim.signal(f"{name}-ack-{seq}")
-            timeout = rto * (1.0 + self.retry.jitter
-                             * self.jitter_rng.random())
-            wait.timer = self.sim.call_after(
-                timeout, lambda w=wait: self._on_timeout(w))
-            yield wait.signal
-            if self.aborted:
-                return False
-            if wait.acked:
-                wait.timer.cancel()
-                self.waits[name] = None
-                return True
-            self.stats.timeouts += 1
-            if self.tracer is not None:
-                self.tracer.event(obs.TIMEOUT, party=name, message=type_name,
-                                  seq=seq, attempt=attempt, rto=timeout,
-                                  **self.session_fields)
-            if attempt >= self.retry.max_retries + 1:
-                self.abort(party=name, seq=seq, attempts=attempt)
-                return False
-            rto = self.retry.next_rto(rto)
+    def send_copy(self) -> None:
+        """Serialize one (re)transmission of the outgoing message."""
+        wire = self.wire
+        tracer = wire.tracer
+        type_name, bits, seq = self.outgoing.type_name, self.bits, self.seq
+        self.attempt = attempt = self.attempt + 1
+        if attempt == 1:
+            self.out_stats.record(type_name, bits)
+        else:
+            self.out_stats.record_retransmit(type_name, bits)
+            wire.stats.retries += 1
+            if tracer is not None:
+                tracer.event(obs.RETRY, party=self.name, message=type_name,
+                             seq=seq, attempt=attempt, **wire.session_fields)
+        if tracer is not None:
+            self.sent_seq = tracer.event(
+                obs.MESSAGE, party=self.name, message=type_name, bits=bits,
+                direction="forward" if self.forward else "backward",
+                seq=seq, attempt=attempt, **wire.session_fields).seq
+        sim = self.sim
+        sim.schedule(sim.now + wire.channel.serialization_delay(bits),
+                     self.serialized)
 
-    def _on_timeout(self, wait: _AckWait) -> None:
-        if self.aborted or wait.acked:
+    def serialized(self) -> None:
+        if self.aborted:
+            self.quit()
             return
-        wait.signal.fire()
+        wire, sim = self.wire, self.sim
+        seq, latency = self.seq, wire.channel.latency
+        on_data = self.peer.on_data
+        for delay in self.fate("data", seq):
+            sim.schedule(sim.now + (latency + delay),
+                         partial(on_data, self, seq, self.outgoing,
+                                 self.sent_seq))
+        if self.acked:
+            # A late ack for an earlier copy landed while this copy was
+            # serializing; the message is delivered.
+            self.advance()
+            return
+        self.timeout = timeout = self.rto * (
+            1.0 + wire.retry.jitter * wire.jitter_rng.random())
+        self.timer = sim.call_after(timeout, self.on_timeout)
+        self.parked = _ACK
+        sim.park()
 
-    def _on_ack(self, name: str, seq: int) -> None:
-        """An acknowledgment for ``name``'s message ``seq`` arrived."""
+    def on_timeout(self) -> None:
+        if self.parked is _ACK:
+            self.parked = None
+            self.sim.schedule(self.sim.now, self.ack_wake)
+
+    def on_ack(self, seq: int) -> None:
+        """An acknowledgment for our message ``seq`` arrived."""
         if self.aborted:
             return
-        wait = self.waits.get(name)
-        if wait is not None and wait.seq == seq and not wait.acked:
-            wait.acked = True
-            if wait.signal is not None:
-                wait.signal.fire()
         # Acks for older sequence numbers are stale duplicates; drop them.
+        if seq == self.seq and not self.acked:
+            self.acked = True
+            if self.parked is _ACK:
+                self.parked = None
+                self.sim.schedule(self.sim.now, self.ack_wake)
 
-    # -- receiver side ------------------------------------------------------
+    def ack_wake(self) -> None:
+        """The ack arrived, the timeout fired, or the attempt aborted."""
+        self.sim.unpark()
+        if self.aborted:
+            self.quit()
+            return
+        if self.acked:
+            self.timer.cancel()
+            self.advance()
+            return
+        wire = self.wire
+        wire.stats.timeouts += 1
+        if wire.tracer is not None:
+            wire.tracer.event(obs.TIMEOUT, party=self.name,
+                              message=self.outgoing.type_name, seq=self.seq,
+                              attempt=self.attempt, rto=self.timeout,
+                              **wire.session_fields)
+        if self.attempt >= wire.retry.max_retries + 1:
+            self.abort()
+            self.quit()
+            return
+        self.rto = wire.retry.next_rto(self.rto)
+        self.send_copy()
 
-    def _on_data(self, receiver: str, sender: str, seq: int,
-                 message: Message,
-                 sent_seq: Optional[int] = None) -> None:
-        """One copy of ``sender``'s message ``seq`` reached ``receiver``."""
+    def abort(self) -> None:
+        """Give up on this attempt.  This party is running, so only its
+        peer can be parked: wake it, on its inbox or its ack, to leave."""
+        peer = self.peer
+        self.aborted = peer.aborted = True
+        wire = self.wire
+        if wire.tracer is not None:
+            wire.tracer.event(obs.SESSION_ABORT, party=self.name,
+                              seq=self.seq, attempts=self.attempt,
+                              **wire.session_fields)
+        if peer.parked is not None:
+            wake = peer.wake if peer.parked is _INBOX else peer.ack_wake
+            peer.parked = None
+            self.sim.schedule(self.sim.now, wake)
+
+    # -- receiving side -----------------------------------------------------
+
+    def on_data(self, sender: "_ArqParty", seq: int, message: Message,
+                sent_seq: Optional[int]) -> None:
+        """One copy of ``sender``'s message ``seq`` reached this party.
+
+        The copy names its sender, so a late duplicate that lands after
+        both parties finished is still acknowledged with no peer link.
+        """
         if self.aborted:
             return
-        if seq == self.expected[receiver]:
-            self.expected[receiver] += 1
-            self.mailboxes[receiver].push(message, sent_seq=sent_seq)
-        elif seq > self.expected[receiver]:  # pragma: no cover - defensive
+        first = seq == self.expected
+        if first:
+            self.expected += 1
+            self.deliver(message, sent_seq)
+        elif seq > self.expected:  # pragma: no cover - defensive
             # Impossible under stop-and-wait (one outstanding message);
             # drop rather than corrupt ordering.
             return
         # Acknowledge every arriving copy — the transport cannot know
         # whether earlier acks survived.  Only the first ack per sequence
-        # number is goodput.
-        acked = self.acked_once[receiver]
-        ack_stats = self.out_stats[receiver]
-        if seq not in acked:
-            acked.add(seq)
-            ack_stats.record("Ack", self.channel.ack_bits)
+        # number (the one answering the delivered copy) is goodput.
+        wire = self.wire
+        channel = wire.channel
+        ack_bits = channel.ack_bits
+        if first:
+            self.out_stats.record("Ack", ack_bits)
         else:
-            ack_stats.record_retransmit("Ack", self.channel.ack_bits)
-        if self.tracer is not None:
-            self.tracer.event(obs.MESSAGE, party=receiver, message="Ack",
-                              bits=self.channel.ack_bits, seq=seq,
-                              direction=("backward"
-                                         if receiver == self.party_names[1]
-                                         else "forward"),
-                              **self.session_fields)
-        ack_delay = (self.channel.serialization_delay(self.channel.ack_bits)
-                     + self.channel.latency)
-        for delay in self._fate(receiver, "ack", seq):
-            self.sim.call_after(ack_delay + delay,
-                                lambda s=seq: self._on_ack(sender, s))
-
-    # -- abort --------------------------------------------------------------
-
-    def abort(self, *, party: str, seq: int, attempts: int) -> None:
-        """Give up on this attempt: wake everything so processes drain."""
-        if self.aborted:
-            return
-        self.aborted = True
-        if self.tracer is not None:
-            self.tracer.event(obs.SESSION_ABORT, party=party, seq=seq,
-                              attempts=attempts, **self.session_fields)
-        for mailbox in self.mailboxes.values():
-            mailbox.arrival.fire()
-        for wait in self.waits.values():
-            if wait is not None and wait.signal is not None \
-                    and not wait.acked:
-                wait.signal.fire()
+            self.out_stats.record_retransmit("Ack", ack_bits)
+        if wire.tracer is not None:
+            wire.tracer.event(obs.MESSAGE, party=self.name, message="Ack",
+                              bits=ack_bits, seq=seq,
+                              direction=("forward" if self.forward
+                                         else "backward"),
+                              **wire.session_fields)
+        ack_delay = channel.serialization_delay(ack_bits) + channel.latency
+        sim = self.sim
+        on_ack = sender.on_ack
+        for delay in self.fate("ack", seq):
+            sim.schedule(sim.now + (ack_delay + delay), partial(on_ack, seq))
 
 
-def _launch_wire_reliable(sim: Simulator, sender: ProtocolCoroutine,
-                          receiver: ProtocolCoroutine, stats: TransferStats,
-                          options: SessionOptions, injector: FaultInjector,
-                          jitter_rng: random.Random,
-                          on_complete: Callable[[TimedSessionResult], None],
-                          on_abort: Callable[[], None]) -> None:
-    """Spawn one wire-session attempt on the ARQ transport."""
+def _launch_wire(sim: Simulator, sender: ProtocolCoroutine,
+                 receiver: ProtocolCoroutine, stats: TransferStats,
+                 options: SessionOptions,
+                 on_complete: Callable[[TimedSessionResult], None],
+                 on_abort: Callable[[], None],
+                 injector: Optional[FaultInjector] = None,
+                 jitter_rng: Optional[random.Random] = None) -> None:
+    """Start one wire session's two parties: on the perfect link, or on
+    the ARQ transport when an ``injector`` is given."""
     header_bits = options.encoding.session_header_bits
     if header_bits:
-        # Every attempt is a fresh handshake; it re-pays the header.
+        # Per-session fixed overhead: priced, not timed (it models
+        # connection state, not a serialized message — see wire.py).
+        # Every ARQ attempt is a fresh handshake; it re-pays the header.
         stats.forward.record("SessionHeader", header_bits)
-    wire = _ReliableWire(sim, stats, options, injector, jitter_rng)
-    proc_time, max_steps = options.proc_time, options.max_steps
+    wire = _Wire(sim, stats, options, on_complete, on_abort, injector,
+                 jitter_rng)
+    party = _Party if injector is None else _ArqParty
     sender_name, receiver_name = options.party_names
-    start_time = sim.now
-    finish_times: Dict[str, float] = {}
-    results: Dict[str, Any] = {}
-    steps = 0
-
-    def make_process(name: str, peer: str, gen: ProtocolCoroutine):
-        def process():
-            nonlocal steps
-            mailbox = wire.mailboxes[name]
-            try:
-                pending = next(gen)
-            except StopIteration as stop:
-                results[name] = stop.value
-                return
-            while True:
-                steps += 1
-                if steps > max_steps:
-                    raise SessionError(
-                        f"timed session exceeded {max_steps} steps")
-                if wire.aborted:
-                    gen.close()
-                    return
-                if isinstance(pending, Send):
-                    delivered = yield from wire.send_reliably(
-                        name, peer, pending.message)
-                    if not delivered:
-                        gen.close()
-                        return
-                    value: Any = None
-                elif isinstance(pending, (Poll, Drain)):
-                    value = mailbox.pop_now()
-                elif isinstance(pending, Recv):
-                    while not mailbox:
-                        yield mailbox.arrival
-                        if wire.aborted:
-                            gen.close()
-                            return
-                    if proc_time > 0:
-                        yield proc_time
-                        if wire.aborted:
-                            gen.close()
-                            return
-                    value = mailbox.pop_now()
-                else:  # pragma: no cover - defensive
-                    raise SessionError(f"unknown effect {pending!r} in {name}")
-                try:
-                    pending = gen.send(value)
-                except StopIteration as stop:
-                    results[name] = stop.value
-                    return
-
-        def on_exit(_value: Any) -> None:
-            finish_times[name] = sim.now
-            if len(finish_times) < 2:
-                return
-            if wire.aborted:
-                on_abort()
-                return
-            on_complete(TimedSessionResult(
-                stats=stats,
-                sender_result=results[sender_name],
-                receiver_result=results[receiver_name],
-                completion_time=max(finish_times.values()),
-                sender_finish=finish_times[sender_name],
-                receiver_finish=finish_times[receiver_name],
-                start_time=start_time,
-            ))
-
-        sim.spawn(process(), on_exit=on_exit)
-
-    make_process(sender_name, receiver_name, sender)
-    make_process(receiver_name, sender_name, receiver)
+    first = party(wire, sender_name, sender, True)
+    second = party(wire, receiver_name, receiver, False)
+    first.peer, second.peer = second, first
+    # Both coroutines start at this instant, the sender first.
+    sim.schedule(sim.now, first.advance)
+    sim.schedule(sim.now, second.advance)
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +713,8 @@ class _Attempt:
 
     The wires call back into its bound methods, and nothing it holds
     leads back to it: once its last callback returns, the attempt and its
-    wires' mailboxes, signals and spent generators are freed by reference
-    counting.  A resume is a fresh attempt.
+    wires' parties and spent generators are freed by reference counting.
+    A resume is a fresh attempt.
     """
 
     __slots__ = ("sim", "handle", "injector", "jitter_rng", "start_time",
@@ -739,7 +740,7 @@ class _Attempt:
         self.receiver_results: List[Any] = []
 
     def launch_chunk(self, index: int) -> None:
-        """Spawn chunk ``index``'s wire session, framed when batching."""
+        """Start chunk ``index``'s wire session, framed when batching."""
         options = self.handle.options
         chunk = self.chunks[index]
         self.index = index
@@ -755,14 +756,9 @@ class _Attempt:
             wire_receiver = batch_party(
                 [r for _, r in chunk], initiator=False,
                 max_steps=options.max_steps, on_frame=frames.append)
-        if self.injector is None:
-            _launch_wire(self.sim, wire_sender, wire_receiver, stats,
-                         options, self.finish_chunk)
-        else:
-            _launch_wire_reliable(self.sim, wire_sender, wire_receiver,
-                                  stats, options, self.injector,
-                                  self.jitter_rng, self.finish_chunk,
-                                  self.abort_chunk)
+        _launch_wire(self.sim, wire_sender, wire_receiver, stats, options,
+                     self.finish_chunk, self.abort_chunk, self.injector,
+                     self.jitter_rng)
 
     def finish_chunk(self, result: TimedSessionResult) -> None:
         """The chunk's wire completed: fold it in, then run the next
@@ -834,7 +830,7 @@ class _Attempt:
 
 
 def launch(sim: Simulator, options: SessionOptions) -> SessionHandle:
-    """Spawn one session (single, batched, or fault-tolerant) on ``sim``.
+    """Start one session (single, batched, or fault-tolerant) on ``sim``.
 
     Returns a :class:`SessionHandle` whose ``stats`` fill in as the
     hosting simulator runs; ``options.on_complete`` (and

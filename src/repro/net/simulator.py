@@ -3,9 +3,11 @@
 The paper's running-time claims (pipelining saves ``(k−1)·rtt``; costs at
 most ``β = bandwidth·rtt`` bytes of excess transmission) are about time,
 which the instant session driver deliberately abstracts away.  This kernel
-provides the simulated clock: an event queue plus generator-based
-*processes* that yield either a delay (``float`` seconds) or a
-:class:`Signal` to wait on.
+provides the simulated clock: an event queue of callbacks.  Whatever it
+hosts — the timed runner's wire parties, cluster schedules, timers — is
+driven by its own callbacks; a host that waits for another callback to
+wake it *parks* (:meth:`Simulator.park`), so a queue that drains while
+something is parked is reported as a deadlock.
 
 The kernel is deliberately tiny — deterministic, single-clock, no real
 concurrency — because the paper's experiments need nothing more, and a
@@ -14,9 +16,9 @@ in every cluster benchmark, so the implementation is tuned:
 
 * every class is ``__slots__``-ed; no per-instance dicts on the kernel
   path;
-* internal events that can never be cancelled (process wake-ups, signal
-  resumes) share one immortal :class:`Timer` sentinel instead of
-  allocating a handle per event;
+* events that can never be cancelled (:meth:`Simulator.schedule`: wire
+  deliveries, wake-ups) share one immortal :class:`Timer` sentinel
+  instead of allocating a handle per event;
 * :meth:`Simulator.run` dispatches in a tight loop that skips cancelled
   entries inline and only consults the tracer when one is attached —
   with tracing off the per-event cost is one heap pop and the callback;
@@ -31,14 +33,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from contextlib import contextmanager
-from typing import (Any, Callable, Generator, Iterator, List, Optional, Tuple,
-                    Union)
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
-
-ProcessGen = Generator[Union[float, int, "Signal"], Any, Any]
 
 #: Compaction floor: below this many cancelled entries the heap is left
 #: alone (rebuilding a tiny heap costs more than skipping its entries).
@@ -69,87 +68,10 @@ class Timer:
                 self._sim._note_cancelled()
 
 
-#: Shared sentinel for events the kernel schedules internally (process
-#: wake-ups, signal resumes).  No handle to them ever escapes, so they
-#: cannot be cancelled and do not need per-event Timer allocations.
+#: Shared sentinel for the events :meth:`Simulator.schedule` queues.  No
+#: handle to them ever escapes, so they cannot be cancelled and do not
+#: need per-event Timer allocations.
 _INTERNAL_TIMER = Timer()
-
-
-class Signal:
-    """A broadcast condition processes can wait on.
-
-    ``yield signal`` parks the process until someone calls :meth:`fire`;
-    every waiter resumes at the firing instant.
-    """
-
-    __slots__ = ("_sim", "_waiters", "name")
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        self._sim = sim
-        self._waiters: List[Callable[[], None]] = []
-        self.name = name
-
-    def fire(self) -> None:
-        """Wake every waiter at the current simulation time."""
-        waiters, self._waiters = self._waiters, []
-        sim = self._sim
-        for resume in waiters:
-            sim._schedule(sim.now, resume)
-
-    def _add_waiter(self, resume: Callable[[], None]) -> None:
-        self._waiters.append(resume)
-
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
-
-class _Process:
-    """One spawned generator process.  The queue and signals hold its bound
-    :meth:`step`/:meth:`resume` and nothing it holds leads back to it, so
-    a finished process is freed by reference counting, not by the cycle
-    collector (as a closure rescheduling itself through its cell was)."""
-
-    __slots__ = ("sim", "send", "on_exit")
-
-    def __init__(self, sim: "Simulator", process: ProcessGen,
-                 on_exit: Optional[Callable[[Any], None]]) -> None:
-        self.sim = sim
-        self.send = process.send
-        self.on_exit = on_exit
-
-    def step(self, send_value: Any = None) -> None:
-        """Resume the generator once and act on what it yields."""
-        sim = self.sim
-        try:
-            yielded = self.send(send_value)
-        except StopIteration as stop:
-            sim._active_processes -= 1
-            if self.on_exit is not None:
-                self.on_exit(stop.value)
-            return
-        # Sleeps vastly outnumber signal waits on the hot path.
-        if type(yielded) is float or type(yielded) is int:
-            if yielded < 0:
-                raise SimulationError(f"process slept {yielded} < 0")
-            sim._schedule(sim.now + yielded, self.step)
-        elif isinstance(yielded, Signal):
-            sim._blocked_processes += 1
-            yielded._add_waiter(self.resume)
-        elif isinstance(yielded, (int, float)):
-            # Number subclasses (bool, numpy scalars) take the slow
-            # branch but keep the historical contract.
-            if yielded < 0:
-                raise SimulationError(f"process slept {yielded} < 0")
-            sim._schedule(sim.now + float(yielded), self.step)
-        else:
-            raise SimulationError(
-                f"process yielded unsupported value {yielded!r}")
-
-    def resume(self) -> None:
-        """The signal this process waited on fired."""
-        self.sim._blocked_processes -= 1
-        self.step()
 
 
 class Simulator:
@@ -158,19 +80,19 @@ class Simulator:
     Pass a :class:`~repro.obs.trace.Tracer` to observe the kernel itself:
     every dispatched event becomes a ``sim_dispatch`` trace event stamped
     with the simulated clock.  The ``None`` default keeps the dispatch
-    loop untouched.  Events emitted by hosted processes carry simulated
+    loop untouched.  Events emitted by hosted callbacks carry simulated
     time inside a :meth:`stamping` block.
     """
 
-    __slots__ = ("now", "_queue", "_sequence", "_active_processes",
-                 "_blocked_processes", "_cancelled", "tracer")
+    __slots__ = ("now", "_queue", "_sequence", "_parked", "_cancelled",
+                 "tracer")
 
     def __init__(self, *, tracer: Optional[Tracer] = None) -> None:
         self.now = 0.0
         self._queue: List[Tuple[float, int, Callable[[], None], Timer]] = []
         self._sequence = itertools.count()
-        self._active_processes = 0
-        self._blocked_processes = 0
+        #: Hosts waiting for a callback to wake them (deadlock check).
+        self._parked = 0
         #: Cancelled entries believed to be in the heap.  May overcount
         #: (cancelling an already-dispatched timer still bumps it) but
         #: compaction resets it to truth, so drift is self-correcting.
@@ -200,7 +122,7 @@ class Simulator:
         Returns a :class:`Timer` handle; cancelling it before the event
         dispatches suppresses the callback.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self.now}")
         timer = Timer(self)
@@ -209,12 +131,18 @@ class Simulator:
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> Timer:
         """Run ``fn`` after ``delay`` simulated seconds."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self.now + delay, fn)
 
-    def _schedule(self, time: float, fn: Callable[[], None]) -> None:
-        """Internal non-cancellable scheduling (no Timer allocation)."""
+    def schedule(self, time: float, fn: Callable[[], None]) -> None:
+        """:meth:`call_at` without a handle: the event cannot be
+        cancelled, so no :class:`Timer` is allocated for it.  It takes a
+        sequence number exactly as :meth:`call_at` would, so swapping one
+        for the other never reorders a run."""
+        if not time >= self.now:
+            raise SimulationError(
+                f"cannot schedule at {time} before now={self.now}")
         heapq.heappush(self._queue,
                        (time, next(self._sequence), fn, _INTERNAL_TIMER))
 
@@ -240,22 +168,20 @@ class Simulator:
             if self._cancelled:
                 self._cancelled -= 1
 
-    def signal(self, name: str = "") -> Signal:
-        """A fresh condition bound to this simulator's clock."""
-        return Signal(self, name)
+    # -- parking ---------------------------------------------------------------------
 
-    # -- processes ------------------------------------------------------------------
+    def park(self) -> None:
+        """Count one host as waiting for a callback to wake it.
 
-    def spawn(self, process: ProcessGen,
-              on_exit: Optional[Callable[[Any], None]] = None) -> None:
-        """Start a generator-based process.
-
-        The process yields a non-negative number to sleep that many
-        simulated seconds, or a :class:`Signal` to park until it fires.
-        ``on_exit`` receives the generator's return value.
+        Pair every ``park()`` with one :meth:`unpark` when the wake-up
+        runs.  A queue that drains while anything is parked can never
+        wake it, so :meth:`run` raises instead of returning.
         """
-        self._active_processes += 1
-        self._schedule(self.now, _Process(self, process, on_exit).step)
+        self._parked += 1
+
+    def unpark(self) -> None:
+        """A parked host was woken."""
+        self._parked -= 1
 
     # -- execution ---------------------------------------------------------------------
 
@@ -275,14 +201,14 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the queue drains (or past ``until``).
 
-        Raises :class:`SimulationError` if processes remain parked on
-        signals when the queue drains — a deadlock.  With ``until`` the
-        clock always ends at ``max(now, until)`` when the queue drains
-        first (simulated time passes even when nothing is scheduled), and
-        the deadlock check still applies: a drained queue can never fire
-        a signal, no matter how much longer we would have run.  Stopping
-        *early* (first pending event past ``until``) skips the check —
-        the remaining events may well wake the parked processes.
+        Raises :class:`SimulationError` if hosts remain parked when the
+        queue drains — a deadlock.  With ``until`` the clock always ends
+        at ``max(now, until)`` when the queue drains first (simulated
+        time passes even when nothing is scheduled), and the deadlock
+        check still applies: a drained queue can never wake anything, no
+        matter how much longer we would have run.  Stopping *early*
+        (first pending event past ``until``) skips the check — the
+        remaining events may well wake the parked hosts.
         Returns the final clock value.
         """
         # The dispatch loop is the hottest code in every benchmark; it
@@ -309,10 +235,10 @@ class Simulator:
                 self.tracer.event(obs.SIM_DISPATCH, time=time,
                                   pending=len(queue))
             entry[2]()
-        if self._blocked_processes:
+        if self._parked:
             raise SimulationError(
-                f"simulation deadlocked with {self._blocked_processes} "
-                f"process(es) waiting on signals at t={self.now}")
+                f"simulation deadlocked with {self._parked} host(s) "
+                f"parked at t={self.now}")
         if until is not None and until > self.now:
             self.now = until
         return self.now

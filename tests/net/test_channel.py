@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.net.channel import ChannelSpec
 
 
@@ -22,6 +23,17 @@ class TestValidation:
     def test_ack_bits_must_be_positive(self):
         with pytest.raises(ValueError):
             ChannelSpec(ack_bits=0)
+
+    @pytest.mark.parametrize("field", ["latency", "bandwidth", "ack_bits"])
+    def test_nan_rejected(self, field):
+        # NaN passes every `< 0` check; a NaN latency "completed" a timed
+        # session in microseconds, a NaN bandwidth made its time NaN.
+        with pytest.raises(ValidationError, match=field):
+            ChannelSpec(**{field: float("nan")})
+
+    def test_infinite_bandwidth_is_legal(self):
+        assert ChannelSpec(bandwidth=float("inf")).serialization_delay(
+            100) == 0.0
 
 
 class TestDerivedQuantities:

@@ -31,6 +31,15 @@ class TestFaultSpecValidation:
         with pytest.raises(ValidationError):
             FaultSpec(partitions=((-1.0, 2.0),))
 
+    def test_nan_window_and_partition_bounds_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValidationError, match="reorder_window"):
+            FaultSpec(reorder=0.5, reorder_window=nan)
+        for window in ((nan, 2.0), (1.0, nan)):
+            with pytest.raises(ValidationError, match="partition"):
+                FaultSpec(partitions=(window,))
+        assert FaultSpec(partitions=((1.0, float("inf")),)).partitioned(9e9)
+
     def test_enabled_reflects_any_fault_source(self):
         assert not FaultSpec().enabled
         assert FaultSpec(drop=0.01).enabled
@@ -142,6 +151,12 @@ class TestRetryPolicy:
             RetryPolicy(jitter=-0.1)
         with pytest.raises(ValidationError):
             RetryPolicy(max_session_attempts=0)
+
+    @pytest.mark.parametrize("field",
+                             ["initial_rto", "backoff", "max_rto", "jitter"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValidationError, match=field):
+            RetryPolicy(**{field: float("nan")})
 
     def test_default_rto_is_twice_the_ack_wait(self):
         channel = ChannelSpec(latency=0.05, bandwidth=1e6)

@@ -47,6 +47,8 @@ class TestSessionOptionsValidation:
             SessionOptions(pairs=pairs, batch_size=0)
         with pytest.raises(ValidationError, match="proc_time"):
             SessionOptions(pairs=pairs, proc_time=-1.0)
+        with pytest.raises(ValidationError, match="proc_time"):
+            SessionOptions(pairs=pairs, proc_time=float("nan"))
         with pytest.raises(ValidationError, match="max_steps"):
             SessionOptions(pairs=pairs, max_steps=0)
         with pytest.raises(ValidationError, match="party_names"):

@@ -26,6 +26,7 @@ from repro.net.faults import FaultSpec, RetryPolicy
 from repro.net.runner import SessionOptions, run_timed
 from repro.net.topology import LinkProfile, TopologySpec
 from repro.net.wire import Encoding
+from repro.obs import Tracer
 from repro.protocols.syncs import syncs_receiver, syncs_sender
 from repro.store.cluster import ClientOp, StoreCluster, StoreConfig
 from repro.workload.epidemic import epidemic_schedule, sharded_update_schedule
@@ -125,3 +126,31 @@ class TestCyclicGarbageIsConstantInSessions:
         (small, at_1), (large, at_4) = garbage_at(sessions)
         assert len(large) == 4 * len(small)
         assert at_1 == at_4
+
+    def test_run_timed_with_late_copies(self):
+        # Duplicate- and reorder-heavy with retries on: data copies and
+        # acks keep landing after both parties finished.  They carry the
+        # party they answer, so nothing needs the cut peer links.
+        channel = ChannelSpec(latency=0.01, bandwidth=1e6, faults=FaultSpec(
+            drop=0.1, duplicate=0.5, reorder=0.5, reorder_window=0.05,
+            seed=3))
+        late = []
+
+        def sessions(size):
+            results = []
+            for index in range(5 * size):
+                tracer = Tracer()
+                result = run_timed(SessionOptions(
+                    pairs=(srv_pair(),), channel=channel, encoding=ENC,
+                    fault_seed=index, tracer=tracer))
+                late.extend(event for event in tracer.events
+                            if event.kind == "message"
+                            and event.time > result.completion_time)
+                results.append(result)
+            return results
+
+        (small, at_1), (large, at_4) = garbage_at(sessions)
+        assert len(large) == 4 * len(small)
+        assert late  # copies did land after the session finished
+        assert at_1 == at_4
+

@@ -4,9 +4,12 @@ import pytest
 
 from repro.core.rotating import BasicRotatingVector
 from repro.core.skip import SkipRotatingVector
+from repro.errors import SimulationError
 from repro.net.channel import ChannelSpec
+from repro.net.faults import FaultSpec
 from repro.net.runner import SessionOptions, run_timed
 from repro.net.wire import Encoding
+from repro.protocols.effects import RECV
 from repro.protocols.syncb import syncb_receiver, syncb_sender
 from repro.protocols.syncs import syncs_receiver, syncs_sender
 
@@ -154,3 +157,20 @@ class TestTimedSyncs:
                                    channel=ChannelSpec(), encoding=ENC)
         assert result.completion_time == max(result.sender_finish,
                                              result.receiver_finish)
+
+
+class TestDeadlock:
+    @pytest.mark.parametrize("faults", [FaultSpec(),
+                                        FaultSpec(drop=0.1, seed=1)],
+                             ids=["perfect", "arq"])
+    def test_both_parties_receiving_first_is_a_deadlock(self, faults):
+        # Each party parks on an empty inbox and nothing is in flight:
+        # the queue drains with both parked, on either transport.
+        def waits_first():
+            message = yield RECV
+            return message
+
+        with pytest.raises(SimulationError, match="deadlock") as caught:
+            timed(waits_first(), waits_first(), encoding=ENC,
+                  channel=ChannelSpec(latency=0.01, faults=faults))
+        assert "2 host(s) parked" in str(caught.value)

@@ -70,31 +70,50 @@ class TestEventQueue:
         sim.run()
         assert sim.run(until=2.0) == 4.0  # never moves backwards
 
-    def test_run_until_drained_queue_still_detects_deadlock(self):
-        # A drained queue can never fire a signal; waiting longer cannot
-        # help, so the deadlock check applies even under an `until`.
+    def test_nan_times_rejected(self):
+        # NaN compares false both ways, so a `< now` check lets it in and
+        # the heap then orders it arbitrarily.
         sim = Simulator()
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            sim.call_at(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.call_after(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, lambda: None)
+        assert sim.pending_events == 0
 
-        def stuck():
-            yield sim.signal("never")
+    def test_schedule_is_call_at_without_a_handle(self):
+        # Same clock, same FIFO sequence: mixing the two never reorders.
+        sim = Simulator()
+        fired = []
+        sim.call_at(1.0, lambda: fired.append("a"))
+        assert sim.schedule(1.0, lambda: fired.append("b")) is None
+        sim.call_at(1.0, lambda: fired.append("c"))
+        sim.schedule(0.5, lambda: fired.append("first"))
+        sim.run()
+        assert fired == ["first", "a", "b", "c"]
 
-        sim.spawn(stuck())
+    def test_run_until_drained_queue_still_detects_deadlock(self):
+        # A drained queue can never wake a parked host; waiting longer
+        # cannot help, so the deadlock check applies even under an `until`.
+        sim = Simulator()
+        sim.park()
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run(until=100.0)
 
     def test_run_until_early_return_skips_deadlock_check(self):
         # Stopping early with events still pending is not a deadlock: the
-        # remaining events may wake the parked process, as resuming shows.
+        # remaining events may wake the parked host, as resuming shows.
         sim = Simulator()
-        signal = sim.signal("later")
         woke = []
 
-        def waiter():
-            yield signal
+        def wake():
+            sim.unpark()
             woke.append(sim.now)
 
-        sim.spawn(waiter())
-        sim.call_at(10.0, signal.fire)
+        sim.park()
+        sim.call_at(10.0, wake)
         assert sim.run(until=5.0) == 5.0
         assert woke == []
         sim.run()
@@ -102,144 +121,82 @@ class TestEventQueue:
 
 
 class TestProcesses:
+    """A process is a chain of callbacks, as the runner's wire parties
+    are: it sleeps by scheduling its next step later and waits by
+    parking until another event wakes it."""
+
     def test_process_sleeps(self):
         sim = Simulator()
         trace = []
 
-        def process():
+        def start():
             trace.append(("start", sim.now))
-            yield 1.5
-            trace.append(("mid", sim.now))
-            yield 0.5
-            trace.append(("end", sim.now))
-            return "done"
+            sim.schedule(sim.now + 1.5, mid)
 
-        results = []
-        sim.spawn(process(), on_exit=results.append)
+        def mid():
+            trace.append(("mid", sim.now))
+            sim.schedule(sim.now + 0.5, end)
+
+        def end():
+            trace.append(("end", sim.now))
+
+        sim.schedule(sim.now, start)
         sim.run()
         assert trace == [("start", 0.0), ("mid", 1.5), ("end", 2.0)]
-        assert results == ["done"]
-
-    def test_signal_wakes_waiters(self):
-        sim = Simulator()
-        signal = sim.signal("ready")
-        order = []
-
-        def waiter(name):
-            yield signal
-            order.append((name, sim.now))
-
-        def firer():
-            yield 3.0
-            signal.fire()
-
-        sim.spawn(waiter("w1"))
-        sim.spawn(waiter("w2"))
-        sim.spawn(firer())
-        sim.run()
-        assert order == [("w1", 3.0), ("w2", 3.0)]
 
     def test_deadlock_detection(self):
         sim = Simulator()
-        signal = sim.signal("never")
-
-        def stuck():
-            yield signal
-
-        sim.spawn(stuck())
-        with pytest.raises(SimulationError, match="deadlock"):
+        sim.call_at(1.0, sim.park)  # parks, and nothing will wake it
+        with pytest.raises(SimulationError, match="deadlock") as caught:
             sim.run()
-
-    def test_bad_yield_value_rejected(self):
-        sim = Simulator()
-
-        def wrong():
-            yield "nope"
-
-        sim.spawn(wrong())
-        with pytest.raises(SimulationError, match="unsupported"):
-            sim.run()
+        assert "1 host(s) parked at t=1.0" in str(caught.value)
 
     def test_two_processes_interleave_by_time(self):
         sim = Simulator()
         trace = []
 
         def ticker(name, period, count):
-            for _ in range(count):
-                yield period
+            def tick():
                 trace.append((name, sim.now))
+                if count > 1:
+                    sim.schedule(sim.now + period,
+                                 ticker(name, period, count - 1))
+            return tick
 
-        sim.spawn(ticker("fast", 1.0, 3))
-        sim.spawn(ticker("slow", 2.5, 1))
+        sim.schedule(1.0, ticker("fast", 1.0, 3))
+        sim.schedule(2.5, ticker("slow", 2.5, 1))
         sim.run()
         assert trace == [("fast", 1.0), ("fast", 2.0), ("slow", 2.5),
                          ("fast", 3.0)]
 
     def test_negative_sleep_rejected(self):
         sim = Simulator()
-
-        def backwards():
-            yield -0.5
-
-        sim.spawn(backwards())
-        with pytest.raises(SimulationError, match="slept"):
+        sim.call_at(1.0, lambda: sim.schedule(sim.now - 0.5, lambda: None))
+        with pytest.raises(SimulationError, match="before now"):
             sim.run()
 
     def test_int_sleep(self):
         sim = Simulator()
         woke = []
-
-        def sleeper():
-            yield 2
-            woke.append(sim.now)
-
-        sim.spawn(sleeper())
+        sim.schedule(sim.now + 2, lambda: woke.append(sim.now))
         sim.run()
-        assert woke == [2.0]
-
-    def test_number_subclass_sleep_takes_the_slow_branch(self):
-        # ``bool`` is neither exactly float nor int: it sleeps float(value).
-        sim = Simulator()
-        woke = []
-
-        def sleeper():
-            yield True
-            woke.append(sim.now)
-            yield False
-            woke.append(sim.now)
-
-        sim.spawn(sleeper())
-        sim.run()
-        assert woke == [1.0, 1.0]
-        assert all(type(t) is float for t in woke)
-
-    def test_on_exit_gets_the_return_value_after_a_signal_wait(self):
-        sim = Simulator()
-        signal = sim.signal("go")
-        results = []
-
-        def waiter():
-            yield signal
-            return ("woke", sim.now)
-
-        sim.spawn(waiter(), on_exit=results.append)
-        sim.call_at(4.0, signal.fire)
-        sim.run()
-        assert results == [("woke", 4.0)]
+        assert woke == [2]
 
     def test_resumed_waiter_is_not_a_deadlock(self):
         sim = Simulator()
-        signal = sim.signal("go")
+        woke = []
 
-        def waiter():
-            for _ in range(3):
-                yield signal
+        def wake():
+            sim.unpark()
+            woke.append(sim.now)
+            if len(woke) < 3:
+                sim.park()
 
-        sim.spawn(waiter())
+        sim.park()
         for at in (1.0, 2.0, 3.0):
-            sim.call_at(at, signal.fire)
+            sim.call_at(at, wake)
         assert sim.run() == 3.0  # no false deadlock
-        assert sim._blocked_processes == 0
+        assert woke == [1.0, 2.0, 3.0]
 
 
 class TestTimerCompaction:

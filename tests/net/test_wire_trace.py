@@ -1,0 +1,299 @@
+"""Golden wire traces: the timed driver's event stream, pinned by digest.
+
+Each case runs one session through :func:`repro.net.runner.run_timed`
+with kernel dispatch tracing on, and hashes every trace event — its
+sequence number, kind, span, simulated time, party, message, bits and
+fields, including each ``sim_dispatch`` event's ``pending`` queue
+length.  The digests were taken from the generator-process driver.  A
+transport rewrite that moves, merges, adds or drops one kernel event,
+draws one fault or jitter number in another order, or stamps one float
+differently fails its case.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from repro.core.skip import SkipRotatingVector
+from repro.errors import SessionError
+from repro.net.channel import ChannelSpec
+from repro.net.faults import FaultSpec, RetryPolicy
+from repro.net.runner import SessionOptions, run_timed
+from repro.net.wire import Encoding
+from repro.obs import Tracer
+from repro.protocols.effects import DRAIN, POLL, RECV, Send
+from repro.protocols.messages import Halt
+from repro.protocols.syncs import syncs_receiver, syncs_sender
+
+ENC = Encoding(site_bits=8, value_bits=16, session_header_bits=64)
+SITES = ("A", "B", "C", "D", "E")
+#: Slow enough that a pipelined sender overshoots by several elements.
+PERFECT = ChannelSpec(latency=0.01, bandwidth=2e4)
+
+
+def states(n_objects, seed):
+    """Per-object divergent SRV pairs ``(a, b)``; ``a`` receives."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n_objects):
+        a = SkipRotatingVector.from_pairs([("A", 1)])
+        b = a.copy()
+        for _ in range(rng.randint(0, 3)):
+            a.record_update(rng.choice(SITES))
+        for _ in range(rng.randint(12, 24)):
+            b.record_update(rng.choice(SITES))
+        out.append((a, b))
+    return out
+
+
+def pairs(pairs_of_states, tracer):
+    return tuple(
+        (syncs_sender(b, tracer=tracer),
+         syncs_receiver(a, reconcile=a.compare(b).is_concurrent,
+                        tracer=tracer))
+        for a, b in pairs_of_states)
+
+
+def scripted(*effects):
+    """A party that yields ``effects`` in order; returns what it got."""
+    got = []
+    for effect in effects:
+        got.append((yield effect))
+    return got
+
+
+def short():
+    return Send(Halt(1))
+
+
+def long():
+    """Two seconds of serialization on these 20 kbit/s links."""
+    return Send(Halt(40_000))
+
+
+def digest(tracer):
+    h = hashlib.sha256()
+    for event in tracer.events:
+        h.update(repr((event.seq, event.kind, event.span_id, event.time,
+                       event.party, event.message, event.bits,
+                       sorted(event.fields.items()))).encode())
+    return h.hexdigest()
+
+
+def lossy(seed, **faults):
+    return ChannelSpec(latency=0.01, bandwidth=2e4,
+                       faults=FaultSpec(seed=seed, **faults))
+
+
+def pipelined(tracer):
+    return SessionOptions(pairs=pairs(states(1, 1), tracer),
+                          channel=PERFECT, encoding=ENC, tracer=tracer,
+                          session_id=7, party_names=("S001", "S002"))
+
+
+def stop_and_wait(tracer):
+    return SessionOptions(pairs=pairs(states(1, 2), tracer),
+                          channel=PERFECT, encoding=ENC, tracer=tracer,
+                          stop_and_wait=True)
+
+
+def proc_time(tracer):
+    return SessionOptions(pairs=pairs(states(1, 3), tracer),
+                          channel=PERFECT, encoding=ENC, tracer=tracer,
+                          proc_time=0.0007)
+
+
+def batched(tracer):
+    return SessionOptions(pairs=pairs(states(4, 4), tracer), batch_size=4,
+                          channel=PERFECT, encoding=ENC, tracer=tracer)
+
+
+def chunked(tracer):
+    return SessionOptions(pairs=pairs(states(4, 5), tracer), batch_size=3,
+                          channel=PERFECT, encoding=ENC, tracer=tracer,
+                          stop_and_wait=True)
+
+
+def arq_drop(tracer):
+    return SessionOptions(pairs=pairs(states(1, 6), tracer),
+                          channel=lossy(2, drop=0.3), encoding=ENC,
+                          tracer=tracer, session_id=3)
+
+
+def arq_duplicate_reorder(tracer):
+    return SessionOptions(
+        pairs=pairs(states(1, 7), tracer),
+        channel=lossy(9, duplicate=0.4, reorder=0.4, reorder_window=0.05),
+        encoding=ENC, tracer=tracer, proc_time=0.0005)
+
+
+def arq_partition(tracer):
+    return SessionOptions(
+        pairs=pairs(states(1, 8), tracer),
+        channel=lossy(0, partitions=((0.0, 0.4),)), encoding=ENC,
+        tracer=tracer, retry=RetryPolicy(initial_rto=0.15))
+
+
+def resumable(tracer, seed, channel):
+    (a, b), = states(1, seed)
+    state = {"a": a}
+    snapshot = a.copy()
+    first = [True]
+
+    def rebuild():
+        # Attempts are transactional: a resume restores the receiver.
+        if first:
+            first.pop()
+        else:
+            state["a"] = snapshot.copy()
+        return pairs([(state["a"], b)], tracer)
+
+    return SessionOptions(
+        rebuild=rebuild, channel=channel, encoding=ENC, tracer=tracer,
+        retry=RetryPolicy(max_retries=1, initial_rto=0.1,
+                          max_session_attempts=25))
+
+
+def resume(tracer):
+    return resumable(tracer, 9, lossy(1, drop=0.4))
+
+
+def resume_chaos(tracer):
+    return resumable(tracer, 11, lossy(4, drop=0.3, duplicate=0.3,
+                                       reorder=0.3, reorder_window=0.05))
+
+
+def ignore(error, stats):
+    pass
+
+
+def abandon(tracer):
+    return SessionOptions(
+        pairs=pairs(states(1, 10), tracer),
+        channel=lossy(3, drop=0.7), encoding=ENC, tracer=tracer,
+        retry=RetryPolicy(max_retries=1, initial_rto=0.05),
+        on_abandon=ignore)
+
+
+def recv_queued(tracer):
+    # The receiver is still serializing its own long message when the
+    # sender's three land, so its Drain and Recvs find them queued.
+    return SessionOptions(
+        pairs=((scripted(short(), short(), short()),
+                scripted(POLL, long(), DRAIN, RECV, RECV)),),
+        channel=PERFECT, encoding=ENC, tracer=tracer)
+
+
+def dead_link(tracer, sender, receiver, *, down_from=0.0, **extra):
+    """One scripted ARQ attempt whose link is down from ``down_from``."""
+    return SessionOptions(
+        pairs=((sender, receiver),),
+        channel=lossy(0, partitions=((down_from, 1e9),)), encoding=ENC,
+        tracer=tracer, retry=RetryPolicy(max_retries=0), on_abandon=ignore,
+        **extra)
+
+
+def abort_parked_on_ack(tracer):
+    # Both send into a dead link: the first timeout aborts the attempt
+    # while the other side is still parked on its ack.
+    return dead_link(tracer, scripted(short()), scripted(short()))
+
+
+def abort_while_serializing(tracer):
+    return dead_link(tracer, scripted(short()), scripted(long()))
+
+
+def quiet_arq(tracer, sender, receiver, **retry):
+    """ARQ engaged (a partition far in the future) on a fault-free run,
+    with an unjittered retry policy: every timeout is at a fixed time."""
+    return SessionOptions(
+        pairs=((sender, receiver),),
+        channel=lossy(0, partitions=((100.0, 101.0),)), encoding=ENC,
+        tracer=tracer, retry=RetryPolicy(jitter=0.0, **retry),
+        on_abandon=ignore)
+
+
+def ack_during_retransmit(tracer):
+    # A 1 ms RTO times the 20 ms message out; the first copy's ack lands
+    # while the retransmission is still serializing.
+    return quiet_arq(tracer, scripted(Send(Halt(400)), short()),
+                     scripted(RECV, RECV), initial_rto=0.001)
+
+
+def late_after_abort(tracer):
+    # The third timeout (14.15 ms) aborts after the first copy's
+    # delivery (10.05 ms) but before its ack returns (20.45 ms) and
+    # before the third copy lands (16.15 ms).
+    return quiet_arq(tracer, scripted(short()), scripted(RECV),
+                     initial_rto=0.002, max_retries=2)
+
+
+def abort_while_processing(tracer):
+    # The first message lands and is being processed for a second when
+    # the second one, sent into the partition, times out.
+    return dead_link(tracer, scripted(short(), short()),
+                     scripted(RECV, RECV), down_from=0.015, proc_time=1.0)
+
+
+#: Digests of the generator-process driver (one per case).
+GOLDEN = {
+    "pipelined":
+        "047d2131d8354c023157713181fc6d52e00441409c4cf93cf9380a784eab4b35",
+    "stop_and_wait":
+        "97747ae3d53ea91d26554039d074ab5f0f9a905596ac1bbf46177f3ef9f09d09",
+    "proc_time":
+        "598be4080796418c47194f5bcf962292ab32f22ac487a7b28dea514a22888792",
+    "batched":
+        "7d4bfcd713ecc158aeceb05f96f46a1cf4f7e22b76c29ffca6227dbc073f32a1",
+    "chunked":
+        "b3e1363cb81568f40200889339cbfc7f1a166b8b09d9f526e860cf9bf7119b3c",
+    "arq_drop":
+        "b2bdd161efeff5fa83a78e95fcc899332aaa3a2812f7067147f116669a813e39",
+    "arq_duplicate_reorder":
+        "dca7f4957e30fa956d298f4e30b778d47c3e104d8476432af636c2afb2f70dc6",
+    "arq_partition":
+        "ab2a5784029c76e8658b77426256f8951c7af05c06ef6c8e64ca8a44129d126e",
+    "resume":
+        "d2cf3c547ad3ed6dd4c0abe7883d3f717c7f0706bbbfc9e494731b1de365604d",
+    "resume_chaos":
+        "8f3a4f4956e08254ca1d16de871af7bf7347b187b1f48768573240aabc0aa574",
+    "abandon":
+        "437676d23382e35580ef1055013451380ca3da4900f2e41d75fa7ff18695e6e4",
+    "ack_during_retransmit":
+        "b40380a4e05d200fc303fdc9c98dd32cf42fb0dedd209f183b584ced1f34619e",
+    "late_after_abort":
+        "f5dd00caafe4656287c57db925a42b22db3c1bf8013afca434419ef2ad00127f",
+    "recv_queued":
+        "8534021ae63bdfa8017d116b767d047c6672a8d31d6700f86edc46109c11cd78",
+    "abort_parked_on_ack":
+        "36ca783c41e64585d3e245dee848cc9f1c80f923715493a3a0b655a9ce0fc365",
+    "abort_while_serializing":
+        "4f3a3496b3b9278ef62b6803afe24d9c92ec12ad941032b884a6e70773871e09",
+    "abort_while_processing":
+        "4a0041b14e4391527d52e84ba9f9a77b44a328720e4b2149bc98e74bc6c2a1b6",
+}
+
+CASES = {build.__name__: build for build in (
+    pipelined, stop_and_wait, proc_time, batched, chunked, recv_queued,
+    arq_drop, arq_duplicate_reorder, arq_partition, resume, resume_chaos,
+    ack_during_retransmit, abandon, late_after_abort, abort_parked_on_ack,
+    abort_while_serializing, abort_while_processing)}
+ABANDONED = {"abandon", "late_after_abort", "abort_parked_on_ack",
+             "abort_while_serializing", "abort_while_processing"}
+
+
+def traced_run(name):
+    tracer = Tracer()
+    options = CASES[name](tracer)
+    if name in ABANDONED:
+        with pytest.raises(SessionError, match="unfinished"):
+            run_timed(options, trace_dispatch=True)
+    else:
+        run_timed(options, trace_dispatch=True)
+    return tracer
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_wire_trace_matches_the_golden_digest(name):
+    assert digest(traced_run(name)) == GOLDEN[name]
