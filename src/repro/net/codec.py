@@ -42,19 +42,19 @@ suite and the ``repro.perf.microbench`` E4/E11 cells enforce.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import ProtocolError
 from repro.extensions.varint import AdaptiveEncoding
+from repro.net.stats import TransferStats
 from repro.net.wire import Encoding
 from repro.protocols.batch import BatchFrame
-from repro.protocols.effects import Send
 from repro.protocols.messages import (AbortMsg, CompareLeast, ElementCMsg,
                                       ElementMsg, ElementSMsg, FullGraphMsg,
                                       FullVectorMsg, GraphNodeMsg, Halt,
                                       Message, Skip, SkipToMsg, VerdictBit)
-from repro.protocols.session import (ProtocolCoroutine, SessionResult,
-                                     run_session)
+from repro.protocols.session import (ProtocolCoroutine, SessionResult, Wire,
+                                     LocalParty, run_parties)
 from repro.replication.membership import SiteRegistry
 
 #: γ(value + 1) widths for small values, precomputed once.  Element
@@ -985,37 +985,28 @@ class Codec:
         return self.decode_batch(data, bit_length, channel), bit_length
 
 
-def _serializing(gen: ProtocolCoroutine, codec: Codec,
-                 channel: str) -> Generator[Any, Any, Any]:
-    """Route every outgoing message of ``gen`` through encode→decode.
+class _Serialized(LocalParty):
+    """The instant policy with every message physically serialized: the
+    peer receives the encode→decode copy, once its bit length is checked
+    against the priced ``bits()`` — the property that keeps every
+    benchmark honest.  A :class:`~repro.protocols.batch.BatchFrame` goes
+    through the one-pass batch codec, under the same check."""
 
-    Also asserts the serialized bit length equals the message's priced
-    ``bits()`` — the property that keeps every benchmark honest.
-    :class:`~repro.protocols.batch.BatchFrame` messages (framed batched
-    sessions) serialize through the one-pass batch codec, under the same
-    pricing assertion.
-    """
-    try:
-        effect = next(gen)
-        while True:
-            if isinstance(effect, Send):
-                message = effect.message
-                if isinstance(message, BatchFrame):
-                    decoded, bit_length = codec.roundtrip_batch(
-                        message, channel)
-                else:
-                    decoded, bit_length = codec.roundtrip(message, channel)
-                priced = message.bits(codec.encoding)
-                if bit_length != priced:
-                    raise ProtocolError(
-                        f"pricing mismatch on {channel}: serialized "
-                        f"{bit_length} bits, priced {priced} for "
-                        f"{message!r}")
-                effect = Send(decoded)
-            value = yield effect
-            effect = gen.send(value)
-    except StopIteration as stop:
-        return stop.value
+    __slots__ = ("codec", "channel")
+
+    def transmit(self, message: Message) -> bool:
+        """Round-trip ``message``, check its price, send the decoded copy."""
+        codec, channel = self.codec, self.channel
+        if isinstance(message, BatchFrame):
+            decoded, bit_length = codec.roundtrip_batch(message, channel)
+        else:
+            decoded, bit_length = codec.roundtrip(message, channel)
+        priced = message.bits(codec.encoding)
+        if bit_length != priced:
+            raise ProtocolError(
+                f"pricing mismatch on {channel}: serialized "
+                f"{bit_length} bits, priced {priced} for {message!r}")
+        return super().transmit(decoded)
 
 
 def run_session_serialized(sender: ProtocolCoroutine,
@@ -1023,7 +1014,9 @@ def run_session_serialized(sender: ProtocolCoroutine,
                            codec: Codec, forward_channel: str,
                            backward_channel: str) -> SessionResult:
     """Run a session with every message physically serialized both ways."""
-    return run_session(
-        _serializing(sender, codec, forward_channel),
-        _serializing(receiver, codec, backward_channel),
-        encoding=codec.encoding)
+    wire = Wire(TransferStats(), codec.encoding, 10_000_000)
+    first = _Serialized(wire, "sender", sender, True)
+    second = _Serialized(wire, "receiver", receiver, False)
+    first.codec = second.codec = codec
+    first.channel, second.channel = forward_channel, backward_channel
+    return run_parties(wire, first, second)

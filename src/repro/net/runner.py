@@ -1,7 +1,8 @@
 """Timed protocol execution on the discrete-event simulator.
 
-Runs the *same* protocol coroutines the instant driver runs, but interprets
-their effects against a :class:`~repro.net.channel.ChannelSpec`:
+Runs the *same* protocol coroutines the instant driver runs, through the
+same interpreter (:class:`repro.protocols.session.Party`), under the timed
+delivery policy for a :class:`~repro.net.channel.ChannelSpec`:
 
 * ``Send`` occupies the sender for the message's serialization delay and
   schedules delivery one propagation latency later (FIFO per direction);
@@ -82,9 +83,8 @@ from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
 from repro.protocols.batch import BatchFrame, batch_party
-from repro.protocols.effects import Drain, Poll, Recv, Send
 from repro.protocols.messages import Message
-from repro.protocols.session import ProtocolCoroutine
+from repro.protocols.session import INBOX, Party, ProtocolCoroutine, Wire
 
 #: One object's coroutine pair: ``(sender, receiver)``.
 SessionPair = Tuple[ProtocolCoroutine, ProtocolCoroutine]
@@ -247,12 +247,11 @@ class SessionHandle:
 # Wire parties: the two sides of one wire session, stepped by kernel events.
 # ---------------------------------------------------------------------------
 
-#: What a party is parked on (``_Party.parked``); ``None`` when it is not.
-_INBOX = "inbox"
+#: What an ARQ party is parked on besides its inbox (``Party.parked``).
 _ACK = "ack"
 
 
-class _Wire:
+class _Wire(Wire):
     """What the two parties of one wire session share.
 
     It never refers to a party, so the only cycle on the path is the
@@ -260,10 +259,9 @@ class _Wire:
     second party finishes.
     """
 
-    __slots__ = ("sim", "stats", "channel", "encoding", "tracer",
-                 "session_fields", "stop_and_wait", "proc_time", "max_steps",
-                 "retry", "injector", "jitter_rng", "steps", "start_time",
-                 "on_complete", "on_abort")
+    __slots__ = ("sim", "channel", "stop_and_wait", "proc_time", "retry",
+                 "injector", "jitter_rng", "start_time", "on_complete",
+                 "on_abort")
 
     def __init__(self, sim: Simulator, stats: TransferStats,
                  options: SessionOptions,
@@ -271,89 +269,51 @@ class _Wire:
                  on_abort: Callable[[], None],
                  injector: Optional[FaultInjector],
                  jitter_rng: Optional[random.Random]) -> None:
-        self.sim, self.stats = sim, stats
-        self.channel, self.encoding = options.channel, options.encoding
-        self.tracer = options.tracer
-        self.session_fields = ({} if options.session_id is None
-                               else {"session": options.session_id})
+        # Every ARQ attempt is a fresh handshake; it re-pays the header.
+        Wire.__init__(self, stats, options.encoding, options.max_steps,
+                      options.tracer, options.session_id)
+        self.sim = sim
+        self.channel = options.channel
         self.stop_and_wait = options.stop_and_wait
-        self.proc_time, self.max_steps = options.proc_time, options.max_steps
+        self.proc_time = options.proc_time
         self.retry = options.retry
         self.injector, self.jitter_rng = injector, jitter_rng
-        self.steps = 0
         self.start_time = sim.now
         self.on_complete, self.on_abort = on_complete, on_abort
 
 
-class _Party:
-    """One side of a wire session on the perfect link.
+class _Party(Party):
+    """One side of a wire session on the perfect link: the timed policy.
 
-    Each kernel event this party schedules calls one of its bound
-    methods, and :meth:`advance` runs the protocol coroutine from there
-    until an effect takes simulated time (a ``Send`` serializing, a
-    ``Recv`` on an empty inbox, a ``Recv``'s processing delay).  Which
-    events are scheduled, at what instant, from which float expression
-    and in what order is fixed (DESIGN.md §5, "Wire parties"): it decides
-    every kernel sequence number, and ``tests/net/test_wire_trace.py``
-    pins it.
+    A ``Send`` serializes on the kernel and returns; a ``Recv`` with mail
+    (after ``proc_time``, if any) and an empty ``Poll`` resolve inline;
+    the kernel heap decides who steps next, each event calling one of
+    this party's bound methods.  Which events are scheduled, when, from
+    which float expression and in what order is fixed (DESIGN.md §5,
+    "Wire parties"), and ``tests/net/test_wire_trace.py`` pins it.
     """
 
-    __slots__ = ("wire", "sim", "name", "forward", "coroutine", "out_stats",
-                 "peer", "inbox", "parked", "aborted", "outgoing",
-                 "sent_seq", "result", "finish")
+    __slots__ = ("sim", "peer", "aborted", "outgoing", "sent_seq", "finish")
 
     def __init__(self, wire: _Wire, name: str, coroutine: ProtocolCoroutine,
                  forward: bool) -> None:
-        self.wire, self.sim, self.name = wire, wire.sim, name
-        self.forward = forward
-        self.coroutine = coroutine
-        #: This party's outgoing direction (data it serializes, acks it
-        #: returns under the ARQ transport).
-        self.out_stats = (wire.stats.forward if forward
-                          else wire.stats.backward)
+        Party.__init__(self, wire, name, coroutine, forward,
+                       wire.proc_time > 0, False)
+        self.sim = wire.sim
         self.peer: Optional[_Party] = None
-        self.inbox: List[Message] = []
-        self.parked: Optional[str] = None
         self.aborted = False
         self.outgoing: Optional[Message] = None
         self.sent_seq: Optional[int] = None
-        self.result: Any = None
         self.finish: Optional[float] = None
 
-    # -- the stepping loop --------------------------------------------------
-
-    def advance(self, value: Any = None) -> None:
-        """Send ``value`` into the coroutine and interpret its effects
-        until one takes simulated time (the first call starts it)."""
-        wire = self.wire
-        send = self.coroutine.send
-        inbox = self.inbox
-        while True:
-            try:
-                effect = send(value)
-            except StopIteration as stop:
-                self.exit(stop.value)
-                return
-            wire.steps += 1
-            if wire.steps > wire.max_steps:
-                raise SessionError(
-                    f"timed session exceeded {wire.max_steps} steps")
-            if isinstance(effect, Send):
-                self.transmit(effect.message)
-                return
-            if isinstance(effect, Recv):
-                if not inbox:
-                    self.parked = _INBOX
-                    self.sim.park()
-                    return
-                if wire.proc_time > 0:
-                    self.process()
-                    return
-                value = inbox.pop(0)
-            elif isinstance(effect, (Poll, Drain)):
-                value = inbox.pop(0) if inbox else None
-            else:  # pragma: no cover - defensive
-                raise SessionError(f"unknown effect {effect!r} in {self.name}")
+    def hold(self, parked: str) -> None:
+        """A ``Recv``: spend the processing time on mail already here,
+        or park on the inbox until a delivery."""
+        if self.inbox:
+            self.process()
+            return
+        self.parked = INBOX
+        self.sim.park()
 
     def wake(self) -> None:
         """A delivery (or an abort) woke this party from its inbox."""
@@ -361,7 +321,7 @@ class _Party:
         if self.aborted:
             self.quit()
             return
-        if self.wire.proc_time > 0:
+        if self.holds_mail:
             self.process()
             return
         self.advance(self.inbox.pop(0))
@@ -383,10 +343,10 @@ class _Party:
         self.exit(None)
 
     def exit(self, result: Any) -> None:
-        self.result = result
+        self.done, self.result = True, result
         self.finish = self.sim.now
         peer = self.peer
-        if peer.finish is None:
+        if not peer.done:
             return
         # The second party out cuts the peer links, so the finished
         # session holds no cycle (DESIGN.md §5).
@@ -408,20 +368,16 @@ class _Party:
 
     # -- perfect-link transport ---------------------------------------------
 
-    def transmit(self, message: Message) -> None:
+    def transmit(self, message: Message) -> bool:
         """Occupy the link for ``message``'s serialization delay."""
         wire = self.wire
         bits = message.bits(wire.encoding)
-        self.out_stats.record(message.type_name, bits)
-        if wire.tracer is not None:
-            self.sent_seq = wire.tracer.event(
-                obs.MESSAGE, party=self.name, message=message.type_name,
-                bits=bits, direction="forward" if self.forward else "backward",
-                **wire.session_fields).seq
+        self.sent_seq = self.account(message, bits)
         self.outgoing = message
         sim = self.sim
         sim.schedule(sim.now + wire.channel.serialization_delay(bits),
                      self.serialized)
+        return True
 
     def serialized(self) -> None:
         """The last bit left: it lands one propagation latency later."""
@@ -440,17 +396,23 @@ class _Party:
         self.advance()
 
     def implicitly_acked(self) -> None:
-        wire = self.wire
-        ack_bits = wire.channel.ack_bits
-        peer = self.peer
-        peer.out_stats.record("Ack", ack_bits)
-        if wire.tracer is not None:
-            wire.tracer.event(obs.MESSAGE, party=peer.name, message="Ack",
-                              bits=ack_bits,
-                              direction=("backward" if self.forward
-                                         else "forward"),
-                              **wire.session_fields)
+        self.peer.acknowledge()
         self.advance()
+
+    def acknowledge(self, first: bool = True,
+                    seq: Optional[int] = None) -> None:
+        """Account one acknowledgment this party returns (of the peer's
+        message ``seq`` under ARQ); only the first per message is
+        goodput."""
+        wire, out = self.wire, self.out_stats
+        ack_bits = wire.channel.ack_bits
+        (out.record if first else out.record_retransmit)("Ack", ack_bits)
+        if wire.tracer is not None:
+            copy = {} if seq is None else {"seq": seq}
+            wire.tracer.event(obs.MESSAGE, party=self.name, message="Ack",
+                              bits=ack_bits, **copy,
+                              direction="forward" if self.forward
+                              else "backward", **wire.session_fields)
 
     def deliver(self, message: Message, sent_seq: Optional[int]) -> None:
         """A message landed in this party's inbox."""
@@ -466,7 +428,7 @@ class _Party:
             tracer.event(obs.DELIVER, party=self.name,
                          message=message.type_name, **fields)
         self.inbox.append(message)
-        if self.parked is _INBOX:
+        if self.parked is INBOX:
             # A zero-delay hop, not an inline call: the party resumes at
             # this instant but behind everything already due now.
             self.parked = None
@@ -491,7 +453,7 @@ class _ArqParty(_Party):
 
     def __init__(self, wire: _Wire, name: str, coroutine: ProtocolCoroutine,
                  forward: bool) -> None:
-        super().__init__(wire, name, coroutine, forward)
+        _Party.__init__(self, wire, name, coroutine, forward)
         self.next_seq = 0       # our next outgoing sequence number
         self.expected = 0       # the peer's next sequence number we take
         self.seq = -1           # the outgoing message awaiting its ack
@@ -523,7 +485,7 @@ class _ArqParty(_Party):
 
     # -- sending side -------------------------------------------------------
 
-    def transmit(self, message: Message) -> None:
+    def transmit(self, message: Message) -> bool:
         wire = self.wire
         self.outgoing = message
         self.bits = message.bits(wire.encoding)
@@ -533,26 +495,20 @@ class _ArqParty(_Party):
         self.rto = wire.retry.rto_for(wire.channel)
         self.attempt = 0
         self.send_copy()
+        return True
 
     def send_copy(self) -> None:
         """Serialize one (re)transmission of the outgoing message."""
         wire = self.wire
-        tracer = wire.tracer
-        type_name, bits, seq = self.outgoing.type_name, self.bits, self.seq
+        message, bits, seq = self.outgoing, self.bits, self.seq
         self.attempt = attempt = self.attempt + 1
-        if attempt == 1:
-            self.out_stats.record(type_name, bits)
-        else:
-            self.out_stats.record_retransmit(type_name, bits)
+        if attempt > 1:
             wire.stats.retries += 1
-            if tracer is not None:
-                tracer.event(obs.RETRY, party=self.name, message=type_name,
-                             seq=seq, attempt=attempt, **wire.session_fields)
-        if tracer is not None:
-            self.sent_seq = tracer.event(
-                obs.MESSAGE, party=self.name, message=type_name, bits=bits,
-                direction="forward" if self.forward else "backward",
-                seq=seq, attempt=attempt, **wire.session_fields).seq
+            if wire.tracer is not None:
+                wire.tracer.event(obs.RETRY, party=self.name,
+                                  message=message.type_name, seq=seq,
+                                  attempt=attempt, **wire.session_fields)
+        self.sent_seq = self.account(message, bits, seq, attempt)
         sim = self.sim
         sim.schedule(sim.now + wire.channel.serialization_delay(bits),
                      self.serialized)
@@ -630,7 +586,7 @@ class _ArqParty(_Party):
                               seq=self.seq, attempts=self.attempt,
                               **wire.session_fields)
         if peer.parked is not None:
-            wake = peer.wake if peer.parked is _INBOX else peer.ack_wake
+            wake = peer.wake if peer.parked is INBOX else peer.ack_wake
             peer.parked = None
             self.sim.schedule(self.sim.now, wake)
 
@@ -656,20 +612,10 @@ class _ArqParty(_Party):
         # Acknowledge every arriving copy — the transport cannot know
         # whether earlier acks survived.  Only the first ack per sequence
         # number (the one answering the delivered copy) is goodput.
-        wire = self.wire
-        channel = wire.channel
-        ack_bits = channel.ack_bits
-        if first:
-            self.out_stats.record("Ack", ack_bits)
-        else:
-            self.out_stats.record_retransmit("Ack", ack_bits)
-        if wire.tracer is not None:
-            wire.tracer.event(obs.MESSAGE, party=self.name, message="Ack",
-                              bits=ack_bits, seq=seq,
-                              direction=("forward" if self.forward
-                                         else "backward"),
-                              **wire.session_fields)
-        ack_delay = channel.serialization_delay(ack_bits) + channel.latency
+        self.acknowledge(first, seq)
+        channel = self.wire.channel
+        ack_delay = (channel.serialization_delay(channel.ack_bits)
+                     + channel.latency)
         sim = self.sim
         on_ack = sender.on_ack
         for delay in self.fate("ack", seq):
@@ -685,12 +631,6 @@ def _launch_wire(sim: Simulator, sender: ProtocolCoroutine,
                  jitter_rng: Optional[random.Random] = None) -> None:
     """Start one wire session's two parties: on the perfect link, or on
     the ARQ transport when an ``injector`` is given."""
-    header_bits = options.encoding.session_header_bits
-    if header_bits:
-        # Per-session fixed overhead: priced, not timed (it models
-        # connection state, not a serialized message — see wire.py).
-        # Every ARQ attempt is a fresh handshake; it re-pays the header.
-        stats.forward.record("SessionHeader", header_bits)
     wire = _Wire(sim, stats, options, on_complete, on_abort, injector,
                  jitter_rng)
     party = _Party if injector is None else _ArqParty

@@ -2,8 +2,8 @@
 
 Every synchronization algorithm in this package is written once, as a pair
 of plain generator functions (*sender* and *receiver*) that never touch a
-socket, a queue, or a clock.  Instead they ``yield`` one of three effect
-objects and receive the result through ``generator.send()``:
+socket, a queue, or a clock.  Instead they ``yield`` one of four effect
+objects, and the driver resumes them with the result:
 
 * ``yield Send(message)`` — transmit ``message`` to the peer; resumes with
   ``None``.
@@ -21,13 +21,15 @@ objects and receive the result through ``generator.send()``:
   already queued behind the data (the ``⌈b⌉`` race), without soliciting
   further traffic.
 
-Drivers interpret the effects: the instant driver
+One loop interprets the effects —
+:meth:`repro.protocols.session.Party.advance` — and every driver is a
+delivery policy over it: the instant policy
 (:func:`repro.protocols.session.run_session`) delivers immediately and is
-deterministic; the randomized driver delays deliveries arbitrarily to
-exercise pipelining overshoot; the discrete-event driver
-(:mod:`repro.net.runner`) adds latency and bandwidth to measure running
-time.  Correctness of every protocol is independent of the driver — a
-property the test suite checks explicitly.
+deterministic; the randomized policy delays deliveries arbitrarily to
+exercise pipelining overshoot; the timed policy (:mod:`repro.net.runner`)
+adds latency and bandwidth to measure running time.  Correctness of every
+protocol is independent of the policy — a property the test suite checks
+explicitly.
 """
 
 from __future__ import annotations

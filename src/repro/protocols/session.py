@@ -1,49 +1,49 @@
-"""Drivers that run a (sender, receiver) pair of protocol coroutines.
+"""The one effect interpreter, and the in-process delivery policies.
 
-Two drivers live here:
+:class:`Party` is the only code that resumes a protocol coroutine,
+interprets its ``Send``/``Recv``/``Poll``/``Drain`` effects, counts the
+session's step budget and accounts every sent message (per-type stats, the
+``message`` trace event, the transcript).  A driver is a *delivery policy*
+over it that decides three things: what a ``Send`` does next
+(:meth:`Party.transmit`); whether a ``Recv`` that finds mail, and a ``Poll``
+that finds none, park or resolve inline (``holds_mail``/``holds_poll``);
+and which parked party steps next.
 
-* :func:`run_session` — the *instant* driver: deterministic, alternating
-  scheduler with immediate message delivery.  It realizes the paper's
-  idealized accounting (a control message becomes visible to the sender at
-  the earliest possible yield point), so measured traffic matches the
-  analytical counts and Table 2's bounds can be asserted exactly.
-* :func:`run_session_randomized` — a fuzzing driver that delays deliveries
+* :func:`run_session` — the *instant* policy: deterministic, with immediate
+  delivery.  It realizes the paper's idealized accounting (a control
+  message becomes visible to the sender at the earliest possible yield
+  point), so measured traffic matches the analytical counts and Table 2's
+  bounds can be asserted exactly.
+* :func:`run_session_randomized` — a fuzzing policy that delays deliveries
   by random amounts while preserving per-direction FIFO order.  It models
-  arbitrary pipelining overshoot; protocol correctness must not depend on
-  timing, and the property-based tests drive the same coroutines through
-  this driver to prove it.
+  arbitrary pipelining overshoot; the property-based tests drive the same
+  coroutines through it to prove correctness does not depend on timing.
 
-A third driver with real (simulated) time lives in :mod:`repro.net.runner`.
+The timed policy lives in :mod:`repro.net.runner`, the codec round-trip
+(a ``transmit`` override) in :mod:`repro.net.codec`.
 
-Instant-driver slice semantics
-------------------------------
-
-The scheduler alternates *slices* between the two parties.  Within a slice
-a party:
-
-1. resolves its pending effect — a ``Recv`` (which requires a delivered
-   message to start the slice), a ``Poll`` (delivered message or ``None``),
-   or a ``Drain``;
-2. keeps running while its next effects are ``Send`` (delivered to the peer
-   immediately), ``Drain`` (resolved immediately from the delivered inbox),
-   or ``Poll`` **with** a delivered message;
-3. parks when it reaches a ``Poll`` or ``Recv`` and nothing has been
-   delivered — ending the slice.
-
-Flushing consecutive sends within one slice means a control message (HALT,
-SKIP, skip-to) is always queued before the peer's next poll — so, e.g.,
-SYNCB transmits exactly |Δ|+1 elements and the Figure 3 SYNCG example
-transmits exactly the missing nodes plus one overlap node per branch, with
+The instant *slice* rule: a woken party resolves its ``Recv`` or ``Poll``,
+then keeps running while its effects are ``Send`` (delivered to the peer at
+once), ``Drain``, or ``Poll`` with a delivered message, and parks at the
+next ``Recv`` or empty ``Poll``.  A party with delivered mail is woken
+before one whose ``Poll`` would come up empty; ties alternate.  So a
+control message (HALT, SKIP, skip-to) is always queued before the peer's
+next poll: SYNCB transmits exactly |Δ|+1 elements and the Figure 3 SYNCG
+example exactly the missing nodes plus one overlap node per branch, with
 no pipelining overshoot.  ``Poll``-on-empty parking models the one send's
-worth of useful work a pipelined sender performs between checks.
+worth of useful work a pipelined sender performs between checks.  The
+randomized policy keeps the slice rule but sends into a per-direction
+in-flight queue, and draws with ``rng.choice`` among the parties ready to
+step and the directions with a message in flight.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SessionError
 from repro.net.stats import TransferStats
@@ -74,31 +74,247 @@ class SessionResult:
     transcript: Optional[List[Tuple[str, Message]]] = None
 
 
-@dataclass
-class _Party:
-    """Bookkeeping for one side of a session."""
+#: What a parked party waits for (``Party.parked``): a ``Recv`` resumes
+#: with the next message, a ``Poll`` with the next message or ``None``.
+INBOX = "inbox"
+POLLED = "poll"
 
-    name: str
-    gen: ProtocolCoroutine
-    inbox: Deque[Message] = field(default_factory=deque)
-    pending: Optional[Effect] = None
-    done: bool = False
-    result: Any = None
 
-    def prime(self) -> None:
-        """Advance to the first yield (or completion)."""
-        try:
-            self.pending = next(self.gen)
-        except StopIteration as stop:
-            self.done, self.result = True, stop.value
+class Wire:
+    """What the two parties of one session share: its accounting and its
+    step budget.  It never refers to a party.
 
-    def advance(self, value: Any) -> None:
-        """Resolve the pending effect with ``value`` and run to the next one."""
-        try:
-            self.pending = self.gen.send(value)
-        except StopIteration as stop:
-            self.done, self.result = True, stop.value
-            self.pending = None
+    Opening one records the session header (a per-session fixed overhead:
+    priced, not timed — it models connection state, not a serialized
+    message; see :mod:`repro.net.wire`).
+    """
+
+    __slots__ = ("stats", "encoding", "tracer", "session_fields",
+                 "transcript", "steps", "max_steps")
+
+    def __init__(self, stats: TransferStats, encoding: Encoding,
+                 max_steps: int, tracer: Optional[Tracer] = None,
+                 session_id: Optional[int] = None,
+                 transcript: Optional[List[Tuple[str, Message]]] = None
+                 ) -> None:
+        header_bits = encoding.session_header_bits
+        if header_bits:
+            stats.forward.record("SessionHeader", header_bits)
+        self.stats, self.encoding, self.tracer = stats, encoding, tracer
+        #: Extra fields stamped into every wire trace event.
+        self.session_fields = ({} if session_id is None
+                               else {"session": session_id})
+        self.transcript = transcript
+        self.steps, self.max_steps = 0, max_steps
+
+
+class Party:
+    """One side of a session: a protocol coroutine and its inbox.
+
+    :meth:`advance` is the effect interpreter.  A subclass is a delivery
+    policy: it implements :meth:`transmit`, sets ``holds_mail`` and
+    ``holds_poll``, and may override :meth:`hold` (how a party parks),
+    :meth:`wake` (how it resumes) and :meth:`exit`.  The defaults are the
+    slice rule of the instant and randomized policies.
+    """
+
+    __slots__ = ("wire", "name", "forward", "coroutine", "out_stats", "inbox",
+                 "parked", "done", "result", "holds_mail", "holds_poll")
+
+    def __init__(self, wire: Wire, name: str, coroutine: ProtocolCoroutine,
+                 forward: bool, holds_mail: bool = True,
+                 holds_poll: bool = True) -> None:
+        self.wire, self.name, self.forward = wire, name, forward
+        self.coroutine = coroutine
+        #: This party's outgoing direction.
+        self.out_stats = (wire.stats.forward if forward
+                          else wire.stats.backward)
+        self.inbox: List[Message] = []
+        self.parked: Optional[str] = None
+        self.done = False
+        self.result: Any = None
+        #: A ``Recv`` that finds mail parks instead of taking it.
+        self.holds_mail = holds_mail
+        #: A ``Poll`` that finds no mail parks instead of resolving ``None``.
+        self.holds_poll = holds_poll
+
+    # -- the interpreter ----------------------------------------------------
+
+    def advance(self, value: Any = None) -> None:
+        """Send ``value`` into the coroutine and interpret its effects
+        until the policy parks the party or the coroutine returns (the
+        first call starts it)."""
+        wire = self.wire
+        send = self.coroutine.send
+        inbox = self.inbox
+        while True:
+            try:
+                effect = send(value)
+            except StopIteration as stop:
+                self.exit(stop.value)
+                return
+            wire.steps += 1
+            if wire.steps > wire.max_steps:
+                raise SessionError(
+                    f"session exceeded {wire.max_steps} steps")
+            kind = effect.__class__
+            if kind is Send:
+                if self.transmit(effect.message):
+                    return
+                value = None
+            elif kind is Recv:
+                if not inbox or self.holds_mail:
+                    self.hold(INBOX)
+                    return
+                value = inbox.pop(0)
+            elif kind is Poll:
+                if inbox:
+                    value = inbox.pop(0)
+                elif self.holds_poll:
+                    self.hold(POLLED)
+                    return
+                else:
+                    value = None
+            elif kind is Drain:
+                value = inbox.pop(0) if inbox else None
+            else:
+                raise SessionError(
+                    f"unknown effect {effect!r} in {self.name}")
+
+    def account(self, message: Message, bits: int, seq: Optional[int] = None,
+                attempt: int = 1) -> Optional[int]:
+        """Count one copy of a message this party put on the wire: its
+        direction's per-type stats (a copy after the first is a
+        retransmission), the ``message`` trace event and the transcript.
+        ``seq``/``attempt`` name a transport copy in the event.  Returns
+        the event's trace seq, ``None`` untraced.
+        """
+        wire, type_name, out = self.wire, message.type_name, self.out_stats
+        if attempt == 1:
+            out.record(type_name, bits)
+        else:
+            out.record_retransmit(type_name, bits)
+        if wire.transcript is not None:
+            wire.transcript.append(("->" if self.forward else "<-", message))
+        if wire.tracer is None:
+            return None
+        copy = {} if seq is None else {"seq": seq, "attempt": attempt}
+        return wire.tracer.event(
+            obs.MESSAGE, party=self.name, message=type_name, bits=bits,
+            direction="forward" if self.forward else "backward", **copy,
+            **wire.session_fields).seq
+
+    # -- policy hooks -------------------------------------------------------
+
+    def transmit(self, message: Message) -> bool:
+        """Put ``message`` on the wire; True when the party stops stepping."""
+        raise NotImplementedError
+
+    def hold(self, parked: str) -> None:
+        """Park on a ``Recv`` (``INBOX``) or an empty ``Poll`` (``POLLED``)."""
+        self.parked = parked
+
+    def wake(self) -> None:
+        """Resume a parked party with its next message, or ``None``."""
+        self.parked = None
+        inbox = self.inbox
+        self.advance(inbox.pop(0) if inbox else None)
+
+    def exit(self, result: Any) -> None:
+        """The coroutine returned ``result``."""
+        self.done = True
+        self.result = result
+
+
+class LocalParty(Party):
+    """An in-process policy: a ``Send`` goes into ``outbox`` and the party
+    keeps running.  The instant policy's outbox is the peer's inbox; the
+    randomized policy's is a queue of messages in flight to the peer."""
+
+    __slots__ = ("outbox",)
+
+    def transmit(self, message: Message) -> bool:
+        """Account ``message``, append it to the outbox, keep running."""
+        self.account(message, message.bits(self.wire.encoding))
+        self.outbox.append(message)
+        return False
+
+
+def _delivered_first(parties: Tuple[LocalParty, LocalParty],
+                     turn: int) -> int:
+    """The instant rule: a party with a *delivered* message ready runs
+    before a party whose Poll would come up empty — what lets a control
+    reply reach the sender's very next poll, the paper's idealized,
+    zero-overshoot accounting.  Ties alternate."""
+    for offset in (0, 1):
+        index = (turn + offset) % 2
+        party = parties[index]
+        if party.parked is not None and party.inbox:
+            return index
+    for offset in (0, 1):
+        index = (turn + offset) % 2
+        if parties[index].parked is POLLED:
+            return index
+    return -1
+
+
+def _random_delivery(rng: random.Random, tracer: Optional[Tracer]
+                     ) -> Callable[[Tuple[LocalParty, LocalParty], int], int]:
+    """The randomized rule: draw among the ready parties and the
+    directions with a message in flight; a drawn delivery moves the
+    oldest in-flight message to its inbox, and the draw repeats."""
+    def choose(parties: Tuple[LocalParty, LocalParty], turn: int) -> int:
+        while True:
+            actions = [("step", index)
+                       for index, party in enumerate(parties)
+                       if party.parked is POLLED
+                       or (party.parked is not None and party.inbox)]
+            actions += [("deliver", index) for index in (0, 1)
+                        if parties[1 - index].outbox]
+            if not actions:
+                return -1
+            kind, index = rng.choice(actions)
+            if kind == "step":
+                return index
+            party = parties[index]
+            message = parties[1 - index].outbox.popleft()
+            if tracer is not None:
+                tracer.event(obs.DELIVER, party=party.name,
+                             message=message.type_name)
+            party.inbox.append(message)
+    return choose
+
+
+def run_parties(wire: Wire, sender: LocalParty, receiver: LocalParty,
+                rng: Optional[random.Random] = None) -> SessionResult:
+    """Step two in-process parties to completion: start both, then wake
+    whichever parked party the policy picks — the instant rule, or with an
+    ``rng`` the randomized one (each party's outbox is then a queue in
+    flight, not the peer's inbox).
+
+    Raises :class:`SessionError` when no party can step.
+    """
+    parties = (sender, receiver)
+    if rng is None:
+        sender.outbox, receiver.outbox = receiver.inbox, sender.inbox
+        choose = _delivered_first
+    else:
+        sender.outbox, receiver.outbox = deque(), deque()
+        choose = _random_delivery(rng, wire.tracer)
+    sender.advance()
+    receiver.advance()
+    turn = 0
+    while not (sender.done and receiver.done):
+        index = choose(parties, turn)
+        if index < 0:
+            blocked = [p.name for p in parties if not p.done]
+            raise SessionError(
+                f"{'session' if rng is None else 'randomized session'} "
+                f"deadlocked; blocked parties: {blocked}")
+        parties[index].wake()
+        turn = 1 - index
+    return SessionResult(wire.stats, sender.result, receiver.result,
+                         wire.transcript)
 
 
 def run_session(sender: ProtocolCoroutine, receiver: ProtocolCoroutine, *,
@@ -118,102 +334,12 @@ def run_session(sender: ProtocolCoroutine, receiver: ProtocolCoroutine, *,
     priced ``message`` event per send; pass the same tracer to the
     protocol coroutines to interleave their semantic events.
     """
-    if tracer is not None:
-        span = tracer.span(span_name, driver="instant")
-        try:
-            return _run_session_instant(sender, receiver, encoding=encoding,
-                                        max_steps=max_steps, trace=trace,
-                                        tracer=tracer)
-        finally:
-            span.end()
-    return _run_session_instant(sender, receiver, encoding=encoding,
-                                max_steps=max_steps, trace=trace, tracer=None)
-
-
-def _run_session_instant(sender: ProtocolCoroutine,
-                         receiver: ProtocolCoroutine, *,
-                         encoding: Encoding, max_steps: int, trace: bool,
-                         tracer: Optional[Tracer]) -> SessionResult:
-    stats = TransferStats()
-    if encoding.session_header_bits:
-        stats.forward.record("SessionHeader", encoding.session_header_bits)
-    transcript: Optional[List[Tuple[str, Message]]] = [] if trace else None
-    party_s = _Party("sender", sender)
-    party_r = _Party("receiver", receiver)
-    parties = (party_s, party_r)
-    party_s.prime()
-    party_r.prime()
-    steps = 0
-
-    def run_slice_tail(index: int) -> None:
-        """Step 2 of a slice: flush Sends, resolve Drains and hot Polls."""
-        nonlocal steps
-        party, peer = parties[index], parties[1 - index]
-        while not party.done and steps < max_steps:
-            effect = party.pending
-            if isinstance(effect, Send):
-                direction = stats.forward if party is party_s else stats.backward
-                bits = effect.message.bits(encoding)
-                direction.record(effect.message.type_name, bits)
-                if tracer is not None:
-                    tracer.event(
-                        obs.MESSAGE, party=party.name,
-                        message=effect.message.type_name, bits=bits,
-                        direction=("forward" if party is party_s
-                                   else "backward"))
-                if transcript is not None:
-                    arrow = "->" if party is party_s else "<-"
-                    transcript.append((arrow, effect.message))
-                peer.inbox.append(effect.message)
-                party.advance(None)
-            elif isinstance(effect, Drain):
-                party.advance(party.inbox.popleft() if party.inbox else None)
-            elif isinstance(effect, Poll) and party.inbox:
-                party.advance(party.inbox.popleft())
-            else:
-                return  # parked on Poll-empty or Recv
-            steps += 1
-
-    run_slice_tail(0)
-    run_slice_tail(1)
-    turn = 0
-
-    def pick_party() -> int:
-        """Choose who runs next.
-
-        A party with a *delivered* message ready (Recv/Poll/Drain with a
-        non-empty inbox) takes priority over a party whose Poll would come
-        up empty: processing delivered traffic first is what lets a control
-        reply reach the sender's very next poll — the paper's idealized,
-        zero-overshoot accounting.  Ties alternate.
-        """
-        for offset in range(2):
-            index = (turn + offset) % 2
-            party = parties[index]
-            if (not party.done and party.inbox
-                    and isinstance(party.pending, (Recv, Poll, Drain))):
-                return index
-        for offset in range(2):
-            index = (turn + offset) % 2
-            party = parties[index]
-            if not party.done and isinstance(party.pending, (Poll, Drain)):
-                return index
-        return -1
-
-    while steps < max_steps:
-        if party_s.done and party_r.done:
-            return SessionResult(stats, party_s.result, party_r.result,
-                                 transcript)
-        index = pick_party()
-        if index < 0:
-            blocked = [p.name for p in parties if not p.done]
-            raise SessionError(f"session deadlocked; blocked parties: {blocked}")
-        party = parties[index]
-        party.advance(party.inbox.popleft() if party.inbox else None)
-        steps += 1
-        run_slice_tail(index)
-        turn = 1 - index
-    raise SessionError(f"session exceeded {max_steps} steps")
+    wire = Wire(TransferStats(), encoding, max_steps, tracer,
+                transcript=[] if trace else None)
+    with (nullcontext() if tracer is None
+          else tracer.span(span_name, driver="instant")):
+        return run_parties(wire, LocalParty(wire, "sender", sender, True),
+                           LocalParty(wire, "receiver", receiver, False))
 
 
 def run_session_randomized(sender: ProtocolCoroutine,
@@ -232,80 +358,9 @@ def run_session_randomized(sender: ProtocolCoroutine,
     With a ``tracer``, sends become ``message`` events and delayed arrivals
     ``deliver`` events; an identical seed replays an identical sequence.
     """
-    if tracer is not None:
-        span = tracer.span(span_name, driver="randomized")
-        try:
-            return _run_session_randomized(sender, receiver, rng=rng,
-                                           encoding=encoding,
-                                           max_steps=max_steps, tracer=tracer)
-        finally:
-            span.end()
-    return _run_session_randomized(sender, receiver, rng=rng,
-                                   encoding=encoding, max_steps=max_steps,
-                                   tracer=None)
-
-
-def _run_session_randomized(sender: ProtocolCoroutine,
-                            receiver: ProtocolCoroutine, *,
-                            rng: random.Random, encoding: Encoding,
-                            max_steps: int,
-                            tracer: Optional[Tracer]) -> SessionResult:
-    stats = TransferStats()
-    if encoding.session_header_bits:
-        stats.forward.record("SessionHeader", encoding.session_header_bits)
-    party_s = _Party("sender", sender)
-    party_r = _Party("receiver", receiver)
-    parties = (party_s, party_r)
-    in_flight: Dict[int, Deque[Message]] = {0: deque(), 1: deque()}
-    party_s.prime()
-    party_r.prime()
-
-    for _ in range(max_steps):
-        if party_s.done and party_r.done:
-            return SessionResult(stats, party_s.result, party_r.result)
-
-        # Enumerate every enabled action, then pick one at random.
-        actions = []
-        for index, party in enumerate(parties):
-            if party.done:
-                continue
-            effect = party.pending
-            if isinstance(effect, (Send, Poll, Drain)):
-                actions.append(("step", index))
-            elif isinstance(effect, Recv) and party.inbox:
-                actions.append(("step", index))
-        for index in (0, 1):
-            if in_flight[index]:
-                actions.append(("deliver", index))
-
-        if not actions:
-            blocked = [p.name for p in parties if not p.done]
-            raise SessionError(
-                f"randomized session deadlocked; blocked parties: {blocked}")
-
-        kind, index = rng.choice(actions)
-        if kind == "deliver":
-            message = in_flight[index].popleft()
-            if tracer is not None:
-                tracer.event(obs.DELIVER, party=parties[index].name,
-                             message=message.type_name)
-            parties[index].inbox.append(message)
-            continue
-        party = parties[index]
-        effect = party.pending
-        if isinstance(effect, Send):
-            direction = stats.forward if party is party_s else stats.backward
-            bits = effect.message.bits(encoding)
-            direction.record(effect.message.type_name, bits)
-            if tracer is not None:
-                tracer.event(obs.MESSAGE, party=party.name,
-                             message=effect.message.type_name, bits=bits,
-                             direction=("forward" if party is party_s
-                                        else "backward"))
-            in_flight[1 - index].append(effect.message)
-            party.advance(None)
-        elif isinstance(effect, (Poll, Drain)):
-            party.advance(party.inbox.popleft() if party.inbox else None)
-        else:
-            party.advance(party.inbox.popleft())
-    raise SessionError(f"randomized session exceeded {max_steps} steps")
+    wire = Wire(TransferStats(), encoding, max_steps, tracer)
+    with (nullcontext() if tracer is None
+          else tracer.span(span_name, driver="randomized")):
+        return run_parties(wire, LocalParty(wire, "sender", sender, True),
+                           LocalParty(wire, "receiver", receiver, False),
+                           rng)

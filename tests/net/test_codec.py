@@ -11,6 +11,7 @@ from repro.graphs.causalgraph import build_graph
 from repro.net.codec import (BitReader, BitWriter, Codec,
                              run_session_serialized)
 from repro.net.wire import Encoding
+from repro.protocols.batch import batch_party
 from repro.protocols.comparep import compare_party
 from repro.protocols.messages import (AbortMsg, CompareLeast, ElementCMsg,
                                       ElementMsg, ElementSMsg, FullGraphMsg,
@@ -211,3 +212,23 @@ class TestSerializedSessions:
             run_session_serialized(sender(), receiver(), codec=bad_codec,
                                    forward_channel="brv_fwd",
                                    backward_channel="brv_bwd")
+
+    @pytest.mark.parametrize("framed", [False, True],
+                             ids=["message", "batch-frame"])
+    def test_mispriced_protocol_message_detected(self, monkeypatch, framed):
+        """A real SYNCS element whose ``bits()`` drifts one bit from its
+        encoding fails the session, plain or inside a batch frame."""
+        priced = ElementSMsg.bits
+        monkeypatch.setattr(ElementSMsg, "bits",
+                            lambda self, encoding: priced(self, encoding) + 1)
+        a = SkipRotatingVector.from_segments([[("S0", 1)]])
+        b = SkipRotatingVector.from_segments([[("S1", 1)], [("S0", 1)]])
+        sender, receiver = syncs_sender(b), syncs_receiver(a, reconcile=False)
+        if framed:
+            sender = batch_party([sender], initiator=True)
+            receiver = batch_party([receiver], initiator=False)
+        with pytest.raises(ProtocolError,
+                           match="pricing mismatch on srv_fwd"):
+            run_session_serialized(sender, receiver, codec=CODEC,
+                                   forward_channel="srv_fwd",
+                                   backward_channel="srv_bwd")

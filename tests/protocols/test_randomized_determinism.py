@@ -131,6 +131,18 @@ class TestSemanticStability:
             assert (honored + result.receiver_result.redundant_elements
                     + result.receiver_result.ignored_elements) >= ceiling
 
+    def test_syncs_some_seed_overshoots_the_instant_driver(self):
+        # The bound above holds for a policy that never delays anything
+        # too.  This one pins that the randomized policy does delay: on
+        # some seed the sender streams past a segment boundary before the
+        # receiver's SKIP lands, and honors fewer SKIPs than the instant
+        # driver's zero-overshoot run.
+        a, b = syncs_scenario()
+        ceiling = sync_srv(a, b, encoding=ENCODING).sender_result.skips_honored
+        honored = [run_syncs(seed)[1].sender_result.skips_honored
+                   for seed in SEEDS]
+        assert min(honored) < ceiling
+
     def test_syncc_all_semantic_counters_seed_independent(self):
         vectors, counters = set(), set()
         for seed in SEEDS:

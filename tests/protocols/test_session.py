@@ -5,12 +5,33 @@ import random
 import pytest
 
 from repro.errors import SessionError
+from repro.net.runner import SessionOptions, run_timed
 from repro.net.wire import Encoding
 from repro.protocols.effects import Drain, Poll, Recv, Send
 from repro.protocols.messages import ElementMsg, Halt
 from repro.protocols.session import run_session, run_session_randomized
 
 ENC = Encoding(site_bits=8, value_bits=8)
+
+
+def run_instant(sender, receiver, **kwargs):
+    return run_session(sender, receiver, encoding=ENC, **kwargs)
+
+
+def run_randomized(sender, receiver, **kwargs):
+    return run_session_randomized(sender, receiver, rng=random.Random(0),
+                                  encoding=ENC, **kwargs)
+
+
+def run_on_kernel(sender, receiver, **kwargs):
+    return run_timed(SessionOptions.for_pair(sender, receiver, encoding=ENC,
+                                             **kwargs))
+
+
+#: The three delivery policies over the one effect interpreter.
+EVERY_DRIVER = pytest.mark.parametrize(
+    "run", [run_instant, run_randomized, run_on_kernel],
+    ids=["instant", "randomized", "timed"])
 
 
 def one_shot_sender():
@@ -53,18 +74,6 @@ class TestInstantDriver:
 
         with pytest.raises(SessionError, match="deadlock"):
             run_session(stuck(), stuck(), encoding=ENC)
-
-    def test_max_steps_guard(self):
-        def chatty():
-            while True:
-                yield Send(Halt(1))
-
-        def sink():
-            while True:
-                yield Recv()
-
-        with pytest.raises(SessionError, match="exceeded"):
-            run_session(chatty(), sink(), encoding=ENC, max_steps=100)
 
     def test_poll_parks_but_drain_does_not(self):
         # A sender that polls twice between sends: with eager flushing the
@@ -112,6 +121,33 @@ class TestInstantDriver:
         result = run_session(noop(), noop(), encoding=ENC)
         assert result.sender_result == "x"
         assert result.receiver_result == "x"
+
+
+class TestEveryDriver:
+    """What the one interpreter does the same under every policy."""
+
+    @EVERY_DRIVER
+    def test_max_steps_guard(self, run):
+        def chatty():
+            while True:
+                yield Send(Halt(1))
+
+        def sink():
+            while True:
+                yield Recv()
+
+        with pytest.raises(SessionError, match="exceeded 100 steps"):
+            run(chatty(), sink(), max_steps=100)
+
+    @EVERY_DRIVER
+    def test_non_effect_is_an_unknown_effect(self, run):
+        # Not a deadlock: the sender yielded something no driver can
+        # interpret.
+        def confused():
+            yield 42
+
+        with pytest.raises(SessionError, match="unknown effect 42 in sender"):
+            run(confused(), counting_receiver())
 
 
 class TestTranscripts:
