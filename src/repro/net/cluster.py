@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import (Any, Callable, Deque, Dict, Hashable, Iterable, Iterator,
@@ -267,6 +268,33 @@ def session_options(config: Any, src: str, dst: str, session_id: int, *,
 
 #: A fleet session holds each endpoint whole: its updates wait for it.
 _WHOLE_SITE = "<site>"
+
+
+def _snapshot_writable(receiver: Any, objs: Tuple[int, ...],
+                       verdicts: Tuple[Ordering, ...]
+                       ) -> Tuple[Tuple[int, Any], ...]:
+    """``(obj, copy)`` for each of the receiver's ``objs`` a session
+    attempt can write; ``verdicts`` are ``receiver[obj].compare(sender)``.
+
+    Only a ``BEFORE`` or ``CONCURRENT`` object can change.  Under
+    ``EQUAL`` or ``AFTER`` the receiver covers the sender: no arriving
+    element is newer than its own, and every registered receiver writes
+    only through ``place_after`` on a newer value (``set_segment`` seals
+    a run ``place_after`` began).  A torn attempt cannot touch the rest.
+    """
+    return tuple((obj, receiver[obj].copy())
+                 for obj, verdict in zip(objs, verdicts)
+                 if verdict is Ordering.BEFORE
+                 or verdict is Ordering.CONCURRENT)
+
+
+def _restore_writable(receiver: Any,
+                      saved: Tuple[Tuple[int, Any], ...]) -> None:
+    """Roll back what :func:`_snapshot_writable` copied.  In place: result
+    views and the site table alias these objects, so identity must
+    survive the rollback."""
+    for obj, snapshot in saved:
+        receiver[obj].restore(snapshot)
 
 
 class SessionScheduler:
@@ -580,6 +608,7 @@ class ClusterRunner:
             #: Object-0 view, the whole state for single-object clusters.
             self.vectors = {
                 site: self.objects[site][0] for site in self.sites}
+        self._all_objects = tuple(range(config.n_objects))
         self._sim = Simulator()
         self._scheduler = SessionScheduler(
             self.sites, config.fanout, self._start)
@@ -593,7 +622,7 @@ class ClusterRunner:
     def hosted_objects(self, site: str) -> Tuple[int, ...]:
         """Object ids ``site`` replicates (all of them when unsharded)."""
         if self.shards is None:
-            return tuple(range(self.config.n_objects))
+            return self._all_objects
         return self.shards.hosted.get(site, ())
 
     # -- scheduling ------------------------------------------------------------
@@ -609,8 +638,9 @@ class ClusterRunner:
                 if request.src == request.dst:
                     raise ValidationError(
                         f"session {request} pairs a site with itself")
-                sim.call_at(request.at,
-                            lambda r=request: self._on_session_request(r))
+                sim.schedule(request.at,
+                             partial(self._on_session_request, request,
+                                     self._session_objects(request)))
             for update in updates:
                 self._check_sites(update.site)
                 obj = getattr(update, "obj", 0)
@@ -623,8 +653,8 @@ class ClusterRunner:
                     raise ValidationError(
                         f"update {update} lands on {update.site}, which "
                         f"does not replicate object {obj}")
-                sim.call_at(update.at,
-                            lambda u=update: self._on_update_request(u))
+                sim.schedule(update.at,
+                             partial(self._on_update_request, update))
             sim.run()
         return ClusterResult(
             records=self._records,
@@ -671,9 +701,9 @@ class ClusterRunner:
 
     # -- sessions --------------------------------------------------------------
 
-    def _on_session_request(self, request: SessionRequest) -> None:
-        if self.shards is not None \
-                and not self._session_objects(request):
+    def _on_session_request(self, request: SessionRequest,
+                            objs: Tuple[int, ...]) -> None:
+        if not objs:
             # The pair replicates no common object: nothing to sync.
             # Epidemic schedules draw peers from shard-peer sets and
             # never produce these; hand-written schedules may.
@@ -686,13 +716,17 @@ class ClusterRunner:
             self.tracer.event("session_request", party=request.dst,
                               peer=request.src)
         self._scheduler.request(request.src, request.dst,
-                                (request, self._sim.now))
+                                (request, self._sim.now, objs))
 
     def _session_objects(self, request: SessionRequest
                          ) -> Tuple[int, ...]:
-        """The object ids a session between the request's pair syncs."""
+        """The object ids a session between the request's pair syncs.
+
+        Raises :class:`~repro.errors.ValidationError` when the request
+        names objects the pair does not share.
+        """
         if self.shards is None:
-            return tuple(range(self.config.n_objects))
+            return self._all_objects
         objs = getattr(request, "objs", None)
         shared = self.shards.shared_objects(request.src, request.dst)
         if objs is None:
@@ -713,29 +747,30 @@ class ClusterRunner:
         """
         spec = registry.get(self.config.protocol)
         src, dst = self.objects[record.src], self.objects[record.dst]
+        before = record.reconciled_objects or (False,) * len(record.objects)
         verdicts: List[Ordering] = []
-        flags: List[bool] = []
+        merged: List[bool] = []
         pairs: List[Tuple[Any, Any]] = []
-        for obj in record.objects:
+        for obj, was_reconciled in zip(record.objects, before):
             verdict = dst[obj].compare(src[obj])
             sender, receiver, reconciled = spec.build(
                 src[obj], dst[obj], verdict, tracer=self.tracer)
+            if reconciled and not was_reconciled:
+                self._reconciliations += 1
             verdicts.append(verdict)
-            flags.append(reconciled)
+            merged.append(was_reconciled or reconciled)
             pairs.append((sender, receiver))
-        before = record.reconciled_objects or (False,) * len(flags)
-        merged = tuple(old or new for old, new in zip(before, flags))
-        self._reconciliations += sum(merged) - sum(before)
         record.verdicts, record.verdict = tuple(verdicts), verdicts[0]
-        record.reconciled_objects, record.reconciled = merged, merged[0]
+        record.reconciled_objects = tuple(merged)
+        record.reconciled = merged[0]
         return tuple(pairs)
 
-    def _start(self, entry: Tuple[SessionRequest, float]) -> None:
-        request, requested_at = entry
+    def _start(self, entry: Tuple[SessionRequest, float, Tuple[int, ...]]
+               ) -> None:
+        request, requested_at, objs = entry
         sim = self._sim
         config = self.config
         src, dst = request.src, request.dst
-        objs = self._session_objects(request)
         record = ClusterSessionRecord(
             index=len(self._records), src=src, dst=dst,
             requested_at=requested_at, started_at=sim.now,
@@ -757,17 +792,12 @@ class ClusterRunner:
             # its post-session ancestor-closure oracle has the pre-state.
             self.monitor.on_session_start(record)
 
-        def restore(snapshots: Tuple[Any, ...]) -> None:
-            for obj, snapshot in zip(objs, snapshots):
-                # In place: result views and the site table alias these
-                # objects, so identity must survive the rollback.
-                self.objects[dst][obj].restore(snapshot)
-
+        receiver = self.objects[dst]
         launch_transactional(
             sim, pairs, rebuild=lambda: self._build_pairs(record),
-            restore=restore,
-            snapshot=lambda: tuple(self.objects[dst][obj].copy()
-                                   for obj in objs),
+            restore=partial(_restore_writable, receiver),
+            snapshot=lambda: _snapshot_writable(receiver, objs,
+                                               record.verdicts),
             # A single-object session runs the historical per-object
             # path regardless of batch_size, as it always has.
             batch_size=config.batch_size if len(pairs) > 1 else 1,
@@ -862,25 +892,26 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
             else config.topology.channel_for(src, dst)
         session_index += 1
         reconciled_any = {obj: False for obj in objs}
+        receiver = objects[dst]
         # Mirrors the concurrent runner's transactional attempts: the
-        # first build snapshots the receiver's objects, every resume
-        # restores them before re-handshaking (see ClusterRunner._start).
-        snapshots: List[Tuple[Any, ...]] = []
+        # first build snapshots what the session can write at the
+        # receiver, every resume restores it before re-handshaking (see
+        # ClusterRunner._start).
+        snapshots: List[Tuple[Tuple[int, Any], ...]] = []
 
         def build() -> Tuple[Tuple[Any, Any], ...]:
-            if channel.faults.enabled:
-                if not snapshots:
-                    snapshots.append(
-                        tuple(objects[dst][obj].copy() for obj in objs))
-                else:
-                    for obj, snapshot in zip(objs, snapshots[0]):
-                        objects[dst][obj].restore(snapshot)
+            if snapshots:
+                _restore_writable(receiver, snapshots[0])
+            verdicts = tuple(receiver[obj].compare(objects[src][obj])
+                             for obj in objs)
+            if channel.faults.enabled and not snapshots:
+                snapshots.append(_snapshot_writable(receiver, objs,
+                                                    verdicts))
             pairs = []
-            for obj in objs:
-                verdict = objects[dst][obj].compare(objects[src][obj])
-                sender, receiver, reconciled = spec.build(
-                    objects[src][obj], objects[dst][obj], verdict)
-                pairs.append((sender, receiver))
+            for obj, verdict in zip(objs, verdicts):
+                sender, receiving, reconciled = spec.build(
+                    objects[src][obj], receiver[obj], verdict)
+                pairs.append((sender, receiving))
                 reconciled_any[obj] |= reconciled
             return tuple(pairs)
 

@@ -164,7 +164,7 @@ class FaultInjector:
         identical seed yields an identical schedule.
         """
         spec = self.spec
-        if spec.partitioned(now):
+        if spec.partitions and spec.partitioned(now):
             self.drops += 1
             return ()
         if spec.drop > 0 and self._rng.random() < spec.drop:

@@ -260,12 +260,11 @@ class _Wire(Wire):
     """
 
     __slots__ = ("sim", "channel", "stop_and_wait", "proc_time", "retry",
-                 "injector", "jitter_rng", "start_time", "on_complete",
-                 "on_abort")
+                 "injector", "jitter_rng", "on_complete", "on_abort")
 
     def __init__(self, sim: Simulator, stats: TransferStats,
                  options: SessionOptions,
-                 on_complete: Callable[[TimedSessionResult], None],
+                 on_complete: Callable[["_Party", "_Party"], None],
                  on_abort: Callable[[], None],
                  injector: Optional[FaultInjector],
                  jitter_rng: Optional[random.Random]) -> None:
@@ -278,7 +277,6 @@ class _Wire(Wire):
         self.proc_time = options.proc_time
         self.retry = options.retry
         self.injector, self.jitter_rng = injector, jitter_rng
-        self.start_time = sim.now
         self.on_complete, self.on_abort = on_complete, on_abort
 
 
@@ -355,16 +353,10 @@ class _Party(Party):
         if self.aborted:
             wire.on_abort()
             return
-        sender, receiver = (self, peer) if self.forward else (peer, self)
-        wire.on_complete(TimedSessionResult(
-            stats=wire.stats,
-            sender_result=sender.result,
-            receiver_result=receiver.result,
-            completion_time=max(sender.finish, receiver.finish),
-            sender_finish=sender.finish,
-            receiver_finish=receiver.finish,
-            start_time=wire.start_time,
-        ))
+        if self.forward:
+            wire.on_complete(self, peer)
+        else:
+            wire.on_complete(peer, self)
 
     # -- perfect-link transport ---------------------------------------------
 
@@ -625,12 +617,13 @@ class _ArqParty(_Party):
 def _launch_wire(sim: Simulator, sender: ProtocolCoroutine,
                  receiver: ProtocolCoroutine, stats: TransferStats,
                  options: SessionOptions,
-                 on_complete: Callable[[TimedSessionResult], None],
+                 on_complete: Callable[[_Party, _Party], None],
                  on_abort: Callable[[], None],
                  injector: Optional[FaultInjector] = None,
                  jitter_rng: Optional[random.Random] = None) -> None:
     """Start one wire session's two parties: on the perfect link, or on
-    the ARQ transport when an ``injector`` is given."""
+    the ARQ transport when an ``injector`` is given.  Once both finish,
+    ``on_complete(sender, receiver)`` gets the two parties."""
     wire = _Wire(sim, stats, options, on_complete, on_abort, injector,
                  jitter_rng)
     party = _Party if injector is None else _ArqParty
@@ -700,18 +693,18 @@ class _Attempt:
                      self.finish_chunk, self.abort_chunk, self.injector,
                      self.jitter_rng)
 
-    def finish_chunk(self, result: TimedSessionResult) -> None:
-        """The chunk's wire completed: fold it in, then run the next
-        chunk or finish the session."""
+    def finish_chunk(self, sender: _Party, receiver: _Party) -> None:
+        """The chunk's wire completed: fold its parties in, then run the
+        next chunk or finish the session."""
         handle, stats, frames = self.handle, self.stats, self.frames
         if frames is None:
-            self.sender_results.append(result.sender_result)
-            self.receiver_results.append(result.receiver_result)
+            self.sender_results.append(sender.result)
+            self.receiver_results.append(receiver.result)
         else:
             for frame in frames:
                 stats.note_frame(frame.object_count)
-            self.sender_results.extend(result.sender_result)
-            self.receiver_results.extend(result.receiver_result)
+            self.sender_results.extend(sender.result)
+            self.receiver_results.extend(receiver.result)
         handle.stats.merge(stats)
         if self.index + 1 < len(self.chunks):
             self.launch_chunk(self.index + 1)
@@ -723,9 +716,9 @@ class _Attempt:
                            else self.sender_results),
             receiver_result=(self.receiver_results[0] if single
                              else self.receiver_results),
-            completion_time=result.completion_time,
-            sender_finish=result.sender_finish,
-            receiver_finish=result.receiver_finish,
+            completion_time=max(sender.finish, receiver.finish),
+            sender_finish=sender.finish,
+            receiver_finish=receiver.finish,
             start_time=self.start_time,
         )
         if handle.options.on_complete is not None:

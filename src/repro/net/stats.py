@@ -6,12 +6,17 @@ session's :class:`~repro.net.wire.Encoding`.  The paper's quantities Δ, Γ,
 and γ are reported by the protocol coroutines themselves (they are semantic,
 not syntactic) and surface in each protocol's result object; this class
 covers the syntactic layer: bits, messages, and message-type histograms.
+
+A histogram (:attr:`DirectionStats.by_type`) is a plain ``dict`` from
+message type name to count, not a :class:`collections.Counter`: a
+str→int dict is never tracked by the cyclic garbage collector, and a
+fleet run keeps one per direction per session.  Read a type that may be
+absent with ``by_type.get(name, 0)``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -27,11 +32,13 @@ class DirectionStats:
     exactly what a fault-free run of the same message sequence would have
     spent.  Fault-free sessions never call :meth:`record_retransmit`, so
     their counters are bit-for-bit the historical accounting.
+    ``by_type`` maps each message type name to its count, in a plain
+    ``dict``.
     """
 
     bits: int = 0
     messages: int = 0
-    by_type: Counter = field(default_factory=Counter)
+    by_type: Dict[str, int] = field(default_factory=dict)
     retransmitted_bits: int = 0
     retransmitted_messages: int = 0
 
@@ -39,7 +46,8 @@ class DirectionStats:
         """Account one message of ``bits`` size."""
         self.bits += bits
         self.messages += 1
-        self.by_type[type_name] += 1
+        by_type = self.by_type
+        by_type[type_name] = by_type.get(type_name, 0) + 1
 
     def record_retransmit(self, type_name: str, bits: int) -> None:
         """Account one *retransmitted* copy: wire bits, but not goodput."""
@@ -56,7 +64,9 @@ class DirectionStats:
         """Accumulate another direction's counters into this one."""
         self.bits += other.bits
         self.messages += other.messages
-        self.by_type.update(other.by_type)
+        by_type = self.by_type
+        for type_name, count in other.by_type.items():
+            by_type[type_name] = by_type.get(type_name, 0) + count
         self.retransmitted_bits += other.retransmitted_bits
         self.retransmitted_messages += other.retransmitted_messages
 

@@ -19,6 +19,8 @@ cells gate the array-level protocol path — a sender's ``rows()`` walk
 ``place_after`` (1.6×) against the per-element view idiom they replaced.
 ``messages.element_build`` (2×) gates the sender's message build itself:
 tuple-backed wire values against the dict-backed dataclass they were.
+``stats.session_accounting`` (1.8×) gates an empty session's traffic
+accounting: plain-dict message histograms against Counter-backed twins.
 
 The workloads are deterministic (fixed seeds, fixed sizes) and sized so
 a healthy fast path clears its floor with margin — far above scheduler
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
 from repro.core.arrayorder import Row
@@ -40,6 +43,7 @@ from repro.extensions.varint import AdaptiveEncoding
 from repro.graphs.crg import coalesce
 from repro.graphs.replicationgraph import ReplicationGraph
 from repro.net.codec import BitByBitReader, BitByBitWriter, Codec
+from repro.net.stats import DirectionStats, TransferStats
 from repro.protocols.batch import BatchFrame
 from repro.protocols.effects import Send
 from repro.protocols.messages import ElementSMsg, Halt
@@ -451,23 +455,94 @@ def bench_messages_element_build(*, n_segments: int = 250,
                             _best_of(oracle), min_speedup=2.0)
 
 
+@dataclass
+class _CounterDirectionStats(DirectionStats):
+    """:class:`~repro.net.stats.DirectionStats` with the
+    :class:`~collections.Counter` histogram it had: the oracle."""
+
+    by_type: Counter = field(default_factory=Counter)
+
+    def record(self, type_name: str, bits: int) -> None:
+        self.bits += bits
+        self.messages += 1
+        self.by_type[type_name] += 1
+
+    def merge(self, other: DirectionStats) -> None:
+        self.bits += other.bits
+        self.messages += other.messages
+        self.by_type.update(other.by_type)
+        self.retransmitted_bits += other.retransmitted_bits
+        self.retransmitted_messages += other.retransmitted_messages
+
+
+@dataclass
+class _CounterTransferStats(TransferStats):
+    """:class:`~repro.net.stats.TransferStats` over the Counter twins."""
+
+    forward: DirectionStats = field(default_factory=_CounterDirectionStats)
+    backward: DirectionStats = field(default_factory=_CounterDirectionStats)
+
+
+#: One lossy-fleet session's messages as ``(forward?, type, bits)``: the
+#: sender's HALT, the ARQ's ack of it.
+_SESSION_MESSAGES = ((True, "Halt", 1), (False, "Ack", 1))
+
+
+def account_sessions(stats_cls: type, sessions: int) -> TransferStats:
+    """``sessions`` sessions' accounting into one run total, as a cluster
+    does it: a chunk's stats take each message, merge into the session
+    handle's stats, and those merge into the total."""
+    totals = stats_cls()
+    for _ in range(sessions):
+        chunk, handle = stats_cls(), stats_cls()
+        for forward, type_name, bits in _SESSION_MESSAGES:
+            (chunk.forward if forward else chunk.backward).record(
+                type_name, bits)
+        handle.merge(chunk)
+        totals.merge(handle)
+    return totals
+
+
+def bench_stats_session_accounting(*, sessions: int = 2_000,
+                                   repeats: int = 5) -> MicrobenchResult:
+    """Per-session :class:`~repro.net.stats.TransferStats` work of an
+    empty lossy-fleet session: two stats built, two records, two merges.
+
+    Fast: the plain-dict ``by_type`` histograms.  Oracle: Counter-backed
+    twins, the representation before — a ``Counter()`` per direction per
+    stats object and ``Counter.update`` per merge.  The 1.8× floor guards
+    against a Counter coming back.
+    """
+    def fast() -> None:
+        for _ in range(repeats):
+            account_sessions(TransferStats, sessions)
+
+    def oracle() -> None:
+        for _ in range(repeats):
+            account_sessions(_CounterTransferStats, sessions)
+
+    return MicrobenchResult("stats.session_accounting", _best_of(fast),
+                            _best_of(oracle), min_speedup=1.8)
+
+
 def run_microbench() -> List[MicrobenchResult]:
     """All fast-path-vs-oracle probes, in a stable order."""
     return [bench_srv_segments(), bench_crg_pi_sweep(),
             bench_vector_copy(), bench_vector_rotate(),
             bench_e4_segment_stream(), bench_e11_batch_frame(),
             bench_sync_stream_rows(), bench_sync_place_after(),
-            bench_messages_element_build()]
+            bench_messages_element_build(),
+            bench_stats_session_accounting()]
 
 
 def format_results(results: List[MicrobenchResult]) -> str:
     """Render the probe timings as an aligned table with verdicts."""
-    header = (f"{'probe':22} {'fast ms':>10} {'oracle ms':>10} "
+    header = (f"{'probe':24} {'fast ms':>10} {'oracle ms':>10} "
               f"{'speedup':>8} {'floor':>6} {'status':>8}")
     lines = [header, "-" * len(header)]
     for result in results:
         lines.append(
-            f"{result.name:22} {result.cached_seconds * 1000:>10.2f} "
+            f"{result.name:24} {result.cached_seconds * 1000:>10.2f} "
             f"{result.uncached_seconds * 1000:>10.2f} "
             f"{result.speedup:>7.1f}x "
             f"{result.min_speedup:>5.1f}x "

@@ -92,6 +92,16 @@ class TestValidation:
         with pytest.raises(ReproError, match=match):
             build()
 
+    def test_unshared_objects_are_rejected_before_the_clock_starts(self):
+        # Regression: the request was checked only when it fired, after
+        # the t=0 update had already written site A's object 0.
+        runner = ClusterRunner(["A", "B", "C"], config(n_objects=2),
+                               shards=self.SHARDS)
+        with pytest.raises(ReproError, match="does not share"):
+            runner.run([SessionRequest(5.0, "A", "B", objs=(1,))],
+                       [UpdateRequest(0.0, "A", obj=0)])
+        assert len(runner.objects["A"][0]) == 0
+
 
 class TestQueueing:
     def test_busy_endpoint_queues_second_session(self):

@@ -10,12 +10,16 @@ on loaded machines.
 import dataclasses
 
 from repro.core.arrayvec import ArraySkipRotatingVector
-from repro.perf.microbench import (MicrobenchResult, _grown_crg,
-                                   _srv_segment_spec, bench_crg_pi_sweep,
+from repro.net.stats import TransferStats
+from repro.perf.microbench import (MicrobenchResult,
+                                   _CounterTransferStats, _grown_crg,
+                                   _srv_segment_spec, account_sessions,
+                                   bench_crg_pi_sweep,
                                    bench_e4_segment_stream,
                                    bench_e11_batch_frame,
                                    bench_messages_element_build,
                                    bench_srv_segments,
+                                   bench_stats_session_accounting,
                                    bench_sync_place_after,
                                    bench_sync_stream_rows, bench_vector_copy,
                                    bench_vector_rotate, build_element_sends,
@@ -74,6 +78,7 @@ class TestWorkloads:
             bench_sync_place_after(n_segments=20, segment_len=2, repeats=2),
             bench_messages_element_build(n_segments=20, segment_len=2,
                                          repeats=2),
+            bench_stats_session_accounting(sessions=20, repeats=2),
         ]
         for result in probes:
             assert result.cached_seconds > 0
@@ -95,6 +100,17 @@ class TestWorkloads:
                                              repeats=1)
         assert (build.name, build.min_speedup) == ("messages.element_build",
                                                    2.0)
+        accounting = bench_stats_session_accounting(sessions=2, repeats=1)
+        assert (accounting.name, accounting.min_speedup) \
+            == ("stats.session_accounting", 1.8)
+
+    def test_session_accounting_matches_its_counter_oracle(self):
+        fast = account_sessions(TransferStats, 7)
+        oracle = account_sessions(_CounterTransferStats, 7)
+        assert type(fast.forward.by_type) is dict
+        assert fast.summary() == oracle.summary()
+        assert fast.summary()["by_type"] == {"forward": {"Halt": 7},
+                                             "backward": {"Ack": 7}}
 
     def test_element_build_matches_its_dataclass_oracle(self):
         rows = ArraySkipRotatingVector.from_segments(
@@ -125,4 +141,5 @@ class TestReporting:
         assert names == ["srv.segments", "crg.pi_sweep", "vector.copy",
                          "vector.rotate", "e4.segment_stream",
                          "e11.batch_frame", "sync.stream_rows",
-                         "sync.place_after", "messages.element_build"]
+                         "sync.place_after", "messages.element_build",
+                         "stats.session_accounting"]
