@@ -31,7 +31,7 @@ CONFIG = BenchConfig(
 
 
 def run_grid():
-    return run_cluster_bench(CONFIG, created_unix=0.0)["runs"]
+    return run_cluster_bench(CONFIG)["runs"]
 
 
 def test_e11_all_protocols_converge_under_loss(benchmark, report_writer):

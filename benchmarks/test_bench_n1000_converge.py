@@ -30,7 +30,7 @@ N_WRITERS = 32
 #: CI-smoke wall budget, with generous headroom over the ~0.8 s typical
 #: run so loaded runners never flake; the point is catching the >10×
 #: collapse that losing any one fast path causes, not small drift
-#: (repro history --gate tracks that).
+#: (the bench/ harness tracks that).
 WALL_BUDGET_SECONDS = 10.0
 
 

@@ -16,9 +16,8 @@ an installed distribution can show itself without the source tree.  The
 demo and prints the structured timeline afterwards (optionally exporting
 the raw events as JSON lines).  The ``bench`` subcommand runs the
 cluster-scale performance harness (:mod:`repro.perf.bench`) and writes
-``BENCH_cluster.json``; like ``store``, ``monitor``, ``analyze``,
-``history`` and ``otlp-validate`` it owns its flag set — ask it with
-``--help``.
+``BENCH_cluster.json``; like ``store``, ``monitor``, ``analyze`` and
+``otlp-validate`` it owns its flag set — ask it with ``--help``.
 """
 
 from __future__ import annotations
@@ -216,7 +215,6 @@ SUBCOMMANDS = {
     "store": ("repro.store.cli", "store_main"),
     "monitor": ("repro.obs.cli", "monitor_main"),
     "analyze": ("repro.obs.cli", "analyze_main"),
-    "history": ("repro.perf.history", "history_main"),
     "otlp-validate": ("repro.obs.otlp_schema", "schema_main"),
 }
 
@@ -225,7 +223,7 @@ def _usage() -> None:
     print("usage: python -m repro [--seed N] <demo>|all\n"
           "       python -m repro [--seed N] trace <demo>|<trace.jsonl> "
           "[--stats] [--jsonl PATH] [--filter kind,...]\n"
-          "       python -m repro bench|store|monitor|analyze|history|"
+          "       python -m repro bench|store|monitor|analyze|"
           "otlp-validate [--help]\n\n"
           "demos:")
     for name, fn in DEMOS.items():

@@ -67,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import InvariantViolationError
+from repro.errors import InvariantViolationError, ValidationError
 from repro.obs import trace as obs
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.monitor import InvariantViolation, RingBuffer
@@ -112,8 +112,9 @@ class ConsistencyConfig:
     worst_keys: int = 5
 
     def __post_init__(self) -> None:
-        if self.cadence <= 0:
-            raise ValueError(f"cadence must be > 0, got {self.cadence}")
+        if not self.cadence > 0:
+            raise ValidationError(f"cadence must be > 0, "
+                                  f"got {self.cadence}")
         if self.ring_capacity < 1:
             raise ValueError(f"ring_capacity must be >= 1, "
                              f"got {self.ring_capacity}")

@@ -52,10 +52,11 @@ and the run continues.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.errors import InvariantViolationError
+from repro.errors import InvariantViolationError, ValidationError
 from repro.obs import trace as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceEvent, Tracer
@@ -97,8 +98,9 @@ class MonitorConfig:
     check_ancestor_closure: bool = True
 
     def __post_init__(self) -> None:
-        if self.cadence <= 0:
-            raise ValueError(f"cadence must be > 0, got {self.cadence}")
+        if not self.cadence > 0:
+            raise ValidationError(f"cadence must be > 0, "
+                                  f"got {self.cadence}")
         if self.ring_capacity < 1:
             raise ValueError(f"ring_capacity must be >= 1, "
                              f"got {self.ring_capacity}")
@@ -114,15 +116,14 @@ class RingBuffer:
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._items: List[Tuple[float, float]] = []
+        self._items: Deque[Tuple[float, float]] = deque(maxlen=capacity)
         self.dropped = 0
 
     def append(self, time: float, value: float) -> None:
         """Push one ``(time, value)`` sample, evicting the oldest if full."""
-        self._items.append((time, value))
-        if len(self._items) > self.capacity:
-            del self._items[0]
+        if len(self._items) == self.capacity:
             self.dropped += 1
+        self._items.append((time, value))
 
     def items(self) -> List[Tuple[float, float]]:
         """``(time, value)`` pairs, oldest first."""

@@ -2,11 +2,12 @@
 
 Runs the paper's workload scenarios on the
 :class:`~repro.net.cluster.ClusterRunner` at several fleet sizes and
-records, per (protocol, n): total wire traffic, simulated completion
-time, and measured wall-clock time.  The result is a
-``BENCH_cluster.json`` document (schema :mod:`repro.perf.schema`) meant
-to be committed/archived per PR so the performance trajectory is
-machine-diffable.
+records, per (protocol, n): total wire traffic and simulated
+completion time.  The result is a ``BENCH_cluster.json`` document
+(schema :mod:`repro.perf.schema`), a pure function of its config: no
+host clock is read, so a serial run, a parallel run and a run next year
+write the same bytes, and one :func:`bench_fingerprint` says so.  Host
+time is measured by the ``bench/`` harness instead.
 
 Scenarios mirror the fleet regimes the paper distinguishes:
 
@@ -29,13 +30,9 @@ scheduling must not change traffic — via
 from __future__ import annotations
 
 import argparse
-import contextlib
-import cProfile
 import hashlib
 import json
 import multiprocessing
-import pstats
-import time
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -49,7 +46,7 @@ from repro.net.topology import LinkProfile, TopologySpec
 from repro.net.wire import Encoding
 from repro.obs.causal import analyze_tracer
 from repro.obs.consistency import ConsistencyMonitor
-from repro.obs.metrics import MetricsRegistry, wall_timer
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ClusterMonitor, MonitorConfig
 from repro.obs.trace import Tracer
 from repro.perf.schema import PROTOCOLS, SCHEMA_ID, validate_bench
@@ -171,7 +168,7 @@ def _common_fields(protocol: str, n_sites: int, totals: TransferStats,
 class Fleet:
     """A ready cluster cell: the runner and the schedules it will run.
 
-    The one definition of each scenario's fleet — the bench times it,
+    The one definition of each scenario's fleet — the bench records it,
     ``repro monitor`` and ``repro analyze --fleet`` watch the very same
     runner and schedules (adding only their converge sweep).
     """
@@ -464,7 +461,7 @@ def _health_monitor(enabled: bool) -> Optional[ClusterMonitor]:
 class Scenario:
     """One row of the cell table: only what is the scenario's own.
 
-    Timing, observer attachment and the paired replay live once, in
+    Observer attachment and the paired replay live once, in
     :func:`_run_cell`; the common record fields and the
     ``bits_per_session`` block once, in :func:`_common_fields`.  A new
     scenario is a new row (plus its optional fields in
@@ -478,8 +475,6 @@ class Scenario:
     #: ``(config, cell, result, *args)`` → the record fields only this
     #: scenario carries.
     fields: Callable[..., Dict[str, Any]]
-    #: Wall-timer metric infix, formatted with the cell's arguments.
-    timer: str
     #: ``enabled → observer``: what ``--monitor`` attaches to the cell.
     monitor: Callable[[bool], Any] = _health_monitor
 
@@ -491,18 +486,18 @@ SCENARIOS: Dict[str, Scenario] = {
         grid=lambda config: [(protocol, n_sites)
                              for n_sites in config.site_counts
                              for protocol in config.protocols],
-        build=_flat_fleet, fields=_gossip_fields, timer="{0}"),
+        build=_flat_fleet, fields=_gossip_fields),
     "batched": Scenario(
         grid=lambda config: [(size,) for size in config.batched_sizes],
-        build=_batched_fleet, fields=_batched_fields, timer="batched"),
+        build=_batched_fleet, fields=_batched_fields),
     "chaos": Scenario(
         grid=lambda config: [(protocol, loss)
                              for loss in config.chaos_loss_rates
                              for protocol in config.protocols],
-        build=_chaos_fleet, fields=_chaos_fields, timer="chaos.{0}"),
+        build=_chaos_fleet, fields=_chaos_fields),
     "store": Scenario(
         grid=lambda config: [()] if config.store_ops > 0 else [],
-        build=_store_cell, fields=_store_fields, timer="store",
+        build=_store_cell, fields=_store_fields,
         monitor=lambda enabled: ConsistencyMonitor() if enabled else None),
     # The health digest (per-region scores, shard load) is this
     # scenario's deliverable, so the monitor rides along whether or not
@@ -512,7 +507,7 @@ SCENARIOS: Dict[str, Scenario] = {
         grid=lambda config: [()] if (config.topology is not None
                                      and config.mr_objects > 0) else [],
         build=_multiregion_fleet, fields=_multiregion_fields,
-        timer="multiregion", monitor=lambda enabled: _health_monitor(True)),
+        monitor=lambda enabled: _health_monitor(True)),
 }
 
 
@@ -521,8 +516,7 @@ def _analyze_fields(tracer: Optional[Tracer]) -> Dict[str, Any]:
 
     The cell's full trace is reduced post-run to three picklable
     scalars/dicts: the convergence critical-path length in simulated
-    seconds, its hop count, and its category attribution — exactly the
-    trajectory :mod:`repro.perf.history` watches across documents.
+    seconds, its hop count, and its category attribution.
     """
     if tracer is None:
         return {}
@@ -538,7 +532,7 @@ def _analyze_fields(tracer: Optional[Tracer]) -> Dict[str, Any]:
 def _run_cell(name: str, args: Tuple[Any, ...], config: BenchConfig,
               monitor: bool = False, analyze: bool = False
               ) -> Tuple[Dict[str, Any], MetricsRegistry]:
-    """Build, time, check and record one cell: the ``name`` row of
+    """Build, run, check and record one cell: the ``name`` row of
     :data:`SCENARIOS` at one of its ``grid`` arguments (pool-picklable).
 
     Every cell derives its schedules from ``config.seed`` alone and
@@ -551,17 +545,12 @@ def _run_cell(name: str, args: Tuple[Any, ...], config: BenchConfig,
     tracer = Tracer() if analyze else None
     cell = scenario.build(config, *args, metrics=metrics,
                           monitor=scenario.monitor(monitor), tracer=tracer)
-    timer = f"bench.cluster.{scenario.timer.format(*args)}.wall_seconds"
-    start = time.perf_counter()
-    with wall_timer(metrics, timer):
-        result = cell.run()
-    wall_seconds = time.perf_counter() - start
+    result = cell.run()
     if config.paired:
         cell.replay(result)
     return {**_analyze_fields(tracer),
             **scenario.fields(config, cell, result, *args),
-            **cell.measure(result),
-            "wall_seconds": wall_seconds}, metrics
+            **cell.measure(result)}, metrics
 
 
 def _echo_record(echo: Any, record: Dict[str, Any]) -> None:
@@ -579,8 +568,7 @@ def _echo_record(echo: Any, record: Dict[str, Any]) -> None:
          f"{batch}{chaos}{client}: "
          f"{record['sessions']} sessions, "
          f"{record['total_bits']} bits, "
-         f"sim {record['sim_completion_seconds']:.2f}s, "
-         f"wall {record['wall_seconds'] * 1000:.0f}ms")
+         f"sim {record['sim_completion_seconds']:.2f}s")
 
 
 def run_cluster_bench(config: BenchConfig = BenchConfig(), *,
@@ -588,16 +576,12 @@ def run_cluster_bench(config: BenchConfig = BenchConfig(), *,
                       echo: Optional[Any] = None,
                       workers: int = 1,
                       monitor: bool = False,
-                      analyze: bool = False,
-                      created_unix: Optional[float] = None) -> Dict[str, Any]:
+                      analyze: bool = False) -> Dict[str, Any]:
     """Run the full sweep; returns the (already validated) document.
 
     With ``workers > 1`` the grid cells fan out across a process pool;
-    results are folded back in grid order and ``created_unix`` is stamped
-    in the parent, so apart from the measured ``wall_seconds`` the
-    document is identical to a serial run —
-    :func:`bench_fingerprint` (which masks exactly those fields) must
-    agree between the two, and the benchmark suite asserts it.  Each
+    results are folded back in grid order, so the document is identical
+    to a serial run's — the suite asserts it on the written bytes.  Each
     worker fills a private :class:`MetricsRegistry`, merged into
     ``metrics`` in the same order a serial run would have written it.
 
@@ -612,8 +596,8 @@ def run_cluster_bench(config: BenchConfig = BenchConfig(), *,
     ``analyze=True`` traces every cell and embeds the causal digest
     (``critical_path_seconds`` / ``critical_path_hops`` /
     ``critical_path_attribution`` from :mod:`repro.obs.causal`) in each
-    record — the trajectory :mod:`repro.perf.history` tracks.  Like
-    ``monitor`` it is a call parameter for the same fingerprint reason.
+    record.  Like ``monitor`` it is a call parameter for the same
+    fingerprint reason.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -634,7 +618,6 @@ def run_cluster_bench(config: BenchConfig = BenchConfig(), *,
             _echo_record(echo, record)
     document = {
         "schema": SCHEMA_ID,
-        "created_unix": time.time() if created_unix is None else created_unix,
         "config": asdict(config),
         "runs": runs,
     }
@@ -645,26 +628,13 @@ def run_cluster_bench(config: BenchConfig = BenchConfig(), *,
 
 
 def bench_fingerprint(document: Dict[str, Any]) -> str:
-    """SHA-256 over the document minus its measurement-irrelevant fields.
+    """SHA-256 over the whole canonical document.
 
-    ``created_unix`` and each run's ``wall_seconds`` are host-time
-    measurements; everything else is a pure function of the config.
-    Two documents from the same workload — serial or parallel, today or
-    next year — must fingerprint identically, and the comparator uses
-    this to separate "the numbers moved" from "you re-ran it".  The
-    retired ``config.backend`` key is dropped so documents written
-    before it was removed still compare.
+    Every field is a pure function of the config, so two documents from
+    the same workload — serial or parallel, today or next year —
+    fingerprint identically, and any moved number changes the hash.
     """
-    masked = dict(document)
-    masked.pop("created_unix", None)
-    if isinstance(masked.get("config"), dict):
-        masked["config"] = {key: value
-                            for key, value in masked["config"].items()
-                            if key != "backend"}
-    masked["runs"] = [{key: value for key, value in run.items()
-                       if key != "wall_seconds"}
-                      for run in document.get("runs", ())]
-    canonical = json.dumps(masked, sort_keys=True)
+    canonical = json.dumps(document, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -679,22 +649,28 @@ def write_bench(document: Dict[str, Any], path: str = DEFAULT_OUTPUT) -> str:
 def format_bench_table(document: Dict[str, Any]) -> str:
     """A human-readable summary of one document."""
     header = (f"{'protocol':10} {'n':>5} {'sessions':>8} {'bits':>12} "
-              f"{'sim s':>9} {'wall ms':>9} {'recons':>7}")
+              f"{'sim s':>9} {'recons':>7}")
     lines = [header, "-" * len(header)]
     for run in document["runs"]:
         lines.append(
             f"{run['protocol']:10} {run['n_sites']:>5} "
             f"{run['sessions']:>8} {run['total_bits']:>12} "
             f"{run['sim_completion_seconds']:>9.2f} "
-            f"{run['wall_seconds'] * 1000:>9.1f} "
             f"{run['reconciliations']:>7}")
     return "\n".join(lines)
 
 
 def _csv(parse: Callable[[str], Any]) -> Callable[[str], Tuple[Any, ...]]:
-    """An argparse ``type`` for comma-separated lists of ``parse``."""
+    """An argparse ``type`` for comma-separated lists of ``parse``.
+
+    A repeated value would emit runs that share one identity
+    (:func:`repro.perf.schema.run_key`), so it is a usage error.
+    """
     def parse_list(text: str) -> Tuple[Any, ...]:
-        return tuple(parse(part) for part in text.split(","))
+        values = tuple(parse(part) for part in text.split(","))
+        if len(set(values)) != len(values):
+            raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+        return values
     parse_list.__name__ = f"comma-separated {parse.__name__} list"
     return parse_list
 
@@ -718,10 +694,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
                         help="workload seed (default: 0)")
     parser.add_argument("--workers", type=int, default=1,
                         help="process-pool size (default: 1 = serial)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run serially under cProfile")
-    parser.add_argument("--profile-out", default="bench.pstats",
-                        metavar="PATH", help="where --profile dumps stats")
     parser.add_argument("--chaos-loss", type=_csv(float),
                         default=defaults.chaos_loss_rates, metavar="F,F,...",
                         help="chaos-cell loss rates (default: 0.01,0.1)")
@@ -773,23 +745,11 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
           f"chaos loss {list(config.chaos_loss_rates)}, "
           f"store ops {config.store_ops}, "
           f"multi-region {multiregion}")
-    # Profiling a process pool attributes everything to pickling and
-    # waiting; force the serial path so the numbers mean something.
-    if args.profile and args.workers > 1:
-        print("profiling forces --workers 1")
-    profiler = cProfile.Profile() if args.profile else None
-    with profiler or contextlib.nullcontext():
-        document = run_cluster_bench(
-            config, echo=print, workers=1 if args.profile else args.workers,
-            monitor=args.monitor, analyze=args.analyze)
+    document = run_cluster_bench(config, echo=print, workers=args.workers,
+                                 monitor=args.monitor, analyze=args.analyze)
     path = write_bench(document, args.out)
     print()
     print(format_bench_table(document))
     print(f"\nwrote {path} ({SCHEMA_ID})")
     print(f"fingerprint {bench_fingerprint(document)}")
-    if profiler is not None:
-        profiler.dump_stats(args.profile_out)
-        print(f"\nprofile written to {args.profile_out}; top 20 by "
-              f"cumulative time:")
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
     return 0

@@ -1,45 +1,31 @@
 """Diff two ``BENCH_cluster.json`` documents, run by run.
 
 The trajectory only means something if comparing two PRs' documents is
-mechanical.  This module pairs runs by their identity — (scenario,
-protocol, n_sites, and for batched runs n_objects/batch_size) — and
-reports, per pair, how the deterministic quantities (wire bits,
-simulated time) and the measured ones (wall time) moved.
+mechanical.  This module pairs runs by their identity
+(:func:`repro.perf.schema.run_key`: scenario, protocol, n_sites, and for
+batched/chaos runs n_objects, batch_size, loss rate and fault seed) and
+reports, per pair, how the wire bits moved and which other fields did.
 
-Wire bits and simulated time are pure functions of the config, so on an
-unchanged codebase they diff to zero; :func:`repro.perf.bench.
-bench_fingerprint` makes the same statement in one hash.  CI runs::
+Every field of the document is a pure function of its config, so on an
+unchanged codebase two documents are equal, and so are their
+fingerprints (:func:`repro.perf.bench.bench_fingerprint`).  CI runs::
 
-    python -m repro.perf.compare BENCH_cluster.json fresh.json --require-same-bits
+    python -m repro.perf.compare BENCH_cluster.json fresh.json --require-same
 
 to assert the committed document still describes what the code does —
-a PR that changes traffic must regenerate the document, making every
-traffic change reviewable in the diff.
+a PR that changes traffic or any simulated quantity must regenerate the
+document, making every such change reviewable in the diff.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.perf.bench import bench_fingerprint
-from repro.perf.schema import load_bench
-
-#: Identity of one run within a document (None fields when absent).
-#: Chaos cells add their loss rate and fault seed so two chaos runs of
-#: the same protocol/fleet never collide.
-RunKey = Tuple[str, str, int, Optional[int], Optional[int],
-               Optional[float], Optional[int]]
-
-
-def run_key(run: Dict[str, Any]) -> RunKey:
-    """The pairing identity of one run record."""
-    return (run.get("scenario", "?"), run.get("protocol", "?"),
-            run.get("n_sites", 0), run.get("n_objects"),
-            run.get("batch_size"), run.get("loss_rate"),
-            run.get("chaos_seed"))
+from repro.perf.schema import RunKey, load_bench, run_key
 
 
 def _format_key(key: RunKey) -> str:
@@ -59,10 +45,8 @@ class RunDelta:
     key: RunKey
     old_bits: int
     new_bits: int
-    old_sim: float
-    new_sim: float
-    old_wall: float
-    new_wall: float
+    #: Top-level record fields whose values differ, in record order.
+    moved: Tuple[str, ...]
 
     @property
     def bits_delta_pct(self) -> float:
@@ -86,11 +70,7 @@ class Comparison:
     #: (``--monitor`` records only); any entry fails the gate outright —
     #: a violated invariant falsifies the measurement, so "the bits
     #: didn't move" is no longer evidence of anything.
-    new_violations: List[Tuple[RunKey, int]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.new_violations is None:
-            self.new_violations = []
+    new_violations: List[Tuple[RunKey, int]] = field(default_factory=list)
 
     @property
     def bits_changed(self) -> bool:
@@ -104,6 +84,11 @@ class Comparison:
         return bool(self.new_violations)
 
 
+def _moved(old: Dict[str, Any], new: Dict[str, Any]) -> Tuple[str, ...]:
+    return tuple(name for name in {**old, **new}
+                 if old.get(name) != new.get(name))
+
+
 def compare_documents(old: Dict[str, Any],
                       new: Dict[str, Any]) -> Comparison:
     """Pair the runs of two documents and measure every movement."""
@@ -112,10 +97,7 @@ def compare_documents(old: Dict[str, Any],
     deltas = [RunDelta(key=key,
                        old_bits=old_runs[key]["total_bits"],
                        new_bits=new_runs[key]["total_bits"],
-                       old_sim=old_runs[key]["sim_completion_seconds"],
-                       new_sim=new_runs[key]["sim_completion_seconds"],
-                       old_wall=old_runs[key]["wall_seconds"],
-                       new_wall=new_runs[key]["wall_seconds"])
+                       moved=_moved(old_runs[key], new_runs[key]))
               for key in old_runs if key in new_runs]
     return Comparison(
         deltas=deltas,
@@ -131,14 +113,14 @@ def compare_documents(old: Dict[str, Any],
 
 def format_comparison(comparison: Comparison) -> str:
     """Render a comparison as the aligned per-pair movement table."""
-    header = (f"{'run':44} {'old bits':>10} {'new bits':>10} {'Δ%':>7} "
-              f"{'old wall ms':>12} {'new wall ms':>12}")
+    header = (f"{'run':44} {'old bits':>10} {'new bits':>10} {'Δ%':>7}  "
+              f"moved fields")
     lines = [header, "-" * len(header)]
     for delta in comparison.deltas:
         lines.append(
             f"{_format_key(delta.key):44} {delta.old_bits:>10} "
-            f"{delta.new_bits:>10} {delta.bits_delta_pct:>+6.1f}% "
-            f"{delta.old_wall * 1000:>12.1f} {delta.new_wall * 1000:>12.1f}")
+            f"{delta.new_bits:>10} {delta.bits_delta_pct:>+6.1f}%  "
+            f"{', '.join(delta.moved) or '-'}")
     for key in comparison.only_old:
         lines.append(f"{_format_key(key):44} only in OLD document")
     for key in comparison.only_new:
@@ -148,26 +130,27 @@ def format_comparison(comparison: Comparison) -> str:
                      f"VIOLATION(S) in NEW document")
     lines.append("")
     lines.append("fingerprints "
-                 + ("identical (deterministic fields unchanged)"
+                 + ("identical (documents equal)"
                     if comparison.fingerprints_equal else "DIFFER"))
     return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.perf.compare OLD NEW [--require-same-bits]``.
+    """``python -m repro.perf.compare OLD NEW [--require-same]``.
 
-    Exit codes: 0 — compared (and, with ``--require-same-bits``, no wire
-    bits moved); 1 — ``--require-same-bits`` and traffic changed, or the
-    NEW document records inline invariant violations (always fatal — a
-    run that broke its own accounting cannot pass any gate);
-    2 — usage or unreadable/invalid documents.
+    Exit codes: 0 — compared (and, with ``--require-same``, the
+    fingerprints agree); 1 — ``--require-same`` and the fingerprints
+    differ (wire bits, simulated time, any field), or the NEW document
+    records inline invariant violations (always fatal — a run that broke
+    its own accounting cannot pass any gate); 2 — usage or
+    unreadable/invalid documents.
     """
     arguments = list(sys.argv[1:] if argv is None else argv)
-    require_same = "--require-same-bits" in arguments
-    paths = [a for a in arguments if a != "--require-same-bits"]
+    require_same = "--require-same" in arguments
+    paths = [a for a in arguments if a != "--require-same"]
     if len(paths) != 2:
         print("usage: python -m repro.perf.compare OLD.json NEW.json "
-              "[--require-same-bits]")
+              "[--require-same]")
         return 2
     try:
         old, new = load_bench(paths[0]), load_bench(paths[1])
@@ -182,9 +165,11 @@ def main(argv: Optional[List[str]] = None) -> int:
               "measurements cannot be trusted — fix the regression "
               "before comparing numbers")
         return 1
-    if require_same and comparison.bits_changed:
-        print("\nwire traffic changed; regenerate and commit the bench "
-              "document if this is intended")
+    if require_same and not comparison.fingerprints_equal:
+        what = ("wire traffic changed" if comparison.bits_changed
+                else "the documents differ (see the moved fields)")
+        print(f"\n{what}; regenerate and commit the bench document if "
+              f"this is intended")
         return 1
     return 0
 

@@ -10,11 +10,13 @@ the same schema checked in for external tooling (a unit test pins file
 == dict).
 
 What the subset cannot say stays as code in :func:`validate_bench`, and
-nothing else does: ``runs`` is non-empty; four cross-field identities
-(``total_bits == traffic.total_bits``, ``goodput_bits +
-retransmitted_bits == total_bits``, ``reads + writes + deletes == ops``,
-``invariant_violations == health.invariant_violations``); and an
-embedded ``consistency`` block is handed to its own schema
+nothing else does: ``runs`` is non-empty; no two runs share one
+:func:`run_key` (the identity :mod:`repro.perf.compare` pairs runs by);
+four cross-field identities (``total_bits == traffic.total_bits``,
+``goodput_bits + retransmitted_bits == total_bits``, ``reads + writes +
+deletes == ops``, ``invariant_violations ==
+health.invariant_violations``); and an embedded ``consistency`` block is
+handed to its own schema
 (:func:`repro.obs.consistency.validate_consistency`), so the bench
 document and the standalone ``--consistency`` export cannot drift apart.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.consistency import validate_consistency
 from repro.obs.otlp_schema import validate
@@ -74,7 +76,6 @@ _RUN_SCHEMA = _record({
     "bits_per_session": _record({
         "mean": _AMOUNT, "p50": _AMOUNT, "p90": _AMOUNT, "max": _AMOUNT}),
     "sim_completion_seconds": _AMOUNT,   # simulated clock at drain
-    "wall_seconds": _AMOUNT,             # measured host time
     "max_queue_wait_seconds": _AMOUNT,
     "consistent": {"type": "boolean"},
 }, {
@@ -136,11 +137,25 @@ BENCH_SCHEMA: Dict[str, Any] = {
     "title": "repro cluster bench document",
     **_record({
         "schema": {"enum": [SCHEMA_ID]},
-        "created_unix": _AMOUNT,         # wall clock at emission
         "config": {"type": "object"},    # BenchConfig fields
         "runs": {"type": "array", "items": _RUN_SCHEMA},
     }),
 }
+
+
+#: Identity of one run within a document (None fields when absent).
+#: Chaos cells add their loss rate and fault seed so two chaos runs of
+#: the same protocol/fleet never collide.
+RunKey = Tuple[str, str, int, Optional[int], Optional[int],
+               Optional[float], Optional[int]]
+
+
+def run_key(run: Dict[str, Any]) -> RunKey:
+    """The pairing identity of one run record."""
+    return (run.get("scenario", "?"), run.get("protocol", "?"),
+            run.get("n_sites", 0), run.get("n_objects"),
+            run.get("batch_size"), run.get("loss_rate"),
+            run.get("chaos_seed"))
 
 
 def _sum_identity(errors: List[str], where: str, record: Dict[str, Any],
@@ -182,9 +197,19 @@ def validate_bench(doc: Any) -> List[str]:
     if runs == []:
         errors.append("$.runs: must be a non-empty array")
     if isinstance(runs, list):
+        first_index: Dict[RunKey, int] = {}
         for index, run in enumerate(runs):
-            if isinstance(run, dict):
-                _check_identities(errors, f"$.runs[{index}]", run)
+            if not isinstance(run, dict):
+                continue
+            _check_identities(errors, f"$.runs[{index}]", run)
+            key = run_key(run)
+            try:
+                earlier = first_index.setdefault(key, index)
+            except TypeError:  # an unhashable field, reported above
+                continue
+            if earlier != index:
+                errors.append(f"$.runs[{index}]: same identity as "
+                              f"$.runs[{earlier}] {key}")
     return errors
 
 

@@ -57,6 +57,7 @@ class TestConfigValidation:
         {"ring_capacity": 0},
         {"visibility_k": 0},
         {"worst_keys": -1},
+        {"cadence": float("nan")},
     ])
     def test_rejects_nonsense(self, overrides):
         with pytest.raises(ValueError):

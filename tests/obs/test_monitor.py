@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import InvariantViolationError
+from repro.errors import InvariantViolationError, ValidationError
 from repro.net.stats import TransferStats
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import ClusterConfig, ClusterRunner
@@ -63,6 +63,8 @@ class TestMonitorConfig:
     def test_rejects_bad_cadence(self):
         with pytest.raises(ValueError, match="cadence"):
             MonitorConfig(cadence=0.0)
+        with pytest.raises(ValidationError, match="cadence"):
+            MonitorConfig(cadence=float("nan"))
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="ring_capacity"):

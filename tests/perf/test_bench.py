@@ -103,8 +103,8 @@ class TestRunClusterBench:
                           metrics=metrics)
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["cluster.srv.sessions"] == 8
-        wall = snapshot["histograms"]["bench.cluster.srv.wall_seconds"]
-        assert wall["count"] == 1 and wall["total"] > 0
+        assert not any("wall_seconds" in name
+                       for name in snapshot["histograms"])
 
 
 class TestBatchedScenario:
@@ -179,8 +179,8 @@ class TestStoreScenario:
                 assert client[summary][percentile] >= 0.0
 
     def test_store_cells_are_deterministic(self):
-        first = run_cluster_bench(TINY_STORE, created_unix=0.0)
-        second = run_cluster_bench(TINY_STORE, created_unix=0.0)
+        first = run_cluster_bench(TINY_STORE)
+        second = run_cluster_bench(TINY_STORE)
         assert bench_fingerprint(first) == bench_fingerprint(second)
 
     def test_backends_fingerprint_identically(self):
@@ -190,9 +190,9 @@ class TestStoreScenario:
         config = dataclasses.replace(
             TINY, store_site_count=4, store_keys=6, store_clients=8,
             store_ops=400)
-        array_doc = run_cluster_bench(config, created_unix=0.0)
+        array_doc = run_cluster_bench(config)
         with linked_vectors():
-            linked_doc = run_cluster_bench(config, created_unix=0.0)
+            linked_doc = run_cluster_bench(config)
         assert "backend" not in array_doc["config"]
         for array_run, linked_run in zip(array_doc["runs"],
                                          linked_doc["runs"]):
@@ -212,8 +212,8 @@ class TestStoreScenario:
                              chaos_loss_rates=(), store_site_count=4,
                              store_keys=6, store_clients=8, store_ops=400,
                              topology=None)
-        serial = run_cluster_bench(config, created_unix=0.0)
-        parallel = run_cluster_bench(config, created_unix=0.0, workers=2)
+        serial = run_cluster_bench(config)
+        parallel = run_cluster_bench(config, workers=2)
         assert bench_fingerprint(serial) == bench_fingerprint(parallel)
 
     def test_analyzed_store_cell_has_critical_path(self):
@@ -242,9 +242,9 @@ class TestStoreScenario:
         assert "consistency" not in run
 
     def test_monitored_store_cells_are_deterministic(self):
-        first = run_cluster_bench(TINY_STORE, created_unix=0.0,
+        first = run_cluster_bench(TINY_STORE,
                                   monitor=True)
-        second = run_cluster_bench(TINY_STORE, created_unix=0.0,
+        second = run_cluster_bench(TINY_STORE,
                                    monitor=True)
         assert bench_fingerprint(first) == bench_fingerprint(second)
 
@@ -252,8 +252,8 @@ class TestStoreScenario:
         # The observatory observes; the default document's bits must be
         # reproducible with the monitor attached once its own fields
         # are masked out.
-        baseline = run_cluster_bench(TINY_STORE, created_unix=0.0)
-        monitored = run_cluster_bench(TINY_STORE, created_unix=0.0,
+        baseline = run_cluster_bench(TINY_STORE)
+        monitored = run_cluster_bench(TINY_STORE,
                                       monitor=True)
         stripped = json.loads(json.dumps(monitored))
         for run in stripped["runs"]:
@@ -319,8 +319,8 @@ class TestMultiRegionScenario:
         assert health["shards"]["objects"] == TINY_MULTIREGION.mr_objects
 
     def test_cells_are_deterministic(self):
-        first = run_cluster_bench(TINY_MULTIREGION, created_unix=0.0)
-        second = run_cluster_bench(TINY_MULTIREGION, created_unix=0.0)
+        first = run_cluster_bench(TINY_MULTIREGION)
+        second = run_cluster_bench(TINY_MULTIREGION)
         assert bench_fingerprint(first) == bench_fingerprint(second)
         assert first["runs"][0]["health"] == second["runs"][0]["health"]
 
@@ -330,8 +330,8 @@ class TestMultiRegionScenario:
                    for run in document["runs"])
 
     def test_parallel_matches_serial(self):
-        serial = run_cluster_bench(TINY_MULTIREGION, created_unix=0.0)
-        parallel = run_cluster_bench(TINY_MULTIREGION, created_unix=0.0,
+        serial = run_cluster_bench(TINY_MULTIREGION)
+        parallel = run_cluster_bench(TINY_MULTIREGION,
                                      workers=2)
         assert bench_fingerprint(serial) == bench_fingerprint(parallel)
 
@@ -373,8 +373,8 @@ class TestMultiRegionScenario:
 
 class TestParallelDriver:
     def test_worker_fanout_is_an_accounting_noop(self):
-        serial = run_cluster_bench(TINY_BATCHED, created_unix=0.0)
-        parallel = run_cluster_bench(TINY_BATCHED, created_unix=0.0,
+        serial = run_cluster_bench(TINY_BATCHED)
+        parallel = run_cluster_bench(TINY_BATCHED,
                                      workers=2)
         assert bench_fingerprint(serial) == bench_fingerprint(parallel)
 
@@ -388,11 +388,7 @@ class TestParallelDriver:
         run_cluster_bench(config, metrics=parallel_metrics, workers=2)
         serial_snap = serial_metrics.snapshot()
         parallel_snap = parallel_metrics.snapshot()
-        assert serial_snap["counters"] == parallel_snap["counters"]
-        for name, summary in serial_snap["histograms"].items():
-            if "wall_seconds" in name:
-                continue  # host time differs per worker, by design
-            assert parallel_snap["histograms"][name] == summary
+        assert serial_snap == parallel_snap
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -435,17 +431,24 @@ class TestAnalyzedBench:
 
 
 class TestBenchFingerprint:
-    def test_masks_exactly_the_nondeterministic_fields(self):
+    def test_hashes_the_whole_document(self):
         document = run_cluster_bench(TINY)
         reference = bench_fingerprint(document)
-        document["created_unix"] = 12345.0
-        document["runs"][0]["wall_seconds"] = 99.0
-        # Documents written while the config still had a backend key
-        # must keep comparing equal to ones written since.
-        document["config"]["backend"] = "array"
-        assert bench_fingerprint(document) == reference
-        document["runs"][0]["total_bits"] += 1
-        assert bench_fingerprint(document) != reference
+        assert bench_fingerprint(json.loads(json.dumps(document))) \
+            == reference
+        for mutate in (lambda doc: doc["config"].update(backend="array"),
+                       lambda doc: doc["runs"][0].update(
+                           sim_completion_seconds=99.0),
+                       lambda doc: doc["runs"][0].update(
+                           total_bits=doc["runs"][0]["total_bits"] + 1)):
+            moved = json.loads(json.dumps(document))
+            mutate(moved)
+            assert bench_fingerprint(moved) != reference
+
+    def test_document_carries_no_host_time(self):
+        document = run_cluster_bench(TINY)
+        assert "created_unix" not in document
+        assert all("wall_seconds" not in run for run in document["runs"])
 
 
 class TestWriteBench:
@@ -505,16 +508,17 @@ class TestBenchCli:
                            "--no-store", "--no-multiregion", "--out", out]) == 0
         assert validate_file(out) == []
 
-    def test_profile_flag_dumps_stats(self, tmp_path, capsys):
-        out = str(tmp_path / "bench.json")
-        pstats_out = str(tmp_path / "bench.pstats")
-        assert bench_main(["--sites", "4", "--rounds", "2",
-                           "--protocols", "srv", "--no-store",
-                           "--no-multiregion", "--profile",
-                           "--profile-out", pstats_out, "--out", out]) == 0
-        assert (tmp_path / "bench.pstats").exists()
-        stdout = capsys.readouterr().out
-        assert "cumulative" in stdout
+    def test_serial_and_parallel_write_the_same_bytes(self, tmp_path,
+                                                      capsys):
+        argv = ["--sites", "4", "--rounds", "2", "--protocols", "srv",
+                "--chaos-loss", "0.05", "--store-ops", "300",
+                "--no-multiregion"]
+        serial, parallel = tmp_path / "serial.json", tmp_path / "par.json"
+        assert bench_main(argv + ["--out", str(serial)]) == 0
+        assert bench_main(argv + ["--workers", "2",
+                                  "--out", str(parallel)]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
         ["--sites"],                       # missing value
@@ -528,6 +532,10 @@ class TestBenchCli:
         ["--store-ops", "-1"],             # below minimum
         ["--frobnicate"],                  # unknown flag
         ["--backend", "linked"],           # retired: one representation
+        ["--profile"],                     # retired: bench/ owns host time
+        ["--sites", "8,8"],                # repeated run identity
+        ["--protocols", "srv,srv"],
+        ["--chaos-loss", "0.1,0.1"],
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -571,8 +579,8 @@ class TestMonitoredBench:
     def test_monitor_does_not_move_measurements(self):
         # The monitor is an observer: deterministic fields must be
         # byte-identical with and without it.
-        bare = run_cluster_bench(TINY, created_unix=0.0)
-        watched = run_cluster_bench(TINY, created_unix=0.0, monitor=True)
+        bare = run_cluster_bench(TINY)
+        watched = run_cluster_bench(TINY, monitor=True)
         stable = ("total_bits", "sessions", "reconciliations",
                   "sim_completion_seconds", "traffic")
         for run_a, run_b in zip(bare["runs"], watched["runs"]):
@@ -597,9 +605,9 @@ class TestMonitoredBench:
         assert all("health" in run for run in document["runs"])
 
     def test_monitored_parallel_matches_serial(self):
-        serial = run_cluster_bench(TINY_BATCHED, created_unix=0.0,
+        serial = run_cluster_bench(TINY_BATCHED,
                                    monitor=True)
-        parallel = run_cluster_bench(TINY_BATCHED, created_unix=0.0,
+        parallel = run_cluster_bench(TINY_BATCHED,
                                      monitor=True, workers=2)
         assert bench_fingerprint(serial) == bench_fingerprint(parallel)
         for run_a, run_b in zip(serial["runs"], parallel["runs"]):
@@ -610,7 +618,7 @@ class TestMonitoredBench:
 COMMON_KEYS = {
     "scenario", "protocol", "n_sites", "sessions", "updates",
     "updates_deferred", "reconciliations", "total_bits", "traffic",
-    "bits_per_session", "sim_completion_seconds", "wall_seconds",
+    "bits_per_session", "sim_completion_seconds",
     "max_queue_wait_seconds", "consistent"}
 GOODPUT_KEYS = {"goodput_bits", "retransmitted_bits", "retries", "timeouts",
                 "resumes", "goodput_overhead_pct"}

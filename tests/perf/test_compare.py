@@ -7,7 +7,8 @@ import pytest
 
 from repro.perf.bench import BenchConfig, run_cluster_bench, write_bench
 from repro.perf.compare import (compare_documents, format_comparison,
-                                main as compare_main, run_key)
+                                main as compare_main)
+from repro.perf.schema import run_key
 
 #: One tiny gossip cell plus nothing else — fast and fully paired.
 TINY = BenchConfig(site_counts=(4,), protocols=("srv",), rounds=2,
@@ -17,7 +18,7 @@ TINY = BenchConfig(site_counts=(4,), protocols=("srv",), rounds=2,
 
 @pytest.fixture(scope="module")
 def document():
-    return run_cluster_bench(TINY, created_unix=0.0)
+    return run_cluster_bench(TINY)
 
 
 class TestRunKey:
@@ -64,13 +65,14 @@ class TestCompareDocuments:
         assert comparison.bits_changed
         assert comparison.only_old == [run_key(missing)]
 
-    def test_wall_time_alone_does_not_trip(self, document):
+    def test_simulated_time_alone_moves_the_fingerprint(self, document):
         slower = copy.deepcopy(document)
-        slower["runs"][0]["wall_seconds"] *= 100
-        slower["created_unix"] = 1.0
+        slower["runs"][0]["sim_completion_seconds"] += 0.5
         comparison = compare_documents(document, slower)
         assert not comparison.bits_changed
-        assert comparison.fingerprints_equal  # masked fields only
+        assert not comparison.fingerprints_equal  # nothing is masked
+        (delta,) = comparison.deltas
+        assert delta.moved == ("sim_completion_seconds",)
 
 
 class TestFormatComparison:
@@ -78,6 +80,7 @@ class TestFormatComparison:
         text = format_comparison(compare_documents(document, document))
         assert "multi-writer-gossip/srv n=4" in text
         assert "fingerprints identical" in text
+        assert "moved fields" in text
 
     def test_differing_fingerprints_are_called_out(self, document):
         changed = copy.deepcopy(document)
@@ -91,7 +94,7 @@ class TestCompareCli:
                                             document):
         path = str(tmp_path / "bench.json")
         write_bench(document, path)
-        assert compare_main([path, path, "--require-same-bits"]) == 0
+        assert compare_main([path, path, "--require-same"]) == 0
         assert "identical" in capsys.readouterr().out
 
     def test_require_same_bits_fails_on_traffic_change(self, tmp_path,
@@ -103,11 +106,31 @@ class TestCompareCli:
         changed["runs"][0]["total_bits"] += 1
         changed["runs"][0]["traffic"]["total_bits"] += 1
         write_bench(changed, new)
-        assert compare_main([old, new, "--require-same-bits"]) == 1
-        assert "regenerate" in capsys.readouterr().out
+        assert compare_main([old, new, "--require-same"]) == 1
+        assert "wire traffic changed" in capsys.readouterr().out
         # Without the gate the same diff is informational only.
         assert compare_main([old, new]) == 0
         capsys.readouterr()
+
+    def test_require_same_fails_when_only_simulated_time_moved(
+            self, tmp_path, capsys, document):
+        old = str(tmp_path / "old.json")
+        new = str(tmp_path / "new.json")
+        write_bench(document, old)
+        changed = copy.deepcopy(document)
+        changed["runs"][0]["sim_completion_seconds"] *= 2
+        write_bench(changed, new)
+        assert compare_main([old, new, "--require-same"]) == 1
+        out = capsys.readouterr().out
+        assert "sim_completion_seconds" in out
+        assert "the documents differ" in out
+
+    def test_retired_flag_is_a_usage_error(self, tmp_path, capsys,
+                                           document):
+        path = str(tmp_path / "bench.json")
+        write_bench(document, path)
+        assert compare_main([path, path, "--require-same-bits"]) == 2
+        assert "usage" in capsys.readouterr().out
 
     def test_usage_and_invalid_documents_exit_2(self, tmp_path, capsys):
         assert compare_main(["only-one.json"]) == 2
@@ -141,8 +164,8 @@ class TestInvariantGate:
         stale["runs"][0]["invariant_violations"] = 5
         assert not compare_documents(stale, document).invariants_violated
 
-    def test_cli_fails_even_without_require_same_bits(self, tmp_path,
-                                                      capsys, document):
+    def test_cli_fails_even_without_require_same(self, tmp_path, capsys,
+                                                 document):
         old = str(tmp_path / "old.json")
         new = str(tmp_path / "new.json")
         write_bench(document, old)
@@ -156,3 +179,46 @@ class TestInvariantGate:
         write_bench(broken, new)
         assert compare_main([old, new]) == 1
         assert "cannot be trusted" in capsys.readouterr().out
+
+
+#: Every exact metric the retired history gate tracked: ``name →
+#: mutate(run, amount)``, where amount 0 writes the old value and 1
+#: moves it.
+EXACT_METRICS = {
+    "total_bits": lambda run, moved: run.update(
+        total_bits=run["total_bits"] + moved),
+    "sim_completion_seconds": lambda run, moved: run.update(
+        sim_completion_seconds=run["sim_completion_seconds"] + moved),
+    "goodput_bits": lambda run, moved: run.update(goodput_bits=900 - moved),
+    "critical_path_seconds": lambda run, moved: run.update(
+        critical_path_seconds=0.5 + moved),
+    "consistency": lambda run, moved: run.update(consistency={
+        "w_all_seconds": {"p99": 0.5 + moved},
+        "audit": {"violations": 3}}),
+    "health": lambda run, moved: run.update(health={
+        "min_final_score": 1.0 - moved / 10}),
+}
+
+
+class TestExactMetricGate:
+    """Any exact metric moving changes the fingerprint, so
+    ``--require-same`` fails on it; an unmoved one passes."""
+
+    @pytest.mark.parametrize("metric", sorted(EXACT_METRICS))
+    def test_moved_metric_differs(self, document, metric):
+        old, new = copy.deepcopy(document), copy.deepcopy(document)
+        EXACT_METRICS[metric](old["runs"][0], 0)
+        EXACT_METRICS[metric](new["runs"][0], 1)
+        comparison = compare_documents(old, new)
+        assert not comparison.fingerprints_equal
+        (delta,) = comparison.deltas
+        assert delta.moved == (metric,)
+
+    @pytest.mark.parametrize("metric", sorted(EXACT_METRICS))
+    def test_unmoved_metric_is_quiet(self, document, metric):
+        old, new = copy.deepcopy(document), copy.deepcopy(document)
+        EXACT_METRICS[metric](old["runs"][0], 0)
+        EXACT_METRICS[metric](new["runs"][0], 0)
+        comparison = compare_documents(old, new)
+        assert comparison.fingerprints_equal
+        assert comparison.deltas[0].moved == ()

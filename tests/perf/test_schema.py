@@ -25,14 +25,12 @@ VALID_RUN = {
     },
     "bits_per_session": {"mean": 176.75, "p50": 170, "p90": 220, "max": 260},
     "sim_completion_seconds": 4.25,
-    "wall_seconds": 0.08,
     "max_queue_wait_seconds": 0.01,
     "consistent": True,
 }
 
 VALID_DOC = {
     "schema": SCHEMA_ID,
-    "created_unix": 1754500000.0,
     "config": {"rounds": 3},
     "runs": [VALID_RUN],
 }
@@ -75,8 +73,8 @@ class TestValidateBench:
                    for e in errors)
 
     def test_negative_seconds(self):
-        errors = validate_bench(doc_with(wall_seconds=-0.1))
-        assert any("wall_seconds" in e and "< minimum 0" in e
+        errors = validate_bench(doc_with(sim_completion_seconds=-0.1))
+        assert any("sim_completion_seconds" in e and "< minimum 0" in e
                    for e in errors)
 
     def test_bool_is_not_a_number(self):
@@ -96,6 +94,23 @@ class TestValidateBench:
         doc = doc_with()
         del doc["runs"][0]["traffic"]["by_type"]
         assert any("by_type" in e for e in validate_bench(doc))
+
+    def test_runs_sharing_an_identity_are_reported(self):
+        doc = copy.deepcopy(VALID_DOC)
+        doc["runs"] = [VALID_RUN, VALID_RUN, dict(VALID_RUN, n_sites=16)]
+        (error,) = validate_bench(doc)
+        assert error.startswith("$.runs[1]: same identity as $.runs[0]")
+        assert "multi-writer-gossip" in error
+
+    def test_unhashable_identity_field_is_reported_not_raised(self):
+        errors = validate_bench(doc_with(n_objects=[6]))
+        assert any("n_objects" in e for e in errors)
+
+    def test_chaos_runs_differing_in_loss_are_distinct(self):
+        chaos = dict(VALID_RUN, scenario="chaos-loss", loss_rate=0.01,
+                     chaos_seed=11)
+        doc = dict(VALID_DOC, runs=[chaos, dict(chaos, loss_rate=0.1)])
+        assert validate_bench(doc) == []
 
     def test_all_errors_reported_at_once(self):
         doc = doc_with(protocol="vv", total_bits=-1, consistent="yes")

@@ -207,42 +207,18 @@ class TestAnalyzeCommand:
         assert "cannot load trace" in capsys.readouterr().out
 
 
-class TestHistoryCommand:
-    @staticmethod
-    def _doc(wall):
-        from repro.perf.schema import SCHEMA_ID
-
-        run = {"scenario": "single-writer-gossip", "protocol": "brv",
-               "n_sites": 8, "sessions": 8, "updates": 8,
-               "updates_deferred": 0, "reconciliations": 0,
-               "total_bits": 1000,
-               "traffic": {"forward_bits": 1000, "backward_bits": 0,
-                           "total_bits": 1000, "forward_messages": 8,
-                           "backward_messages": 0, "by_type": {}},
-               "bits_per_session": {"mean": 125.0, "p50": 125.0,
-                                    "p90": 125.0, "max": 125.0},
-               "sim_completion_seconds": 2.0, "wall_seconds": wall,
-               "max_queue_wait_seconds": 0.0, "consistent": True}
-        return {"schema": SCHEMA_ID, "created_unix": 1.0,
-                "config": {}, "runs": [run]}
-
-    def test_history_dispatches_through_main(self, tmp_path, capsys):
-        import json
-
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(self._doc(wall=0.1)), encoding="utf-8")
-        new.write_text(json.dumps(self._doc(wall=0.2)), encoding="utf-8")
-        assert main(["history", str(old), str(new), "--gate"]) == 1
-        assert "gate FAILED" in capsys.readouterr().out
-        assert main(["history", str(old), str(old), "--gate"]) == 0
-
+class TestSubcommands:
     def test_usage_mentions_the_new_subcommands(self, capsys):
         main([])
         out = capsys.readouterr().out
         assert "analyze" in out
-        assert "history" in out
+        assert "otlp-validate" in out
         assert "--stats" in out
+
+    def test_retired_history_subcommand_is_gone(self, capsys):
+        # `python -m repro.perf.compare --require-same` is the one gate.
+        assert main(["history"]) == 2
+        assert "unknown demo" in capsys.readouterr().out
 
 
 class TestOtlpValidateCommand:
