@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     index = 0
     while index < len(arguments):
         argument = arguments[index]
+        if argument in ("-h", "--help"):
+            _usage()
+            return 0
         if argument == "--stats":
             stats = True
             index += 1

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.errors import ValidationError
+
 
 def bits_for(count: int) -> int:
     """The fixed field width needed to name ``count`` distinct things.
@@ -64,6 +66,18 @@ class Encoding:
     value_bits: int
     node_id_bits: int = 32
     session_header_bits: int = 0
+
+    def __post_init__(self) -> None:
+        # A zero or negative width would price messages at 0 bits (or
+        # less) and silently void every measurement downstream.
+        for name in ("site_bits", "value_bits", "node_id_bits"):
+            if not getattr(self, name) >= 1:
+                raise ValidationError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.session_header_bits >= 0:
+            raise ValidationError(
+                f"session_header_bits must be >= 0, "
+                f"got {self.session_header_bits}")
 
     @classmethod
     def for_system(cls, n_sites: int, max_updates_per_site: int,

@@ -21,6 +21,9 @@ cells gate the array-level protocol path — a sender's ``rows()`` walk
 tuple-backed wire values against the dict-backed dataclass they were.
 ``stats.session_accounting`` (1.8×) gates an empty session's traffic
 accounting: plain-dict message histograms against Counter-backed twins.
+``batch.quiet_turn`` (2×) gates a batched SYNCS sender's turn: the mux's
+``QUIET`` poll answer and one ``SendAll`` against the per-element stream
+(two coroutine resumes per element) that every other policy runs.
 
 The workloads are deterministic (fixed seeds, fixed sizes) and sized so
 a healthy fast path clears its floor with margin — far above scheduler
@@ -44,9 +47,12 @@ from repro.graphs.crg import coalesce
 from repro.graphs.replicationgraph import ReplicationGraph
 from repro.net.codec import BitByBitReader, BitByBitWriter, Codec
 from repro.net.stats import DirectionStats, TransferStats
-from repro.protocols.batch import BatchFrame
+from repro.net.wire import DEFAULT_ENCODING
+from repro.protocols.batch import BatchFrame, batch_party
 from repro.protocols.effects import Send
-from repro.protocols.messages import ElementSMsg, Halt
+from repro.protocols.messages import ElementSMsg, Halt, Message
+from repro.protocols.session import Party, Wire
+from repro.protocols.syncs import syncs_sender
 from repro.replication.membership import SiteRegistry
 
 #: Timing rounds; each result keeps the fastest (least-noise) round.
@@ -525,6 +531,60 @@ def bench_stats_session_accounting(*, sessions: int = 2_000,
                             _best_of(oracle), min_speedup=1.8)
 
 
+class _CollectingParty(Party):
+    """A party whose ``Send`` only collects the message and whose empty
+    ``Poll`` resolves ``None``: the per-element stream through the one
+    effect interpreter, without wire accounting."""
+
+    __slots__ = ("sent",)
+
+    def transmit(self, message: Message) -> bool:
+        self.sent.append(message)
+        return False
+
+
+def quiet_turn(vector: ArraySkipRotatingVector) -> Tuple[Message, ...]:
+    """One mux turn of a SYNCS sender over ``vector``: its frame entry."""
+    send = next(batch_party([syncs_sender(vector)], initiator=True))
+    return send.message.entries[0][1]
+
+
+def per_element_turn(vector: ArraySkipRotatingVector) -> List[Message]:
+    """The same sender with every ``Poll`` answered ``None``: its sends."""
+    wire = Wire(TransferStats(), DEFAULT_ENCODING, max_steps=10_000_000)
+    party = _CollectingParty(wire, "sender", syncs_sender(vector), True,
+                             holds_poll=False)
+    party.sent = []
+    party.advance()
+    return party.sent
+
+
+def bench_batch_quiet_turn(*, n_segments: int = 250, segment_len: int = 4,
+                           repeats: int = 10) -> MicrobenchResult:
+    """A batched SYNCS sender's whole turn over a 1,000-element SRV.
+
+    Fast: one mux turn, where the first ``Poll`` answers ``QUIET`` and
+    the sender hands its stream and HALT over as one ``SendAll``.
+    Oracle: the same sender stepped by ``Party.advance`` with every
+    ``Poll`` answered ``None`` — a ``Poll`` and a ``Send`` resume per
+    element.  Both build the same messages.  The 2× floor guards against
+    the burst silently falling back to per-element streaming.
+    """
+    vector = ArraySkipRotatingVector.from_segments(
+        _srv_segment_spec(n_segments, segment_len))
+
+    def fast() -> None:
+        for _ in range(repeats):
+            quiet_turn(vector)
+
+    def oracle() -> None:
+        for _ in range(repeats):
+            per_element_turn(vector)
+
+    return MicrobenchResult("batch.quiet_turn", _best_of(fast),
+                            _best_of(oracle), min_speedup=2.0)
+
+
 def run_microbench() -> List[MicrobenchResult]:
     """All fast-path-vs-oracle probes, in a stable order."""
     return [bench_srv_segments(), bench_crg_pi_sweep(),
@@ -532,7 +592,7 @@ def run_microbench() -> List[MicrobenchResult]:
             bench_e4_segment_stream(), bench_e11_batch_frame(),
             bench_sync_stream_rows(), bench_sync_place_after(),
             bench_messages_element_build(),
-            bench_stats_session_accounting()]
+            bench_stats_session_accounting(), bench_batch_quiet_turn()]
 
 
 def format_results(results: List[MicrobenchResult]) -> str:

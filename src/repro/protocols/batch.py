@@ -14,9 +14,10 @@ exchanges into a single framed conversation:
 
 The per-object protocol coroutines run **unmodified**: :func:`batch_party`
 wraps k of them into one composite coroutine that speaks frames on the
-outside and ordinary ``Send``/``Poll``/``Drain``/``Recv`` effects on the
-inside.  The composite is itself an ordinary protocol coroutine, so every
-existing driver (instant, randomized, timed) can run it.
+outside and ordinary ``Send``/``Poll``/``Drain``/``Recv`` effects (plus
+``SendAll``, below) on the inside.  The composite is itself an ordinary
+protocol coroutine, so every existing driver (instant, randomized, timed)
+can run it.
 
 Multiplexing semantics
 ----------------------
@@ -24,16 +25,28 @@ Multiplexing semantics
 The two composites alternate half-duplex *turns*.  Within a turn each
 object coroutine runs as far as it can: ``Send`` buffers the message into
 the outgoing frame, ``Poll``/``Drain`` resolve from the object's demuxed
-inbox (``None`` when empty), and ``Recv`` parks the object until the next
-incoming frame.  A parked ``Poll`` never ends a turn — the sender keeps
-streaming, exactly the pipelining-overshoot regime of §3.1 that the
-protocols are already proven robust against (the randomized-driver fuzz
-suite).  The trade is explicit: batching forfeits mid-stream control
-feedback (a HALT or SKIP only arrives with the next frame, so the sender
-streams segments it might have skipped), and in exchange the whole batch
-costs one header plus one ack per frame.  For fleets of small per-object
-vectors — the many-objects regime the batching benchmarks model — the
-framing savings dominate.
+inbox, and ``Recv`` parks the object until the next incoming frame.  An
+empty ``Poll`` never ends a turn — the sender keeps streaming, exactly the
+pipelining-overshoot regime of §3.1 that the protocols are already proven
+robust against (the randomized-driver fuzz suite).  The trade is
+explicit: batching forfeits mid-stream control feedback (a HALT or SKIP
+only arrives with the next frame, so the sender streams segments it might
+have skipped), and in exchange the whole batch costs one header plus one
+ack per frame.  For fleets of small per-object vectors — the many-objects
+regime the batching benchmarks model — the framing savings dominate.
+
+Because frames demux only between turns, an object's empty inbox stays
+empty until it next yields ``Recv``.  The mux says so: an empty ``Poll``
+resolves to :data:`~repro.protocols.effects.QUIET` (falsy, like the
+``None`` an empty ``Drain`` still gets).  A SYNCS sender that hears
+``QUIET`` builds the rest of its stream and the HALT in one pass and
+yields one :class:`~repro.protocols.effects.SendAll`, which extends the
+object's frame entry in one call instead of two coroutine resumes per
+element; SYNCB and SYNCC senders take ``QUIET`` as an ordinary empty
+poll.  It is charged the steps its per-message form would have taken
+(one per ``Send``, one per ``Poll`` between elements), so ``max_steps``
+stops the same sessions, and the frames are the ones the per-element
+stream would have built.
 
 ``batch_size=1`` is, by convention of the callers
 (:func:`repro.net.runner.launch`,
@@ -51,7 +64,8 @@ from typing import (Any, Callable, Deque, Iterable, List, Optional, Sequence,
 from repro.errors import SessionError
 from repro.extensions.varint import elias_gamma_bits
 from repro.net.wire import DEFAULT_ENCODING, Encoding
-from repro.protocols.effects import RECV, Drain, Poll, Recv, Send
+from repro.protocols.effects import (QUIET, RECV, Drain, Poll, Recv, Send,
+                                     SendAll)
 from repro.protocols.messages import Message, wire_value
 from repro.protocols.session import (ProtocolCoroutine, SessionResult,
                                      run_session)
@@ -140,7 +154,11 @@ class _MuxObject:
                         buffer.append((self.index, entry))
                     entry.append(effect.message)
                     value = None
-                elif kind is Poll or kind is Drain:
+                elif kind is Poll:
+                    # Frames demux only between turns, so an empty inbox
+                    # stays empty until this object next yields Recv.
+                    value = inbox.popleft() if inbox else QUIET
+                elif kind is Drain:
                     value = inbox.popleft() if inbox else None
                 elif kind is Recv:
                     if not inbox:
@@ -148,6 +166,17 @@ class _MuxObject:
                         self.pending = effect
                         return steps
                     value = inbox.popleft()
+                elif kind is SendAll:
+                    messages = effect.messages
+                    if entry is None:
+                        entry = []
+                        buffer.append((self.index, entry))
+                    entry.extend(messages)
+                    # Charge the per-message form: a Send per message and a
+                    # Poll between consecutive elements, 2·len − 2 steps
+                    # (the shared increment below counts one of them).
+                    steps += 2 * len(messages) - 3
+                    value = None
                 else:  # pragma: no cover - defensive
                     raise SessionError(
                         f"unknown effect {effect!r} in batched object "

@@ -61,7 +61,7 @@ def syncg_sender(b: CausalGraph, *, tracer: Tracer | None = None
         # Drain redirections (and a possible abort) before the next step.
         while True:
             incoming = yield POLL
-            if incoming is None:
+            if not incoming:
                 break
             if isinstance(incoming, (AbortMsg, Halt)):
                 if tracer is not None:

@@ -27,16 +27,23 @@ Pipelining subtleties handled here (§4 and DESIGN.md):
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
 from typing import Any, Generator
 
 from repro.core.skip import SkipRotatingVector
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
 from repro.obs.trace import Tracer
-from repro.protocols.effects import DRAIN, POLL, RECV, SEND_HALT1, Send
+from repro.protocols.effects import (DRAIN, POLL, QUIET, RECV, SEND_HALT1,
+                                     Send, SendAll)
 from repro.protocols.messages import ElementSMsg, Halt, Message, Skip
 from repro.protocols.reports import VectorReceiverReport, VectorSenderReport
 from repro.protocols.session import SessionResult, run_session
+
+#: ``ElementSMsg`` from a ``(site, value, conflict, segment)`` row in one C
+#: call, with no Python frame per element (see :mod:`.messages`).
+_new_element = partial(tuple.__new__, ElementSMsg)
 
 
 def syncs_sender(b: SkipRotatingVector, *,
@@ -56,11 +63,22 @@ def syncs_sender(b: SkipRotatingVector, *,
     report = VectorSenderReport()
     segs = 0
     skipping = False
-    for row in b.order.rows():
+    rows = b.order.rows()
+    for row in rows:
         # Drain asynchronous control traffic before touching the next element.
         while True:
             incoming = yield POLL
-            if incoming is None:
+            if not incoming:
+                if incoming is QUIET and not skipping:
+                    # No control message can reach us before ⌈b⌉: every
+                    # remaining row would be sent, so hand this row, the
+                    # rest and the HALT over in one effect.
+                    messages = (*map(_new_element, chain((row,), rows)),
+                                SEND_HALT1.message)
+                    yield tuple.__new__(SendAll, (messages,))
+                    report.elements_sent += len(messages) - 1
+                    report.reached_end = True
+                    return report
                 break
             if isinstance(incoming, Halt):
                 if tracer is not None:

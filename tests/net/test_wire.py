@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.errors import ValidationError
+from repro.extensions.varint import AdaptiveEncoding
 from repro.net.wire import DEFAULT_ENCODING, Encoding, bits_for
 from repro.protocols.messages import (AbortMsg, CompareLeast, ElementCMsg,
                                       ElementMsg, ElementSMsg, FullGraphMsg,
@@ -30,6 +32,24 @@ class TestFieldWidths:
 
     def test_for_system_default_node_bits(self):
         assert Encoding.for_system(4, 4).node_id_bits == 32
+
+    @pytest.mark.parametrize("cls", [Encoding, AdaptiveEncoding])
+    @pytest.mark.parametrize("widths", [
+        {"site_bits": 0, "value_bits": -3, "session_header_bits": -5},
+        {"site_bits": 0, "value_bits": 8},
+        {"site_bits": 8, "value_bits": 0},
+        {"site_bits": 8, "value_bits": -1},
+        {"site_bits": 8, "value_bits": 8, "node_id_bits": 0},
+        {"site_bits": 8, "value_bits": 8, "session_header_bits": -1},
+    ])
+    def test_rejects_nonpositive_widths(self, cls, widths):
+        with pytest.raises(ValidationError):
+            cls(**widths)
+
+    def test_narrowest_widths_and_free_header_are_accepted(self):
+        encoding = Encoding(site_bits=1, value_bits=1, node_id_bits=1,
+                            session_header_bits=0)
+        assert ElementSMsg("A", 1, False, False).bits(encoding) == 5
 
 
 class TestElementPricing:

@@ -14,6 +14,7 @@ from repro.net.stats import TransferStats
 from repro.perf.microbench import (MicrobenchResult,
                                    _CounterTransferStats, _grown_crg,
                                    _srv_segment_spec, account_sessions,
+                                   bench_batch_quiet_turn,
                                    bench_crg_pi_sweep,
                                    bench_e4_segment_stream,
                                    bench_e11_batch_frame,
@@ -24,7 +25,8 @@ from repro.perf.microbench import (MicrobenchResult,
                                    bench_sync_stream_rows, bench_vector_copy,
                                    bench_vector_rotate, build_element_sends,
                                    build_element_sends_oracle,
-                                   format_results, run_microbench)
+                                   format_results, per_element_turn,
+                                   quiet_turn, run_microbench)
 
 
 class TestMicrobenchResult:
@@ -79,6 +81,7 @@ class TestWorkloads:
             bench_messages_element_build(n_segments=20, segment_len=2,
                                          repeats=2),
             bench_stats_session_accounting(sessions=20, repeats=2),
+            bench_batch_quiet_turn(n_segments=20, segment_len=2, repeats=2),
         ]
         for result in probes:
             assert result.cached_seconds > 0
@@ -103,6 +106,16 @@ class TestWorkloads:
         accounting = bench_stats_session_accounting(sessions=2, repeats=1)
         assert (accounting.name, accounting.min_speedup) \
             == ("stats.session_accounting", 1.8)
+        turn = bench_batch_quiet_turn(n_segments=10, segment_len=2,
+                                      repeats=1)
+        assert (turn.name, turn.min_speedup) == ("batch.quiet_turn", 2.0)
+
+    def test_quiet_turn_matches_its_per_element_oracle(self):
+        vector = ArraySkipRotatingVector.from_segments(
+            _srv_segment_spec(30, 3))
+        sent = quiet_turn(vector)
+        assert sent == tuple(per_element_turn(vector))
+        assert len(sent) == 91  # 90 elements and the HALT
 
     def test_session_accounting_matches_its_counter_oracle(self):
         fast = account_sessions(TransferStats, 7)
@@ -142,4 +155,4 @@ class TestReporting:
                          "vector.rotate", "e4.segment_stream",
                          "e11.batch_frame", "sync.stream_rows",
                          "sync.place_after", "messages.element_build",
-                         "stats.session_accounting"]
+                         "stats.session_accounting", "batch.quiet_turn"]

@@ -83,7 +83,7 @@ def test_every_message_and_effect_is_found():
             "FullVectorMsg", "KnowledgeMsg", "CompareLeast", "VerdictBit",
             "GraphNodeMsg", "SkipToMsg", "AbortMsg", "FullGraphMsg",
             "PayloadMsg", "BatchFrame", "Send", "Recv", "Poll",
-            "Drain"} <= names
+            "Drain", "SendAll"} <= names
 
 
 @by_class

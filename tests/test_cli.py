@@ -13,6 +13,15 @@ class TestDispatch:
         for name in DEMOS:
             assert name in out
 
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_prints_usage_and_exits_zero(self, flag, capsys):
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage:")
+        assert "unknown demo" not in out
+        for name in DEMOS:
+            assert name in out
+
     def test_unknown_demo(self, capsys):
         assert main(["bogus"]) == 2
         assert "unknown demo" in capsys.readouterr().out
