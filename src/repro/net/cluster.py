@@ -509,15 +509,14 @@ def launch_transactional(
 
 @contextmanager
 def session_run(owner: Any, sim: Simulator, scheduler: SessionScheduler,
-                kind: str, *, finalize_in_span: bool = False,
-                **span_attrs: Any) -> Iterator[None]:
+                kind: str, **span_attrs: Any) -> Iterator[None]:
     """The frame of one cluster run, around the body that drains ``sim``.
 
     Refuses a second run, attaches ``owner.monitor`` and binds the tracer
     to the simulated clock inside a ``kind:protocol`` span; on the way out it
-    closes the span, flushes tail sampling, restores the clock, finalizes
-    the monitor (before the span closes, with ``finalize_in_span``) and
-    checks that the scheduler drained.
+    finalizes the monitor inside the span (its last sample and final
+    checks are stamped on the run's clock), closes the span, flushes tail
+    sampling, restores the clock and checks that the scheduler drained.
     """
     if scheduler.ran:
         raise SimulationError(
@@ -539,15 +538,13 @@ def session_run(owner: Any, sim: Simulator, scheduler: SessionScheduler,
                                bandwidth=config.channel.bandwidth)
         try:
             yield
-            if monitor is not None and finalize_in_span:
+            if monitor is not None:
                 monitor.finalize()
         finally:
             if span is not None:
                 span.end()
             if tracer is not None:
                 tracer.flush_sampling()
-    if monitor is not None and not finalize_in_span:
-        monitor.finalize()
     if not scheduler.drained():
         raise SimulationError(  # pragma: no cover - defensive
             "cluster drained with sessions still queued or active, or "
@@ -609,7 +606,7 @@ class ClusterRunner:
             self.vectors = {
                 site: self.objects[site][0] for site in self.sites}
         self._all_objects = tuple(range(config.n_objects))
-        self._sim = Simulator()
+        self.sim = Simulator()
         self._scheduler = SessionScheduler(
             self.sites, config.fanout, self._start)
         self._records: List[ClusterSessionRecord] = []
@@ -630,9 +627,9 @@ class ClusterRunner:
     def run(self, sessions: Iterable[SessionRequest],
             updates: Iterable[UpdateRequest] = ()) -> ClusterResult:
         """Execute the schedule to completion; returns the measurements."""
-        sim = self._sim
+        sim = self.sim
         with session_run(self, sim, self._scheduler, "cluster",
-                         finalize_in_span=True, fanout=self.config.fanout):
+                         fanout=self.config.fanout):
             for request in sessions:
                 self._check_sites(request.src, request.dst)
                 if request.src == request.dst:
@@ -716,7 +713,7 @@ class ClusterRunner:
             self.tracer.event("session_request", party=request.dst,
                               peer=request.src)
         self._scheduler.request(request.src, request.dst,
-                                (request, self._sim.now, objs))
+                                (request, self.sim.now, objs))
 
     def _session_objects(self, request: SessionRequest
                          ) -> Tuple[int, ...]:
@@ -768,7 +765,7 @@ class ClusterRunner:
     def _start(self, entry: Tuple[SessionRequest, float, Tuple[int, ...]]
                ) -> None:
         request, requested_at, objs = entry
-        sim = self._sim
+        sim = self.sim
         config = self.config
         src, dst = request.src, request.dst
         record = ClusterSessionRecord(

@@ -16,14 +16,22 @@ per-session aggregates.  This package adds the per-event window:
   histograms with ``snapshot()``/``merge()`` for multi-run aggregation.
 * :mod:`repro.obs.export` — JSONL trace export and a human-readable
   timeline renderer (``python -m repro trace <demo>`` drives both).
+* :mod:`repro.obs.observer` — the one observer core both live monitors
+  subclass: per-site ring buffers, lazy cadence sampling, violation
+  recording with strict raising, and the series read API.
 * :mod:`repro.obs.monitor` — a :class:`~repro.obs.monitor.ClusterMonitor`
   of live per-site health gauges (frontier distance, Δ backlog,
   conflict density, segments, pressure, convergence score) plus inline
   invariant checkers that run *during* a cluster run.
+* :mod:`repro.obs.consistency` — a
+  :class:`~repro.obs.consistency.ConsistencyMonitor` of the replicated
+  store's divergence gauges, write-visibility watermarks and the
+  session-guarantee audit, with its schema-validated digest.
 * :mod:`repro.obs.exporters` — Prometheus text format and an OTLP-style
   JSON spans/metrics dump (schema in :mod:`repro.obs.otlp_schema`).
-* :mod:`repro.obs.dashboard` — the terminal sparkline dashboard and the
-  self-contained HTML report behind ``python -m repro monitor``.
+* :mod:`repro.obs.dashboard` — the terminal sparkline dashboards and the
+  self-contained HTML reports of either monitor (``python -m repro
+  monitor``, ``python -m repro store --html``).
 * :mod:`repro.obs.causal` — the causal event graph reconstructed from a
   trace: happens-before edges, the convergence critical path, and exact
   per-category latency attribution (``python -m repro analyze``).

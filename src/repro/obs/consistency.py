@@ -6,10 +6,12 @@ backlogs, retries.  What a client of the replicated store experiences is
 visible everywhere, and whether siblings converge or resurrect.  A
 :class:`ConsistencyMonitor` attaches to a
 :class:`~repro.store.cluster.StoreCluster` and measures exactly that,
-live, with the same observer contract as :class:`~repro.obs.monitor.
-ClusterMonitor`: it subscribes to the cluster's tracer, reads records in
-place, never schedules simulator events, and a run with ``monitor=None``
-(the default) executes byte-for-byte the unmonitored code path.
+live, as the second gauge set over the
+:class:`~repro.obs.observer.Observer` core that also carries
+:class:`~repro.obs.monitor.ClusterMonitor`: it subscribes to the cluster's
+tracer, reads records in place, never schedules simulator events, and a
+run with ``monitor=None`` (the default) executes byte-for-byte the
+unmonitored code path.
 
 Divergence gauges (per site, sampled on a cadence into ring buffers)
 --------------------------------------------------------------------
@@ -67,12 +69,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import InvariantViolationError, ValidationError
 from repro.obs import trace as obs
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.monitor import InvariantViolation, RingBuffer
+from repro.obs.observer import Observer, ObserverConfig
 from repro.obs.otlp_schema import validate
-from repro.obs.trace import TraceEvent, Tracer
 
 #: The per-site gauges every consistency sample records.
 CONSISTENCY_GAUGE_NAMES = ("sibling_population", "frontier_distance",
@@ -86,16 +86,13 @@ DIGEST_SCHEMA_ID = "repro.obs.consistency/1"
 
 
 @dataclass(frozen=True)
-class ConsistencyConfig:
+class ConsistencyConfig(ObserverConfig):
     """Knobs of one :class:`ConsistencyMonitor`.
 
+    ``cadence``, ``ring_capacity`` and ``strict`` are the shared
+    :class:`~repro.obs.observer.ObserverConfig` fields.
+
     Attributes:
-        cadence: simulated seconds between divergence samples (> 0);
-            sampled lazily on observed clock movement, exactly like
-            :class:`~repro.obs.monitor.MonitorConfig`.
-        ring_capacity: samples kept per (site, gauge) series.
-        strict: raise :class:`~repro.errors.InvariantViolationError` on
-            the first violation instead of counting it.
         visibility_k: the ``k`` of the ``w_k`` histogram — a write
             counts as k-visible once ``min(k, n_sites)`` sites reflect
             it (the coordinator itself is the first).
@@ -104,26 +101,14 @@ class ConsistencyConfig:
         worst_keys: entries in the digest's worst-offender panel.
     """
 
-    cadence: float = 0.25
-    ring_capacity: int = 1024
-    strict: bool = False
     visibility_k: int = 2
     audit: bool = True
     worst_keys: int = 5
 
     def __post_init__(self) -> None:
-        if not self.cadence > 0:
-            raise ValidationError(f"cadence must be > 0, "
-                                  f"got {self.cadence}")
-        if self.ring_capacity < 1:
-            raise ValueError(f"ring_capacity must be >= 1, "
-                             f"got {self.ring_capacity}")
-        if self.visibility_k < 1:
-            raise ValueError(f"visibility_k must be >= 1, "
-                             f"got {self.visibility_k}")
-        if self.worst_keys < 0:
-            raise ValueError(f"worst_keys must be >= 0, "
-                             f"got {self.worst_keys}")
+        super().__post_init__()
+        self._at_least("visibility_k", 1)
+        self._at_least("worst_keys", 0)
 
 
 @dataclass
@@ -155,7 +140,7 @@ def _covers(context: Dict[str, int], reference: Dict[str, int]) -> bool:
                for site, count in reference.items())
 
 
-class ConsistencyMonitor:
+class ConsistencyMonitor(Observer):
     """Live consistency gauges + session-guarantee audit for one store run.
 
     One-shot like the cluster it watches::
@@ -164,29 +149,23 @@ class ConsistencyMonitor:
         result = run_store_workload(config, monitor=monitor)
         print(result.consistency["w_all_seconds"]["p99"])
 
-    The cluster calls :meth:`attach` when its run starts, the per-event
-    hooks while it executes, and :meth:`finalize` when its simulator
-    drains; the client workload feeds :meth:`audit_op` from its own
-    completion stream.  User code reads :meth:`summary` (the
-    schema-validated digest), the ring series, or the violations list.
+    The client workload feeds :meth:`audit_op` from its own completion
+    stream; user code reads :meth:`summary` (the schema-validated
+    digest), the ring series, or the violations list.
     """
+
+    GAUGES = CONSISTENCY_GAUGE_NAMES
+    NAMESPACE = "consistency"
+    VIOLATION_KIND = obs.CONSISTENCY_VIOLATION
+    VIOLATED = "consistency"
 
     def __init__(self, config: ConsistencyConfig = ConsistencyConfig(), *,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.config = config
-        self.metrics = metrics
-        #: The monitor's private tracer; a cluster constructed without a
-        #: tracer adopts it so store events exist to observe.
-        self.tracer = Tracer()
-        self.violations: List[InvariantViolation] = []
-        self.samples = 0
-        self.sites: List[str] = []
+        super().__init__(config, metrics=metrics)
         #: Visibility latency until ``min(k, n_sites)`` sites reflect a write.
         self.w_k = Histogram()
         #: Visibility latency until every site reflects a write.
         self.w_all = Histogram()
-        self._cluster: Any = None
-        self._series: Dict[str, Dict[str, RingBuffer]] = {}
         self._pending: Dict[str, List[_PendingWrite]] = {}
         self._writes_tracked = 0
         self._writes_visible_all = 0
@@ -194,9 +173,6 @@ class ConsistencyMonitor:
         self._site_watermark: Dict[str, float] = {}
         self._last_absorb: Dict[str, float] = {}
         self._key_watermarks: Dict[Tuple[str, str], float] = {}
-        self._next_sample: Optional[float] = None
-        self._subscribed: Optional[Tracer] = None
-        self._finalized = False
         self._audit: Dict[Tuple[int, str], _SessionAudit] = {}
         self._audit_ops = 0
         self._audit_counts: Dict[str, int] = {check: 0
@@ -204,43 +180,9 @@ class ConsistencyMonitor:
         self._key_violations: Dict[str, int] = {}
         self._clients_affected: Set[int] = set()
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def attach(self, cluster: Any) -> None:
-        """Bind to a :class:`~repro.store.cluster.StoreCluster` starting up.
-
-        Called by the cluster itself at the top of ``run()``; subscribes
-        to its tracer, initializes every site's series, and takes the
-        t=0 sample.
-        """
-        if self._cluster is not None:
-            raise InvariantViolationError(
-                "ConsistencyMonitor instances are one-shot; attach a "
-                "fresh one per run")
-        self._cluster = cluster
-        self.sites = list(cluster.sites)
-        for site in self.sites:
-            self._series[site] = {
-                name: RingBuffer(self.config.ring_capacity)
-                for name in CONSISTENCY_GAUGE_NAMES}
-            self._site_watermark[site] = 0.0
-            self._last_absorb[site] = 0.0
-        tracer = cluster.tracer
-        if tracer is not None:
-            tracer.subscribe(self._on_trace_event)
-            self._subscribed = tracer
-        self._next_sample = self.config.cadence
-        self._sample(0.0)
-
-    def finalize(self) -> None:
-        """Take the final sample and unsubscribe from the tracer."""
-        if self._cluster is None or self._finalized:
-            return
-        self._finalized = True
-        self._sample(self._now())
-        if self._subscribed is not None:
-            self._subscribed.unsubscribe(self._on_trace_event)
-            self._subscribed = None
+    def _bind(self) -> None:
+        self._site_watermark = dict.fromkeys(self.sites, 0.0)
+        self._last_absorb = dict.fromkeys(self.sites, 0.0)
 
     # -- cluster hooks -----------------------------------------------------------
 
@@ -311,42 +253,21 @@ class ConsistencyMonitor:
         """A session released its endpoints; the clock may have moved."""
         self._maybe_sample(now)
 
-    # -- the trace stream --------------------------------------------------------
-
-    def _on_trace_event(self, event: TraceEvent) -> None:
-        if (event.time is not None
-                and event.kind != obs.CONSISTENCY_VIOLATION):
-            self._maybe_sample(event.time)
-
-    # -- sampling ----------------------------------------------------------------
-
-    def _now(self) -> float:
-        sim = getattr(self._cluster, "sim", None)
-        return sim.now if sim is not None else 0.0
+    # -- the divergence walk -----------------------------------------------------
 
     def _effective_k(self) -> int:
         if not self.sites:
             return self.config.visibility_k
         return min(self.config.visibility_k, len(self.sites))
 
-    def _maybe_sample(self, now: float) -> None:
-        if self._next_sample is None or now < self._next_sample:
-            return
-        self._sample(now)
-        cadence = self.config.cadence
-        # Skip boundaries the clock already jumped over (same contract
-        # as ClusterMonitor: next sample is one cadence past *now*).
-        periods = int((now - self._next_sample) / cadence) + 1
-        self._next_sample += periods * cadence
-
-    def _sample(self, now: float) -> None:
+    def _walk(self, now: float) -> None:
         """Record one divergence sample for every site at ``now``.
 
         A key's frontier is the element-wise max of its vector over
         every site that has heard of it; a site's frontier distance
         counts the elements it is behind, summed over keys.
         """
-        stores = self._cluster.stores
+        stores = self._owner.stores
         keys: Set[str] = set()
         for store in stores.values():
             keys.update(store.table)
@@ -372,23 +293,10 @@ class ConsistencyMonitor:
                 for elem_site, peak in frontiers[key].items():
                     if peak > known.get(elem_site, 0):
                         distance += 1
-            series = self._series[site]
-            series["sibling_population"].append(
-                now, float(store.sibling_population()))
-            series["frontier_distance"].append(now, float(distance))
-            series["anti_entropy_lag"].append(
-                now, now - self._last_absorb[site])
-            series["replication_lag"].append(
-                now, max(0.0, self._newest_write
-                         - self._site_watermark[site]))
-            if self.metrics is not None:
-                for name in CONSISTENCY_GAUGE_NAMES:
-                    self.metrics.gauge(
-                        f"consistency.{site}.{name}").set(
-                            series[name].latest())
-        self.samples += 1
-        if self.metrics is not None:
-            self.metrics.counter("consistency.samples").inc()
+            self._record(site, now, (
+                float(store.sibling_population()), float(distance),
+                now - self._last_absorb[site],
+                max(0.0, self._newest_write - self._site_watermark[site])))
 
     # -- invariants --------------------------------------------------------------
 
@@ -398,6 +306,7 @@ class ConsistencyMonitor:
         regress — puts take ``max`` and absorbs only move forward."""
         previous = self._key_watermarks.get((site, key), 0.0)
         if watermark < previous:
+            self._count_key(key)
             self._violate(
                 "visibility_watermark", now,
                 f"{site}/{key} watermark regressed "
@@ -406,26 +315,9 @@ class ConsistencyMonitor:
             return
         self._key_watermarks[(site, key)] = watermark
 
-    def _violate(self, check: str, now: float, message: str,
-                 **fields: Any) -> None:
-        violation = InvariantViolation(check=check, message=message,
-                                       time=now, fields=dict(fields))
-        self.violations.append(violation)
-        key = fields.get("key")
-        if key is not None:
-            self._key_violations[key] = self._key_violations.get(key, 0) + 1
-        tracer = (self._cluster.tracer
-                  if self._cluster is not None else None)
-        if tracer is None:
-            tracer = self.tracer
-        tracer.event(obs.CONSISTENCY_VIOLATION, time=now, check=check,
-                     message=message, **fields)
-        if self.metrics is not None:
-            self.metrics.counter("consistency.violations").inc()
-            self.metrics.counter(f"consistency.violations.{check}").inc()
-        if self.config.strict:
-            raise InvariantViolationError(
-                f"consistency {check!r} violated at t={now:.6f}: {message}")
+    def _count_key(self, key: str) -> None:
+        """One more violation against ``key`` (the worst-keys panel)."""
+        self._key_violations[key] = self._key_violations.get(key, 0) + 1
 
     # -- the session-guarantee auditor -------------------------------------------
 
@@ -480,21 +372,10 @@ class ConsistencyMonitor:
                        time: float, message: str, **extra: Any) -> None:
         self._audit_counts[check] += 1
         self._clients_affected.add(client)
+        self._count_key(key)
         self._violate(check, time, message, key=key, client=client, **extra)
 
     # -- read API ----------------------------------------------------------------
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
-    def series(self, site: str, name: str) -> List[Tuple[float, float]]:
-        """One site's ``(time, value)`` series for gauge ``name``."""
-        return self._series[site][name].items()
-
-    def latest(self, site: str, name: str) -> Optional[float]:
-        """The most recent sample of one site's gauge (None before any)."""
-        return self._series[site][name].latest()
 
     def key_watermark(self, site: str, key: str) -> float:
         """The (site, key) visibility watermark last ratcheted."""
@@ -510,7 +391,7 @@ class ConsistencyMonitor:
         sets, widest staleness spread across replicas."""
         if limit is None:
             limit = self.config.worst_keys
-        stores = self._cluster.stores if self._cluster is not None else {}
+        stores = self._owner.stores if self._owner is not None else {}
         keys: Set[str] = set(self._key_violations)
         for store in stores.values():
             keys.update(store.table)
@@ -578,27 +459,23 @@ class ConsistencyMonitor:
             },
             "worst_keys": self.worst_keys(),
         }
-        topology = (self._cluster.config.topology
-                    if self._cluster is not None else None)
+        topology = (self._owner.config.topology
+                    if self._owner is not None else None)
         if topology is not None:
-            per_region: Dict[str, Any] = {}
-            for region in topology.regions:
-                lags = [replication[site]
-                        for site in topology.region_sites(region.name)
-                        if site in replication]
-                per_region[region.name] = {
-                    "sites": region.sites,
-                    "max_replication_lag_seconds": round(
-                        max(lags, default=0.0), 9),
-                    "mean_replication_lag_seconds": round(
-                        sum(lags) / len(lags) if lags else 0.0, 9),
-                }
-            digest["per_region"] = per_region
+            digest["per_region"] = self._per_region(
+                topology, replication, _lag_rollup)
         return digest
 
     def _replication_lag(self, site: str) -> float:
         latest = self.latest(site, "replication_lag")
         return latest if latest is not None else 0.0
+
+
+def _lag_rollup(lags: List[float]) -> Dict[str, float]:
+    """Max and mean of some replication lags, digest-rounded."""
+    return {"max_replication_lag_seconds": round(max(lags, default=0.0), 9),
+            "mean_replication_lag_seconds": round(
+                sum(lags) / len(lags) if lags else 0.0, 9)}
 
 
 def _rounded_summary(histogram: Histogram) -> Dict[str, float]:

@@ -1,31 +1,37 @@
-"""Terminal dashboard and static HTML report over a ClusterMonitor.
+"""Terminal dashboards and static HTML reports over the observers.
 
-The terminal view is a per-site table of unicode sparklines — one row
-per site, one column per health gauge — followed by a worst-offender
-ranking (lowest convergence score first) and the invariant-checker
-verdict.  The HTML report is fully self-contained (inline CSS, inline
-SVG polylines, zero external assets), so CI can archive it as a single
-artifact and a browser anywhere can open it.
+The terminal view of either observer is a per-site table of unicode
+sparklines — one row per site, one column per gauge — followed by its
+rollups, a worst-offender ranking and the violations verdict.  The HTML
+report is fully self-contained (inline CSS, inline SVG polylines, zero
+external assets), so CI can archive it as a single artifact and a
+browser anywhere can open it.
 
-The same shapes exist for the store's
-:class:`~repro.obs.consistency.ConsistencyMonitor` —
-:func:`render_consistency_dashboard` (per-site divergence sparklines,
-the per-key worst-offender panel, the session-guarantee verdict) and
-:func:`render_consistency_html_report`.
+:func:`render_dashboard` and :func:`render_html_report` view a
+:class:`~repro.obs.monitor.ClusterMonitor` (convergence ranking,
+invariant verdict); :func:`render_consistency_dashboard` and
+:func:`render_consistency_html_report` view a
+:class:`~repro.obs.consistency.ConsistencyMonitor` (visibility
+percentiles, the per-key worst-offender panel, the session-guarantee
+verdict).  Both pairs share one sparkline table, one violations block
+and one HTML page frame.
 """
 
 from __future__ import annotations
 
 import html
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
-from repro.obs.consistency import CONSISTENCY_GAUGE_NAMES, ConsistencyMonitor
-from repro.obs.monitor import GAUGE_NAMES, ClusterMonitor
+from repro.errors import ValidationError
+from repro.obs.consistency import ConsistencyMonitor
+from repro.obs.monitor import ClusterMonitor
+from repro.obs.observer import Observer
 
 #: Eight-level block ramp, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
-#: Gauge -> short column header for the terminal table.
+#: Gauge (of either observer) -> short column header for the table.
 _HEADERS = {
     "frontier_distance": "frontier",
     "delta_backlog": "backlog",
@@ -33,12 +39,7 @@ _HEADERS = {
     "segment_count": "segments",
     "pressure": "pressure",
     "convergence_score": "converge",
-}
-
-#: Consistency gauge -> short column header for the terminal table.
-_CONSISTENCY_HEADERS = {
     "sibling_population": "siblings",
-    "frontier_distance": "frontier",
     "anti_entropy_lag": "ae lag",
     "replication_lag": "repl lag",
 }
@@ -52,6 +53,8 @@ def sparkline(values: Sequence[float], width: int = 16) -> str:
     shorter ones are left-padded with spaces.  A flat series renders at
     its level: all-zero stays low, a constant positive renders high.
     """
+    if width < 1:
+        raise ValidationError(f"sparkline width must be >= 1, got {width}")
     if not values:
         return " " * width
     if len(values) > width:
@@ -74,6 +77,44 @@ def sparkline(values: Sequence[float], width: int = 16) -> str:
     return "".join(chars).rjust(width)
 
 
+def _sparkline_table(observer: Observer, width: int,
+                     max_sites: Optional[int]) -> List[str]:
+    """One row of gauge sparklines per site (the first ``max_sites``)."""
+    site_width = _site_width(observer)
+    header = "  ".join(_HEADERS[name].center(width)
+                       for name in observer.GAUGES)
+    lines = [f"{'site'.ljust(site_width)}  {header}"]
+    shown = (observer.sites if max_sites is None
+             else observer.sites[:max_sites])
+    for site in shown:
+        cells = [sparkline([value for _, value in observer.series(site, name)],
+                           width)
+                 for name in observer.GAUGES]
+        lines.append(f"{site.ljust(site_width)}  " + "  ".join(cells))
+    if len(shown) < len(observer.sites):
+        lines.append(f"{'…'.ljust(site_width)}  "
+                     f"({len(observer.sites) - len(shown)} more sites)")
+    return lines
+
+
+def _site_width(observer: Observer) -> int:
+    return max([len(site) for site in observer.sites] + [4])
+
+
+def _violation_lines(observer: Observer, headline: str,
+                     clean: str) -> List[str]:
+    """The verdict: ``headline`` and the first ten violations, or
+    ``clean`` when every check passed."""
+    if not observer.violation_count:
+        return [clean]
+    lines = [headline]
+    for violation in observer.violations[:10]:
+        stamp = (f"t={violation.time:.3f}" if violation.time is not None
+                 else "t=?")
+        lines.append(f"  [{violation.check}] {stamp} {violation.message}")
+    return lines
+
+
 def render_dashboard(monitor: ClusterMonitor, *, width: int = 16,
                      offenders: int = 5,
                      max_sites: Optional[int] = None) -> str:
@@ -85,21 +126,8 @@ def render_dashboard(monitor: ClusterMonitor, *, width: int = 16,
     additionally get a per-region health table and, when sharded, a
     one-line shard-load summary.
     """
-    lines: List[str] = []
-    site_width = max([len(site) for site in monitor.sites] + [4])
-    header = "  ".join([_HEADERS[name].center(width) for name in GAUGE_NAMES])
-    lines.append(f"{'site'.ljust(site_width)}  {header}")
-    shown = (monitor.sites if max_sites is None
-             else monitor.sites[:max_sites])
-    for site in shown:
-        cells = []
-        for name in GAUGE_NAMES:
-            cells.append(sparkline(
-                [value for _, value in monitor.series(site, name)], width))
-        lines.append(f"{site.ljust(site_width)}  " + "  ".join(cells))
-    if len(shown) < len(monitor.sites):
-        lines.append(f"{'…'.ljust(site_width)}  "
-                     f"({len(monitor.sites) - len(shown)} more sites)")
+    lines = _sparkline_table(monitor, width, max_sites)
+    site_width = _site_width(monitor)
     summary = monitor.health_summary()
     per_region = summary.get("per_region")
     if per_region:
@@ -136,18 +164,10 @@ def render_dashboard(monitor: ClusterMonitor, *, width: int = 16,
             f"backlog={int(backlog) if backlog is not None else 0:>5} "
             f"pressure={pressure_total}")
     lines.append("")
-    if monitor.violation_count:
-        lines.append(f"INVARIANT VIOLATIONS: {monitor.violation_count}")
-        for violation in monitor.violations[:10]:
-            stamp = (f"t={violation.time:.3f}" if violation.time is not None
-                     else "t=?")
-            lines.append(f"  [{violation.check}] {stamp} "
-                         f"{violation.message}")
-    else:
-        lines.append(f"invariants: all checks passed "
-                     f"({monitor.samples} samples, "
-                     f"{monitor.health_summary()['sessions_checked']} "
-                     f"sessions checked)")
+    lines += _violation_lines(
+        monitor, f"INVARIANT VIOLATIONS: {monitor.violation_count}",
+        f"invariants: all checks passed ({monitor.samples} samples, "
+        f"{summary['sessions_checked']} sessions checked)")
     return "\n".join(lines)
 
 
@@ -193,6 +213,36 @@ th { background: #f3f4f6; }
 """
 
 
+def _html_page(title: str, observers: Mapping[str, Observer],
+               held: str,
+               section: Callable[[Any, str], List[str]]) -> str:
+    """The self-contained page: per labeled observer, its heading, its
+    ``section(observer, verdict)`` body, and its violations list."""
+    parts: List[str] = [
+        "<!DOCTYPE html>",
+        '<html lang="en"><head><meta charset="utf-8">',
+        f"<title>{html.escape(title)}</title>",
+        f"<style>{_HTML_STYLE}</style></head><body>",
+        f"<h1>{html.escape(title)}</h1>",
+    ]
+    for label, observer in observers.items():
+        count = observer.violation_count
+        verdict = (f'<span class="ok">{held}</span>' if not count
+                   else f'<span class="bad">{count} {observer.VIOLATED} '
+                        f'violation(s)</span>')
+        parts.append(f"<h2>{html.escape(label)}</h2>")
+        parts += section(observer, verdict)
+        if count:
+            parts.append("<h3>violations</h3><ul>")
+            for violation in observer.violations[:50]:
+                parts.append(f"<li><code>{html.escape(violation.check)}"
+                             f"</code> {html.escape(violation.message)}"
+                             f"</li>")
+            parts.append("</ul>")
+    parts.append("</body></html>")
+    return "\n".join(parts)
+
+
 def render_html_report(monitors: Dict[str, ClusterMonitor], *,
                        title: str = "repro convergence observatory"
                        ) -> str:
@@ -203,65 +253,48 @@ def render_html_report(monitors: Dict[str, ClusterMonitor], *,
     site, y pinned to [0, 1] so 1.0 reads as "touching the top"), a
     final-gauges table, and its invariant verdict.
     """
-    parts: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{html.escape(title)}</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        f"<h1>{html.escape(title)}</h1>",
-    ]
-    for label, monitor in monitors.items():
-        summary = monitor.health_summary()
-        verdict = ("all invariants held"
-                   if not monitor.violation_count
-                   else f"{monitor.violation_count} invariant "
-                        f"violation(s)")
-        verdict_class = "ok" if not monitor.violation_count else "bad"
-        parts.append(f"<h2>{html.escape(label)}</h2>")
+    return _html_page(title, monitors, "all invariants held",
+                      _cluster_section)
+
+
+def _cluster_section(monitor: ClusterMonitor, verdict: str) -> List[str]:
+    summary = monitor.health_summary()
+    parts = [
+        f'<p class="meta">{summary["sites"]} sites · '
+        f'{summary["samples"]} samples · '
+        f'{summary["sessions_checked"]} sessions checked · '
+        f'{verdict} · '
+        f'min final score '
+        f'{summary["min_final_score"]:.3f}</p>',
+        "<table><tr><th>site</th>"
+        "<th>convergence score</th>"
+        "<th class=num>final</th>"
+        "<th class=num>backlog</th>"
+        "<th class=num>segments</th>"
+        "<th class=num>conflict</th>"
+        "<th class=num>pressure</th></tr>"]
+    for site in monitor.sites:
+        score_series = monitor.series(site, "convergence_score")
+        score = monitor.latest(site, "convergence_score")
+        backlog = monitor.latest(site, "delta_backlog") or 0
+        segments = monitor.latest(site, "segment_count") or 0
+        conflict = monitor.latest(site, "conflict_density") or 0.0
+        pressure = monitor.pressure(site)
+        pressure_total = (pressure["retries"] + pressure["timeouts"]
+                          + pressure["resumes"])
+        score_text = f"{score:.3f}" if score is not None else "n/a"
+        score_class = ("ok" if score is not None and score >= 1.0
+                       else "bad")
         parts.append(
-            f'<p class="meta">{summary["sites"]} sites · '
-            f'{summary["samples"]} samples · '
-            f'{summary["sessions_checked"]} sessions checked · '
-            f'<span class="{verdict_class}">{verdict}</span> · '
-            f'min final score '
-            f'{summary["min_final_score"]:.3f}</p>')
-        parts.append("<table><tr><th>site</th>"
-                     "<th>convergence score</th>"
-                     "<th class=num>final</th>"
-                     "<th class=num>backlog</th>"
-                     "<th class=num>segments</th>"
-                     "<th class=num>conflict</th>"
-                     "<th class=num>pressure</th></tr>")
-        for site in monitor.sites:
-            score_series = monitor.series(site, "convergence_score")
-            score = monitor.latest(site, "convergence_score")
-            backlog = monitor.latest(site, "delta_backlog") or 0
-            segments = monitor.latest(site, "segment_count") or 0
-            conflict = monitor.latest(site, "conflict_density") or 0.0
-            pressure = monitor.pressure(site)
-            pressure_total = (pressure["retries"] + pressure["timeouts"]
-                              + pressure["resumes"])
-            score_text = f"{score:.3f}" if score is not None else "n/a"
-            score_class = ("ok" if score is not None and score >= 1.0
-                           else "bad")
-            parts.append(
-                f"<tr><td>{html.escape(site)}</td>"
-                f"<td>{_svg_series(score_series, y_max=1.0)}</td>"
-                f'<td class="num {score_class}">{score_text}</td>'
-                f'<td class="num">{int(backlog)}</td>'
-                f'<td class="num">{int(segments)}</td>'
-                f'<td class="num">{conflict:.3f}</td>'
-                f'<td class="num">{pressure_total}</td></tr>')
-        parts.append("</table>")
-        if monitor.violation_count:
-            parts.append("<h3>violations</h3><ul>")
-            for violation in monitor.violations[:50]:
-                parts.append(f"<li><code>{html.escape(violation.check)}"
-                             f"</code> {html.escape(violation.message)}"
-                             f"</li>")
-            parts.append("</ul>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
+            f"<tr><td>{html.escape(site)}</td>"
+            f"<td>{_svg_series(score_series, y_max=1.0)}</td>"
+            f'<td class="num {score_class}">{score_text}</td>'
+            f'<td class="num">{int(backlog)}</td>'
+            f'<td class="num">{int(segments)}</td>'
+            f'<td class="num">{conflict:.3f}</td>'
+            f'<td class="num">{pressure_total}</td></tr>')
+    parts.append("</table>")
+    return parts
 
 
 def write_html_report(path: str, monitors: Dict[str, ClusterMonitor],
@@ -280,21 +313,7 @@ def render_consistency_dashboard(monitor: ConsistencyMonitor, *,
     """The store consistency dashboard: divergence sparklines per site,
     visibility percentiles, the per-key worst-offender panel, and the
     session-guarantee verdict."""
-    lines: List[str] = []
-    site_width = max([len(site) for site in monitor.sites] + [4])
-    header = "  ".join(_CONSISTENCY_HEADERS[name].center(width)
-                       for name in CONSISTENCY_GAUGE_NAMES)
-    lines.append(f"{'site'.ljust(site_width)}  {header}")
-    shown = (monitor.sites if max_sites is None
-             else monitor.sites[:max_sites])
-    for site in shown:
-        cells = [sparkline([value for _, value in monitor.series(site, name)],
-                           width)
-                 for name in CONSISTENCY_GAUGE_NAMES]
-        lines.append(f"{site.ljust(site_width)}  " + "  ".join(cells))
-    if len(shown) < len(monitor.sites):
-        lines.append(f"{'…'.ljust(site_width)}  "
-                     f"({len(monitor.sites) - len(shown)} more sites)")
+    lines = _sparkline_table(monitor, width, max_sites)
     summary = monitor.summary()
     w_k = summary["w_k_seconds"]
     w_all = summary["w_all_seconds"]
@@ -333,23 +352,16 @@ def render_consistency_dashboard(monitor: ConsistencyMonitor, *,
             f"spread={entry['staleness_spread_seconds'] * 1000:.3f}ms")
     lines.append("")
     audit = summary["audit"]
-    if monitor.violation_count:
-        lines.append(
-            f"CONSISTENCY VIOLATIONS: {monitor.violation_count} "
-            f"(ryw={audit['read_your_writes']} "
-            f"monotonic={audit['monotonic_reads']} "
-            f"resurrection={audit['resurrections']}) over "
-            f"{audit['ops_audited']} audited ops, "
-            f"{audit['clients_affected']} clients affected")
-        for violation in monitor.violations[:10]:
-            stamp = (f"t={violation.time:.3f}" if violation.time is not None
-                     else "t=?")
-            lines.append(f"  [{violation.check}] {stamp} "
-                         f"{violation.message}")
-    else:
-        lines.append(f"session guarantees: all checks passed "
-                     f"({audit['ops_audited']} ops audited, "
-                     f"{monitor.samples} samples)")
+    lines += _violation_lines(
+        monitor,
+        f"CONSISTENCY VIOLATIONS: {monitor.violation_count} "
+        f"(ryw={audit['read_your_writes']} "
+        f"monotonic={audit['monotonic_reads']} "
+        f"resurrection={audit['resurrections']}) over "
+        f"{audit['ops_audited']} audited ops, "
+        f"{audit['clients_affected']} clients affected",
+        f"session guarantees: all checks passed "
+        f"({audit['ops_audited']} ops audited, {monitor.samples} samples)")
     return "\n".join(lines)
 
 
@@ -359,74 +371,58 @@ def render_consistency_html_report(
     """A self-contained static HTML report over one consistency monitor
     per label: replication-lag series per site, visibility percentiles,
     the per-key worst-offender panel, and the audit verdict."""
-    parts: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{html.escape(title)}</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        f"<h1>{html.escape(title)}</h1>",
-    ]
-    for label, monitor in monitors.items():
-        summary = monitor.summary()
-        audit = summary["audit"]
-        verdict = ("all session guarantees held"
-                   if not monitor.violation_count
-                   else f"{monitor.violation_count} consistency "
-                        f"violation(s)")
-        verdict_class = "ok" if not monitor.violation_count else "bad"
-        w_all = summary["w_all_seconds"]
-        parts.append(f"<h2>{html.escape(label)}</h2>")
+    return _html_page(title, monitors, "all session guarantees held",
+                      _consistency_section)
+
+
+def _consistency_section(monitor: ConsistencyMonitor,
+                         verdict: str) -> List[str]:
+    summary = monitor.summary()
+    audit = summary["audit"]
+    w_all = summary["w_all_seconds"]
+    parts = [
+        f'<p class="meta">{summary["sites"]} sites · '
+        f'{summary["samples"]} samples · '
+        f'{summary["writes_tracked"]} writes tracked · '
+        f'w_all p99 {w_all["p99"] * 1000:.3f}ms / '
+        f'p999 {w_all["p999"] * 1000:.3f}ms · '
+        f'{audit["ops_audited"]} ops audited · '
+        f'{verdict}</p>',
+        "<table><tr><th>site</th>"
+        "<th>replication lag</th>"
+        "<th class=num>final lag s</th>"
+        "<th class=num>ae lag s</th>"
+        "<th class=num>siblings</th>"
+        "<th class=num>frontier</th></tr>"]
+    for site in monitor.sites:
+        lag_series = monitor.series(site, "replication_lag")
+        lag = monitor.latest(site, "replication_lag") or 0.0
+        ae_lag = monitor.latest(site, "anti_entropy_lag") or 0.0
+        siblings = monitor.latest(site, "sibling_population") or 0
+        frontier = monitor.latest(site, "frontier_distance") or 0
+        lag_class = "ok" if lag == 0.0 else "bad"
         parts.append(
-            f'<p class="meta">{summary["sites"]} sites · '
-            f'{summary["samples"]} samples · '
-            f'{summary["writes_tracked"]} writes tracked · '
-            f'w_all p99 {w_all["p99"] * 1000:.3f}ms / '
-            f'p999 {w_all["p999"] * 1000:.3f}ms · '
-            f'{audit["ops_audited"]} ops audited · '
-            f'<span class="{verdict_class}">{verdict}</span></p>')
-        parts.append("<table><tr><th>site</th>"
-                     "<th>replication lag</th>"
-                     "<th class=num>final lag s</th>"
-                     "<th class=num>ae lag s</th>"
-                     "<th class=num>siblings</th>"
-                     "<th class=num>frontier</th></tr>")
-        for site in monitor.sites:
-            lag_series = monitor.series(site, "replication_lag")
-            lag = monitor.latest(site, "replication_lag") or 0.0
-            ae_lag = monitor.latest(site, "anti_entropy_lag") or 0.0
-            siblings = monitor.latest(site, "sibling_population") or 0
-            frontier = monitor.latest(site, "frontier_distance") or 0
-            lag_class = "ok" if lag == 0.0 else "bad"
-            parts.append(
-                f"<tr><td>{html.escape(site)}</td>"
-                f"<td>{_svg_series(lag_series, color='#b45309')}</td>"
-                f'<td class="num {lag_class}">{lag:.6f}</td>'
-                f'<td class="num">{ae_lag:.6f}</td>'
-                f'<td class="num">{int(siblings)}</td>'
-                f'<td class="num">{int(frontier)}</td></tr>')
-        parts.append("</table>")
-        parts.append("<h3>worst keys</h3>")
-        parts.append("<table><tr><th>key</th>"
-                     "<th class=num>violations</th>"
-                     "<th class=num>max siblings</th>"
-                     "<th class=num>staleness spread s</th></tr>")
-        for entry in summary["worst_keys"]:
-            parts.append(
-                f"<tr><td>{html.escape(entry['key'])}</td>"
-                f'<td class="num">{entry["violations"]}</td>'
-                f'<td class="num">{entry["max_siblings"]}</td>'
-                f'<td class="num">'
-                f'{entry["staleness_spread_seconds"]:.6f}</td></tr>')
-        parts.append("</table>")
-        if monitor.violation_count:
-            parts.append("<h3>violations</h3><ul>")
-            for violation in monitor.violations[:50]:
-                parts.append(f"<li><code>{html.escape(violation.check)}"
-                             f"</code> {html.escape(violation.message)}"
-                             f"</li>")
-            parts.append("</ul>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
+            f"<tr><td>{html.escape(site)}</td>"
+            f"<td>{_svg_series(lag_series, color='#b45309')}</td>"
+            f'<td class="num {lag_class}">{lag:.6f}</td>'
+            f'<td class="num">{ae_lag:.6f}</td>'
+            f'<td class="num">{int(siblings)}</td>'
+            f'<td class="num">{int(frontier)}</td></tr>')
+    parts.append("</table>")
+    parts.append("<h3>worst keys</h3>")
+    parts.append("<table><tr><th>key</th>"
+                 "<th class=num>violations</th>"
+                 "<th class=num>max siblings</th>"
+                 "<th class=num>staleness spread s</th></tr>")
+    for entry in summary["worst_keys"]:
+        parts.append(
+            f"<tr><td>{html.escape(entry['key'])}</td>"
+            f'<td class="num">{entry["violations"]}</td>'
+            f'<td class="num">{entry["max_siblings"]}</td>'
+            f'<td class="num">'
+            f'{entry["staleness_spread_seconds"]:.6f}</td></tr>')
+    parts.append("</table>")
+    return parts
 
 
 def write_consistency_html_report(path: str,

@@ -8,11 +8,11 @@ importing either client library:
 
 * :func:`to_prometheus` — the text exposition format (``# HELP`` /
   ``# TYPE`` comments, ``_total`` counters, summary quantiles), one
-  sample line per instrument, monitor gauges labeled by site.
+  sample line per instrument, observer gauges labeled by site.
 * :func:`to_otlp` — a JSON document shaped like an OTLP export request:
   ``resourceSpans`` rebuilt from the tracer's ``span_start``/``span_end``
   pairs (reliability and invariant events nested as span events) and
-  ``resourceMetrics`` covering the registry plus the monitor's full
+  ``resourceMetrics`` covering the registry plus each observer's full
   time-series rings (one gauge data point per sample, attributed by
   site).  Valid against :data:`repro.obs.otlp_schema.OTLP_SCHEMA`.
 
@@ -23,13 +23,13 @@ never, changes no measurement.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import trace as obs
-from repro.obs.consistency import (CONSISTENCY_GAUGE_NAMES,
-                                   ConsistencyMonitor)
+from repro.obs.consistency import ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.monitor import GAUGE_NAMES, ClusterMonitor
+from repro.obs.monitor import ClusterMonitor
+from repro.obs.observer import Observer
 from repro.obs.trace import Tracer
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -64,6 +64,14 @@ def _prom_value(value: float) -> str:
     return repr(value)
 
 
+#: One exposition family: (name, type, help text, sample lines).
+Family = Tuple[str, str, str, List[str]]
+
+#: An observer namespace -> the help text of its gauge families.
+_GAUGE_HELP = {"monitor": "cluster health gauge",
+               "consistency": "store consistency gauge"}
+
+
 def to_prometheus(metrics: Optional[MetricsRegistry] = None,
                   monitor: Optional[ClusterMonitor] = None, *,
                   consistency: Optional[ConsistencyMonitor] = None,
@@ -77,94 +85,108 @@ def to_prometheus(metrics: Optional[MetricsRegistry] = None,
     site's latest sample, plus violation and pressure counters.  A
     consistency monitor contributes its divergence gauge families the
     same way, the w_k/w_all visibility summaries, and the
-    session-guarantee violation counters.
+    session-guarantee violation counters.  Each family is written once:
+    an observer's own family wins over a same-named registry counter.
     """
+    observed: List[Family] = []
+    if monitor is not None:
+        observed += _monitor_families(monitor, prefix)
+    if consistency is not None:
+        observed += _consistency_families(consistency, prefix)
+    owned = {name for name, _, _, _ in observed}
+    families = [family for family in _registry_families(metrics, prefix)
+                if family[0] not in owned] + observed
     lines: List[str] = []
-
-    def family(name: str, kind: str, help_text: str) -> None:
+    for name, kind, help_text, samples in families:
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {kind}")
+        lines += samples
+    return "\n".join(lines) + "\n" if lines else ""
 
-    if metrics is not None:
-        snapshot = metrics.snapshot()
-        for name, value in snapshot["counters"].items():
-            prom = _prom_name(name, prefix) + "_total"
-            family(prom, "counter", f"repro counter {name}")
-            lines.append(f"{prom} {_prom_value(float(value))}")
-        for name, value in snapshot["gauges"].items():
+
+def _summary_samples(prom: str, summary: Dict[str, float]) -> List[str]:
+    samples = [f'{prom}{{quantile="{_quantile_label(quantile)}"}} '
+               f'{_prom_value(float(summary[quantile]))}'
+               for quantile in _SUMMARY_QUANTILES]
+    samples.append(f"{prom}_sum {_prom_value(float(summary['total']))}")
+    samples.append(f"{prom}_count {int(summary['count'])}")
+    return samples
+
+
+def _registry_families(metrics: Optional[MetricsRegistry],
+                       prefix: str) -> Iterator[Family]:
+    if metrics is None:
+        return
+    snapshot = metrics.snapshot()
+    for name, value in snapshot["counters"].items():
+        prom = _prom_name(name, prefix) + "_total"
+        yield (prom, "counter", f"repro counter {name}",
+               [f"{prom} {_prom_value(float(value))}"])
+    for name, value in snapshot["gauges"].items():
+        if value is None:
+            continue
+        prom = _prom_name(name, prefix)
+        yield (prom, "gauge", f"repro gauge {name}",
+               [f"{prom} {_prom_value(float(value))}"])
+    for name, summary in snapshot["histograms"].items():
+        prom = _prom_name(name, prefix)
+        yield (prom, "summary", f"repro histogram {name}",
+               _summary_samples(prom, summary))
+
+
+def _gauge_families(observer: Observer, prefix: str) -> Iterator[Family]:
+    """One gauge family per observer gauge: each site's latest sample."""
+    help_text = _GAUGE_HELP[observer.NAMESPACE]
+    for gauge_name in observer.GAUGES:
+        prom = f"{prefix}_{observer.NAMESPACE}_{gauge_name}"
+        samples = []
+        for site in observer.sites:
+            value = observer.latest(site, gauge_name)
             if value is None:
                 continue
-            prom = _prom_name(name, prefix)
-            family(prom, "gauge", f"repro gauge {name}")
-            lines.append(f"{prom} {_prom_value(float(value))}")
-        for name, summary in snapshot["histograms"].items():
-            prom = _prom_name(name, prefix)
-            family(prom, "summary", f"repro histogram {name}")
-            for quantile in _SUMMARY_QUANTILES:
-                lines.append(
-                    f'{prom}{{quantile="{_quantile_label(quantile)}"}} '
-                    f'{_prom_value(float(summary[quantile]))}')
-            lines.append(f"{prom}_sum {_prom_value(float(summary['total']))}")
-            lines.append(f"{prom}_count {int(summary['count'])}")
-    if monitor is not None:
-        for gauge_name in GAUGE_NAMES:
-            prom = f"{prefix}_monitor_{gauge_name}"
-            family(prom, "gauge", f"cluster health gauge {gauge_name}")
-            for site in monitor.sites:
-                value = monitor.latest(site, gauge_name)
-                if value is None:
-                    continue
-                label = _LABEL_RE.sub("_", site)
-                lines.append(f'{prom}{{site="{label}"}} '
-                             f'{_prom_value(value)}')
-        prom = f"{prefix}_monitor_invariant_violations_total"
-        family(prom, "counter", "inline invariant checker failures")
-        lines.append(f"{prom} {monitor.violation_count}")
-        prom = f"{prefix}_monitor_samples_total"
-        family(prom, "counter", "health samples taken")
-        lines.append(f"{prom} {monitor.samples}")
-        prom = f"{prefix}_monitor_pressure_events_total"
-        family(prom, "counter",
-               "ARQ reliability events (retries, timeouts, aborts, resumes)")
-        for site in monitor.sites:
             label = _LABEL_RE.sub("_", site)
-            for event_kind, count in sorted(monitor.pressure(site).items()):
-                lines.append(
-                    f'{prom}{{site="{label}",kind="{event_kind}"}} {count}')
-    if consistency is not None:
-        for gauge_name in CONSISTENCY_GAUGE_NAMES:
-            prom = f"{prefix}_consistency_{gauge_name}"
-            family(prom, "gauge", f"store consistency gauge {gauge_name}")
-            for site in consistency.sites:
-                value = consistency.latest(site, gauge_name)
-                if value is None:
-                    continue
-                label = _LABEL_RE.sub("_", site)
-                lines.append(f'{prom}{{site="{label}"}} '
-                             f'{_prom_value(value)}')
-        for hist_name, histogram, help_text in (
-                ("visibility_wk_seconds", consistency.w_k,
-                 "write visibility latency at k replicas"),
-                ("visibility_wall_seconds", consistency.w_all,
-                 "write visibility latency at all sites")):
-            prom = f"{prefix}_consistency_{hist_name}"
-            family(prom, "summary", help_text)
-            summary = histogram.summary()
-            for quantile in _SUMMARY_QUANTILES:
-                lines.append(
-                    f'{prom}{{quantile="{_quantile_label(quantile)}"}} '
-                    f'{_prom_value(float(summary[quantile]))}')
-            lines.append(f"{prom}_sum {_prom_value(float(summary['total']))}")
-            lines.append(f"{prom}_count {int(summary['count'])}")
-        prom = f"{prefix}_consistency_violations_total"
-        family(prom, "counter", "session-guarantee audit violations")
-        lines.append(f"{prom} {consistency.violation_count}")
-        for check, count in sorted(consistency.audit_counts().items()):
-            lines.append(f'{prom}{{check="{check}"}} {count}')
-        prom = f"{prefix}_consistency_samples_total"
-        family(prom, "counter", "consistency samples taken")
-        lines.append(f"{prom} {consistency.samples}")
-    return "\n".join(lines) + "\n" if lines else ""
+            samples.append(f'{prom}{{site="{label}"}} {_prom_value(value)}')
+        yield (prom, "gauge", f"{help_text} {gauge_name}", samples)
+
+
+def _monitor_families(monitor: ClusterMonitor,
+                      prefix: str) -> Iterator[Family]:
+    yield from _gauge_families(monitor, prefix)
+    prom = f"{prefix}_monitor_invariant_violations_total"
+    yield (prom, "counter", "inline invariant checker failures",
+           [f"{prom} {monitor.violation_count}"])
+    prom = f"{prefix}_monitor_samples_total"
+    yield (prom, "counter", "health samples taken",
+           [f"{prom} {monitor.samples}"])
+    prom = f"{prefix}_monitor_pressure_events_total"
+    yield (prom, "counter",
+           "ARQ reliability events (retries, timeouts, aborts, resumes)",
+           [f'{prom}{{site="{_LABEL_RE.sub("_", site)}",'
+            f'kind="{event_kind}"}} {count}'
+            for site in monitor.sites
+            for event_kind, count in sorted(monitor.pressure(site).items())])
+
+
+def _consistency_families(consistency: ConsistencyMonitor,
+                          prefix: str) -> Iterator[Family]:
+    yield from _gauge_families(consistency, prefix)
+    for hist_name, histogram, help_text in (
+            ("visibility_wk_seconds", consistency.w_k,
+             "write visibility latency at k replicas"),
+            ("visibility_wall_seconds", consistency.w_all,
+             "write visibility latency at all sites")):
+        prom = f"{prefix}_consistency_{hist_name}"
+        yield (prom, "summary", help_text,
+               _summary_samples(prom, histogram.summary()))
+    prom = f"{prefix}_consistency_violations_total"
+    yield (prom, "counter", "session-guarantee audit violations",
+           [f"{prom} {consistency.violation_count}"]
+           + [f'{prom}{{check="{check}"}} {count}'
+              for check, count in sorted(
+                  consistency.audit_counts().items())])
+    prom = f"{prefix}_consistency_samples_total"
+    yield (prom, "counter", "consistency samples taken",
+           [f"{prom} {consistency.samples}"])
 
 
 # -- OTLP-style JSON ---------------------------------------------------------------
@@ -221,8 +243,9 @@ def _build_spans(tracer: Tracer) -> List[Dict[str, Any]]:
     return [spans[span_id] for span_id in sorted(spans)]
 
 
-def _summary_point(summary: Dict[str, float]) -> Dict[str, Any]:
-    return {
+def _summary_entry(name: str, summary: Dict[str, float]) -> Dict[str, Any]:
+    """A summary metric with one data point."""
+    return {"name": name, "summary": {"dataPoints": [{
         "count": str(int(summary["count"])),
         "sum": float(summary["total"]),
         "timeUnixNano": "0",
@@ -233,7 +256,39 @@ def _summary_point(summary: Dict[str, float]) -> Dict[str, Any]:
             {"quantile": 0.99, "value": float(summary["p99"])},
             {"quantile": 0.999, "value": float(summary["p999"])},
         ],
+    }]}}
+
+
+def _sum_entry(name: str, value: int) -> Dict[str, Any]:
+    """A cumulative monotonic counter with one data point."""
+    return {
+        "name": name,
+        "sum": {
+            "aggregationTemporality": 2,  # CUMULATIVE
+            "isMonotonic": True,
+            "dataPoints": [{"asInt": str(value), "timeUnixNano": "0"}],
+        },
     }
+
+
+def _gauge_entries(observer: Observer,
+                   prefix: str) -> Iterator[Dict[str, Any]]:
+    """One gauge metric per observer gauge: every ring sample of every
+    site, attributed by site."""
+    for gauge_name in observer.GAUGES:
+        points: List[Dict[str, Any]] = []
+        for site in observer.sites:
+            site_attrs = _attrs({"site": site})
+            for time, value in observer.series(site, gauge_name):
+                points.append({
+                    "asDouble": float(value),
+                    "timeUnixNano": str(_nanos(time)),
+                    "attributes": site_attrs,
+                })
+        yield {
+            "name": f"{prefix}.{observer.NAMESPACE}.{gauge_name}",
+            "gauge": {"dataPoints": points},
+        }
 
 
 def _metric_entries(metrics: Optional[MetricsRegistry],
@@ -244,15 +299,7 @@ def _metric_entries(metrics: Optional[MetricsRegistry],
     if metrics is not None:
         snapshot = metrics.snapshot()
         for name, value in snapshot["counters"].items():
-            entries.append({
-                "name": f"{prefix}.{name}",
-                "sum": {
-                    "aggregationTemporality": 2,  # CUMULATIVE
-                    "isMonotonic": True,
-                    "dataPoints": [{"asInt": str(value),
-                                    "timeUnixNano": "0"}],
-                },
-            })
+            entries.append(_sum_entry(f"{prefix}.{name}", value))
         for name, value in snapshot["gauges"].items():
             if value is None:
                 continue
@@ -262,67 +309,20 @@ def _metric_entries(metrics: Optional[MetricsRegistry],
                                           "timeUnixNano": "0"}]},
             })
         for name, summary in snapshot["histograms"].items():
-            entries.append({
-                "name": f"{prefix}.{name}",
-                "summary": {"dataPoints": [_summary_point(summary)]},
-            })
+            entries.append(_summary_entry(f"{prefix}.{name}", summary))
     if monitor is not None:
-        for gauge_name in GAUGE_NAMES:
-            points: List[Dict[str, Any]] = []
-            for site in monitor.sites:
-                site_attrs = _attrs({"site": site})
-                for time, value in monitor.series(site, gauge_name):
-                    points.append({
-                        "asDouble": float(value),
-                        "timeUnixNano": str(_nanos(time)),
-                        "attributes": site_attrs,
-                    })
-            entries.append({
-                "name": f"{prefix}.monitor.{gauge_name}",
-                "gauge": {"dataPoints": points},
-            })
-        entries.append({
-            "name": f"{prefix}.monitor.invariant_violations",
-            "sum": {
-                "aggregationTemporality": 2,
-                "isMonotonic": True,
-                "dataPoints": [{"asInt": str(monitor.violation_count),
-                                "timeUnixNano": "0"}],
-            },
-        })
+        entries += _gauge_entries(monitor, prefix)
+        entries.append(_sum_entry(f"{prefix}.monitor.invariant_violations",
+                                  monitor.violation_count))
     if consistency is not None:
-        for gauge_name in CONSISTENCY_GAUGE_NAMES:
-            points: List[Dict[str, Any]] = []
-            for site in consistency.sites:
-                site_attrs = _attrs({"site": site})
-                for time, value in consistency.series(site, gauge_name):
-                    points.append({
-                        "asDouble": float(value),
-                        "timeUnixNano": str(_nanos(time)),
-                        "attributes": site_attrs,
-                    })
-            entries.append({
-                "name": f"{prefix}.consistency.{gauge_name}",
-                "gauge": {"dataPoints": points},
-            })
+        entries += _gauge_entries(consistency, prefix)
         for hist_name, histogram in (
                 ("visibility_wk_seconds", consistency.w_k),
                 ("visibility_wall_seconds", consistency.w_all)):
-            entries.append({
-                "name": f"{prefix}.consistency.{hist_name}",
-                "summary": {
-                    "dataPoints": [_summary_point(histogram.summary())]},
-            })
-        entries.append({
-            "name": f"{prefix}.consistency.violations",
-            "sum": {
-                "aggregationTemporality": 2,
-                "isMonotonic": True,
-                "dataPoints": [
-                    {"asInt": str(consistency.violation_count),
-                     "timeUnixNano": "0"}],
-            },
-        })
+            entries.append(_summary_entry(
+                f"{prefix}.consistency.{hist_name}", histogram.summary()))
+        entries.append(_sum_entry(f"{prefix}.consistency.violations",
+                                  consistency.violation_count))
     return entries
 
 

@@ -17,7 +17,8 @@ cadence into time-series ring buffers:
 * **convergence score** — the scalar ``known / frontier`` in ``[0, 1]``;
   1.0 means the site holds every update any site has seen.
 
-The monitor is an *observer*: it subscribes to the runner's
+The monitor is one gauge set over the shared
+:class:`~repro.obs.observer.Observer` core: it subscribes to the runner's
 :class:`~repro.obs.trace.Tracer` event stream (owning a private tracer when
 the runner has none), reads the runner's vectors in place, and never
 mutates them — a run with ``monitor=None`` (the default) executes
@@ -52,14 +53,17 @@ and the run continues.
 from __future__ import annotations
 
 import random
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import InvariantViolationError, ValidationError
 from repro.obs import trace as obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.observer import (InvariantViolation, Observer,
+                                ObserverConfig, RingBuffer)
+from repro.obs.trace import TraceEvent
+
+__all__ = ["GAUGE_NAMES", "ClusterMonitor", "InvariantViolation",
+           "MonitorConfig", "RingBuffer"]
 
 #: The per-site gauges every sample records, in documentation order.
 GAUGE_NAMES = ("frontier_distance", "delta_backlog", "conflict_density",
@@ -67,19 +71,13 @@ GAUGE_NAMES = ("frontier_distance", "delta_backlog", "conflict_density",
 
 
 @dataclass(frozen=True)
-class MonitorConfig:
+class MonitorConfig(ObserverConfig):
     """Knobs of one :class:`ClusterMonitor`.
 
+    ``cadence``, ``ring_capacity`` and ``strict`` are the shared
+    :class:`~repro.obs.observer.ObserverConfig` fields.
+
     Attributes:
-        cadence: simulated seconds between health samples (> 0).  Samples
-            are taken lazily as observed events move the clock past each
-            cadence boundary, so monitoring never schedules simulator
-            events of its own and cannot perturb the run's drain order.
-        ring_capacity: samples kept per (site, gauge) series; older
-            samples fall off the ring.
-        strict: fail fast — raise
-            :class:`~repro.errors.InvariantViolationError` on the first
-            violation instead of counting it.
         spot_check_period: run the COMPARE-vs-oracle spot check on every
             ``spot_check_period``-th session (0 disables it).
         spot_check_seed: seed of the spot checker's private object draw.
@@ -89,69 +87,17 @@ class MonitorConfig:
             oracle (automatically skipped when ``fanout > 1``).
     """
 
-    cadence: float = 0.25
-    ring_capacity: int = 1024
-    strict: bool = False
     spot_check_period: int = 5
     spot_check_seed: int = 0
     check_accounting: bool = True
     check_ancestor_closure: bool = True
 
     def __post_init__(self) -> None:
-        if not self.cadence > 0:
-            raise ValidationError(f"cadence must be > 0, "
-                                  f"got {self.cadence}")
-        if self.ring_capacity < 1:
-            raise ValueError(f"ring_capacity must be >= 1, "
-                             f"got {self.ring_capacity}")
-        if self.spot_check_period < 0:
-            raise ValueError(f"spot_check_period must be >= 0, "
-                             f"got {self.spot_check_period}")
+        super().__post_init__()
+        self._at_least("spot_check_period", 0)
 
 
-class RingBuffer:
-    """A fixed-capacity append-only series; oldest entries fall off."""
-
-    __slots__ = ("capacity", "_items", "dropped")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._items: Deque[Tuple[float, float]] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def append(self, time: float, value: float) -> None:
-        """Push one ``(time, value)`` sample, evicting the oldest if full."""
-        if len(self._items) == self.capacity:
-            self.dropped += 1
-        self._items.append((time, value))
-
-    def items(self) -> List[Tuple[float, float]]:
-        """``(time, value)`` pairs, oldest first."""
-        return list(self._items)
-
-    def values(self) -> List[float]:
-        """The sample values alone, oldest first."""
-        return [value for _, value in self._items]
-
-    def latest(self) -> Optional[float]:
-        """The most recent sample value (None when empty)."""
-        return self._items[-1][1] if self._items else None
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-@dataclass
-class InvariantViolation:
-    """Structured evidence of one failed inline check."""
-
-    check: str
-    message: str
-    time: Optional[float] = None
-    fields: Dict[str, Any] = field(default_factory=dict)
-
-
-class ClusterMonitor:
+class ClusterMonitor(Observer):
     """Live health gauges + inline invariant checkers for one cluster run.
 
     One-shot like the runner it watches::
@@ -161,85 +107,48 @@ class ClusterMonitor:
         result = runner.run(sessions, updates)
         print(render_dashboard(monitor))          # repro.obs.dashboard
 
-    The runner calls :meth:`attach` when its run starts, the per-event
-    hooks while it executes, and :meth:`finalize` when its simulator
-    drains; user code only reads the series afterwards (or live, from
-    another tracer subscriber).
+    User code only reads the series afterwards (or live, from another
+    tracer subscriber).
     """
+
+    GAUGES = GAUGE_NAMES
+    NAMESPACE = "monitor"
+    VIOLATION_KIND = obs.INVARIANT_VIOLATION
+    VIOLATIONS = "invariant_violations"
+    VIOLATED = "invariant"
 
     def __init__(self, config: MonitorConfig = MonitorConfig(), *,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.config = config
-        self.metrics = metrics
-        #: The monitor's private tracer; a runner constructed without a
-        #: tracer adopts it so reliability events exist to observe.
-        self.tracer = Tracer()
-        self.violations: List[InvariantViolation] = []
-        self.samples = 0
-        self.sites: List[str] = []
-        self._runner: Any = None
-        self._series: Dict[str, Dict[str, RingBuffer]] = {}
+        super().__init__(config, metrics=metrics)
         self._pressure: Dict[str, Dict[str, int]] = {}
         self._session_snapshots: Dict[int, Tuple[List[Dict[str, int]],
                                                  List[Dict[str, int]]]] = {}
         self._session_bits = 0
         self._session_retransmitted = 0
         self._sessions_checked = 0
-        self._next_sample: Optional[float] = None
-        self._subscribed: Optional[Tracer] = None
         self._spot_rng = random.Random(config.spot_check_seed)
-        self._finalized = False
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def attach(self, runner: Any) -> None:
-        """Bind to a :class:`~repro.net.cluster.ClusterRunner` starting up.
-
-        Called by the runner itself at the top of ``run()``; subscribes to
-        its tracer, initializes every site's series, and takes the t=0
-        sample.
-        """
-        if self._runner is not None:
-            raise InvariantViolationError(
-                "ClusterMonitor instances are one-shot; attach a fresh one "
-                "per run")
-        self._runner = runner
-        self.sites = list(runner.sites)
+    def _bind(self) -> None:
         for site in self.sites:
-            self._series[site] = {name: RingBuffer(self.config.ring_capacity)
-                                  for name in GAUGE_NAMES}
             self._pressure[site] = {"retries": 0, "timeouts": 0,
                                     "aborts": 0, "resumes": 0}
-        tracer = runner.tracer
-        if tracer is not None:
-            tracer.subscribe(self._on_trace_event)
-            self._subscribed = tracer
-        self._next_sample = self.config.cadence
-        self._sample(0.0)
 
-    def finalize(self) -> None:
-        """Take the final sample, run cluster-level checks, unsubscribe."""
-        if self._runner is None or self._finalized:
+    def _final_checks(self, now: float) -> None:
+        """The cluster totals must equal the sum of per-session stats."""
+        if not self.config.check_accounting:
             return
-        self._finalized = True
-        now = self._now()
-        self._sample(now)
-        if self.config.check_accounting:
-            totals = self._runner._totals
-            if (totals.total_bits != self._session_bits
-                    or totals.total_retransmitted_bits
-                    != self._session_retransmitted):
-                self._violate(
-                    "accounting", now,
-                    f"cluster totals disagree with the sum of sessions: "
-                    f"totals {totals.total_bits}b/"
-                    f"{totals.total_retransmitted_bits}b retransmitted vs "
-                    f"summed {self._session_bits}b/"
-                    f"{self._session_retransmitted}b",
-                    level="cluster")
-        if self._subscribed is not None:
-            self._subscribed.unsubscribe(self._on_trace_event)
-            self._subscribed = None
+        totals = self._owner._totals
+        if (totals.total_bits != self._session_bits
+                or totals.total_retransmitted_bits
+                != self._session_retransmitted):
+            self._violate(
+                "accounting", now,
+                f"cluster totals disagree with the sum of sessions: "
+                f"totals {totals.total_bits}b/"
+                f"{totals.total_retransmitted_bits}b retransmitted vs "
+                f"summed {self._session_bits}b/"
+                f"{self._session_retransmitted}b",
+                level="cluster")
 
     # -- runner hooks ------------------------------------------------------------
 
@@ -247,7 +156,7 @@ class ClusterMonitor:
         """A session is about to launch; snapshot endpoints for the oracle."""
         now = self._now()
         self._maybe_sample(now)
-        runner = self._runner
+        runner = self._owner
         fanout_one = runner.config.fanout == 1
         if self.config.check_ancestor_closure and fanout_one:
             objs = self._session_objs(record)
@@ -297,40 +206,25 @@ class ClusterMonitor:
             elif (kind == obs.CONTROL
                     and event.fields.get("signal") == "session_resume"):
                 self._pressure[party]["resumes"] += 1
-        if event.time is not None and kind != obs.INVARIANT_VIOLATION:
-            self._maybe_sample(event.time)
+        super()._on_trace_event(event)
 
-    # -- sampling ----------------------------------------------------------------
-
-    def _now(self) -> float:
-        sim = getattr(self._runner, "_sim", None)
-        return sim.now if sim is not None else 0.0
+    # -- the gauge walk ----------------------------------------------------------
 
     def _session_objs(self, record: Any) -> Tuple[int, ...]:
         """The object ids one session synchronizes (all, when unsharded)."""
         objs = getattr(record, "objects", None)
         if objs:
             return tuple(objs)
-        return tuple(range(self._runner.config.n_objects))
+        return tuple(range(self._owner.config.n_objects))
 
     def _hosted(self, site: str) -> Tuple[int, ...]:
         """The object ids one site replicates (all, when unsharded)."""
-        hosted = getattr(self._runner, "hosted_objects", None)
+        hosted = getattr(self._owner, "hosted_objects", None)
         if hosted is not None:
             return hosted(site)
-        return tuple(range(self._runner.config.n_objects))
+        return tuple(range(self._owner.config.n_objects))
 
-    def _maybe_sample(self, now: float) -> None:
-        if self._next_sample is None or now < self._next_sample:
-            return
-        self._sample(now)
-        cadence = self.config.cadence
-        # Skip boundaries the clock already jumped over: the next sample
-        # is due one cadence past *now*, not past the missed boundary.
-        periods = int((now - self._next_sample) / cadence) + 1
-        self._next_sample += periods * cadence
-
-    def _sample(self, now: float) -> None:
+    def _walk(self, now: float) -> None:
         """Record one health sample for every site at simulated ``now``.
 
         The frontier for an object is the element-wise max over the sites
@@ -339,7 +233,7 @@ class ClusterMonitor:
         hosted objects only — a site cannot be behind on objects it does
         not replicate.
         """
-        runner = self._runner
+        runner = self._owner
         n_objects = runner.config.n_objects
         sharded = getattr(runner, "shards", None) is not None
         # The global frontier: per object, the element-wise max over its
@@ -390,42 +284,12 @@ class ClusterMonitor:
                              if sharded else frontier_total)
             score = (1.0 if site_frontier == 0
                      else (site_frontier - backlog) / site_frontier)
-            series = self._series[site]
-            series["frontier_distance"].append(now, float(distance))
-            series["delta_backlog"].append(now, float(backlog))
-            series["conflict_density"].append(
-                now, conflicted / elements if elements else 0.0)
-            series["segment_count"].append(now, float(segments))
-            series["pressure"].append(now, float(pressure_total))
-            series["convergence_score"].append(now, score)
-            if self.metrics is not None:
-                for name in GAUGE_NAMES:
-                    self.metrics.gauge(
-                        f"monitor.{site}.{name}").set(
-                            series[name].latest())
-        self.samples += 1
-        if self.metrics is not None:
-            self.metrics.counter("monitor.samples").inc()
+            self._record(site, now, (
+                float(distance), float(backlog),
+                conflicted / elements if elements else 0.0,
+                float(segments), float(pressure_total), score))
 
     # -- invariant checkers ------------------------------------------------------
-
-    def _violate(self, check: str, now: float, message: str,
-                 **fields: Any) -> None:
-        violation = InvariantViolation(check=check, message=message,
-                                       time=now, fields=dict(fields))
-        self.violations.append(violation)
-        tracer = self._runner.tracer if self._runner is not None else None
-        if tracer is None:
-            tracer = self.tracer
-        tracer.event(obs.INVARIANT_VIOLATION, time=now, check=check,
-                     message=message, **fields)
-        if self.metrics is not None:
-            self.metrics.counter("monitor.invariant_violations").inc()
-            self.metrics.counter(
-                f"monitor.invariant_violations.{check}").inc()
-        if self.config.strict:
-            raise InvariantViolationError(
-                f"invariant {check!r} violated at t={now:.6f}: {message}")
 
     def _check_accounting(self, record: Any, stats: Any, now: float) -> None:
         """``retransmitted == total − goodput`` at every session level."""
@@ -473,7 +337,7 @@ class ClusterMonitor:
         committed; anything else means phantom updates appeared.
         """
         src_snap, dst_snap = snapshot
-        runner = self._runner
+        runner = self._owner
         for obj, src_state, dst_state in zip(self._session_objs(record),
                                              src_snap, dst_snap):
             expected = dict(dst_state)
@@ -492,7 +356,7 @@ class ClusterMonitor:
 
     def _spot_check(self, record: Any, now: float) -> None:
         """Algorithm 1's O(1) verdict vs the element-wise oracle."""
-        runner = self._runner
+        runner = self._owner
         objs = self._session_objs(record)
         obj = objs[self._spot_rng.randrange(len(objs))]
         dst_vector = runner.objects[record.dst][obj]
@@ -511,18 +375,6 @@ class ClusterMonitor:
                 compare=fast.name, oracle=oracle.name)
 
     # -- read API ----------------------------------------------------------------
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
-    def series(self, site: str, name: str) -> List[Tuple[float, float]]:
-        """One site's ``(time, value)`` series for gauge ``name``."""
-        return self._series[site][name].items()
-
-    def latest(self, site: str, name: str) -> Optional[float]:
-        """The most recent sample of one site's gauge (None before any)."""
-        return self._series[site][name].latest()
 
     def pressure(self, site: str) -> Dict[str, int]:
         """Cumulative retry/timeout/abort/resume counts for ``site``."""
@@ -548,33 +400,20 @@ class ClusterMonitor:
         """
         final_scores = {site: self.latest(site, "convergence_score")
                         for site in self.sites}
-        known = [score for score in final_scores.values()
-                 if score is not None]
         summary: Dict[str, Any] = {
             "samples": self.samples,
             "sites": len(self.sites),
             "invariant_violations": self.violation_count,
             "sessions_checked": self._sessions_checked,
             "final_scores": final_scores,
-            "min_final_score": min(known) if known else 1.0,
-            "mean_final_score": (sum(known) / len(known)
-                                 if known else 1.0),
+            **_score_rollup([score for score in final_scores.values()
+                             if score is not None]),
         }
-        topology = getattr(self._runner, "topology", None)
+        topology = getattr(self._owner, "topology", None)
         if topology is not None:
-            per_region: Dict[str, Any] = {}
-            for region in topology.regions:
-                scores = [final_scores[site]
-                          for site in topology.region_sites(region.name)
-                          if final_scores.get(site) is not None]
-                per_region[region.name] = {
-                    "sites": region.sites,
-                    "min_final_score": min(scores) if scores else 1.0,
-                    "mean_final_score": (sum(scores) / len(scores)
-                                         if scores else 1.0),
-                }
-            summary["per_region"] = per_region
-        shards = getattr(self._runner, "shards", None)
+            summary["per_region"] = self._per_region(
+                topology, final_scores, _score_rollup)
+        shards = getattr(self._owner, "shards", None)
         if shards is not None:
             summary["shards"] = {
                 "groups": len(shards.groups()),
@@ -582,3 +421,10 @@ class ClusterMonitor:
                 "load": shards.load_summary(),
             }
         return summary
+
+
+def _score_rollup(scores: List[float]) -> Dict[str, float]:
+    """Min and mean of some final scores (1.0 for none: nothing lags)."""
+    return {"min_final_score": min(scores) if scores else 1.0,
+            "mean_final_score": (sum(scores) / len(scores)
+                                 if scores else 1.0)}

@@ -55,6 +55,7 @@ class TestConfigValidation:
         {"cadence": 0.0},
         {"cadence": -1.0},
         {"ring_capacity": 0},
+        {"ring_capacity": 2.5},
         {"visibility_k": 0},
         {"worst_keys": -1},
         {"cadence": float("nan")},

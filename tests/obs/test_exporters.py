@@ -3,6 +3,9 @@
 import json
 import pathlib
 
+import pytest
+
+from repro.errors import ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import ClusterConfig, ClusterRunner
 from repro.net.wire import Encoding
@@ -111,6 +114,46 @@ class TestPrometheus:
 
     def test_empty_export_is_empty(self):
         assert to_prometheus() == ""
+
+    @staticmethod
+    def _typed_names(text):
+        return [line.split()[2] for line in text.splitlines()
+                if line.startswith("# TYPE ")]
+
+    def test_monitor_sharing_a_registry_writes_each_family_once(self):
+        registry = MetricsRegistry()
+        monitor = ClusterMonitor(MonitorConfig(), metrics=registry)
+        runner = ClusterRunner(site_names(2), ClusterConfig(
+            protocol="srv", encoding=ENC,
+            channel=ChannelSpec(latency=0.01, bandwidth=1e6)),
+            monitor=monitor, metrics=registry)
+        runner.run(gossip_schedule(runner.sites, rounds=1, seed=1))
+        # Count one violation so the registry also holds the
+        # invariant-violation counter the monitor's family names.
+        monitor._violate("accounting", 0.0, "injected")
+        text = to_prometheus(registry, monitor)
+        names = self._typed_names(text)
+        assert len(names) == len(set(names))
+        # The observer's own families are the ones kept.
+        assert f"repro_monitor_samples_total {monitor.samples}\n" in text
+        assert "repro_monitor_invariant_violations_total 1\n" in text
+        assert "repro_monitor_spot_checks_total" in names
+
+    def test_consistency_sharing_a_registry_writes_each_family_once(self):
+        registry = MetricsRegistry()
+        monitor = ConsistencyMonitor(ConsistencyConfig(), metrics=registry)
+        run_store_workload(
+            StoreWorkloadConfig(n_sites=4, n_keys=4, n_clients=16, ops=600,
+                                op_interval=0.002, sync_period=0.2, seed=7),
+            metrics=registry, monitor=monitor)
+        assert monitor.violation_count > 0
+        text = to_prometheus(registry, consistency=monitor)
+        names = self._typed_names(text)
+        assert len(names) == len(set(names))
+        assert (f"repro_consistency_samples_total {monitor.samples}\n"
+                in text)
+        assert (f"repro_consistency_violations_total "
+                f"{monitor.violation_count}\n" in text)
 
 
 class TestOtlp:
@@ -235,6 +278,12 @@ class TestSparkline:
     def test_flat_positive_renders_high(self):
         line = sparkline([5.0, 5.0], width=2)
         assert set(line) <= {"█", "▇"}
+
+    @pytest.mark.parametrize("width", [0, -1])
+    @pytest.mark.parametrize("values", [[], [1.0, 2.0]])
+    def test_rejects_width_below_one(self, values, width):
+        with pytest.raises(ValidationError, match="width"):
+            sparkline(values, width=width)
 
 
 class TestDashboard:

@@ -69,6 +69,9 @@ class TestMonitorConfig:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="ring_capacity"):
             MonitorConfig(ring_capacity=0)
+        # A fractional capacity used to pass here and crash at attach.
+        with pytest.raises(ValidationError, match="ring_capacity"):
+            MonitorConfig(ring_capacity=2.5)
 
     def test_rejects_negative_spot_period(self):
         with pytest.raises(ValueError, match="spot_check_period"):
