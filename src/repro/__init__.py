@@ -26,24 +26,70 @@ See README.md for the architecture overview and DESIGN.md for the paper →
 module map.
 """
 
-from repro.core.conflict import ConflictRotatingVector
-from repro.core.order import Ordering
-from repro.core.rotating import BasicRotatingVector
-from repro.core.skip import SkipRotatingVector
-from repro.core.versionvector import VersionVector
-from repro.errors import (ConcurrentVectorsError, ConflictDetected,
-                          GraphError, ProtocolError, ReproError,
-                          SessionError, SimulationError, UnknownSiteError)
-from repro.graphs.causalgraph import CausalGraph, GraphNode, build_graph
-from repro.net.wire import DEFAULT_ENCODING, Encoding
-from repro.obs import MetricsRegistry, Tracer, render_timeline
-from repro.protocols.comparep import compare_remote, relationship
-from repro.protocols.fullsync import sync_full_graph, sync_full_vector
-from repro.protocols.session import SessionResult
-from repro.protocols.syncb import sync_brv
-from repro.protocols.syncc import sync_crv
-from repro.protocols.syncg import sync_graph
-from repro.protocols.syncs import sync_srv
+import importlib
+import sys
+from typing import Any, Callable, Dict, List, Tuple
+
+
+def _lazy_surface(package: str, exports: Dict[str, Tuple[str, ...]]
+                  ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """PEP 562 ``(__getattr__, __dir__)`` for a package's lazy surface.
+
+    ``exports`` maps a submodule path, relative to ``package``, to the
+    names the package re-exports from it.  The first access to a name
+    imports its submodule and caches the value in the package namespace,
+    so ``from repro.obs import Tracer`` loads ``repro.obs.trace`` and
+    nothing else.  Any other attribute is tried as a submodule
+    (``repro.net.codec``) before ``AttributeError``.
+    """
+    origin = {name: module
+              for module, names in exports.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> Any:
+        module = origin.get(name)
+        if module is not None:
+            value = getattr(
+                importlib.import_module(f"{package}.{module}"), name)
+            namespace[name] = value
+            return value
+        if not name.startswith("__"):
+            try:
+                return importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as error:
+                if error.name != f"{package}.{name}":
+                    raise
+        raise AttributeError(
+            f"module {package!r} has no attribute {name!r}")
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "core.conflict": ("ConflictRotatingVector",),
+    "core.order": ("Ordering",),
+    "core.rotating": ("BasicRotatingVector",),
+    "core.skip": ("SkipRotatingVector",),
+    "core.versionvector": ("VersionVector",),
+    "errors": ("ConcurrentVectorsError", "ConflictDetected", "GraphError",
+               "ProtocolError", "ReproError", "SessionError",
+               "SimulationError", "UnknownSiteError"),
+    "graphs.causalgraph": ("CausalGraph", "GraphNode", "build_graph"),
+    "net.wire": ("DEFAULT_ENCODING", "Encoding"),
+    "obs.export": ("render_timeline",),
+    "obs.metrics": ("MetricsRegistry",),
+    "obs.trace": ("Tracer",),
+    "protocols.comparep": ("compare_remote", "relationship"),
+    "protocols.fullsync": ("sync_full_graph", "sync_full_vector"),
+    "protocols.session": ("SessionResult",),
+    "protocols.syncb": ("sync_brv",),
+    "protocols.syncc": ("sync_crv",),
+    "protocols.syncg": ("sync_graph",),
+    "protocols.syncs": ("sync_srv",),
+})
 
 __version__ = "1.0.0"
 

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import importlib
 import sys
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.obs import Tracer, render_timeline, write_jsonl
+if TYPE_CHECKING:
+    from repro.obs.trace import Tracer
 
 #: Default seed of the randomized demos; ``--seed N`` overrides it.
 DEFAULT_SEED = 0
@@ -233,6 +234,9 @@ def _usage() -> None:
 def _run_traced(name: str, *, seed: Optional[int], jsonl: Optional[str],
                 kinds: Optional[list[str]] = None,
                 stats: bool = False) -> int:
+    from repro.obs.export import render_timeline, write_jsonl
+    from repro.obs.trace import Tracer
+
     tracer = Tracer()
     print(f"=== trace {name} ===")
     DEMOS[name](tracer=tracer, seed=seed)
@@ -254,7 +258,7 @@ def _trace_file(path: str, *, stats: bool,
                 kinds: Optional[list[str]] = None) -> int:
     """Summarize (or render) an existing JSONL trace without re-running."""
     from repro.obs.export import (events_from_jsonl, format_trace_stats,
-                                  trace_stats)
+                                  render_timeline, trace_stats)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             events = list(events_from_jsonl(handle))

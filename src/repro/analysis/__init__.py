@@ -1,12 +1,15 @@
 """Analytic bounds, notation extraction, aggregation, and report rendering."""
 
-from repro.analysis.bounds import (DeltaGamma, Table2Row, analyze_pair,
-                                   delta_of, lower_bound_bits,
-                                   notation_summary, table2_rows,
-                                   vector_storage_bits)
-from repro.analysis.metrics import (SchemeAggregate, Sweep, aggregate_outcomes,
-                                    aggregate_system)
-from repro.analysis.report import format_ratio, format_table, print_report
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "bounds": ("DeltaGamma", "Table2Row", "analyze_pair", "delta_of",
+               "lower_bound_bits", "notation_summary", "table2_rows",
+               "vector_storage_bits"),
+    "metrics": ("SchemeAggregate", "Sweep", "aggregate_outcomes",
+                "aggregate_system"),
+    "report": ("format_ratio", "format_table", "print_report"),
+})
 
 __all__ = [
     "DeltaGamma",

@@ -9,10 +9,13 @@ The *traditional* full-vector and full-graph transfer baselines live with
 the protocols in :mod:`repro.protocols.fullsync`.
 """
 
-from repro.baselines.hashhistory import (HASH_BITS, HashHistory,
-                                         exchange_hash_histories)
-from repro.baselines.predecessor import PredecessorSet
-from repro.baselines.singhal import SKMessage, SKProcess, run_sk_exchange
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "hashhistory": ("HASH_BITS", "HashHistory", "exchange_hash_histories"),
+    "predecessor": ("PredecessorSet",),
+    "singhal": ("SKMessage", "SKProcess", "run_sk_exchange"),
+})
 
 __all__ = [
     "HASH_BITS",

@@ -15,12 +15,16 @@ The wire protocols that synchronize these structures live in
 :mod:`repro.protocols`.
 """
 
-from repro.core.linkedorder import Element, ElementOrder
-from repro.core.order import Ordering
-from repro.core.versionvector import VersionVector
-from repro.core.rotating import BasicRotatingVector
-from repro.core.conflict import ConflictRotatingVector
-from repro.core.skip import SkipRotatingVector
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "conflict": ("ConflictRotatingVector",),
+    "linkedorder": ("Element", "ElementOrder"),
+    "order": ("Ordering",),
+    "rotating": ("BasicRotatingVector",),
+    "skip": ("SkipRotatingVector",),
+    "versionvector": ("VersionVector",),
+})
 
 __all__ = [
     "Element",

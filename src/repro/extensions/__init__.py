@@ -9,9 +9,13 @@ Hybrid transfer — bounded op logs with snapshot fallback (§6) — lives with
 the replication systems in :mod:`repro.replication.hybrid`.
 """
 
-from repro.extensions.pruning import (Retirement, RetirementLog, is_prunable,
-                                      live_elements, prune, prune_all)
-from repro.extensions.varint import AdaptiveEncoding, elias_gamma_bits
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "pruning": ("Retirement", "RetirementLog", "is_prunable", "live_elements",
+                "prune", "prune_all"),
+    "varint": ("AdaptiveEncoding", "elias_gamma_bits"),
+})
 
 __all__ = [
     "AdaptiveEncoding",

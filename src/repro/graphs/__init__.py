@@ -7,12 +7,15 @@
   segments, Π sets, and the analytic γ used by Theorem 5.1.
 """
 
-from repro.graphs.causalgraph import CausalGraph, GraphNode, build_graph
-from repro.graphs.crg import CoalescedGraph, CRGNode, coalesce
-from repro.graphs.render import (render_causal_graph, render_segments,
-                                 render_replication_graph,
-                                 vector_orders_table)
-from repro.graphs.replicationgraph import ReplicationGraph, VersionNode
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "causalgraph": ("CausalGraph", "GraphNode", "build_graph"),
+    "crg": ("CoalescedGraph", "CRGNode", "coalesce"),
+    "render": ("render_causal_graph", "render_segments",
+               "render_replication_graph", "vector_orders_table"),
+    "replicationgraph": ("ReplicationGraph", "VersionNode"),
+})
 
 __all__ = [
     "CRGNode",

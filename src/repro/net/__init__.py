@@ -18,15 +18,18 @@
   :class:`~repro.net.cluster.ClusterRunner`.
 """
 
-from repro.net.codec import (BitReader, BitWriter, Codec, NodeInterner,
-                             run_session_serialized)
-from repro.net.cluster import launch_cluster
-from repro.net.sharding import HashRing, ShardMap, build_shard_map
-from repro.net.stats import DirectionStats, TransferStats
-from repro.net.topology import (GossipSpec, LinkProfile, RegionLink,
-                                RegionSpec, TopologySpec, select_peer,
-                                uniform_peer_rounds)
-from repro.net.wire import DEFAULT_ENCODING, Encoding, bits_for
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "cluster": ("launch_cluster",),
+    "codec": ("BitReader", "BitWriter", "Codec", "NodeInterner",
+              "run_session_serialized"),
+    "sharding": ("HashRing", "ShardMap", "build_shard_map"),
+    "stats": ("DirectionStats", "TransferStats"),
+    "topology": ("GossipSpec", "LinkProfile", "RegionLink", "RegionSpec",
+                 "TopologySpec", "select_peer", "uniform_peer_rounds"),
+    "wire": ("DEFAULT_ENCODING", "Encoding", "bits_for"),
+})
 
 __all__ = [
     "BitReader",

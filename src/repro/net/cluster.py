@@ -77,7 +77,7 @@ def check_session_config(config: Any, **minimums: int) -> None:
     for name, minimum in dict(batch_size=1, proc_time=0, max_steps=1,
                               **minimums).items():
         value = getattr(config, name)
-        if value < minimum:
+        if not value >= minimum:
             raise ValidationError(
                 f"{name} must be >= {minimum}, got {value}")
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -209,8 +210,11 @@ class Simulator:
         matter how much longer we would have run.  Stopping *early*
         (first pending event past ``until``) skips the check — the
         remaining events may well wake the parked hosts.
-        Returns the final clock value.
+        Returns the final clock value; a NaN ``until`` bounds nothing and
+        raises :class:`SimulationError`, as :meth:`call_at` does.
         """
+        if until is not None and math.isnan(until):
+            raise SimulationError(f"cannot run until {until}")
         # The dispatch loop is the hottest code in every benchmark; it
         # aliases the queue (compaction rewrites it in place, so the
         # alias stays valid) and skips cancelled entries inline.  The

@@ -171,10 +171,10 @@ class LinkProfile:
     loss: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
+        if not self.latency >= 0:
             raise ValidationError(
                 f"link latency must be >= 0, got {self.latency}")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValidationError(
                 f"link bandwidth must be > 0, got {self.bandwidth}")
         if not 0.0 <= self.loss < 1.0:

@@ -38,7 +38,7 @@ def bits_for(count: int) -> int:
     integer arithmetic with no float rounding at power-of-two boundaries.
     """
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ValidationError(f"count must be >= 1, got {count}")
     return max(1, count.bit_length())
 
 

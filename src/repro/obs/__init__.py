@@ -39,21 +39,24 @@ per-session aggregates.  This package adds the per-event window:
   waterfall renderings of a causal analysis.
 """
 
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               observe_session)
-from repro.obs.trace import SamplingPolicy, Span, TraceEvent, Tracer
-from repro.obs.export import (events_from_jsonl, events_to_jsonl,
-                              render_timeline, trace_stats, write_jsonl)
-from repro.obs.causal import (Analysis, CausalGraph, analyze_events,
-                              analyze_tracer, validate_analysis)
-from repro.obs.waterfall import (render_waterfall, render_waterfall_html,
-                                 write_waterfall_html)
-from repro.obs.monitor import (ClusterMonitor, InvariantViolation,
-                               MonitorConfig)
-from repro.obs.exporters import to_otlp, to_prometheus
-from repro.obs.otlp_schema import OTLP_SCHEMA, validate_otlp
-from repro.obs.dashboard import (render_dashboard, render_html_report,
-                                 sparkline, write_html_report)
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "causal": ("Analysis", "CausalGraph", "analyze_events", "analyze_tracer",
+               "validate_analysis"),
+    "dashboard": ("render_dashboard", "render_html_report", "sparkline",
+                  "write_html_report"),
+    "export": ("events_from_jsonl", "events_to_jsonl", "render_timeline",
+               "trace_stats", "write_jsonl"),
+    "exporters": ("to_otlp", "to_prometheus"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                "observe_session"),
+    "monitor": ("ClusterMonitor", "InvariantViolation", "MonitorConfig"),
+    "otlp_schema": ("OTLP_SCHEMA", "validate_otlp"),
+    "trace": ("SamplingPolicy", "Span", "TraceEvent", "Tracer"),
+    "waterfall": ("render_waterfall", "render_waterfall_html",
+                  "write_waterfall_html"),
+})
 
 __all__ = [
     "Analysis",

@@ -12,14 +12,17 @@ under the deterministic instant driver:
 * :mod:`~repro.protocols.fullsync` — the traditional full-transfer baselines.
 """
 
-from repro.protocols.comparep import compare_remote, relationship
-from repro.protocols.fullsync import sync_full_graph, sync_full_vector
-from repro.protocols.session import (SessionResult, run_session,
-                                     run_session_randomized)
-from repro.protocols.syncb import sync_brv, syncb_receiver, syncb_sender
-from repro.protocols.syncc import sync_crv, syncc_receiver, syncc_sender
-from repro.protocols.syncg import sync_graph, syncg_receiver, syncg_sender
-from repro.protocols.syncs import sync_srv, syncs_receiver, syncs_sender
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "comparep": ("compare_remote", "relationship"),
+    "fullsync": ("sync_full_graph", "sync_full_vector"),
+    "session": ("SessionResult", "run_session", "run_session_randomized"),
+    "syncb": ("sync_brv", "syncb_receiver", "syncb_sender"),
+    "syncc": ("sync_crv", "syncc_receiver", "syncc_sender"),
+    "syncg": ("sync_graph", "syncg_receiver", "syncg_sender"),
+    "syncs": ("sync_srv", "syncs_receiver", "syncs_sender"),
+})
 
 __all__ = [
     "SessionResult",

@@ -10,24 +10,24 @@
   manager that fixes wire field widths.
 """
 
-from repro.replication.antientropy import (AntiEntropyConfig,
-                                           AntiEntropyResult,
-                                           AntiEntropySimulation,
-                                           OpAntiEntropySimulation,
-                                           compare_schemes)
-from repro.replication.hybrid import HybridOpSystem
-from repro.replication.membership import SiteRegistry
-from repro.replication.opreplica import (Operation, OpReplica, counter_applier,
-                                         kv_applier, log_applier)
-from repro.replication.opsystem import OpSyncOutcome, OpTransferSystem
-from repro.replication.replica import METADATA_KINDS, StateReplica, make_metadata
-from repro.replication.resolver import (AutomaticResolution, ManualResolution,
-                                        deterministic_pick, log_merge,
-                                        max_merge, union_merge)
-from repro.replication.statesystem import (StateTransferSystem, SyncOutcome,
-                                           default_payload_size)
-from repro.replication.threeway import (MergeResult, merge3, merge_heads,
-                                        snapshot_applier)
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "antientropy": ("AntiEntropyConfig", "AntiEntropyResult",
+                    "AntiEntropySimulation", "OpAntiEntropySimulation",
+                    "compare_schemes"),
+    "hybrid": ("HybridOpSystem",),
+    "membership": ("SiteRegistry",),
+    "opreplica": ("Operation", "OpReplica", "counter_applier", "kv_applier",
+                  "log_applier"),
+    "opsystem": ("OpSyncOutcome", "OpTransferSystem"),
+    "replica": ("METADATA_KINDS", "StateReplica", "make_metadata"),
+    "resolver": ("AutomaticResolution", "ManualResolution",
+                 "deterministic_pick", "log_merge", "max_merge", "union_merge"),
+    "statesystem": ("StateTransferSystem", "SyncOutcome",
+                    "default_payload_size"),
+    "threeway": ("MergeResult", "merge3", "merge_heads", "snapshot_applier"),
+})
 
 __all__ = [
     "AntiEntropyConfig",

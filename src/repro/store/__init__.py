@@ -8,12 +8,14 @@ anti-entropy drives per-key SYNC* sessions over the fault-tolerant
 session transport.  See ``docs/STORE.md`` for the full semantics.
 """
 
-from repro.store.cluster import (ClientOp, OpOutcome, StoreCluster,
-                                 StoreConfig, StoreRunResult,
-                                 StoreSessionRecord, gossip_peers)
-from repro.store.kv import (TOMBSTONE, CausalContext, KeyRecord, KeySnapshot,
-                            ReadResult, SiteStore, context_covers,
-                            merge_siblings)
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "cluster": ("ClientOp", "OpOutcome", "StoreCluster", "StoreConfig",
+                "StoreRunResult", "StoreSessionRecord", "gossip_peers"),
+    "kv": ("TOMBSTONE", "CausalContext", "KeyRecord", "KeySnapshot",
+           "ReadResult", "SiteStore", "context_covers", "merge_siblings"),
+})
 
 __all__ = [
     "TOMBSTONE",

@@ -88,8 +88,8 @@ monitor CLI uses for its fleet score.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence, Tuple)
 
 from repro.core.order import Ordering
 from repro.errors import SessionError, ValidationError
@@ -104,7 +104,6 @@ from repro.net.stats import TransferStats
 from repro.net.topology import TopologySpec, uniform_peer_rounds
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
-from repro.obs.consistency import ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry, observe_session
 from repro.obs.trace import Tracer
 from repro.protocols import registry
@@ -112,6 +111,9 @@ from repro.protocols.effects import RECV, Send
 from repro.protocols.messages import KnowledgeMsg
 from repro.store.kv import (TOMBSTONE, CausalContext, KeySnapshot,
                             ReadResult, SiteStore, merge_siblings)
+
+if TYPE_CHECKING:
+    from repro.obs.consistency import ConsistencyMonitor
 
 
 @dataclass(frozen=True)

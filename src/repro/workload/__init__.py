@@ -5,17 +5,19 @@ friends) live with the rest of the fleet vocabulary in
 :mod:`repro.net.topology`.
 """
 
-from repro.workload.events import (CloneEvent, CreateEvent, SyncEvent,
-                                   TraceEvent, UpdateEvent)
-from repro.workload.generator import (WorkloadConfig, default_value_factory,
-                                      generate_trace, high_conflict_config,
-                                      low_conflict_config,
-                                      medium_conflict_config)
-from repro.workload.replay import ReplaySummary, replay_ops, replay_state
-from repro.workload.scenarios import (FIGURE1_ORDERS, FIGURE1_VECTORS,
-                                      all_write_then_gossip_trace,
-                                      chain_trace, figure1_graph,
-                                      figure1_vectors, figure3_graphs)
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "events": ("CloneEvent", "CreateEvent", "SyncEvent", "TraceEvent",
+               "UpdateEvent"),
+    "generator": ("WorkloadConfig", "default_value_factory", "generate_trace",
+                  "high_conflict_config", "low_conflict_config",
+                  "medium_conflict_config"),
+    "replay": ("ReplaySummary", "replay_ops", "replay_state"),
+    "scenarios": ("FIGURE1_ORDERS", "FIGURE1_VECTORS",
+                  "all_write_then_gossip_trace", "chain_trace",
+                  "figure1_graph", "figure1_vectors", "figure3_graphs"),
+})
 
 __all__ = [
     "CloneEvent",

@@ -30,18 +30,20 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.faults import RetryPolicy, chaos_faults
 from repro.net.topology import select_peer
-from repro.obs.consistency import ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.store.cluster import (ClientOp, StoreCluster, StoreConfig,
                                  StoreRunResult, gossip_peers)
 from repro.workload.cluster import site_names
+
+if TYPE_CHECKING:
+    from repro.obs.consistency import ConsistencyMonitor
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,13 @@ class StoreWorkloadConfig:
         if self.sync_period <= 0:
             raise ValidationError(
                 f"sync_period must be > 0, got {self.sync_period}")
+        for name in ("net_latency", "client_latency"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValidationError(f"{name} must be >= 0, got {value}")
+        if not self.bandwidth > 0:
+            raise ValidationError(
+                f"bandwidth must be > 0, got {self.bandwidth}")
 
     def key_names(self) -> List[str]:
         """The zero-padded key namespace this workload addresses."""

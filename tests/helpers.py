@@ -11,9 +11,14 @@ property tests generate command lists, not raw vectors.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Sequence, Tuple, Type, Union
+from pathlib import Path
+from typing import Any, Dict, Iterator, List, Sequence, Tuple, Type, Union
 
 from repro.core.conflict import ConflictRotatingVector
 from repro.core.order import Ordering
@@ -162,3 +167,20 @@ def full_walk_pull(src: SiteStore, dst: SiteStore, *,
         if reconciled:
             dst_record.vector.record_update(dst.site)
     return dst
+
+
+# -- fresh interpreters ---------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> Any:
+    """Run ``code`` in a new interpreter on ``src/``; returns the JSON it
+    prints last, so import-set checks see only what ``code`` loads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])

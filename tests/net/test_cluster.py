@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ConcurrentVectorsError, ReproError, SimulationError
+from repro.errors import (ConcurrentVectorsError, ReproError, SimulationError,
+                          ValidationError)
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import (ClusterConfig, ClusterRunner,
                                replay_sequential)
@@ -91,6 +92,14 @@ class TestValidation:
     def test_every_rejection_raises_the_package_error(self, match, build):
         with pytest.raises(ReproError, match=match):
             build()
+
+    @pytest.mark.parametrize("field", [
+        "proc_time", "batch_size", "max_steps", "fanout", "n_objects"])
+    def test_nan_rejected(self, field):
+        # NaN compares false both ways, so a `value < minimum` check
+        # lets it through.
+        with pytest.raises(ValidationError, match=field):
+            config(**{field: float("nan")})
 
     def test_unshared_objects_are_rejected_before_the_clock_starts(self):
         # Regression: the request was checked only when it fired, after

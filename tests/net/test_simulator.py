@@ -83,6 +83,15 @@ class TestEventQueue:
             sim.schedule(nan, lambda: None)
         assert sim.pending_events == 0
 
+    def test_run_until_nan_rejected(self):
+        # `time > nan` is always false, so the bound would drain the queue.
+        sim = Simulator()
+        fired = []
+        sim.call_at(1.0, lambda: fired.append(1))
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert fired == [] and sim.pending_events == 1
+
     def test_schedule_is_call_at_without_a_handle(self):
         # Same clock, same FIFO sequence: mixing the two never reorders.
         sim = Simulator()

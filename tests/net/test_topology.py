@@ -42,7 +42,8 @@ class TestLinkProfile:
 
     @pytest.mark.parametrize("kwargs", [
         {"latency": -0.1}, {"bandwidth": 0.0}, {"loss": 1.0},
-        {"loss": -0.01}])
+        {"loss": -0.01}, {"latency": float("nan")},
+        {"bandwidth": float("nan")}, {"loss": float("nan")}])
     def test_invalid_profiles_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             LinkProfile(**kwargs)

@@ -24,6 +24,10 @@ class TestFieldWidths:
         with pytest.raises(ValueError):
             bits_for(0)
 
+    def test_for_system_rejects_zero_sites(self):
+        with pytest.raises(ValidationError, match="count"):
+            Encoding.for_system(0, 64)
+
     def test_for_system(self):
         encoding = Encoding.for_system(100, 1000, n_graph_nodes=5000)
         assert encoding.site_bits == bits_for(100)

@@ -40,6 +40,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="duplicate"):
             StoreCluster(["A", "A"], StoreConfig())
 
+    @pytest.mark.parametrize("field", ["proc_time", "client_latency"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValidationError, match=field):
+            StoreConfig(**{field: float("nan")})
+
     def test_op_and_sync_validation(self):
         c = cluster()
         with pytest.raises(ValidationError, match="kind"):

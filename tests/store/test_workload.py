@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core.skip import SkipRotatingVector
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.net.channel import ChannelSpec
 from repro.obs.consistency import ConsistencyMonitor
 from repro.obs.metrics import MetricsRegistry
@@ -44,6 +44,14 @@ class TestConfigValidation:
     def test_rejects_non_finite_floats(self, name, value):
         # NaN passes every range comparison; inf breaks generation.
         with pytest.raises(ReproError, match="finite"):
+            StoreWorkloadConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", [
+        "net_latency", "bandwidth", "client_latency"])
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_rejects_bad_link_fields(self, name, value):
+        # Checked at construction, not when the run first builds a link.
+        with pytest.raises(ValidationError, match=name):
             StoreWorkloadConfig(**{name: value})
 
     def test_boundaries_are_inclusive(self):

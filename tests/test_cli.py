@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import DEMOS, main
+from tests.helpers import run_fresh
 
 
 class TestDispatch:
@@ -21,6 +22,17 @@ class TestDispatch:
         assert "unknown demo" not in out
         for name in DEMOS:
             assert name in out
+
+    def test_help_loads_only_the_entry_point(self):
+        # The demos and subcommands import their machinery when they run.
+        loaded = run_fresh(
+            "import contextlib, io, json, sys\n"
+            "from repro.__main__ import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['--help']) == 0\n"
+            "print(json.dumps(sorted(name for name in sys.modules\n"
+            "                        if name.startswith('repro'))))")
+        assert loaded == ["repro", "repro.__main__"]
 
     def test_unknown_demo(self, capsys):
         assert main(["bogus"]) == 2

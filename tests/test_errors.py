@@ -36,17 +36,43 @@ class TestPublicApi:
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
 
+    #: Every subpackage that declares a public surface.
+    SUBPACKAGES = ("analysis", "baselines", "core", "extensions", "graphs",
+                   "net", "obs", "protocols", "replication", "store",
+                   "workload")
+
     def test_subpackage_all_exports_resolve(self):
-        import repro.analysis
-        import repro.baselines
-        import repro.extensions
-        import repro.replication
-        import repro.workload
-        for module in (repro.analysis, repro.baselines, repro.extensions,
-                       repro.replication, repro.workload):
-            for name in module.__all__:
-                assert getattr(module, name, None) is not None, (
-                    module.__name__, name)
+        import importlib
+        for name in self.SUBPACKAGES:
+            module = importlib.import_module(f"repro.{name}")
+            listed = set(dir(module))
+            star: dict = {}
+            exec(f"from repro.{name} import *", star)
+            for export in module.__all__:
+                assert getattr(module, export, None) is not None, (
+                    name, export)
+                assert export in listed, (name, export)
+                assert star[export] is getattr(module, export), (
+                    name, export)
+
+    def test_root_surface_is_listed_and_star_importable(self):
+        star: dict = {}
+        exec("from repro import *", star)
+        for name in repro.__all__:
+            assert name in dir(repro), name
+            assert star[name] is getattr(repro, name), name
+
+    def test_submodules_resolve_as_attributes(self):
+        import repro.net
+        assert repro.net.codec.Codec is repro.net.Codec
+        assert repro.replication.hybrid.HybridOpSystem \
+            is repro.replication.HybridOpSystem
+        with pytest.raises(AttributeError, match="no_such_module"):
+            repro.obs.no_such_module  # noqa: B018
+
+    def test_protocol_registry_is_unchanged(self):
+        from repro.protocols import registry
+        assert registry.names() == ["brv", "crv", "srv"]
 
     def test_every_public_item_is_documented(self):
         """Deliverable check: doc comments on every public item, everywhere."""
