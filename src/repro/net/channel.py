@@ -16,6 +16,7 @@ the historical code path otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
@@ -49,6 +50,11 @@ class ChannelSpec:
     faults: FaultSpec = field(default_factory=FaultSpec)
 
     def __post_init__(self) -> None:
+        # An infinite latency schedules deliveries at t = inf; an infinite
+        # bandwidth is a zero serialization delay and stays allowed.
+        if not math.isfinite(self.latency):
+            raise ValidationError(
+                f"latency must be finite, got {self.latency}")
         if not self.latency >= 0:
             raise ValidationError(
                 f"latency must be >= 0, got {self.latency}")

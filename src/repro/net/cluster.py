@@ -92,7 +92,8 @@ class ClusterConfig:
         channel: link model applied to every session.
         encoding: wire pricing for every message.
         fanout: concurrent sessions a site may participate in (≥ 1).
-        stop_and_wait: per-item ack baseline instead of pipelining.
+        stop_and_wait: per-item ack baseline instead of pipelining
+            (perfect links only; the ARQ on lossy links always pipelines).
         proc_time: per-received-message processing cost.
         increment_on_merge: apply §2.2's post-reconciliation self-increment
             on the pulling site, keeping COMPARE's freshness precondition.

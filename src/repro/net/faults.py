@@ -17,7 +17,7 @@ of that robustness story for the timed driver (:mod:`repro.net.runner`):
   each with how much extra delay); the draws come from a private
   ``random.Random`` so a given seed replays the identical fault schedule,
   which is what makes chaos runs regression-testable.
-* :class:`RetryPolicy` — the stop-and-wait ARQ knobs: per-message
+* :class:`RetryPolicy` — the selective-repeat ARQ knobs: per-message
   retransmission timeout (derived from the channel's round trip when not
   pinned), exponential backoff with deterministic jitter, a per-message
   retry budget, and the session-level resume budget.
@@ -30,6 +30,7 @@ silently-accepted typo in a fault rate invalidates a whole chaos sweep.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -86,6 +87,11 @@ class FaultSpec:
         _check_probability("drop", self.drop)
         _check_probability("duplicate", self.duplicate)
         _check_probability("reorder", self.reorder)
+        # A reordered copy lands up to one window late: inf would land it
+        # (and everything waiting on it) at t = inf.
+        if not math.isfinite(self.reorder_window):
+            raise ValidationError(
+                f"reorder_window must be finite, got {self.reorder_window}")
         if not self.reorder_window >= 0:
             raise ValidationError(
                 f"reorder_window must be >= 0, got {self.reorder_window}")
@@ -184,22 +190,26 @@ class FaultInjector:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Stop-and-wait ARQ knobs for the reliable session transport.
+    """ARQ knobs for the reliable session transport.
+
+    The window is open: every outstanding message keeps its own timer,
+    backoff and retry budget.
 
     Attributes:
         max_retries: retransmissions allowed per message beyond the first
             attempt; exhausting the budget aborts the session attempt.
-        initial_rto: first retransmission timeout in seconds; ``None``
-            derives ``2 × channel.stop_and_wait_overhead()`` — twice the
-            fault-free wait for an acknowledgment, so a healthy link
-            never retransmits spuriously.
+        initial_rto: first retransmission timeout in seconds, finite;
+            ``None`` derives ``2 × channel.stop_and_wait_overhead()`` —
+            twice the fault-free wait for an acknowledgment, so a healthy
+            link never retransmits spuriously.
         backoff: multiplicative timeout growth per consecutive timeout of
             the same message (``>= 1``).
-        max_rto: ceiling the backoff saturates at, in seconds.
-        jitter: fractional jitter; each armed timeout is stretched by a
-            deterministic factor in ``[1, 1 + jitter]`` to de-synchronize
-            retransmissions (drawn from the transport's seeded RNG, so
-            runs replay exactly).
+        max_rto: ceiling the backoff saturates at, in seconds (may be
+            infinite).
+        jitter: fractional jitter, finite; each armed timeout is
+            stretched by a deterministic factor in ``[1, 1 + jitter]`` to
+            de-synchronize retransmissions (drawn from the transport's
+            seeded RNG, so runs replay exactly).
         max_session_attempts: total session attempts (first run plus
             resumes) before the driver gives up and raises
             :class:`~repro.errors.SessionError`.
@@ -218,6 +228,12 @@ class RetryPolicy:
         if self.max_retries < 0:
             raise ValidationError(
                 f"max_retries must be >= 0, got {self.max_retries}")
+        # A timer armed at inf retransmits a lost message at t = inf;
+        # max_rto may be inf, since the backoff starts from a finite rto.
+        for name in ("initial_rto", "jitter"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.initial_rto is not None and not self.initial_rto > 0:
             raise ValidationError(
                 f"initial_rto must be > 0, got {self.initial_rto}")

@@ -32,15 +32,18 @@ Reliability
 -----------
 
 When the channel carries an enabled :class:`~repro.net.faults.FaultSpec`,
-the driver swaps its transport for a stop-and-wait ARQ: every protocol
-message gets a per-direction sequence number and must be acknowledged
-before the next one starts; acknowledgments and data both pass through
-the seeded :class:`~repro.net.faults.FaultInjector` (drop/duplicate/
-reorder/partition), timeouts retransmit with exponential backoff and
-deterministic jitter (:class:`~repro.net.faults.RetryPolicy`), the
-receiver's transport de-duplicates by sequence number, and a message
-that exhausts its retry budget aborts the session attempt.  An aborted
-session *resumes* — when
+the driver swaps its transport for a selective-repeat ARQ: every protocol
+message gets a per-direction sequence number, its own retransmission
+timer and its own retry budget; acknowledgments and data both pass
+through the seeded :class:`~repro.net.faults.FaultInjector` (drop/
+duplicate/reorder/partition), timeouts retransmit with exponential
+backoff and deterministic jitter (:class:`~repro.net.faults.RetryPolicy`),
+the receiver buffers early arrivals and delivers in order exactly once,
+and a message that exhausts its retry budget aborts the session attempt.
+The window is open: a sender streams ahead as on the perfect link and
+finishes when its last message is acknowledged, so a run in which no
+fault fires costs one ack round trip more than the perfect link.  An
+aborted session *resumes* — when
 ``SessionOptions.rebuild`` can produce fresh coroutines — by
 re-handshaking from the receiver's last *committed* state.  Attempts are
 transactional: the protocols stream Δ newest-first, so a torn attempt's
@@ -141,8 +144,8 @@ class SessionOptions:
         channel: link model, including its fault spec.
         encoding: wire pricing for every message.
         stop_and_wait: per-item implicit-ack baseline instead of
-            pipelining (ignored under the reliable transport, which is
-            stop-and-wait by construction).
+            pipelining (ignored under the reliable transport, whose
+            window is open).
         proc_time: per-received-message processing cost at a ``Recv``.
         max_steps: protocol-effect budget guarding against livelock bugs.
         tracer: optional structured trace sink.
@@ -336,7 +339,12 @@ class _Party(Party):
         self.advance(self.inbox.pop(0))
 
     def quit(self) -> None:
-        """The attempt aborted: close the coroutine and leave."""
+        """The attempt aborted: close the coroutine and leave, once."""
+        if self.done:
+            return
+        if self.parked is not None:
+            self.parked = None
+            self.sim.unpark()
         self.coroutine.close()
         self.exit(None)
 
@@ -427,34 +435,56 @@ class _Party(Party):
             self.sim.schedule(self.sim.now, self.wake)
 
 
-class _ArqParty(_Party):
-    """One side of a wire-session attempt on the ARQ transport.
+class _Out:
+    """One outstanding ARQ message: its copies, timer and retry state."""
 
-    Stop-and-wait per direction: an outgoing message carries a sequence
-    number, the receiving side delivers in order exactly once and
-    acknowledges every arriving copy, and the sender retransmits on
-    timeout with backoff and jitter.  Every transmission — data and acks
-    — passes through the session's seeded
-    :class:`~repro.net.faults.FaultInjector`.  The ack wait is party
-    state (``parked`` is ``"ack"``); the retransmission timeout is the
-    one cancellable event the wire schedules.
+    __slots__ = ("seq", "message", "bits", "rto", "attempt", "timeout",
+                 "timer", "sent_seq")
+
+    def __init__(self, seq: int, message: Message, bits: int,
+                 rto: float) -> None:
+        self.seq, self.message, self.bits, self.rto = seq, message, bits, rto
+        self.attempt, self.timeout = 0, 0.0
+        self.timer: Optional[Timer] = None
+        self.sent_seq: Optional[int] = None  # its latest copy's trace seq
+
+
+class _ArqParty(_Party):
+    """One side of a wire-session attempt on the selective-repeat ARQ.
+
+    Each outgoing message carries a sequence number and keeps its own
+    retransmission timer and retry budget (an :class:`_Out`); a
+    retransmission queues behind the copy on the link.  The receiving
+    side buffers early arrivals, delivers in order exactly once and
+    acknowledges every arriving copy.  Every transmission — data and
+    acks — passes through the session's seeded
+    :class:`~repro.net.faults.FaultInjector`.  The window is open: the
+    coroutine resumes once its message has serialized, and a party whose
+    coroutine has returned waits for its last ack (``parked`` is
+    ``"ack"``) before it finishes (DESIGN.md §5, "The ARQ window").
     """
 
-    __slots__ = ("next_seq", "expected", "seq", "bits", "attempt", "rto",
-                 "timeout", "acked", "timer")
+    __slots__ = ("next_seq", "expected", "unacked", "queue", "on_link",
+                 "early", "start")
 
     def __init__(self, wire: _Wire, name: str, coroutine: ProtocolCoroutine,
                  forward: bool) -> None:
         _Party.__init__(self, wire, name, coroutine, forward)
         self.next_seq = 0       # our next outgoing sequence number
         self.expected = 0       # the peer's next sequence number we take
-        self.seq = -1           # the outgoing message awaiting its ack
-        self.bits = 0
-        self.attempt = 0
-        self.rto = 0.0
-        self.timeout = 0.0
-        self.acked = False
-        self.timer: Optional[Timer] = None
+        self.unacked: Dict[int, _Out] = {}
+        self.queue: List[_Out] = []          # copies waiting for the link
+        self.on_link: Optional[_Out] = None  # the copy serializing now
+        self.early: Dict[int, Tuple[Message, Optional[int]]] = {}
+        self.start = wire.sim.now
+
+    def at(self, delay: float) -> float:
+        """When an event ``delay`` from now falls due: on a 1 ns grid from
+        this wire's start, so that a session's tied events almost surely
+        tie again in :func:`~repro.net.cluster.replay_sequential`
+        (DESIGN.md §5, "Time rule")."""
+        start = self.start
+        return start + round(self.sim.now - start + delay, 9)
 
     def fate(self, kind: str, seq: int) -> Tuple[float, ...]:
         wire = self.wire
@@ -475,107 +505,131 @@ class _ArqParty(_Party):
                                  delay=fate[0], **wire.session_fields)
         return fate
 
+    def process(self) -> None:
+        self.sim.schedule(self.at(self.wire.proc_time), self.processed)
+
+    def quit(self) -> None:
+        """Leave the aborted attempt; no timer of ours outlives it."""
+        for out in self.unacked.values():
+            if out.timer is not None:
+                out.timer.cancel()
+        _Party.quit(self)
+
+    def exit(self, result: Any) -> None:
+        if self.unacked and not self.aborted:
+            # The drain: the party finishes on its last message's ack.
+            self.result, self.parked = result, _ACK
+            self.sim.park()
+            return
+        _Party.exit(self, result)
+
     # -- sending side -------------------------------------------------------
 
     def transmit(self, message: Message) -> bool:
         wire = self.wire
-        self.outgoing = message
-        self.bits = message.bits(wire.encoding)
-        self.seq = self.next_seq
+        out = _Out(self.next_seq, message, message.bits(wire.encoding),
+                   wire.retry.rto_for(wire.channel))
+        self.unacked[out.seq] = out
         self.next_seq += 1
-        self.acked = False
-        self.rto = wire.retry.rto_for(wire.channel)
-        self.attempt = 0
-        self.send_copy()
+        self.send_copy(out)
         return True
 
-    def send_copy(self) -> None:
-        """Serialize one (re)transmission of the outgoing message."""
+    def send_copy(self, out: _Out) -> None:
+        """Serialize one copy of ``out``, or queue it behind the link's."""
+        if self.on_link is not None:
+            self.queue.append(out)
+            return
         wire = self.wire
-        message, bits, seq = self.outgoing, self.bits, self.seq
-        self.attempt = attempt = self.attempt + 1
+        out.attempt = attempt = out.attempt + 1
         if attempt > 1:
             wire.stats.retries += 1
             if wire.tracer is not None:
                 wire.tracer.event(obs.RETRY, party=self.name,
-                                  message=message.type_name, seq=seq,
+                                  message=out.message.type_name, seq=out.seq,
                                   attempt=attempt, **wire.session_fields)
-        self.sent_seq = self.account(message, bits, seq, attempt)
-        sim = self.sim
-        sim.schedule(sim.now + wire.channel.serialization_delay(bits),
-                     self.serialized)
+        out.sent_seq = self.account(out.message, out.bits, out.seq, attempt)
+        self.on_link = out
+        self.sim.schedule(
+            self.at(wire.channel.serialization_delay(out.bits)),
+            self.serialized)
 
     def serialized(self) -> None:
-        if self.aborted:
+        if self.aborted or self.done:
             self.quit()
             return
-        wire, sim = self.wire, self.sim
-        seq, latency = self.seq, wire.channel.latency
-        on_data = self.peer.on_data
+        wire, sim, out = self.wire, self.sim, self.on_link
+        seq, latency = out.seq, wire.channel.latency
+        on_data = partial(self.peer.on_data, self, seq, out.message,
+                          out.sent_seq)
         for delay in self.fate("data", seq):
-            sim.schedule(sim.now + (latency + delay),
-                         partial(on_data, self, seq, self.outgoing,
-                                 self.sent_seq))
-        if self.acked:
-            # A late ack for an earlier copy landed while this copy was
-            # serializing; the message is delivered.
+            sim.schedule(self.at(latency + delay), on_data)
+        self.on_link = None
+        unacked = self.unacked
+        if seq in unacked:
+            out.timeout = timeout = out.rto * (
+                1.0 + wire.retry.jitter * wire.jitter_rng.random())
+            out.timer = sim.call_at(self.at(timeout),
+                                    partial(self.on_timeout, out))
+        queue = self.queue
+        while queue and self.on_link is None:
+            # A queued retransmission whose ack has landed stays home.
+            out_next = queue.pop(0)
+            if out_next.seq in unacked:
+                self.send_copy(out_next)
+        if out.attempt == 1:
+            # The coroutine waits on its message's first copy only.
             self.advance()
-            return
-        self.timeout = timeout = self.rto * (
-            1.0 + wire.retry.jitter * wire.jitter_rng.random())
-        self.timer = sim.call_after(timeout, self.on_timeout)
-        self.parked = _ACK
-        sim.park()
 
-    def on_timeout(self) -> None:
-        if self.parked is _ACK:
-            self.parked = None
-            self.sim.schedule(self.sim.now, self.ack_wake)
+    def on_timeout(self, out: _Out) -> None:
+        out.timer = None
+        if not self.aborted:
+            self.expire(out)
 
     def on_ack(self, seq: int) -> None:
         """An acknowledgment for our message ``seq`` arrived."""
-        if self.aborted:
+        # Acks for acknowledged sequence numbers are stale duplicates.
+        out = None if self.aborted else self.unacked.pop(seq, None)
+        if out is None:
             return
-        # Acks for older sequence numbers are stale duplicates; drop them.
-        if seq == self.seq and not self.acked:
-            self.acked = True
-            if self.parked is _ACK:
-                self.parked = None
-                self.sim.schedule(self.sim.now, self.ack_wake)
+        if out.timer is not None:
+            out.timer.cancel()
+        if self.parked is _ACK and not self.unacked:
+            self.parked = None
+            self.sim.schedule(self.sim.now, self.ack_wake)
 
     def ack_wake(self) -> None:
-        """The ack arrived, the timeout fired, or the attempt aborted."""
+        """The drain's last ack arrived, or the attempt aborted."""
         self.sim.unpark()
         if self.aborted:
             self.quit()
-            return
-        if self.acked:
-            self.timer.cancel()
-            self.advance()
-            return
+        else:
+            _Party.exit(self, self.result)
+
+    def expire(self, out: _Out) -> None:
+        """``out`` timed out: retransmit, or abort past its budget."""
         wire = self.wire
         wire.stats.timeouts += 1
         if wire.tracer is not None:
             wire.tracer.event(obs.TIMEOUT, party=self.name,
-                              message=self.outgoing.type_name, seq=self.seq,
-                              attempt=self.attempt, rto=self.timeout,
+                              message=out.message.type_name, seq=out.seq,
+                              attempt=out.attempt, rto=out.timeout,
                               **wire.session_fields)
-        if self.attempt >= wire.retry.max_retries + 1:
-            self.abort()
+        if out.attempt >= wire.retry.max_retries + 1:
+            self.abort(out)
             self.quit()
             return
-        self.rto = wire.retry.next_rto(self.rto)
-        self.send_copy()
+        out.rto = wire.retry.next_rto(out.rto)
+        self.send_copy(out)
 
-    def abort(self) -> None:
-        """Give up on this attempt.  This party is running, so only its
-        peer can be parked: wake it, on its inbox or its ack, to leave."""
+    def abort(self, out: _Out) -> None:
+        """Give up on this attempt.  A peer parked on its inbox or acks is
+        woken to leave; in any other state it leaves at its next event."""
         peer = self.peer
         self.aborted = peer.aborted = True
         wire = self.wire
         if wire.tracer is not None:
             wire.tracer.event(obs.SESSION_ABORT, party=self.name,
-                              seq=self.seq, attempts=self.attempt,
+                              seq=out.seq, attempts=out.attempt,
                               **wire.session_fields)
         if peer.parked is not None:
             wake = peer.wake if peer.parked is INBOX else peer.ack_wake
@@ -586,32 +640,30 @@ class _ArqParty(_Party):
 
     def on_data(self, sender: "_ArqParty", seq: int, message: Message,
                 sent_seq: Optional[int]) -> None:
-        """One copy of ``sender``'s message ``seq`` reached this party.
-
-        The copy names its sender, so a late duplicate that lands after
-        both parties finished is still acknowledged with no peer link.
-        """
+        """A copy of ``sender``'s message ``seq`` landed.  It names its
+        sender, so a copy landing after both parties finished is still
+        acknowledged with no peer link."""
         if self.aborted:
             return
-        first = seq == self.expected
-        if first:
-            self.expected += 1
+        early = self.early
+        # The first copy to land is new; only the ack answering it is
+        # goodput.  Every copy is acked: earlier acks may have been lost.
+        first = seq >= self.expected and seq not in early
+        if seq == self.expected:
             self.deliver(message, sent_seq)
-        elif seq > self.expected:  # pragma: no cover - defensive
-            # Impossible under stop-and-wait (one outstanding message);
-            # drop rather than corrupt ordering.
-            return
-        # Acknowledge every arriving copy — the transport cannot know
-        # whether earlier acks survived.  Only the first ack per sequence
-        # number (the one answering the delivered copy) is goodput.
+            self.expected = expected = seq + 1
+            while expected in early:
+                self.deliver(*early.pop(expected))
+                self.expected = expected = expected + 1
+        elif first:
+            early[seq] = (message, sent_seq)
         self.acknowledge(first, seq)
         channel = self.wire.channel
         ack_delay = (channel.serialization_delay(channel.ack_bits)
                      + channel.latency)
-        sim = self.sim
-        on_ack = sender.on_ack
+        on_ack = partial(sender.on_ack, seq)
         for delay in self.fate("ack", seq):
-            sim.schedule(sim.now + (ack_delay + delay), partial(on_ack, seq))
+            self.sim.schedule(self.at(ack_delay + delay), on_ack)
 
 
 def _launch_wire(sim: Simulator, sender: ProtocolCoroutine,

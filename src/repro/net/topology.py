@@ -40,6 +40,7 @@ conflicts, random pairwise gossip conflicts often).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
@@ -171,6 +172,9 @@ class LinkProfile:
     loss: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.latency):
+            raise ValidationError(
+                f"link latency must be finite, got {self.latency}")
         if not self.latency >= 0:
             raise ValidationError(
                 f"link latency must be >= 0, got {self.latency}")

@@ -18,7 +18,8 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Sequence, Tuple, Type, Union
+from typing import (Any, Dict, Generator, Iterator, List, Sequence, Tuple, Type,
+                    Union)
 
 from repro.core.conflict import ConflictRotatingVector
 from repro.core.order import Ordering
@@ -167,6 +168,18 @@ def full_walk_pull(src: SiteStore, dst: SiteStore, *,
         if reconciled:
             dst_record.vector.record_update(dst.site)
     return dst
+
+
+# -- scripted wire parties -------------------------------------------------------
+
+
+def scripted(*effects: Any) -> Generator[Any, Any, List[Any]]:
+    """A protocol party that yields ``effects`` in order; returns what it
+    got back for each."""
+    got = []
+    for effect in effects:
+        got.append((yield effect))
+    return got
 
 
 # -- fresh interpreters ---------------------------------------------------------

@@ -31,6 +31,12 @@ class TestValidation:
         with pytest.raises(ValidationError, match=field):
             ChannelSpec(**{field: float("nan")})
 
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_infinite_latency_rejected(self, value):
+        # Every delivery would fall due at t = inf.
+        with pytest.raises(ValidationError, match="latency must be finite"):
+            ChannelSpec(latency=value)
+
     def test_infinite_bandwidth_is_legal(self):
         assert ChannelSpec(bandwidth=float("inf")).serialization_delay(
             100) == 0.0

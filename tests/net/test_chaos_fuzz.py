@@ -9,7 +9,7 @@ chaotic concurrent run must reproduce its per-session bits, its
 retry/resume behavior, and its end-state vectors.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.skip import SkipRotatingVector
@@ -108,6 +108,10 @@ def test_completed_faulted_session_equals_fault_free_run(commands, pair,
        workload_seed=st.integers(0, 2**16),
        n_sites=st.integers(3, 5),
        rounds=st.integers(2, 6))
+# Two of session 4's events tie in exact arithmetic; event times taken as
+# plain ``now + delay`` would break the tie differently in the cluster and
+# in the replay, and the session's fault draws (89 vs 97 bits) with it.
+@example(loss=0.25, chaos_seed=0, workload_seed=1, n_sites=3, rounds=2)
 def test_chaotic_cluster_run_matches_sequential_replay(loss, chaos_seed,
                                                        workload_seed,
                                                        n_sites, rounds):

@@ -40,6 +40,13 @@ class TestFaultSpecValidation:
                 FaultSpec(partitions=(window,))
         assert FaultSpec(partitions=((1.0, float("inf")),)).partitioned(9e9)
 
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_infinite_reorder_window_rejected(self, value):
+        # A reordered copy would land at t = inf.
+        with pytest.raises(ValidationError,
+                           match="reorder_window must be finite"):
+            FaultSpec(reorder=0.5, reorder_window=value)
+
     def test_enabled_reflects_any_fault_source(self):
         assert not FaultSpec().enabled
         assert FaultSpec(drop=0.01).enabled
@@ -157,6 +164,14 @@ class TestRetryPolicy:
     def test_nan_rejected(self, field):
         with pytest.raises(ValidationError, match=field):
             RetryPolicy(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["initial_rto", "jitter"])
+    def test_infinite_first_timeout_rejected(self, field):
+        # A lost message's retransmission would be scheduled at t = inf;
+        # an infinite ceiling is fine, the backoff starts finite.
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            RetryPolicy(**{field: float("inf")})
+        assert RetryPolicy(max_rto=float("inf")).next_rto(1.0) == 2.0
 
     def test_default_rto_is_twice_the_ack_wait(self):
         channel = ChannelSpec(latency=0.05, bandwidth=1e6)

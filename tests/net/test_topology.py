@@ -48,6 +48,13 @@ class TestLinkProfile:
         with pytest.raises(ValidationError):
             LinkProfile(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_infinite_latency_rejected(self, value):
+        with pytest.raises(ValidationError, match="latency must be finite"):
+            LinkProfile(value, 1e6, 0.01)
+        assert LinkProfile(0.01, float("inf")).channel(seed=0).bandwidth \
+            == float("inf")
+
 
 class TestRegionAndLinkValidation:
     def test_region_needs_a_clean_name_and_sites(self):

@@ -25,6 +25,7 @@ from repro.obs import Tracer
 from repro.protocols.effects import DRAIN, POLL, RECV, Send
 from repro.protocols.messages import Halt
 from repro.protocols.syncs import syncs_receiver, syncs_sender
+from tests.helpers import scripted
 
 ENC = Encoding(site_bits=8, value_bits=16, session_header_bits=64)
 SITES = ("A", "B", "C", "D", "E")
@@ -53,14 +54,6 @@ def pairs(pairs_of_states, tracer):
          syncs_receiver(a, reconcile=a.compare(b).is_concurrent,
                         tracer=tracer))
         for a, b in pairs_of_states)
-
-
-def scripted(*effects):
-    """A party that yields ``effects`` in order; returns what it got."""
-    got = []
-    for effect in effects:
-        got.append((yield effect))
-    return got
 
 
 def short():
@@ -231,12 +224,13 @@ def late_after_abort(tracer):
 
 def abort_while_processing(tracer):
     # The first message lands and is being processed for a second when
-    # the second one, sent into the partition, times out.
+    # the second one, sent into the partition, times out.  The open window
+    # sends the second message 50 us after the first.
     return dead_link(tracer, scripted(short(), short()),
-                     scripted(RECV, RECV), down_from=0.015, proc_time=1.0)
+                     scripted(RECV, RECV), down_from=0.000075, proc_time=1.0)
 
 
-#: Digests of the generator-process driver (one per case).
+#: One digest per case.
 GOLDEN = {
     "pipelined":
         "047d2131d8354c023157713181fc6d52e00441409c4cf93cf9380a784eab4b35",
@@ -249,29 +243,29 @@ GOLDEN = {
     "chunked":
         "b3e1363cb81568f40200889339cbfc7f1a166b8b09d9f526e860cf9bf7119b3c",
     "arq_drop":
-        "b2bdd161efeff5fa83a78e95fcc899332aaa3a2812f7067147f116669a813e39",
+        "63c920d0f455cfb08145b4a6daee579c44a0f3b9ec0d83591f83c93776e9fd65",
     "arq_duplicate_reorder":
-        "dca7f4957e30fa956d298f4e30b778d47c3e104d8476432af636c2afb2f70dc6",
+        "44ba175025ead61cc402b6e4cda9b437fad15b2ff3e0005d4d98828ed69515ad",
     "arq_partition":
-        "ab2a5784029c76e8658b77426256f8951c7af05c06ef6c8e64ca8a44129d126e",
+        "b1135738dd138cecfc19229b40ee923e13ba4c03d12dd4c62fb804f8f6eac498",
     "resume":
-        "d2cf3c547ad3ed6dd4c0abe7883d3f717c7f0706bbbfc9e494731b1de365604d",
+        "5d163d15c446990d8177e82b791f9824f101cdf79269d79ae75253be03112ae6",
     "resume_chaos":
-        "8f3a4f4956e08254ca1d16de871af7bf7347b187b1f48768573240aabc0aa574",
+        "205ac6fd976147976f6f21d05650c452c7957cbe883df9bdc2e2bfe5a60bb683",
     "abandon":
-        "437676d23382e35580ef1055013451380ca3da4900f2e41d75fa7ff18695e6e4",
+        "a25a382d5cd9f76d8ba3a598215da890790fa9c0331fae248065f747594d1796",
     "ack_during_retransmit":
-        "b40380a4e05d200fc303fdc9c98dd32cf42fb0dedd209f183b584ced1f34619e",
+        "81b6213ecc5329ba8dc5e73c3cf31b52dfdad729e332143a5eb860f9e2be6db0",
     "late_after_abort":
-        "f5dd00caafe4656287c57db925a42b22db3c1bf8013afca434419ef2ad00127f",
+        "c8ce40e4bd099a17c9be638936084790c535e3af98d2f86feeabb8685092d75c",
     "recv_queued":
         "8534021ae63bdfa8017d116b767d047c6672a8d31d6700f86edc46109c11cd78",
     "abort_parked_on_ack":
-        "36ca783c41e64585d3e245dee848cc9f1c80f923715493a3a0b655a9ce0fc365",
+        "199cd48812d321b1c0a08cee972a1888fab3342d58b3fe9d0a9f92b8250f1ac3",
     "abort_while_serializing":
-        "4f3a3496b3b9278ef62b6803afe24d9c92ec12ad941032b884a6e70773871e09",
+        "f22242b9e79cc8d80fa41d92f6d97971c2934fc30ab6330083780281b8dc76f0",
     "abort_while_processing":
-        "4a0041b14e4391527d52e84ba9f9a77b44a328720e4b2149bc98e74bc6c2a1b6",
+        "6c7b25092bbf0f17bbdab6a0a98185736a7a91340a9fc550acfa8ef0b9992a5c",
 }
 
 CASES = {build.__name__: build for build in (

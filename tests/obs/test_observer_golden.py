@@ -35,21 +35,21 @@ from repro.workload.clients import StoreWorkloadConfig, run_store_workload
 #: SHA-256 of each output, by name.
 GOLDEN = {
     "fleet.dashboard":
-        "3de04cc5eec254c716c235c8b5f2bc67c71e83f845479cdd7a1ff4f20fd052ce",
+        "ef71bc70e5a758e5daa7fc151014978ed9c656d7d2209fd9027ac453a391be9a",
     "fleet.dashboard_truncated":
-        "c9bb1afb9257d7ecb3a803f03c46fca8c4d882647cd7f25b3509a6b2070965c4",
+        "6c6b61ab4bb795180495f48120f5aa532c3f21c0c8baf143e7474d6da61bf34c",
     "fleet.health_summary":
-        "e72c47b334afa4427269b504dc4fe07f307f1101d2fbe2ca84a64b0272759ab7",
+        "1e487faf635e7918b33ab5e5cf133d3c0cb4a9d20aa0301dc0c1318f178dcf82",
     "fleet.html":
-        "e7aaad66bea74d733fdcf8a8aca69ef84ef0b8c730042e47f0b6b24ce3dfa7a8",
+        "841f509376411759984c0b6c8196b99a1dcdf89f51d7a1c7865e7b0b6ff20c0d",
     "fleet.otlp":
-        "d0183935661566f01e5fa1a293b7502793ed6f1df6ee403878743fc7ecfd79ea",
+        "d42d958eb030553aaa8bfd474782c0e2bc52f6650e94c4ef68a734bdfd35658a",
     "fleet.prometheus":
-        "9536f7505e5d9634db1ef2d303430809428fe2983e794431f9e253081e15a923",
+        "c7f5e30ce2cf28fd82cecce687f170a1944957d7cb122a38247aa41e5b3141f6",
     "fleet.registry":
-        "4f84e9eac9066ac6042ab5f6511ea0fb26b43cd4e4be6498d7e2ad513279e346",
+        "5097fc3354a33b6d5f0e29c170013f4cc4422c96da3f7dd0f4d7a17638a22bcd",
     "fleet.series":
-        "8ac9d64563495bdd9fccc9f7fcf9b7907cf2ee30200da220f23a82605d7cf749",
+        "89430e1c35892025d616832250f7f66cdbf83f393da9f7659c28faf085a23b9f",
     "store.dashboard":
         "6844518ceea1356a08dffaff280c154da74880f6497ae099bbb9c850a5e62513",
     "store.dashboard_truncated":
@@ -71,7 +71,7 @@ GOLDEN = {
     "tampered.health_summary":
         "ca0581696e2e8cbf0e7895d28b59929c33f63341cfdcc008fb1b11c842cc7193",
     "tampered.html":
-        "6ff9278671b4d285c259e69e9afef20b4c026582d04b194ee44a39c3d618c85d",
+        "c6d9a8427850ce1484917b0b4722c93b98ddcf4d4ee1b414f7fa11dfbaa2ceed",
     "tampered.otlp":
         "f08aaa1a89eaf929f43288c6384623d00d0f8b514a05b2f35a87d4f03c30752d",
     "tampered.prometheus":
