@@ -71,7 +71,10 @@ def test_bench_document_regression(benchmark, report_writer):
         assert run["sim_completion_seconds"] > 0
         assert run["consistent"] or run["updates"] > 0
     body = format_bench_table(document)
-    body += (f"\n\nDocument: {path}\nEvery run re-validated against "
+    # Relative to the checkout, so the report reads the same from any clone.
+    shown = pathlib.Path(path).resolve().relative_to(
+        REPORTS_DIR.resolve().parents[1]).as_posix()
+    body += (f"\n\nDocument: {shown}\nEvery run re-validated against "
              f"{document['schema']} and cross-checked against a\nsequential "
              "replay of its own execution log before emission "
              "(BenchConfig.paired).")

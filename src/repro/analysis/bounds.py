@@ -21,7 +21,7 @@ table (space, time/communication, worst-case bits) for reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.core.rotating import BasicRotatingVector
 from repro.net.wire import Encoding
@@ -42,11 +42,6 @@ class DeltaGamma:
     @property
     def delta_size(self) -> int:
         return len(self.delta)
-
-
-def delta_of(a: BasicRotatingVector, b: BasicRotatingVector) -> Set[str]:
-    """``Δ = {i : b[i] > a[i]}`` (Table 1)."""
-    return {element.site for element in b.order if element.value > a[element.site]}
 
 
 def analyze_pair(a: BasicRotatingVector, b: BasicRotatingVector) -> DeltaGamma:
@@ -115,15 +110,3 @@ def vector_storage_bits(vector: BasicRotatingVector,
     per_element = (encoding.site_bits + encoding.value_bits + flag_bits
                    + 2 * encoding.site_bits)
     return len(vector) * per_element
-
-
-def notation_summary(a: BasicRotatingVector, b: BasicRotatingVector,
-                     n_sites: int, max_updates: int) -> Dict[str, int]:
-    """Table 1's notations evaluated on one concrete (a, b) pair."""
-    pair = analyze_pair(a, b)
-    return {
-        "n": n_sites,
-        "m": max_updates,
-        "|Delta|": len(pair.delta),
-        "|Gamma_candidates|": len(pair.gamma_candidates),
-    }

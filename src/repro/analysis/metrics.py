@@ -8,7 +8,6 @@ provides the accumulator they share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
 
 from repro.net.stats import TransferStats
 from repro.replication.statesystem import StateTransferSystem, SyncOutcome
@@ -61,44 +60,3 @@ def aggregate_system(scheme: str,
     for outcome in system.outcomes:
         aggregate.add_outcome(outcome)
     return aggregate
-
-
-def aggregate_outcomes(scheme: str,
-                       outcomes: Iterable[SyncOutcome]) -> SchemeAggregate:
-    """Fold an outcome iterable into one aggregate."""
-    aggregate = SchemeAggregate(scheme)
-    for outcome in outcomes:
-        aggregate.add_outcome(outcome)
-    return aggregate
-
-
-@dataclass
-class Sweep:
-    """A labelled series of per-scheme aggregates, one per x-value."""
-
-    parameter: str
-    points: Dict[str, List[SchemeAggregate]] = field(default_factory=dict)
-    x_values: List[float] = field(default_factory=list)
-
-    def add_point(self, x: float,
-                  aggregates: Dict[str, SchemeAggregate]) -> None:
-        """Record one x-value's per-scheme aggregates."""
-        self.x_values.append(x)
-        for scheme, aggregate in aggregates.items():
-            self.points.setdefault(scheme, []).append(aggregate)
-
-    def series(self, scheme: str,
-               attribute: str = "metadata_bits_per_sync") -> List[float]:
-        """One scheme's y-series for the chosen attribute."""
-        return [getattr(a, attribute) for a in self.points[scheme]]
-
-    def crossover(self, scheme_a: str, scheme_b: str,
-                  attribute: str = "metadata_bits_per_sync"
-                  ) -> Optional[float]:
-        """First x where ``scheme_a`` becomes cheaper than ``scheme_b``."""
-        series_a = self.series(scheme_a, attribute)
-        series_b = self.series(scheme_b, attribute)
-        for x, value_a, value_b in zip(self.x_values, series_a, series_b):
-            if value_a < value_b:
-                return x
-        return None

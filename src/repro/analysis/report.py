@@ -28,19 +28,6 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def format_ratio(numerator: float, denominator: float) -> str:
-    """A compact ``x.yz×`` ratio (``∞`` when the denominator is zero)."""
-    if denominator == 0:
-        return "inf"
-    return f"{numerator / denominator:.2f}x"
-
-
-def print_report(title: str, body: str) -> None:
-    """Emit one benchmark report block with a recognizable banner."""
-    bar = "=" * max(len(title), 8)
-    print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
-
-
 def format_metrics(snapshot: dict) -> str:
     """Render a :meth:`~repro.obs.MetricsRegistry.snapshot` as tables.
 

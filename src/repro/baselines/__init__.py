@@ -14,7 +14,7 @@ from repro import _lazy_surface
 __getattr__, __dir__ = _lazy_surface(__name__, {
     "hashhistory": ("HASH_BITS", "HashHistory", "exchange_hash_histories"),
     "predecessor": ("PredecessorSet",),
-    "singhal": ("SKMessage", "SKProcess", "run_sk_exchange"),
+    "singhal": ("SKMessage", "SKProcess"),
 })
 
 __all__ = [
@@ -24,5 +24,4 @@ __all__ = [
     "PredecessorSet",
     "SKMessage",
     "SKProcess",
-    "run_sk_exchange",
 ]

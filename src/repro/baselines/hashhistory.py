@@ -136,10 +136,6 @@ class HashHistory:
             raise ValueError(f"unknown version {version}")
         self._head = version
 
-    def all_versions(self) -> Set[str]:
-        """Every version hash this history stores."""
-        return set(self._parents)
-
 
 def exchange_hash_histories(a: "HashHistory", b: "HashHistory",
                             *, site: str) -> Tuple[int, int]:

@@ -12,8 +12,8 @@ the replication systems in :mod:`repro.replication.hybrid`.
 from repro import _lazy_surface
 
 __getattr__, __dir__ = _lazy_surface(__name__, {
-    "pruning": ("Retirement", "RetirementLog", "is_prunable", "live_elements",
-                "prune", "prune_all"),
+    "pruning": ("Retirement", "RetirementLog", "is_prunable", "prune",
+                "prune_all"),
     "varint": ("AdaptiveEncoding", "elias_gamma_bits"),
 })
 
@@ -23,7 +23,6 @@ __all__ = [
     "RetirementLog",
     "elias_gamma_bits",
     "is_prunable",
-    "live_elements",
     "prune",
     "prune_all",
 ]

@@ -30,7 +30,7 @@ verdicts it produces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import List, Tuple
 
 from repro.core.rotating import BasicRotatingVector
 from repro.errors import ReproError
@@ -100,20 +100,3 @@ def prune_all(vector: BasicRotatingVector, log: RetirementLog) -> int:
             if prune(vector, retirement):
                 removed += 1
     return removed
-
-
-def live_elements(vector: BasicRotatingVector,
-                  log: RetirementLog) -> Dict[str, int]:
-    """The vector restricted to non-retired sites (comparison domain)."""
-    retired = set(log.retired_sites())
-    return {site: value for site, value in vector.elements()
-            if site not in retired}
-
-
-def vectors_agree_on_live_sites(a: BasicRotatingVector,
-                                b: BasicRotatingVector,
-                                log: RetirementLog,
-                                sites: Iterable[str]) -> bool:
-    """Helper for tests: equality over the non-retired site domain."""
-    retired = set(log.retired_sites())
-    return all(a[site] == b[site] for site in sites if site not in retired)

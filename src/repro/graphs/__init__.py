@@ -13,7 +13,7 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
     "causalgraph": ("CausalGraph", "GraphNode", "build_graph"),
     "crg": ("CoalescedGraph", "CRGNode", "coalesce"),
     "render": ("render_causal_graph", "render_segments",
-               "render_replication_graph", "vector_orders_table"),
+               "render_replication_graph"),
     "replicationgraph": ("ReplicationGraph", "VersionNode"),
 })
 
@@ -29,5 +29,4 @@ __all__ = [
     "render_causal_graph",
     "render_replication_graph",
     "render_segments",
-    "vector_orders_table",
 ]

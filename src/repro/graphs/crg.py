@@ -62,20 +62,9 @@ class CoalescedGraph:
         self._member_map = member_map
         # Per-instance memos: a CoalescedGraph never mutates after
         # construction, so Π sets and prefixing segments are computed at
-        # most once per node.  SegmentIndex seeds these across rebuilds.
+        # most once per node.
         self._pi_memo: Dict[int, FrozenSet[int]] = {}
         self._seg_memo: Dict[int, Tuple[Tuple[str, int], ...]] = {}
-
-    def adopt_memos(self, pi_memo: Dict[int, FrozenSet[int]],
-                    seg_memo: Dict[int, Tuple[Tuple[str, int], ...]]) -> None:
-        """Seed the memo tables with entries known to still be valid.
-
-        Used by :class:`~repro.graphs.segindex.SegmentIndex` to carry
-        surviving cache entries across incremental rebuilds; callers are
-        responsible for having invalidated anything a graph change touched.
-        """
-        self._pi_memo.update(pi_memo)
-        self._seg_memo.update(seg_memo)
 
     # -- lookups ----------------------------------------------------------------
 

@@ -12,7 +12,7 @@ markers under the others, keeping the output linear in the graph size.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set
+from typing import Callable, Hashable, List, Optional, Sequence, Set
 
 from repro.graphs.causalgraph import CausalGraph
 from repro.graphs.replicationgraph import ReplicationGraph
@@ -103,14 +103,3 @@ def render_segments(segments: Sequence[Sequence[tuple]]) -> str:
         inner = ", ".join(f"{site}:{value}" for site, value in segment)
         boxes.append(f"[{inner}]")
     return " ".join(boxes)
-
-
-def vector_orders_table(vectors: Dict[int, object]) -> str:
-    """One line per θ vector: id, ≺ order, values — Figure 1's table view."""
-    lines = []
-    for key in sorted(vectors):
-        vector = vectors[key]
-        inner = ", ".join(f"{site}:{value}"
-                          for site, value in vector.elements())  # type: ignore[attr-defined]
-        lines.append(f"θ{key}: ⟨{inner}⟩")
-    return "\n".join(lines)

@@ -19,7 +19,7 @@ reproduction builds it alongside scripted and generated workloads to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GraphError
 
@@ -66,15 +66,6 @@ class ReplicationGraph:
         self._nodes: Dict[int, VersionNode] = {}
         self._children: Dict[int, List[int]] = {}
         self._next_id = 1
-        self._listeners: List[Callable[[VersionNode], None]] = []
-
-    def subscribe(self, listener: Callable[[VersionNode], None]) -> None:
-        """Call ``listener(node)`` after every node insertion.
-
-        The incremental segment index registers here so it sees exactly the
-        nodes an update/reconcile touches, instead of rescanning the graph.
-        """
-        self._listeners.append(listener)
 
     # -- construction -------------------------------------------------------------
 
@@ -94,8 +85,6 @@ class ReplicationGraph:
         self._children[node_id] = []
         for parent in node.parents:
             self._children[parent].append(node_id)
-        for listener in self._listeners:
-            listener(node)
         return node
 
     def add_initial(self, vector: Sequence[Tuple[str, int]], *,

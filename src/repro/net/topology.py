@@ -122,41 +122,6 @@ class StarTopology:
         return hub, spoke       # spoke pulls from hub
 
 
-class ClusteredTopology:
-    """Mostly-local gossip: pairs inside a cluster, occasional bridges.
-
-    Models multi-regional collaboration (§1): sites split into ``clusters``
-    groups; with probability ``bridge_probability`` a sync crosses groups.
-    """
-
-    def __init__(self, clusters: int = 2,
-                 bridge_probability: float = 0.1) -> None:
-        if clusters < 1:
-            raise ValidationError("clusters must be >= 1")
-        if not 0 <= bridge_probability <= 1:
-            raise ValidationError("bridge_probability must be in [0, 1]")
-        self.clusters = clusters
-        self.bridge_probability = bridge_probability
-
-    def _cluster_of(self, index: int, n: int) -> int:
-        size = max(1, (n + self.clusters - 1) // self.clusters)
-        return index // size
-
-    def pair(self, rng: random.Random, step: int,
-             sites: List[str]) -> Tuple[str, str]:
-        """A pair inside one cluster, or a bridge with small probability."""
-        n = len(sites)
-        if n < 2:
-            return sites[0], sites[0]
-        for _ in range(32):
-            i, j = rng.sample(range(n), 2)
-            same = self._cluster_of(i, n) == self._cluster_of(j, n)
-            cross = rng.random() < self.bridge_probability
-            if same != cross:
-                return sites[i], sites[j]
-        return sites[i], sites[j]  # degenerate cluster layout: accept any
-
-
 @dataclass(frozen=True)
 class LinkProfile:
     """One class of link: propagation delay, rate, and nominal loss.

@@ -25,6 +25,7 @@ from repro.obs.monitor import ClusterMonitor, MonitorConfig
 from repro.obs.otlp_schema import validate_otlp
 from repro.obs.trace import SamplingPolicy, Tracer
 from repro.perf.bench import SCENARIOS, BenchConfig, bench_topology
+from repro.protocols import registry
 from repro.workload.cluster import SessionRequest
 
 
@@ -183,8 +184,9 @@ def monitor_main(argv: Optional[List[str]] = None) -> int:
     protocols = [name.strip() for name in args.protocols.split(",")
                  if name.strip()]
     for name in protocols:
-        if name not in ("brv", "crv", "srv"):
-            print(f"unknown protocol {name!r}; expected brv, crv, srv")
+        if name not in registry.names():
+            print(f"unknown protocol {name!r}; "
+                  f"expected {', '.join(registry.names())}")
             return 2
     monitor_config = MonitorConfig(cadence=args.cadence,
                                    strict=args.strict_invariants)
@@ -322,7 +324,7 @@ def analyze_main(argv: Optional[List[str]] = None) -> int:
                         help="trace and analyze a seeded chaos fleet run "
                              "instead of reading a file")
     parser.add_argument("--protocol", default="srv",
-                        choices=("brv", "crv", "srv"),
+                        choices=registry.names(),
                         help="fleet protocol (default: srv)")
     _add_fleet_arguments(parser)
     parser.add_argument("--sample", action="store_true",

@@ -5,29 +5,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from repro.core.conflict import ConflictRotatingVector
 from repro.core.rotating import BasicRotatingVector
-from repro.core.skip import SkipRotatingVector
 from repro.core.versionvector import VersionVector
+from repro.protocols import registry
 
 Metadata = Union[VersionVector, BasicRotatingVector]
 
 #: Metadata kind tags accepted by the replication systems.
-METADATA_KINDS = ("vv", "brv", "crv", "srv")
+METADATA_KINDS = ("vv", *registry.names())
 
 
 def make_metadata(kind: str) -> Metadata:
-    """A fresh, empty metadata instance of the requested kind."""
+    """A fresh, empty metadata instance of the requested kind.
+
+    ``vv`` is the traditional whole-vector baseline; every other kind is
+    a scheme of :mod:`repro.protocols.registry`.
+    """
     if kind == "vv":
         return VersionVector()
-    if kind == "brv":
-        return BasicRotatingVector()
-    if kind == "crv":
-        return ConflictRotatingVector()
-    if kind == "srv":
-        return SkipRotatingVector()
-    raise ValueError(f"unknown metadata kind {kind!r}; expected one of "
-                     f"{METADATA_KINDS}")
+    if kind not in METADATA_KINDS:
+        raise ValueError(f"unknown metadata kind {kind!r}; expected one of "
+                         f"{METADATA_KINDS}")
+    return registry.get(kind).vector_cls()
 
 
 @dataclass

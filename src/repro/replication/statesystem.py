@@ -30,14 +30,12 @@ from repro.net.stats import TransferStats
 from repro.net.wire import Encoding
 from repro.obs.metrics import MetricsRegistry, observe_session
 from repro.obs.trace import Tracer
+from repro.protocols import registry as protocols
 from repro.protocols.comparep import compare_remote
 from repro.protocols.fullsync import sync_full_vector
 from repro.protocols.messages import PayloadMsg
 from repro.protocols.reports import VectorReceiverReport, VectorSenderReport
 from repro.protocols.session import SessionResult, run_session
-from repro.protocols.syncb import syncb_receiver, syncb_sender
-from repro.protocols.syncc import syncc_receiver, syncc_sender
-from repro.protocols.syncs import syncs_receiver, syncs_sender
 from repro.replication.membership import SiteRegistry
 from repro.replication.replica import (METADATA_KINDS, StateReplica,
                                        make_metadata)
@@ -125,7 +123,8 @@ class StateTransferSystem:
             raise ValueError(f"unknown metadata kind {metadata!r}")
         if resolution is None:
             resolution = AutomaticResolution(deterministic_pick)
-        if metadata == "brv" and isinstance(resolution, AutomaticResolution):
+        if (metadata != "vv" and not protocols.get(metadata).reconciles
+                and isinstance(resolution, AutomaticResolution)):
             raise ReproError(
                 "BRV supports manual conflict resolution only (§3.1); "
                 "use CRV or SRV for automatic reconciliation")
@@ -191,10 +190,6 @@ class StateTransferSystem:
             return self._replicas[(site, object_id)]
         except KeyError:
             raise ReproError(f"{site} hosts no replica of {object_id!r}") from None
-
-    def has_replica(self, site: str, object_id: str) -> bool:
-        """True iff ``site`` hosts a replica of ``object_id``."""
-        return (site, object_id) in self._replicas
 
     def replicas_of(self, object_id: str) -> List[StateReplica]:
         """Every replica of ``object_id``, ordered by site name."""
@@ -345,21 +340,9 @@ class StateTransferSystem:
     def _run_vector_sync(self, dst: StateReplica, src: StateReplica,
                          verdict: Ordering) -> SessionResult:
         kind = self.metadata_kind
-        reconcile = verdict is Ordering.CONCURRENT
         tracer = self.tracer
-        if kind == "brv":
-            if reconcile:
-                raise ReproError("SYNCB cannot reconcile concurrent vectors")
-            sender = syncb_sender(src.meta, tracer=tracer)
-            receiver = syncb_receiver(dst.meta, tracer=tracer)
-        elif kind == "crv":
-            sender = syncc_sender(src.meta, tracer=tracer)
-            receiver = syncc_receiver(dst.meta, reconcile=reconcile,
-                                      tracer=tracer)
-        else:
-            sender = syncs_sender(src.meta, tracer=tracer)
-            receiver = syncs_receiver(dst.meta, reconcile=reconcile,
-                                      tracer=tracer)
+        sender, receiver, _ = protocols.get(kind).build(
+            src.meta, dst.meta, verdict, tracer=tracer)
         if self.verify_wire:
             # The serialized path stays untraced: its codec pipeline does
             # its own bit-level asserts and is a validation harness, not a
@@ -507,7 +490,3 @@ class StateTransferSystem:
     def total_metadata_bits(self) -> int:
         """Metadata traffic accumulated over every synchronization."""
         return sum(o.metadata_bits for o in self.outcomes)
-
-    def total_payload_bits(self) -> int:
-        """Payload traffic accumulated over every synchronization."""
-        return sum(o.payload_bits for o in self.outcomes)

@@ -216,12 +216,6 @@ class SiteStore:
         (the consistency observatory's divergence gauge)."""
         return sum(len(record.siblings) for record in self.table.values())
 
-    def newest_updated_at(self) -> float:
-        """The site's write watermark: the newest client-write time any
-        of its keys reflects (0.0 for an empty table)."""
-        return max((record.updated_at for record in self.table.values()),
-                   default=0.0)
-
     # -- knowledge and stamps ----------------------------------------------
 
     def _stamp(self, key: str, record: KeyRecord,

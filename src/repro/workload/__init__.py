@@ -10,13 +10,10 @@ from repro import _lazy_surface
 __getattr__, __dir__ = _lazy_surface(__name__, {
     "events": ("CloneEvent", "CreateEvent", "SyncEvent", "TraceEvent",
                "UpdateEvent"),
-    "generator": ("WorkloadConfig", "default_value_factory", "generate_trace",
-                  "high_conflict_config", "low_conflict_config",
-                  "medium_conflict_config"),
+    "generator": ("WorkloadConfig", "default_value_factory", "generate_trace"),
     "replay": ("ReplaySummary", "replay_ops", "replay_state"),
-    "scenarios": ("FIGURE1_ORDERS", "FIGURE1_VECTORS",
-                  "all_write_then_gossip_trace", "chain_trace",
-                  "figure1_graph", "figure1_vectors", "figure3_graphs"),
+    "scenarios": ("FIGURE1_ORDERS", "FIGURE1_VECTORS", "figure1_graph",
+                  "figure1_vectors", "figure3_graphs"),
 })
 
 __all__ = [
@@ -29,16 +26,11 @@ __all__ = [
     "TraceEvent",
     "UpdateEvent",
     "WorkloadConfig",
-    "all_write_then_gossip_trace",
-    "chain_trace",
     "default_value_factory",
     "figure1_graph",
     "figure1_vectors",
     "figure3_graphs",
     "generate_trace",
-    "high_conflict_config",
-    "low_conflict_config",
-    "medium_conflict_config",
     "replay_ops",
     "replay_state",
 ]

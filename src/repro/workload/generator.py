@@ -89,28 +89,6 @@ class WorkloadConfig:
         return [f"obj{i}" for i in range(self.n_objects)]
 
 
-def low_conflict_config(n_sites: int = 8, steps: int = 200,
-                        seed: int = 0) -> WorkloadConfig:
-    """Few, concentrated updates and frequent syncs: conflicts are rare."""
-    return WorkloadConfig(n_sites=n_sites, steps=steps, seed=seed,
-                          update_ratio=0.2, update_site_bias=2.0)
-
-
-def medium_conflict_config(n_sites: int = 8, steps: int = 200,
-                           seed: int = 0) -> WorkloadConfig:
-    """Balanced mix: occasional concurrent updates."""
-    return WorkloadConfig(n_sites=n_sites, steps=steps, seed=seed,
-                          update_ratio=0.5)
-
-
-def high_conflict_config(n_sites: int = 8, steps: int = 200,
-                         seed: int = 0) -> WorkloadConfig:
-    """Update-heavy, uniform placement: most syncs reconcile (§4's regime,
-    e.g. a heavily appended replicated log)."""
-    return WorkloadConfig(n_sites=n_sites, steps=steps, seed=seed,
-                          update_ratio=0.8)
-
-
 def hot_site_order(sites: Sequence[str], seed: int) -> List[str]:
     """The seed-derived hot-site permutation used by biased placement.
 

@@ -8,8 +8,7 @@ The functions here rebuild, executably, the exact artifacts of the paper:
   the real SYNCC/SYNCS protocols through the same history (footnote 1:
   θ₇ := SYNCC_θ₆(θ₂) and θ₉ := SYNCC_θ₃(θ₈));
 * :func:`figure3_graphs` — the causal graphs of sites A and C from
-  Figure 3, used by the SYNCG reproduction;
-* a few structured traces the benchmarks reuse.
+  Figure 3, used by the SYNCG reproduction.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from repro.graphs.causalgraph import CausalGraph, build_graph
 from repro.graphs.replicationgraph import ReplicationGraph
 from repro.protocols.syncc import sync_crv
 from repro.protocols.syncs import sync_srv
-from repro.workload.cluster import site_names
-from repro.workload.events import (CloneEvent, CreateEvent, SyncEvent,
-                                   TraceEvent, UpdateEvent)
 
 #: Figure 1's nine vectors as plain ``{site: value}`` maps, keyed by node id.
 FIGURE1_VECTORS: Dict[int, Dict[str, int]] = {
@@ -135,42 +131,3 @@ def figure3_graphs() -> Tuple[CausalGraph, CausalGraph]:
 
 
 # -- structured traces reused by benchmarks -----------------------------------------
-
-
-def chain_trace(n_sites: int, rounds: int, object_id: str = "obj0"
-                ) -> List[TraceEvent]:
-    """Updates at the head site flow down a chain — BRV's best case.
-
-    Every round: one update at site 0, then a cascade of pulls
-    1←0, 2←1, …; no two updates are ever concurrent.
-    """
-    sites = site_names(n_sites)
-    trace: List[TraceEvent] = [CreateEvent(sites[0], object_id, "v0")]
-    trace.extend(CloneEvent(sites[0], dst, object_id) for dst in sites[1:])
-    for round_no in range(rounds):
-        trace.append(UpdateEvent(sites[0], object_id, f"v{round_no + 1}"))
-        for index in range(1, n_sites):
-            trace.append(SyncEvent(sites[index - 1], sites[index], object_id))
-    return trace
-
-
-def all_write_then_gossip_trace(n_sites: int, rounds: int,
-                                object_id: str = "obj0") -> List[TraceEvent]:
-    """Every site writes, then a gossip sweep reconciles — maximal conflicts.
-
-    Models the paper's high-conflict example (§4): a heavily updated,
-    append-only replicated log where nearly every synchronization is a
-    (syntactic-only) reconciliation.
-    """
-    sites = site_names(n_sites)
-    trace: List[TraceEvent] = [CreateEvent(sites[0], object_id, "v0")]
-    trace.extend(CloneEvent(sites[0], dst, object_id) for dst in sites[1:])
-    for round_no in range(rounds):
-        for site in sites:
-            trace.append(UpdateEvent(site, object_id,
-                                     f"{site}r{round_no}"))
-        for index in range(1, n_sites):
-            trace.append(SyncEvent(sites[index - 1], sites[index], object_id))
-        for index in range(n_sites - 2, -1, -1):
-            trace.append(SyncEvent(sites[index + 1], sites[index], object_id))
-    return trace

@@ -1,8 +1,7 @@
 """Tests for notation extraction and the Table 2 bound helpers."""
 
-from repro.analysis.bounds import (analyze_pair, delta_of, lower_bound_bits,
-                                   notation_summary, table2_rows,
-                                   vector_storage_bits)
+from repro.analysis.bounds import (analyze_pair, lower_bound_bits,
+                                   table2_rows, vector_storage_bits)
 from repro.core.rotating import BasicRotatingVector
 from repro.core.skip import SkipRotatingVector
 from repro.net.wire import Encoding
@@ -19,8 +18,8 @@ def pair():
 class TestNotations:
     def test_delta(self):
         a, b = pair()
-        assert delta_of(a, b) == {"C", "A"}
-        assert delta_of(b, a) == set()
+        assert analyze_pair(a, b).delta == {"C", "A"}
+        assert analyze_pair(b, a).delta == set()
 
     def test_analyze_pair(self):
         a, b = pair()
@@ -28,12 +27,6 @@ class TestNotations:
         assert analysis.delta == {"C", "A"}
         assert analysis.gamma_candidates == {"B"}
         assert analysis.delta_size == 2
-
-    def test_notation_summary(self):
-        a, b = pair()
-        summary = notation_summary(a, b, n_sites=3, max_updates=3)
-        assert summary["n"] == 3
-        assert summary["|Delta|"] == 2
 
 
 class TestTable2:
@@ -79,11 +72,6 @@ class TestReport:
         assert lines[0].startswith("col")
         assert set(lines[1]) <= {"-", " "}
 
-    def test_format_ratio(self):
-        from repro.analysis.report import format_ratio
-        assert format_ratio(10, 4) == "2.50x"
-        assert format_ratio(1, 0) == "inf"
-
 
 class TestAggregates:
     def test_scheme_aggregate_over_system(self):
@@ -98,14 +86,3 @@ class TestAggregates:
         assert aggregate.syncs == 2
         assert aggregate.metadata_bits > 0
         assert aggregate.metadata_bits_per_sync > 0
-
-    def test_sweep_crossover(self):
-        from repro.analysis.metrics import SchemeAggregate, Sweep
-        sweep = Sweep("n")
-        for x, (a_bits, b_bits) in zip((2, 4, 8), ((10, 5), (10, 10), (10, 20))):
-            cheap = SchemeAggregate("a", syncs=1, metadata_bits=a_bits)
-            costly = SchemeAggregate("b", syncs=1, metadata_bits=b_bits)
-            sweep.add_point(x, {"a": cheap, "b": costly})
-        assert sweep.crossover("a", "b") == 8
-        assert sweep.crossover("b", "a") == 2
-        assert sweep.series("a") == [10, 10, 10]

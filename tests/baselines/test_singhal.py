@@ -1,6 +1,21 @@
 """Tests for the Singhal–Kshemkalyani differential-vector baseline."""
 
-from repro.baselines.singhal import SKProcess, run_sk_exchange
+from repro.baselines.singhal import SKProcess
+
+
+def run_sk_exchange(n_processes, messages):
+    """Run a message schedule; returns (processes, entries sent, full-vector
+    entries a naive scheme would have sent)."""
+    names = [f"P{i:03d}" for i in range(n_processes)]
+    processes = {name: SKProcess(name, names) for name in names}
+    diff_entries = 0
+    full_entries = 0
+    for sender, receiver in messages:
+        message = processes[sender].prepare_message(receiver)
+        diff_entries += message.entry_count()
+        full_entries += len(processes[sender].clock)
+        processes[receiver].deliver(message)
+    return processes, diff_entries, full_entries
 
 
 class TestProcess:

@@ -5,8 +5,8 @@ import pytest
 from repro.core.order import Ordering
 from repro.core.skip import SkipRotatingVector
 from repro.errors import ReproError
-from repro.extensions.pruning import (RetirementLog, is_prunable,
-                                      live_elements, prune, prune_all)
+from repro.extensions.pruning import (RetirementLog, is_prunable, prune,
+                                      prune_all)
 from repro.net.wire import Encoding
 from repro.protocols.syncs import sync_srv
 
@@ -80,12 +80,6 @@ class TestPrune:
         log.retire("Z", 9)  # never seen locally at that value
         assert prune_all(a, log) == 1
         assert "R" not in a.order
-
-    def test_live_elements_view(self):
-        a, _ = converged_pair()
-        log = RetirementLog()
-        log.retire("R", 1)
-        assert live_elements(a, log) == {"A": 1, "B": 1}
 
 
 class TestPrunedProtocols:

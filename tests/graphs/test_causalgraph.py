@@ -1,5 +1,7 @@
 """Tests for the causal graph substrate (§6)."""
 
+import random
+
 import pytest
 
 from repro.core.order import Ordering
@@ -145,3 +147,48 @@ class TestComparison:
         site_c2 = site_c.copy()
         site_c2.append(99, site_c2.sink)
         assert site_c2.compare(site_a) is Ordering.CONCURRENT
+
+
+def test_causal_graph_sink_index_matches_reference_scan():
+    for seed in range(15):
+        rng = random.Random(seed)
+        graph = CausalGraph.with_source("root")
+        frontier = ["root"]
+        for step in range(rng.randint(3, 60)):
+            if len(frontier) >= 2 and rng.random() < 0.35:
+                left, right = rng.sample(frontier, 2)
+                graph.merge_sinks(f"m{step}", left, right)
+                frontier = [f for f in frontier
+                            if f not in (left, right)] + [f"m{step}"]
+            else:
+                parent = rng.choice(frontier)
+                graph.append(f"n{step}", parent)
+                if rng.random() < 0.6:
+                    frontier.remove(parent)
+                frontier.append(f"n{step}")
+            assert graph.sinks() == graph.sinks_uncached()
+
+
+def test_causal_graph_sink_index_handles_out_of_order_install():
+    # SYNCG delivers children before parents; the childless index must
+    # stay coherent through the ancestor-open intermediate states.
+    graph = CausalGraph()
+    graph.install(GraphNode("c", "b"))
+    assert graph.sinks() == graph.sinks_uncached() == ["c"]
+    graph.install(GraphNode("b", "a"))
+    assert graph.sinks() == graph.sinks_uncached() == ["c"]
+    graph.install(GraphNode("a"))
+    assert graph.sinks() == graph.sinks_uncached() == ["c"]
+    assert graph.is_ancestor_closed()
+
+
+def test_added_since_reports_install_order():
+    graph = CausalGraph.with_source("r")
+    mark = graph.version
+    graph.append("x", "r")
+    graph.append("y", "x")
+    assert graph.added_since(mark) == ["x", "y"]
+    assert graph.added_since(0) == ["r", "x", "y"]
+    copied = graph.copy()
+    assert copied.added_since(0) == ["r", "x", "y"]
+    assert copied.sinks() == graph.sinks()

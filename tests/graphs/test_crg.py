@@ -1,5 +1,7 @@
 """Tests for coalesced replication graphs, segments, and Π sets (Figure 2)."""
 
+import random
+
 import pytest
 
 from repro.errors import GraphError
@@ -134,3 +136,38 @@ class TestCoalescingRules:
         graph.add_update(2, [("B", 2), ("A", 1)])
         crg = coalesce(graph)
         assert crg.prefixing_segment(crg.canonical(3)) == [("B", 2)]
+
+
+def _random_history(rng, steps):
+    """Grow a replication graph with random updates and merges."""
+    graph = ReplicationGraph()
+    counter = {"A": 1}
+    root = graph.add_initial([("A", 1)])
+    frontier = [root.node_id]
+    sites = ["A", "B", "C", "D", "E"]
+    for _ in range(steps):
+        site = rng.choice(sites)
+        counter[site] = counter.get(site, 0) + 1
+        vector = sorted(counter.items())
+        if len(frontier) >= 2 and rng.random() < 0.3:
+            left, right = rng.sample(frontier, 2)
+            node = graph.add_merge(left, right, vector)
+            frontier = [f for f in frontier
+                        if f not in (left, right)] + [node.node_id]
+        else:
+            parent = rng.choice(frontier)
+            node = graph.add_update(parent, vector)
+            if rng.random() < 0.6:
+                frontier.remove(parent)
+            frontier.append(node.node_id)
+    return graph
+
+
+def test_crg_pi_set_matches_uncached_reference():
+    for seed in range(10):
+        rng = random.Random(1000 + seed)
+        graph = _random_history(rng, 40)
+        crg = coalesce(graph)
+        for node in crg.nodes():
+            assert crg.pi_set(node.node_id) == \
+                crg.pi_set_uncached(node.node_id)

@@ -3,8 +3,7 @@
 from repro.core.skip import SkipRotatingVector
 from repro.graphs.causalgraph import build_graph
 from repro.graphs.render import (render_causal_graph, render_segments,
-                                 render_replication_graph,
-                                 vector_orders_table)
+                                 render_replication_graph)
 from repro.workload.scenarios import figure1_graph, figure1_vectors
 
 
@@ -63,9 +62,3 @@ class TestSegmentRendering:
         thetas = figure1_vectors(SkipRotatingVector)
         text = render_segments(thetas[9].segments())
         assert text == "[C:1] [H:1, G:1, F:1, E:1] [B:1, A:1]"
-
-    def test_vector_orders_table(self):
-        thetas = figure1_vectors(SkipRotatingVector)
-        text = vector_orders_table(thetas)
-        assert text.splitlines()[0] == "θ1: ⟨A:1⟩"
-        assert "θ9: ⟨C:1, H:1, G:1, F:1, E:1, B:1, A:1⟩" in text

@@ -2,19 +2,18 @@
 
 import pytest
 
-from repro.core.conflict import ConflictRotatingVector
-from repro.core.rotating import BasicRotatingVector
 from repro.core.skip import SkipRotatingVector
 from repro.core.versionvector import VersionVector
+from repro.protocols import registry
 from repro.replication.replica import (METADATA_KINDS, StateReplica,
                                        make_metadata)
 
 
 class TestMetadataFactory:
     def test_all_kinds_construct(self):
-        expected = {"vv": VersionVector, "brv": BasicRotatingVector,
-                    "crv": ConflictRotatingVector,
-                    "srv": SkipRotatingVector}
+        expected = {"vv": VersionVector}
+        expected.update((kind, registry.get(kind).vector_cls)
+                        for kind in ("brv", "crv", "srv"))
         assert set(METADATA_KINDS) == set(expected)
         for kind, cls in expected.items():
             assert type(make_metadata(kind)) is cls

@@ -7,6 +7,9 @@ from repro.errors import ConflictDetected, ReproError
 from repro.replication.resolver import (AutomaticResolution, ManualResolution,
                                         union_merge)
 from repro.replication.statesystem import StateTransferSystem
+from repro.workload.generator import WorkloadConfig, generate_trace
+from repro.workload.replay import replay_state
+from tests.helpers import LINKED_CLASSES, linked_vectors
 
 
 def three_site_system(metadata="srv", resolution=None):
@@ -137,6 +140,35 @@ class TestMetadataKinds:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             StateTransferSystem(metadata="banana")
+
+
+class TestLinkedOracle:
+    """Replicas take their vector class from the protocol registry, so the
+    linked-list oracle reaches the replication system too."""
+
+    @staticmethod
+    def _replay(kind, trace):
+        resolution = ManualResolution() if kind == "brv" else None
+        system = StateTransferSystem(metadata=kind, resolution=resolution)
+        replay_state(trace, system)
+        pulls = [(o.object_id, o.src_site, o.dst_site, o.verdict, o.action,
+                  o.metadata_bits) for o in system.outcomes]
+        replicas = [r for obj in ("obj0", "obj1")
+                    for r in system.replicas_of(obj)]
+        return (pulls, [r.meta.order.as_tuples() for r in replicas],
+                {type(r.meta) for r in replicas})
+
+    @pytest.mark.parametrize("kind, action", [
+        ("brv", "conflict"), ("crv", "reconcile"), ("srv", "reconcile")])
+    def test_array_and_linked_vectors_replay_identically(self, kind, action):
+        trace = generate_trace(WorkloadConfig(n_sites=6, n_objects=2,
+                                              steps=300, seed=5))
+        array = self._replay(kind, trace)
+        with linked_vectors():
+            linked = self._replay(kind, trace)
+        assert linked[2] == {LINKED_CLASSES[kind]} != array[2]
+        assert linked[:2] == array[:2]
+        assert action in {pull[4] for pull in array[0]}
 
 
 class TestManualResolution:

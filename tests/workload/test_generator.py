@@ -9,9 +9,7 @@ from repro.workload.events import (CloneEvent, CreateEvent, SyncEvent,
                                    UpdateEvent)
 from repro.errors import ReproError
 from repro.workload.generator import (WorkloadConfig, generate_trace,
-                                      high_conflict_config, hot_site_order,
-                                      low_conflict_config,
-                                      medium_conflict_config)
+                                      hot_site_order)
 
 
 class TestDeterminism:
@@ -168,16 +166,20 @@ class TestValidation:
 
 class TestStockConfigs:
     def test_conflict_regimes_are_ordered(self):
-        """Replay all three regimes: measured conflict rate must rise."""
+        """Replay three regimes: measured conflict rate must rise.
+
+        Low: few, concentrated updates and frequent syncs.  Medium: a
+        balanced mix.  High: update-heavy, uniform placement (§4's regime).
+        """
         from repro.replication.statesystem import StateTransferSystem
         from repro.workload.replay import replay_state
         rates = []
-        for factory in (low_conflict_config, medium_conflict_config,
-                        high_conflict_config):
+        for update_ratio, bias in ((0.2, 2.0), (0.5, 0.0), (0.8, 0.0)):
             system = StateTransferSystem(metadata="srv")
-            summary = replay_state(
-                generate_trace(factory(n_sites=6, steps=300, seed=11)),
-                system)
+            config = WorkloadConfig(n_sites=6, steps=300, seed=11,
+                                    update_ratio=update_ratio,
+                                    update_site_bias=bias)
+            summary = replay_state(generate_trace(config), system)
             rates.append(summary.conflict_rate)
         assert rates[0] < rates[2]
         assert rates[0] <= rates[1] <= rates[2] or rates[0] < rates[2]

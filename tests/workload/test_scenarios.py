@@ -6,11 +6,49 @@ from repro.core.conflict import ConflictRotatingVector
 from repro.core.rotating import BasicRotatingVector
 from repro.core.skip import SkipRotatingVector
 from repro.errors import ReproError
-from repro.workload.events import CreateEvent, SyncEvent, UpdateEvent
+from repro.workload.cluster import site_names
+from repro.workload.events import (CloneEvent, CreateEvent, SyncEvent,
+                                   UpdateEvent)
 from repro.workload.scenarios import (FIGURE1_ORDERS, FIGURE1_VECTORS,
-                                      all_write_then_gossip_trace,
-                                      chain_trace, figure1_vectors,
-                                      figure3_graphs)
+                                      figure1_vectors, figure3_graphs)
+
+
+def chain_trace(n_sites: int, rounds: int, object_id: str = "obj0"):
+    """Updates at the head site flow down a chain — BRV's best case.
+
+    Every round: one update at site 0, then a cascade of pulls
+    1←0, 2←1, …; no two updates are ever concurrent.
+    """
+    sites = site_names(n_sites)
+    trace = [CreateEvent(sites[0], object_id, "v0")]
+    trace.extend(CloneEvent(sites[0], dst, object_id) for dst in sites[1:])
+    for round_no in range(rounds):
+        trace.append(UpdateEvent(sites[0], object_id, f"v{round_no + 1}"))
+        for index in range(1, n_sites):
+            trace.append(SyncEvent(sites[index - 1], sites[index], object_id))
+    return trace
+
+
+def all_write_then_gossip_trace(n_sites: int, rounds: int,
+                                object_id: str = "obj0"):
+    """Every site writes, then a gossip sweep reconciles — maximal conflicts.
+
+    Models the paper's high-conflict example (§4): a heavily updated,
+    append-only replicated log where nearly every synchronization is a
+    (syntactic-only) reconciliation.
+    """
+    sites = site_names(n_sites)
+    trace = [CreateEvent(sites[0], object_id, "v0")]
+    trace.extend(CloneEvent(sites[0], dst, object_id) for dst in sites[1:])
+    for round_no in range(rounds):
+        for site in sites:
+            trace.append(UpdateEvent(site, object_id,
+                                     f"{site}r{round_no}"))
+        for index in range(1, n_sites):
+            trace.append(SyncEvent(sites[index - 1], sites[index], object_id))
+        for index in range(n_sites - 2, -1, -1):
+            trace.append(SyncEvent(sites[index + 1], sites[index], object_id))
+    return trace
 
 
 class TestFigure1Vectors:

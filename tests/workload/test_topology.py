@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from repro.errors import ValidationError
-from repro.net.topology import (ClusteredTopology, RandomPairTopology,
-                                RingTopology, StarTopology)
+from repro.net.topology import (RandomPairTopology, RingTopology,
+                                StarTopology)
 
 SITES = [f"S{i:03d}" for i in range(8)]
 
@@ -59,39 +58,11 @@ class TestStar:
         assert src_odd == "S000"
 
 
-class TestClustered:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            ClusteredTopology(clusters=0)
-        with pytest.raises(ValidationError):
-            ClusteredTopology(bridge_probability=1.5)
-
-    def test_mostly_local_pairs(self):
-        topology = ClusteredTopology(clusters=2, bridge_probability=0.1)
-        rng = random.Random(0)
-        cross = 0
-        total = 1000
-        for step in range(total):
-            src, dst = topology.pair(rng, step, SITES)
-            src_cluster = SITES.index(src) // 4
-            dst_cluster = SITES.index(dst) // 4
-            if src_cluster != dst_cluster:
-                cross += 1
-        assert cross / total < 0.25
-
-    def test_two_sites_degenerate(self):
-        topology = ClusteredTopology(clusters=2)
-        rng = random.Random(0)
-        src, dst = topology.pair(rng, 0, ["A", "B"])
-        assert {src, dst} == {"A", "B"}
-
-
 @pytest.mark.parametrize("sampler, digest", [
     (RandomPairTopology(), "547706c8d2d5c317"),
     (RingTopology(), "d4f8be10c8af3587"),
     (StarTopology(), "cfb64843a846c978"),
-    (ClusteredTopology(), "008f79754b512324"),
-], ids=["random", "ring", "star", "clustered"])
+], ids=["random", "ring", "star"])
 def test_seeded_streams_are_pinned(sampler, digest):
     # Every seeded schedule (gossip_schedule, generate_trace, the
     # anti-entropy loop) inherits these streams; a sampler that draws
