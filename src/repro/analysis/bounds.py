@@ -25,6 +25,7 @@ from typing import List, Set
 
 from repro.core.rotating import BasicRotatingVector
 from repro.net.wire import Encoding
+from repro.protocols import registry
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def vector_storage_bits(vector: BasicRotatingVector,
     order adds two pointers per element, priced at ``site_bits`` each (the
     doubly linked list of §3.3).
     """
-    flag_bits = {"brv": 0, "crv": 1, "srv": 2}[vector.kind]
+    flag_bits = registry.get(vector.kind).flag_bits
     per_element = (encoding.site_bits + encoding.value_bits + flag_bits
                    + 2 * encoding.site_bits)
     return len(vector) * per_element

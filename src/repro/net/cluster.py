@@ -100,10 +100,11 @@ class ClusterConfig:
         max_steps: per-session effect budget (livelock guard).
         n_objects: replicated objects per site; a session synchronizes
             *all* of them between its pair.
-        batch_size: objects coalesced into one framed wire session
-            (:mod:`repro.protocols.batch`).  1 — the default — runs each
-            object through the plain per-object machinery, bit-for-bit
-            the historical single-object path.
+        batch_size: above 1, a session's objects share one framed wire
+            (:mod:`repro.protocols.batch`) in frames of at most this many
+            entries.  1 — the default — runs each object through the
+            plain per-object machinery, bit-for-bit the historical
+            single-object path.
         retry: ARQ knobs (timeouts, backoff, retry and resume budgets)
             applied to every session when the channel's fault spec is
             enabled; inert on a perfect link.

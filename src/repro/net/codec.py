@@ -21,7 +21,7 @@ graph backward         ``0 node`` (skip-to) · ABORT ``1``
 COMPARE                ``site value`` then ``bit`` (verdict)
 full vector            ``count (site value)×count``
 full graph             ``count (node lp rp)×count``
-batch frame            ``(γ(index) γ(count) msg×count)×entries``
+batch frame            ``(γ(index − prev − 1) γ(count) msg×count)×entries``
 ====================== =============================================
 
 Sites ride as registry ids; graph node ids must be integers (real systems
@@ -467,10 +467,10 @@ class Codec:
                      channel: str) -> Tuple[bytes, int]:
         """Serialize a whole :class:`~repro.protocols.batch.BatchFrame`.
 
-        One pass over every entry: γ(object index), γ(message count),
-        then the entry's payload messages back to back — exactly the
-        layout :meth:`BatchFrame.bits` prices, so the serialized length
-        always equals the priced length.
+        One pass over every entry: γ(gap to the previous entry's index),
+        γ(message count), then the entry's payload messages back to back
+        — exactly the layout :meth:`BatchFrame.bits` prices, so the
+        serialized length always equals the priced length.
         """
         if channel == "compare":
             raise ProtocolError("compare messages never ride batch frames")
@@ -481,9 +481,14 @@ class Codec:
                                         entries=frame.entries)
             return writer.getvalue(), writer.bit_length
         encode_one = self._encode_one
+        prev = -1
         for index, messages in frame.entries:
-            writer.write_gamma(index)
+            if index <= prev:
+                raise ProtocolError(
+                    f"batch frame indices must strictly increase: {frame!r}")
+            writer.write_gamma(index - prev - 1)
             writer.write_gamma(len(messages))
+            prev = index
             for message in messages:
                 encode_one(writer, message, channel)
         return writer.getvalue(), writer.bit_length
@@ -500,8 +505,9 @@ class Codec:
                 self._decode_element_stream(reader, channel, frame=True)))
         entries: List[Tuple[int, Tuple[Message, ...]]] = []
         decode_one = self._decode_one
+        index = -1
         while reader.remaining:
-            index = reader.read_gamma()
+            index += reader.read_gamma() + 1
             count = reader.read_gamma()
             entries.append((index, tuple(decode_one(reader, channel)
                                          for _ in range(count))))
@@ -611,9 +617,9 @@ class Codec:
         check exactly that.
 
         With ``entries`` this writes a whole :class:`BatchFrame` body —
-        each entry's γ(index) γ(count) header followed by its messages —
-        in the same single pass (``messages`` is ignored); one call per
-        frame keeps the hoisting prologue off the per-entry cost.
+        each entry's γ(index gap) γ(count) header followed by its
+        messages — in the same single pass (``messages`` is ignored); one
+        call per frame keeps the hoisting prologue off the per-entry cost.
         """
         encoding = self.encoding
         site_bits = encoding.site_bits
@@ -634,15 +640,22 @@ class Codec:
         acc = writer._acc
         nacc = writer._nacc
         groups = (((-1, messages),) if entries is None else entries)
+        prev = -1
         for group_index, group_messages in groups:
             if group_index >= 0:
-                # Batch-entry header: γ(index) then γ(count).
-                for header in (group_index, len(group_messages)):
+                if group_index <= prev:
+                    writer._acc, writer._nacc = acc, nacc
+                    raise ProtocolError(
+                        f"batch frame indices must strictly increase: "
+                        f"{[index for index, _ in groups]}")
+                # Batch-entry header: γ(index − prev − 1) then γ(count).
+                for header in (group_index - prev - 1, len(group_messages)):
                     shifted = header + 1
                     width = (gamma_width[header] if 0 <= header < 1024
                              else 2 * shifted.bit_length() - 1)
                     acc = (acc << width) | shifted
                     nacc += width
+                prev = group_index
                 if nacc >= _FLUSH_BITS:
                     writer._acc, writer._nacc = acc, nacc
                     writer._spill()
@@ -786,7 +799,7 @@ class Codec:
         looping :meth:`_decode_one`, including every underrun error.
 
         With ``frame=True`` the stream is a :class:`BatchFrame` body —
-        γ(index) γ(count) headers followed by ``count`` messages, back
+        γ(index gap) γ(count) headers followed by ``count`` messages, back
         to back — and the return value is the entry list
         ``[(index, (messages...)), ...]`` instead of a flat message
         list.  Decoding the whole frame in one call keeps the per-entry
@@ -840,7 +853,7 @@ class Codec:
                     remaining_msgs -= 1
                 else:
                     # Between groups: flush the finished one, stop at the
-                    # end of the stream, or read the next γ(index)
+                    # end of the stream, or read the next γ(index gap)
                     # γ(count) header pair inline.
                     if group_index >= 0:
                         entries.append((group_index, tuple(out)))
@@ -871,7 +884,7 @@ class Codec:
                         acc &= (1 << nacc) - 1
                         position = end
                         if header_slot == 0:
-                            group_index = header
+                            group_index += header + 1
                         else:
                             remaining_msgs = header
                     continue

@@ -138,9 +138,10 @@ class SessionOptions:
             newest-first), so every resume call must restore them to
             the pre-session snapshot before building the next attempt's
             coroutines (see :class:`~repro.net.cluster.ClusterRunner`).
-        batch_size: objects coalesced into one framed wire session
-            (:mod:`repro.protocols.batch`); 1 runs each object through
-            the plain per-object path, bit-for-bit the unbatched driver.
+        batch_size: above 1, every pair rides one framed wire session
+            (:mod:`repro.protocols.batch`) in frames of at most this many
+            entries; 1 runs each object through the plain per-object
+            path, bit-for-bit the unbatched driver.
         channel: link model, including its fault spec.
         encoding: wire pricing for every message.
         stop_and_wait: per-item implicit-ack baseline instead of
@@ -694,16 +695,20 @@ def _launch_wire(sim: Simulator, sender: ProtocolCoroutine,
 
 
 class _Attempt:
-    """One attempt of a launched session, its chunks run back to back.
+    """One attempt of a launched session.
 
-    The wires call back into its bound methods, and nothing it holds
-    leads back to it: once its last callback returns, the attempt and its
-    wires' parties and spent generators are freed by reference counting.
-    A resume is a fresh attempt.
+    A framed attempt (``batch_size > 1``) is one wire: every pair rides
+    one :func:`~repro.protocols.batch.batch_party` pair, in frames of at
+    most ``batch_size`` entries.  An unframed one runs its pairs as plain
+    per-object wires, back to back.  The wires call back into its bound
+    methods, and nothing it holds leads back to it: once its last
+    callback returns, the attempt and its wires' parties and spent
+    generators are freed by reference counting.  A resume is a fresh
+    attempt.
     """
 
     __slots__ = ("sim", "handle", "injector", "jitter_rng", "start_time",
-                 "single", "chunks", "index", "stats", "frames",
+                 "single", "wires", "index", "stats", "frames",
                  "sender_results", "receiver_results")
 
     def __init__(self, sim: Simulator, handle: SessionHandle,
@@ -716,38 +721,40 @@ class _Attempt:
             else list(options.pairs)
         if not pairs:
             raise SessionError("a session needs at least one coroutine pair")
-        size = options.batch_size
         self.sim, self.handle, self.start_time = sim, handle, start_time
         self.injector, self.jitter_rng = injector, jitter_rng
-        self.single = len(pairs) == 1 and size == 1
-        self.chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
+        self.single = len(pairs) == 1 and options.batch_size == 1
+        self.wires = ([[pair] for pair in pairs]
+                      if options.batch_size == 1 else [pairs])
         self.sender_results: List[Any] = []
         self.receiver_results: List[Any] = []
 
-    def launch_chunk(self, index: int) -> None:
-        """Start chunk ``index``'s wire session, framed when batching."""
+    def start_wire(self, index: int) -> None:
+        """Start wire ``index``, framed when batching."""
         options = self.handle.options
-        chunk = self.chunks[index]
+        pairs = self.wires[index]
         self.index = index
         self.stats = stats = TransferStats()
         self.frames: Optional[List[BatchFrame]] = None
         if options.batch_size == 1:
-            wire_sender, wire_receiver = chunk[0]
+            wire_sender, wire_receiver = pairs[0]
         else:
             self.frames = frames = []
             wire_sender = batch_party(
-                [s for s, _ in chunk], initiator=True,
-                max_steps=options.max_steps, on_frame=frames.append)
+                [s for s, _ in pairs], initiator=True,
+                max_steps=options.max_steps, on_frame=frames.append,
+                frame_size=options.batch_size)
             wire_receiver = batch_party(
-                [r for _, r in chunk], initiator=False,
-                max_steps=options.max_steps, on_frame=frames.append)
+                [r for _, r in pairs], initiator=False,
+                max_steps=options.max_steps, on_frame=frames.append,
+                frame_size=options.batch_size)
         _launch_wire(self.sim, wire_sender, wire_receiver, stats, options,
-                     self.finish_chunk, self.abort_chunk, self.injector,
+                     self.finish_wire, self.abort_wire, self.injector,
                      self.jitter_rng)
 
-    def finish_chunk(self, sender: _Party, receiver: _Party) -> None:
-        """The chunk's wire completed: fold its parties in, then run the
-        next chunk or finish the session."""
+    def finish_wire(self, sender: _Party, receiver: _Party) -> None:
+        """The wire completed: fold its parties in, then start the next
+        wire or finish the session."""
         handle, stats, frames = self.handle, self.stats, self.frames
         if frames is None:
             self.sender_results.append(sender.result)
@@ -758,8 +765,8 @@ class _Attempt:
             self.sender_results.extend(sender.result)
             self.receiver_results.extend(receiver.result)
         handle.stats.merge(stats)
-        if self.index + 1 < len(self.chunks):
-            self.launch_chunk(self.index + 1)
+        if self.index + 1 < len(self.wires):
+            self.start_wire(self.index + 1)
             return
         single = self.single
         handle.result = final = TimedSessionResult(
@@ -776,8 +783,8 @@ class _Attempt:
         if handle.options.on_complete is not None:
             handle.options.on_complete(final)
 
-    def abort_chunk(self) -> None:
-        """The chunk's wire gave up.  Its traffic was spent: fold it in
+    def abort_wire(self) -> None:
+        """The wire gave up.  Its traffic was spent: fold it in
         before deciding (which may raise) to resume or abandon."""
         handle = self.handle
         options, stats = handle.options, handle.stats
@@ -811,7 +818,7 @@ class _Attempt:
                          signal="session_resume",
                          attempt=handle.attempts + 1, **session)
         _Attempt(self.sim, handle, self.injector, self.jitter_rng,
-                 self.start_time).launch_chunk(0)
+                 self.start_time).start_wire(0)
 
 
 def launch(sim: Simulator, options: SessionOptions) -> SessionHandle:
@@ -842,7 +849,7 @@ def launch(sim: Simulator, options: SessionOptions) -> SessionHandle:
                      if options.fault_seed is None else options.fault_seed)
         injector = FaultInjector(options.channel.faults, seed=base_seed)
         jitter_rng = random.Random(base_seed * 1_000_003 + options.retry.seed)
-    _Attempt(sim, handle, injector, jitter_rng, sim.now).launch_chunk(0)
+    _Attempt(sim, handle, injector, jitter_rng, sim.now).start_wire(0)
     return handle
 
 

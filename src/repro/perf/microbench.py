@@ -291,8 +291,8 @@ def bench_e11_batch_frame(*, n_objects: int = 32, msgs_per_object: int = 5,
                           repeats: int = 30) -> MicrobenchResult:
     """E11's batched frame round-trip: one-pass codec vs per-message bits.
 
-    The frame mirrors one turn of the 8×32 chaos fleet: 32 multiplexed
-    objects, each contributing a handful of SRV elements plus HALT.
+    The frame carries all 32 objects of one 8×32 chaos-fleet session in
+    one frame, each contributing a handful of SRV elements plus HALT.
     Fast: ``encode_batch``/``decode_batch`` in a single stream pass.
     Oracle: bit-by-bit γ headers per entry plus a per-message bit-by-bit
     round-trip — how frames were priced-and-shipped before batch frames
@@ -318,9 +318,11 @@ def bench_e11_batch_frame(*, n_objects: int = 32, msgs_per_object: int = 5,
 
     def oracle() -> None:
         for _ in range(repeats):
+            prev = -1
             for index, messages in frame.entries:
                 headers = BitByBitWriter()
-                headers.write_gamma(index)
+                headers.write_gamma(index - prev - 1)
+                prev = index
                 headers.write_gamma(len(messages))
                 header_bytes = headers.getvalue()
                 header_reader = BitByBitReader(header_bytes,

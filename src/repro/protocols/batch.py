@@ -5,11 +5,14 @@ k session headers and — under the stop-and-wait baseline — one ack per
 message.  This module coalesces the per-object SYNCB/SYNCC/SYNCS
 exchanges into a single framed conversation:
 
-* one shared session header for the whole batch (see
+* one shared session header for the whole batch — one per attempt,
+  however many frames it takes (see
   :attr:`~repro.net.wire.Encoding.session_header_bits`);
-* per-object payloads multiplexed into :class:`BatchFrame` messages,
-  delimited by self-describing Elias-γ varints (object index + message
-  count per entry) so the frame prices itself exactly;
+* per-object payloads multiplexed into :class:`BatchFrame` messages of at
+  most ``frame_size`` entries, delimited by self-describing Elias-γ
+  varints (the gap past the previous entry's session-wide object index,
+  then the message count) so the frame prices itself exactly and a dense
+  run of objects pays one bit per index after its first;
 * one ack per *frame* under stop-and-wait, instead of one per message.
 
 The per-object protocol coroutines run **unmodified**: :func:`batch_party`
@@ -22,18 +25,24 @@ can run it.
 Multiplexing semantics
 ----------------------
 
-The two composites alternate half-duplex *turns*.  Within a turn each
-object coroutine runs as far as it can: ``Send`` buffers the message into
-the outgoing frame, ``Poll``/``Drain`` resolve from the object's demuxed
-inbox, and ``Recv`` parks the object until the next incoming frame.  An
-empty ``Poll`` never ends a turn — the sender keeps streaming, exactly the
-pipelining-overshoot regime of §3.1 that the protocols are already proven
-robust against (the randomized-driver fuzz suite).  The trade is
-explicit: batching forfeits mid-stream control feedback (a HALT or SKIP
-only arrives with the next frame, so the sender streams segments it might
-have skipped), and in exchange the whole batch costs one header plus one
-ack per frame.  For fleets of small per-object vectors — the many-objects
-regime the batching benchmarks model — the framing savings dominate.
+Each composite takes *turns*: its first turn, then one per frame it
+receives.  Within a turn each object coroutine runs as far as it can:
+``Send`` buffers the message into the outgoing entry, ``Poll``/``Drain``
+resolve from the object's demuxed inbox, and ``Recv`` parks the object
+until a frame names it.  A side's first turn runs every object; after it
+every live object is parked on ``Recv``, so a later turn runs exactly the
+objects its frame names, and host work stays O(entries) per frame.  The
+turn's buffer leaves as ⌈entries/``frame_size``⌉ frames, back to back, so
+they pipeline on the link while the peer takes a turn per frame as each
+lands.  An empty ``Poll`` never ends a turn — the sender keeps streaming,
+exactly the pipelining-overshoot regime of §3.1 that the protocols are
+already proven robust against (the randomized-driver fuzz suite).  The
+trade is explicit: batching forfeits mid-stream control feedback (a HALT
+or SKIP only arrives with the next frame, so the sender streams segments
+it might have skipped), and in exchange the whole batch costs one header
+plus one ack per frame.  For fleets of small per-object vectors — the
+many-objects regime the batching benchmarks model — the framing savings
+dominate.
 
 Because frames demux only between turns, an object's empty inbox stays
 empty until it next yields ``Recv``.  The mux says so: an empty ``Poll``
@@ -61,7 +70,7 @@ from collections import deque
 from typing import (Any, Callable, Deque, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from repro.errors import SessionError
+from repro.errors import ProtocolError, SessionError
 from repro.extensions.varint import elias_gamma_bits
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.protocols.effects import (QUIET, RECV, Drain, Poll, Recv, Send,
@@ -78,11 +87,17 @@ BatchEntry = Tuple[int, Tuple[Message, ...]]
 class BatchFrame(Message):
     """One wire frame multiplexing several objects' protocol messages.
 
-    Pricing: each entry costs γ(object index) + γ(message count) bits of
-    framing on top of its payload messages' own prices.  The session
-    header is *not* part of the frame — it is charged once per session by
-    the driver (see :attr:`~repro.net.wire.Encoding.session_header_bits`),
-    which is exactly what a batch amortizes across its objects.
+    Entry indices are session-wide and strictly increasing within a frame;
+    a frame whose indices are not has no price, and :meth:`bits` (like
+    the codec) raises :class:`~repro.errors.ProtocolError`.  Pricing: each
+    entry costs γ(index − prev − 1) + γ(message count) bits of framing on
+    top of its payload messages' own prices, where ``prev`` is the
+    previous entry's index (−1 for the first), so every entry of a dense
+    run but its first pays one index bit, wherever the run sits in the
+    session.  The session header is *not* part of the frame — it is
+    charged once per session by the driver (see
+    :attr:`~repro.net.wire.Encoding.session_header_bits`), which is
+    exactly what a batch amortizes across its objects.
     """
 
     entries: Tuple[BatchEntry, ...]
@@ -90,8 +105,14 @@ class BatchFrame(Message):
     def bits(self, encoding: Encoding) -> int:
         """Wire size in bits (see the class docstring)."""
         total = 0
+        prev = -1
         for index, messages in self.entries:
-            total += elias_gamma_bits(index) + elias_gamma_bits(len(messages))
+            if index <= prev:
+                raise ProtocolError(
+                    f"batch frame indices must strictly increase: {self!r}")
+            total += (elias_gamma_bits(index - prev - 1)
+                      + elias_gamma_bits(len(messages)))
+            prev = index
             for message in messages:
                 total += message.bits(encoding)
         return total
@@ -194,15 +215,18 @@ class _MuxObject:
 def batch_party(generators: Sequence[ProtocolCoroutine], *,
                 initiator: bool,
                 max_steps: int = 10_000_000,
-                on_frame: Optional[Callable[[BatchFrame], None]] = None
+                on_frame: Optional[Callable[[BatchFrame], None]] = None,
+                frame_size: Optional[int] = None
                 ) -> ProtocolCoroutine:
     """Wrap per-object coroutines into one frame-speaking composite.
 
     The composite returns the list of per-object coroutine results, in
     input order.  ``initiator=True`` runs its first turn immediately (the
     sender side); ``initiator=False`` waits for the first frame (the
-    receiver side).  ``on_frame`` observes every outgoing frame — drivers
-    use it to fill :attr:`~repro.net.stats.TransferStats.frames`.
+    receiver side).  A turn's output leaves as frames of at most
+    ``frame_size`` entries (``None``: one frame per turn), back to back.
+    ``on_frame`` observes every outgoing frame — drivers use it to fill
+    :attr:`~repro.net.stats.TransferStats.frames`.
     """
     objects = [_MuxObject(index, gen)
                for index, gen in enumerate(generators)]
@@ -210,30 +234,40 @@ def batch_party(generators: Sequence[ProtocolCoroutine], *,
         raise SessionError("batch_party needs at least one object")
     for obj in objects:
         obj.prime()
+    live = sum(1 for obj in objects if not obj.done)
+    limit = frame_size or len(objects)
     steps = 0
-    waiting = not initiator
+    # A side's first turn runs every object; after it each live object is
+    # parked on Recv, so a later turn need only run those a frame names.
+    turn: Optional[List[_MuxObject]] = objects if initiator else None
     try:
         while True:
-            if not waiting:
+            if turn is not None:
                 buffer: List[Tuple[int, List[Message]]] = []
-                for obj in objects:
-                    steps = obj.run_turn(buffer, steps, max_steps)
-                if buffer:
+                for obj in turn:
+                    if not obj.done:
+                        steps = obj.run_turn(buffer, steps, max_steps)
+                        if obj.done:
+                            live -= 1
+                for start in range(0, len(buffer), limit):
                     frame = BatchFrame(tuple(
                         (index, tuple(messages))
-                        for index, messages in buffer))
+                        for index, messages in buffer[start:start + limit]))
                     if on_frame is not None:
                         on_frame(frame)
                     yield Send(frame)
-            waiting = False
-            if all(obj.done for obj in objects):
+            if not live:
                 return [obj.result for obj in objects]
             frame = yield RECV
             if not isinstance(frame, BatchFrame):  # pragma: no cover
                 raise SessionError(
                     f"batch party expected a BatchFrame, got {frame!r}")
+            named = []
             for index, messages in frame.entries:
-                objects[index].inbox.extend(messages)
+                obj = objects[index]
+                obj.inbox.extend(messages)
+                named.append(obj)
+            turn = objects if turn is None else named
     except GeneratorExit:
         # Closed mid-session (the reliable transport aborting an attempt):
         # propagate the close to every live per-object coroutine so each

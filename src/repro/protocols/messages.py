@@ -211,7 +211,7 @@ class KnowledgeMsg(FullVectorMsg):
     Opens an anti-entropy pull (receiver → sender, the *advert*) and
     rides back on the reply; it is a whole vector and is priced as one.
     Key *names* are not priced anywhere in the store — frames carry
-    γ(object index), as read-repair sessions always have.
+    each key's γ-coded index gap, as read-repair sessions always have.
     """
 
 

@@ -47,6 +47,9 @@ class ProtocolSpec:
     Attributes:
         name: the scheme's registry key (``"brv"``, ``"crv"``, ``"srv"``).
         vector_cls: the metadata-vector class each site instantiates.
+        flag_bits: per-element flag bits that class stores beside site
+            and value: none for BRV, the conflict bit for CRV, the
+            conflict and segment bits for SRV.
         reconciles: whether the receiver can merge *concurrent* vectors
             automatically.  A scheme with ``reconciles=False`` (BRV)
             raises :class:`~repro.errors.ConcurrentVectorsError` when
@@ -61,6 +64,7 @@ class ProtocolSpec:
 
     name: str
     vector_cls: type
+    flag_bits: int
     reconciles: bool
     make_sender: SenderFactory
     make_receiver: ReceiverFactory
@@ -111,11 +115,14 @@ def names() -> List[str]:
 
 
 register(ProtocolSpec(
-    name="brv", vector_cls=ArrayBasicRotatingVector, reconciles=False,
-    make_sender=syncb_sender, make_receiver=syncb_receiver))
+    name="brv", vector_cls=ArrayBasicRotatingVector, flag_bits=0,
+    reconciles=False, make_sender=syncb_sender,
+    make_receiver=syncb_receiver))
 register(ProtocolSpec(
-    name="crv", vector_cls=ArrayConflictRotatingVector, reconciles=True,
-    make_sender=syncc_sender, make_receiver=syncc_receiver))
+    name="crv", vector_cls=ArrayConflictRotatingVector, flag_bits=1,
+    reconciles=True, make_sender=syncc_sender,
+    make_receiver=syncc_receiver))
 register(ProtocolSpec(
-    name="srv", vector_cls=ArraySkipRotatingVector, reconciles=True,
-    make_sender=syncs_sender, make_receiver=syncs_receiver))
+    name="srv", vector_cls=ArraySkipRotatingVector, flag_bits=2,
+    reconciles=True, make_sender=syncs_sender,
+    make_receiver=syncs_receiver))

@@ -128,7 +128,8 @@ class StoreConfig:
         channel: link model for every anti-entropy session, including
             its fault spec (chaos applies to store traffic unchanged).
         encoding: wire pricing for every sync message.
-        batch_size: keys coalesced into one framed wire session.
+        batch_size: the most keys one frame of a session's framed wire
+            carries.
         proc_time: per-received-message processing cost in sessions.
         client_latency: one-way client↔site delay added to every op's
             end-to-end latency (the op itself executes at the site).
@@ -638,7 +639,7 @@ class StoreCluster:
             pairs = self._build_pairs(src, dst, keys, record)
             if reply is not None:
                 # The sender's knowledge leads the first key's stream
-                # (no extra frame entry, no extra chunk); an empty
+                # (no extra frame entry, no extra wire); an empty
                 # selection sends it alone.
                 sender, receiver = pairs[0] if pairs else (None, None)
                 pairs = ((_prefixed(Send(reply), sender),

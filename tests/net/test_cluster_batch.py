@@ -8,6 +8,9 @@ The ISSUE 3 acceptance contracts:
 * ``batch_size=k`` amortizes the per-session header (k headers → 1) and,
   under stop-and-wait, the per-message acks (one per frame), so total
   wire bits per object drop;
+* a framed session over more than ``batch_size`` objects is one wire: one
+  header, frames of at most ``batch_size`` entries pipelined back to
+  back, and under ARQ one ack drain;
 * a multi-object, batched :class:`ClusterRunner` still converges and its
   sequential replay reproduces the concurrent run's bits exactly.
 """
@@ -18,9 +21,11 @@ from collections import Counter
 import pytest
 
 from repro.core.skip import SkipRotatingVector
+from repro.net import runner
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import (ClusterConfig, ClusterRunner,
                                replay_sequential)
+from repro.net.faults import FaultSpec
 from repro.net.runner import SessionOptions, launch, run_timed
 from repro.net.simulator import Simulator
 from repro.net.wire import Encoding
@@ -131,14 +136,58 @@ class TestBatchingAmortization:
         for (pa, _), (fa, _) in zip(plain_states, framed_states):
             assert fa.same_structure(pa)
 
-    def test_chunking_splits_into_multiple_framed_sessions(self):
+    def test_framed_session_is_one_wire(self, monkeypatch):
+        frames = []
+        real_party = runner.batch_party
+
+        def spy(generators, *, initiator, on_frame, **options):
+            def note(frame):
+                frames.append((initiator, frame))
+                on_frame(frame)
+            return real_party(generators, initiator=initiator,
+                              on_frame=note, **options)
+
+        monkeypatch.setattr(runner, "batch_party", spy)
         result = run_batched(make_srv_states(7, seed=25), batch_size=3,
                              encoding=PRICED)
-        # ceil(7/3) = 3 chunks, each one framed session with one header.
-        assert result.stats.forward.by_type["SessionHeader"] == 3
+        # Seven objects at batch 3: one wire, one header, and the sender's
+        # turn leaves as frames of 3, 3 and 1 entries, indices session-wide.
+        assert result.stats.forward.by_type["SessionHeader"] == 1
+        sent = [frame for initiator, frame in frames if initiator]
+        assert [frame.object_count for frame in sent] == [3, 3, 1]
+        indices = [index for frame in sent for index, _ in frame.entries]
+        assert indices == list(range(7))
         assert result.stats.framed_objects == 7
         assert len(result.sender_result) == 7
         assert len(result.receiver_result) == 7
+        # The frames pipeline: the wire ends before three chunks run back
+        # to back would.
+        states = make_srv_states(7, seed=25)
+        chunks = sum(run_batched(states[i:i + 3], batch_size=3,
+                                 encoding=PRICED).duration
+                     for i in range(0, 7, 3))
+        assert result.duration < chunks
+
+    def test_framed_session_drains_acks_once(self, monkeypatch):
+        drains = []
+        real_exit = runner._ArqParty.exit
+
+        def exit(party, result):
+            if party.unacked and not party.aborted:
+                drains.append(party.name)
+            real_exit(party, result)
+
+        monkeypatch.setattr(runner._ArqParty, "exit", exit)
+        sim = Simulator()
+        handle = launch(sim, SessionOptions(
+            pairs=tuple(make_pairs(make_srv_states(7, seed=25))),
+            batch_size=3, encoding=PRICED,
+            channel=ChannelSpec(latency=0.05, bandwidth=1e5,
+                                faults=FaultSpec(drop=0.05, seed=3))))
+        sim.run()
+        assert handle.completed
+        assert handle.stats.forward.by_type["SessionHeader"] == 1
+        assert drains == ["sender"]
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError, match="pairs/rebuild"):

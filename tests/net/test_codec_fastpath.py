@@ -91,11 +91,11 @@ def test_stream_bits_and_messages_match_oracle(encoding, channel_stream):
 @given(encoding=encodings,
        entries=st.lists(
            st.tuples(st.integers(0, 300), _stream("srv_fwd")),
-           max_size=8))
+           max_size=8, unique_by=lambda entry: entry[0]))
 def test_batch_frame_matches_oracle_and_pricing(encoding, entries):
     """Batch frames: identical bits, lossless round-trip, priced length."""
     frame = BatchFrame(tuple((index, tuple(msgs))
-                             for index, msgs in entries))
+                             for index, msgs in sorted(entries)))
     fast, slow = _codecs(encoding)
     fast_data, fast_bits = fast.encode_batch(frame, "srv_fwd")
     slow_data, slow_bits = slow.encode_batch(frame, "srv_fwd")
@@ -157,3 +157,60 @@ def test_site_overflow_matches_oracle():
     with pytest.raises(ProtocolError) as slow_error:
         slow.encode_elements([message], "brv_fwd")
     assert str(fast_error.value) == str(slow_error.value)
+
+
+def _entry_indices(shape):
+    """Session-wide entry indices of one frame, by shape."""
+    if shape == "dense":
+        return st.tuples(st.integers(0, 40), st.integers(1, 8)).map(
+            lambda run: list(range(run[0], run[0] + run[1])))
+    if shape == "sparse":
+        return st.lists(st.integers(0, 5000), min_size=1, max_size=8,
+                        unique=True).map(sorted)
+    return st.integers(1024, 1 << 20).map(lambda index: [index])
+
+
+frames_by_shape = st.tuples(
+    st.sampled_from(["brv_fwd", "crv_fwd", "srv_fwd"]),
+    st.sampled_from(["dense", "sparse", "high"])).flatmap(
+    lambda key: st.tuples(
+        st.just(key[0]), _entry_indices(key[1]).flatmap(
+            lambda indices: st.lists(_stream(key[0]), min_size=len(indices),
+                                     max_size=len(indices)).map(
+                lambda streams: BatchFrame(tuple(
+                    (index, tuple(messages))
+                    for index, messages in zip(indices, streams)))))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(encoding=encodings, channel_frame=frames_by_shape)
+def test_gap_coded_frames_round_trip_at_their_price(encoding, channel_frame):
+    """Dense, sparse and one-high-index frames: decode(encode(f)) == f and
+    the encoded length is f's price, on the fast path and the oracle."""
+    channel, frame = channel_frame
+    for codec in _codecs(encoding):
+        data, bits = codec.encode_batch(frame, channel)
+        assert bits == frame.bits(encoding)
+        assert codec.decode_batch(data, bits, channel) == frame
+
+
+def test_dense_frame_pays_one_bit_per_index_after_the_first():
+    empty = ()
+    fast, slow = _codecs(FIXED)
+    for start in (0, 8, 24):
+        frame = BatchFrame(tuple((start + i, empty) for i in range(8)))
+        # γ(start) for the first index, γ(0) = 1 bit for each other one,
+        # and γ(0) for each empty entry's message count.
+        expected = 2 * (start + 1).bit_length() - 1 + 7 + 8
+        assert frame.bits(FIXED) == expected
+        for codec in (fast, slow):
+            assert codec.encode_batch(frame, "srv_fwd")[1] == expected
+
+
+@pytest.mark.parametrize("indices", [(0, 0), (5, 2)])
+def test_codec_refuses_indices_that_do_not_increase(indices):
+    frame = BatchFrame(tuple((index, (Halt(1),)) for index in indices))
+    for codec in _codecs(FIXED):
+        for channel in ("srv_fwd", "srv_bwd"):
+            with pytest.raises(ProtocolError, match="strictly increase"):
+                codec.encode_batch(frame, channel)

@@ -11,6 +11,7 @@ from repro.errors import ConcurrentVectorsError
 from repro.net.cluster import ClusterConfig, ClusterRunner
 from repro.net.wire import Encoding
 from repro.protocols import registry
+from repro.protocols.messages import ElementCMsg, ElementMsg, ElementSMsg
 from repro.protocols.session import run_session
 from tests.helpers import linked_vectors
 
@@ -45,11 +46,22 @@ class TestRegistryLookup:
         assert registry.get("crv").reconciles
         assert registry.get("srv").reconciles
 
+    def test_flag_bits_match_the_element_wire_format(self):
+        # An element on the wire is a tag bit, site, value and the flags
+        # the scheme's vector stores per element.
+        elements = {"brv": ElementMsg("A", 1),
+                    "crv": ElementCMsg("A", 1, True),
+                    "srv": ElementSMsg("A", 1, True, True)}
+        for name, element in elements.items():
+            assert registry.get(name).flag_bits == (
+                element.bits(ENC) - 1 - ENC.site_bits - ENC.value_bits)
+
     def test_register_replaces_and_restores(self):
         original = registry.get("srv")
         try:
             replacement = registry.ProtocolSpec(
-                name="srv", vector_cls=SkipRotatingVector, reconciles=True,
+                name="srv", vector_cls=SkipRotatingVector, flag_bits=2,
+                reconciles=True,
                 make_sender=original.make_sender,
                 make_receiver=original.make_receiver)
             assert registry.register(replacement) is replacement

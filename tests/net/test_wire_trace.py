@@ -4,8 +4,11 @@ Each case runs one session through :func:`repro.net.runner.run_timed`
 with kernel dispatch tracing on, and hashes every trace event — its
 sequence number, kind, span, simulated time, party, message, bits and
 fields, including each ``sim_dispatch`` event's ``pending`` queue
-length.  The digests were taken from the generator-process driver.  A
-transport rewrite that moves, merges, adds or drops one kernel event,
+length.  The digests were taken from the generator-process driver,
+except ``batched`` and ``chunked``, re-taken when a framed session became
+one wire with gap-coded frame indices (``chunked``'s four objects at
+batch 3 now ride one wire as frames of 3 and 1 entries).  A transport
+rewrite that moves, merges, adds or drops one kernel event,
 draws one fault or jitter number in another order, or stamps one float
 differently fails its case.
 """
@@ -239,9 +242,9 @@ GOLDEN = {
     "proc_time":
         "598be4080796418c47194f5bcf962292ab32f22ac487a7b28dea514a22888792",
     "batched":
-        "7d4bfcd713ecc158aeceb05f96f46a1cf4f7e22b76c29ffca6227dbc073f32a1",
+        "4322f0d51f158798de5dcdd21bf07db4a9fd62650f6338e6587acdf00dc93875",
     "chunked":
-        "b3e1363cb81568f40200889339cbfc7f1a166b8b09d9f526e860cf9bf7119b3c",
+        "acb35e3e0dd26424229c4b9e1ae95fd47cf8fdb04ff6f29930d9dfc4a4b03e12",
     "arq_drop":
         "63c920d0f455cfb08145b4a6daee579c44a0f3b9ec0d83591f83c93776e9fd65",
     "arq_duplicate_reorder":

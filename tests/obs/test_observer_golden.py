@@ -43,29 +43,29 @@ GOLDEN = {
     "fleet.html":
         "841f509376411759984c0b6c8196b99a1dcdf89f51d7a1c7865e7b0b6ff20c0d",
     "fleet.otlp":
-        "d42d958eb030553aaa8bfd474782c0e2bc52f6650e94c4ef68a734bdfd35658a",
+        "6d6ea361f5ce6b2d876eb89fa381d43564454bf75a4ae5efad6da146b9502b61",
     "fleet.prometheus":
         "c7f5e30ce2cf28fd82cecce687f170a1944957d7cb122a38247aa41e5b3141f6",
     "fleet.registry":
-        "5097fc3354a33b6d5f0e29c170013f4cc4422c96da3f7dd0f4d7a17638a22bcd",
+        "b6e617bf604cd307e4675a6d24ebe26221f25f8734089e820f37e518db017bd6",
     "fleet.series":
-        "89430e1c35892025d616832250f7f66cdbf83f393da9f7659c28faf085a23b9f",
+        "e77370b0f6aae25a30b811a59b3046954fa289a4a50139ce671fcd3e5966f87a",
     "store.dashboard":
-        "6844518ceea1356a08dffaff280c154da74880f6497ae099bbb9c850a5e62513",
+        "92a4e8a7cc34f99845638493859f70d04f68345954ba898772ec4ec228885d2b",
     "store.dashboard_truncated":
-        "fca548fb784e2fe27d336c9ce20642cd653c57e9ffe490fed488336dd1c2c832",
+        "1a0b4ebaf010576ba4480c9e20db17d88dec0bcb541c0201d7e98f986dd01008",
     "store.html":
-        "ecf6653497239d2a9b1e6124f45a131d570c2ac3be820c81bbdfb5ebafe55537",
+        "c1ea2dd3aff46775bac1de7ac7214b92806a39d48e9ee7441e657ccce81e4faa",
     "store.otlp":
-        "506a7b1dbfe463efd537b708d57c92d1c3d8646c8c653c7884a3e3622fd12020",
+        "b5f9645f3620429f4839369e6e8c10074cfbe8fd827fa65ade1e8257586cea35",
     "store.prometheus":
-        "69b884308ebf1187b9dd197a8d8033ac56a5a4c18f0ae5c70fa57eb52b7ac1e7",
+        "2d97457d2ddc4f3b0a10f93f1678e63d3b20b62eb47b63e78812577d284f5291",
     "store.registry":
-        "c2ca89bea684b98201fd0127dd2b34fbae3e49f5329a67b3d0612b7f9b15379b",
+        "a6cb763dbdfb8c12e76e91938aa623c0a800c2ff5eb6108247306314a49fbc73",
     "store.series":
-        "94a7dae7d1471244e186a33471122adac56037eb4f33db51e71bf5bbb4d59d97",
+        "4213e47957d38e57aa686624e84d94cfe16e4c50fe05e0be9649062d53679ff5",
     "store.summary":
-        "7804ccd0692efc74901efdd6fd4ba686863e326ca902eb98c2aadb3ce6ccb62f",
+        "b27e44396925e4754e8f7f871d68bfdadb6328b25fc4060e7aa491733b7f2ec9",
     "tampered.dashboard":
         "5a74ad104d002fe6dea5546e61ce21c4a70b7fdbe3423ee65d5769ee611f69b2",
     "tampered.health_summary":

@@ -21,7 +21,7 @@ from repro.core.skip import SkipRotatingVector
 from repro.extensions.varint import elias_gamma_bits
 from repro.net.stats import TransferStats
 from repro.net.wire import Encoding
-from repro.errors import SessionError
+from repro.errors import ProtocolError, SessionError
 from repro.protocols.batch import BatchFrame, batch_party, run_batch
 from repro.protocols.effects import POLL
 from repro.protocols.messages import ElementSMsg, Halt
@@ -36,13 +36,21 @@ SITES = ["A", "B", "C", "D", "E"]
 def test_batch_frame_prices_delimiters_plus_payload():
     payload = (ElementSMsg("A", 3, False, True), Halt(1))
     frame = BatchFrame(((2, payload), (7, (Halt(1),))))
+    # Each index is priced as the gap past the previous one: 2, then 7−2−1.
     expected = (elias_gamma_bits(2) + elias_gamma_bits(2)
                 + sum(m.bits(ENCODING) for m in payload)
-                + elias_gamma_bits(7) + elias_gamma_bits(1)
+                + elias_gamma_bits(4) + elias_gamma_bits(1)
                 + Halt(1).bits(ENCODING))
-    assert frame.bits(ENCODING) == expected
+    assert frame.bits(ENCODING) == expected == 43
     assert frame.object_count == 2
     assert frame.message_count == 3
+
+
+@pytest.mark.parametrize("indices", [(1, 1), (3, 2), (-1,)])
+def test_batch_frame_rejects_indices_that_do_not_increase(indices):
+    frame = BatchFrame(tuple((index, (Halt(1),)) for index in indices))
+    with pytest.raises(ProtocolError, match="strictly increase"):
+        frame.bits(ENCODING)
 
 
 def _random_srv_pair(rng):
