@@ -7,6 +7,9 @@ singleton segments) is synchronized and the observed bits are checked to
 stay at or under the bound — and to reach it, showing the bounds are tight.
 """
 
+import sys
+import types
+
 from repro.analysis.bounds import table2_rows
 from repro.analysis.report import format_table
 from repro.core.conflict import ConflictRotatingVector
@@ -19,6 +22,31 @@ from repro.protocols.syncs import sync_srv
 
 ENC = Encoding(site_bits=8, value_bits=8)
 SIZES = (4, 16, 64, 256)
+
+
+def _deep_size(root):
+    """Bytes of ``root`` and everything it reaches (each object once),
+    by ``sys.getsizeof``; classes, functions and modules are not data."""
+    seen, total, stack = set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.FunctionType, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+    return total
 
 
 def worst_case_brv(n):
@@ -91,32 +119,27 @@ def test_table2_space_is_constant(benchmark, report_writer):
     """The Space column: session state never grows with n.
 
     Protocol coroutines keep O(1) local state (cursor, flags, counters);
-    we exhibit it by checking the generators carry no containers that grow
-    with the vector, and benchmark a large sync to show per-element cost
-    is flat.
+    we exhibit it by measuring what a whole-vector sync leaves behind per
+    element — the receiver's new elements plus the session's result — with
+    a deterministic ``sys.getsizeof`` walk, so the report is byte-stable.
     """
-    import tracemalloc
-
-    def peak_during_sync(n):
+    def held_per_element(n):
         b = SkipRotatingVector()
         for index in range(n):
             b.record_update(f"S{index}")
         a = SkipRotatingVector()
-        tracemalloc.start()
-        before, _ = tracemalloc.get_traced_memory()
-        sync_srv(a, b, encoding=ENC)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        # Subtract the receiver vector itself (Θ(n) by design): measure
-        # peak per element, which must not blow up.
-        return (peak - before) / n
+        before = _deep_size(a)
+        result = sync_srv(a, b, encoding=ENC)
+        # The receiver vector itself is Θ(n) by design: per element, the
+        # held bytes must stay flat.
+        return (_deep_size((a, result)) - before) / n
 
-    small = peak_during_sync(64)
-    large = peak_during_sync(1024)
+    small = held_per_element(64)
+    large = held_per_element(1024)
     rows = [["64", f"{small:.0f} B/element"],
             ["1024", f"{large:.0f} B/element"],
             ["ratio", f"{large / small:.2f} (≈1 ⇒ O(1) session overhead)"]]
     assert large < small * 3
     report_writer("table2_space", "Table 2 — O(1) session space check",
-                  format_table(["n", "peak allocation per element"], rows))
+                  format_table(["n", "bytes held per element"], rows))
     benchmark(worst_case_brv, 64)

@@ -12,8 +12,7 @@ from repro import _lazy_surface
 __getattr__, __dir__ = _lazy_surface(__name__, {
     "causalgraph": ("CausalGraph", "GraphNode", "build_graph"),
     "crg": ("CoalescedGraph", "CRGNode", "coalesce"),
-    "render": ("render_causal_graph", "render_segments",
-               "render_replication_graph"),
+    "render": ("render_causal_graph", "render_replication_graph"),
     "replicationgraph": ("ReplicationGraph", "VersionNode"),
 })
 
@@ -28,5 +27,4 @@ __all__ = [
     "coalesce",
     "render_causal_graph",
     "render_replication_graph",
-    "render_segments",
 ]

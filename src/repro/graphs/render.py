@@ -91,15 +91,3 @@ def render_replication_graph(graph: ReplicationGraph, *,
     return _render_dag([graph.source().node_id], children_of, label_of,
                        short_label_of=str)
 
-
-def render_segments(segments: Sequence[Sequence[tuple]]) -> str:
-    """Draw a vector's segments in the paper's boxed style.
-
-    >>> render_segments([[("C", 1)], [("B", 1), ("A", 1)]])
-    '[C:1] [B:1, A:1]'
-    """
-    boxes = []
-    for segment in segments:
-        inner = ", ".join(f"{site}:{value}" for site, value in segment)
-        boxes.append(f"[{inner}]")
-    return " ".join(boxes)

@@ -801,19 +801,19 @@ class ClusterRunner:
             # path regardless of batch_size, as it always has.
             batch_size=config.batch_size if len(pairs) > 1 else 1,
             stop_and_wait=config.stop_and_wait,
-            on_complete=lambda result: self._finish(record, result),
+            on_commit=partial(self._commit, record),
+            on_complete=partial(self._finish, record),
             **session_options(config, src, dst, record.index,
                               tracer=self.tracer))
 
-    def _finish(self, record: ClusterSessionRecord,
-                result: TimedSessionResult) -> None:
-        record.result = result
-        self._totals.merge(result.stats)
+    def _commit(self, record: ClusterSessionRecord) -> None:
+        """The session committed: its Δ is all in and nothing iterates
+        either vector again, so its endpoints are free."""
         if self.monitor is not None:
             # Before the §2.2 self-increment below: the closure oracle
             # expects the receiver to hold exactly max(pre-state, sender).
-            self.monitor.on_session_end(record, result)
-        src, dst = record.src, record.dst
+            self.monitor.on_session_commit(record)
+        dst = record.dst
         if self.config.increment_on_merge:
             # §2.2: the pulling site increments its own element after an
             # automatic merge, per reconciled object.  Not logged — replay
@@ -828,7 +828,22 @@ class ClusterRunner:
                         self.tracer.event("reconcile", party=dst, obj=obj,
                                           session=record.index)
         if self.tracer is not None:
-            self.tracer.event("session_end", party=dst, peer=src,
+            self.tracer.event("session_commit", party=dst,
+                              peer=record.src, session=record.index)
+        # Updates that arrived mid-session land before anything queued
+        # gets to start on the freed endpoints.
+        self._scheduler.release(record.src, dst, (_WHOLE_SITE,))
+
+    def _finish(self, record: ClusterSessionRecord,
+                result: TimedSessionResult) -> None:
+        """The session's parties finished draining: account for it."""
+        record.result = result
+        self._totals.merge(result.stats)
+        if self.monitor is not None:
+            self.monitor.on_session_end(record, result)
+        if self.tracer is not None:
+            self.tracer.event("session_end", party=record.dst,
+                              peer=record.src,
                               bits=result.stats.total_bits,
                               session=record.index)
         if self.metrics is not None:
@@ -837,9 +852,6 @@ class ClusterRunner:
                             completion_time=result.duration)
             self.metrics.histogram("cluster.queue_wait_seconds").observe(
                 record.queue_wait)
-        # Updates that arrived mid-session land before anything queued
-        # gets to start on the freed endpoints.
-        self._scheduler.release(src, dst, (_WHOLE_SITE,))
 
 
 def replay_sequential(sites: Iterable[str], config: ClusterConfig,

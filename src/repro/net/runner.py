@@ -41,17 +41,23 @@ backoff and deterministic jitter (:class:`~repro.net.faults.RetryPolicy`),
 the receiver buffers early arrivals and delivers in order exactly once,
 and a message that exhausts its retry budget aborts the session attempt.
 The window is open: a sender streams ahead as on the perfect link and
-finishes when its last message is acknowledged, so a run in which no
-fault fires costs one ack round trip more than the perfect link.  An
-aborted session *resumes* — when
+finishes when its last message is acknowledged.  An attempt *commits*
+when both coroutines of its last wire have returned: the receiver then
+holds its whole Δ, ancestor-closed, and neither vector is iterated
+again, so ``SessionOptions.on_commit`` fires and the owner may release
+the endpoints while the parties drain their acks.  A run in which no
+fault fires therefore commits at the perfect link's instant and
+completes one ack trip later.  An abort before the commit tears the
+attempt; one after it (a drained message out of retry budget) completes
+it, since nothing is left to deliver.  A torn session *resumes* — when
 ``SessionOptions.rebuild`` can produce fresh coroutines — by
-re-handshaking from the receiver's last *committed* state.  Attempts are
+re-handshaking from the receiver's pre-session state.  Attempts are
 transactional: the protocols stream Δ newest-first, so a torn attempt's
-acked prefix is never ancestor-closed and can NOT be committed (a vector
+acked prefix is never ancestor-closed and can NOT be kept (a vector
 claiming an element without its causal past halts every later sync
 prematurely); the rebuild callback therefore restores the receiving
 vectors to their pre-session snapshot before building the next attempt's
-coroutines, and the aborted attempt's traffic is pure accounted waste.
+coroutines, and the torn attempt's traffic is pure accounted waste.
 
 Accounting: the first transmission of each distinct transport message is
 *goodput*; every further copy is recorded via
@@ -152,6 +158,13 @@ class SessionOptions:
         tracer: optional structured trace sink.
         party_names: labels for the two parties in trace events (e.g.
             site names when hosted by a cluster runner).
+        on_commit: fires once, with no argument, when the final
+            attempt *commits*: both coroutines of its last wire have
+            returned, so the receiver holds its whole Δ and neither
+            vector is iterated again.  The parties may still be draining
+            acks; an abort after this point completes the attempt (it
+            neither restores nor resumes).  On a perfect link it fires
+            just before ``on_complete``.
         on_complete: fires once with the full :class:`TimedSessionResult`
             when both parties of the final attempt have finished.
         retry: ARQ knobs for the reliable transport (timeouts, backoff,
@@ -188,6 +201,7 @@ class SessionOptions:
     max_steps: int = 10_000_000
     tracer: Optional[Tracer] = None
     party_names: Tuple[str, str] = ("sender", "receiver")
+    on_commit: Optional[Callable[[], None]] = None
     on_complete: Optional[Callable[[TimedSessionResult], None]] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     fault_seed: Optional[int] = None
@@ -259,15 +273,16 @@ class _Wire(Wire):
     """What the two parties of one wire session share.
 
     It never refers to a party, so the only cycle on the path is the
-    parties' peer links, and :meth:`_Party.exit` cuts those when the
+    parties' peer links, and :meth:`_Party.leave` cuts those when the
     second party finishes.
     """
 
     __slots__ = ("sim", "channel", "stop_and_wait", "proc_time", "retry",
-                 "injector", "jitter_rng", "on_complete", "on_abort")
+                 "injector", "jitter_rng", "on_commit", "on_complete",
+                 "on_abort", "returned")
 
     def __init__(self, sim: Simulator, stats: TransferStats,
-                 options: SessionOptions,
+                 options: SessionOptions, on_commit: Callable[[], None],
                  on_complete: Callable[["_Party", "_Party"], None],
                  on_abort: Callable[[], None],
                  injector: Optional[FaultInjector],
@@ -281,7 +296,10 @@ class _Wire(Wire):
         self.proc_time = options.proc_time
         self.retry = options.retry
         self.injector, self.jitter_rng = injector, jitter_rng
+        self.on_commit = on_commit
         self.on_complete, self.on_abort = on_complete, on_abort
+        #: Parties whose coroutine has returned; the second commits.
+        self.returned = 0
 
 
 class _Party(Party):
@@ -347,10 +365,21 @@ class _Party(Party):
             self.parked = None
             self.sim.unpark()
         self.coroutine.close()
-        self.exit(None)
+        self.leave()
 
     def exit(self, result: Any) -> None:
-        self.done, self.result = True, result
+        """The coroutine returned; the second return commits the wire."""
+        self.result = result
+        wire = self.wire
+        wire.returned += 1
+        if wire.returned == 2:
+            wire.on_commit()
+        self.leave()
+
+    def leave(self) -> None:
+        """Finish.  Once both have, the wire completes — or, aborted
+        before it committed, gives up."""
+        self.done = True
         self.finish = self.sim.now
         peer = self.peer
         if not peer.done:
@@ -359,7 +388,7 @@ class _Party(Party):
         # session holds no cycle (DESIGN.md §5).
         self.peer = peer.peer = None
         wire = self.wire
-        if self.aborted:
+        if wire.returned < 2:
             wire.on_abort()
             return
         if self.forward:
@@ -516,13 +545,13 @@ class _ArqParty(_Party):
                 out.timer.cancel()
         _Party.quit(self)
 
-    def exit(self, result: Any) -> None:
+    def leave(self) -> None:
         if self.unacked and not self.aborted:
             # The drain: the party finishes on its last message's ack.
-            self.result, self.parked = result, _ACK
+            self.parked = _ACK
             self.sim.park()
             return
-        _Party.exit(self, result)
+        _Party.leave(self)
 
     # -- sending side -------------------------------------------------------
 
@@ -604,7 +633,7 @@ class _ArqParty(_Party):
         if self.aborted:
             self.quit()
         else:
-            _Party.exit(self, self.result)
+            _Party.leave(self)
 
     def expire(self, out: _Out) -> None:
         """``out`` timed out: retransmit, or abort past its budget."""
@@ -669,16 +698,17 @@ class _ArqParty(_Party):
 
 def _launch_wire(sim: Simulator, sender: ProtocolCoroutine,
                  receiver: ProtocolCoroutine, stats: TransferStats,
-                 options: SessionOptions,
+                 options: SessionOptions, on_commit: Callable[[], None],
                  on_complete: Callable[[_Party, _Party], None],
                  on_abort: Callable[[], None],
                  injector: Optional[FaultInjector] = None,
                  jitter_rng: Optional[random.Random] = None) -> None:
     """Start one wire session's two parties: on the perfect link, or on
-    the ARQ transport when an ``injector`` is given.  Once both finish,
-    ``on_complete(sender, receiver)`` gets the two parties."""
-    wire = _Wire(sim, stats, options, on_complete, on_abort, injector,
-                 jitter_rng)
+    the ARQ transport when an ``injector`` is given.  Once both
+    coroutines have returned, ``on_commit()`` fires; once both parties
+    finish, ``on_complete(sender, receiver)`` gets them."""
+    wire = _Wire(sim, stats, options, on_commit, on_complete, on_abort,
+                 injector, jitter_rng)
     party = _Party if injector is None else _ArqParty
     sender_name, receiver_name = options.party_names
     first = party(wire, sender_name, sender, True)
@@ -749,8 +779,15 @@ class _Attempt:
                 max_steps=options.max_steps, on_frame=frames.append,
                 frame_size=options.batch_size)
         _launch_wire(self.sim, wire_sender, wire_receiver, stats, options,
-                     self.finish_wire, self.abort_wire, self.injector,
-                     self.jitter_rng)
+                     self.commit_wire, self.finish_wire, self.abort_wire,
+                     self.injector, self.jitter_rng)
+
+    def commit_wire(self) -> None:
+        """Both coroutines of a wire returned; the last wire's return
+        commits the attempt."""
+        on_commit = self.handle.options.on_commit
+        if on_commit is not None and self.index + 1 == len(self.wires):
+            on_commit()
 
     def finish_wire(self, sender: _Party, receiver: _Party) -> None:
         """The wire completed: fold its parties in, then start the next
@@ -831,11 +868,11 @@ def launch(sim: Simulator, options: SessionOptions) -> SessionHandle:
     else the simulator hosts — concurrent sessions only share the clock.
 
     Under a faulted channel the reliable ARQ transport is engaged; a
-    session attempt that exhausts a message's retry budget aborts and,
-    when ``options.rebuild`` is available and the retry policy's
-    ``max_session_attempts`` budget allows, resumes by rebuilding fresh
-    coroutines from the endpoints' current state (the receiver's acked
-    prefix is already applied).  A session that cannot resume raises
+    session attempt that exhausts a message's retry budget before it
+    commits aborts and, when ``options.rebuild`` is available and the
+    retry policy's ``max_session_attempts`` budget allows, resumes by
+    rebuilding fresh coroutines (the callback restores the receiver
+    first).  A session that cannot resume raises
     :class:`~repro.errors.SessionError` out of the simulator run — unless
     ``options.on_abandon`` is set, in which case the callback is invoked
     with that error and the session's spent stats, and the simulation

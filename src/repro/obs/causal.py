@@ -11,15 +11,17 @@ builds the happens-before DAG:
   earlier.
 * **program edges** — per-(site, session) order among wire events, and a
   per-site lifecycle order among updates, reconciles, and session
-  start/end (a session start/end synchronizes *both* endpoints).
+  start/commit (each synchronizes *both* endpoints; a session's end
+  after its commit only closes the ack drain, and a trace without
+  commits synchronizes at the end).
 * **queue edges** — each ``session_start`` links to its
   ``session_request``, matched FIFO per (src, dst) pair, exactly the
   order the cluster scheduler dispatches them.
 
 On that DAG :func:`analyze_events` replays the paper's knowledge model —
-each update or §2.2 reconcile self-increment is an item; a session merges
-the source's item set (snapshotted at session start) into the
-destination — to locate the **convergence event**: the first event after
+each update or §2.2 reconcile self-increment is an item; a session's
+commit merges the source's item set (snapshotted at session start) into
+the destination — to locate the **convergence event**: the first event after
 which every site holds every item.  The **critical path** is the backward
 chain of *binding predecessors* (the latest-finishing cause, ties broken
 by trace order) from that event down to the update or root that seeded
@@ -61,9 +63,6 @@ CATEGORIES = ("latency", "serialization", "fault_delay", "arq",
 #: Wire-level node kinds that live in per-(site, session) program order.
 _WIRE_KINDS = frozenset({obs.MESSAGE, obs.DELIVER, obs.RETRY, obs.TIMEOUT,
                          obs.SESSION_ABORT, obs.CONTROL, obs.RECONCILE})
-#: Node kinds in the per-site lifecycle order (knowledge flow).
-_LIFECYCLE_KINDS = frozenset({obs.UPDATE, obs.RECONCILE,
-                              obs.SESSION_START, obs.SESSION_END})
 #: Program-edge endpoints that mark ARQ recovery time.
 _ARQ_KINDS = frozenset({obs.RETRY, obs.TIMEOUT, obs.SESSION_ABORT,
                         obs.CONTROL})
@@ -137,6 +136,8 @@ class CausalGraph:
         self._items: List[int] = []
         self._wire_tail: Dict[Tuple[Optional[str], Any], int] = {}
         self._life_tail: Dict[str, int] = {}
+        #: Committed sessions whose end is still to come -> commit seq.
+        self._commits: Dict[Any, int] = {}
         self._queue: Dict[Tuple[str, str], Deque[int]] = {}
 
     # -- construction ---------------------------------------------------------------
@@ -205,18 +206,30 @@ class CausalGraph:
                 self._wire_tail[(dst, session)] = node.seq
                 self._wire_tail[(src, session)] = node.seq
             return node
-        if kind == obs.SESSION_END:
+        if kind in (obs.SESSION_COMMIT, obs.SESSION_END):
             node = self._add(event, session)
             src, dst = fields.get("peer"), node.party
             for site in (dst, src):
                 tail = self._wire_tail.get((site, session))
                 if tail is not None:
                     self._edge(tail, node, "program")
-            if not node.preds and session in self.session_start:
+            # A commit releases both endpoints; the end after it only
+            # closes the drain.  A trace without commits releases at
+            # the end.
+            commit = (self._commits.pop(session, None)
+                      if kind == obs.SESSION_END else None)
+            if commit is not None:
+                self._edge(commit, node, "program")
+            elif not node.preds and session in self.session_start:
                 self._edge(self.session_start[session].seq, node, "program")
-            for site in (dst, src):
-                if site is not None:
-                    self._life_tail[site] = node.seq
+            if kind == obs.SESSION_COMMIT:
+                self._commits[session] = node.seq
+            if commit is None:
+                for site in (dst, src):
+                    if site is not None:
+                        self._life_tail[site] = node.seq
+            if kind == obs.SESSION_END:
+                for site in (dst, src):
                     self._wire_tail.pop((site, session), None)
             return node
         return None
@@ -365,8 +378,8 @@ def _find_convergence(graph: CausalGraph) -> Optional[Node]:
     """First event after which every site holds every knowledge item.
 
     Replays the paper's knowledge model over the trace: each update or
-    reconcile creates an item at its site; a session end merges the
-    source's item set — snapshotted at session start (and re-snapshotted
+    reconcile creates an item at its site; a session's commit (its end,
+    in a trace without commits) merges the source's item set — snapshotted at session start (and re-snapshotted
     at each transactional resume, whose rebuilt coroutines read current
     state) — into the destination's.
     """
@@ -374,7 +387,8 @@ def _find_convergence(graph: CausalGraph) -> Optional[Node]:
     for seq in graph.order:
         node = graph.nodes[seq]
         if node.kind in (obs.UPDATE, obs.RECONCILE, obs.SESSION_REQUEST,
-                         obs.SESSION_START, obs.SESSION_END):
+                         obs.SESSION_START, obs.SESSION_COMMIT,
+                         obs.SESSION_END):
             sites.add(node.party)
             sites.add(node.peer)
     sites.discard(None)
@@ -401,7 +415,8 @@ def _find_convergence(graph: CausalGraph) -> Optional[Node]:
             # *current* state; refresh what this session will deliver.
             snapshots[node.session] = frozenset(
                 knowledge.get(peers[node.session], ()))
-        elif node.kind == obs.SESSION_END:
+        elif node.kind in (obs.SESSION_COMMIT, obs.SESSION_END):
+            # The commit delivers; an end after it finds nothing left.
             merged = snapshots.pop(node.session, frozenset())
             knowledge.setdefault(node.party, set()).update(merged)
             changed = node.party

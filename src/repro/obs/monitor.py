@@ -169,12 +169,21 @@ class ClusterMonitor(Observer):
         if period and fanout_one and record.index % period == 0:
             self._spot_check(record, now)
 
-    def on_session_end(self, record: Any, result: Any) -> None:
-        """A session completed; run the accounting and closure checks.
+    def on_session_commit(self, record: Any) -> None:
+        """A session committed; run the ancestor-closure check.
 
         The runner calls this *before* applying §2.2's reconciliation
-        self-increment, so the element-wise-max oracle is exact.
+        self-increment and releasing the endpoints, so the
+        element-wise-max oracle is exact.
         """
+        now = self._now()
+        snapshot = self._session_snapshots.pop(record.index, None)
+        if snapshot is not None:
+            self._check_closure(record, snapshot, now)
+        self._maybe_sample(now)
+
+    def on_session_end(self, record: Any, result: Any) -> None:
+        """A session's parties finished; run the accounting checks."""
         now = self._now()
         stats = result.stats
         self._sessions_checked += 1
@@ -182,9 +191,6 @@ class ClusterMonitor(Observer):
         self._session_retransmitted += stats.total_retransmitted_bits
         if self.config.check_accounting:
             self._check_accounting(record, stats, now)
-        snapshot = self._session_snapshots.pop(record.index, None)
-        if snapshot is not None:
-            self._check_closure(record, snapshot, now)
         self._maybe_sample(now)
 
     def on_update(self, site: str, obj: int) -> None:

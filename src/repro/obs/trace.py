@@ -93,7 +93,11 @@ INVARIANT_VIOLATION = "invariant_violation"
 SESSION_REQUEST = "session_request"
 #: A cluster session's coroutines were launched (``fields["session"]``).
 SESSION_START = "session_start"
-#: A cluster session's final attempt completed (``fields["session"]``).
+#: A cluster session committed and released its endpoints: both
+#: coroutines of its final attempt returned (``fields["session"]``).
+SESSION_COMMIT = "session_commit"
+#: A cluster session's final attempt completed (``fields["session"]``):
+#: its parties finished draining, so ``fields["bits"]`` is final.
 SESSION_END = "session_end"
 #: A local update landed on ``party`` (cluster runs).
 UPDATE = "update"

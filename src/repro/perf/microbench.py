@@ -27,8 +27,9 @@ accounting: plain-dict message histograms against Counter-backed twins.
 
 The workloads are deterministic (fixed seeds, fixed sizes) and sized so
 a healthy fast path clears its floor with margin — far above scheduler
-noise on any CI box.  Timings take the best of several rounds to shave
-outliers further.
+noise on any CI box.  Timings take each side's best of several rounds,
+fast and oracle interleaved, so a slow stretch of host time cannot land
+on one side only.
 """
 
 from __future__ import annotations
@@ -84,13 +85,17 @@ class MicrobenchResult:
         return self.speedup < self.min_speedup
 
 
-def _best_of(fn: Callable[[], None], rounds: int = ROUNDS) -> float:
-    best = float("inf")
+def _best_pair(fast: Callable[[], None], oracle: Callable[[], None],
+               rounds: int = ROUNDS) -> Tuple[float, float]:
+    """Each side's fastest round, the rounds interleaved: a slow stretch
+    of host time lands on both sides, not on whichever ran through it."""
+    best = [float("inf"), float("inf")]
     for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        for side, fn in enumerate((fast, oracle)):
+            start = time.perf_counter()
+            fn()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1]
 
 
 def bench_srv_segments(*, n_segments: int = 150, segment_len: int = 3,
@@ -117,8 +122,7 @@ def bench_srv_segments(*, n_segments: int = 150, segment_len: int = 3,
     # Warm the partition cache outside the timed region: steady-state
     # read cost is what regressions would change.
     vector.segments()
-    return MicrobenchResult("srv.segments", _best_of(cached),
-                            _best_of(uncached))
+    return MicrobenchResult("srv.segments", *_best_pair(cached, uncached))
 
 
 def _grown_crg(steps: int, seed: int):
@@ -166,8 +170,7 @@ def bench_crg_pi_sweep(*, steps: int = 400, seed: int = 7
         for node_id in node_ids:
             crg.pi_set_uncached(node_id)
 
-    return MicrobenchResult("crg.pi_sweep", _best_of(cached),
-                            _best_of(uncached))
+    return MicrobenchResult("crg.pi_sweep", *_best_pair(cached, uncached))
 
 
 def _srv_segment_spec(n_segments: int, segment_len: int
@@ -200,7 +203,7 @@ def bench_vector_copy(*, n_segments: int = 300, segment_len: int = 3,
         for _ in range(repeats):
             linked_vec.copy()
 
-    return MicrobenchResult("vector.copy", _best_of(fast), _best_of(oracle),
+    return MicrobenchResult("vector.copy", *_best_pair(fast, oracle),
                             min_speedup=3.0)
 
 
@@ -229,7 +232,7 @@ def bench_vector_rotate(*, n_segments: int = 300, segment_len: int = 3,
         for _ in range(repeats):
             linked_vec.rotate_many(sites)
 
-    return MicrobenchResult("vector.rotate", _best_of(fast), _best_of(oracle),
+    return MicrobenchResult("vector.rotate", *_best_pair(fast, oracle),
                             min_speedup=0.8)
 
 
@@ -283,8 +286,8 @@ def bench_e4_segment_stream(*, n_segments: int = 333, segment_len: int = 3,
                 data, nbits = slow_codec.encode(message, channel)
                 slow_codec.decode(data, nbits, channel)
 
-    return MicrobenchResult("e4.segment_stream", _best_of(fast),
-                            _best_of(oracle), min_speedup=5.0)
+    return MicrobenchResult("e4.segment_stream", *_best_pair(fast, oracle),
+                            min_speedup=5.0)
 
 
 def bench_e11_batch_frame(*, n_objects: int = 32, msgs_per_object: int = 5,
@@ -333,8 +336,8 @@ def bench_e11_batch_frame(*, n_objects: int = 32, msgs_per_object: int = 5,
                     data, nbits = slow_codec.encode(message, channel)
                     slow_codec.decode(data, nbits, channel)
 
-    return MicrobenchResult("e11.batch_frame", _best_of(fast),
-                            _best_of(oracle), min_speedup=5.0)
+    return MicrobenchResult("e11.batch_frame", *_best_pair(fast, oracle),
+                            min_speedup=5.0)
 
 
 def bench_sync_stream_rows(*, n_segments: int = 250, segment_len: int = 4,
@@ -363,8 +366,8 @@ def bench_sync_stream_rows(*, n_segments: int = 250, segment_len: int = 4,
                             element.segment)
                 element = element.next
 
-    return MicrobenchResult("sync.stream_rows", _best_of(fast),
-                            _best_of(oracle), min_speedup=1.2)
+    return MicrobenchResult("sync.stream_rows", *_best_pair(fast, oracle),
+                            min_speedup=1.2)
 
 
 def bench_sync_place_after(*, n_segments: int = 250, segment_len: int = 4,
@@ -402,8 +405,8 @@ def bench_sync_place_after(*, n_segments: int = 250, segment_len: int = 4,
                 element.segment = segment
                 prev = site
 
-    return MicrobenchResult("sync.place_after", _best_of(fast),
-                            _best_of(oracle), min_speedup=1.6)
+    return MicrobenchResult("sync.place_after", *_best_pair(fast, oracle),
+                            min_speedup=1.6)
 
 
 @dataclass(frozen=True)
@@ -459,8 +462,8 @@ def bench_messages_element_build(*, n_segments: int = 250,
         for _ in range(repeats):
             build_element_sends_oracle(rows)
 
-    return MicrobenchResult("messages.element_build", _best_of(fast),
-                            _best_of(oracle), min_speedup=2.0)
+    return MicrobenchResult("messages.element_build", *_best_pair(fast, oracle),
+                            min_speedup=2.0)
 
 
 @dataclass
@@ -529,8 +532,8 @@ def bench_stats_session_accounting(*, sessions: int = 2_000,
         for _ in range(repeats):
             account_sessions(_CounterTransferStats, sessions)
 
-    return MicrobenchResult("stats.session_accounting", _best_of(fast),
-                            _best_of(oracle), min_speedup=1.8)
+    return MicrobenchResult("stats.session_accounting", *_best_pair(fast, oracle),
+                            min_speedup=1.8)
 
 
 class _CollectingParty(Party):
@@ -583,8 +586,8 @@ def bench_batch_quiet_turn(*, n_segments: int = 250, segment_len: int = 4,
         for _ in range(repeats):
             per_element_turn(vector)
 
-    return MicrobenchResult("batch.quiet_turn", _best_of(fast),
-                            _best_of(oracle), min_speedup=2.0)
+    return MicrobenchResult("batch.quiet_turn", *_best_pair(fast, oracle),
+                            min_speedup=2.0)
 
 
 def run_microbench() -> List[MicrobenchResult]:

@@ -18,12 +18,11 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
                     "compare_schemes"),
     "hybrid": ("HybridOpSystem",),
     "membership": ("SiteRegistry",),
-    "opreplica": ("Operation", "OpReplica", "counter_applier", "kv_applier",
-                  "log_applier"),
+    "opreplica": ("Operation", "OpReplica", "kv_applier", "log_applier"),
     "opsystem": ("OpSyncOutcome", "OpTransferSystem"),
     "replica": ("METADATA_KINDS", "StateReplica", "make_metadata"),
     "resolver": ("AutomaticResolution", "ManualResolution",
-                 "deterministic_pick", "log_merge", "max_merge", "union_merge"),
+                 "deterministic_pick", "union_merge"),
     "statesystem": ("StateTransferSystem", "SyncOutcome",
                     "default_payload_size"),
     "threeway": ("MergeResult", "merge3", "merge_heads", "snapshot_applier"),
@@ -48,14 +47,11 @@ __all__ = [
     "StateTransferSystem",
     "SyncOutcome",
     "compare_schemes",
-    "counter_applier",
     "default_payload_size",
     "deterministic_pick",
     "kv_applier",
     "log_applier",
-    "log_merge",
     "make_metadata",
-    "max_merge",
     "merge3",
     "merge_heads",
     "snapshot_applier",

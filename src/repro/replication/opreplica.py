@@ -102,9 +102,3 @@ def kv_applier(state: Any, op: Operation) -> Any:
     new_state[key] = value
     return new_state
 
-
-def counter_applier(state: Any, op: Operation) -> Any:
-    """Stock applier: a grow-only counter (increment payloads)."""
-    if op.is_merge or op.payload is None:
-        return state
-    return state + op.payload

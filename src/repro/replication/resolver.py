@@ -18,7 +18,7 @@ order, and the stock ones below all have that property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet, Tuple
+from typing import Any, Callable, FrozenSet
 
 MergeFn = Callable[[Any, Any], Any]
 
@@ -49,20 +49,6 @@ def _as_set(value: Any) -> FrozenSet[Any]:
     return frozenset([value]) if value is not None else frozenset()
 
 
-def log_merge(a: Any, b: Any) -> Tuple[Any, ...]:
-    """Append-only log merge: deduplicated, deterministically ordered."""
-    entries = set(_as_tuple(a)) | set(_as_tuple(b))
-    return tuple(sorted(entries, key=repr))
-
-
-def _as_tuple(value: Any) -> Tuple[Any, ...]:
-    if isinstance(value, tuple):
-        return value
-    if isinstance(value, list):
-        return tuple(value)
-    return (value,) if value is not None else ()
-
-
 def deterministic_pick(a: Any, b: Any) -> Any:
     """Pick one value deterministically (order-independent tiebreak).
 
@@ -72,7 +58,3 @@ def deterministic_pick(a: Any, b: Any) -> Any:
     """
     return max((a, b), key=repr)
 
-
-def max_merge(a: Any, b: Any) -> Any:
-    """Numeric max — convergent for monotonic counters."""
-    return max(a, b)

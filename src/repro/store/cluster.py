@@ -37,7 +37,7 @@ neither site while in flight.  When it has arrived and both sites are
 idle, ``src`` selects exactly the keys whose stamp the advert does not
 cover, from its own index and the advert alone, and runs the per-key
 batch over them with its own knowledge vector leading the first key's
-stream (alone, when nothing was selected).  Only on completion does
+stream (alone, when nothing was selected).  Only at its commit does
 ``dst`` raise its knowledge to the max of both; an abort or abandon
 leaves it untouched.  A stale advert (``dst`` learned more while it
 flew) only over-sends keys that then compare ``EQUAL``/``AFTER``; a
@@ -656,22 +656,22 @@ class StoreCluster:
         def abandon(error: SessionError, stats: TransferStats) -> None:
             self._totals.merge(stats)
             self._abandoned(record)
-            self._release(record, stats=None)
+            self._ended(record, bits=0)
+            self._release(record)
 
         launch_transactional(
             self.sim, pairs,
             snapshot=lambda: {key: dst_store.snapshot(key) for key in keys},
             restore=restore, rebuild=build_pairs, on_abandon=abandon,
             batch_size=self.config.batch_size if len(pairs) > 1 else 1,
+            on_commit=lambda: self._commit(record, reply),
             on_complete=lambda result: self._finish(record, result, reply),
             **session_options(self.config, src, dst, record.index,
                               tracer=self.tracer))
 
-    def _finish(self, record: StoreSessionRecord,
-                result: TimedSessionResult,
+    def _commit(self, record: StoreSessionRecord,
                 reply: Optional[KnowledgeMsg]) -> None:
-        record.result = result
-        self._totals.merge(result.stats)
+        """The session committed: fold its keys in and free them."""
         src, dst = record.src, record.dst
         dst_store = self.stores[dst]
         for key in record.keys:
@@ -694,33 +694,44 @@ class StoreCluster:
             # Every key the advert did not cover is now synchronized, so
             # the sender's knowledge is ours too.
             dst_store.learn(dict(reply.pairs))
-            if self.metrics is not None:
+        if self.tracer is not None:
+            self.tracer.event(obs.SESSION_COMMIT, party=dst, peer=src,
+                              session=record.index)
+        self._release(record)
+
+    def _finish(self, record: StoreSessionRecord,
+                result: TimedSessionResult,
+                reply: Optional[KnowledgeMsg]) -> None:
+        """The session's parties finished draining: account for it."""
+        record.result = result
+        self._totals.merge(result.stats)
+        if self.metrics is not None:
+            if reply is not None:
                 self.metrics.counter("store.keys_streamed").inc(
                     len(record.keys))
                 self.metrics.counter("store.keys_useful").inc(
                     record.keys_useful)
-        if self.metrics is not None:
             observe_session(self.metrics, result.stats,
                             protocol=f"store.{self.config.protocol}",
                             completion_time=result.duration)
-        self._release(record, stats=result.stats)
+        self._ended(record, bits=result.stats.total_bits)
 
-    def _release(self, record: StoreSessionRecord,
-                 stats: Optional[TransferStats]) -> None:
+    def _release(self, record: StoreSessionRecord) -> None:
         """Free the session's sites and keys; land ops, start syncs."""
-        src, dst = record.src, record.dst
+        if self.monitor is not None:
+            self.monitor.on_session_end(self.sim.now)
+        self._scheduler.release(record.src, record.dst, record.keys)
+
+    def _ended(self, record: StoreSessionRecord, bits: int) -> None:
+        """Trace and count one session that is over."""
         if self.tracer is not None:
-            self.tracer.event(obs.SESSION_END, party=dst, peer=src,
-                              session=record.index,
-                              bits=stats.total_bits if stats else 0,
-                              aborted=record.aborted)
+            self.tracer.event(obs.SESSION_END, party=record.dst,
+                              peer=record.src, session=record.index,
+                              bits=bits, aborted=record.aborted)
         if self.metrics is not None:
             self.metrics.counter("store.sessions").inc()
             self.metrics.histogram("store.queue_wait_seconds").observe(
                 record.queue_wait)
-        if self.monitor is not None:
-            self.monitor.on_session_end(self.sim.now)
-        self._scheduler.release(src, dst, record.keys)
 
     # -- convergence sweep -------------------------------------------------
 

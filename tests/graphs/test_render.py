@@ -2,8 +2,7 @@
 
 from repro.core.skip import SkipRotatingVector
 from repro.graphs.causalgraph import build_graph
-from repro.graphs.render import (render_causal_graph, render_segments,
-                                 render_replication_graph)
+from repro.graphs.render import render_causal_graph, render_replication_graph
 from repro.workload.scenarios import figure1_graph, figure1_vectors
 
 
@@ -54,11 +53,10 @@ class TestReplicationRendering:
 
 
 class TestSegmentRendering:
-    def test_boxes(self):
-        assert render_segments([[("C", 1)], [("B", 1), ("A", 1)]]) == \
-            "[C:1] [B:1, A:1]"
-
     def test_theta9_segments(self):
+        # The segments Figure 2 draws as boxes: [C:1] [H:1, G:1, F:1, E:1]
+        # [B:1, A:1].
         thetas = figure1_vectors(SkipRotatingVector)
-        text = render_segments(thetas[9].segments())
-        assert text == "[C:1] [H:1, G:1, F:1, E:1] [B:1, A:1]"
+        assert [list(segment) for segment in thetas[9].segments()] == [
+            [("C", 1)], [("H", 1), ("G", 1), ("F", 1), ("E", 1)],
+            [("B", 1), ("A", 1)]]

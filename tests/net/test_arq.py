@@ -305,12 +305,17 @@ class TestOpenWindow:
         assert_nothing_parked(sim)
 
     def test_abort_while_draining(self):
-        # Both coroutines return at once; the first timeout aborts the
-        # attempt while the other party waits for its ack.
+        # Both coroutines return at once, which commits the attempt; the
+        # first timeout aborts it while the other party waits for its
+        # ack.  An abort after the commit completes the attempt.
+        commits = []
         sim, handle, abandoned_at = dead_link_session(
-            scripted(Send(Halt(1))), scripted(Send(Halt(1))))
-        assert handle.result is None and len(abandoned_at) == 1
-        assert abandoned_at[0] < 0.1
+            scripted(Send(Halt(1))), scripted(Send(Halt(1))),
+            on_commit=lambda: commits.append("commit"))
+        assert commits == ["commit"]
+        assert not abandoned_at and handle.result is not None
+        assert handle.result.stats.resumes == 0
+        assert handle.result.completion_time < 0.1
         assert_nothing_parked(sim)
 
     def test_abort_while_serializing(self):

@@ -89,7 +89,7 @@ def bench_shaped_fleet(size):
 
 def chaotic_store(size):
     channel = ChannelSpec(latency=0.01, bandwidth=1e6,
-                          faults=FaultSpec(drop=0.4, seed=5))
+                          faults=FaultSpec(drop=0.4, seed=14))
     store = StoreCluster(["A", "B", "C", "D"], StoreConfig(
         channel=channel, retry=RetryPolicy(
             max_retries=1, initial_rto=0.05, max_session_attempts=2)))

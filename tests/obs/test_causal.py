@@ -70,7 +70,9 @@ class TestStarExactness:
         analysis = analyze_tracer(tracer)
         assert analysis.mode == "cluster"
         assert analysis.converged
-        assert analysis.convergence.kind == obs.SESSION_END
+        # The last session's commit, which on a perfect link falls at
+        # the instant it ends.
+        assert analysis.convergence.kind == obs.SESSION_COMMIT
         assert analysis.convergence.party == "C"
         assert analysis.graph.is_acyclic()
         assert analysis.graph.dropped_links == 0
@@ -209,12 +211,12 @@ class TestEdgeCases:
         assert analysis.converged
 
     def test_torn_session_that_resumes_stays_analyzable(self):
-        # A one-retry budget tears sessions deterministically at this
-        # seed (aborted attempts that resume); the analyzer must thread
-        # the resume back into the session's wire order and still
+        # A one-retry budget tears a session before it commits at this
+        # seed (an aborted attempt that resumes); the analyzer must
+        # thread the resume back into the session's wire order and still
         # converge.
         tracer = chaos_cluster(
-            seed=2, loss=0.15,
+            seed=6, loss=0.15,
             retry=RetryPolicy(max_retries=1, max_session_attempts=8))
         assert tracer.count(obs.SESSION_ABORT) > 0
         analysis = analyze_tracer(tracer)

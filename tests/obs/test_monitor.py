@@ -208,9 +208,9 @@ class TestPressure:
 
 class TestInvariantCheckers:
     """Drive the hooks directly: the runner calls on_session_start before
-    launching a session and on_session_end (pre-increment) when it
-    completes; faking the record lets a test tamper with state in the
-    window the checkers guard."""
+    launching a session, on_session_commit (pre-increment) when it
+    commits and on_session_end when it completes; faking the record lets
+    a test tamper with state in the window the checkers guard."""
 
     @staticmethod
     def _attached(monitor_config):
@@ -277,6 +277,7 @@ class TestInvariantCheckers:
         runner.objects["B"][0].record_update("B")
         with_totals = self._result()
         runner._totals.merge(with_totals.stats)
+        monitor.on_session_commit(record)
         monitor.on_session_end(record, with_totals)
         assert any(v.check == "ancestor_closure" for v in monitor.violations)
 
@@ -286,6 +287,7 @@ class TestInvariantCheckers:
         monitor.on_session_start(record)
         result = self._result()
         runner._totals.merge(result.stats)
+        monitor.on_session_commit(record)
         monitor.on_session_end(record, result)
         monitor.finalize()
         assert monitor.violation_count == 0
@@ -297,7 +299,7 @@ class TestInvariantCheckers:
         monitor.on_session_start(record)
         runner.objects["B"][0].record_update("B")
         with pytest.raises(InvariantViolationError, match="ancestor_closure"):
-            monitor.on_session_end(record, self._result())
+            monitor.on_session_commit(record)
 
     def test_violation_emits_trace_event(self):
         monitor, runner = self._attached(MonitorConfig(spot_check_period=0))
@@ -305,6 +307,7 @@ class TestInvariantCheckers:
         monitor.on_session_start(record)
         runner.objects["B"][0].record_update("B")
         runner._totals.merge(TransferStats())
+        monitor.on_session_commit(record)
         monitor.on_session_end(record, self._result())
         emitted = [event for event in runner.tracer.events
                    if event.kind == obs.INVARIANT_VIOLATION]

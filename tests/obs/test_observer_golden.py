@@ -35,21 +35,21 @@ from repro.workload.clients import StoreWorkloadConfig, run_store_workload
 #: SHA-256 of each output, by name.
 GOLDEN = {
     "fleet.dashboard":
-        "ef71bc70e5a758e5daa7fc151014978ed9c656d7d2209fd9027ac453a391be9a",
+        "4e46ae85efa4498d08d809f3192642bef964bb7ce3b89150f422ad485b30b0f4",
     "fleet.dashboard_truncated":
-        "6c6b61ab4bb795180495f48120f5aa532c3f21c0c8baf143e7474d6da61bf34c",
+        "0794a3ec7d99360613909783b0d5adca6343b56b760cf5a17edee7b606ff5f97",
     "fleet.health_summary":
-        "1e487faf635e7918b33ab5e5cf133d3c0cb4a9d20aa0301dc0c1318f178dcf82",
+        "1bd23f83f1c092cb670282a837b37488cac33297b4349e7bdca7cd2e389232bf",
     "fleet.html":
-        "841f509376411759984c0b6c8196b99a1dcdf89f51d7a1c7865e7b0b6ff20c0d",
+        "05e2ff77f8d2b9ddf28e53c39e2484331ecb98389723e8420e586df487e62c2e",
     "fleet.otlp":
-        "6d6ea361f5ce6b2d876eb89fa381d43564454bf75a4ae5efad6da146b9502b61",
+        "8f01ada70df7ea651a1a39f15f232a9b68434f6fa89880165b3c8cb888ae4870",
     "fleet.prometheus":
-        "c7f5e30ce2cf28fd82cecce687f170a1944957d7cb122a38247aa41e5b3141f6",
+        "d3c58b5d370a2aa53f249e038308a4ec40d38a2ca91fd87b5f7d40c8be172b4e",
     "fleet.registry":
-        "b6e617bf604cd307e4675a6d24ebe26221f25f8734089e820f37e518db017bd6",
+        "8382645f8cc07f8ff9cc219cf2239059ffbdb3ae6d31904976788a24f357a134",
     "fleet.series":
-        "e77370b0f6aae25a30b811a59b3046954fa289a4a50139ce671fcd3e5966f87a",
+        "82c528ae747bf9f4e33be838a2868d9a26bd9f96f8bd2ec782464d23e6b8ca57",
     "store.dashboard":
         "92a4e8a7cc34f99845638493859f70d04f68345954ba898772ec4ec228885d2b",
     "store.dashboard_truncated":
@@ -71,7 +71,7 @@ GOLDEN = {
     "tampered.health_summary":
         "ca0581696e2e8cbf0e7895d28b59929c33f63341cfdcc008fb1b11c842cc7193",
     "tampered.html":
-        "c6d9a8427850ce1484917b0b4722c93b98ddcf4d4ee1b414f7fa11dfbaa2ceed",
+        "4d5d60bafbb60901f0a765c9f4bd14b1d60f2f915dfdf3f9a7aa3d268178bceb",
     "tampered.otlp":
         "f08aaa1a89eaf929f43288c6384623d00d0f8b514a05b2f35a87d4f03c30752d",
     "tampered.prometheus":
@@ -114,6 +114,7 @@ def _tampered_monitor():
     runner.objects["B"][0].record_update("B")
     stats = TransferStats()
     stats.forward.record("ElementSMsg", 32)
+    monitor.on_session_commit(record)
     monitor.on_session_end(record, SimpleNamespace(stats=stats))
     monitor.finalize()
     return monitor, runner

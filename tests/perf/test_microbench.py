@@ -11,7 +11,7 @@ import dataclasses
 
 from repro.core.arrayvec import ArraySkipRotatingVector
 from repro.net.stats import TransferStats
-from repro.perf.microbench import (MicrobenchResult,
+from repro.perf.microbench import (MicrobenchResult, _best_pair,
                                    _CounterTransferStats, _grown_crg,
                                    _srv_segment_spec, account_sessions,
                                    bench_batch_quiet_turn,
@@ -54,6 +54,15 @@ class TestMicrobenchResult:
         parity = MicrobenchResult("x", cached_seconds=1.1,
                                   uncached_seconds=1.0, min_speedup=0.8)
         assert not parity.regressed
+
+
+class TestBestPair:
+    def test_rounds_interleave_so_both_sides_share_the_host(self):
+        calls = []
+        fast, oracle = _best_pair(lambda: calls.append("fast"),
+                                  lambda: calls.append("oracle"), rounds=3)
+        assert calls == ["fast", "oracle"] * 3
+        assert 0.0 <= fast < 1.0 and 0.0 <= oracle < 1.0
 
 
 class TestWorkloads:

@@ -252,7 +252,8 @@ def test_timed_chaos_batch_with_resumes_is_identical():
              if i != j]
     inputs = batch_inputs("srv", command_list, pairs)
     resumed = 0
-    for seed in range(6):
+    # Seed 7 tears an attempt before it commits.
+    for seed in range(8):
         fast = timed_outcome("srv", inputs, deaf=False, batch_size=8,
                              loss=0.3, seed=seed)
         slow = timed_outcome("srv", inputs, deaf=True, batch_size=8,

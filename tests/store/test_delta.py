@@ -85,12 +85,12 @@ class CheckedCluster(StoreCluster):
                                     clone_store(self.stores[record.dst]))
         super()._start(record)
 
-    def _release(self, record, stats):
+    def _release(self, record):
         # Entered with the session's outcome folded in and before any
         # deferred op lands: the state the oracle has to match.
         _, src_before, dst_before = self.twins.pop(record.index)
         dst = self.stores[record.dst]
-        if stats is None:
+        if record.aborted:
             # Rolled back: the session's keys are the twin's again, and
             # knowledge moved only by the dots dst minted meanwhile for
             # ops on other keys.
@@ -120,7 +120,7 @@ class CheckedCluster(StoreCluster):
                         f"{record.dst} streamed {record.keys} and "
                         f"skipped {key}, which the full walk moves")
                 self.pulls_checked += 1
-        super()._release(record, stats)
+        super()._release(record)
 
 
 steps = st.lists(

@@ -28,14 +28,6 @@ ALLOWED: Dict[str, str] = {
         "the instant batched driver the burst tests run against",
     "repro.workload.replay.replay_ops":
         "drives the operation-transfer integration tests",
-    "repro.graphs.render.render_segments":
-        "draws Figure 2's boxed segments; kept beside the other renderers",
-    "repro.replication.resolver.log_merge":
-        "stock merge policy for AutomaticResolution",
-    "repro.replication.resolver.max_merge":
-        "stock merge policy for AutomaticResolution",
-    "repro.replication.opreplica.counter_applier":
-        "stock applier for OpTransferSystem",
 }
 
 
