@@ -11,6 +11,7 @@ from repro.analysis.report import format_table
 from repro.core.rotating import BasicRotatingVector
 from repro.net.channel import ChannelSpec
 from repro.net.runner import SessionOptions, run_timed
+from repro.net.simulator import to_seconds
 from repro.net.wire import Encoding
 from repro.protocols.syncb import syncb_receiver, syncb_sender
 
@@ -40,7 +41,7 @@ def test_e3_time_saving_tracks_k_times_rtt(benchmark, report_writer):
             blocking = timed(k, latency, True)
             saving = blocking.completion_time - pipelined.completion_time
             channel = ChannelSpec(latency=latency, bandwidth=1e6)
-            predicted = (k + 1) * channel.stop_and_wait_overhead()
+            predicted = (k + 1) * to_seconds(channel.stop_and_wait_ns())
             assert saving == pytest.approx(predicted, rel=0.2), (k, latency)
             rows.append([
                 k, f"{latency_ms} ms",

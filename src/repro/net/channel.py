@@ -7,6 +7,10 @@ pipelining shaves ``(k−1)·rtt`` off a k-item exchange and wastes at most
 module defines the link model those quantities come from; the timed runner
 (:mod:`repro.net.runner`) interprets protocol effects against it.
 
+A spec keeps float seconds and bits per second; the simulator reads its
+latency in ns, converted once, and a message's serialization as
+``ceil(bits · 10⁹ / bandwidth)`` ns, exact on the bench's links.
+
 A link may additionally carry a :class:`~repro.net.faults.FaultSpec`
 describing loss, duplication, reordering, and transient partitions; the
 timed runner switches to its reliable ARQ transport whenever the spec can
@@ -21,6 +25,13 @@ from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
 from repro.net.faults import FaultSpec
+from repro.net.simulator import to_ns
+
+
+def serialization_ns(bits: int, bandwidth: float) -> int:
+    """Whole nanoseconds ``bits`` occupy a link of ``bandwidth`` bit/s:
+    the one pricing the transport and the causal analyzer share."""
+    return math.ceil(bits * 1e9 / bandwidth)
 
 
 @dataclass(frozen=True)
@@ -28,9 +39,10 @@ class ChannelSpec:
     """A symmetric duplex link.
 
     Attributes:
-        latency: one-way propagation delay in seconds.
-        bandwidth: link rate in bits per second (serialization delay of a
-            message is ``bits / bandwidth``).
+        latency: one-way propagation delay in seconds
+            (``latency_ns`` in the simulator's unit).
+        bandwidth: link rate in bits per second, possibly infinite
+            (:func:`serialization_ns` prices a message on it).
         ack_bits: size of the per-item acknowledgment used by the
             stop-and-wait baseline (pipelining "suppresses (k−1) reply
             messages as they now become implicit", §3.1) and by the
@@ -67,6 +79,9 @@ class ChannelSpec:
         if not isinstance(self.faults, FaultSpec):
             raise ValidationError(
                 f"faults must be a FaultSpec, got {self.faults!r}")
+        # Derived once; not a field, so equality, hashing and asdict see
+        # the float inputs only.
+        object.__setattr__(self, "latency_ns", to_ns(self.latency))
 
     @property
     def rtt(self) -> float:
@@ -78,18 +93,11 @@ class ChannelSpec:
         """The bandwidth–delay product β in bits (§3.1's excess bound)."""
         return self.bandwidth * self.rtt
 
-    def serialization_delay(self, bits: int) -> float:
-        """Time the link is occupied transmitting ``bits``."""
-        return bits / self.bandwidth
-
-    def one_way_delay(self, bits: int) -> float:
-        """Serialization plus propagation for a ``bits``-sized message."""
-        return self.serialization_delay(bits) + self.latency
-
-    def stop_and_wait_overhead(self) -> float:
-        """Extra time per item paid by the stop-and-wait baseline.
+    def stop_and_wait_ns(self) -> int:
+        """Extra nanoseconds per item paid by the stop-and-wait baseline.
 
         The sender idles for the propagation out, the ack serialization,
         and the propagation back before the next item may start.
         """
-        return self.rtt + self.serialization_delay(self.ack_bits)
+        return 2 * self.latency_ns + serialization_ns(self.ack_bits,
+                                                      self.bandwidth)

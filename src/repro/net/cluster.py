@@ -55,7 +55,7 @@ from repro.net.faults import RetryPolicy, derive_seed
 from repro.net.runner import (SessionHandle, SessionOptions,
                               TimedSessionResult, launch, run_timed)
 from repro.net.sharding import ShardMap, build_shard_map
-from repro.net.simulator import Simulator
+from repro.net.simulator import Simulator, to_ns, to_seconds
 from repro.net.stats import TransferStats
 from repro.net.topology import TopologySpec
 from repro.net.wire import DEFAULT_ENCODING, Encoding
@@ -168,7 +168,7 @@ class ClusterSessionRecord:
     @property
     def queue_wait(self) -> float:
         """Seconds the request sat behind busy endpoints."""
-        return self.started_at - self.requested_at
+        return to_seconds(to_ns(self.started_at) - to_ns(self.requested_at))
 
 
 #: Execution-log entries: ``("update", site)`` (object 0),
@@ -637,7 +637,7 @@ class ClusterRunner:
                 if request.src == request.dst:
                     raise ValidationError(
                         f"session {request} pairs a site with itself")
-                sim.schedule(request.at,
+                sim.schedule(to_ns(request.at),
                              partial(self._on_session_request, request,
                                      self._session_objects(request)))
             for update in updates:
@@ -652,14 +652,14 @@ class ClusterRunner:
                     raise ValidationError(
                         f"update {update} lands on {update.site}, which "
                         f"does not replicate object {obj}")
-                sim.schedule(update.at,
+                sim.schedule(to_ns(update.at),
                              partial(self._on_update_request, update))
             sim.run()
         return ClusterResult(
             records=self._records,
             log=self._log,
             totals=self._totals,
-            completion_time=sim.now,
+            completion_time=to_seconds(sim.now),
             updates_applied=self._updates_applied,
             updates_deferred=self._scheduler.deferrals,
             reconciliations=self._reconciliations,
@@ -764,7 +764,7 @@ class ClusterRunner:
         record.reconciled = merged[0]
         return tuple(pairs)
 
-    def _start(self, entry: Tuple[SessionRequest, float, Tuple[int, ...]]
+    def _start(self, entry: Tuple[SessionRequest, int, Tuple[int, ...]]
                ) -> None:
         request, requested_at, objs = entry
         sim = self.sim
@@ -772,7 +772,8 @@ class ClusterRunner:
         src, dst = request.src, request.dst
         record = ClusterSessionRecord(
             index=len(self._records), src=src, dst=dst,
-            requested_at=requested_at, started_at=sim.now,
+            requested_at=to_seconds(requested_at),
+            started_at=to_seconds(sim.now),
             verdict=Ordering.EQUAL, reconciled=False, objects=objs)
         pairs = self._build_pairs(record)  # sets the verdict fields
         self._records.append(record)

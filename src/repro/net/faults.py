@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.errors import ValidationError
+from repro.net.simulator import to_ns, to_seconds
 
 
 def derive_seed(base: int, index: int) -> int:
@@ -64,9 +65,10 @@ class FaultSpec:
         drop: probability that a transmission is lost entirely.
         duplicate: probability that a (delivered) transmission arrives
             twice; the second copy is delayed by a fresh reorder draw.
-        reorder: probability that a delivered copy is held back by a
-            uniform extra delay in ``(0, reorder_window]`` seconds —
-            enough to land *after* traffic sent later.
+        reorder: probability that a delivered copy is held back by an
+            extra delay drawn from ``[0, reorder_window)`` seconds and
+            rounded to whole ns, so in ``[0, reorder_window]`` — enough
+            to land *after* traffic sent later.
         reorder_window: upper bound of the extra delay, in seconds.
         partitions: transient partition windows as ``(start, end)``
             pairs in simulated seconds; every transmission that starts
@@ -95,9 +97,6 @@ class FaultSpec:
         if not self.reorder_window >= 0:
             raise ValidationError(
                 f"reorder_window must be >= 0, got {self.reorder_window}")
-        if (self.reorder > 0 or self.duplicate > 0) \
-                and self.reorder_window < 0:
-            raise ValidationError("reordering requires a positive window")
         for window in self.partitions:
             if len(window) != 2:
                 raise ValidationError(
@@ -115,7 +114,7 @@ class FaultSpec:
                 or bool(self.partitions))
 
     def partitioned(self, now: float) -> bool:
-        """Whether the link is down at simulated time ``now``."""
+        """Whether the link is down at simulated time ``now`` seconds."""
         return any(start <= now < end for start, end in self.partitions)
 
 
@@ -136,10 +135,10 @@ def chaos_faults(loss: float, *, latency: float,
                      reorder_window=4 * latency, seed=seed)
 
 
-#: The fate of one transmission: extra delivery delay (seconds beyond the
-#: channel's propagation latency) per arriving copy.  An empty tuple means
-#: the transmission was lost; ``(0.0,)`` is a clean, on-time delivery.
-Fate = Tuple[float, ...]
+#: The fate of one transmission: extra delivery delay (integer ns beyond
+#: the channel's propagation latency) per arriving copy.  An empty tuple
+#: means the transmission was lost; ``(0,)`` is a clean, on-time delivery.
+Fate = Tuple[int, ...]
 
 
 class FaultInjector:
@@ -162,28 +161,28 @@ class FaultInjector:
         self.duplicates = 0
         self.reorders = 0
 
-    def fate(self, now: float) -> Fate:
-        """Draw the fate of one transmission starting at time ``now``.
+    def fate(self, now: int) -> Fate:
+        """Draw the fate of one transmission starting at ``now`` ns.
 
         Partition checks consume no randomness (they are a pure function
         of the clock); probabilistic draws happen in a fixed order so an
         identical seed yields an identical schedule.
         """
         spec = self.spec
-        if spec.partitions and spec.partitioned(now):
+        if spec.partitions and spec.partitioned(to_seconds(now)):
             self.drops += 1
             return ()
         if spec.drop > 0 and self._rng.random() < spec.drop:
             self.drops += 1
             return ()
-        delay = 0.0
+        delay = 0
         if spec.reorder > 0 and self._rng.random() < spec.reorder:
             self.reorders += 1
-            delay = self._rng.random() * spec.reorder_window
+            delay = to_ns(self._rng.random() * spec.reorder_window)
         deliveries = (delay,)
         if spec.duplicate > 0 and self._rng.random() < spec.duplicate:
             self.duplicates += 1
-            extra = self._rng.random() * spec.reorder_window
+            extra = to_ns(self._rng.random() * spec.reorder_window)
             deliveries = (delay, delay + extra)
         return deliveries
 
@@ -193,15 +192,16 @@ class RetryPolicy:
     """ARQ knobs for the reliable session transport.
 
     The window is open: every outstanding message keeps its own timer,
-    backoff and retry budget.
+    backoff and retry budget.  Timeouts are in seconds until
+    :meth:`draw_timeout` arms one in whole nanoseconds.
 
     Attributes:
         max_retries: retransmissions allowed per message beyond the first
             attempt; exhausting the budget aborts the session attempt.
         initial_rto: first retransmission timeout in seconds, finite;
-            ``None`` derives ``2 × channel.stop_and_wait_overhead()`` —
-            twice the fault-free wait for an acknowledgment, so a healthy
-            link never retransmits spuriously.
+            ``None`` derives twice ``channel.stop_and_wait_ns()`` — twice
+            the fault-free wait for an acknowledgment, so a healthy link
+            never retransmits spuriously.
         backoff: multiplicative timeout growth per consecutive timeout of
             the same message (``>= 1``).
         max_rto: ceiling the backoff saturates at, in seconds (may be
@@ -250,11 +250,16 @@ class RetryPolicy:
                 f"got {self.max_session_attempts}")
 
     def rto_for(self, channel: "ChannelSpec") -> float:  # noqa: F821
-        """The first timeout for a message on ``channel``."""
+        """The first timeout for a message on ``channel``, in seconds."""
         if self.initial_rto is not None:
             return self.initial_rto
-        return 2.0 * channel.stop_and_wait_overhead()
+        return to_seconds(2 * channel.stop_and_wait_ns())
 
     def next_rto(self, rto: float) -> float:
         """The timeout after one more consecutive timeout."""
         return min(rto * self.backoff, self.max_rto)
+
+    def draw_timeout(self, rto: float, rng: random.Random) -> int:
+        """The ns until an armed timer fires: ``rto`` seconds stretched
+        by a jitter factor drawn from ``rng`` in ``[1, 1 + jitter)``."""
+        return to_ns(rto * (1.0 + self.jitter * rng.random()))

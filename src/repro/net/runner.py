@@ -84,9 +84,9 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SessionError, ValidationError
-from repro.net.channel import ChannelSpec
+from repro.net.channel import ChannelSpec, serialization_ns
 from repro.net.faults import FaultInjector, RetryPolicy
-from repro.net.simulator import Simulator, Timer
+from repro.net.simulator import Simulator, Timer, to_ns, to_seconds
 from repro.net.stats import TransferStats
 from repro.net.wire import DEFAULT_ENCODING, Encoding
 from repro.obs import trace as obs
@@ -110,7 +110,8 @@ class TimedSessionResult:
     sender typically outlives the receiver by roughly one rtt while its
     overshoot drains).  For sessions launched on a shared simulator the
     times are absolute simulator clock values; ``start_time`` records when
-    the session's parties were started.
+    the session's parties were started.  Each is a whole number of
+    nanoseconds, so :func:`~repro.net.simulator.to_ns` recovers it exactly.
     """
 
     stats: TransferStats
@@ -123,8 +124,10 @@ class TimedSessionResult:
 
     @property
     def duration(self) -> float:
-        """Seconds from start to the last party's finish."""
-        return self.completion_time - self.start_time
+        """Seconds from start to the last party's finish, taken in whole
+        nanoseconds: the same number wherever the session started."""
+        return to_seconds(to_ns(self.completion_time)
+                          - to_ns(self.start_time))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -153,7 +156,7 @@ class SessionOptions:
         stop_and_wait: per-item implicit-ack baseline instead of
             pipelining (ignored under the reliable transport, whose
             window is open).
-        proc_time: per-received-message processing cost at a ``Recv``.
+        proc_time: per-received-message processing seconds at a ``Recv``.
         max_steps: protocol-effect budget guarding against livelock bugs.
         tracer: optional structured trace sink.
         party_names: labels for the two parties in trace events (e.g.
@@ -293,7 +296,7 @@ class _Wire(Wire):
         self.sim = sim
         self.channel = options.channel
         self.stop_and_wait = options.stop_and_wait
-        self.proc_time = options.proc_time
+        self.proc_time = to_ns(options.proc_time)
         self.retry = options.retry
         self.injector, self.jitter_rng = injector, jitter_rng
         self.on_commit = on_commit
@@ -308,9 +311,9 @@ class _Party(Party):
     A ``Send`` serializes on the kernel and returns; a ``Recv`` with mail
     (after ``proc_time``, if any) and an empty ``Poll`` resolve inline;
     the kernel heap decides who steps next, each event calling one of
-    this party's bound methods.  Which events are scheduled, when, from
-    which float expression and in what order is fixed (DESIGN.md §5,
-    "Wire parties"), and ``tests/net/test_wire_trace.py`` pins it.
+    this party's bound methods.  Which events are scheduled, when and in
+    what order is fixed (DESIGN.md §5, "Wire parties"), and
+    ``tests/net/test_wire_trace.py`` pins it.
     """
 
     __slots__ = ("sim", "peer", "aborted", "outgoing", "sent_seq", "finish")
@@ -324,7 +327,7 @@ class _Party(Party):
         self.aborted = False
         self.outgoing: Optional[Message] = None
         self.sent_seq: Optional[int] = None
-        self.finish: Optional[float] = None
+        self.finish: Optional[int] = None  # ns
 
     def hold(self, parked: str) -> None:
         """A ``Recv``: spend the processing time on mail already here,
@@ -405,14 +408,14 @@ class _Party(Party):
         self.sent_seq = self.account(message, bits)
         self.outgoing = message
         sim = self.sim
-        sim.schedule(sim.now + wire.channel.serialization_delay(bits),
+        sim.schedule(sim.now + serialization_ns(bits, wire.channel.bandwidth),
                      self.serialized)
         return True
 
     def serialized(self) -> None:
         """The last bit left: it lands one propagation latency later."""
         wire, sim = self.wire, self.sim
-        sim.schedule(sim.now + wire.channel.latency,
+        sim.schedule(sim.now + wire.channel.latency_ns,
                      partial(self.peer.deliver, self.outgoing, self.sent_seq))
         if wire.stop_and_wait:
             # The implicit ack crosses back only after the data message
@@ -420,7 +423,7 @@ class _Party(Party):
             # serialization), not when the data finished serializing —
             # otherwise traces show the Ack before the deliver it
             # acknowledges.
-            sim.schedule(sim.now + wire.channel.stop_and_wait_overhead(),
+            sim.schedule(sim.now + wire.channel.stop_and_wait_ns(),
                          self.implicitly_acked)
             return
         self.advance()
@@ -474,7 +477,7 @@ class _Out:
     def __init__(self, seq: int, message: Message, bits: int,
                  rto: float) -> None:
         self.seq, self.message, self.bits, self.rto = seq, message, bits, rto
-        self.attempt, self.timeout = 0, 0.0
+        self.attempt, self.timeout = 0, 0  # timeout: the armed timer's ns
         self.timer: Optional[Timer] = None
         self.sent_seq: Optional[int] = None  # its latest copy's trace seq
 
@@ -495,7 +498,7 @@ class _ArqParty(_Party):
     """
 
     __slots__ = ("next_seq", "expected", "unacked", "queue", "on_link",
-                 "early", "start")
+                 "early")
 
     def __init__(self, wire: _Wire, name: str, coroutine: ProtocolCoroutine,
                  forward: bool) -> None:
@@ -506,17 +509,8 @@ class _ArqParty(_Party):
         self.queue: List[_Out] = []          # copies waiting for the link
         self.on_link: Optional[_Out] = None  # the copy serializing now
         self.early: Dict[int, Tuple[Message, Optional[int]]] = {}
-        self.start = wire.sim.now
 
-    def at(self, delay: float) -> float:
-        """When an event ``delay`` from now falls due: on a 1 ns grid from
-        this wire's start, so that a session's tied events almost surely
-        tie again in :func:`~repro.net.cluster.replay_sequential`
-        (DESIGN.md §5, "Time rule")."""
-        start = self.start
-        return start + round(self.sim.now - start + delay, 9)
-
-    def fate(self, kind: str, seq: int) -> Tuple[float, ...]:
+    def fate(self, kind: str, seq: int) -> Tuple[int, ...]:
         wire = self.wire
         fate = wire.injector.fate(self.sim.now)
         tracer = wire.tracer
@@ -532,11 +526,9 @@ class _ArqParty(_Party):
                 if fate[0] > 0:
                     tracer.event(obs.FAULT, party=self.name,
                                  fault="reorder", traffic=kind, seq=seq,
-                                 delay=fate[0], **wire.session_fields)
+                                 delay=to_seconds(fate[0]),
+                                 **wire.session_fields)
         return fate
-
-    def process(self) -> None:
-        self.sim.schedule(self.at(self.wire.proc_time), self.processed)
 
     def quit(self) -> None:
         """Leave the aborted attempt; no timer of ours outlives it."""
@@ -579,8 +571,9 @@ class _ArqParty(_Party):
                                   attempt=attempt, **wire.session_fields)
         out.sent_seq = self.account(out.message, out.bits, out.seq, attempt)
         self.on_link = out
-        self.sim.schedule(
-            self.at(wire.channel.serialization_delay(out.bits)),
+        sim = self.sim
+        sim.schedule(
+            sim.now + serialization_ns(out.bits, wire.channel.bandwidth),
             self.serialized)
 
     def serialized(self) -> None:
@@ -588,17 +581,17 @@ class _ArqParty(_Party):
             self.quit()
             return
         wire, sim, out = self.wire, self.sim, self.on_link
-        seq, latency = out.seq, wire.channel.latency
+        seq, arrival = out.seq, sim.now + wire.channel.latency_ns
         on_data = partial(self.peer.on_data, self, seq, out.message,
                           out.sent_seq)
         for delay in self.fate("data", seq):
-            sim.schedule(self.at(latency + delay), on_data)
+            sim.schedule(arrival + delay, on_data)
         self.on_link = None
         unacked = self.unacked
         if seq in unacked:
-            out.timeout = timeout = out.rto * (
-                1.0 + wire.retry.jitter * wire.jitter_rng.random())
-            out.timer = sim.call_at(self.at(timeout),
+            out.timeout = timeout = wire.retry.draw_timeout(
+                out.rto, wire.jitter_rng)
+            out.timer = sim.call_at(sim.now + timeout,
                                     partial(self.on_timeout, out))
         queue = self.queue
         while queue and self.on_link is None:
@@ -642,7 +635,8 @@ class _ArqParty(_Party):
         if wire.tracer is not None:
             wire.tracer.event(obs.TIMEOUT, party=self.name,
                               message=out.message.type_name, seq=out.seq,
-                              attempt=out.attempt, rto=out.timeout,
+                              attempt=out.attempt,
+                              rto=to_seconds(out.timeout),
                               **wire.session_fields)
         if out.attempt >= wire.retry.max_retries + 1:
             self.abort(out)
@@ -688,12 +682,13 @@ class _ArqParty(_Party):
         elif first:
             early[seq] = (message, sent_seq)
         self.acknowledge(first, seq)
-        channel = self.wire.channel
-        ack_delay = (channel.serialization_delay(channel.ack_bits)
-                     + channel.latency)
+        channel, sim = self.wire.channel, self.sim
+        arrival = (sim.now + serialization_ns(channel.ack_bits,
+                                              channel.bandwidth)
+                   + channel.latency_ns)
         on_ack = partial(sender.on_ack, seq)
         for delay in self.fate("ack", seq):
-            self.sim.schedule(self.at(ack_delay + delay), on_ack)
+            sim.schedule(arrival + delay, on_ack)
 
 
 def _launch_wire(sim: Simulator, sender: ProtocolCoroutine,
@@ -744,7 +739,7 @@ class _Attempt:
     def __init__(self, sim: Simulator, handle: SessionHandle,
                  injector: Optional[FaultInjector],
                  jitter_rng: Optional[random.Random],
-                 start_time: float) -> None:
+                 start_time: int) -> None:
         options = handle.options
         handle.attempts += 1
         pairs = list(options.rebuild()) if options.rebuild is not None \
@@ -806,16 +801,18 @@ class _Attempt:
             self.start_wire(self.index + 1)
             return
         single = self.single
+        sender_finish = to_seconds(sender.finish)
+        receiver_finish = to_seconds(receiver.finish)
         handle.result = final = TimedSessionResult(
             stats=handle.stats,
             sender_result=(self.sender_results[0] if single
                            else self.sender_results),
             receiver_result=(self.receiver_results[0] if single
                              else self.receiver_results),
-            completion_time=max(sender.finish, receiver.finish),
-            sender_finish=sender.finish,
-            receiver_finish=receiver.finish,
-            start_time=self.start_time,
+            completion_time=max(sender_finish, receiver_finish),
+            sender_finish=sender_finish,
+            receiver_finish=receiver_finish,
+            start_time=to_seconds(self.start_time),
         )
         if handle.options.on_complete is not None:
             handle.options.on_complete(final)

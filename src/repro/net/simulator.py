@@ -26,6 +26,12 @@ in every cluster benchmark, so the implementation is tuned:
   a small floor) the heap is rebuilt without them, so a long chaos run's
   queue stays proportional to its live events instead of accumulating
   every obsoleted retransmission timer forever.
+
+Time is an ``int`` count of nanoseconds, and this module holds the unit:
+:func:`to_ns` is the one way a seconds value enters the clock and
+:func:`to_seconds` the one way a clock value leaves it.  Sums of ints
+are exact, so a tie in one run is a tie in any replay of it, and ties
+break FIFO by sequence number.
 """
 
 from __future__ import annotations
@@ -43,6 +49,21 @@ from repro.obs.trace import Tracer
 #: Compaction floor: below this many cancelled entries the heap is left
 #: alone (rebuilding a tiny heap costs more than skipping its entries).
 _COMPACT_MIN_CANCELLED = 64
+
+
+def to_ns(seconds: float) -> int:
+    """``seconds`` as whole nanoseconds, to the nearest (halves up);
+    NaN and the infinities raise :class:`SimulationError`."""
+    try:
+        return math.floor(seconds * 1e9 + 0.5)
+    except (OverflowError, ValueError):
+        raise SimulationError(
+            f"simulated time must be finite, got {seconds}") from None
+
+
+def to_seconds(ns: int) -> float:
+    """A clock value (or a difference of two) in seconds."""
+    return ns / 1e9
 
 
 class Timer:
@@ -76,7 +97,8 @@ _INTERNAL_TIMER = Timer()
 
 
 class Simulator:
-    """Deterministic event queue with a floating-point clock.
+    """Deterministic event queue whose clock ``now`` and every time it
+    takes are ``int`` nanoseconds.
 
     Pass a :class:`~repro.obs.trace.Tracer` to observe the kernel itself:
     every dispatched event becomes a ``sim_dispatch`` trace event stamped
@@ -89,8 +111,8 @@ class Simulator:
                  "tracer")
 
     def __init__(self, *, tracer: Optional[Tracer] = None) -> None:
-        self.now = 0.0
-        self._queue: List[Tuple[float, int, Callable[[], None], Timer]] = []
+        self.now = 0
+        self._queue: List[Tuple[int, int, Callable[[], None], Timer]] = []
         self._sequence = itertools.count()
         #: Hosts waiting for a callback to wake them (deadlock check).
         self._parked = 0
@@ -102,14 +124,14 @@ class Simulator:
 
     @contextmanager
     def stamping(self, tracer: Optional[Tracer]) -> Iterator[None]:
-        """Stamp ``tracer``'s events with this simulator's clock for the
-        block, then give the tracer its previous clock back (on error
-        too).  Without a tracer the block just runs."""
+        """Stamp ``tracer``'s events with this simulator's clock, in
+        seconds, for the block, then give the tracer its previous clock
+        back (on error too).  Without a tracer the block just runs."""
         if tracer is None:
             yield
             return
         previous = tracer.clock
-        tracer.clock = lambda: self.now
+        tracer.clock = lambda: self.now / 1e9
         try:
             yield
         finally:
@@ -117,8 +139,8 @@ class Simulator:
 
     # -- event scheduling ---------------------------------------------------------
 
-    def call_at(self, time: float, fn: Callable[[], None]) -> Timer:
-        """Run ``fn`` at absolute simulated ``time`` (FIFO within a tick).
+    def call_at(self, time: int, fn: Callable[[], None]) -> Timer:
+        """Run ``fn`` at absolute simulated ``time`` ns (FIFO within a tick).
 
         Returns a :class:`Timer` handle; cancelling it before the event
         dispatches suppresses the callback.
@@ -130,13 +152,11 @@ class Simulator:
         heapq.heappush(self._queue, (time, next(self._sequence), fn, timer))
         return timer
 
-    def call_after(self, delay: float, fn: Callable[[], None]) -> Timer:
-        """Run ``fn`` after ``delay`` simulated seconds."""
-        if not delay >= 0:
-            raise SimulationError(f"negative delay {delay}")
+    def call_after(self, delay: int, fn: Callable[[], None]) -> Timer:
+        """Run ``fn`` after ``delay`` simulated ns."""
         return self.call_at(self.now + delay, fn)
 
-    def schedule(self, time: float, fn: Callable[[], None]) -> None:
+    def schedule(self, time: int, fn: Callable[[], None]) -> None:
         """:meth:`call_at` without a handle: the event cannot be
         cancelled, so no :class:`Timer` is allocated for it.  It takes a
         sequence number exactly as :meth:`call_at` would, so swapping one
@@ -161,14 +181,6 @@ class Simulator:
         heapq.heapify(queue)
         self._cancelled = 0
 
-    def _prune_cancelled(self) -> None:
-        """Discard cancelled events queued at the head (never advances time)."""
-        queue = self._queue
-        while queue and queue[0][3].cancelled:
-            heapq.heappop(queue)
-            if self._cancelled:
-                self._cancelled -= 1
-
     # -- parking ---------------------------------------------------------------------
 
     def park(self) -> None:
@@ -186,20 +198,7 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Run the next event; returns False when the queue is empty."""
-        self._prune_cancelled()
-        if not self._queue:
-            return False
-        time, _, fn, _timer = heapq.heappop(self._queue)
-        self.now = time
-        if self.tracer is not None:
-            self.tracer.event(obs.SIM_DISPATCH, time=time,
-                              pending=len(self._queue))
-        fn()
-        return True
-
-    def run(self, until: Optional[float] = None) -> float:
+    def run(self, until: Optional[int] = None) -> int:
         """Run events until the queue drains (or past ``until``).
 
         Raises :class:`SimulationError` if hosts remain parked when the
@@ -210,11 +209,8 @@ class Simulator:
         matter how much longer we would have run.  Stopping *early*
         (first pending event past ``until``) skips the check — the
         remaining events may well wake the parked hosts.
-        Returns the final clock value; a NaN ``until`` bounds nothing and
-        raises :class:`SimulationError`, as :meth:`call_at` does.
+        Returns the final clock value.
         """
-        if until is not None and math.isnan(until):
-            raise SimulationError(f"cannot run until {until}")
         # The dispatch loop is the hottest code in every benchmark; it
         # aliases the queue (compaction rewrites it in place, so the
         # alias stays valid) and skips cancelled entries inline.  The
@@ -236,13 +232,13 @@ class Simulator:
             pop(queue)
             self.now = time
             if self.tracer is not None:
-                self.tracer.event(obs.SIM_DISPATCH, time=time,
+                self.tracer.event(obs.SIM_DISPATCH, time=time / 1e9,
                                   pending=len(queue))
             entry[2]()
         if self._parked:
             raise SimulationError(
                 f"simulation deadlocked with {self._parked} host(s) "
-                f"parked at t={self.now}")
+                f"parked at t={self.now} ns")
         if until is not None and until > self.now:
             self.now = until
         return self.now

@@ -32,9 +32,10 @@ Each hop is attributed to the :data:`CATEGORIES`: channel ``latency``,
 bandwidth ``serialization`` (a pipelined session's inter-deliver spacing
 *is* serialization), fault-injected ``fault_delay``, ARQ ``arq`` time
 (timeouts, retries, aborts, resumes), fanout ``queueing``, and residual
-``processing``.  The per-path category sums are exact: ``processing``
-absorbs the float remainder so that summing the attribution dict in
-canonical order reproduces ``elapsed`` bit-for-bit.
+``processing``.  Trace times are whole nanoseconds in seconds, read back
+exactly with :func:`~repro.net.simulator.to_ns`, so every hop's and
+path's categories sum to its elapsed ns by integer addition; the
+document reports seconds.
 
 Per-session / per-site / per-protocol summaries attribute *all* causal
 hops, not just the critical path's; because pipelined hops overlap in
@@ -52,6 +53,8 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
 
+from repro.net.channel import serialization_ns
+from repro.net.simulator import to_ns, to_seconds
 from repro.obs import trace as obs
 
 SCHEMA_ID = "repro.obs.causal/1"
@@ -67,8 +70,6 @@ _WIRE_KINDS = frozenset({obs.MESSAGE, obs.DELIVER, obs.RETRY, obs.TIMEOUT,
 _ARQ_KINDS = frozenset({obs.RETRY, obs.TIMEOUT, obs.SESSION_ABORT,
                         obs.CONTROL})
 
-_EPS = 1e-12
-
 
 @dataclass
 class Node:
@@ -77,6 +78,8 @@ class Node:
     seq: int
     kind: str
     time: float
+    #: ``time`` in the simulator's integer nanoseconds.
+    ns: int = 0
     party: Optional[str] = None
     #: The other endpoint for session request/start/end events (the
     #: source site ``dst`` pulls from).
@@ -242,8 +245,8 @@ class CausalGraph:
 
     def _add(self, event: Any, session: Any) -> Node:
         node = Node(seq=event.seq, kind=event.kind, time=event.time,
-                    party=event.party, peer=event.fields.get("peer"),
-                    message=event.message,
+                    ns=to_ns(event.time), party=event.party,
+                    peer=event.fields.get("peer"), message=event.message,
                     bits=event.bits, span_id=event.span_id, session=session,
                     direction=event.fields.get("direction"))
         self.nodes[node.seq] = node
@@ -309,29 +312,26 @@ def _is_arq(source: Node, target: Node) -> bool:
 
 
 def _categorize(source: Node, target: Node, edge_kind: str,
-                channel: Optional[ChannelInfo]) -> Dict[str, float]:
-    """Split one hop's elapsed time over the attribution categories.
-
-    Returns a dict whose values sum to ``target.time - source.time`` up to
-    float addition order; path-level accounting makes the total exact by
-    folding any residue into ``processing`` (see ``_path_attribution``).
-    """
-    dt = target.time - source.time
+                channel: Optional[ChannelInfo]) -> Dict[str, int]:
+    """Split one hop's elapsed ns over the attribution categories; the
+    values sum to ``target.ns - source.ns`` exactly."""
+    dt = target.ns - source.ns
     if edge_kind == "queue":
         return {"queueing": dt}
     if edge_kind == "transmit":
-        if channel is None or channel.latency > dt:
+        latency = None if channel is None else to_ns(channel.latency)
+        if latency is None or latency > dt:
             # No channel constants (foreign trace) — the whole hop is
             # propagation as far as we can tell.
             return {"latency": dt}
-        serialization = dt - channel.latency
-        ideal = (source.bits / channel.bandwidth if channel.bandwidth
-                 else serialization)
-        if serialization - ideal > _EPS:
+        serialization = dt - latency
+        ideal = (serialization_ns(source.bits, channel.bandwidth)
+                 if channel.bandwidth else serialization)
+        if serialization > ideal:
             # The fault injector held this copy back (reorder delay).
-            return {"latency": channel.latency, "serialization": ideal,
+            return {"latency": latency, "serialization": ideal,
                     "fault_delay": serialization - ideal}
-        return {"latency": channel.latency, "serialization": serialization}
+        return {"latency": latency, "serialization": serialization}
     # program edges
     if _is_arq(source, target):
         return {"arq": dt}
@@ -340,9 +340,9 @@ def _categorize(source: Node, target: Node, edge_kind: str,
         # next message's serialization time.
         return {"serialization": dt}
     if source.kind == obs.MESSAGE and target.kind == obs.MESSAGE:
-        ideal = (source.bits / channel.bandwidth
+        ideal = (serialization_ns(source.bits, channel.bandwidth)
                  if channel is not None and channel.bandwidth else dt)
-        if dt - ideal > _EPS:
+        if dt > ideal:
             # Stop-and-wait: the sender stalled for the round trip after
             # serializing; the stall is propagation (plus the ack's bits).
             return {"serialization": ideal, "latency": dt - ideal}
@@ -350,23 +350,10 @@ def _categorize(source: Node, target: Node, edge_kind: str,
     return {"processing": dt}
 
 
-def _exact_attribution(parts: Dict[str, float],
-                       elapsed: float) -> Dict[str, float]:
-    """Attribution dict in canonical order whose sum is exactly elapsed.
-
-    Float addition is order-sensitive, so the residue is folded into
-    ``processing`` and re-checked: summing the returned dict's values in
-    :data:`CATEGORIES` order reproduces ``elapsed`` bit-for-bit.
-    """
-    out = {category: parts.get(category, 0.0) for category in CATEGORIES}
-    for _ in range(8):
-        total = 0.0
-        for category in CATEGORIES:
-            total += out[category]
-        if total == elapsed:
-            break
-        out["processing"] += elapsed - total
-    return out
+def _in_seconds(parts: Dict[str, int]) -> Dict[str, float]:
+    """Every category, in canonical order, in seconds."""
+    return {category: to_seconds(parts.get(category, 0))
+            for category in CATEGORIES}
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +418,7 @@ def _binding_predecessor(graph: CausalGraph,
                          node: Node) -> Tuple[Node, str]:
     """The latest-finishing cause of ``node`` (ties broken by seq)."""
     source_seq, edge_kind = max(
-        node.preds, key=lambda edge: (graph.nodes[edge[0]].time, edge[0]))
+        node.preds, key=lambda edge: (graph.nodes[edge[0]].ns, edge[0]))
     return graph.nodes[source_seq], edge_kind
 
 
@@ -439,7 +426,7 @@ def _critical_path(graph: CausalGraph,
                    anchor: Node) -> Dict[str, Any]:
     """Backward binding-predecessor walk from ``anchor`` to its seed."""
     hops: List[Dict[str, Any]] = []
-    parts: Dict[str, float] = {}
+    parts: Dict[str, int] = {}
     rounds = 0
     cursor = anchor
     while cursor.preds and cursor.kind != obs.UPDATE:
@@ -448,22 +435,22 @@ def _critical_path(graph: CausalGraph,
         categories = _categorize(source, cursor, edge_kind, channel)
         hops.append({
             "from": source.brief(), "to": cursor.brief(),
-            "edge": edge_kind, "elapsed": cursor.time - source.time,
-            "categories": {category: categories[category]
+            "edge": edge_kind,
+            "elapsed": to_seconds(cursor.ns - source.ns),
+            "categories": {category: to_seconds(categories[category])
                            for category in CATEGORIES
                            if category in categories},
         })
         if edge_kind == "transmit":
             rounds += 1
         for category, value in categories.items():
-            parts[category] = parts.get(category, 0.0) + value
+            parts[category] = parts.get(category, 0) + value
         cursor = source
     hops.reverse()
-    elapsed = anchor.time - cursor.time
     return {
         "start": cursor.brief(), "end": anchor.brief(),
-        "elapsed": elapsed, "hops": hops, "rounds": rounds,
-        "attribution": _exact_attribution(parts, elapsed),
+        "elapsed": to_seconds(anchor.ns - cursor.ns), "hops": hops,
+        "rounds": rounds, "attribution": _in_seconds(parts),
     }
 
 
@@ -491,18 +478,18 @@ def _session_summaries(graph: CausalGraph) -> List[Dict[str, Any]]:
         end = next((node for node in members
                     if node.kind == obs.SESSION_END), None)
         channel = graph.channel_for(start or members[0])
-        requested: Optional[float] = None
+        requested: Optional[Node] = None
         if start is not None:
             for source_seq, edge_kind in start.preds:
                 if edge_kind == "queue":
-                    requested = graph.nodes[source_seq].time
+                    requested = graph.nodes[source_seq]
         directions = [node.direction for node in members
                       if node.kind == obs.MESSAGE and node.message != "Ack"
                       and node.direction is not None]
         rounds = (1 + sum(1 for previous, current
                           in zip(directions, directions[1:])
                           if previous != current)) if directions else 0
-        parts: Dict[str, float] = {}
+        parts: Dict[str, int] = {}
         for node in members:
             for source_seq, edge_kind in node.preds:
                 source = graph.nodes[source_seq]
@@ -513,7 +500,7 @@ def _session_summaries(graph: CausalGraph) -> List[Dict[str, Any]]:
                     continue
                 for category, value in _categorize(
                         source, node, edge_kind, channel).items():
-                    parts[category] = parts.get(category, 0.0) + value
+                    parts[category] = parts.get(category, 0) + value
         summary: Dict[str, Any] = {
             "session": session,
             "src": start.peer if start is not None else None,
@@ -530,20 +517,19 @@ def _session_summaries(graph: CausalGraph) -> List[Dict[str, Any]]:
                            if node.kind == obs.CONTROL),
             "aborts": sum(1 for node in members
                           if node.kind == obs.SESSION_ABORT),
-            "attribution": {category: parts.get(category, 0.0)
-                            for category in CATEGORIES},
+            "attribution": _in_seconds(parts),
             "coverage": _fraction(graph.coverage.get(session, (0, 0))),
         }
         if start is not None:
+            requested = requested or start
             summary["started"] = start.time
-            summary["requested"] = (requested if requested is not None
-                                    else start.time)
-            summary["queue_wait"] = start.time - summary["requested"]
+            summary["requested"] = requested.time
+            summary["queue_wait"] = to_seconds(start.ns - requested.ns)
         if end is not None:
             summary["bits"] = end.bits
             summary["ended"] = end.time
             if start is not None:
-                summary["duration"] = end.time - start.time
+                summary["duration"] = to_seconds(end.ns - start.ns)
         summaries.append(summary)
     return summaries
 

@@ -17,6 +17,7 @@ from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
 from repro.errors import InvariantViolationError, ValidationError
+from repro.net.simulator import to_seconds
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceEvent, Tracer
 
@@ -177,7 +178,7 @@ class Observer:
 
     def _now(self) -> float:
         sim = getattr(self._owner, "sim", None)
-        return sim.now if sim is not None else 0.0
+        return to_seconds(sim.now) if sim is not None else 0.0
 
     # -- sampling ----------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ReproError, ValidationError
-from repro.net.simulator import Simulator
+from repro.net.simulator import Simulator, to_ns, to_seconds
 from repro.net.topology import PairSampler, RandomPairTopology
 from repro.obs.metrics import MetricsRegistry, wall_timer
 from repro.obs.trace import Tracer
@@ -85,7 +85,7 @@ class AntiEntropyConfig:
             "0 <= gossip_jitter <= 1": 0 <= self.gossip_jitter <= 1,
             "update_interval > 0": self.update_interval > 0,
             "n_updates >= 0": self.n_updates >= 0,
-            "max_time > 0": self.max_time > 0,
+            "0 < max_time < inf": 0 < self.max_time < float("inf"),
             "convergence is 'full' or 'values'":
                 self.convergence in ("full", "values"),
             "partitions are (start, end, left_sites) windows with "
@@ -199,7 +199,7 @@ class AntiEntropySimulation:
 
         def schedule_update() -> None:
             delay = rng.expovariate(1.0 / config.update_interval)
-            sim.call_after(delay, apply_update)
+            sim.call_after(to_ns(delay), apply_update)
 
         def apply_update() -> None:
             if state["updates_left"] <= 0:
@@ -208,7 +208,7 @@ class AntiEntropySimulation:
             state["seq"] += 1
             self._update(site, state["seq"])
             state["updates_left"] -= 1
-            state["last_update_time"] = sim.now
+            state["last_update_time"] = to_seconds(sim.now)
             state["converged_at"] = None  # consistency must be re-reached
             if tracer is not None:
                 tracer.event("update", party=site, seq=state["seq"])
@@ -219,10 +219,10 @@ class AntiEntropySimulation:
 
         def schedule_gossip() -> None:
             jitter = 1 + config.gossip_jitter * (2 * rng.random() - 1)
-            sim.call_after(config.gossip_period * jitter, gossip)
+            sim.call_after(to_ns(config.gossip_period * jitter), gossip)
 
         def crosses_partition(src: str, dst: str) -> bool:
-            return any(start <= sim.now < end
+            return any(start <= to_seconds(sim.now) < end
                        and (src in left) != (dst in left)
                        for start, end, left in config.partitions)
 
@@ -247,7 +247,7 @@ class AntiEntropySimulation:
             if (state["updates_left"] == 0
                     and state["converged_at"] is None
                     and self._is_consistent()):
-                state["converged_at"] = sim.now
+                state["converged_at"] = to_seconds(sim.now)
                 if tracer is not None:
                     tracer.event("converged", party=dst)
             schedule_gossip()
@@ -256,7 +256,7 @@ class AntiEntropySimulation:
             schedule_gossip()
         schedule_update()
 
-        sim.run(until=config.max_time)
+        sim.run(until=to_ns(config.max_time))
         if state["converged_at"] is None:
             raise ReproError(
                 f"no convergence within {config.max_time}s "

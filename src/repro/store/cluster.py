@@ -99,7 +99,7 @@ from repro.net.cluster import (SessionScheduler, check_session_config,
                                session_run)
 from repro.net.faults import RetryPolicy
 from repro.net.runner import SessionOptions, TimedSessionResult, launch
-from repro.net.simulator import Simulator
+from repro.net.simulator import Simulator, to_ns, to_seconds
 from repro.net.stats import TransferStats
 from repro.net.topology import TopologySpec, uniform_peer_rounds
 from repro.net.wire import DEFAULT_ENCODING, Encoding
@@ -207,7 +207,7 @@ class OpOutcome:
 
     @property
     def queue_wait(self) -> float:
-        return self.executed_at - self.submitted_at
+        return to_seconds(to_ns(self.executed_at) - to_ns(self.submitted_at))
 
 
 @dataclass
@@ -239,7 +239,7 @@ class StoreSessionRecord:
 
     @property
     def queue_wait(self) -> float:
-        return self.started_at - self.requested_at
+        return to_seconds(to_ns(self.started_at) - to_ns(self.requested_at))
 
     @property
     def keys_useful(self) -> int:
@@ -405,14 +405,14 @@ class StoreCluster:
         if op.site not in self.stores:
             raise ValidationError(f"unknown site {op.site!r}")
         if self._scheduler.admit(op.site, op.key, self._execute_op,
-                                 op, self.sim.now, on_done) \
+                                 op, to_seconds(self.sim.now), on_done) \
                 and self.metrics is not None:
             self.metrics.counter("store.ops_deferred").inc()
 
     def _execute_op(self, op: ClientOp, submitted_at: float,
                     on_done: Optional[Callable[[OpOutcome], None]]) -> None:
         store = self.stores[op.site]
-        now = self.sim.now
+        now = to_seconds(self.sim.now)
         repaired = False
         if op.kind == "put":
             result = store.put(op.key, op.value,
@@ -538,7 +538,7 @@ class StoreCluster:
                 raise ValidationError(f"unknown site {name!r}")
         if src == dst:
             raise ValidationError(f"sync pairs a site with itself: {src}")
-        now = self.sim.now
+        now = to_seconds(self.sim.now)
         record = StoreSessionRecord(
             index=len(self._records), src=src, dst=dst,
             keys=tuple(keys) if keys is not None else (),
@@ -617,7 +617,7 @@ class StoreCluster:
 
     def _start(self, record: StoreSessionRecord) -> None:
         src, dst = record.src, record.dst
-        record.started_at = self.sim.now
+        record.started_at = to_seconds(self.sim.now)
         reply: Optional[KnowledgeMsg] = None
         if record.advert is not None:
             # A pull syncs the keys ``src``'s stamp index says the advert
@@ -681,7 +681,7 @@ class StoreCluster:
             if self.monitor is not None:
                 self.monitor.on_absorb(dst, key,
                                        dst_store.record(key).updated_at,
-                                       self.sim.now)
+                                       to_seconds(self.sim.now))
             if self.config.increment_on_merge and record.reconciled[key]:
                 # §2.2: the pulling site increments its own element after
                 # an automatic merge, per reconciled key.
@@ -719,7 +719,7 @@ class StoreCluster:
     def _release(self, record: StoreSessionRecord) -> None:
         """Free the session's sites and keys; land ops, start syncs."""
         if self.monitor is not None:
-            self.monitor.on_session_end(self.sim.now)
+            self.monitor.on_session_end(to_seconds(self.sim.now))
         self._scheduler.release(record.src, record.dst, record.keys)
 
     def _ended(self, record: StoreSessionRecord, bits: int) -> None:
@@ -784,7 +784,7 @@ class StoreCluster:
             stores=self.stores,
             records=self._records,
             totals=self._totals,
-            completion_time=self.sim.now,
+            completion_time=to_seconds(self.sim.now),
             ops_applied=self._ops_applied,
             ops_deferred=self._scheduler.deferrals,
             read_repairs=self._read_repairs,

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.errors import ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.faults import RetryPolicy, chaos_faults
+from repro.net.simulator import to_ns, to_seconds
 from repro.net.topology import select_peer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -305,18 +306,18 @@ def run_store_workload(config: StoreWorkloadConfig, *,
     for round_no, src, dst in gossip_peers(sites, rounds=rounds,
                                            seed=config.seed):
         cluster.sim.call_at(
-            (round_no + 1) * config.sync_period,
+            to_ns((round_no + 1) * config.sync_period),
             lambda s=src, d=dst: cluster.request_sync(s, d))
 
     #: client → key → causal context of the last observed state.
     contexts: Dict[Tuple[int, str], Dict[str, int]] = {}
-    #: key → executed time of the globally newest put/delete.
-    latest_write: Dict[str, float] = {}
+    #: key → executed ns of the globally newest put/delete.
+    latest_write: Dict[str, int] = {}
     counts = {"get": 0, "put": 0, "delete": 0}
 
     def complete(planned: PlannedOp, outcome: Any) -> None:
-        latency = (outcome.executed_at - planned.at
-                   + 2 * config.client_latency)
+        # Submitted at its planned time: the wait is the server's share.
+        latency = outcome.queue_wait + 2 * config.client_latency
         counts[planned.kind] += 1
         contexts[(planned.client, planned.key)] = outcome.result.context
         if monitor is not None:
@@ -324,13 +325,15 @@ def run_store_workload(config: StoreWorkloadConfig, *,
                              outcome.result, outcome.executed_at)
         if planned.kind == "get":
             metrics.histogram("store.get_latency_seconds").observe(latency)
+            behind = (latest_write.get(planned.key, 0)
+                      - to_ns(outcome.result.as_of))
             metrics.histogram("store.staleness_seconds").observe(
-                max(0.0, latest_write.get(planned.key, 0.0)
-                    - outcome.result.as_of))
+                to_seconds(max(0, behind)))
         else:
             metrics.histogram("store.put_latency_seconds").observe(latency)
             latest_write[planned.key] = max(
-                latest_write.get(planned.key, 0.0), outcome.executed_at)
+                latest_write.get(planned.key, 0),
+                to_ns(outcome.executed_at))
 
     def dispatch(planned: PlannedOp) -> None:
         cluster.submit(
@@ -341,7 +344,7 @@ def run_store_workload(config: StoreWorkloadConfig, *,
             on_done=lambda outcome, p=planned: complete(p, outcome))
 
     for planned in plan:
-        cluster.sim.call_at(planned.at, lambda p=planned: dispatch(p))
+        cluster.sim.call_at(to_ns(planned.at), lambda p=planned: dispatch(p))
 
     store_result = cluster.run(converge_via=sites[0])
     return StoreWorkloadResult(

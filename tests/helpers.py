@@ -25,6 +25,7 @@ from repro.core.conflict import ConflictRotatingVector
 from repro.core.order import Ordering
 from repro.core.rotating import BasicRotatingVector
 from repro.core.skip import SkipRotatingVector
+from repro.net.simulator import to_ns
 from repro.net.wire import DEFAULT_ENCODING
 from repro.protocols import registry
 from repro.protocols.session import (SessionResult, run_session,
@@ -168,6 +169,15 @@ def full_walk_pull(src: SiteStore, dst: SiteStore, *,
         if reconciled:
             dst_record.vector.record_update(dst.site)
     return dst
+
+
+def session_timing(result: Any) -> Tuple[float, int, int]:
+    """A timed session's duration and each party's finish offset from
+    its start, the offsets in whole ns: the numbers a replay of the
+    session must reproduce exactly."""
+    start = to_ns(result.start_time)
+    return (result.duration, to_ns(result.sender_finish) - start,
+            to_ns(result.receiver_finish) - start)
 
 
 # -- scripted wire parties -------------------------------------------------------

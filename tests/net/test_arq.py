@@ -13,10 +13,10 @@ import pytest
 
 from repro.core.skip import SkipRotatingVector
 from repro.errors import SessionError, SimulationError
-from repro.net.channel import ChannelSpec
+from repro.net.channel import ChannelSpec, serialization_ns
 from repro.net.faults import FaultSpec, RetryPolicy
 from repro.net.runner import SessionOptions, launch, run_timed
-from repro.net.simulator import Simulator
+from repro.net.simulator import Simulator, to_ns
 from repro.net.wire import Encoding
 from repro.obs import Tracer
 from repro.protocols.effects import RECV, Send
@@ -287,15 +287,16 @@ class TestOpenWindow:
             encoding=ENC, retry=RetryPolicy(jitter=0.0)))
         stats = result.stats
         assert stats.retries == 1 and stats.timeouts == 1
-        rto = RetryPolicy().rto_for(channel)
-        one_way = channel.serialization_delay(1) + channel.latency
-        ack_way = channel.serialization_delay(channel.ack_bits) \
-            + channel.latency
-        retransmit = channel.serialization_delay(1) + rto
-        assert result.receiver_finish == pytest.approx(retransmit + one_way)
+        rto = to_ns(RetryPolicy().rto_for(channel))
+        one_way = serialization_ns(1, channel.bandwidth) \
+            + channel.latency_ns
+        ack_way = serialization_ns(channel.ack_bits, channel.bandwidth) \
+            + channel.latency_ns
+        retransmit = serialization_ns(1, channel.bandwidth) + rto
+        assert to_ns(result.receiver_finish) == retransmit + one_way
         # The sender finishes on the ack, not when its coroutine returned.
-        assert result.sender_finish == pytest.approx(
-            retransmit + one_way + ack_way)
+        assert to_ns(result.sender_finish) \
+            == retransmit + one_way + ack_way
 
     def test_abort_while_parked_on_the_inbox(self):
         # The sender's message times out while it waits for a reply.
@@ -324,7 +325,7 @@ class TestOpenWindow:
         sim, handle, abandoned_at = dead_link_session(
             scripted(Send(Halt(1))), scripted(Send(Halt(40_000))))
         assert handle.result is None
-        assert abandoned_at == [pytest.approx(2.0)]
+        assert abandoned_at == [to_ns(2.0)]
         assert_nothing_parked(sim)
 
     def test_an_abandoned_attempt_leaves_no_timer(self):
@@ -380,6 +381,6 @@ class TestQuietArq:
                     channel=channel, encoding=encoding))
                 durations.append(result.duration)
             perfect, quiet = durations
-            ack_round_trip = channel.rtt \
-                + channel.serialization_delay(channel.ack_bits)
-            assert abs(quiet - (perfect + ack_round_trip)) <= 1e-12, seed
+            ack_round_trip = 2 * channel.latency_ns \
+                + serialization_ns(channel.ack_bits, channel.bandwidth)
+            assert to_ns(quiet) == to_ns(perfect) + ack_round_trip, seed

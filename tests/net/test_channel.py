@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.net.channel import ChannelSpec
+from repro.net.channel import ChannelSpec, serialization_ns
+from repro.errors import SimulationError
+from repro.net.simulator import to_ns, to_seconds
 
 
 class TestValidation:
@@ -38,8 +40,8 @@ class TestValidation:
             ChannelSpec(latency=value)
 
     def test_infinite_bandwidth_is_legal(self):
-        assert ChannelSpec(bandwidth=float("inf")).serialization_delay(
-            100) == 0.0
+        ChannelSpec(bandwidth=float("inf"))
+        assert serialization_ns(100, float("inf")) == 0
 
 
 class TestDerivedQuantities:
@@ -52,12 +54,47 @@ class TestDerivedQuantities:
 
     def test_serialization_delay(self):
         spec = ChannelSpec(bandwidth=1000)
-        assert spec.serialization_delay(500) == pytest.approx(0.5)
+        assert serialization_ns(500, spec.bandwidth) == 500_000_000
 
-    def test_one_way_delay(self):
-        spec = ChannelSpec(latency=0.2, bandwidth=100)
-        assert spec.one_way_delay(50) == pytest.approx(0.7)
+    def test_serialization_rounds_up_to_whole_nanoseconds(self):
+        # 1 bit at 3 bit/s is 333,333,333.3… ns: the link stays busy
+        # through the partial nanosecond.
+        assert serialization_ns(1, 3) == 333_333_334
+
+    @pytest.mark.parametrize("latency, bandwidth, bits, latency_ns, busy_ns", [
+        (0.002, 1e6, 8, 2_000_000, 8_000),
+        (0.005, 1e6, 1_234, 5_000_000, 1_234_000),
+        (0.04, 250e3, 8, 40_000_000, 32_000),
+        (0.04, 250e3, 4_321, 40_000_000, 17_284_000),
+    ])
+    def test_bench_links_are_exact(self, latency, bandwidth, bits,
+                                   latency_ns, busy_ns):
+        spec = ChannelSpec(latency=latency, bandwidth=bandwidth)
+        assert spec.latency_ns == latency_ns
+        assert serialization_ns(bits, spec.bandwidth) == busy_ns
+
+    def test_latency_ns_is_derived_not_a_field(self):
+        # Equality, hashing and asdict see the float inputs only.
+        a, b = ChannelSpec(latency=0.04), ChannelSpec(latency=0.04)
+        assert a == b and hash(a) == hash(b)
+        assert "latency_ns" not in repr(a)
 
     def test_stop_and_wait_overhead(self):
         spec = ChannelSpec(latency=0.1, bandwidth=100, ack_bits=10)
-        assert spec.stop_and_wait_overhead() == pytest.approx(0.2 + 0.1)
+        assert spec.stop_and_wait_ns() == 200_000_000 + 100_000_000
+
+
+class TestConverter:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_non_finite_seconds_rejected(self, value):
+        with pytest.raises(SimulationError, match="finite"):
+            to_ns(value)
+
+    def test_rounds_to_the_nearest_nanosecond(self):
+        assert to_ns(1.4e-9) == 1 and to_ns(1.6e-9) == 2
+        assert to_ns(0.1) == 100_000_000 and to_ns(-2.5) == -2_500_000_000
+
+    def test_round_trip_through_seconds_is_exact(self):
+        for ns in (0, 1, 999_999_999, 123_456_789_012, 9_999_999_999_999):
+            assert to_ns(to_seconds(ns)) == ns

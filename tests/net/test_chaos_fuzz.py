@@ -24,7 +24,7 @@ from repro.protocols.syncs import syncs_receiver, syncs_sender
 from repro.net.faults import chaos_faults
 from repro.workload.cluster import (gossip_schedule, site_names,
                                     update_schedule)
-from tests.helpers import build_history
+from tests.helpers import build_history, session_timing
 
 ENC = Encoding(site_bits=8, value_bits=16)
 
@@ -108,9 +108,10 @@ def test_completed_faulted_session_equals_fault_free_run(commands, pair,
        workload_seed=st.integers(0, 2**16),
        n_sites=st.integers(3, 5),
        rounds=st.integers(2, 6))
-# Two of session 4's events tie in exact arithmetic; event times taken as
-# plain ``now + delay`` would break the tie differently in the cluster and
-# in the replay, and the session's fault draws (89 vs 97 bits) with it.
+# Two of session 4's events tie in exact arithmetic.  A float clock broke
+# that tie differently in the cluster and in the replay, and the session's
+# fault draws with it (89 vs 97 bits); on integer nanoseconds the events
+# tie in both runs and break FIFO by sequence number in both.
 @example(loss=0.25, chaos_seed=0, workload_seed=1, n_sites=3, rounds=2)
 def test_chaotic_cluster_run_matches_sequential_replay(loss, chaos_seed,
                                                        workload_seed,
@@ -145,5 +146,7 @@ def test_chaotic_cluster_run_matches_sequential_replay(loss, chaos_seed,
         == [r.stats.retries for r in sequential]
     assert [r.result.stats.resumes for r in result.records] \
         == [r.stats.resumes for r in sequential]
+    assert [session_timing(r.result) for r in result.records] \
+        == [session_timing(r) for r in sequential]
     for site in sites:
         assert result.vectors[site].same_values(vectors[site])

@@ -15,6 +15,7 @@ from repro.obs.trace import Tracer
 from repro.workload.cluster import (SessionRequest, UpdateRequest,
                                     gossip_schedule, site_names,
                                     update_schedule)
+from tests.helpers import session_timing
 
 ENC = Encoding(site_bits=8, value_bits=16)
 #: A slow link so sessions have measurable duration in simulated time.
@@ -133,8 +134,7 @@ class TestQueueing:
         # Interleaved, not serialized: the cluster finishes in one
         # session's duration, not two.
         solo = run_cluster(["A", "B"], [SessionRequest(0.0, "A", "B")])
-        assert result.completion_time == pytest.approx(
-            solo.completion_time, rel=1e-9)
+        assert result.completion_time == solo.completion_time
 
     def test_fanout_two_overlaps_shared_endpoint(self):
         result = run_cluster(
@@ -235,6 +235,10 @@ class TestAccounting:
         sequential, vectors = replay_sequential(sites, cfg, result.log)
         assert result.per_session_bits() \
             == [r.stats.total_bits for r in sequential]
+        # Integer time: each session takes the same nanoseconds wherever
+        # on the clock it runs.
+        assert [session_timing(r.result) for r in result.records] \
+            == [session_timing(r) for r in sequential]
         for site in sites:
             assert result.vectors[site].same_values(vectors[site])
 
@@ -285,7 +289,7 @@ class TestObservability:
         names = [e.fields["name"] for e in tracer.select("span_start")]
         assert "cluster:srv" in names
         event_times = [e.time for e in tracer.events if e.time is not None]
-        assert max(event_times) == pytest.approx(result.completion_time)
+        assert max(event_times) == result.completion_time
         # The runner restored the tracer's clock binding on exit.
         assert tracer.clock is None
 

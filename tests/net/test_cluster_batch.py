@@ -27,7 +27,7 @@ from repro.net.cluster import (ClusterConfig, ClusterRunner,
                                replay_sequential)
 from repro.net.faults import FaultSpec
 from repro.net.runner import SessionOptions, launch, run_timed
-from repro.net.simulator import Simulator
+from repro.net.simulator import Simulator, to_ns
 from repro.net.wire import Encoding
 from repro.protocols.syncs import syncs_receiver, syncs_sender
 from repro.workload.cluster import (gossip_schedule, site_names,
@@ -103,8 +103,8 @@ class TestBatchSizeOneIdentity:
                               encoding=PRICED, stop_and_wait=True)
         assert batched.stats.total_bits \
             == sum(r.stats.total_bits for r in baseline)
-        assert batched.completion_time == pytest.approx(
-            sum(r.completion_time for r in baseline))
+        assert to_ns(batched.completion_time) \
+            == sum(to_ns(r.completion_time) for r in baseline)
 
 
 class TestBatchingAmortization:

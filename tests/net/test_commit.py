@@ -10,13 +10,13 @@ restore and no resume.
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.channel import ChannelSpec
+from repro.net.channel import ChannelSpec, serialization_ns
 from repro.net.cluster import ClusterConfig, ClusterRunner, replay_sequential
 from repro.net.faults import FaultSpec, RetryPolicy, chaos_faults
+from repro.net.simulator import to_ns
 from repro.net.wire import Encoding
 from repro.obs import Tracer
 from repro.obs import trace as obs
@@ -61,9 +61,10 @@ class TestReleaseAtCommit:
         first, second = result.records
         assert result.totals.retries == 0
         assert second.started_at > second.requested_at
-        ack_trip = channel.serialization_delay(channel.ack_bits) + LATENCY
-        assert first.result.completion_time - second.started_at \
-            == pytest.approx(ack_trip, abs=1e-9)
+        ack_trip = serialization_ns(channel.ack_bits, channel.bandwidth) \
+            + channel.latency_ns
+        assert to_ns(first.result.completion_time) \
+            - to_ns(second.started_at) == ack_trip
 
     def test_commit_is_traced_before_the_end(self):
         tracer = Tracer()

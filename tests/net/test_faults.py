@@ -1,11 +1,14 @@
 """Fault specs, the seeded injector, and the ARQ retry policy."""
 
+import random
+
 import pytest
 
 from repro.errors import ReproError, ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.faults import (FaultInjector, FaultSpec, RetryPolicy,
                               derive_seed)
+from repro.net.simulator import to_ns
 
 
 class TestFaultSpecValidation:
@@ -24,6 +27,14 @@ class TestFaultSpecValidation:
     def test_negative_reorder_window_rejected(self):
         with pytest.raises(ValidationError):
             FaultSpec(reorder=0.5, reorder_window=-1.0)
+
+    def test_zero_window_with_reordering_is_accepted(self):
+        # A zero window is legal even with reordering on: every drawn
+        # delay is then 0 ns, so nothing is held back.
+        spec = FaultSpec(reorder=0.5, reorder_window=0.0)
+        injector = FaultInjector(spec)
+        assert {injector.fate(0) for _ in range(50)} == {(0,)}
+        assert injector.reorders > 0
 
     def test_partition_windows_must_be_ordered(self):
         with pytest.raises(ValidationError):
@@ -89,14 +100,14 @@ class TestFaultInjector:
     def test_same_seed_replays_identical_schedule(self):
         spec = FaultSpec(drop=0.3, duplicate=0.2, reorder=0.3,
                          reorder_window=0.5, seed=7)
-        fates_a = [FaultInjector(spec).fate(0.0) for _ in range(200)]
-        fates_b = [FaultInjector(spec).fate(0.0) for _ in range(200)]
+        fates_a = [FaultInjector(spec).fate(0) for _ in range(200)]
+        fates_b = [FaultInjector(spec).fate(0) for _ in range(200)]
         assert fates_a == fates_b
 
     def test_seed_override_changes_the_schedule(self):
         spec = FaultSpec(drop=0.5, seed=1)
-        base = [FaultInjector(spec).fate(0.0) for _ in range(100)]
-        other = [FaultInjector(spec, seed=999).fate(0.0)
+        base = [FaultInjector(spec).fate(0) for _ in range(100)]
+        other = [FaultInjector(spec, seed=999).fate(0)
                  for _ in range(100)]
         assert base != other
 
@@ -104,7 +115,7 @@ class TestFaultInjector:
         spec = FaultSpec(drop=0.4, duplicate=0.4, reorder=0.4,
                          reorder_window=0.2, seed=3)
         injector = FaultInjector(spec)
-        fates = [injector.fate(0.0) for _ in range(300)]
+        fates = [injector.fate(0) for _ in range(300)]
         assert injector.drops == sum(1 for f in fates if not f)
         assert injector.duplicates == sum(1 for f in fates if len(f) > 1)
         assert injector.drops > 0
@@ -116,21 +127,27 @@ class TestFaultInjector:
         spec = FaultSpec(drop=0.3, partitions=((1.0, 2.0),), seed=5)
         plain = FaultInjector(FaultSpec(drop=0.3, seed=5))
         parted = FaultInjector(spec)
-        assert parted.fate(1.5) == ()  # inside the window: lost
+        assert parted.fate(to_ns(1.5)) == ()  # inside the window: lost
         # Afterwards the two injectors agree draw for draw.
-        assert [parted.fate(3.0) for _ in range(50)] \
-            == [plain.fate(3.0) for _ in range(50)]
+        assert [parted.fate(to_ns(3.0)) for _ in range(50)] \
+            == [plain.fate(to_ns(3.0)) for _ in range(50)]
 
     def test_clean_delivery_is_a_single_on_time_copy(self):
         injector = FaultInjector(FaultSpec())
-        assert injector.fate(0.0) == (0.0,)
+        assert injector.fate(0) == (0,)
 
     def test_reorder_delay_bounded_by_window(self):
-        spec = FaultSpec(reorder=1.0, reorder_window=0.25, seed=9)
+        # Each draw lies in [0, window) s, rounded to whole ns; a
+        # duplicate adds a second draw to the first.
+        spec = FaultSpec(reorder=1.0, duplicate=0.5, reorder_window=0.25,
+                         seed=9)
         injector = FaultInjector(spec)
+        window = to_ns(0.25)
         for _ in range(100):
-            fate = injector.fate(0.0)
-            assert all(0 <= delay <= 0.5 for delay in fate)
+            fate = injector.fate(0)
+            assert all(type(delay) is int for delay in fate)
+            assert 0 <= fate[0] <= window
+            assert 0 <= fate[-1] - fate[0] <= window
 
 
 class TestDeriveSeed:
@@ -176,11 +193,19 @@ class TestRetryPolicy:
     def test_default_rto_is_twice_the_ack_wait(self):
         channel = ChannelSpec(latency=0.05, bandwidth=1e6)
         policy = RetryPolicy()
-        assert policy.rto_for(channel) \
-            == pytest.approx(2.0 * channel.stop_and_wait_overhead())
+        # Out 50 ms, the 8-bit ack serializes in 8 µs, back 50 ms.
+        assert to_ns(policy.rto_for(channel)) == 2 * 100_008_000
 
     def test_pinned_rto_wins(self):
         assert RetryPolicy(initial_rto=1.5).rto_for(ChannelSpec()) == 1.5
+
+    def test_drawn_timeout_is_whole_ns_within_the_jitter(self):
+        policy = RetryPolicy(jitter=0.25)
+        rng = random.Random(4)
+        for _ in range(100):
+            timeout = policy.draw_timeout(0.2, rng)
+            assert type(timeout) is int
+            assert to_ns(0.2) <= timeout <= to_ns(0.25)
 
     def test_backoff_saturates_at_max_rto(self):
         policy = RetryPolicy(initial_rto=1.0, backoff=3.0, max_rto=5.0)

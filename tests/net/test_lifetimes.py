@@ -25,6 +25,7 @@ from repro.net.channel import ChannelSpec
 from repro.net.cluster import launch_cluster
 from repro.net.faults import FaultSpec, RetryPolicy
 from repro.net.runner import SessionOptions, run_timed
+from repro.net.simulator import to_ns
 from repro.net.topology import LinkProfile, TopologySpec
 from repro.net.wire import Encoding
 from repro.obs import Tracer
@@ -96,7 +97,7 @@ def chaotic_store(size):
     sites = store.sites
     for i in range(12 * size):
         site, peer = sites[i % 4], sites[(i + 1) % 4]
-        store.sim.call_at(i * 0.5, lambda s=site, p=peer, i=i: (
+        store.sim.call_at(to_ns(i * 0.5), lambda s=site, p=peer, i=i: (
             store.submit(ClientOp(kind="put", site=s, key=f"k{i % 3}",
                                   value=i)),
             store.request_sync(s, p)))

@@ -5,9 +5,10 @@ import pytest
 from repro.core.rotating import BasicRotatingVector
 from repro.core.skip import SkipRotatingVector
 from repro.errors import SimulationError
-from repro.net.channel import ChannelSpec
+from repro.net.channel import ChannelSpec, serialization_ns
 from repro.net.faults import FaultSpec
 from repro.net.runner import SessionOptions, run_timed
+from repro.net.simulator import to_ns, to_seconds
 from repro.net.wire import Encoding
 from repro.protocols.effects import RECV
 from repro.protocols.syncb import syncb_receiver, syncb_sender
@@ -41,7 +42,7 @@ class TestPipeliningSavings:
                                      stop_and_wait=True)
         saving = blocking.completion_time - pipelined.completion_time
         # k data messages + 1 HALT each pay one stop-and-wait overhead.
-        expected = (k + 1) * channel.stop_and_wait_overhead()
+        expected = (k + 1) * to_seconds(channel.stop_and_wait_ns())
         assert saving == pytest.approx(expected, rel=0.15)
 
     def test_results_identical_with_and_without_pipelining(self):
@@ -86,10 +87,11 @@ class TestPipeliningSavings:
         assert len(ack_events) == 5  # 4 elements + sender HALT
         for ack, delivered_at in zip(ack_events, deliver_times):
             # Arrival = delivery + ack serialization + return latency.
-            expected = (delivered_at
-                        + channel.serialization_delay(channel.ack_bits)
-                        + channel.latency)
-            assert ack.time == pytest.approx(expected)
+            expected = (to_ns(delivered_at)
+                        + serialization_ns(channel.ack_bits,
+                                           channel.bandwidth)
+                        + channel.latency_ns)
+            assert to_ns(ack.time) == expected
         # Sequence order agrees with the clock: each ack is traced after
         # the data delivery it acknowledges.
         deliver_seqs = [e.seq for e in tracer.events

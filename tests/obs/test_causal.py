@@ -3,11 +3,10 @@
 import json
 import os
 
-import pytest
-
-from repro.net.channel import ChannelSpec
+from repro.net.channel import ChannelSpec, serialization_ns
 from repro.net.cluster import ClusterConfig, ClusterRunner
 from repro.net.faults import RetryPolicy, chaos_faults
+from repro.net.simulator import to_ns, to_seconds
 from repro.net.wire import Encoding
 from repro.obs import trace as obs
 from repro.obs.causal import (CATEGORIES, CAUSAL_SCHEMA, analyze_events,
@@ -90,38 +89,37 @@ class TestStarExactness:
         analysis = analyze_tracer(tracer)
         path = analysis.critical_path
 
-        # Hand model, replicating the timed driver's float-op order: each
-        # forward message appends bits/bandwidth of serialization, its
-        # delivery lands one latency later, and the session ends at the
-        # last delivery.  Message sizes are data (not timing), read off
-        # the trace.
+        # Hand model in the timed driver's integer nanoseconds: each
+        # forward message appends its serialization, its delivery lands
+        # one latency later, and the session ends at the last delivery.
+        # Message sizes are data (not timing), read off the trace.
         def session_end(start, session):
             t = start
             last = t
             for event in tracer.select(obs.MESSAGE, session=session):
-                t += event.bits / BANDWIDTH
-                last = t + LATENCY
+                t += serialization_ns(event.bits, CHANNEL.bandwidth)
+                last = t + CHANNEL.latency_ns
             return last
 
-        end0 = session_end(0.1, 0)
+        end0 = session_end(to_ns(0.1), 0)
         end1 = session_end(end0, 1)
-        assert analysis.convergence.time == end1
+        assert analysis.convergence.time == to_seconds(end1)
         # The path anchors at the first spoke's request (the latest
         # binding cause of session 0's start — the update at t=0 was
         # long done) and ends at the convergence event.
         assert path["start"]["kind"] == obs.SESSION_REQUEST
         assert path["start"]["time"] == 0.1
         assert path["end"]["seq"] == analysis.convergence.seq
-        assert path["elapsed"] == end1 - 0.1
+        assert path["elapsed"] == to_seconds(end1 - to_ns(0.1))
         assert path["rounds"] == 2
 
     def test_attribution_sums_to_elapsed_with_zero_residual(self):
         tracer, _ = star_trace()
         path = analyze_tracer(tracer).critical_path
-        total = 0.0
-        for category in CATEGORIES:
-            total += path["attribution"][category]
-        assert total == path["elapsed"]
+        # Every value is whole ns, so the sum is taken in integers.
+        total = sum(to_ns(path["attribution"][category])
+                    for category in CATEGORIES)
+        assert total == to_ns(path["elapsed"])
 
     def test_attribution_is_mostly_latency(self):
         # Two serialized 50ms-latency rounds dominate two ~0.27ms
@@ -137,8 +135,8 @@ class TestStarExactness:
         tracer, _ = star_trace()
         path = analyze_tracer(tracer).critical_path
         for hop in path["hops"]:
-            assert sum(hop["categories"].values()) == \
-                   pytest.approx(hop["elapsed"], abs=1e-12)
+            assert sum(map(to_ns, hop["categories"].values())) \
+                == to_ns(hop["elapsed"])
 
 
 class TestGraphStructure:

@@ -6,6 +6,11 @@ a ConsistencyMonitor.  Every ring series, digest, dashboard, HTML report
 and export of those runs is pinned by its SHA-256: a refactor of the
 observers, the dashboard or the exporters must reproduce each byte.
 
+The ``*.otlp``, ``*.registry``, ``*.series``, ``store.prometheus`` and
+``store.summary`` digests were re-pinned when the simulated clock became
+integer nanoseconds: every output kept its structure and every integer,
+and only float time values moved, each by under 0.03 µs.
+
 To re-pin after an intended output change, run this file directly
 (``PYTHONPATH=src python tests/obs/test_observer_golden.py``); it prints
 the new table.
@@ -43,13 +48,13 @@ GOLDEN = {
     "fleet.html":
         "05e2ff77f8d2b9ddf28e53c39e2484331ecb98389723e8420e586df487e62c2e",
     "fleet.otlp":
-        "8f01ada70df7ea651a1a39f15f232a9b68434f6fa89880165b3c8cb888ae4870",
+        "bb18f1ef8a006f2f998753c8bba30c2855f5d073a06ce02750363ee158b4015f",
     "fleet.prometheus":
         "d3c58b5d370a2aa53f249e038308a4ec40d38a2ca91fd87b5f7d40c8be172b4e",
     "fleet.registry":
-        "8382645f8cc07f8ff9cc219cf2239059ffbdb3ae6d31904976788a24f357a134",
+        "530d1f248e5911d7400be682ea47f7ca950de19240a5f1487220d19df4a777f4",
     "fleet.series":
-        "82c528ae747bf9f4e33be838a2868d9a26bd9f96f8bd2ec782464d23e6b8ca57",
+        "54239a6bc9522389c7925f2943e273a34dbd36f8e40bdb5b5f857aee5af07f82",
     "store.dashboard":
         "92a4e8a7cc34f99845638493859f70d04f68345954ba898772ec4ec228885d2b",
     "store.dashboard_truncated":
@@ -57,15 +62,15 @@ GOLDEN = {
     "store.html":
         "c1ea2dd3aff46775bac1de7ac7214b92806a39d48e9ee7441e657ccce81e4faa",
     "store.otlp":
-        "b5f9645f3620429f4839369e6e8c10074cfbe8fd827fa65ade1e8257586cea35",
+        "81b4b51763e7673ad3ef269d866ad09d0f58dda9625a5356bcaffaefeb2bb71f",
     "store.prometheus":
-        "2d97457d2ddc4f3b0a10f93f1678e63d3b20b62eb47b63e78812577d284f5291",
+        "2fdf8ff1d91db01d0093876f751cea33632fb6237777849f0e0f58e4a7ffd7b9",
     "store.registry":
-        "a6cb763dbdfb8c12e76e91938aa623c0a800c2ff5eb6108247306314a49fbc73",
+        "2ee52b6ff0bed54d826c54395750934fc4b2c5f9a2a1c39d6bd9ff0e6452dacc",
     "store.series":
-        "4213e47957d38e57aa686624e84d94cfe16e4c50fe05e0be9649062d53679ff5",
+        "aeddb10b1ab995c300da53c5df77292ecb30f49aa3c9a5669aa5063de7dc1fef",
     "store.summary":
-        "b27e44396925e4754e8f7f871d68bfdadb6328b25fc4060e7aa491733b7f2ec9",
+        "d14787c014ad3540ff30714004ddc1de88fb13eef553dd3c2a0ca21da9f063e9",
     "tampered.dashboard":
         "5a74ad104d002fe6dea5546e61ce21c4a70b7fdbe3423ee65d5769ee611f69b2",
     "tampered.health_summary":

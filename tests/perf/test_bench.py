@@ -8,6 +8,7 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.obs.metrics import MetricsRegistry
+from repro.net.simulator import to_ns
 from repro.net.topology import LinkProfile, TopologySpec
 from repro.obs.cli import run_monitored_fleet
 from repro.perf.bench import (SCENARIOS, BenchConfig, _run_cell,
@@ -402,8 +403,9 @@ class TestAnalyzedBench:
         for run in document["runs"]:
             assert run["critical_path_seconds"] >= 0.0
             assert run["critical_path_hops"] >= 0
-            total = sum(run["critical_path_attribution"].values())
-            assert total == pytest.approx(run["critical_path_seconds"])
+            total = sum(map(to_ns,
+                            run["critical_path_attribution"].values()))
+            assert total == to_ns(run["critical_path_seconds"])
 
     def test_default_runs_stay_unanalyzed(self):
         document = run_cluster_bench(TINY)

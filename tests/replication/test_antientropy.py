@@ -230,7 +230,10 @@ class TestSeededMatrix:
 
     The digests cover convergence times, sync counts and both bit
     totals, so any drift in the pair samplers, the shared jitter/update
-    stream or the partition filter shows up here.
+    stream or the partition filter shows up here.  Re-pinned when the
+    clock became integer nanoseconds: every delay is drawn onto the ns
+    grid, so each time moved by at most 1.6 ns while every sync count
+    and bit total stayed the same.
     """
 
     CASES = {
@@ -251,13 +254,13 @@ class TestSeededMatrix:
     }
 
     @pytest.mark.parametrize("label, digest", [
-        pytest.param("vv", "bfccbeec82f34644", id="vv"),
-        pytest.param("crv", "11dc18a00768543c", id="crv"),
-        pytest.param("srv", "1c3b58c0effe1ab7", id="srv"),
-        pytest.param("partitioned", "0979e6ce237bfdfe", id="partitioned"),
-        pytest.param("ring-values", "4d14a2370400a253", id="ring-values"),
-        pytest.param("op-syncg", "dcf936f5aa3b63b8", id="op-syncg"),
-        pytest.param("op-full-graph", "fe9dc474e619df1e", id="op-full-graph"),
+        pytest.param("vv", "65a0a866448df862", id="vv"),
+        pytest.param("crv", "48a0b0ee50cebc0b", id="crv"),
+        pytest.param("srv", "b5283fe5868787c3", id="srv"),
+        pytest.param("partitioned", "b607c69b18f7b4f4", id="partitioned"),
+        pytest.param("ring-values", "f850672dc2d6e643", id="ring-values"),
+        pytest.param("op-syncg", "3c70f866590ae7ad", id="op-syncg"),
+        pytest.param("op-full-graph", "6366b67efe841896", id="op-full-graph"),
     ])
     def test_results_are_pinned(self, label, digest):
         results = [self.CASES[label](seed).run() for seed in range(4)]
@@ -273,6 +276,7 @@ class TestSeededMatrix:
     pytest.param(dict(update_interval=0.0), id="zero-update-interval"),
     pytest.param(dict(n_updates=-1), id="negative-updates"),
     pytest.param(dict(max_time=0.0), id="zero-max-time"),
+    pytest.param(dict(max_time=float("inf")), id="infinite-max-time"),
     pytest.param(dict(convergence="eventually"), id="unknown-convergence"),
     pytest.param(dict(partitions=((5.0, 5.0, LEFT),)), id="empty-window"),
     pytest.param(dict(partitions=((-1.0, 5.0, LEFT),)),

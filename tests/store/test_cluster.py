@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SimulationError, ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.faults import FaultSpec, RetryPolicy
+from repro.net.simulator import to_ns, to_seconds
 from repro.obs.metrics import MetricsRegistry
 from repro.store.cluster import (ClientOp, StoreCluster, StoreConfig,
                                  gossip_peers)
@@ -93,7 +94,7 @@ class TestDeferral:
         c = cluster(sites=("A", "B"))
         c.submit(ClientOp(kind="put", site="A", key="k", value="v1"))
         c.request_sync("A", "B")
-        c.sim.run(until=0.011)  # the advert has landed: both occupied
+        c.sim.run(until=to_ns(0.011))  # the advert has landed: both occupied
         outcomes = []
         c.submit(ClientOp(kind="put", site="B", key="k", value="v2"),
                  on_done=outcomes.append)
@@ -112,7 +113,7 @@ class TestDeferral:
         c.sim.run()
         c.submit(ClientOp(kind="put", site="A", key="k", value="k1"))
         c.request_sync("A", "B")
-        c.sim.run(until=c.sim.now + 0.011)  # past the advert's flight
+        c.sim.run(until=c.sim.now + to_ns(0.011))  # past the advert's flight
         return c
 
     def test_ops_on_other_keys_land_mid_session_at_src_and_dst(self):
@@ -157,7 +158,7 @@ class TestDeferral:
         before = c.stores["B"].get("k")
         c.request_sync("A", "B", keys=("k",))  # doomed, occupies both
         outcomes = []
-        c.sim.call_at(0.03, lambda: c.submit(
+        c.sim.call_at(to_ns(0.03), lambda: c.submit(
             ClientOp(kind="put", site="B", key="j", value="vj"),
             on_done=outcomes.append))
         result = c.run()
@@ -166,7 +167,7 @@ class TestDeferral:
         # It ran inside the session ...
         assert outcomes[0].queue_wait == 0 and result.ops_deferred == 0
         assert (record.started_at < outcomes[0].executed_at
-                < c.sim.now)
+                < to_seconds(c.sim.now))
         # ... and the rollback touched the session's key only.
         assert c.stores["B"].get("j").values == ("vj",)
         after = c.stores["B"].get("k")
@@ -238,7 +239,7 @@ class TestReadRepair:
         c.submit(ClientOp(kind="put", site="B", key="k", value="vb"))
         # Park A and B in a session; gets at C may not consult either.
         c.request_sync("A", "B")
-        c.sim.run(until=0.011)  # past the advert's flight
+        c.sim.run(until=to_ns(0.011))  # past the advert's flight
         for _ in range(5):
             c.submit(ClientOp(kind="get", site="C", key="k",
                               repair_peer="A"))
@@ -360,7 +361,7 @@ class TestAbortSafety:
         before = {site: self.fingerprint(c.stores[site]) for site in "AB"}
         c.request_sync("A", "B")
         outcomes = []
-        c.sim.call_at(0.005, lambda: c.submit(
+        c.sim.call_at(to_ns(0.005), lambda: c.submit(
             ClientOp(kind="get", site="A", key="k"),
             on_done=outcomes.append))
         result = c.run()

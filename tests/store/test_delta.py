@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.order import Ordering
 from repro.net.channel import ChannelSpec
 from repro.net.faults import RetryPolicy, chaos_faults
+from repro.net.simulator import to_ns
 from repro.store.cluster import ClientOp, StoreCluster, StoreConfig
 from repro.store.kv import SiteStore
 from repro.workload.clients import StoreWorkloadConfig, run_store_workload
@@ -150,12 +151,12 @@ def run_steps(n_sites, plan, *, loss=0.0, chaos_seed=0):
         if kind == "sync":
             if site != peer:
                 cluster.sim.call_at(
-                    clock, lambda s=site, d=peer: cluster.request_sync(s, d))
+                    to_ns(clock), lambda s=site, d=peer: cluster.request_sync(s, d))
             continue
         op = ClientOp(kind=kind, site=site, key=key,
                       value=f"v{number}" if kind == "put" else None,
                       repair_peer=peer if kind == "get" else None)
-        cluster.sim.call_at(clock, lambda op=op: cluster.submit(op))
+        cluster.sim.call_at(to_ns(clock), lambda op=op: cluster.submit(op))
     result = cluster.run(converge_via=sites[0])
     for site in sites:
         cluster.check_knowledge(site)
