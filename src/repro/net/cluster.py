@@ -7,13 +7,17 @@ landing mid-schedule.  :class:`ClusterRunner` executes a precomputed
 workload (:mod:`repro.workload.cluster`) by interleaving every session's
 sender/receiver processes on a single :class:`~repro.net.simulator.Simulator`:
 
-* **Per-site session queues.**  A site participates in at most ``fanout``
-  sessions at a time (default 1 — strictly serialized per site).  Requests
-  that find an endpoint busy queue up and start, oldest first, as capacity
-  frees.  Queue waits are observable (``cluster.queue_wait_seconds``).
-* **Deferred updates.**  A local update arriving while its site is mid-
-  session applies the instant the site frees — mutating a vector that a
-  live coroutine is iterating would corrupt the session.
+* **Per-object session queues.**  A session holds the objects it syncs
+  at both endpoints, and at most ``fanout`` sessions hold one object at a
+  site at a time (default 1).  Requests that find an object busy queue up
+  and start, oldest first, as it frees; none overtakes an older request
+  of its own pair.  Sessions on disjoint objects overlap, even at a shared
+  site, where they share only the clock.  Queue waits are observable
+  (``cluster.queue_wait_seconds``).
+* **Deferred updates.**  A local update to an object a session holds
+  applies the instant the object frees — mutating a vector that a live
+  coroutine is iterating would corrupt the session.  An update to any
+  other object applies at once.
 * **Scheduling-independent accounting.**  With ``fanout=1`` each vector is
   touched by one session at a time, so every session's traffic depends
   only on the two endpoint states at its start — never on what else is in
@@ -27,8 +31,9 @@ sender/receiver processes on a single :class:`~repro.net.simulator.Simulator`:
 The mechanism — :class:`SessionScheduler`, :func:`launch_transactional`
 and the :func:`session_run` frame — is shared with the replicated store's
 :class:`~repro.store.cluster.StoreCluster`.  The two differ in what a
-session holds: the fleet admits per *site* (an update waits for its whole
-site), the store per *key* (a client op waits for its own key only).
+session holds: a fleet session its objects (an update waits for its own
+object only), a store session one site-wide token and its keys (a site
+takes one session at a time; a client op waits for its own key only).
 
 Tracing and metrics reuse the PR 1 instruments: pass a
 :class:`~repro.obs.trace.Tracer` for clock-stamped per-site events and a
@@ -91,7 +96,10 @@ class ClusterConfig:
             ``crv`` (SYNCC), or ``srv`` (SYNCS).
         channel: link model applied to every session.
         encoding: wire pricing for every message.
-        fanout: concurrent sessions a site may participate in (≥ 1).
+        fanout: sessions that may hold one object at a time (≥ 1).  A
+            session holds the objects it syncs at both endpoints, so
+            sessions on disjoint objects overlap at a site whatever the
+            fanout; above 1, overlapping sessions may share an object.
         stop_and_wait: per-item ack baseline instead of pipelining
             (perfect links only; the ARQ on lossy links always pipelines).
         proc_time: per-received-message processing cost.
@@ -136,9 +144,9 @@ class ClusterConfig:
         if faulted and self.fanout > 1:
             raise ValidationError(
                 "faulted channels require fanout=1: session resume "
-                "restores the receiver's pre-session snapshot, which is "
-                "only sound when no other session writes the same site "
-                "concurrently")
+                "restores the receiver's pre-session snapshot of the "
+                "objects it syncs, which is only sound when no other "
+                "session writes the same object concurrently")
 
 
 @dataclass
@@ -167,7 +175,7 @@ class ClusterSessionRecord:
 
     @property
     def queue_wait(self) -> float:
-        """Seconds the request sat behind busy endpoints."""
+        """Seconds the request sat behind sessions holding its objects."""
         return to_seconds(to_ns(self.started_at) - to_ns(self.requested_at))
 
 
@@ -268,10 +276,6 @@ def session_options(config: Any, src: str, dst: str, session_id: int, *,
                     if channel.faults.enabled else None))
 
 
-#: A fleet session holds each endpoint whole: its updates wait for it.
-_WHOLE_SITE = "<site>"
-
-
 def _snapshot_writable(receiver: Any, objs: Tuple[int, ...],
                        verdicts: Tuple[Ordering, ...]
                        ) -> Tuple[Tuple[int, Any], ...]:
@@ -302,37 +306,43 @@ def _restore_writable(receiver: Any,
 class SessionScheduler:
     """Admission for pairwise sessions on one clock.
 
-    * **Occupancy.**  ``usage[site]`` counts a site's live sessions; a
-      session starts only while both endpoints are below ``capacity``.
     * **Holds.**  ``held[site][resource]`` counts the reasons a resource
-      is busy at a site; work :meth:`admit` gets on a busy one waits FIFO
-      per resource until a release frees it.
-    * **Pending queue.**  A request that finds an endpoint at capacity
-      waits; freed capacity goes to the waiting requests, oldest first.
+      is busy at a site: the live sessions holding it, and each
+      :meth:`hold`.  Work :meth:`admit` gets on a busy one waits FIFO per
+      resource until a release frees it.
+    * **Admission.**  A request names its resources; it starts once each
+      is below ``capacity`` at both endpoints and no older request of
+      the same ``(src, dst)`` pair still waits, and the session holds
+      exactly those resources until its release.  Sessions on disjoint
+      resources overlap, even at a shared site.
+    * **Pending queue.**  A request that cannot start waits; freed
+      resources go to the waiting requests, oldest first.
 
     The owner supplies the policy: ``start(item)`` launches a session and
-    must :meth:`occupy` its endpoints; the session's end calls
-    :meth:`release` with the same resources.
+    must :meth:`occupy` the resources it was requested with; the
+    session's end calls :meth:`release` with the same resources.
     """
 
     def __init__(self, sites: Iterable[str], capacity: int,
                  start: Callable[[Any], None]) -> None:
         self.capacity = capacity
         self._start = start
-        self.usage: Dict[str, int] = {site: 0 for site in sites}
         self.held: Dict[str, Dict[Hashable, int]] = {
-            site: {} for site in self.usage}
+            site: {} for site in sites}
         #: site → resource → ``(arrival number, work, args)``, oldest
         #: first; a queue exists only while its resource is busy.
         self._deferred: Dict[str, Dict[Hashable, Deque[Tuple[Any, ...]]]] = {
-            site: {} for site in self.usage}
+            site: {} for site in self.held}
         #: Work items ever deferred; also the next arrival number.
         self.deferrals = 0
-        # Pending (src, dst, item) entries by arrival number, indexed per
-        # site so a dispatch rescans only the freed sites' requests.
-        self._pending: Dict[int, Tuple[str, str, Any]] = {}
+        # Pending (src, dst, resources, item) entries by arrival number,
+        # indexed per site so a dispatch rescans only the freed sites'
+        # requests, and counted per pair for the pair's FIFO order.
+        self._pending: Dict[int, Tuple[str, str, Tuple[Hashable, ...],
+                                       Any]] = {}
         self._pending_by_site: Dict[str, List[int]] = {
-            site: [] for site in self.usage}
+            site: [] for site in self.held}
+        self._pending_pairs: Dict[Tuple[str, str], int] = {}
         self._arrivals = count()
         self._freed: Set[str] = set()
         self.ran = False
@@ -389,41 +399,54 @@ class SessionScheduler:
                 del queues[resource]
             work(*args)
 
-    def request(self, src: str, dst: str, item: Any) -> None:
-        """Start ``item`` now if both endpoints have capacity, else queue it.
+    def _free(self, src: str, dst: str,
+              resources: Tuple[Hashable, ...]) -> bool:
+        """Whether every one of ``resources`` is below capacity at both
+        endpoints."""
+        held_src, held_dst = self.held[src], self.held[dst]
+        capacity = self.capacity
+        for resource in resources:
+            if (resource in held_src and held_src[resource] >= capacity
+                    or resource in held_dst
+                    and held_dst[resource] >= capacity):
+                return False
+        return True
+
+    def request(self, src: str, dst: str, resources: Tuple[Hashable, ...],
+                item: Any) -> None:
+        """Start ``item`` now if it is admitted, else queue it.
 
         Requests waiting on sites freed since the last dispatch go first:
         deferred work landing mid-release may ask for a session, and the
-        older requests keep their turn.  Every other waiting request has
-        an endpoint at capacity, so starts always follow an oldest-first
-        scan over every pending request.
+        older requests keep their turn.  Every other waiting request is
+        blocked — by a busy resource or by an older request of its pair —
+        so starts always follow an oldest-first scan over every pending
+        request.
         """
         if self._freed:
             self._dispatch()
-        usage, capacity = self.usage, self.capacity
-        if usage[src] < capacity and usage[dst] < capacity:
+        pair = (src, dst)
+        if pair not in self._pending_pairs \
+                and self._free(src, dst, resources):
             self._start(item)
             return
         seq = next(self._arrivals)
-        self._pending[seq] = (src, dst, item)
+        self._pending[seq] = (src, dst, resources, item)
         self._pending_by_site[src].append(seq)
         self._pending_by_site[dst].append(seq)
+        self._pending_pairs[pair] = self._pending_pairs.get(pair, 0) + 1
 
     def occupy(self, src: str, dst: str,
                resources: Iterable[Hashable]) -> None:
         """A session starts, holding ``resources`` at both endpoints."""
-        self.usage[src] += 1
-        self.usage[dst] += 1
         for held in (self.held[src], self.held[dst]):
             for resource in resources:
                 held[resource] = held.get(resource, 0) + 1
 
     def release(self, src: str, dst: str,
                 resources: Iterable[Hashable]) -> None:
-        """The session :meth:`occupy` started has ended: free its capacity
-        and holds, land the work they deferred, start what can start."""
-        self.usage[src] -= 1
-        self.usage[dst] -= 1
+        """The session :meth:`occupy` started has ended: free its holds,
+        land the work they deferred, start what can start."""
         for held in (self.held[src], self.held[dst]):
             for resource in resources:
                 if held[resource] == 1:
@@ -441,32 +464,42 @@ class SessionScheduler:
         """Start queued sessions made startable by the freed sites.
 
         Only requests touching a freed endpoint can have become
-        startable, so the scan covers just those sites' queues, in
-        global arrival order; entries started by an earlier scan are
-        pruned lazily here.
+        startable — a request behind an older one of its pair shares its
+        sites — so the scan covers just those sites' queues, in global
+        arrival order; entries started by an earlier scan are pruned
+        lazily here.
         """
-        capacity, usage = self.capacity, self.usage
         pending = self._pending
         by_site = self._pending_by_site
+        pairs = self._pending_pairs
         candidates: Set[int] = set()
         for site in self._freed:
             live = [seq for seq in by_site[site] if seq in pending]
             by_site[site] = live
             candidates.update(live)
         self._freed.clear()
+        blocked: Set[Tuple[str, str]] = set()
         for seq in sorted(candidates):
             entry = pending.get(seq)
             if entry is None:
                 continue  # started earlier in this very scan
-            src, dst, item = entry
-            if usage[src] < capacity and usage[dst] < capacity:
-                del pending[seq]
-                self._start(item)
+            src, dst, resources, item = entry
+            pair = (src, dst)
+            if pair in blocked:
+                continue
+            if not self._free(src, dst, resources):
+                blocked.add(pair)
+                continue
+            del pending[seq]
+            if pairs[pair] == 1:
+                del pairs[pair]
+            else:
+                pairs[pair] -= 1
+            self._start(item)
 
     def drained(self) -> bool:
-        """Nothing queued, live, held or deferred."""
-        return not (self._pending or any(self.usage.values())
-                    or any(self.held.values())
+        """Nothing queued, held or deferred."""
+        return not (self._pending or any(self.held.values())
                     or any(self._deferred.values()))
 
 
@@ -678,9 +711,10 @@ class ClusterRunner:
 
     def _on_update_request(self, update: UpdateRequest) -> None:
         # Mid-session, mutating a vector a live coroutine iterates would
-        # corrupt the session: the update waits until its site frees.
-        if self._scheduler.admit(update.site, _WHOLE_SITE, self._apply_update,
-                                 update.site, getattr(update, "obj", 0)) \
+        # corrupt the session: the update waits until its object frees.
+        obj = getattr(update, "obj", 0)
+        if self._scheduler.admit(update.site, obj, self._apply_update,
+                                 update.site, obj) \
                 and self.metrics is not None:
             self.metrics.counter("cluster.updates_deferred").inc()
 
@@ -711,10 +745,11 @@ class ClusterRunner:
         if self.tracer is not None:
             # The session index is unknown until the session starts;
             # the analyzer matches requests to starts FIFO per (src,
-            # dst) pair — exactly the order the scheduler starts them.
+            # dst) pair — exactly the order the scheduler starts them,
+            # as no request overtakes an older one of its pair.
             self.tracer.event("session_request", party=request.dst,
                               peer=request.src)
-        self._scheduler.request(request.src, request.dst,
+        self._scheduler.request(request.src, request.dst, objs,
                                 (request, self.sim.now, objs))
 
     def _session_objects(self, request: SessionRequest
@@ -782,7 +817,7 @@ class ClusterRunner:
         # keep the historical three-tuple shape.
         self._log.append(("session", src, dst) if self.shards is None
                          else ("session", src, dst, objs))
-        self._scheduler.occupy(src, dst, (_WHOLE_SITE,))
+        self._scheduler.occupy(src, dst, objs)
         if self.tracer is not None:
             self.tracer.event("session_start", party=dst, peer=src,
                               verdict=record.verdict.name.lower(),
@@ -809,7 +844,7 @@ class ClusterRunner:
 
     def _commit(self, record: ClusterSessionRecord) -> None:
         """The session committed: its Δ is all in and nothing iterates
-        either vector again, so its endpoints are free."""
+        its objects again, so they are free at both endpoints."""
         if self.monitor is not None:
             # Before the §2.2 self-increment below: the closure oracle
             # expects the receiver to hold exactly max(pre-state, sender).
@@ -832,8 +867,8 @@ class ClusterRunner:
             self.tracer.event("session_commit", party=dst,
                               peer=record.src, session=record.index)
         # Updates that arrived mid-session land before anything queued
-        # gets to start on the freed endpoints.
-        self._scheduler.release(record.src, dst, (_WHOLE_SITE,))
+        # gets to start on the freed objects.
+        self._scheduler.release(record.src, dst, record.objects)
 
     def _finish(self, record: ClusterSessionRecord,
                 result: TimedSessionResult) -> None:
@@ -866,14 +901,16 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
     :func:`~repro.net.runner.launch` machinery) against vectors evolved
     through the same realized order.  Under ``fanout=1`` the returned
     per-session stats must equal the concurrent run's — the scheduling-
-    independence property the regression benchmark asserts.  On a faulted
-    channel every session re-derives the concurrent run's per-session
-    injector seed from its log position, so drop/duplicate/reorder
-    schedules (and the retransmissions, aborts, and resumes they induce)
-    replay bit for bit; absolute-time *partition windows* are the one
-    exclusion — a replayed session starts its private clock at 0, so the
-    replay guarantee covers probabilistic faults only.  Returns the
-    per-session results and every site's object-0 vector.
+    independence property the regression benchmark asserts (sessions
+    that overlap hold disjoint objects, so start order is a
+    serialization).  On a faulted channel every session re-derives the
+    concurrent run's per-session injector seed from its log position,
+    so drop/duplicate/reorder schedules (and the retransmissions,
+    aborts, and resumes they induce) replay bit for bit; absolute-time
+    *partition windows* are the one exclusion — a replayed session
+    starts its private clock at 0, so the replay guarantee covers
+    probabilistic faults only.  Returns the per-session results and
+    every site's object-0 vector.
     """
     spec = registry.get(config.protocol)
     vector_cls = spec.vector_cls

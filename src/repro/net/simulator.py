@@ -143,11 +143,11 @@ class Simulator:
         """Run ``fn`` at absolute simulated ``time`` ns (FIFO within a tick).
 
         Returns a :class:`Timer` handle; cancelling it before the event
-        dispatches suppresses the callback.
+        dispatches suppresses the callback.  A time that is not an
+        ``int``, or lies before ``now``, raises :class:`SimulationError`.
         """
-        if not time >= self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self.now}")
+        if time.__class__ is not int or time < self.now:
+            self._reject(time)
         timer = Timer(self)
         heapq.heappush(self._queue, (time, next(self._sequence), fn, timer))
         return timer
@@ -161,11 +161,20 @@ class Simulator:
         cancelled, so no :class:`Timer` is allocated for it.  It takes a
         sequence number exactly as :meth:`call_at` would, so swapping one
         for the other never reorders a run."""
-        if not time >= self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self.now}")
+        if time.__class__ is not int or time < self.now:
+            self._reject(time)
         heapq.heappush(self._queue,
                        (time, next(self._sequence), fn, _INTERNAL_TIMER))
+
+    def _reject(self, time: object) -> None:
+        """Raise for an event time :meth:`call_at` cannot queue: one float
+        would make ``now`` a float for the rest of the run."""
+        if time.__class__ is not int:
+            raise SimulationError(
+                f"simulated time is int nanoseconds, got "
+                f"{type(time).__name__} {time!r}; convert with to_ns")
+        raise SimulationError(
+            f"cannot schedule at {time} before now={self.now}")
 
     def _note_cancelled(self) -> None:
         """Count one cancellation; compact when the dead fraction is high."""
@@ -209,8 +218,11 @@ class Simulator:
         matter how much longer we would have run.  Stopping *early*
         (first pending event past ``until``) skips the check — the
         remaining events may well wake the parked hosts.
-        Returns the final clock value.
+        Returns the final clock value.  A non-``int`` ``until`` raises
+        :class:`SimulationError`.
         """
+        if until is not None and until.__class__ is not int:
+            self._reject(until)
         # The dispatch loop is the hottest code in every benchmark; it
         # aliases the queue (compaction rewrites it in place, so the
         # alias stays valid) and skips cancelled entries inline.  The

@@ -36,8 +36,9 @@ Three families of checks run continuously, not just in tests:
 * **Ancestor closure** — after every completed session the receiver's
   vectors must equal the element-wise max of their pre-session state and
   the sender's state: every applied prefix is causally closed and the
-  transfer is complete.  (Checked under ``fanout=1``, where endpoint
-  state is pinned for the session's duration; forfeit otherwise, exactly
+  transfer is complete.  (Checked under ``fanout=1``, where the synced
+  objects are pinned at both endpoints for the session's duration —
+  sessions on other objects may overlap it; forfeit otherwise, exactly
   like the scheduling-independence guarantee.)
 * **COMPARE spot checks** — on a seeded schedule of sessions, Algorithm
   1's O(1) verdict is re-derived against the element-wise oracle
@@ -84,7 +85,8 @@ class MonitorConfig(ObserverConfig):
         check_accounting: enable the retransmitted/goodput identity
             checks.
         check_ancestor_closure: enable the post-session element-wise max
-            oracle (automatically skipped when ``fanout > 1``).
+            oracle over the synced objects (automatically skipped when
+            ``fanout > 1``, where a session may share an object).
     """
 
     spot_check_period: int = 5

@@ -1,44 +1,51 @@
-"""Timing-regression micro-benchmarks for the fast paths.
+"""Regression micro-benchmarks for the fast paths.
 
 Every optimized path in this repo keeps an oracle next to it so property
 tests can compare *results*: the segment-partition cache has
 ``segments_uncached``, the CRG Π/segment memos have uncached walks, the
 array vector backend has the linked backend, and the one-pass stream
-codec has the bit-by-bit codec.  This module compares their **timing**:
+codec has the bit-by-bit codec.  This module compares their **cost**:
 on workloads where the fast path is supposed to pay, it must beat its
-oracle by at least the cell's floor (``min_speedup``).  CI runs
+oracle by at least the cell's floor.  CI runs
 ``python -m repro.perf.microbench`` and fails the build if any cell
 falls below its floor — the cheap tripwire for "someone broke the
 optimization and everything silently fell back to the slow path".
 
+Each cell measures two ratios, oracle over fast.  The **call ratio**
+counts the Python and C function calls one run of each side makes
+(:func:`call_count`, through ``sys.setprofile``): deterministic, so a
+floor on it never flakes on a loaded host.  The **speedup** is wall time,
+each side's best of several rounds with fast and oracle interleaved, so
+a slow stretch of host time cannot land on one side only.  A cell whose
+fast path wins by making fewer calls gates on the call ratio
+(``min_call_ratio``, set about 10 % under the ratio CPython 3.11
+measured); the speedup is printed beside it.  Two cells win per call
+rather than by calls and keep a wall floor (``min_speedup``):
+``messages.element_build`` (2×; tuple-backed wire values against the
+dict-backed dataclass they were, the same number of calls) and
+``stats.session_accounting`` (1.8×; plain-dict message histograms
+against Counter-backed twins).
+
 The E4/E11 cells gate the headline pipelines: E4 ships one SRV's whole
 element walk (parse + messages + wire) and E11 round-trips the 8×32
-chaos fleet's batched frame; both carry a 5× floor.  The two ``sync.*``
-cells gate the array-level protocol path — a sender's ``rows()`` walk
-(1.2×, message construction included on both sides) and a receiver's
-``place_after`` (1.6×) against the per-element view idiom they replaced.
-``messages.element_build`` (2×) gates the sender's message build itself:
-tuple-backed wire values against the dict-backed dataclass they were.
-``stats.session_accounting`` (1.8×) gates an empty session's traffic
-accounting: plain-dict message histograms against Counter-backed twins.
-``batch.quiet_turn`` (2×) gates a batched SYNCS sender's turn: the mux's
-``QUIET`` poll answer and one ``SendAll`` against the per-element stream
-(two coroutine resumes per element) that every other policy runs.
-
-The workloads are deterministic (fixed seeds, fixed sizes) and sized so
-a healthy fast path clears its floor with margin — far above scheduler
-noise on any CI box.  Timings take each side's best of several rounds,
-fast and oracle interleaved, so a slow stretch of host time cannot land
-on one side only.
+chaos fleet's batched frame.  The two ``sync.*`` cells gate the
+array-level protocol path — a sender's ``rows()`` walk (message
+construction included on both sides) and a receiver's ``place_after``
+against the per-element view idiom they replaced.  ``batch.quiet_turn``
+gates a batched SYNCS sender's turn: the mux's ``QUIET`` poll answer and
+one ``SendAll`` against the per-element stream (two coroutine resumes
+per element) that every other policy runs.  The workloads are
+deterministic (fixed seeds, fixed sizes).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.arrayorder import Row
 from repro.core.arrayvec import ArraySkipRotatingVector
@@ -62,16 +69,20 @@ ROUNDS = 5
 
 @dataclass(frozen=True)
 class MicrobenchResult:
-    """One fast-path-vs-oracle timing comparison.
+    """One fast-path-vs-oracle comparison.
 
-    ``min_speedup`` is the cell's floor: 1.0 (the default) just demands
-    "never slower than the oracle"; the pipeline cells demand 5×.
+    With ``min_call_ratio`` set the cell gates on its call ratio;
+    otherwise ``min_speedup`` is its floor: 1.0 (the default) just
+    demands "never slower than the oracle".
     """
 
     name: str
     cached_seconds: float
     uncached_seconds: float
     min_speedup: float = 1.0
+    cached_calls: int = 0
+    uncached_calls: int = 0
+    min_call_ratio: Optional[float] = None
 
     @property
     def speedup(self) -> float:
@@ -80,8 +91,16 @@ class MicrobenchResult:
                 if self.cached_seconds else float("inf"))
 
     @property
+    def call_ratio(self) -> float:
+        """Oracle calls over fast-path calls."""
+        return (self.uncached_calls / self.cached_calls
+                if self.cached_calls else float("inf"))
+
+    @property
     def regressed(self) -> bool:
-        """True when the fast path fell below its ``min_speedup`` floor."""
+        """True when the fast path fell below its floor."""
+        if self.min_call_ratio is not None:
+            return self.call_ratio < self.min_call_ratio
         return self.speedup < self.min_speedup
 
 
@@ -96,6 +115,31 @@ def _best_pair(fast: Callable[[], None], oracle: Callable[[], None],
             fn()
             best[side] = min(best[side], time.perf_counter() - start)
     return best[0], best[1]
+
+
+def call_count(fn: Callable[[], None]) -> int:
+    """The Python and C function calls one run of ``fn`` makes."""
+    calls = 0
+
+    def profile(frame: object, event: str, arg: object) -> None:
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _measure(name: str, fast: Callable[[], None],
+             oracle: Callable[[], None], **floor: float) -> MicrobenchResult:
+    """Time both sides, then count one (warm) run of each."""
+    timings = _best_pair(fast, oracle)
+    return MicrobenchResult(name, *timings, cached_calls=call_count(fast),
+                            uncached_calls=call_count(oracle), **floor)
 
 
 def bench_srv_segments(*, n_segments: int = 150, segment_len: int = 3,
@@ -122,7 +166,7 @@ def bench_srv_segments(*, n_segments: int = 150, segment_len: int = 3,
     # Warm the partition cache outside the timed region: steady-state
     # read cost is what regressions would change.
     vector.segments()
-    return MicrobenchResult("srv.segments", *_best_pair(cached, uncached))
+    return _measure("srv.segments", cached, uncached, min_call_ratio=230.0)
 
 
 def _grown_crg(steps: int, seed: int):
@@ -170,7 +214,7 @@ def bench_crg_pi_sweep(*, steps: int = 400, seed: int = 7
         for node_id in node_ids:
             crg.pi_set_uncached(node_id)
 
-    return MicrobenchResult("crg.pi_sweep", *_best_pair(cached, uncached))
+    return _measure("crg.pi_sweep", cached, uncached, min_call_ratio=8.5)
 
 
 def _srv_segment_spec(n_segments: int, segment_len: int
@@ -203,8 +247,7 @@ def bench_vector_copy(*, n_segments: int = 300, segment_len: int = 3,
         for _ in range(repeats):
             linked_vec.copy()
 
-    return MicrobenchResult("vector.copy", *_best_pair(fast, oracle),
-                            min_speedup=3.0)
+    return _measure("vector.copy", fast, oracle, min_call_ratio=54.0)
 
 
 def bench_vector_rotate(*, n_segments: int = 300, segment_len: int = 3,
@@ -213,9 +256,8 @@ def bench_vector_rotate(*, n_segments: int = 300, segment_len: int = 3,
     """Batched ROTATE replay: array backend vs the linked oracle.
 
     Both backends splice in O(1) per rotation, so this is a *parity*
-    guard, not a speedup gate: the floor only fails the build if the
-    array backend's pointer surgery drifts well behind the linked
-    list's.
+    guard: the floor only fails the build if the array backend's pointer
+    surgery grows back toward the linked list's calls.
     """
     spec = _srv_segment_spec(n_segments, segment_len)
     array_vec = ArraySkipRotatingVector.from_segments(spec)
@@ -232,8 +274,7 @@ def bench_vector_rotate(*, n_segments: int = 300, segment_len: int = 3,
         for _ in range(repeats):
             linked_vec.rotate_many(sites)
 
-    return MicrobenchResult("vector.rotate", *_best_pair(fast, oracle),
-                            min_speedup=0.8)
+    return _measure("vector.rotate", fast, oracle, min_call_ratio=1.8)
 
 
 def _pipeline_fixture(n_segments: int, segment_len: int):
@@ -263,7 +304,7 @@ def bench_e4_segment_stream(*, n_segments: int = 333, segment_len: int = 3,
     elements plus HALT in one pass.  Oracle: per-message bit-by-bit
     encode/decode — the shape of the code before the stream fast path
     existed, when every message paid its own writer, reader, and
-    byte-assembly.  This is the ≥5× gate on the E4 microcell.  (Parse
+    byte-assembly.  This is the gate on the E4 microcell.  (Parse
     cost is gated separately by ``srv.segments``; message construction
     is identical on both sides and so is excluded.)
     """
@@ -286,8 +327,8 @@ def bench_e4_segment_stream(*, n_segments: int = 333, segment_len: int = 3,
                 data, nbits = slow_codec.encode(message, channel)
                 slow_codec.decode(data, nbits, channel)
 
-    return MicrobenchResult("e4.segment_stream", *_best_pair(fast, oracle),
-                            min_speedup=5.0)
+    return _measure("e4.segment_stream", fast, oracle,
+                    min_call_ratio=9.0)
 
 
 def bench_e11_batch_frame(*, n_objects: int = 32, msgs_per_object: int = 5,
@@ -299,7 +340,7 @@ def bench_e11_batch_frame(*, n_objects: int = 32, msgs_per_object: int = 5,
     Fast: ``encode_batch``/``decode_batch`` in a single stream pass.
     Oracle: bit-by-bit γ headers per entry plus a per-message bit-by-bit
     round-trip — how frames were priced-and-shipped before batch frames
-    had a wire path.  This is the ≥5× gate on the E11 microcell.
+    had a wire path.  This is the gate on the E11 microcell.
     """
     array_vec, _, fast_codec, slow_codec = _pipeline_fixture(40, 4)
     channel = "srv_fwd"
@@ -336,8 +377,7 @@ def bench_e11_batch_frame(*, n_objects: int = 32, msgs_per_object: int = 5,
                     data, nbits = slow_codec.encode(message, channel)
                     slow_codec.decode(data, nbits, channel)
 
-    return MicrobenchResult("e11.batch_frame", *_best_pair(fast, oracle),
-                            min_speedup=5.0)
+    return _measure("e11.batch_frame", fast, oracle, min_call_ratio=7.9)
 
 
 def bench_sync_stream_rows(*, n_segments: int = 250, segment_len: int = 4,
@@ -366,8 +406,7 @@ def bench_sync_stream_rows(*, n_segments: int = 250, segment_len: int = 4,
                             element.segment)
                 element = element.next
 
-    return MicrobenchResult("sync.stream_rows", *_best_pair(fast, oracle),
-                            min_speedup=1.2)
+    return _measure("sync.stream_rows", fast, oracle, min_call_ratio=2.7)
 
 
 def bench_sync_place_after(*, n_segments: int = 250, segment_len: int = 4,
@@ -405,8 +444,7 @@ def bench_sync_place_after(*, n_segments: int = 250, segment_len: int = 4,
                 element.segment = segment
                 prev = site
 
-    return MicrobenchResult("sync.place_after", *_best_pair(fast, oracle),
-                            min_speedup=1.6)
+    return _measure("sync.place_after", fast, oracle, min_call_ratio=2.0)
 
 
 @dataclass(frozen=True)
@@ -462,8 +500,8 @@ def bench_messages_element_build(*, n_segments: int = 250,
         for _ in range(repeats):
             build_element_sends_oracle(rows)
 
-    return MicrobenchResult("messages.element_build", *_best_pair(fast, oracle),
-                            min_speedup=2.0)
+    return _measure("messages.element_build", fast, oracle,
+                    min_speedup=2.0)
 
 
 @dataclass
@@ -532,8 +570,8 @@ def bench_stats_session_accounting(*, sessions: int = 2_000,
         for _ in range(repeats):
             account_sessions(_CounterTransferStats, sessions)
 
-    return MicrobenchResult("stats.session_accounting", *_best_pair(fast, oracle),
-                            min_speedup=1.8)
+    return _measure("stats.session_accounting", fast, oracle,
+                    min_speedup=1.8)
 
 
 class _CollectingParty(Party):
@@ -572,7 +610,7 @@ def bench_batch_quiet_turn(*, n_segments: int = 250, segment_len: int = 4,
     the sender hands its stream and HALT over as one ``SendAll``.
     Oracle: the same sender stepped by ``Party.advance`` with every
     ``Poll`` answered ``None`` — a ``Poll`` and a ``Send`` resume per
-    element.  Both build the same messages.  The 2× floor guards against
+    element.  Both build the same messages.  The floor guards against
     the burst silently falling back to per-element streaming.
     """
     vector = ArraySkipRotatingVector.from_segments(
@@ -586,8 +624,7 @@ def bench_batch_quiet_turn(*, n_segments: int = 250, segment_len: int = 4,
         for _ in range(repeats):
             per_element_turn(vector)
 
-    return MicrobenchResult("batch.quiet_turn", *_best_pair(fast, oracle),
-                            min_speedup=2.0)
+    return _measure("batch.quiet_turn", fast, oracle, min_call_ratio=7.9)
 
 
 def run_microbench() -> List[MicrobenchResult]:
@@ -601,16 +638,23 @@ def run_microbench() -> List[MicrobenchResult]:
 
 
 def format_results(results: List[MicrobenchResult]) -> str:
-    """Render the probe timings as an aligned table with verdicts."""
-    header = (f"{'probe':24} {'fast ms':>10} {'oracle ms':>10} "
-              f"{'speedup':>8} {'floor':>6} {'status':>8}")
+    """Render the probe measurements as an aligned table with verdicts;
+    the floor column names the ratio it gates (calls or wall)."""
+    header = (f"{'probe':24} {'fast ms':>9} {'oracle ms':>9} "
+              f"{'speedup':>8} {'fast calls':>10} {'oracle calls':>12} "
+              f"{'calls':>7} {'floor':>12} {'status':>8}")
     lines = [header, "-" * len(header)]
     for result in results:
+        if result.min_call_ratio is not None:
+            floor = f"{result.min_call_ratio:.1f}x calls"
+        else:
+            floor = f"{result.min_speedup:.1f}x wall"
         lines.append(
-            f"{result.name:24} {result.cached_seconds * 1000:>10.2f} "
-            f"{result.uncached_seconds * 1000:>10.2f} "
+            f"{result.name:24} {result.cached_seconds * 1000:>9.2f} "
+            f"{result.uncached_seconds * 1000:>9.2f} "
             f"{result.speedup:>7.1f}x "
-            f"{result.min_speedup:>5.1f}x "
+            f"{result.cached_calls:>10} {result.uncached_calls:>12} "
+            f"{result.call_ratio:>6.1f}x {floor:>12} "
             f"{'REGRESS' if result.regressed else 'ok':>8}")
     return "\n".join(lines)
 
@@ -621,10 +665,10 @@ def main(argv: List[str] | None = None) -> int:
     print(format_results(results))
     regressed = [r.name for r in results if r.regressed]
     if regressed:
-        print(f"\nfast path below its speedup floor: "
+        print(f"\nfast path below its floor: "
               f"{', '.join(regressed)} — an optimization regression")
         return 1
-    print("\nall fast paths clear their speedup floors")
+    print("\nall fast paths clear their floors")
     return 0
 
 

@@ -4,9 +4,10 @@
 site on a single discrete-event simulator and drives two kinds of work
 over them.  It is a policy over
 :class:`~repro.net.cluster.SessionScheduler`, the mechanism the fleet's
-:class:`~repro.net.cluster.ClusterRunner` runs on too: the fleet admits
-work per *site*, the store per *key* — sites take one session at a time,
-and the scheduler's hold table holds keys rather than whole sites.
+:class:`~repro.net.cluster.ClusterRunner` runs on too: a fleet session
+holds the objects it syncs, a store session one site-wide token — sites
+take one session at a time — and its keys, so a client op waits for its
+own key only.
 
 * **Client operations** (:class:`ClientOp`) execute against one site's
   table.  An op waits only for its *own key*: it is deferred while a
@@ -114,6 +115,10 @@ from repro.store.kv import (TOMBSTONE, CausalContext, KeySnapshot,
 
 if TYPE_CHECKING:
     from repro.obs.consistency import ConsistencyMonitor
+
+#: The site-wide token every store session holds at both endpoints; no
+#: key equals it.
+_SITE = object()
 
 
 @dataclass(frozen=True)
@@ -376,8 +381,10 @@ class StoreCluster:
         self.stores: Dict[str, SiteStore] = {
             site: SiteStore(site, spec.vector_cls) for site in self.sites}
         self.sim = Simulator()
-        #: Capacity 1 per site; keys are the held resources — a session's
-        #: at both endpoints, a queued read-repair's where it pulls into.
+        #: Capacity 1: every session holds ``_SITE`` at both endpoints,
+        #: so a site takes one session at a time.  Keys are held too — a
+        #: session's at both endpoints, a queued read-repair's where it
+        #: pulls into — and client ops wait on them.
         self._scheduler = SessionScheduler(self.sites, 1, self._start)
         #: (src, dst, key) triples with a repair session queued and not
         #: yet started; keeps hot keys from flooding the queue with
@@ -427,7 +434,7 @@ class StoreCluster:
             if (self.config.read_repair and op.repair_peer is not None
                     and op.repair_peer != op.site
                     and op.repair_peer in self.stores
-                    and self._scheduler.usage[op.repair_peer] == 0):
+                    and _SITE not in self._scheduler.held[op.repair_peer]):
                 result, repaired = self._repaired_read(op, result)
         self._ops_applied += 1
         if self.metrics is not None:
@@ -549,7 +556,7 @@ class StoreCluster:
         if keys is None:
             self._advertise(record)
         else:
-            self._scheduler.request(src, dst, record)
+            self._scheduler.request(src, dst, (_SITE,), record)
 
     def _advertise(self, record: StoreSessionRecord) -> None:
         """Send ``dst``'s knowledge vector to ``src``; queue on arrival."""
@@ -570,7 +577,7 @@ class StoreCluster:
         def arrived(result: TimedSessionResult) -> None:
             spent(result.stats)
             record.advert = dict(advert.pairs)
-            self._scheduler.request(src, dst, record)
+            self._scheduler.request(src, dst, (_SITE,), record)
 
         def lost(error: SessionError, stats: TransferStats) -> None:
             spent(stats)
@@ -630,7 +637,7 @@ class StoreCluster:
             self._repair_inflight.remove((src, dst, *record.keys))
             self._scheduler.unhold(dst, record.keys[0])
         keys = record.keys
-        self._scheduler.occupy(src, dst, keys)
+        self._scheduler.occupy(src, dst, (_SITE, *keys))
         if self.tracer is not None:
             self.tracer.event(obs.SESSION_START, party=dst, peer=src,
                               session=record.index, keys=len(keys))
@@ -720,7 +727,8 @@ class StoreCluster:
         """Free the session's sites and keys; land ops, start syncs."""
         if self.monitor is not None:
             self.monitor.on_session_end(to_seconds(self.sim.now))
-        self._scheduler.release(record.src, record.dst, record.keys)
+        self._scheduler.release(record.src, record.dst,
+                                (_SITE, *record.keys))
 
     def _ended(self, record: StoreSessionRecord, bits: int) -> None:
         """Trace and count one session that is over."""

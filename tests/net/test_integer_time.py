@@ -5,8 +5,11 @@ one, and the causal analyzer's hop attribution sums to each hop's
 elapsed nanoseconds by integer addition.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repro.errors import SimulationError
 
 from repro.net import simulator
 from repro.net.channel import ChannelSpec
@@ -56,6 +59,38 @@ def record_simulators(monkeypatch, module):
 
     monkeypatch.setattr(module, "Simulator", Recorded)
     return made
+
+
+class TestFloatTimeIsRejected:
+    """One float event would turn ``now`` into a float for the rest of
+    the run, so the kernel refuses every non-int time it is handed."""
+
+    @pytest.mark.parametrize("time", [1.5, 2.0, True, "3"])
+    def test_call_at_and_schedule(self, time):
+        sim = simulator.Simulator()
+        with pytest.raises(SimulationError, match="int nanoseconds"):
+            sim.call_at(time, lambda: None)
+        with pytest.raises(SimulationError, match="int nanoseconds"):
+            sim.schedule(time, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_call_after_a_float_delay(self):
+        sim = simulator.Simulator()
+        with pytest.raises(SimulationError, match="int nanoseconds"):
+            sim.call_after(1.5, lambda: None)
+
+    def test_run_until(self):
+        sim = simulator.Simulator()
+        sim.schedule(1, lambda: None)
+        with pytest.raises(SimulationError, match="int nanoseconds"):
+            sim.run(until=1.5)
+        assert sim.run(until=2) == 2 and type(sim.now) is int
+
+    def test_the_past_is_still_rejected(self):
+        sim = simulator.Simulator()
+        sim.run(until=5)
+        with pytest.raises(SimulationError, match="before now=5"):
+            sim.schedule(4, lambda: None)
 
 
 class TestTheClockIsAnInt:

@@ -11,6 +11,14 @@ The ``*.otlp``, ``*.registry``, ``*.series``, ``store.prometheus`` and
 integer nanoseconds: every output kept its structure and every integer,
 and only float time values moved, each by under 0.03 µs.
 
+The ``fleet.*`` digests other than ``fleet.health_summary``, and
+``tampered.html`` (which embeds the fleet), were re-pinned when a fleet
+session came to hold only the objects it syncs: the sharded fleet's
+sessions on disjoint objects overlap at a site, so its queue wait fell
+from 3.82 s to 0.90 s over the same 27 sessions, the start order and
+with it each session's fault draws moved (7 retries to 6, 788 bits to
+787), and the sampled gauges and per-site pressure followed.
+
 To re-pin after an intended output change, run this file directly
 (``PYTHONPATH=src python tests/obs/test_observer_golden.py``); it prints
 the new table.
@@ -40,21 +48,21 @@ from repro.workload.clients import StoreWorkloadConfig, run_store_workload
 #: SHA-256 of each output, by name.
 GOLDEN = {
     "fleet.dashboard":
-        "4e46ae85efa4498d08d809f3192642bef964bb7ce3b89150f422ad485b30b0f4",
+        "b18acacf81f5094a7f33b6d4c07df741deb3437d08d51e81677867b8e9603c22",
     "fleet.dashboard_truncated":
-        "0794a3ec7d99360613909783b0d5adca6343b56b760cf5a17edee7b606ff5f97",
+        "98b1a056c3087d4eb7fbbbb5bcbb654f9cc2340bf7c8ea13b8924b9ae09bdd4b",
     "fleet.health_summary":
         "1bd23f83f1c092cb670282a837b37488cac33297b4349e7bdca7cd2e389232bf",
     "fleet.html":
-        "05e2ff77f8d2b9ddf28e53c39e2484331ecb98389723e8420e586df487e62c2e",
+        "573cf387220d9de32893acae54e8a6ab9e47937a63d32e9dc80ff2117c3d036d",
     "fleet.otlp":
-        "bb18f1ef8a006f2f998753c8bba30c2855f5d073a06ce02750363ee158b4015f",
+        "d9a393af87a6e690f3e1e596737783333232b3d66b146f0cf30465f96986d5ff",
     "fleet.prometheus":
-        "d3c58b5d370a2aa53f249e038308a4ec40d38a2ca91fd87b5f7d40c8be172b4e",
+        "a2e9e0616ae52e3dda3cfffdb46cb960893401e22c721a56b0528bf20876c1bd",
     "fleet.registry":
-        "530d1f248e5911d7400be682ea47f7ca950de19240a5f1487220d19df4a777f4",
+        "a59e85f291553d1e68a5a3e66eb9af286fc358d3420f0e1ed2813171c88ba241",
     "fleet.series":
-        "54239a6bc9522389c7925f2943e273a34dbd36f8e40bdb5b5f857aee5af07f82",
+        "a627ea622455e8b61b39b8406d8f7f231431e39a6b20c696acf6f0e798faa89f",
     "store.dashboard":
         "92a4e8a7cc34f99845638493859f70d04f68345954ba898772ec4ec228885d2b",
     "store.dashboard_truncated":
@@ -76,7 +84,7 @@ GOLDEN = {
     "tampered.health_summary":
         "ca0581696e2e8cbf0e7895d28b59929c33f63341cfdcc008fb1b11c842cc7193",
     "tampered.html":
-        "4d5d60bafbb60901f0a765c9f4bd14b1d60f2f915dfdf3f9a7aa3d268178bceb",
+        "ee1b5d5ce3e789efb158a499ad3b77df361df845f1daa9c2408d3b73b9e71d19",
     "tampered.otlp":
         "f08aaa1a89eaf929f43288c6384623d00d0f8b514a05b2f35a87d4f03c30752d",
     "tampered.prometheus":

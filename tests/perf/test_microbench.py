@@ -1,10 +1,10 @@
 """Tests for the fast-path timing tripwire (`repro.perf.microbench`).
 
 Correctness-only here: the probes must build valid workloads and agree
-with their oracles.  The actual timing verdict (fast path clears its
-``min_speedup`` floor) is CI's job via ``python -m repro.perf.microbench``
-— asserting wall-clock ratios inside the unit suite would make it flaky
-on loaded machines.
+with their oracles, and call counts must be deterministic.  The actual
+verdict (fast path clears its floor) is CI's job via
+``python -m repro.perf.microbench`` — asserting wall-clock ratios inside
+the unit suite would make it flaky on loaded machines.
 """
 
 import dataclasses
@@ -14,6 +14,7 @@ from repro.net.stats import TransferStats
 from repro.perf.microbench import (MicrobenchResult, _best_pair,
                                    _CounterTransferStats, _grown_crg,
                                    _srv_segment_spec, account_sessions,
+                                   call_count,
                                    bench_batch_quiet_turn,
                                    bench_crg_pi_sweep,
                                    bench_e4_segment_stream,
@@ -55,6 +56,16 @@ class TestMicrobenchResult:
                                   uncached_seconds=1.0, min_speedup=0.8)
         assert not parity.regressed
 
+    def test_call_floor_gates_on_calls_not_wall(self):
+        # 10x fewer calls clears an 8x call floor however the wall
+        # clock fell; 4x fewer does not, even at a 100x speedup.
+        slow_host = MicrobenchResult("x", 1.0, 1.0, cached_calls=10,
+                                     uncached_calls=100, min_call_ratio=8.0)
+        assert slow_host.call_ratio == 10.0 and not slow_host.regressed
+        fewer = MicrobenchResult("x", 0.01, 1.0, cached_calls=25,
+                                 uncached_calls=100, min_call_ratio=8.0)
+        assert fewer.speedup == 100.0 and fewer.regressed
+
 
 class TestBestPair:
     def test_rounds_interleave_so_both_sides_share_the_host(self):
@@ -63,6 +74,28 @@ class TestBestPair:
                                   lambda: calls.append("oracle"), rounds=3)
         assert calls == ["fast", "oracle"] * 3
         assert 0.0 <= fast < 1.0 and 0.0 <= oracle < 1.0
+
+
+class TestCallCount:
+    def test_counts_python_and_c_calls(self):
+        def leaf():
+            return len(())
+
+        def body():
+            for _ in (1, 2, 3):
+                leaf()
+
+        # body, 3 × (leaf + len), and the profiler's own removal.
+        assert call_count(body) == 1 + 3 * 2 + 1
+
+    def test_counts_repeat_exactly(self):
+        result = bench_e11_batch_frame(n_objects=4, msgs_per_object=3,
+                                       repeats=2)
+        again = bench_e11_batch_frame(n_objects=4, msgs_per_object=3,
+                                      repeats=2)
+        assert result.cached_calls > 0
+        assert (result.cached_calls, result.uncached_calls) \
+            == (again.cached_calls, again.uncached_calls)
 
 
 class TestWorkloads:
@@ -96,28 +129,30 @@ class TestWorkloads:
             assert result.cached_seconds > 0
             assert result.uncached_seconds > 0
 
-    def test_pipeline_cells_carry_five_x_floor(self):
+    def test_pipeline_cells_carry_their_call_floors(self):
         e4 = bench_e4_segment_stream(n_segments=10, segment_len=2, repeats=1)
         e11 = bench_e11_batch_frame(n_objects=2, msgs_per_object=2, repeats=1)
-        assert e4.min_speedup == 5.0
-        assert e11.min_speedup == 5.0
+        assert e4.min_call_ratio == 9.0
+        assert e11.min_call_ratio == 7.9
 
     def test_sync_cells_carry_their_floors(self):
         rows = bench_sync_stream_rows(n_segments=10, segment_len=2, repeats=1)
         place = bench_sync_place_after(n_segments=10, segment_len=2,
                                        repeats=1)
-        assert (rows.name, rows.min_speedup) == ("sync.stream_rows", 1.2)
-        assert (place.name, place.min_speedup) == ("sync.place_after", 1.6)
+        assert (rows.name, rows.min_call_ratio) == ("sync.stream_rows", 2.7)
+        assert (place.name, place.min_call_ratio) == ("sync.place_after",
+                                                      2.0)
         build = bench_messages_element_build(n_segments=10, segment_len=2,
                                              repeats=1)
-        assert (build.name, build.min_speedup) == ("messages.element_build",
-                                                   2.0)
+        assert (build.name, build.min_speedup, build.min_call_ratio) \
+            == ("messages.element_build", 2.0, None)
         accounting = bench_stats_session_accounting(sessions=2, repeats=1)
-        assert (accounting.name, accounting.min_speedup) \
-            == ("stats.session_accounting", 1.8)
+        assert (accounting.name, accounting.min_speedup,
+                accounting.min_call_ratio) \
+            == ("stats.session_accounting", 1.8, None)
         turn = bench_batch_quiet_turn(n_segments=10, segment_len=2,
                                       repeats=1)
-        assert (turn.name, turn.min_speedup) == ("batch.quiet_turn", 2.0)
+        assert (turn.name, turn.min_call_ratio) == ("batch.quiet_turn", 7.9)
 
     def test_quiet_turn_matches_its_per_element_oracle(self):
         vector = ArraySkipRotatingVector.from_segments(
@@ -156,7 +191,11 @@ class TestReporting:
     def test_format_shows_floor_column(self):
         text = format_results([MicrobenchResult("gated", 0.001, 0.003,
                                                 min_speedup=5.0)])
-        assert "5.0x" in text and "REGRESS" in text
+        assert "5.0x wall" in text and "REGRESS" in text
+        text = format_results([MicrobenchResult(
+            "counted", 0.001, 0.003, cached_calls=10, uncached_calls=90,
+            min_call_ratio=8.0)])
+        assert "8.0x calls" in text and "9.0x" in text and "ok" in text
 
     def test_run_microbench_covers_every_fast_path(self):
         names = [result.name for result in run_microbench()]
