@@ -1,10 +1,10 @@
 """Cluster harness regression — fleet-scale traffic under one clock.
 
 Two guarantees are pinned here.  First, the accounting guarantee the
-whole harness rests on: with ``fanout=1``, running many sessions
-*concurrently* on one simulator moves exactly the bits the same sessions
-move when replayed *sequentially* — scheduling affects time, never
-traffic.  Second, the regression document itself: the n=8 sweep runs the
+whole harness rests on: an object has one session holder, so running
+many sessions *concurrently* on one simulator moves exactly the bits the
+same sessions move when replayed *sequentially* — scheduling affects
+time, never traffic.  Second, the regression document itself: the n=8 sweep runs the
 full driver, validates the emitted ``BENCH_cluster.json`` against its
 schema, and persists it under ``benchmarks/reports/`` so successive PRs
 can diff the trajectory field by field.
@@ -21,6 +21,7 @@ from repro.perf.bench import (BenchConfig, bench_fingerprint,
 from repro.perf.schema import validate_file
 from repro.workload.cluster import (gossip_schedule, site_names,
                                     update_schedule)
+from tests.helpers import same_objects
 
 REPORTS_DIR = pathlib.Path(__file__).parent / "reports"
 
@@ -37,11 +38,11 @@ def test_concurrent_bits_match_sequential_replay(benchmark, report_writer):
         config = ClusterConfig(protocol=protocol,
                                encoding=Encoding(site_bits=8, value_bits=16))
         result = ClusterRunner(sites, config).run(sessions, updates)
-        sequential, vectors = replay_sequential(sites, config, result.log)
+        sequential, objects = replay_sequential(sites, config, result.log)
         concurrent_bits = result.per_session_bits()
         sequential_bits = [r.stats.total_bits for r in sequential]
         assert concurrent_bits == sequential_bits
-        assert all(result.vectors[s].same_values(vectors[s]) for s in sites)
+        assert same_objects(result.objects, objects)
         rows.append([protocol.upper(), str(result.sessions),
                      str(result.total_bits),
                      f"{result.completion_time:.2f} s",
@@ -49,9 +50,9 @@ def test_concurrent_bits_match_sequential_replay(benchmark, report_writer):
     body = format_table(
         ["scheme", "sessions", "total bits", "sim time",
          "reconciliations", "vs sequential replay"], rows)
-    body += ("\n\nWith fanout=1 each vector is touched by one session at a "
-             "time, so per-session\ntraffic depends only on endpoint states "
-             "at session start — the schedule decides\nwhen bits move, "
+    body += ("\n\nEach vector is touched by one session at a time, so "
+             "per-session traffic\ndepends only on endpoint states at "
+             "session start — the schedule decides\nwhen bits move, "
              "never how many.")
     report_writer("cluster_paired",
                   "Cluster harness — concurrent vs sequential accounting",

@@ -70,9 +70,9 @@ def test_n1000_single_shot_converge(report_writer):
     wall = time.perf_counter() - start
 
     assert result.sessions == 2 * (N_SITES - 1)
-    reference = result.vectors[sites[0]]
+    reference = result.objects[sites[0]][0]
     assert len(reference) == N_WRITERS
-    assert all(result.vectors[site].same_values(reference)
+    assert all(result.objects[site][0].same_values(reference)
                for site in sites)
     assert wall < WALL_BUDGET_SECONDS
 

@@ -8,25 +8,22 @@ workload (:mod:`repro.workload.cluster`) by interleaving every session's
 sender/receiver processes on a single :class:`~repro.net.simulator.Simulator`:
 
 * **Per-object session queues.**  A session holds the objects it syncs
-  at both endpoints, and at most ``fanout`` sessions hold one object at a
-  site at a time (default 1).  Requests that find an object busy queue up
-  and start, oldest first, as it frees; none overtakes an older request
-  of its own pair.  Sessions on disjoint objects overlap, even at a shared
-  site, where they share only the clock.  Queue waits are observable
+  at both endpoints, and an object has one holder at a site at a time.
+  Requests that find an object busy queue up and start, oldest first, as
+  it frees; none overtakes an older request of its own pair.  Sessions
+  on disjoint objects overlap, even at a shared site, where they share
+  only the clock.  Queue waits are observable
   (``cluster.queue_wait_seconds``).
 * **Deferred updates.**  A local update to an object a session holds
   applies the instant the object frees — mutating a vector that a live
   coroutine is iterating would corrupt the session.  An update to any
   other object applies at once.
-* **Scheduling-independent accounting.**  With ``fanout=1`` each vector is
-  touched by one session at a time, so every session's traffic depends
-  only on the two endpoint states at its start — never on what else is in
-  flight.  :func:`replay_sequential` re-executes a run's realized
-  execution log one session at a time and must reproduce the concurrent
-  run's bit counts exactly; the paired benchmark asserts it.  (With
-  ``fanout > 1`` a vector may be shared between overlapping sessions and
-  the guarantee is forfeit — useful for throughput realism, not for
-  regression accounting.)
+* **Scheduling-independent accounting.**  Each vector is touched by one
+  session at a time, so every session's traffic depends only on the two
+  endpoint states at its start — never on what else is in flight.
+  :func:`replay_sequential` re-executes a run's realized execution log
+  one session at a time and must reproduce the concurrent run's bit
+  counts exactly; the paired benchmark asserts it.
 
 The mechanism — :class:`SessionScheduler`, :func:`launch_transactional`
 and the :func:`session_run` frame — is shared with the replicated store's
@@ -96,18 +93,15 @@ class ClusterConfig:
             ``crv`` (SYNCC), or ``srv`` (SYNCS).
         channel: link model applied to every session.
         encoding: wire pricing for every message.
-        fanout: sessions that may hold one object at a time (≥ 1).  A
-            session holds the objects it syncs at both endpoints, so
-            sessions on disjoint objects overlap at a site whatever the
-            fanout; above 1, overlapping sessions may share an object.
         stop_and_wait: per-item ack baseline instead of pipelining
             (perfect links only; the ARQ on lossy links always pipelines).
         proc_time: per-received-message processing cost.
         increment_on_merge: apply §2.2's post-reconciliation self-increment
             on the pulling site, keeping COMPARE's freshness precondition.
         max_steps: per-session effect budget (livelock guard).
-        n_objects: replicated objects per site; a session synchronizes
-            *all* of them between its pair.
+        n_objects: replicated objects in the fleet; a session
+            synchronizes every object its pair shares (all of them when
+            unsharded), holding each alone at both endpoints.
         batch_size: above 1, a session's objects share one framed wire
             (:mod:`repro.protocols.batch`) in frames of at most this many
             entries.  1 — the default — runs each object through the
@@ -127,7 +121,6 @@ class ClusterConfig:
     protocol: str = "srv"
     channel: ChannelSpec = field(default_factory=ChannelSpec)
     encoding: Encoding = DEFAULT_ENCODING
-    fanout: int = 1
     stop_and_wait: bool = False
     proc_time: float = 0.0
     increment_on_merge: bool = True
@@ -138,39 +131,26 @@ class ClusterConfig:
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:
-        check_session_config(self, fanout=1, n_objects=1)
-        faulted = self.channel.faults.enabled if self.topology is None \
-            else self.topology.has_faults
-        if faulted and self.fanout > 1:
-            raise ValidationError(
-                "faulted channels require fanout=1: session resume "
-                "restores the receiver's pre-session snapshot of the "
-                "objects it syncs, which is only sound when no other "
-                "session writes the same object concurrently")
+        check_session_config(self, n_objects=1)
 
 
 @dataclass
 class ClusterSessionRecord:
-    """One executed session, in cluster start order.
-
-    ``verdict``/``reconciled`` describe object 0 (the full history for
-    single-object clusters); ``verdicts``/``reconciled_objects`` carry
-    the per-object detail when ``n_objects > 1``.
-    """
+    """One executed session, in cluster start order."""
 
     index: int
     src: str
     dst: str
     requested_at: float
     started_at: float
-    verdict: Ordering
-    reconciled: bool
     result: Optional[TimedSessionResult] = None
+    #: Per object of ``objects``: the receiver's COMPARE verdict against
+    #: the sender at the latest attempt, and whether any attempt
+    #: reconciled it.
     verdicts: Tuple[Ordering, ...] = ()
     reconciled_objects: Tuple[bool, ...] = ()
-    #: Object ids this session synchronized, aligned with ``verdicts``/
-    #: ``reconciled_objects``.  ``(0, …, n_objects-1)`` on the historical
-    #: unsharded path; the pair's shared-shard subset otherwise.
+    #: Object ids this session synchronized: every object when
+    #: unsharded, the pair's shared subset otherwise.
     objects: Tuple[int, ...] = ()
 
     @property
@@ -179,9 +159,7 @@ class ClusterSessionRecord:
         return to_seconds(to_ns(self.started_at) - to_ns(self.requested_at))
 
 
-#: Execution-log entries: ``("update", site)`` (object 0),
-#: ``("update", site, obj)`` for a non-zero object index,
-#: ``("session", src, dst)``, or — on sharded fleets only —
+#: Execution-log entries: ``("update", site, obj)`` or
 #: ``("session", src, dst, objs)`` carrying the synchronized object ids,
 #: in realized execution order.  Reconciliation self-increments are *not*
 #: logged — they are derived deterministically from each session's
@@ -193,9 +171,8 @@ LogEntry = Tuple[Any, ...]
 class ClusterResult:
     """What one cluster run measured.
 
-    ``vectors`` is every site's object-0 vector (the whole state for
-    single-object clusters); ``objects`` holds the full per-site object
-    lists (``objects[site][0] is vectors[site]``).
+    ``objects[site]`` maps each object id the site hosts to its vector
+    (every id when unsharded).
     """
 
     records: List[ClusterSessionRecord]
@@ -205,12 +182,7 @@ class ClusterResult:
     updates_applied: int
     updates_deferred: int
     reconciliations: int
-    vectors: Dict[str, BasicRotatingVector]
-    objects: Dict[str, Any] = field(default_factory=dict)
-    #: Set on sharded runs: the object→replica-group assignment, which
-    #: scopes :meth:`consistent` to each object's own replica group
-    #: (``objects[site]`` is then a dict keyed by hosted object id).
-    shards: Optional[ShardMap] = None
+    objects: Dict[str, Dict[int, BasicRotatingVector]]
     #: Sessions dropped before start because the pair shared no objects.
     skipped_sessions: int = 0
 
@@ -227,27 +199,15 @@ class ClusterResult:
         return max((r.queue_wait for r in self.records), default=0.0)
 
     def consistent(self) -> bool:
-        """True iff every replica agrees on the values of every object.
-
-        Unsharded fleets compare all sites; sharded fleets compare each
-        object across its own replica group — the only sites that hold
-        it.
-        """
-        if self.shards is not None:
-            for obj, group in enumerate(self.shards.replicas):
-                reference = self.objects[group[0]][obj]
-                if not all(self.objects[site][obj].same_values(reference)
-                           for site in group[1:]):
+        """True iff every object agrees across its replica group: the
+        sites that host it, which is every site when unsharded."""
+        first: Dict[int, BasicRotatingVector] = {}
+        for held in self.objects.values():
+            for obj, vector in held.items():
+                reference = first.setdefault(obj, vector)
+                if not vector.same_values(reference):
                     return False
-            return True
-        if self.objects:
-            site_lists = list(self.objects.values())
-            first = site_lists[0]
-            return all(site_list[k].same_values(first[k])
-                       for site_list in site_lists[1:]
-                       for k in range(len(first)))
-        vectors = list(self.vectors.values())
-        return all(v.same_values(vectors[0]) for v in vectors[1:])
+        return True
 
     def per_session_bits(self) -> List[int]:
         """Total bits of each session, in start order."""
@@ -310,10 +270,10 @@ class SessionScheduler:
       is busy at a site: the live sessions holding it, and each
       :meth:`hold`.  Work :meth:`admit` gets on a busy one waits FIFO per
       resource until a release frees it.
-    * **Admission.**  A request names its resources; it starts once each
-      is below ``capacity`` at both endpoints and no older request of
-      the same ``(src, dst)`` pair still waits, and the session holds
-      exactly those resources until its release.  Sessions on disjoint
+    * **Admission.**  A request names its resources; it starts once none
+      is held at either endpoint and no older request of the same
+      ``(src, dst)`` pair still waits, and the session holds exactly
+      those resources until its release.  Sessions on disjoint
       resources overlap, even at a shared site.
     * **Pending queue.**  A request that cannot start waits; freed
       resources go to the waiting requests, oldest first.
@@ -323,9 +283,8 @@ class SessionScheduler:
     session's end calls :meth:`release` with the same resources.
     """
 
-    def __init__(self, sites: Iterable[str], capacity: int,
+    def __init__(self, sites: Iterable[str],
                  start: Callable[[Any], None]) -> None:
-        self.capacity = capacity
         self._start = start
         self.held: Dict[str, Dict[Hashable, int]] = {
             site: {} for site in sites}
@@ -401,14 +360,10 @@ class SessionScheduler:
 
     def _free(self, src: str, dst: str,
               resources: Tuple[Hashable, ...]) -> bool:
-        """Whether every one of ``resources`` is below capacity at both
-        endpoints."""
+        """Whether none of ``resources`` is held at either endpoint."""
         held_src, held_dst = self.held[src], self.held[dst]
-        capacity = self.capacity
         for resource in resources:
-            if (resource in held_src and held_src[resource] >= capacity
-                    or resource in held_dst
-                    and held_dst[resource] >= capacity):
+            if resource in held_src or resource in held_dst:
                 return False
         return True
 
@@ -586,12 +541,25 @@ def session_run(owner: Any, sim: Simulator, scheduler: SessionScheduler,
             "work still deferred")
 
 
+def _new_objects(sites: Iterable[str], config: ClusterConfig,
+                 shards: Optional[ShardMap]
+                 ) -> Dict[str, Dict[int, BasicRotatingVector]]:
+    """Fresh vectors for every site, keyed by the object ids it hosts
+    (every id when unsharded)."""
+    vector_cls = registry.get(config.protocol).vector_cls
+    every = range(config.n_objects)
+    return {site: {obj: vector_cls() for obj in
+                   (every if shards is None else shards.hosted.get(site, ()))}
+            for site in sites}
+
+
 class ClusterRunner:
     """Schedules many concurrent pairwise sessions on one simulator.
 
     One-shot: construct, :meth:`run` once, read the result.  The runner
-    owns one rotating vector per site (``config.protocol`` picks the
-    class); sessions mutate them in place exactly as a real fleet would.
+    owns ``objects[site]``, one rotating vector per object id the site
+    hosts (``config.protocol`` picks the class); sessions mutate them in
+    place exactly as a real fleet would.
     """
 
     def __init__(self, sites: Iterable[str], config: ClusterConfig, *,
@@ -613,7 +581,6 @@ class ClusterRunner:
         self.monitor = monitor
         self.shards = shards
         self.topology = config.topology
-        vector_cls = registry.get(config.protocol).vector_cls
         self._site_set = set(self.sites)
         if shards is not None:
             if shards.n_objects != config.n_objects:
@@ -625,25 +592,10 @@ class ClusterRunner:
                 raise ValidationError(
                     f"shard map names sites outside the cluster: "
                     f"{sorted(unknown)}")
-            # Sharded fleets host only their assigned objects, keyed by
-            # object id (site→dict); the unsharded list layout below
-            # stays untouched — position is the id there.
-            self.objects = {
-                site: {obj: vector_cls()
-                       for obj in shards.hosted.get(site, ())}
-                for site in self.sites}
-            self.vectors = {}
-        else:
-            self.objects = {
-                site: [vector_cls() for _ in range(config.n_objects)]
-                for site in self.sites}
-            #: Object-0 view, the whole state for single-object clusters.
-            self.vectors = {
-                site: self.objects[site][0] for site in self.sites}
         self._all_objects = tuple(range(config.n_objects))
+        self.objects = _new_objects(self.sites, config, shards)
         self.sim = Simulator()
-        self._scheduler = SessionScheduler(
-            self.sites, config.fanout, self._start)
+        self._scheduler = SessionScheduler(self.sites, self._start)
         self._records: List[ClusterSessionRecord] = []
         self._log: List[LogEntry] = []
         self._totals = TransferStats()
@@ -663,8 +615,7 @@ class ClusterRunner:
             updates: Iterable[UpdateRequest] = ()) -> ClusterResult:
         """Execute the schedule to completion; returns the measurements."""
         sim = self.sim
-        with session_run(self, sim, self._scheduler, "cluster",
-                         fanout=self.config.fanout):
+        with session_run(self, sim, self._scheduler, "cluster"):
             for request in sessions:
                 self._check_sites(request.src, request.dst)
                 if request.src == request.dst:
@@ -696,9 +647,7 @@ class ClusterRunner:
             updates_applied=self._updates_applied,
             updates_deferred=self._scheduler.deferrals,
             reconciliations=self._reconciliations,
-            vectors=self.vectors,
             objects=self.objects,
-            shards=self.shards,
             skipped_sessions=self._skipped_sessions,
         )
 
@@ -718,12 +667,9 @@ class ClusterRunner:
                 and self.metrics is not None:
             self.metrics.counter("cluster.updates_deferred").inc()
 
-    def _apply_update(self, site: str, obj: int = 0) -> None:
+    def _apply_update(self, site: str, obj: int) -> None:
         self.objects[site][obj].record_update(site)
-        # Object-0 updates keep the historical two-tuple entry so
-        # single-object logs (and their replays) are unchanged.
-        self._log.append(("update", site) if obj == 0
-                         else ("update", site, obj))
+        self._log.append(("update", site, obj))
         self._updates_applied += 1
         if self.tracer is not None:
             self.tracer.event("update", party=site)
@@ -794,9 +740,8 @@ class ClusterRunner:
             verdicts.append(verdict)
             merged.append(was_reconciled or reconciled)
             pairs.append((sender, receiver))
-        record.verdicts, record.verdict = tuple(verdicts), verdicts[0]
+        record.verdicts = tuple(verdicts)
         record.reconciled_objects = tuple(merged)
-        record.reconciled = merged[0]
         return tuple(pairs)
 
     def _start(self, entry: Tuple[SessionRequest, int, Tuple[int, ...]]
@@ -808,20 +753,22 @@ class ClusterRunner:
         record = ClusterSessionRecord(
             index=len(self._records), src=src, dst=dst,
             requested_at=to_seconds(requested_at),
-            started_at=to_seconds(sim.now),
-            verdict=Ordering.EQUAL, reconciled=False, objects=objs)
+            started_at=to_seconds(sim.now), objects=objs)
         pairs = self._build_pairs(record)  # sets the verdict fields
         self._records.append(record)
-        # Sharded logs carry the synchronized object subset so replay
-        # rebuilds the identical per-session pairing; unsharded entries
-        # keep the historical three-tuple shape.
-        self._log.append(("session", src, dst) if self.shards is None
-                         else ("session", src, dst, objs))
+        self._log.append(("session", src, dst, objs))
         self._scheduler.occupy(src, dst, objs)
+        options = session_options(config, src, dst, record.index,
+                                  tracer=self.tracer)
         if self.tracer is not None:
+            # The session's own link constants: on a topology fleet they
+            # differ per region pair from the run span's ``channel``.
+            channel = options["channel"]
             self.tracer.event("session_start", party=dst, peer=src,
-                              verdict=record.verdict.name.lower(),
-                              session=record.index)
+                              verdict=record.verdicts[0].name.lower(),
+                              session=record.index,
+                              latency=channel.latency,
+                              bandwidth=channel.bandwidth)
         if self.monitor is not None:
             # Before launch: the monitor snapshots the endpoints here so
             # its post-session ancestor-closure oracle has the pre-state.
@@ -838,9 +785,7 @@ class ClusterRunner:
             batch_size=config.batch_size if len(pairs) > 1 else 1,
             stop_and_wait=config.stop_and_wait,
             on_commit=partial(self._commit, record),
-            on_complete=partial(self._finish, record),
-            **session_options(config, src, dst, record.index,
-                              tracer=self.tracer))
+            on_complete=partial(self._finish, record), **options)
 
     def _commit(self, record: ClusterSessionRecord) -> None:
         """The session committed: its Δ is all in and nothing iterates
@@ -894,54 +839,42 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
                       log: Iterable[LogEntry], *,
                       shards: Optional[ShardMap] = None
                       ) -> Tuple[List[TimedSessionResult],
-                                 Dict[str, BasicRotatingVector]]:
+                                 Dict[str, Dict[int, BasicRotatingVector]]]:
     """Re-execute a cluster run's log one session at a time.
 
     Each session runs alone on a fresh private simulator (via the unified
     :func:`~repro.net.runner.launch` machinery) against vectors evolved
-    through the same realized order.  Under ``fanout=1`` the returned
-    per-session stats must equal the concurrent run's — the scheduling-
-    independence property the regression benchmark asserts (sessions
-    that overlap hold disjoint objects, so start order is a
-    serialization).  On a faulted channel every session re-derives the
-    concurrent run's per-session injector seed from its log position,
-    so drop/duplicate/reorder schedules (and the retransmissions,
-    aborts, and resumes they induce) replay bit for bit; absolute-time
-    *partition windows* are the one exclusion — a replayed session
-    starts its private clock at 0, so the replay guarantee covers
-    probabilistic faults only.  Returns the per-session results and
-    every site's object-0 vector.
+    through the same realized order.  The returned per-session stats must
+    equal the concurrent run's — the scheduling-independence property the
+    regression benchmark asserts (sessions that overlap hold disjoint
+    objects, so start order is a serialization).  Every session takes
+    the concurrent run's options from :func:`session_options`, including
+    its per-session injector seed, so drop/duplicate/reorder schedules
+    (and the retransmissions, aborts, and resumes they induce) replay
+    bit for bit; absolute-time *partition windows* are the one exclusion
+    — a replayed session starts its private clock at 0, so the replay
+    guarantee covers probabilistic faults only.  Returns the per-session
+    results and every site's objects table, laid out as
+    :attr:`ClusterResult.objects`.
     """
     spec = registry.get(config.protocol)
-    vector_cls = spec.vector_cls
-    if shards is not None:
-        objects: Dict[str, Any] = {
-            site: {obj: vector_cls()
-                   for obj in shards.hosted.get(site, ())}
-            for site in sites}
-    else:
-        objects = {
-            site: [vector_cls() for _ in range(config.n_objects)]
-            for site in sites}
+    objects = _new_objects(sites, config, shards)
     results: List[TimedSessionResult] = []
     session_index = -1
     for entry in log:
         if entry[0] == "update":
-            obj = entry[2] if len(entry) > 2 else 0
-            objects[entry[1]][obj].record_update(entry[1])
+            _, site, obj = entry
+            objects[site][obj].record_update(site)
             continue
         if entry[0] != "session":  # pragma: no cover - defensive
             raise ValueError(f"unknown log entry {entry!r}")
-        src, dst = entry[1], entry[2]
-        # Sharded logs carry each session's object subset; unsharded
-        # three-tuples cover the whole object range, as always.
-        objs = tuple(entry[3]) if len(entry) > 3 \
-            else tuple(range(config.n_objects))
-        channel = config.channel if config.topology is None \
-            else config.topology.channel_for(src, dst)
+        _, src, dst, objs = entry
         session_index += 1
+        options = session_options(config, src, dst, session_index,
+                                  tracer=None)
+        faulted = options["channel"].faults.enabled
         reconciled_any = {obj: False for obj in objs}
-        receiver = objects[dst]
+        sending, receiver = objects[src], objects[dst]
         # Mirrors the concurrent runner's transactional attempts: the
         # first build snapshots what the session can write at the
         # receiver, every resume restores it before re-handshaking (see
@@ -951,41 +884,28 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
         def build() -> Tuple[Tuple[Any, Any], ...]:
             if snapshots:
                 _restore_writable(receiver, snapshots[0])
-            verdicts = tuple(receiver[obj].compare(objects[src][obj])
+            verdicts = tuple(receiver[obj].compare(sending[obj])
                              for obj in objs)
-            if channel.faults.enabled and not snapshots:
+            if faulted and not snapshots:
                 snapshots.append(_snapshot_writable(receiver, objs,
                                                     verdicts))
             pairs = []
             for obj, verdict in zip(objs, verdicts):
                 sender, receiving, reconciled = spec.build(
-                    objects[src][obj], receiver[obj], verdict)
+                    sending[obj], receiver[obj], verdict)
                 pairs.append((sender, receiving))
                 reconciled_any[obj] |= reconciled
             return tuple(pairs)
 
-        common = dict(
+        attempts = dict(rebuild=build) if faulted else dict(pairs=build())
+        results.append(run_timed(SessionOptions(
             batch_size=config.batch_size if len(objs) > 1 else 1,
-            channel=channel, encoding=config.encoding,
-            stop_and_wait=config.stop_and_wait, proc_time=config.proc_time,
-            max_steps=config.max_steps, retry=config.retry)
-        if channel.faults.enabled:
-            options = SessionOptions(
-                rebuild=build,
-                fault_seed=derive_seed(channel.faults.seed,
-                                       session_index),
-                **common)
-        else:
-            options = SessionOptions(pairs=build(), **common)
-        results.append(run_timed(options))
+            stop_and_wait=config.stop_and_wait, **attempts, **options)))
         if config.increment_on_merge:
             for obj, reconciled in reconciled_any.items():
                 if reconciled:
-                    objects[dst][obj].record_update(dst)
-    if shards is not None:
-        return results, {site: objs[0] for site, objs in objects.items()
-                         if 0 in objs}
-    return results, {site: objs[0] for site, objs in objects.items()}
+                    receiver[obj].record_update(dst)
+    return results, objects
 
 
 def launch_cluster(spec: TopologySpec, *, protocol: str = "srv",
@@ -1009,9 +929,8 @@ def launch_cluster(spec: TopologySpec, *, protocol: str = "srv",
     the spec carries a replication factor (``shard=`` forces it either
     way).
     """
-    fanout = spec.gossip.fanout if spec.replication is None else 1
     config = ClusterConfig(
-        protocol=protocol, encoding=encoding, fanout=fanout,
+        protocol=protocol, encoding=encoding,
         stop_and_wait=stop_and_wait, proc_time=proc_time,
         increment_on_merge=increment_on_merge, max_steps=max_steps,
         n_objects=n_objects, batch_size=batch_size,

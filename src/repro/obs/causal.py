@@ -31,8 +31,11 @@ elapsed time; the binding walk selects the chain that was actually tight.
 Each hop is attributed to the :data:`CATEGORIES`: channel ``latency``,
 bandwidth ``serialization`` (a pipelined session's inter-deliver spacing
 *is* serialization), fault-injected ``fault_delay``, ARQ ``arq`` time
-(timeouts, retries, aborts, resumes), fanout ``queueing``, and residual
-``processing``.  Trace times are whole nanoseconds in seconds, read back
+(timeouts, retries, aborts, resumes), ``queueing`` behind sessions
+holding the same objects, and residual ``processing``.  A hop's channel
+constants are its session's own (a cluster ``session_start`` carries
+them, so each region pair of a topology fleet bills its own link), else
+its span's.  Trace times are whole nanoseconds in seconds, read back
 exactly with :func:`~repro.net.simulator.to_ns`, so every hop's and
 path's categories sum to its elapsed ns by integer addition; the
 document reports seconds.
@@ -109,7 +112,8 @@ class Node:
 
 @dataclass(frozen=True)
 class ChannelInfo:
-    """Channel constants recovered from a driver's ``span_start`` event."""
+    """Channel constants recovered from a ``span_start`` event or a
+    cluster's ``session_start`` event."""
 
     latency: float
     bandwidth: float
@@ -133,6 +137,8 @@ class CausalGraph:
         #: Transmit edges lost because the matching send was sampled out.
         self.dropped_links = 0
         self.channels: Dict[int, ChannelInfo] = {}
+        #: Per-session link constants, which override the span's.
+        self.session_channels: Dict[Any, ChannelInfo] = {}
         self.session_start: Dict[Any, Node] = {}
         self.coverage: Dict[Any, Tuple[int, int]] = {}
         self._updates: List[int] = []
@@ -206,6 +212,12 @@ class CausalGraph:
             self._link_lifecycle(node, src)
             if session is not None:
                 self.session_start[session] = node
+                if "latency" in fields and "bandwidth" in fields:
+                    span = self.channels.get(event.span_id)
+                    self.session_channels[session] = ChannelInfo(
+                        latency=fields["latency"],
+                        bandwidth=fields["bandwidth"],
+                        protocol=None if span is None else span.protocol)
                 self._wire_tail[(dst, session)] = node.seq
                 self._wire_tail[(src, session)] = node.seq
             return node
@@ -279,9 +291,11 @@ class CausalGraph:
     # -- queries --------------------------------------------------------------------
 
     def channel_for(self, node: Node) -> Optional[ChannelInfo]:
-        """The link model of the span ``node`` belongs to, if known."""
-        if node.span_id is None:
-            return None
+        """The link model of ``node``'s session, else of its span, if
+        known."""
+        channel = self.session_channels.get(node.session)
+        if channel is not None or node.span_id is None:
+            return channel
         return self.channels.get(node.span_id)
 
     def is_acyclic(self) -> bool:

@@ -54,8 +54,8 @@ def run_monitored_fleet(protocol: str, *, n_sites: int = 8,
     ``converge_sweep`` appends a deterministic star sweep well after the
     gossip schedule: every site pushes into ``sites[0]`` (the hub, which
     then holds the global element-wise max), then the hub pushes back
-    out.  Under ``fanout=1`` every sweep session shares the hub, so they
-    serialize in request order and the fleet provably ends converged —
+    out.  Every sweep session holds the hub's objects, so they serialize
+    in request order and the fleet provably ends converged —
     the dashboard's convergence scores must all close at 1.0, which is
     itself a checkable property of the whole pipeline.
     """

@@ -36,10 +36,9 @@ Three families of checks run continuously, not just in tests:
 * **Ancestor closure** — after every completed session the receiver's
   vectors must equal the element-wise max of their pre-session state and
   the sender's state: every applied prefix is causally closed and the
-  transfer is complete.  (Checked under ``fanout=1``, where the synced
-  objects are pinned at both endpoints for the session's duration —
-  sessions on other objects may overlap it; forfeit otherwise, exactly
-  like the scheduling-independence guarantee.)
+  transfer is complete.  Checked on every session: an object has one
+  holder, so the synced objects are pinned at both endpoints for the
+  session's duration — sessions on other objects may overlap it.
 * **COMPARE spot checks** — on a seeded schedule of sessions, Algorithm
   1's O(1) verdict is re-derived against the element-wise oracle
   (:meth:`~repro.core.rotating.BasicRotatingVector.compare_full`).
@@ -85,8 +84,7 @@ class MonitorConfig(ObserverConfig):
         check_accounting: enable the retransmitted/goodput identity
             checks.
         check_ancestor_closure: enable the post-session element-wise max
-            oracle over the synced objects (automatically skipped when
-            ``fanout > 1``, where a session may share an object).
+            oracle over the synced objects, on every session.
     """
 
     spot_check_period: int = 5
@@ -110,7 +108,9 @@ class ClusterMonitor(Observer):
         print(render_dashboard(monitor))          # repro.obs.dashboard
 
     User code only reads the series afterwards (or live, from another
-    tracer subscriber).
+    tracer subscriber).  The closure oracle and the spot check cover
+    every session: an object has one session holder, so the objects a
+    session syncs are pinned at both endpoints while it runs.
     """
 
     GAUGES = GAUGE_NAMES
@@ -159,16 +159,15 @@ class ClusterMonitor(Observer):
         now = self._now()
         self._maybe_sample(now)
         runner = self._owner
-        fanout_one = runner.config.fanout == 1
-        if self.config.check_ancestor_closure and fanout_one:
-            objs = self._session_objs(record)
+        if self.config.check_ancestor_closure:
+            objs = record.objects
             src_snap = [runner.objects[record.src][obj]
                         .to_version_vector().as_dict() for obj in objs]
             dst_snap = [runner.objects[record.dst][obj]
                         .to_version_vector().as_dict() for obj in objs]
             self._session_snapshots[record.index] = (src_snap, dst_snap)
         period = self.config.spot_check_period
-        if period and fanout_one and record.index % period == 0:
+        if period and record.index % period == 0:
             self._spot_check(record, now)
 
     def on_session_commit(self, record: Any) -> None:
@@ -218,47 +217,29 @@ class ClusterMonitor(Observer):
 
     # -- the gauge walk ----------------------------------------------------------
 
-    def _session_objs(self, record: Any) -> Tuple[int, ...]:
-        """The object ids one session synchronizes (all, when unsharded)."""
-        objs = getattr(record, "objects", None)
-        if objs:
-            return tuple(objs)
-        return tuple(range(self._owner.config.n_objects))
-
-    def _hosted(self, site: str) -> Tuple[int, ...]:
-        """The object ids one site replicates (all, when unsharded)."""
-        hosted = getattr(self._owner, "hosted_objects", None)
-        if hosted is not None:
-            return hosted(site)
-        return tuple(range(self._owner.config.n_objects))
-
     def _walk(self, now: float) -> None:
         """Record one health sample for every site at simulated ``now``.
 
         The frontier for an object is the element-wise max over the sites
-        *hosting* it (all sites, when unsharded).  A sharded site's
-        convergence score is measured against the frontiers of its own
-        hosted objects only — a site cannot be behind on objects it does
-        not replicate.
+        *hosting* it (all sites, when unsharded).  A site's convergence
+        score is measured against the frontiers of its own hosted objects
+        only — a site cannot be behind on objects it does not replicate.
         """
         runner = self._owner
-        n_objects = runner.config.n_objects
-        sharded = getattr(runner, "shards", None) is not None
         # The global frontier: per object, the element-wise max over its
         # hosting sites.
         frontiers: Dict[int, Dict[str, int]] = {
-            obj: {} for obj in range(n_objects)}
+            obj: {} for obj in range(runner.config.n_objects)}
         for site in self.sites:
-            for obj in self._hosted(site):
+            for obj, vector in runner.objects[site].items():
                 frontier = frontiers[obj]
-                for element in runner.objects[site][obj].order:
+                for element in vector.order:
                     if element.value > frontier.get(element.site, 0):
                         frontier[element.site] = element.value
         frontier_sums = {obj: sum(f.values())
                          for obj, f in frontiers.items()}
-        frontier_total = sum(frontier_sums.values())
         for site in self.sites:
-            hosted = self._hosted(site)
+            hosted = runner.hosted_objects(site)
             distance = 0
             backlog = 0
             conflicted = 0
@@ -288,8 +269,7 @@ class ClusterMonitor(Observer):
             pressure = self._pressure[site]
             pressure_total = (pressure["retries"] + pressure["timeouts"]
                               + pressure["resumes"])
-            site_frontier = (sum(frontier_sums[obj] for obj in hosted)
-                             if sharded else frontier_total)
+            site_frontier = sum(frontier_sums[obj] for obj in hosted)
             score = (1.0 if site_frontier == 0
                      else (site_frontier - backlog) / site_frontier)
             self._record(site, now, (
@@ -346,7 +326,7 @@ class ClusterMonitor(Observer):
         """
         src_snap, dst_snap = snapshot
         runner = self._owner
-        for obj, src_state, dst_state in zip(self._session_objs(record),
+        for obj, src_state, dst_state in zip(record.objects,
                                              src_snap, dst_snap):
             expected = dict(dst_state)
             for site_name, value in src_state.items():
@@ -365,7 +345,7 @@ class ClusterMonitor(Observer):
     def _spot_check(self, record: Any, now: float) -> None:
         """Algorithm 1's O(1) verdict vs the element-wise oracle."""
         runner = self._owner
-        objs = self._session_objs(record)
+        objs = record.objects
         obj = objs[self._spot_rng.randrange(len(objs))]
         dst_vector = runner.objects[record.dst][obj]
         src_vector = runner.objects[record.src][obj]

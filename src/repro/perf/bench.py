@@ -92,7 +92,6 @@ class BenchConfig:
     update_interval: float = 0.25
     latency: float = 0.005
     bandwidth: float = 1_000_000.0
-    fanout: int = 1
     seed: int = 0
     #: Re-run every schedule sequentially and require identical traffic.
     paired: bool = True
@@ -277,7 +276,6 @@ def _flat_fleet(config: BenchConfig, protocol: str, n_sites: int, *,
                                 seed=config.chaos_seed)),
         encoding=replace(Encoding.for_system(n_sites, max(16, n_updates)),
                          session_header_bits=header_bits),
-        fanout=config.fanout,
         stop_and_wait=stop_and_wait,
         n_objects=n_objects,
         batch_size=batch_size,

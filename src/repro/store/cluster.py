@@ -385,7 +385,7 @@ class StoreCluster:
         #: so a site takes one session at a time.  Keys are held too — a
         #: session's at both endpoints, a queued read-repair's where it
         #: pulls into — and client ops wait on them.
-        self._scheduler = SessionScheduler(self.sites, 1, self._start)
+        self._scheduler = SessionScheduler(self.sites, self._start)
         #: (src, dst, key) triples with a repair session queued and not
         #: yet started; keeps hot keys from flooding the queue with
         #: duplicate repairs, and each holds ``key`` at ``dst``.

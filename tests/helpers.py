@@ -171,6 +171,17 @@ def full_walk_pull(src: SiteStore, dst: SiteStore, *,
     return dst
 
 
+def same_objects(left: Dict[str, Dict[int, Any]],
+                 right: Dict[str, Dict[int, Any]]) -> bool:
+    """Whether two cluster objects tables (site → object id → vector)
+    host the same ids with equal values."""
+    return left.keys() == right.keys() and all(
+        left[site].keys() == right[site].keys()
+        and all(vector.same_values(right[site][obj])
+                for obj, vector in left[site].items())
+        for site in left)
+
+
 def session_timing(result: Any) -> Tuple[float, int, int]:
     """A timed session's duration and each party's finish offset from
     its start, the offsets in whole ns: the numbers a replay of the

@@ -24,7 +24,7 @@ from repro.protocols.syncs import syncs_receiver, syncs_sender
 from repro.net.faults import chaos_faults
 from repro.workload.cluster import (gossip_schedule, site_names,
                                     update_schedule)
-from tests.helpers import build_history, session_timing
+from tests.helpers import build_history, same_objects, session_timing
 
 ENC = Encoding(site_bits=8, value_bits=16)
 
@@ -139,7 +139,7 @@ def test_chaotic_cluster_run_matches_sequential_replay(loss, chaos_seed,
         assert stats.total_retransmitted_bits \
             == stats.total_bits - stats.total_goodput_bits
 
-    sequential, vectors = replay_sequential(sites, config, result.log)
+    sequential, objects = replay_sequential(sites, config, result.log)
     assert result.per_session_bits() \
         == [r.stats.total_bits for r in sequential]
     assert [r.result.stats.retries for r in result.records] \
@@ -148,5 +148,4 @@ def test_chaotic_cluster_run_matches_sequential_replay(loss, chaos_seed,
         == [r.stats.resumes for r in sequential]
     assert [session_timing(r.result) for r in result.records] \
         == [session_timing(r) for r in sequential]
-    for site in sites:
-        assert result.vectors[site].same_values(vectors[site])
+    assert same_objects(result.objects, objects)

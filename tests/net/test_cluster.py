@@ -7,7 +7,6 @@ from repro.errors import (ConcurrentVectorsError, ReproError, SimulationError,
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import (ClusterConfig, ClusterRunner,
                                replay_sequential)
-from repro.net.faults import chaos_faults
 from repro.net.sharding import ShardMap
 from repro.net.wire import Encoding
 from repro.obs.metrics import MetricsRegistry
@@ -15,7 +14,7 @@ from repro.obs.trace import Tracer
 from repro.workload.cluster import (SessionRequest, UpdateRequest,
                                     gossip_schedule, site_names,
                                     update_schedule)
-from tests.helpers import session_timing
+from tests.helpers import same_objects, session_timing
 
 ENC = Encoding(site_bits=8, value_bits=16)
 #: A slow link so sessions have measurable duration in simulated time.
@@ -38,10 +37,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown protocol"):
             config(protocol="vv")
 
-    def test_fanout_below_one_rejected(self):
-        with pytest.raises(ValueError, match="fanout"):
-            config(fanout=0)
-
     def test_duplicate_site_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate site"):
             ClusterRunner(["A", "B", "A"], config())
@@ -62,16 +57,13 @@ class TestValidation:
 
     #: Objects 0 and 1 replicated on A+B and B+C.
     SHARDS = ShardMap([("A", "B"), ("B", "C")])
-    LOSSY = ChannelSpec(faults=chaos_faults(0.1, latency=0.01))
 
     @pytest.mark.parametrize("match, build", [
         ("unknown protocol", lambda: config(protocol="vv")),
-        ("fanout", lambda: config(fanout=0)),
         ("n_objects", lambda: config(n_objects=0)),
         ("batch_size", lambda: config(batch_size=0)),
         ("proc_time", lambda: config(proc_time=-0.001)),
         ("max_steps", lambda: config(max_steps=0)),
-        ("fanout=1", lambda: config(fanout=2, channel=TestValidation.LOSSY)),
         ("duplicate site", lambda: ClusterRunner(["A", "A"], config())),
         ("shard map covers", lambda: ClusterRunner(
             ["A", "B", "C"], config(), shards=TestValidation.SHARDS)),
@@ -95,7 +87,7 @@ class TestValidation:
             build()
 
     @pytest.mark.parametrize("field", [
-        "proc_time", "batch_size", "max_steps", "fanout", "n_objects"])
+        "proc_time", "batch_size", "max_steps", "n_objects"])
     def test_nan_rejected(self, field):
         # NaN compares false both ways, so a `value < minimum` check
         # lets it through.
@@ -115,7 +107,7 @@ class TestValidation:
 
 class TestQueueing:
     def test_busy_endpoint_queues_second_session(self):
-        # Both sessions want A at t=0; fanout=1 serializes them.
+        # Both sessions want A's object at t=0: one holder serializes them.
         result = run_cluster(
             ["A", "B", "C"],
             [SessionRequest(0.0, "A", "B"), SessionRequest(0.01, "A", "C")])
@@ -135,13 +127,6 @@ class TestQueueing:
         # session's duration, not two.
         solo = run_cluster(["A", "B"], [SessionRequest(0.0, "A", "B")])
         assert result.completion_time == solo.completion_time
-
-    def test_fanout_two_overlaps_shared_endpoint(self):
-        result = run_cluster(
-            ["A", "B", "C"],
-            [SessionRequest(0.0, "A", "B"), SessionRequest(0.01, "A", "C")],
-            cfg=config(fanout=2))
-        assert all(r.queue_wait == 0.0 for r in result.records)
 
     def test_queued_sessions_start_oldest_first(self):
         requests = [SessionRequest(0.0, "A", "B"),
@@ -180,8 +165,9 @@ class TestDeferredUpdates:
         assert result.updates_deferred == 1
         assert result.updates_applied == 1
         # The realized order has the session first: the update waited.
-        assert result.log == [("session", "A", "B"), ("update", "B")]
-        assert result.vectors["B"]["B"] >= 1
+        assert result.log == [("session", "A", "B", (0,)),
+                              ("update", "B", 0)]
+        assert result.objects["B"][0]["B"] >= 1
 
     def test_update_on_idle_site_applies_immediately(self):
         result = run_cluster(
@@ -189,7 +175,7 @@ class TestDeferredUpdates:
             [SessionRequest(1.0, "A", "B")],
             updates=[UpdateRequest(0.0, "C")])
         assert result.updates_deferred == 0
-        assert result.log[0] == ("update", "C")
+        assert result.log[0] == ("update", "C", 0)
 
     def test_deferred_update_applies_before_queued_session_starts(self):
         # Session 2 queues behind session 1 on B; the update deferred
@@ -200,7 +186,7 @@ class TestDeferredUpdates:
             updates=[UpdateRequest(0.02, "B")])
         assert result.updates_deferred == 1
         session_entries = [e for e in result.log if e[0] == "session"]
-        assert result.log.index(("update", "B")) \
+        assert result.log.index(("update", "B", 0)) \
             < result.log.index(session_entries[1])
 
 
@@ -232,15 +218,14 @@ class TestAccounting:
         cfg = config(protocol=protocol)
         result = run_cluster(sites, sessions, updates, cfg=cfg)
         assert result.reconciliations > 0  # the interesting regime
-        sequential, vectors = replay_sequential(sites, cfg, result.log)
+        sequential, objects = replay_sequential(sites, cfg, result.log)
         assert result.per_session_bits() \
             == [r.stats.total_bits for r in sequential]
         # Integer time: each session takes the same nanoseconds wherever
         # on the clock it runs.
         assert [session_timing(r.result) for r in result.records] \
             == [session_timing(r) for r in sequential]
-        for site in sites:
-            assert result.vectors[site].same_values(vectors[site])
+        assert same_objects(result.objects, objects)
 
     def test_brv_single_writer_matches_replay(self):
         sites = site_names(6)

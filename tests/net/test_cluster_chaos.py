@@ -14,6 +14,7 @@ from repro.net.cluster import ClusterConfig, ClusterRunner, replay_sequential
 from repro.net.faults import FaultSpec, RetryPolicy, chaos_faults
 from repro.net.wire import Encoding
 from repro.workload.cluster import gossip_schedule, site_names, update_schedule
+from tests.helpers import same_objects
 
 ENC = Encoding(site_bits=8, value_bits=16)
 
@@ -71,15 +72,14 @@ class TestChaosReplay:
     def test_replay_reproduces_bits_and_retries(self, loss):
         config = chaos_config("srv", loss)
         sites, result = run_cluster(config)
-        sequential, vectors = replay_sequential(sites, config, result.log)
+        sequential, objects = replay_sequential(sites, config, result.log)
         assert result.per_session_bits() \
             == [r.stats.total_bits for r in sequential]
         assert [r.result.stats.retries for r in result.records] \
             == [r.stats.retries for r in sequential]
         assert [r.result.stats.timeouts for r in result.records] \
             == [r.stats.timeouts for r in sequential]
-        for site in sites:
-            assert result.vectors[site].same_values(vectors[site])
+        assert same_objects(result.objects, objects)
 
     def test_forced_resumes_replay_exactly_and_converge(self):
         """A starved retry budget forces aborts; resume must still work."""
@@ -90,20 +90,15 @@ class TestChaosReplay:
         sites, result = run_cluster(config, n_sites=4, n_updates=8)
         assert result.totals.resumes > 0
         assert result.consistent()
-        sequential, vectors = replay_sequential(sites, config, result.log)
+        sequential, objects = replay_sequential(sites, config, result.log)
         assert [r.result.stats.resumes for r in result.records] \
             == [r.stats.resumes for r in sequential]
         assert result.per_session_bits() \
             == [r.stats.total_bits for r in sequential]
-        for site in sites:
-            assert result.vectors[site].same_values(vectors[site])
+        assert same_objects(result.objects, objects)
 
 
 class TestChaosConfig:
-    def test_faults_with_fanout_above_one_rejected(self):
-        with pytest.raises(ValueError, match="fanout=1"):
-            chaos_config("srv", 0.1, fanout=2)
-
     def test_zero_loss_chaos_spec_is_disabled(self):
         assert not chaos_faults(0.0, latency=0.01).enabled
 

@@ -7,15 +7,20 @@ reports.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.net.channel import ChannelSpec
-from repro.net.cluster import launch_cluster
-from repro.net.topology import LinkProfile, TopologySpec
+from repro.net.cluster import launch_cluster, replay_sequential
+from repro.net.topology import GossipSpec, LinkProfile, TopologySpec
 from repro.net.wire import Encoding
+from repro.obs.monitor import ClusterMonitor, MonitorConfig
+from repro.workload.cluster import (SessionRequest, gossip_schedule,
+                                    update_schedule)
 from repro.workload.epidemic import (closing_sweep, epidemic_schedule,
                                      sharded_update_schedule)
+from tests.helpers import same_objects, session_timing
 
 ENC = Encoding(site_bits=8, value_bits=16)
 
@@ -72,8 +77,14 @@ class TestApiSurface:
         runner = launch_cluster(spec, n_objects=4, encoding=ENC)
         assert runner.shards is None
         assert runner.sites == ["S000", "S001", "S002", "S003"]
-        # The classic layout gossips at the spec's fanout.
-        assert runner.config.fanout == spec.gossip.fanout
+        # Every site hosts every object id, keyed as on a sharded fleet.
+        assert all(list(held) == [0, 1, 2, 3]
+                   for held in runner.objects.values())
+        # The gossip fanout sizes epidemic rounds; it reaches the session
+        # config only as part of the spec.
+        wide = replace(spec, gossip=GossipSpec(fanout=2))
+        assert launch_cluster(wide, n_objects=4, encoding=ENC).config \
+            == replace(runner.config, topology=wide)
 
     def test_shard_flag_forces_either_way(self):
         assert launch_cluster(TopologySpec.single(4, replication=2),
@@ -113,3 +124,62 @@ class TestDeterminism:
         assert result.consistent()
         for site, objs in result.objects.items():
             assert sorted(objs) == list(runner.shards.hosted[site])
+
+
+def wide_gossip_spec(loss):
+    """An unsharded 2×4 grid whose gossip contacts two peers per round."""
+    return TopologySpec.grid(
+        2, 4, inter=LinkProfile(0.04, 250e3, loss=loss),
+        gossip=GossipSpec(fanout=2), chaos_seed=11)
+
+
+def run_wide_gossip(spec, **observers):
+    """Gossip 4 objects over ``spec``, then a star sweep through the first
+    site so the fleet ends converged."""
+    runner = launch_cluster(spec, n_objects=4, batch_size=2,
+                            encoding=ENC, **observers)
+    sites = runner.sites
+    sessions = gossip_schedule(sites, rounds=4, seed=5)
+    updates = update_schedule(sites, n_updates=16, interval=0.2,
+                              n_objects=4, seed=6)
+    at = max(request.at for request in sessions) + 10.0
+    sweep = [SessionRequest(at, site, sites[0]) for site in sites[1:]]
+    sweep += [SessionRequest(at + 10.0, sites[0], site)
+              for site in sites[1:]]
+    return runner, runner.run(sessions + sweep, updates)
+
+
+class TestGossipFanoutIsNotSessionCapacity:
+    """``GossipSpec.fanout`` sizes epidemic rounds and nothing else: a
+    lossy unsharded fleet that gossips with two peers launches, and an
+    object still has one holder, so the replay and the closure oracle
+    hold on every session."""
+
+    def test_lossy_wide_gossip_launches_and_replays_exactly(self):
+        spec = wide_gossip_spec(loss=0.01)
+        runner, result = run_wide_gossip(spec)
+        assert spec.has_faults and result.consistent()
+        sequential, objects = replay_sequential(runner.sites, runner.config,
+                                                result.log)
+        assert result.per_session_bits() \
+            == [r.stats.total_bits for r in sequential]
+        assert [session_timing(r.result) for r in result.records] \
+            == [session_timing(r) for r in sequential]
+        assert same_objects(result.objects, objects)
+
+    def test_lossless_wide_gossip_checks_closure_on_every_session(self):
+        monitor = ClusterMonitor(MonitorConfig(strict=True,
+                                               spot_check_period=1))
+        checked = []
+        check = monitor._check_closure
+
+        def counting(record, snapshot, now):
+            checked.append(record.index)
+            check(record, snapshot, now)
+
+        monitor._check_closure = counting
+        runner, result = run_wide_gossip(wide_gossip_spec(loss=0.0),
+                                         monitor=monitor)
+        assert result.consistent()
+        assert sorted(checked) == [record.index for record in result.records]
+        assert monitor.violation_count == 0

@@ -101,7 +101,7 @@ class TestAdmission:
         assert unheld == 0.01
         assert held == commit_times(tracer)[0] > 0.01
         assert result.log == [("session", "B", "A", (0,)),
-                              ("update", "A", 2), ("update", "A")]
+                              ("update", "A", 2), ("update", "A", 0)]
 
 
 def sharded_chaos_fleet(loss, chaos_seed, seed, *, rounds=3, period=1.0,

@@ -36,10 +36,10 @@ class TestRegistryLookup:
         with linked_vectors():
             assert registry.get("srv").vector_cls is SkipRotatingVector
             runner = ClusterRunner(sites, ClusterConfig(protocol="srv"))
-            assert type(runner.vectors["A"]) is SkipRotatingVector
+            assert type(runner.objects["A"][0]) is SkipRotatingVector
         assert registry.get("srv").vector_cls is ArraySkipRotatingVector
         runner = ClusterRunner(sites, ClusterConfig(protocol="srv"))
-        assert type(runner.vectors["A"]) is ArraySkipRotatingVector
+        assert type(runner.objects["A"][0]) is ArraySkipRotatingVector
 
     def test_reconciliation_traits(self):
         assert not registry.get("brv").reconciles

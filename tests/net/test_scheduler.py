@@ -16,17 +16,16 @@ SHARED = ("x", "y", "z")
 class FullScanOracle:
     """Oldest-first admission the simple way: every request joins one
     queue, and every request and every release rescans all of it.  A
-    request starts once each resource it names is below capacity at both
-    endpoints and no older request of its (src, dst) pair still waits."""
+    request starts once no resource it names is held at either endpoint
+    and no older request of its (src, dst) pair still waits."""
 
-    def __init__(self, capacity):
-        self.capacity = capacity
+    def __init__(self):
         self.held = {}
         self.pending = []
         self.started = []
 
     def _free(self, src, dst, resources):
-        return all(self.held.get((site, resource), 0) < self.capacity
+        return all(self.held.get((site, resource), 0) == 0
                    for site in (src, dst) for resource in resources)
 
     def _scan(self):
@@ -61,10 +60,10 @@ class Harness:
     beside the shared resources they name, so work deferred on the id
     lands exactly at the session's release."""
 
-    def __init__(self, capacity):
+    def __init__(self):
         self.sessions = {}
         self.started = []
-        self.scheduler = SessionScheduler(SITES, capacity, self._start)
+        self.scheduler = SessionScheduler(SITES, self._start)
 
     def _start(self, item):
         src, dst, resources = self.sessions[item]
@@ -96,12 +95,12 @@ steps = st.lists(st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(capacity=st.sampled_from((1, 2)), plan=steps)
-def test_start_order_matches_a_full_oldest_first_scan(capacity, plan):
+@given(plan=steps)
+def test_start_order_matches_a_full_oldest_first_scan(plan):
     """Requests naming random resource subsets start exactly when the
     full rescan starts them: mid-release arrivals never overtake older
     waiters, and no request overtakes an older one of its own pair."""
-    harness, oracle = Harness(capacity), FullScanOracle(capacity)
+    harness, oracle = Harness(), FullScanOracle()
     items = count()
     released = set()
 
@@ -135,7 +134,7 @@ def test_start_order_matches_a_full_oldest_first_scan(capacity, plan):
 
 def test_sessions_on_disjoint_resources_share_a_site():
     started = []
-    scheduler = SessionScheduler(SITES, 1, started.append)
+    scheduler = SessionScheduler(SITES, started.append)
     scheduler.request("A", "B", ("x",), "AB")
     scheduler.occupy("A", "B", ("x",))
     scheduler.request("C", "A", ("y",), "CA")
@@ -156,7 +155,7 @@ def test_a_request_waits_behind_an_older_one_of_its_pair():
         scheduler.occupy("A", "B", resources[item])
 
     resources = {"busy": ("x",), "first": ("x",), "second": ("y",)}
-    scheduler = SessionScheduler(SITES, 1, start)
+    scheduler = SessionScheduler(SITES, start)
     scheduler.request("A", "B", ("x",), "busy")
     scheduler.request("A", "B", ("x",), "first")
     scheduler.request("A", "B", ("y",), "second")
@@ -167,7 +166,7 @@ def test_a_request_waits_behind_an_older_one_of_its_pair():
 
 def test_release_lands_deferred_work_in_arrival_order_across_resources():
     landed = []
-    scheduler = SessionScheduler(SITES, 1, lambda item: None)
+    scheduler = SessionScheduler(SITES, lambda item: None)
     scheduler.occupy("A", "B", ("x", "y"))
     for label, resource in (("x1", "x"), ("y1", "y"), ("x2", "x")):
         assert scheduler.admit("A", resource, landed.append, label)
@@ -181,7 +180,7 @@ def test_work_behind_a_resource_retaken_mid_flush_stays_deferred():
     """A landed item that starts a session over its resource keeps the
     items behind it waiting for that session's release."""
     landed = []
-    scheduler = SessionScheduler(SITES, 1, lambda item: None)
+    scheduler = SessionScheduler(SITES, lambda item: None)
 
     def retake(label):
         landed.append(label)

@@ -4,9 +4,10 @@ import json
 import os
 
 from repro.net.channel import ChannelSpec, serialization_ns
-from repro.net.cluster import ClusterConfig, ClusterRunner
+from repro.net.cluster import ClusterConfig, ClusterRunner, launch_cluster
 from repro.net.faults import RetryPolicy, chaos_faults
 from repro.net.simulator import to_ns, to_seconds
+from repro.net.topology import LinkProfile, TopologySpec
 from repro.net.wire import Encoding
 from repro.obs import trace as obs
 from repro.obs.causal import (CATEGORIES, CAUSAL_SCHEMA, analyze_events,
@@ -23,7 +24,7 @@ CHANNEL = ChannelSpec(latency=LATENCY, bandwidth=BANDWIDTH)
 
 
 def star_trace():
-    """The acceptance scenario: fanout=1 star, single writer, 2 spokes.
+    """The acceptance scenario: a star, single writer, 2 spokes.
 
     One update lands on the hub ``A`` at t=0; ``B`` pulls at t=0.1 and
     ``C`` at t=0.15 — but the hub is busy, so session 1 queues behind
@@ -33,8 +34,7 @@ def star_trace():
     tracer = Tracer()
     runner = ClusterRunner(
         ["A", "B", "C"],
-        ClusterConfig(protocol="brv", channel=CHANNEL, encoding=ENC,
-                      fanout=1),
+        ClusterConfig(protocol="brv", channel=CHANNEL, encoding=ENC),
         tracer=tracer)
     result = runner.run(
         [SessionRequest(0.1, "A", "B"), SessionRequest(0.15, "A", "C")],
@@ -275,7 +275,7 @@ class TestSampling:
             runner = ClusterRunner(
                 ["A", "B", "C"],
                 ClusterConfig(protocol="brv", channel=CHANNEL,
-                              encoding=ENC, fanout=1),
+                              encoding=ENC),
                 tracer=tracer)
             return runner.run(
                 [SessionRequest(0.1, "A", "B"),
@@ -333,3 +333,62 @@ class TestFaultAttribution:
         categories = transmit[0]["categories"]
         assert categories["latency"] == 0.05
         assert categories["fault_delay"] > 0.1
+
+
+class TestTopologyChannels:
+    """A topology fleet prices each session over its region pair's link;
+    the analyzer must bill each hop with that link, not the run span's
+    default channel."""
+
+    SPEC = TopologySpec.grid(2, 3, intra=LinkProfile(0.002, 1e6),
+                             inter=LinkProfile(0.04, 250e3))
+
+    def analyzed(self):
+        tracer = Tracer()
+        runner = launch_cluster(self.SPEC, n_objects=2, encoding=ENC,
+                                tracer=tracer)
+        sites = runner.sites
+        runner.run(gossip_schedule(sites, rounds=3, seed=1),
+                   update_schedule(sites, n_updates=8, n_objects=2, seed=2))
+        return tracer, analyze_tracer(tracer)
+
+    def test_every_hop_is_billed_with_its_own_link(self):
+        tracer, analysis = self.analyzed()
+        graph = analysis.graph
+        sessions = {summary["session"]: summary
+                    for summary in analysis.sessions}
+        links = set()
+        for session, start in graph.session_start.items():
+            link = self.SPEC.channel_for(start.peer, start.party)
+            links.add(link.latency)
+            sent = [graph.nodes[source]
+                    for node in graph.nodes.values()
+                    if node.session == session
+                    for source, edge in node.preds if edge == "transmit"]
+            assert sent
+            attribution = sessions[session]["attribution"]
+            assert to_ns(attribution["latency"]) \
+                == len(sent) * to_ns(link.latency)
+            assert to_ns(attribution["serialization"]) == sum(
+                serialization_ns(message.bits, link.bandwidth)
+                for message in sent)
+            assert attribution["fault_delay"] == 0.0
+        # Both link classes were exercised.
+        assert links == {0.002, 0.04}
+
+    def test_each_hop_reads_its_session_link_before_the_span(self):
+        _, analysis = self.analyzed()
+        graph = analysis.graph
+        (span,) = graph.channels.values()
+        hops = 0
+        for node in graph.nodes.values():
+            if not any(edge == "transmit" for _, edge in node.preds):
+                continue
+            start = graph.session_start[node.session]
+            link = self.SPEC.channel_for(start.peer, start.party)
+            channel = graph.channel_for(node)
+            assert (channel.latency, channel.bandwidth) \
+                == (link.latency, link.bandwidth)
+            assert channel.protocol == span.protocol == "srv"
+            hops += 1
+        assert hops

@@ -221,7 +221,7 @@ class TestInvariantCheckers:
 
     @staticmethod
     def _record(index=0, src="A", dst="B"):
-        return SimpleNamespace(index=index, src=src, dst=dst)
+        return SimpleNamespace(index=index, src=src, dst=dst, objects=(0,))
 
     @staticmethod
     def _result(tamper=None):
@@ -325,15 +325,6 @@ class TestInvariantCheckers:
         assert registry.snapshot()["counters"]["monitor.spot_checks"] > 0
         assert not any(v.check == "compare_oracle"
                        for v in monitor.violations)
-
-    def test_closure_skipped_with_fanout_above_one(self):
-        monitor = ClusterMonitor(MonitorConfig(spot_check_period=0))
-        runner = ClusterRunner(["A", "B", "C"], config(fanout=2),
-                               monitor=monitor)
-        runner.run([SessionRequest(0.0, "A", "B")],
-                   [UpdateRequest(0.0, "A")])
-        assert monitor._session_snapshots == {}
-        assert monitor.violation_count == 0
 
 
 class TestHealthSummary:

@@ -19,6 +19,9 @@ from 3.82 s to 0.90 s over the same 27 sessions, the start order and
 with it each session's fault draws moved (7 retries to 6, 788 bits to
 787), and the sampled gauges and per-site pressure followed.
 
+``fleet.otlp`` was re-pinned when the session-capacity knob went: the
+run span lost its ``fanout`` attribute and nothing else moved.
+
 To re-pin after an intended output change, run this file directly
 (``PYTHONPATH=src python tests/obs/test_observer_golden.py``); it prints
 the new table.
@@ -56,7 +59,7 @@ GOLDEN = {
     "fleet.html":
         "573cf387220d9de32893acae54e8a6ab9e47937a63d32e9dc80ff2117c3d036d",
     "fleet.otlp":
-        "d9a393af87a6e690f3e1e596737783333232b3d66b146f0cf30465f96986d5ff",
+        "a8f74c8d190491db605ad509cd1aa6a016837ec6a527659866eb571feb2f60d9",
     "fleet.prometheus":
         "a2e9e0616ae52e3dda3cfffdb46cb960893401e22c721a56b0528bf20876c1bd",
     "fleet.registry":
@@ -122,7 +125,7 @@ def _tampered_monitor():
                       encoding=Encoding(site_bits=8, value_bits=16)),
         monitor=monitor)
     monitor.attach(runner)
-    record = SimpleNamespace(index=0, src="A", dst="B")
+    record = SimpleNamespace(index=0, src="A", dst="B", objects=(0,))
     monitor.on_session_start(record)
     runner.objects["B"][0].record_update("B")
     stats = TransferStats()

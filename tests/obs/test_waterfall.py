@@ -24,8 +24,7 @@ def analyzed_run(sites=("A", "B", "C"), monitor=None):
     tracer = Tracer()
     runner = ClusterRunner(
         sites,
-        ClusterConfig(protocol="brv", channel=CHANNEL, encoding=ENC,
-                      fanout=1),
+        ClusterConfig(protocol="brv", channel=CHANNEL, encoding=ENC),
         tracer=tracer, monitor=monitor)
     runner.run(
         [SessionRequest(0.1, sites[0], sites[1]),
