@@ -17,7 +17,7 @@ SRV subclasses.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.core.linkedorder import Element, ElementOrder
 from repro.core.order import Ordering
@@ -47,8 +47,10 @@ class BasicRotatingVector:
 
     __slots__ = ("order",)
 
-    def __init__(self) -> None:
-        self.order = self.order_cls()
+    def __init__(self, order: Any = None) -> None:
+        # ``order`` adopts an existing order (``copy`` hands over a fresh
+        # one); by default the vector starts empty.
+        self.order = self.order_cls() if order is None else order
 
     # -- construction ----------------------------------------------------------
 
@@ -74,9 +76,7 @@ class BasicRotatingVector:
 
     def copy(self) -> "BasicRotatingVector":
         """An independent deep copy (order, values, and bits)."""
-        clone = type(self)()
-        clone.order = self.order.copy()
-        return clone
+        return type(self)(self.order.copy())
 
     def restore(self, snapshot: "BasicRotatingVector") -> None:
         """Adopt ``snapshot``'s state in place, keeping this identity.

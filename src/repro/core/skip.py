@@ -25,7 +25,7 @@ CRG nodes coalesce.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.core.conflict import ConflictRotatingVector
 from repro.core.linkedorder import Element
@@ -48,8 +48,8 @@ class SkipRotatingVector(ConflictRotatingVector):
 
     __slots__ = ("_partition_cache", "_partition_version")
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, order: Any = None) -> None:
+        super().__init__(order)
         # Cached parse of the segment partition, keyed on the order's
         # mutation version: repeated analytics (segment counts, storage
         # sizing, Π-bound checks) stop re-walking the linked list.

@@ -25,12 +25,15 @@ sender/receiver processes on a single :class:`~repro.net.simulator.Simulator`:
   one session at a time and must reproduce the concurrent run's bit
   counts exactly; the paired benchmark asserts it.
 
-The mechanism — :class:`SessionScheduler`, :func:`launch_transactional`
-and the :func:`session_run` frame — is shared with the replicated store's
+The mechanism — :class:`SessionScheduler` and the :func:`session_run`
+frame — is shared with the replicated store's
 :class:`~repro.store.cluster.StoreCluster`.  The two differ in what a
-session holds: a fleet session its objects (an update waits for its own
-object only), a store session one site-wide token and its keys (a site
-takes one session at a time; a client op waits for its own key only).
+session holds: a fleet session its objects at both endpoints (an update
+waits for its own object only), a store session one site-wide token at
+both endpoints and its keys at the receiver (a site takes one session at
+a time; a client read waits only for a read-repair into its site).  The fleet's attempts are
+transactional (:func:`launch_transactional`); the store's merge into
+copies and need no rollback.
 
 Tracing and metrics reuse the PR 1 instruments: pass a
 :class:`~repro.obs.trace.Tracer` for clock-stamped per-site events and a
@@ -270,10 +273,14 @@ class SessionScheduler:
       is busy at a site: the live sessions holding it, and each
       :meth:`hold`.  Work :meth:`admit` gets on a busy one waits FIFO per
       resource until a release frees it.
+    * **Reads.**  Work admitted with ``read=True`` waits only for a
+      :meth:`hold` (``barred``) and for older work already waiting on its
+      resource; a session's holds do not stop it, and it never overtakes.
     * **Admission.**  A request names its resources; it starts once none
       is held at either endpoint and no older request of the same
       ``(src, dst)`` pair still waits, and the session holds exactly
-      those resources until its release.  Sessions on disjoint
+      those resources until its release — at both endpoints, plus any
+      ``receiver`` resources at its ``dst`` alone.  Sessions on disjoint
       resources overlap, even at a shared site.
     * **Pending queue.**  A request that cannot start waits; freed
       resources go to the waiting requests, oldest first.
@@ -288,8 +295,11 @@ class SessionScheduler:
         self._start = start
         self.held: Dict[str, Dict[Hashable, int]] = {
             site: {} for site in sites}
-        #: site → resource → ``(arrival number, work, args)``, oldest
-        #: first; a queue exists only while its resource is busy.
+        #: The :meth:`hold` share of :attr:`held`: what reads wait for.
+        self.barred: Dict[str, Dict[Hashable, int]] = {
+            site: {} for site in self.held}
+        #: site → resource → ``(arrival number, work, args, read)``,
+        #: oldest first; a queue exists only while its head is blocked.
         self._deferred: Dict[str, Dict[Hashable, Deque[Tuple[Any, ...]]]] = {
             site: {} for site in self.held}
         #: Work items ever deferred; also the next arrival number.
@@ -307,30 +317,38 @@ class SessionScheduler:
         self.ran = False
 
     def admit(self, site: str, resource: Hashable,
-              work: Callable[..., None], *args: Any) -> bool:
+              work: Callable[..., None], *args: Any,
+              read: bool = False) -> bool:
         """Run ``work(*args)`` now, or — while ``resource`` is busy at
-        ``site`` — once a release frees it.  Returns whether it waits."""
-        if resource not in self.held[site]:
+        ``site`` (for a ``read``: barred, or with older work waiting) —
+        once a release frees it.  Returns whether it waits."""
+        if read:
+            busy = (resource in self.barred[site]
+                    or resource in self._deferred[site])
+        else:
+            busy = resource in self.held[site]
+        if not busy:
             work(*args)
             return False
         self._deferred[site].setdefault(resource, deque()).append(
-            (self.deferrals, work, args))
+            (self.deferrals, work, args, read))
         self.deferrals += 1
         return True
 
     def hold(self, site: str, resource: Hashable) -> None:
-        """One more reason ``resource`` is busy at ``site``."""
-        held = self.held[site]
-        held[resource] = held.get(resource, 0) + 1
+        """One more reason ``resource`` is busy at ``site``, for reads as
+        well as other work."""
+        for table in (self.held[site], self.barred[site]):
+            table[resource] = table.get(resource, 0) + 1
 
     def unhold(self, site: str, resource: Hashable) -> None:
-        """One reason fewer; the resource is free once none is left (its
-        deferred work still waits for the next :meth:`release`)."""
-        held = self.held[site]
-        if held[resource] == 1:
-            del held[resource]
-        else:
-            held[resource] -= 1
+        """One :meth:`hold` fewer; the work it deferred lands at the next
+        :meth:`release` of the resource there."""
+        for table in (self.held[site], self.barred[site]):
+            if table[resource] == 1:
+                del table[resource]
+            else:
+                table[resource] -= 1
 
     def _flush(self, site: str, resources: Iterable[Hashable]) -> None:
         """Land, in arrival order, the work deferred at ``site`` on those
@@ -339,19 +357,19 @@ class SessionScheduler:
         Busy is re-checked before every item: a landed item can start a
         session over its resource, and the items behind it must stay
         deferred — running them would mutate state the fresh session's
-        coroutines (and its transactional snapshot) already captured.
+        coroutines already captured.
         """
         queues = self._deferred[site]
-        held = self.held[site]
+        held, barred = self.held[site], self.barred[site]
         heads = [(queues[resource][0][0], resource)
                  for resource in resources if resource in queues]
         heapify(heads)
         while heads:
             _, resource = heappop(heads)
-            if resource in held:
-                continue
             queue = queues[resource]
-            _, work, args = queue.popleft()
+            if resource in (barred if queue[0][3] else held):
+                continue
+            _, work, args, _ = queue.popleft()
             if queue:
                 heappush(heads, (queue[0][0], resource))
             else:
@@ -391,28 +409,32 @@ class SessionScheduler:
         self._pending_by_site[dst].append(seq)
         self._pending_pairs[pair] = self._pending_pairs.get(pair, 0) + 1
 
-    def occupy(self, src: str, dst: str,
-               resources: Iterable[Hashable]) -> None:
-        """A session starts, holding ``resources`` at both endpoints."""
-        for held in (self.held[src], self.held[dst]):
-            for resource in resources:
+    def occupy(self, src: str, dst: str, resources: Tuple[Hashable, ...],
+               receiver: Tuple[Hashable, ...] = ()) -> None:
+        """A session starts, holding ``resources`` at both endpoints and
+        ``receiver`` at ``dst`` only."""
+        for site, taken in ((src, resources), (dst, resources + receiver)):
+            held = self.held[site]
+            for resource in taken:
                 held[resource] = held.get(resource, 0) + 1
 
-    def release(self, src: str, dst: str,
-                resources: Iterable[Hashable]) -> None:
+    def release(self, src: str, dst: str, resources: Tuple[Hashable, ...],
+                receiver: Tuple[Hashable, ...] = ()) -> None:
         """The session :meth:`occupy` started has ended: free its holds,
         land the work they deferred, start what can start."""
-        for held in (self.held[src], self.held[dst]):
-            for resource in resources:
+        freed = ((src, resources), (dst, resources + receiver))
+        for site, taken in freed:
+            held = self.held[site]
+            for resource in taken:
                 if held[resource] == 1:
                     del held[resource]
                 else:
                     held[resource] -= 1
         self._freed.add(src)
         self._freed.add(dst)
-        for site in (src, dst):
+        for site, taken in freed:
             if self._deferred[site]:
-                self._flush(site, resources)
+                self._flush(site, taken)
         self._dispatch()
 
     def _dispatch(self) -> None:

@@ -56,8 +56,9 @@ transactional: the protocols stream Δ newest-first, so a torn attempt's
 acked prefix is never ancestor-closed and can NOT be kept (a vector
 claiming an element without its causal past halts every later sync
 prematurely); the rebuild callback therefore restores the receiving
-vectors to their pre-session snapshot before building the next attempt's
-coroutines, and the torn attempt's traffic is pure accounted waste.
+vectors to their pre-session snapshot, or merges into fresh copies of
+them, before building the next attempt's coroutines, and the torn
+attempt's traffic is pure accounted waste.
 
 Accounting: the first transmission of each distinct transport message is
 *goodput*; every further copy is recorded via
@@ -145,8 +146,10 @@ class SessionOptions:
             callback owns attempt isolation — a torn attempt leaves the
             receiving vectors causally incomplete (the stream is
             newest-first), so every resume call must restore them to
-            the pre-session snapshot before building the next attempt's
-            coroutines (see :class:`~repro.net.cluster.ClusterRunner`).
+            the pre-session snapshot
+            (:class:`~repro.net.cluster.ClusterRunner`), or build over
+            fresh copies of it (:class:`~repro.store.cluster.StoreCluster`),
+            before building the next attempt's coroutines.
         batch_size: above 1, every pair rides one framed wire session
             (:mod:`repro.protocols.batch`) in frames of at most this many
             entries; 1 runs each object through the plain per-object
@@ -189,8 +192,8 @@ class SessionOptions:
             no callback needs the handle (capturing it would be a cycle
             per session).  ``result`` stays ``None``.  Hosts that own shared
             state (e.g. a replicated store's per-key tables) use this to
-            roll the receiver back to its pre-session snapshot and keep
-            the fleet running; leaving it ``None`` keeps the historical
+            release what the session held and keep the fleet running;
+            leaving it ``None`` keeps the historical
             raise-through-the-simulator behavior.
     """
 

@@ -33,9 +33,9 @@ bandwidth ``serialization`` (a pipelined session's inter-deliver spacing
 *is* serialization), fault-injected ``fault_delay``, ARQ ``arq`` time
 (timeouts, retries, aborts, resumes), ``queueing`` behind sessions
 holding the same objects, and residual ``processing``.  A hop's channel
-constants are its session's own (a cluster ``session_start`` carries
-them, so each region pair of a topology fleet bills its own link), else
-its span's.  Trace times are whole nanoseconds in seconds, read back
+constants are its session's own (a fleet's or store's ``session_start``
+carries them, so each region pair of a topology cluster bills its own
+link), else its span's.  Trace times are whole nanoseconds in seconds, read back
 exactly with :func:`~repro.net.simulator.to_ns`, so every hop's and
 path's categories sum to its elapsed ns by integer addition; the
 document reports seconds.

@@ -13,8 +13,8 @@ from repro import _lazy_surface
 __getattr__, __dir__ = _lazy_surface(__name__, {
     "cluster": ("ClientOp", "OpOutcome", "StoreCluster", "StoreConfig",
                 "StoreRunResult", "StoreSessionRecord", "gossip_peers"),
-    "kv": ("TOMBSTONE", "CausalContext", "KeyRecord", "KeySnapshot",
-           "ReadResult", "SiteStore", "context_covers", "merge_siblings"),
+    "kv": ("TOMBSTONE", "CausalContext", "KeyRecord", "ReadResult",
+           "SiteStore", "context_covers", "merge_siblings"),
 })
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "CausalContext",
     "ClientOp",
     "KeyRecord",
-    "KeySnapshot",
     "OpOutcome",
     "ReadResult",
     "SiteStore",

@@ -5,25 +5,25 @@ site on a single discrete-event simulator and drives two kinds of work
 over them.  It is a policy over
 :class:`~repro.net.cluster.SessionScheduler`, the mechanism the fleet's
 :class:`~repro.net.cluster.ClusterRunner` runs on too: a fleet session
-holds the objects it syncs, a store session one site-wide token — sites
-take one session at a time — and its keys, so a client op waits for its
-own key only.
+holds the objects it syncs, a store session one site-wide token at both
+endpoints — sites take one session at a time — and its keys at the
+receiver only, so a client op waits for its own key at most.
 
 * **Client operations** (:class:`ClientOp`) execute against one site's
-  table.  An op waits only for its *own key*: it is deferred while a
-  live session at its site has the key in its key set — reads must
-  never observe a torn mid-sync vector, and writes must never mutate a
-  vector a live coroutine is iterating — or while a read-repair that
-  will pull the key into its site is still queued (below).  Ops on any
-  other key run at submit time, mid-session or not: clients thread one
-  causal context per key, so per-(site, key) FIFO is all the ordering a
-  client can observe.  The deferral wait is measured per op.
+  table, whose records always hold committed state (below).  A get runs
+  at submit time, mid-session or not, unless a read-repair that pulls
+  its key into its site is queued or running, or an older op on its key
+  still waits there.  A put or delete also waits while a session
+  *receives* its key at its site: the session's commit would overwrite
+  it.  Ops on any other key never wait: clients thread one causal
+  context per key, so per-(site, key) FIFO is all the ordering a client
+  can observe.  The deferral wait is measured per op.
 * **Sessions** synchronize a key set between two sites by running one
   stock SYNC* coroutine pair *per key* through the unified
   :func:`~repro.net.runner.launch` transport — so channel faults, ARQ
-  retransmission, and transactional resume apply to store traffic
-  unchanged.  Sibling sets are folded in afterwards by the pre-session
-  verdicts (:meth:`~repro.store.kv.SiteStore.absorb`), and §2.2's
+  retransmission, and resume apply to store traffic unchanged.  Sibling
+  sets are folded in afterwards by the pre-session verdicts
+  (:meth:`~repro.store.kv.SiteStore.absorb`), and §2.2's
   post-reconciliation self-increment keeps COMPARE's freshness
   precondition per key.  A read-repair session names its keys; an
   **anti-entropy pull** streams only the keys the puller lacks (below).
@@ -46,31 +46,32 @@ read-repair that adopts a stamp beyond ``dst``'s knowledge only makes
 ``dst`` offer that key to peers sooner.  Neither can skip a key the
 puller lacks, because knowledge never runs ahead of state.
 
-Abort safety (the torn-vector contract)
----------------------------------------
+Sessions work on copies
+-----------------------
 
-On a faulted channel every session is
-:func:`~repro.net.cluster.launch_transactional`: each *resume*, and a
-permanent abort before its endpoints are released, restores the
-receiver's pre-session records in place.  Since client ops on a
-session's keys defer while it runs, no read can ever observe a torn
-prefix of an aborted attempt: the key's get result after a failed
-session equals its pre-session snapshot exactly.  Ops on *other* keys
-run during the session and survive its rollback — a session reads and
-writes no record outside its key set, and every dot such an op mints is
-above the advert and reply snapshots the session carries, so it is
-beyond the peer's knowledge and offered again by the next pull.
+No session writes a live record before it commits, so a client never
+reads uncommitted state and a torn attempt leaves nothing to undo.  At
+the *receiver*, each attempt merges every ``BEFORE``/``CONCURRENT`` key
+into a shadow copy of its vector (``EQUAL``/``AFTER`` keys are only
+read); the commit installs the shadows by swap and only then folds the
+siblings in.  A resume rebuilds from the live records over fresh
+shadows, and an abandon drops them.  At the *sender*, the session
+streams the records it captured at its start and the commit absorbs
+their siblings, watermark and stamp; a put or delete there swaps in a
+copy of the record before it writes (copy-on-write), so the sender's
+clients never wait.  Every dot such a write mints is above the reply
+snapshot the session carries, so it is beyond the peer's knowledge and
+offered again by the next pull.
 
-A queued repair holds its key
------------------------------
+A repair holds its key
+----------------------
 
 A read-repairing get hands its client the *union* of both replicas —
 values and causal context — while the stale replica catches up only when
-the repair session has run.  Until it starts (where the session's own
-hold takes over) the repair holds its key at the site it will pull into,
-so a later get there waits for it instead of handing the same client an
-older context than the one it already holds (a monotonic-reads
-violation).
+the repair session commits.  Until the session ends, queued or running,
+the repair holds its key at the site it pulls into, so a later get there
+waits for it instead of handing the same client an older context than
+the one it already holds (a monotonic-reads violation).
 
 Convergence
 -----------
@@ -96,8 +97,7 @@ from repro.core.order import Ordering
 from repro.errors import SessionError, ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.cluster import (SessionScheduler, check_session_config,
-                               launch_transactional, session_options,
-                               session_run)
+                               session_options, session_run)
 from repro.net.faults import RetryPolicy
 from repro.net.runner import SessionOptions, TimedSessionResult, launch
 from repro.net.simulator import Simulator, to_ns, to_seconds
@@ -110,7 +110,7 @@ from repro.obs.trace import Tracer
 from repro.protocols import registry
 from repro.protocols.effects import RECV, Send
 from repro.protocols.messages import KnowledgeMsg
-from repro.store.kv import (TOMBSTONE, CausalContext, KeySnapshot,
+from repro.store.kv import (TOMBSTONE, CausalContext, KeyRecord,
                             ReadResult, SiteStore, merge_siblings)
 
 if TYPE_CHECKING:
@@ -149,9 +149,10 @@ class StoreConfig:
             contexts); siblings then arise only from concurrent
             cross-site writes.  They are *not* bounded by the fleet
             size: values merge by union without per-value dots, and
-            ``bench/baseline.json`` measures
-            ``store.kv.siblings_per_key_max`` = 103–158 on
-            ``store_hot``'s 8 sites.  Off, puts use the client context
+            ``bench/workloads.py`` measures
+            ``store.kv.siblings_per_key_max`` = 59 on ``store_hot``'s
+            8 sites at scale 0.5, seed 0, and 78–219 over sub-seeds
+            0–6 at bench scale 0.7.  Off, puts use the client context
             verbatim.
         read_repair: consult a peer replica on ``get`` and schedule a
             per-key repair session when the replicas diverge.
@@ -381,15 +382,17 @@ class StoreCluster:
         self.stores: Dict[str, SiteStore] = {
             site: SiteStore(site, spec.vector_cls) for site in self.sites}
         self.sim = Simulator()
-        #: Capacity 1: every session holds ``_SITE`` at both endpoints,
-        #: so a site takes one session at a time.  Keys are held too — a
-        #: session's at both endpoints, a queued read-repair's where it
-        #: pulls into — and client ops wait on them.
+        #: Every session holds ``_SITE`` at both endpoints, so a site
+        #: takes one session at a time, and its keys at the receiver,
+        #: where writes wait on them; a read-repair holds its key where
+        #: it pulls into, reads included, from its request to its end.
         self._scheduler = SessionScheduler(self.sites, self._start)
-        #: (src, dst, key) triples with a repair session queued and not
-        #: yet started; keeps hot keys from flooding the queue with
-        #: duplicate repairs, and each holds ``key`` at ``dst``.
-        self._repair_inflight: set = set()
+        #: (src, dst, key) → record index of each read-repair queued or
+        #: running; keeps hot keys from flooding the queue with duplicate
+        #: repairs, and each holds ``key`` at ``dst``.
+        self._repair_inflight: Dict[Tuple[str, str, str], int] = {}
+        #: site → key → the record a live session streams from it.
+        self._sending: Dict[str, Dict[str, KeyRecord]] = {}
         self._records: List[StoreSessionRecord] = []
         self._totals = TransferStats()
         self._ops_applied = 0
@@ -404,15 +407,17 @@ class StoreCluster:
                ) -> None:
         """Submit ``op`` at the current simulated time.
 
-        Executes immediately unless ``op.key`` is held at ``op.site``;
-        then it defers, FIFO per site and key, until the key is free.
-        Whatever else the site is doing, an op on any other key has
-        ``queue_wait == 0``.
+        A get executes immediately unless a read-repair pulling
+        ``op.key`` into ``op.site`` is queued or running, or an older op
+        on the key still waits there.  A write also waits while a
+        session receives the key at ``op.site``.  Deferred ops land FIFO
+        per site and key; an op on any other key has ``queue_wait == 0``.
         """
         if op.site not in self.stores:
             raise ValidationError(f"unknown site {op.site!r}")
         if self._scheduler.admit(op.site, op.key, self._execute_op,
-                                 op, to_seconds(self.sim.now), on_done) \
+                                 op, to_seconds(self.sim.now), on_done,
+                                 read=op.kind == "get") \
                 and self.metrics is not None:
             self.metrics.counter("store.ops_deferred").inc()
 
@@ -421,6 +426,8 @@ class StoreCluster:
         store = self.stores[op.site]
         now = to_seconds(self.sim.now)
         repaired = False
+        if op.kind != "get":
+            self._unshare(op.site, op.key)
         if op.kind == "put":
             result = store.put(op.key, op.value,
                                context=self._write_context(store, op),
@@ -452,6 +459,20 @@ class StoreCluster:
                               submitted_at=submitted_at, executed_at=now,
                               repaired=repaired))
 
+    def _unshare(self, site: str, key: str) -> None:
+        """Copy-on-write: before a write at a live session's sender, give
+        the table its own copy of the record the session streams."""
+        sent = self._sending.get(site)
+        if sent is None:
+            return
+        record = sent.get(key)
+        table = self.stores[site].table
+        if record is not None and table[key] is record:
+            table[key] = KeyRecord(vector=record.vector.copy(),
+                                   siblings=record.siblings,
+                                   updated_at=record.updated_at,
+                                   stamp=record.stamp)
+
     def _write_context(self, store: SiteStore, op: ClientOp
                        ) -> Optional[CausalContext]:
         """The causal context a write executes under.
@@ -473,13 +494,13 @@ class StoreCluster:
                        ) -> Tuple[ReadResult, bool]:
         """Consult a peer replica; merge the read and schedule a repair.
 
-        The peer is only consulted while idle — a mid-session peer could
-        expose a torn vector.  (Idle as a site, not per key: consulting
-        a busy peer on its untouched keys was measured to start half as
-        many sessions again and cost +25% wire bits per op.)  On
-        divergence the *stale* replica pulls from the fresh one (both
-        ways on concurrency would double the traffic; the reverse
-        direction is left to background rounds).
+        The peer is only consulted while idle.  A busy peer would show
+        its committed records just as well (sessions work on copies),
+        but consulting one was measured to start half as many sessions
+        again and cost +25% wire bits per op, so the rule stays for its
+        cost alone.  On divergence the *stale* replica pulls from the
+        fresh one (both ways on concurrency would double the traffic;
+        the reverse direction is left to background rounds).
         """
         store = self.stores[op.site]
         peer_store = self.stores[op.repair_peer]
@@ -496,11 +517,11 @@ class StoreCluster:
         else:
             triple = (op.repair_peer, op.site, op.key)
         if triple not in self._repair_inflight:
-            # At most one queued repair per (pair, key): a hot key read
+            # At most one live repair per (pair, key): a hot key read
             # at every op would otherwise flood the session queue with
             # duplicates that all sync the same divergence.  It holds
-            # the key at the stale side (module notes) until it starts.
-            self._repair_inflight.add(triple)
+            # the key at the stale side (module notes) until its end.
+            self._repair_inflight[triple] = len(self._records)
             self._scheduler.hold(triple[1], op.key)
             self.request_sync(triple[0], triple[1], keys=(op.key,))
             self._read_repairs += 1
@@ -600,20 +621,28 @@ class StoreCluster:
         if self.metrics is not None:
             self.metrics.counter("store.sessions_abandoned").inc()
 
-    def _build_pairs(self, src: str, dst: str, keys: Tuple[str, ...],
-                     record: StoreSessionRecord) -> Tuple[Tuple[Any, Any],
-                                                          ...]:
-        """Fresh per-key coroutine pairs over the current records.
+    def _build_pairs(self, sent: Dict[str, KeyRecord], dst: str,
+                     record: StoreSessionRecord, shadows: Dict[str, Any]
+                     ) -> Tuple[Tuple[Any, Any], ...]:
+        """Fresh per-key coroutine pairs for one attempt.
 
-        The verdict computed here is the session's own bookkeeping — it
-        decides reconciliation and the sibling fold — and is never used
-        to choose *which* keys a pull streams (:meth:`_start`).
+        The sender streams the records ``sent`` captured at the start;
+        the receiver merges each ``BEFORE``/``CONCURRENT`` key into a
+        copy of its vector, kept in ``shadows`` for :meth:`_commit` to
+        install, and reads the rest in place (under ``EQUAL``/``AFTER``
+        no receiver writes).  The verdict computed here is the session's
+        own bookkeeping — it decides reconciliation and the sibling fold
+        — and is never used to choose *which* keys a pull streams
+        (:meth:`_start`).
         """
+        dst_store = self.stores[dst]
         pairs: List[Tuple[Any, Any]] = []
-        for key in keys:
-            src_vector = self.stores[src].record(key).vector
-            dst_vector = self.stores[dst].record(key).vector
+        for key, src_record in sent.items():
+            src_vector = src_record.vector
+            dst_vector = dst_store.record(key).vector
             verdict = dst_vector.compare(src_vector)
+            if verdict is Ordering.BEFORE or verdict is Ordering.CONCURRENT:
+                dst_vector = shadows[key] = dst_vector.copy()
             sender, receiver, reconciled = self._spec.build(
                 src_vector, dst_vector, verdict, tracer=self.tracer)
             record.verdicts[key] = verdict
@@ -625,25 +654,35 @@ class StoreCluster:
     def _start(self, record: StoreSessionRecord) -> None:
         src, dst = record.src, record.dst
         record.started_at = to_seconds(self.sim.now)
+        src_store = self.stores[src]
         reply: Optional[KnowledgeMsg] = None
         if record.advert is not None:
             # A pull syncs the keys ``src``'s stamp index says the advert
             # does not cover; it reads nothing of ``dst`` but the advert.
-            record.keys = tuple(self.stores[src].keys_beyond(record.advert))
-            reply = _knowledge_msg(self.stores[src])
-        elif (src, dst, *record.keys) in self._repair_inflight:
-            # The queued repair's hold on its key ends here; the
-            # session's own (just below) takes over.
-            self._repair_inflight.remove((src, dst, *record.keys))
-            self._scheduler.unhold(dst, record.keys[0])
+            record.keys = tuple(src_store.keys_beyond(record.advert))
+            reply = _knowledge_msg(src_store)
         keys = record.keys
-        self._scheduler.occupy(src, dst, (_SITE, *keys))
+        # What every attempt streams and the commit absorbs: ``src``'s
+        # records as of now (a write there copies first, _unshare).
+        self._sending[src] = sent = {key: src_store.record(key)
+                                     for key in keys}
+        self._scheduler.occupy(src, dst, (_SITE,), keys)
+        options = session_options(self.config, src, dst, record.index,
+                                  tracer=self.tracer)
         if self.tracer is not None:
+            # The session's own link: on a topology store it differs per
+            # region pair from the run span's ``channel``.
+            channel = options["channel"]
             self.tracer.event(obs.SESSION_START, party=dst, peer=src,
-                              session=record.index, keys=len(keys))
+                              session=record.index, keys=len(keys),
+                              latency=channel.latency,
+                              bandwidth=channel.bandwidth)
+        # The latest attempt's merged copies, by key.
+        shadows: Dict[str, Any] = {}
 
         def build_pairs() -> Tuple[Tuple[Any, Any], ...]:
-            pairs = self._build_pairs(src, dst, keys, record)
+            shadows.clear()
+            pairs = self._build_pairs(sent, dst, record, shadows)
             if reply is not None:
                 # The sender's knowledge leads the first key's stream
                 # (no extra frame entry, no extra wire); an empty
@@ -653,46 +692,43 @@ class StoreCluster:
                           _prefixed(RECV, receiver)),) + pairs[1:]
             return pairs
 
-        pairs = build_pairs()
-        dst_store = self.stores[dst]
-
-        def restore(snapshots: Dict[str, KeySnapshot]) -> None:
-            for key, snapshot in snapshots.items():
-                dst_store.restore(key, snapshot)
-
         def abandon(error: SessionError, stats: TransferStats) -> None:
             self._totals.merge(stats)
             self._abandoned(record)
             self._ended(record, bits=0)
             self._release(record)
 
-        launch_transactional(
-            self.sim, pairs,
-            snapshot=lambda: {key: dst_store.snapshot(key) for key in keys},
-            restore=restore, rebuild=build_pairs, on_abandon=abandon,
-            batch_size=self.config.batch_size if len(pairs) > 1 else 1,
-            on_commit=lambda: self._commit(record, reply),
+        # No attempt writes a live record, so a torn one leaves nothing
+        # to roll back: the next attempt merges into fresh copies.
+        launch(self.sim, SessionOptions(
+            rebuild=build_pairs, on_abandon=abandon,
+            batch_size=self.config.batch_size if len(keys) > 1 else 1,
+            on_commit=lambda: self._commit(record, sent, shadows, reply),
             on_complete=lambda result: self._finish(record, result, reply),
-            **session_options(self.config, src, dst, record.index,
-                              tracer=self.tracer))
+            **options))
 
     def _commit(self, record: StoreSessionRecord,
+                sent: Dict[str, KeyRecord], shadows: Dict[str, Any],
                 reply: Optional[KnowledgeMsg]) -> None:
-        """The session committed: fold its keys in and free them."""
+        """The session committed: install its copies, fold its keys in
+        and free them."""
         src, dst = record.src, record.dst
         dst_store = self.stores[dst]
-        for key in record.keys:
-            src_record = self.stores[src].record(key)
+        table = dst_store.table
+        for key, src_record in sent.items():
+            dst_record = table[key]
+            shadow = shadows.get(key)
+            if shadow is not None:
+                dst_record.vector = shadow
             dst_store.absorb(key, record.verdicts[key], src_record.siblings,
                              src_record.updated_at, src_record.stamp)
             if self.monitor is not None:
-                self.monitor.on_absorb(dst, key,
-                                       dst_store.record(key).updated_at,
+                self.monitor.on_absorb(dst, key, dst_record.updated_at,
                                        to_seconds(self.sim.now))
             if self.config.increment_on_merge and record.reconciled[key]:
                 # §2.2: the pulling site increments its own element after
                 # an automatic merge, per reconciled key.
-                dst_store.record(key).vector.record_update(dst)
+                dst_record.vector.record_update(dst)
                 self._reconciliations += 1
                 if self.tracer is not None:
                     self.tracer.event(obs.RECONCILE, party=dst, key=key,
@@ -727,8 +763,15 @@ class StoreCluster:
         """Free the session's sites and keys; land ops, start syncs."""
         if self.monitor is not None:
             self.monitor.on_session_end(to_seconds(self.sim.now))
-        self._scheduler.release(record.src, record.dst,
-                                (_SITE, *record.keys))
+        src, dst, keys = record.src, record.dst, record.keys
+        del self._sending[src]
+        if len(keys) == 1 and self._repair_inflight.get(
+                (src, dst, keys[0])) == record.index:
+            # A read-repair's hold ends with it; the release below lands
+            # the reads it deferred.
+            del self._repair_inflight[(src, dst, keys[0])]
+            self._scheduler.unhold(dst, keys[0])
+        self._scheduler.release(src, dst, (_SITE,), keys)
 
     def _ended(self, record: StoreSessionRecord, bits: int) -> None:
         """Trace and count one session that is over."""

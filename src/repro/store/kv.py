@@ -161,16 +161,6 @@ class KeyRecord:
         return tuple(v for v in self.siblings if v is not TOMBSTONE)
 
 
-@dataclass
-class KeySnapshot:
-    """A restorable copy of one key's record (transactional sessions)."""
-
-    vector: BasicRotatingVector
-    siblings: Tuple[Any, ...]
-    updated_at: float
-    stamp: Optional[Dot] = None
-
-
 class SiteStore:
     """One site's key→record table.
 
@@ -310,9 +300,9 @@ class SiteStore:
                src_stamp: Optional[Dot] = None) -> bool:
         """Fold a completed sync session's outcome into ``key``.
 
-        The session already synchronized the *vectors* (the receiver's
-        record vector was mutated in place by the SYNC* coroutines);
-        this applies the matching sibling rule, keyed on the pre-session
+        The session already synchronized the *vectors* (the cluster
+        installed the copy the SYNC* coroutines merged into); this
+        applies the matching sibling rule, keyed on the pre-session
         verdict:
 
         * ``BEFORE`` — the sender strictly dominated: adopt its siblings
@@ -345,31 +335,3 @@ class SiteStore:
             record.updated_at = src_updated_at
             changed = True
         return changed
-
-    # -- transactional snapshots -------------------------------------------
-
-    def snapshot(self, key: str) -> KeySnapshot:
-        """A restorable copy of the key's record (see :meth:`restore`)."""
-        record = self.record(key)
-        return KeySnapshot(vector=record.vector.copy(),
-                           siblings=record.siblings,
-                           updated_at=record.updated_at,
-                           stamp=record.stamp)
-
-    def restore(self, key: str, snapshot: KeySnapshot) -> None:
-        """Roll the key back to ``snapshot``, preserving vector identity.
-
-        The vector is restored *in place* (``BasicRotatingVector.restore``
-        and subclasses), so coroutines, result views, and per-key tables
-        that alias it stay valid — the same contract the cluster runner's
-        transactional resume relies on.  A mid-session abort therefore
-        can never leave a read observing a torn vector: the abort path
-        restores before the key is released to serve reads again.  The
-        stamp goes back into the per-origin index with it;
-        :attr:`knowledge` is left alone — dots are never reissued.
-        """
-        record = self.record(key)
-        record.vector.restore(snapshot.vector)
-        record.siblings = snapshot.siblings
-        record.updated_at = snapshot.updated_at
-        self._stamp(key, record, snapshot.stamp)

@@ -33,7 +33,7 @@ from repro.protocols.session import (SessionResult, run_session,
 from repro.protocols.syncb import syncb_receiver, syncb_sender
 from repro.protocols.syncc import syncc_receiver, syncc_sender
 from repro.protocols.syncs import syncs_receiver, syncs_sender
-from repro.store.kv import SiteStore
+from repro.store.kv import KeyRecord, SiteStore
 
 #: A history command: ("update", site_index) or ("sync", dst_index, src_index).
 Command = Union[Tuple[str, int], Tuple[str, int, int]]
@@ -139,8 +139,12 @@ def linked_vectors() -> Iterator[None]:
 def clone_store(store: SiteStore) -> SiteStore:
     """A deep copy of one site's table, stamps, index and knowledge."""
     twin = SiteStore(store.site, store.vector_cls)
-    for key in store.table:
-        twin.restore(key, store.snapshot(key))
+    for key, record in store.table.items():
+        twin.table[key] = KeyRecord(
+            vector=record.vector.copy(), siblings=record.siblings,
+            updated_at=record.updated_at, stamp=record.stamp)
+    twin._stamped = {origin: list(entries)
+                     for origin, entries in store._stamped.items()}
     twin.knowledge.update(store.knowledge)
     return twin
 

@@ -194,3 +194,28 @@ def test_work_behind_a_resource_retaken_mid_flush_stays_deferred():
     assert landed == ["x1", "y1"]
     scheduler.release("A", "C", ("x",))
     assert landed == ["x1", "y1", "x2"] and scheduler.drained()
+
+
+def test_reads_wait_only_for_holds_and_older_work():
+    """A session's receiver-only resources bind its ``dst`` alone, and
+    only for work that is not a read; a read waits for a :meth:`hold`
+    and for older work on its resource, which it never overtakes."""
+    landed = []
+    scheduler = SessionScheduler(SITES, lambda item: None)
+    scheduler.occupy("A", "B", ("s",), ("x",))
+    assert not scheduler.admit("A", "x", landed.append, "write at A")
+    assert not scheduler.admit("B", "x", landed.append, "read at B",
+                               read=True)
+    assert scheduler.admit("B", "x", landed.append, "write at B")
+    assert scheduler.admit("B", "x", landed.append, "read behind",
+                           read=True)
+    scheduler.hold("B", "y")
+    assert scheduler.admit("B", "y", landed.append, "read held", read=True)
+    scheduler.release("A", "B", ("s",), ("x",))
+    assert landed == ["write at A", "read at B", "write at B",
+                      "read behind"]
+    # The hold's reads land at the next release of ``y`` at ``B``.
+    scheduler.unhold("B", "y")
+    scheduler.occupy("C", "B", (), ("y",))
+    scheduler.release("C", "B", (), ("y",))
+    assert landed[-1] == "read held" and scheduler.drained()

@@ -13,6 +13,8 @@ from repro.obs import trace as obs
 from repro.obs.causal import (CATEGORIES, CAUSAL_SCHEMA, analyze_events,
                               analyze_tracer, validate_analysis)
 from repro.obs.trace import SamplingPolicy, Tracer
+from repro.store.cluster import (ClientOp, StoreCluster, StoreConfig,
+                                 gossip_peers)
 from repro.workload.cluster import (SessionRequest, UpdateRequest,
                                     gossip_schedule, site_names,
                                     update_schedule)
@@ -390,5 +392,66 @@ class TestTopologyChannels:
             assert (channel.latency, channel.bandwidth) \
                 == (link.latency, link.bandwidth)
             assert channel.protocol == span.protocol == "srv"
+            hops += 1
+        assert hops
+
+
+class TestTopologyStoreChannels:
+    """The same for a topology store: each session's ``session_start``
+    carries its region pair's link, so an inter-region hop splits into
+    the link's 40 ms latency plus serialization."""
+
+    SPEC = TopologySpec.grid(2, 2, intra=LinkProfile(0.002, 1e6),
+                             inter=LinkProfile(0.04, 250e3))
+
+    def analyzed(self):
+        tracer = Tracer()
+        store = StoreCluster(None, StoreConfig(topology=self.SPEC,
+                                               encoding=ENC), tracer=tracer)
+        for index, site in enumerate(store.sites):
+            store.submit(ClientOp(kind="put", site=site,
+                                  key=f"k{index % 2}", value=f"v{index}"))
+        for round_no, src, dst in gossip_peers(store.sites, rounds=2,
+                                               seed=1):
+            store.sim.call_at(
+                to_ns(0.2 * round_no + 0.01),
+                lambda s=src, d=dst: store.request_sync(s, d))
+        store.run()
+        return analyze_tracer(tracer)
+
+    def test_every_hop_is_billed_with_its_own_link(self):
+        analysis = self.analyzed()
+        graph = analysis.graph
+        sessions = {summary["session"]: summary
+                    for summary in analysis.sessions}
+        links = set()
+        for session, start in graph.session_start.items():
+            link = self.SPEC.channel_for(start.peer, start.party)
+            links.add(link.latency)
+            # The advert and the batch share the session's index.
+            sent = [graph.nodes[source]
+                    for node in graph.nodes.values()
+                    if node.session == session
+                    for source, edge in node.preds if edge == "transmit"]
+            assert sent
+            attribution = sessions[session]["attribution"]
+            assert to_ns(attribution["latency"]) \
+                == len(sent) * to_ns(link.latency)
+            assert to_ns(attribution["serialization"]) == sum(
+                serialization_ns(message.bits, link.bandwidth)
+                for message in sent)
+        assert links == {0.002, 0.04}
+
+    def test_each_hop_reads_its_session_link_before_the_span(self):
+        graph = self.analyzed().graph
+        hops = 0
+        for node in graph.nodes.values():
+            if not any(edge == "transmit" for _, edge in node.preds):
+                continue
+            start = graph.session_start[node.session]
+            link = self.SPEC.channel_for(start.peer, start.party)
+            channel = graph.channel_for(node)
+            assert (channel.latency, channel.bandwidth) \
+                == (link.latency, link.bandwidth)
             hops += 1
         assert hops

@@ -273,12 +273,15 @@ class TestDigest:
         """``monitor=None`` is the byte-identical default: attaching the
         observatory must not perturb the workload's own digest.  The
         fingerprint is pinned so a change to *both* paths at once cannot
-        slip through as "still equal"."""
+        slip through as "still equal".  (Re-pinned when store sessions
+        came to work on copies: a write at a session's sender no longer
+        waits for it, so the puts' contexts and the final siblings
+        moved.)"""
         baseline = run_store_workload(SMALL).digest()
         _, monitored = _monitored_run()
         assert monitored.digest() == baseline
         assert baseline["state_sha256"] == (
-            "04f28c40dccae65cab34af59d03fbe8e6922388af594620265b00f3a49fbc01c")
+            "047bf06fa00f5f8e9e4b5a21a3677ce8cee089b2b3830262d53ef2b2a27afbaf")
 
     def test_worst_keys_limit_is_honored(self):
         monitor, _ = _monitored_run(worst_keys=2)

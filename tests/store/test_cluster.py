@@ -117,23 +117,33 @@ class TestDeferral:
         return c
 
     def test_ops_on_other_keys_land_mid_session_at_src_and_dst(self):
+        """So do gets on the session's own key at either end, and a write
+        at its sender; only a write at its receiver waits."""
         c = self.mid_pull_over_k()
         outcomes = []
-        c.submit(ClientOp(kind="put", site="A", key="j", value="j2"),
-                 on_done=outcomes.append)
-        c.submit(ClientOp(kind="get", site="B", key="j"),
-                 on_done=outcomes.append)
-        c.submit(ClientOp(kind="put", site="B", key="fresh", value="f"),
-                 on_done=outcomes.append)
-        assert [o.queue_wait for o in outcomes] == [0, 0, 0]
+        for op in (ClientOp(kind="put", site="A", key="j", value="j2"),
+                   ClientOp(kind="get", site="B", key="j"),
+                   ClientOp(kind="put", site="B", key="fresh", value="f"),
+                   ClientOp(kind="get", site="A", key="k"),
+                   ClientOp(kind="get", site="B", key="k"),
+                   ClientOp(kind="put", site="A", key="k", value="k2")):
+            c.submit(op, on_done=outcomes.append)
+        assert [o.queue_wait for o in outcomes] == [0] * 6
         assert outcomes[1].result.values == ("j1",)
-        c.submit(ClientOp(kind="get", site="A", key="k"),
+        # Mid-pull, each end reads its last committed record.
+        assert outcomes[3].result.values == ("k1",)
+        assert not outcomes[4].result.exists
+        c.submit(ClientOp(kind="put", site="B", key="k", value="kb"),
                  on_done=outcomes.append)
-        assert len(outcomes) == 3  # the session's own key: deferred
+        assert len(outcomes) == 6  # a write at the receiver: deferred
         result = c.run()
         assert result.records[-1].keys == ("k",)
-        assert outcomes[3].queue_wait > 0
+        assert outcomes[6].queue_wait > 0
         assert result.ops_deferred == 1
+        # The pull delivered k1, the state it captured at its start (A's
+        # k2 copied on write); B's put ran on the installed record.
+        assert outcomes[6].result.context == {"A": 1, "B": 1}
+        assert c.stores["A"].get("k").context == {"A": 2}
 
     def test_fifo_per_key_while_another_key_overtakes(self):
         c = self.mid_pull_over_k()
@@ -168,37 +178,41 @@ class TestDeferral:
         assert outcomes[0].queue_wait == 0 and result.ops_deferred == 0
         assert (record.started_at < outcomes[0].executed_at
                 < to_seconds(c.sim.now))
-        # ... and the rollback touched the session's key only.
+        # ... and the abandon left both keys as they were.
         assert c.stores["B"].get("j").values == ("vj",)
         after = c.stores["B"].get("k")
         assert (after.values, after.context) == (before.values,
                                                  before.context)
 
     def test_the_flush_walks_past_a_rebusied_key(self):
-        """``get k`` is flushed and starts a repair over ``k``; ``put
-        k`` behind it has to wait for that repair too, but ``put j``
-        behind both is on a free key and lands with the get."""
-        c = cluster(sites=("A", "B"))
+        """``get k`` waits behind a ``put k`` at the receiver; flushed, it
+        starts a repair pulling ``k`` into its site, so the ``put k``
+        behind it has to wait for that repair too, but ``put j`` behind
+        both is on a free key and lands with the get."""
+        c = cluster(sites=("A", "B", "C"))
         c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
-        c.submit(ClientOp(kind="put", site="B", key="k", value="vb"))
+        c.submit(ClientOp(kind="put", site="C", key="k", value="vc"))
         c.request_sync("A", "B", keys=("j", "k"))  # occupies both at once
         order = []
-        for op in (ClientOp(kind="get", site="B", key="k", repair_peer="A"),
+        for op in (ClientOp(kind="put", site="B", key="k", value="vb"),
+                   ClientOp(kind="get", site="B", key="k", repair_peer="C"),
                    ClientOp(kind="put", site="B", key="k", value="vb2"),
                    ClientOp(kind="put", site="B", key="j", value="vj")):
             c.submit(op, on_done=order.append)
         assert not order
         result = c.run()
         assert [(o.op.kind, o.op.key) for o in order] == [
-            ("get", "k"), ("put", "j"), ("put", "k")]
-        get, put_j, put_k = order
-        # B merged, so it is ahead of A and the get repairs A from B.
+            ("put", "k"), ("get", "k"), ("put", "j"), ("put", "k")]
+        put_k, get, put_j, put_k2 = order
+        # C's write is concurrent with B's, so the get repairs B from C.
         assert get.repaired and result.read_repairs == 1
+        assert get.result.values == ("vb", "vc")
         repair = result.records[-1]
-        assert (repair.src, repair.dst, repair.keys) == ("B", "A", ("k",))
-        assert put_j.executed_at == get.executed_at == repair.started_at
-        assert put_k.executed_at == repair.result.completion_time
-        assert result.ops_deferred == 3
+        assert (repair.src, repair.dst, repair.keys) == ("C", "B", ("k",))
+        assert (put_k.executed_at == get.executed_at == put_j.executed_at
+                == repair.started_at)
+        assert put_k2.executed_at == repair.result.completion_time
+        assert result.ops_deferred == 4
 
 
 class TestCoordinatedWrites:
@@ -304,19 +318,50 @@ class TestAbortSafety:
         assert "vb" in c.stores["B"].get("k").values
 
     def test_flush_started_repair_keeps_later_ops_deferred(self):
-        """The same erasure hazard, entered through the flush: a named-
-        key session occupies both sites at once, so the get really is
-        flushed — and the repair it starts must hold the put back."""
+        """The same hazard, entered through the flush: a named-key
+        session occupies both sites at once, the get queues behind a
+        write at the receiver and really is flushed — and the repair it
+        starts must hold the put behind it back."""
         c = chaos_cluster(drop=1.0)
         c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
         c.submit(ClientOp(kind="put", site="B", key="k", value="vother"))
         c.request_sync("A", "B", keys=("k",))  # doomed, occupies both
-        c.submit(ClientOp(kind="get", site="B", key="k", repair_peer="A"))
-        c.submit(ClientOp(kind="put", site="B", key="k", value="vb"))
+        order = []
+        for op in (ClientOp(kind="put", site="B", key="k", value="vfirst"),
+                   ClientOp(kind="get", site="B", key="k", repair_peer="A"),
+                   ClientOp(kind="put", site="B", key="k", value="vb")):
+            c.submit(op, on_done=order.append)
         result = c.run()
-        assert result.ops_deferred == 2
+        assert result.ops_deferred == 3
         assert result.sessions_abandoned == 2
+        first, get, put = order
+        assert get.repaired
+        assert first.executed_at == get.executed_at < put.executed_at
         assert "vb" in c.stores["B"].get("k").values
+
+    def test_gets_inside_a_torn_session_read_committed_records(self):
+        # The link goes down after the advert; the batch tears, resumes
+        # at 0.185 s and is abandoned at 0.350 s.  Gets at both ends,
+        # in the first attempt and in the resume, run at once.
+        channel = ChannelSpec(latency=0.01, bandwidth=1e6, faults=FaultSpec(
+            partitions=((0.015, 100.0),), seed=5))
+        c = StoreCluster(["A", "B"], StoreConfig(
+            channel=channel, retry=RetryPolicy(
+                max_retries=1, initial_rto=0.05, max_session_attempts=2)))
+        c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
+        c.submit(ClientOp(kind="put", site="B", key="k", value="vb"))
+        c.request_sync("A", "B")
+        outcomes = []
+        for at in (0.1, 0.25):
+            for site in "AB":
+                c.sim.call_at(to_ns(at), lambda s=site: c.submit(
+                    ClientOp(kind="get", site=s, key="k"),
+                    on_done=outcomes.append))
+        result = c.run()
+        assert result.totals.resumes == 1 and result.sessions_abandoned == 1
+        assert [o.queue_wait for o in outcomes] == [0] * 4
+        assert [(o.result.values, o.result.context) for o in outcomes] == [
+            (("va",), {"A": 1}), (("vb",), {"B": 1})] * 2
 
     @staticmethod
     def fingerprint(store):
@@ -346,8 +391,8 @@ class TestAbortSafety:
         assert record.aborted and result.sessions_abandoned == 1
         assert result.totals.resumes == 1
         assert result.keys_streamed == 0
-        # B's vectors were torn twice and restored twice; "j", which B
-        # had never heard of, is back to an unstamped empty placeholder.
+        # Both attempts merged into copies that were dropped; "j", which
+        # B had never heard of, is an unstamped empty placeholder.
         placeholder = c.stores["B"].table.pop("j")
         assert placeholder.stamp is None and not placeholder.siblings
         assert not dict(placeholder.vector.elements())

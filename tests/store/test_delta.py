@@ -10,7 +10,9 @@ the invariant that makes skipping keys sound — knowledge never runs
 ahead of state.
 """
 
+import random
 import sys
+from collections import defaultdict, deque
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from repro.net.channel import ChannelSpec
 from repro.net.faults import RetryPolicy, chaos_faults
 from repro.net.simulator import to_ns
 from repro.store.cluster import ClientOp, StoreCluster, StoreConfig
-from repro.store.kv import SiteStore
+from repro.store.kv import TOMBSTONE, SiteStore
 from repro.workload.clients import StoreWorkloadConfig, run_store_workload
 from tests.helpers import clone_store, full_walk_pull
 
@@ -49,6 +51,14 @@ class CheckedCluster(StoreCluster):
         self.pulls_checked = 0
         #: dot -> (key, vector values right after the event).
         self.events = {}
+        #: (site, key) -> the state its last write or commit left.
+        self.committed = {}
+        #: (site, key) -> ops submitted there and not yet run, in order.
+        self.submitted = defaultdict(deque)
+        self.gets_checked = 0
+        #: Gets that ran while a live session at their site synced
+        #: their key, as sender or receiver.
+        self.gets_mid_session = 0
 
     def note_events(self, site):
         for key, record in self.stores[site].table.items():
@@ -67,20 +77,75 @@ class CheckedCluster(StoreCluster):
                 f"{site} claims ({origin}, {counter}) but holds {now} "
                 f"for {key}, which had {then} right after it")
 
+    def committed_state(self, site, key):
+        return self.committed.get((site, key), ({}, (), 0.0))
+
+    def check_committed(self):
+        """Every live record is the state its last write or commit left:
+        no session attempt, torn or not, ever shows through."""
+        for site, store in self.stores.items():
+            for key in store.table:
+                assert state_of(store, key) == self.committed_state(
+                    site, key), f"{site}/{key} shows uncommitted state"
+
+    def submit(self, op, on_done=None):
+        self.submitted[(op.site, op.key)].append(op)
+        super().submit(op, on_done)
+
     def _execute_op(self, op, submitted_at, on_done):
-        # The torn-vector contract: no op touches a key a live session
-        # at its site is syncing.
-        for record, _, _ in self.twins.values():
-            assert (op.site not in (record.src, record.dst)
-                    or op.key not in record.keys), (
-                f"{op.kind} {op.key} at {op.site} ran inside session "
-                f"{record.index} {record.src}->{record.dst} over "
-                f"{record.keys}")
-        super()._execute_op(op, submitted_at, on_done)
-        self.note_events(op.site)
-        self.check_knowledge(op.site)
+        site, key = op.site, op.key
+        assert self.submitted[(site, key)].popleft() is op, (
+            f"{op.kind} {key} at {site} overtook an op queued on its key")
+        self.check_committed()
+        for (_, dst, repaired), index in self._repair_inflight.items():
+            assert (dst, repaired) != (site, key), (
+                f"{op.kind} {key} at {site} ran while read-repair "
+                f"{index} pulls it there")
+        if op.kind != "get":
+            for record, _, _ in self.twins.values():
+                assert record.dst != site or key not in record.keys, (
+                    f"{op.kind} {key} at {site} ran inside session "
+                    f"{record.index} {record.src}->{site} over "
+                    f"{record.keys}")
+            super()._execute_op(op, submitted_at, on_done)
+            self.committed[(site, key)] = state_of(self.stores[site], key)
+        else:
+            self.gets_mid_session += any(
+                site in (record.src, record.dst) and key in record.keys
+                for record, _, _ in self.twins.values())
+            local = self.committed_state(site, key)
+            peer = (self.committed_state(op.repair_peer, key)
+                    if op.repair_peer is not None else local)
+
+            def checked(outcome):
+                self.check_read(outcome, local, peer)
+                if on_done is not None:
+                    on_done(outcome)
+
+            super()._execute_op(op, submitted_at, checked)
+        self.note_events(site)
+        self.check_knowledge(site)
+
+    def check_read(self, outcome, local, peer):
+        """A get reads its site's committed record; a repairing one, the
+        join of that and its peer's committed record."""
+        result = outcome.result
+        vector, siblings, updated_at = local
+        read = (tuple(v for v in siblings if v is not TOMBSTONE),
+                vector, updated_at)
+        got = (result.values, result.context, result.as_of)
+        if got != read:
+            assert outcome.repaired, f"{got} is not the committed {read}"
+            joined = dict(vector)
+            for origin, count in peer[0].items():
+                joined[origin] = max(joined.get(origin, 0), count)
+            assert result.context == joined
+            assert set(result.values) <= set(siblings) | set(peer[1])
+            assert result.as_of == max(updated_at, peer[2])
+        self.gets_checked += 1
 
     def _start(self, record):
+        self.check_committed()
         self.twins[record.index] = (record,
                                     clone_store(self.stores[record.src]),
                                     clone_store(self.stores[record.dst]))
@@ -92,9 +157,9 @@ class CheckedCluster(StoreCluster):
         _, src_before, dst_before = self.twins.pop(record.index)
         dst = self.stores[record.dst]
         if record.aborted:
-            # Rolled back: the session's keys are the twin's again, and
-            # knowledge moved only by the dots dst minted meanwhile for
-            # ops on other keys.
+            # Nothing was installed: the session's keys are the twin's,
+            # and knowledge moved only by the dots dst minted meanwhile
+            # for ops on other keys.
             for key in record.keys:
                 assert state_of(dst, key) == state_of(dst_before, key)
             minted = dst.knowledge.get(record.dst, 0)
@@ -102,6 +167,8 @@ class CheckedCluster(StoreCluster):
             assert ({**dst.knowledge, record.dst: minted}
                     == {**dst_before.knowledge, record.dst: minted})
         else:
+            for key in record.keys:
+                self.committed[(record.dst, key)] = state_of(dst, key)
             self.note_events(record.dst)
             self.check_knowledge(record.dst)
             if record.advert is not None:
@@ -121,6 +188,7 @@ class CheckedCluster(StoreCluster):
                         f"{record.dst} streamed {record.keys} and "
                         f"skipped {key}, which the full walk moves")
                 self.pulls_checked += 1
+        self.check_committed()
         super()._release(record)
 
 
@@ -183,6 +251,36 @@ class TestDeltaEqualsFullWalk:
         completed = sum(1 for r in result.records
                         if r.advert is not None and not r.aborted)
         assert cluster.pulls_checked == completed
+
+
+class TestSessionsWorkOnCopies:
+    """A session merges into copies and installs them at its commit, so
+    every get reads a committed state of its record — mid-session at
+    either endpoint, and whether the session resumes or is abandoned."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_sites=st.integers(3, 4), plan=steps,
+           loss=st.sampled_from((0.1, 0.3)),
+           chaos_seed=st.integers(0, 2**16))
+    def test_every_get_reads_a_committed_state(self, n_sites, plan, loss,
+                                               chaos_seed):
+        cluster, _ = run_steps(n_sites, plan, loss=loss,
+                               chaos_seed=chaos_seed)
+        assert cluster.gets_checked == sum(
+            1 for kind, *_ in plan if kind == "get")
+
+    def test_the_property_sees_resumes_abandons_and_mid_session_gets(self):
+        rng = random.Random(22)
+        kinds = ("put", "put", "delete", "get", "get", "sync", "sync")
+        plan = [(rng.choice(kinds), rng.randrange(4), rng.randrange(4),
+                 rng.randrange(6),
+                 rng.choice((0.0, 0.001, 0.004, 0.02, 0.1)))
+                for _ in range(40)]
+        cluster, result = run_steps(4, plan, loss=0.3, chaos_seed=1)
+        assert cluster.gets_mid_session > 0
+        assert result.totals.resumes > 0 and result.sessions_abandoned > 0
+        assert cluster.gets_checked == sum(
+            1 for kind, *_ in plan if kind == "get")
 
 
 class TestKnowledgeInvariant:
@@ -287,18 +385,18 @@ class TestStamps:
         assert store.record("k").stamp == ("B", 2)
         assert store.keys_beyond({"A": 7, "B": 1}) == ["k"]
 
-    def test_restore_puts_the_stamp_and_the_index_back(self):
+    def test_a_clone_carries_stamps_index_and_knowledge(self):
         store = SiteStore("B")
         store.put("k", "v1")
         store.put("j", "w")
-        snapshot = store.snapshot("k")
+        twin = clone_store(store)
         store.absorb("k", Ordering.BEFORE, ("v2",), 0.0, ("A", 5))
-        assert store.keys_beyond({"B": 2}) == ["k"]
-        store.restore("k", snapshot)
-        assert store.record("k").stamp == ("B", 1)
-        assert store.keys_beyond({"B": 2}) == []
-        assert store.keys_beyond({}) == ["j", "k"]
-        assert store.knowledge == {"B": 2}       # dots are never reissued
+        store.record("j").vector.record_update("B")
+        assert twin.record("k").stamp == ("B", 1)
+        assert twin.keys_beyond({"B": 1}) == ["j"]
+        assert twin.keys_beyond({}) == ["j", "k"]
+        assert twin.knowledge == {"B": 2}
+        assert dict(twin.record("j").vector.elements()) == {"B": 1}
 
 
 class TestSweepOrder:

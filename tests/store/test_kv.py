@@ -1,7 +1,5 @@
 """Per-site key-value semantics: siblings, contexts, tombstones."""
 
-import pytest
-
 from repro.core.order import Ordering
 from repro.core.rotating import BasicRotatingVector
 from repro.core.skip import SkipRotatingVector
@@ -145,29 +143,3 @@ class TestAbsorb:
         for verdict in (Ordering.AFTER, Ordering.EQUAL):
             assert not store.absorb("k", verdict, ("theirs",), 0.0)
         assert store.record("k").siblings == ("mine",)
-
-
-class TestSnapshotRestore:
-    @pytest.mark.parametrize("vector_cls",
-                             [BasicRotatingVector, SkipRotatingVector])
-    def test_restore_rolls_back_and_preserves_identity(self, vector_cls):
-        store = SiteStore("A", vector_cls)
-        store.put("k", "v1", now=1.0)
-        snapshot = store.snapshot("k")
-        aliased = store.record("k").vector
-        store.put("k", "v2", now=2.0)
-        store.record("k").vector.record_update("B")
-        store.restore("k", snapshot)
-        record = store.record("k")
-        assert record.vector is aliased  # in-place restore
-        assert record.siblings == ("v1",)
-        assert record.updated_at == 1.0
-        assert store.get("k").context == {"A": 1}
-
-    def test_snapshot_is_isolated_from_later_writes(self):
-        store = SiteStore("A")
-        store.put("k", "v1")
-        snapshot = store.snapshot("k")
-        store.put("k", "v2")
-        assert snapshot.siblings == ("v1",)
-        assert dict(snapshot.vector.elements()) == {"A": 1}
