@@ -78,17 +78,6 @@ class BasicRotatingVector:
         """An independent deep copy (order, values, and bits)."""
         return type(self)(self.order.copy())
 
-    def restore(self, snapshot: "BasicRotatingVector") -> None:
-        """Adopt ``snapshot``'s state in place, keeping this identity.
-
-        Every alias to this vector (cluster result views, site tables)
-        continues to see it — which is the point: resumable sessions
-        roll a receiver back to its pre-session snapshot without
-        invalidating references the surrounding system already holds.
-        ``snapshot`` itself is not captured; its order is copied.
-        """
-        self.order = snapshot.order.copy()
-
     # -- element access ----------------------------------------------------------
 
     def __getitem__(self, site: str) -> int:

@@ -74,17 +74,6 @@ class SkipRotatingVector(ConflictRotatingVector):
             vector.order.set_segment(segment[-1][0])
         return vector
 
-    def restore(self, snapshot: "BasicRotatingVector") -> None:
-        """In-place rollback; also drops the cached segment partition.
-
-        The adopted order starts a fresh version counter, which could
-        collide with ``_partition_version`` and revive a parse of the
-        pre-restore state — so the cache is invalidated explicitly.
-        """
-        super().restore(snapshot)
-        self._partition_cache = None
-        self._partition_version = -1
-
     # -- segment inspection -----------------------------------------------------
 
     def segment_bit(self, site: str) -> bool:

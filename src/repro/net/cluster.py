@@ -25,15 +25,22 @@ sender/receiver processes on a single :class:`~repro.net.simulator.Simulator`:
   one session at a time and must reproduce the concurrent run's bit
   counts exactly; the paired benchmark asserts it.
 
+* **Attempts merge into copies.**  The protocols stream Δ newest-first,
+  so a torn attempt would leave its receiver holding elements without
+  their causal past.  On a faulted link each attempt therefore merges
+  every ``BEFORE``/``CONCURRENT`` receiver object into a fresh copy, and
+  the commit installs the copies; a resume rebuilds over new ones, and
+  nothing is ever rolled back.  On a perfect link no attempt tears, so
+  the receiver merges in place.
+
 The mechanism — :class:`SessionScheduler` and the :func:`session_run`
 frame — is shared with the replicated store's
-:class:`~repro.store.cluster.StoreCluster`.  The two differ in what a
-session holds: a fleet session its objects at both endpoints (an update
-waits for its own object only), a store session one site-wide token at
-both endpoints and its keys at the receiver (a site takes one session at
-a time; a client read waits only for a read-repair into its site).  The fleet's attempts are
-transactional (:func:`launch_transactional`); the store's merge into
-copies and need no rollback.
+:class:`~repro.store.cluster.StoreCluster`, whose sessions work on
+copies by the same rule.  The two differ in what a session holds: a
+fleet session its objects at both endpoints (an update waits for its own
+object only), a store session one site-wide token at both endpoints and
+its keys at the receiver (a site takes one session at a time; a client
+read waits only for a read-repair into its site).
 
 Tracing and metrics reuse the PR 1 instruments: pass a
 :class:`~repro.obs.trace.Tracer` for clock-stamped per-site events and a
@@ -54,11 +61,11 @@ from typing import (Any, Callable, Deque, Dict, Hashable, Iterable, Iterator,
 
 from repro.core.order import Ordering
 from repro.core.rotating import BasicRotatingVector
-from repro.errors import SessionError, SimulationError, ValidationError
+from repro.errors import SimulationError, ValidationError
 from repro.net.channel import ChannelSpec
 from repro.net.faults import RetryPolicy, derive_seed
-from repro.net.runner import (SessionHandle, SessionOptions,
-                              TimedSessionResult, launch, run_timed)
+from repro.net.runner import (SessionOptions, TimedSessionResult, launch,
+                              run_timed)
 from repro.net.sharding import ShardMap, build_shard_map
 from repro.net.simulator import Simulator, to_ns, to_seconds
 from repro.net.stats import TransferStats
@@ -239,31 +246,41 @@ def session_options(config: Any, src: str, dst: str, session_id: int, *,
                     if channel.faults.enabled else None))
 
 
-def _snapshot_writable(receiver: Any, objs: Tuple[int, ...],
-                       verdicts: Tuple[Ordering, ...]
-                       ) -> Tuple[Tuple[int, Any], ...]:
-    """``(obj, copy)`` for each of the receiver's ``objs`` a session
-    attempt can write; ``verdicts`` are ``receiver[obj].compare(sender)``.
+def _build_attempt(protocol: str, sending: Dict[int, Any],
+                   receiving: Dict[int, Any], objs: Tuple[int, ...],
+                   shadows: Optional[Dict[int, Any]], *,
+                   tracer: Optional[Tracer] = None
+                   ) -> Tuple[Tuple[Tuple[Any, Any], ...],
+                              Tuple[Ordering, ...], Tuple[bool, ...]]:
+    """One attempt's coroutine pairs over the endpoints' committed state,
+    with each object's verdict and whether its receiver reconciles.
 
-    Only a ``BEFORE`` or ``CONCURRENT`` object can change.  Under
-    ``EQUAL`` or ``AFTER`` the receiver covers the sender: no arriving
-    element is newer than its own, and every registered receiver writes
-    only through ``place_after`` on a newer value (``set_segment`` seals
-    a run ``place_after`` began).  A torn attempt cannot touch the rest.
+    With ``shadows``, every ``BEFORE``/``CONCURRENT`` receiver object
+    merges into a fresh copy, kept there by id for the commit to install;
+    the live one is only read.  Under ``EQUAL``/``AFTER`` the receiver
+    covers the sender: no arriving element is newer than its own, and
+    every registered receiver writes only through ``place_after`` on a
+    newer value, so it is read in place.  ``None`` merges in place, for a
+    link no attempt can tear.
     """
-    return tuple((obj, receiver[obj].copy())
-                 for obj, verdict in zip(objs, verdicts)
-                 if verdict is Ordering.BEFORE
-                 or verdict is Ordering.CONCURRENT)
-
-
-def _restore_writable(receiver: Any,
-                      saved: Tuple[Tuple[int, Any], ...]) -> None:
-    """Roll back what :func:`_snapshot_writable` copied.  In place: result
-    views and the site table alias these objects, so identity must
-    survive the rollback."""
-    for obj, snapshot in saved:
-        receiver[obj].restore(snapshot)
+    spec = registry.get(protocol)
+    if shadows is not None:
+        shadows.clear()
+    pairs: List[Tuple[Any, Any]] = []
+    verdicts: List[Ordering] = []
+    reconciles: List[bool] = []
+    for obj in objs:
+        source, target = sending[obj], receiving[obj]
+        verdict = target.compare(source)
+        if shadows is not None and (verdict is Ordering.BEFORE
+                                    or verdict is Ordering.CONCURRENT):
+            target = shadows[obj] = target.copy()
+        sender, receiver, reconciled = spec.build(source, target, verdict,
+                                                  tracer=tracer)
+        pairs.append((sender, receiver))
+        verdicts.append(verdict)
+        reconciles.append(reconciled)
+    return tuple(pairs), tuple(verdicts), tuple(reconciles)
 
 
 class SessionScheduler:
@@ -480,45 +497,6 @@ class SessionScheduler:
                     or any(self._deferred.values()))
 
 
-def launch_transactional(
-        sim: Simulator, pairs: Tuple[Tuple[Any, Any], ...], *,
-        snapshot: Callable[[], Any], restore: Callable[[Any], None],
-        rebuild: Callable[[], Any],
-        on_abandon: Optional[Callable[[SessionError, TransferStats],
-                                      None]] = None,
-        **options: Any) -> SessionHandle:
-    """Launch a session whose attempts are transactional on a faulted link.
-
-    ``options`` are the remaining :class:`~repro.net.runner.SessionOptions`
-    fields.  ``pairs`` is the first attempt, and all of it on a perfect
-    channel.  On a faulted one the protocols stream Δ newest-first, so a
-    torn attempt's acked prefix is never ancestor-closed; committing it
-    would leave a vector claiming an element without its causal past
-    (which halts every later sync prematurely).  So ``snapshot()``
-    captures the receiver's state up front, every resume calls
-    ``restore(saved)`` before ``rebuild()`` makes the next pairs, and a
-    permanent abort restores before ``on_abandon`` runs.  Sound because
-    the owner's holds keep every other writer off that state.
-    """
-    if not options["channel"].faults.enabled:
-        return launch(sim, SessionOptions(pairs=pairs, **options))
-    saved = snapshot()
-    first_pairs = [pairs]
-
-    def attempt() -> Tuple[Tuple[Any, Any], ...]:
-        if first_pairs:
-            return first_pairs.pop()
-        restore(saved)
-        return rebuild()
-
-    if on_abandon is not None:
-        def abandon(error: SessionError, stats: TransferStats) -> None:
-            restore(saved)
-            on_abandon(error, stats)
-        options["on_abandon"] = abandon
-    return launch(sim, SessionOptions(rebuild=attempt, **options))
-
-
 @contextmanager
 def session_run(owner: Any, sim: Simulator, scheduler: SessionScheduler,
                 kind: str, **span_attrs: Any) -> Iterator[None]:
@@ -580,8 +558,11 @@ class ClusterRunner:
 
     One-shot: construct, :meth:`run` once, read the result.  The runner
     owns ``objects[site]``, one rotating vector per object id the site
-    hosts (``config.protocol`` picks the class); sessions mutate them in
-    place exactly as a real fleet would.
+    hosts (``config.protocol`` picks the class).  A session's commit
+    installs the receiver copies a faulted attempt merged into, so a
+    table entry may be a new vector afterwards; on a perfect link the
+    session merges into the entry in place.  Read vectors through the
+    table, not through references kept from before a session.
     """
 
     def __init__(self, sites: Iterable[str], config: ClusterConfig, *,
@@ -740,31 +721,26 @@ class ClusterRunner:
                 f"{sorted(extra)} the pair does not share")
         return tuple(objs)
 
-    def _build_pairs(self, record: ClusterSessionRecord
+    def _build_pairs(self, record: ClusterSessionRecord,
+                     shadows: Optional[Dict[int, Any]]
                      ) -> Tuple[Tuple[Any, Any], ...]:
-        """Fresh coroutine pairs over the endpoints' *current* state.
+        """One attempt's coroutine pairs over the endpoints' committed
+        state (:func:`_build_attempt`).
 
         The record takes their verdicts; an object counts as reconciled
         once any attempt of the session reconciled it.
         """
-        spec = registry.get(self.config.protocol)
-        src, dst = self.objects[record.src], self.objects[record.dst]
-        before = record.reconciled_objects or (False,) * len(record.objects)
-        verdicts: List[Ordering] = []
-        merged: List[bool] = []
-        pairs: List[Tuple[Any, Any]] = []
-        for obj, was_reconciled in zip(record.objects, before):
-            verdict = dst[obj].compare(src[obj])
-            sender, receiver, reconciled = spec.build(
-                src[obj], dst[obj], verdict, tracer=self.tracer)
-            if reconciled and not was_reconciled:
-                self._reconciliations += 1
-            verdicts.append(verdict)
-            merged.append(was_reconciled or reconciled)
-            pairs.append((sender, receiver))
-        record.verdicts = tuple(verdicts)
-        record.reconciled_objects = tuple(merged)
-        return tuple(pairs)
+        pairs, record.verdicts, reconciles = _build_attempt(
+            self.config.protocol, self.objects[record.src],
+            self.objects[record.dst], record.objects, shadows,
+            tracer=self.tracer)
+        before = record.reconciled_objects
+        if before:
+            reconciles = tuple(now or was
+                               for now, was in zip(reconciles, before))
+        self._reconciliations += sum(reconciles) - sum(before)
+        record.reconciled_objects = reconciles
+        return pairs
 
     def _start(self, entry: Tuple[SessionRequest, int, Tuple[int, ...]]
                ) -> None:
@@ -776,47 +752,52 @@ class ClusterRunner:
             index=len(self._records), src=src, dst=dst,
             requested_at=to_seconds(requested_at),
             started_at=to_seconds(sim.now), objects=objs)
-        pairs = self._build_pairs(record)  # sets the verdict fields
         self._records.append(record)
         self._log.append(("session", src, dst, objs))
         self._scheduler.occupy(src, dst, objs)
         options = session_options(config, src, dst, record.index,
                                   tracer=self.tracer)
+        channel = options["channel"]
+        # Only an attempt on a faulted link can tear, so only there does
+        # one merge into copies; on a perfect link it merges in place.
+        shadows: Optional[Dict[int, Any]] = (
+            {} if channel.faults.enabled else None)
+        # Builds the first attempt, which sets the verdict fields, and
+        # only schedules its parties: no wire runs before we return.
+        launch(sim, SessionOptions(
+            rebuild=partial(self._build_pairs, record, shadows),
+            # A single-object session runs the historical per-object
+            # path regardless of batch_size, as it always has.
+            batch_size=config.batch_size if len(objs) > 1 else 1,
+            stop_and_wait=config.stop_and_wait,
+            on_commit=partial(self._commit, record, shadows),
+            on_complete=partial(self._finish, record), **options))
         if self.tracer is not None:
             # The session's own link constants: on a topology fleet they
             # differ per region pair from the run span's ``channel``.
-            channel = options["channel"]
             self.tracer.event("session_start", party=dst, peer=src,
                               verdict=record.verdicts[0].name.lower(),
                               session=record.index,
                               latency=channel.latency,
                               bandwidth=channel.bandwidth)
         if self.monitor is not None:
-            # Before launch: the monitor snapshots the endpoints here so
-            # its post-session ancestor-closure oracle has the pre-state.
+            # Before any attempt runs: the monitor snapshots the
+            # endpoints here so its post-session ancestor-closure oracle
+            # has the pre-state.
             self.monitor.on_session_start(record)
 
-        receiver = self.objects[dst]
-        launch_transactional(
-            sim, pairs, rebuild=lambda: self._build_pairs(record),
-            restore=partial(_restore_writable, receiver),
-            snapshot=lambda: _snapshot_writable(receiver, objs,
-                                               record.verdicts),
-            # A single-object session runs the historical per-object
-            # path regardless of batch_size, as it always has.
-            batch_size=config.batch_size if len(pairs) > 1 else 1,
-            stop_and_wait=config.stop_and_wait,
-            on_commit=partial(self._commit, record),
-            on_complete=partial(self._finish, record), **options)
-
-    def _commit(self, record: ClusterSessionRecord) -> None:
-        """The session committed: its Δ is all in and nothing iterates
-        its objects again, so they are free at both endpoints."""
+    def _commit(self, record: ClusterSessionRecord,
+                shadows: Optional[Dict[int, Any]]) -> None:
+        """The session committed: install its copies.  Its Δ is all in
+        and nothing iterates its objects again, so they are free at both
+        endpoints."""
+        dst = record.dst
+        if shadows:
+            self.objects[dst].update(shadows)
         if self.monitor is not None:
             # Before the §2.2 self-increment below: the closure oracle
             # expects the receiver to hold exactly max(pre-state, sender).
             self.monitor.on_session_commit(record)
-        dst = record.dst
         if self.config.increment_on_merge:
             # §2.2: the pulling site increments its own element after an
             # automatic merge, per reconciled object.  Not logged — replay
@@ -879,7 +860,6 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
     results and every site's objects table, laid out as
     :attr:`ClusterResult.objects`.
     """
-    spec = registry.get(config.protocol)
     objects = _new_objects(sites, config, shards)
     results: List[TimedSessionResult] = []
     session_index = -1
@@ -894,38 +874,29 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
         session_index += 1
         options = session_options(config, src, dst, session_index,
                                   tracer=None)
-        faulted = options["channel"].faults.enabled
-        reconciled_any = {obj: False for obj in objs}
-        sending, receiver = objects[src], objects[dst]
-        # Mirrors the concurrent runner's transactional attempts: the
-        # first build snapshots what the session can write at the
-        # receiver, every resume restores it before re-handshaking (see
-        # ClusterRunner._start).
-        snapshots: List[Tuple[Tuple[int, Any], ...]] = []
+        # The concurrent runner's attempts, one shared build: copies
+        # only on a faulted link, installed once the session is done.
+        shadows: Optional[Dict[int, Any]] = (
+            {} if options["channel"].faults.enabled else None)
+        reconciled: Set[int] = set()
 
         def build() -> Tuple[Tuple[Any, Any], ...]:
-            if snapshots:
-                _restore_writable(receiver, snapshots[0])
-            verdicts = tuple(receiver[obj].compare(sending[obj])
-                             for obj in objs)
-            if faulted and not snapshots:
-                snapshots.append(_snapshot_writable(receiver, objs,
-                                                    verdicts))
-            pairs = []
-            for obj, verdict in zip(objs, verdicts):
-                sender, receiving, reconciled = spec.build(
-                    sending[obj], receiver[obj], verdict)
-                pairs.append((sender, receiving))
-                reconciled_any[obj] |= reconciled
-            return tuple(pairs)
+            pairs, _, reconciles = _build_attempt(
+                config.protocol, objects[src], objects[dst], objs, shadows)
+            reconciled.update(obj for obj, merged in zip(objs, reconciles)
+                              if merged)
+            return pairs
 
-        attempts = dict(rebuild=build) if faulted else dict(pairs=build())
         results.append(run_timed(SessionOptions(
+            rebuild=build,
             batch_size=config.batch_size if len(objs) > 1 else 1,
-            stop_and_wait=config.stop_and_wait, **attempts, **options)))
+            stop_and_wait=config.stop_and_wait, **options)))
+        receiver = objects[dst]
+        if shadows:
+            receiver.update(shadows)
         if config.increment_on_merge:
-            for obj, reconciled in reconciled_any.items():
-                if reconciled:
+            for obj in objs:
+                if obj in reconciled:
                     receiver[obj].record_update(dst)
     return results, objects
 

@@ -51,14 +51,14 @@ completes one ack trip later.  An abort before the commit tears the
 attempt; one after it (a drained message out of retry budget) completes
 it, since nothing is left to deliver.  A torn session *resumes* — when
 ``SessionOptions.rebuild`` can produce fresh coroutines — by
-re-handshaking from the receiver's pre-session state.  Attempts are
+re-handshaking from the receiver's committed state.  Attempts are
 transactional: the protocols stream Δ newest-first, so a torn attempt's
 acked prefix is never ancestor-closed and can NOT be kept (a vector
 claiming an element without its causal past halts every later sync
-prematurely); the rebuild callback therefore restores the receiving
-vectors to their pre-session snapshot, or merges into fresh copies of
-them, before building the next attempt's coroutines, and the torn
-attempt's traffic is pure accounted waste.
+prematurely).  So no attempt writes a live receiving vector: the
+rebuild callback merges each attempt into fresh copies, which its
+owner installs at the commit, and a torn attempt's copies and traffic
+are pure accounted waste.
 
 Accounting: the first transmission of each distinct transport message is
 *goodput*; every further copy is recorded via
@@ -143,13 +143,13 @@ class SessionOptions:
             *resume* (coroutines are one-shot, so every attempt needs
             new ones).  When given, it supplies the first attempt's
             pairs too and ``pairs`` must be left empty.  Contract: the
-            callback owns attempt isolation — a torn attempt leaves the
+            callback owns attempt isolation — a torn attempt leaves its
             receiving vectors causally incomplete (the stream is
-            newest-first), so every resume call must restore them to
-            the pre-session snapshot
-            (:class:`~repro.net.cluster.ClusterRunner`), or build over
-            fresh copies of it (:class:`~repro.store.cluster.StoreCluster`),
-            before building the next attempt's coroutines.
+            newest-first), so on a link that can tear an attempt every
+            call must build over fresh copies of the committed
+            receiving vectors, for ``on_commit`` to install
+            (:class:`~repro.net.cluster.ClusterRunner`,
+            :class:`~repro.store.cluster.StoreCluster`).
         batch_size: above 1, every pair rides one framed wire session
             (:mod:`repro.protocols.batch`) in frames of at most this many
             entries; 1 runs each object through the plain per-object
@@ -169,7 +169,7 @@ class SessionOptions:
             returned, so the receiver holds its whole Δ and neither
             vector is iterated again.  The parties may still be draining
             acks; an abort after this point completes the attempt (it
-            neither restores nor resumes).  On a perfect link it fires
+            does not resume).  On a perfect link it fires
             just before ``on_complete``.
         on_complete: fires once with the full :class:`TimedSessionResult`
             when both parties of the final attempt have finished.
@@ -871,8 +871,8 @@ def launch(sim: Simulator, options: SessionOptions) -> SessionHandle:
     session attempt that exhausts a message's retry budget before it
     commits aborts and, when ``options.rebuild`` is available and the
     retry policy's ``max_session_attempts`` budget allows, resumes by
-    rebuilding fresh coroutines (the callback restores the receiver
-    first).  A session that cannot resume raises
+    rebuilding fresh coroutines (over fresh copies of the receiver, by
+    the callback's contract).  A session that cannot resume raises
     :class:`~repro.errors.SessionError` out of the simulator run — unless
     ``options.on_abandon`` is set, in which case the callback is invoked
     with that error and the session's spent stats, and the simulation

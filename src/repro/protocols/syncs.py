@@ -211,9 +211,10 @@ def syncs_receiver(a: SkipRotatingVector, *, reconcile: bool,
         # boundary, causally unrelated successors in ≺_a would fuse
         # with the run into one unsafe segment.  Note the torn vector
         # remains causally *incomplete* regardless (it holds Δ's newest
-        # elements without their past) — resumable callers must restore
-        # a pre-session snapshot, per SessionOptions.rebuild's contract;
-        # the seal only keeps ≺_a structurally sane for direct users.
+        # elements without their past) — resumable callers merge each
+        # attempt into a fresh copy and drop a torn one, per
+        # SessionOptions.rebuild's contract; the seal only keeps ≺_a
+        # structurally sane for direct users.
         if reconcile and prev is not None:
             order.set_segment(prev)
         raise

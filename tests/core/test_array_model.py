@@ -3,12 +3,12 @@
 The flat array backend (:mod:`repro.core.arrayvec`) re-implements the
 element order over parallel lists; the linked backend is its semantic
 oracle.  Hypothesis drives random operation interleavings — updates,
-batched rotations, ``place_after`` re-anchoring, bit writes,
-snapshot/restore — against an SRV pair
+batched rotations, ``place_after`` re-anchoring, bit writes, snapshots
+by ``copy`` — against an SRV pair
 (the richest kind: values, conflict bits, segment bits) and demands full
 structural agreement after every step.  A second pass checks COMPARE
 verdicts between historical snapshots, and direct property tests cover
-``from_pairs``/``copy``/``restore`` identity preservation.
+``from_pairs`` equivalence and ``copy`` independence.
 """
 
 import pytest
@@ -91,17 +91,6 @@ class ArrayVsLinkedMachine(RuleBasedStateMachine):
     def snapshot(self):
         self.snapshots.append((self.array.copy(), self.linked.copy()))
 
-    @rule(pick=st.integers(0, 7))
-    def restore(self, pick):
-        if not self.snapshots:
-            return
-        array_snap, linked_snap = self.snapshots[pick % len(self.snapshots)]
-        before_array, before_linked = self.array, self.linked
-        self.array.restore(array_snap)
-        self.linked.restore(linked_snap)
-        # Restore rolls state back *in place*: aliases stay valid.
-        assert self.array is before_array and self.linked is before_linked
-
     @invariant()
     def backends_agree(self):
         assert self.array.order.as_tuples() == self.linked.order.as_tuples()
@@ -162,26 +151,6 @@ def test_copy_is_independent(pairs, index):
         clone.record_update(SITES[index])
         assert original.order.as_tuples() == before
         assert clone[SITES[index]] >= 1
-
-
-@given(pair_lists, st.lists(site_indices, min_size=1, max_size=5))
-@settings(max_examples=80, deadline=None)
-def test_restore_preserves_identity_and_state(pairs, updates):
-    """``restore`` adopts the snapshot's state without replacing the object."""
-    named = [(SITES[i], value) for i, value in pairs]
-    for cls in (ArraySkipRotatingVector, SkipRotatingVector):
-        vector = cls.from_pairs(named)
-        snapshot = vector.copy()
-        frozen = snapshot.order.as_tuples()
-        for i in updates:
-            vector.record_update(SITES[i])
-        alias = vector
-        vector.restore(snapshot)
-        assert vector is alias
-        assert vector.order.as_tuples() == frozen
-        # The snapshot stays live: restoring must not capture it.
-        snapshot.record_update(SITES[updates[0]])
-        assert vector.order.as_tuples() == frozen
 
 
 @pytest.mark.parametrize("cls", [ArraySkipRotatingVector, SkipRotatingVector])

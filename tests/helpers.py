@@ -186,6 +186,52 @@ def same_objects(left: Dict[str, Dict[int, Any]],
         for site in left)
 
 
+class ShadowAttempts:
+    """A ``rebuild`` whose every attempt merges into fresh copies.
+
+    The rule the fleet and the store follow: no attempt writes the
+    ``receivers`` it was given, so a torn one leaves nothing to undo.
+    ``build(copies)`` makes an attempt's coroutine pairs over copies of
+    the receivers, and once the session completes ``latest`` holds the
+    copies its final attempt merged into, for the caller to install.
+    """
+
+    def __init__(self, receivers: Sequence[BasicRotatingVector],
+                 build: Any) -> None:
+        self.receivers = list(receivers)
+        self.build = build
+        self.latest: List[BasicRotatingVector] = self.receivers
+
+    def __call__(self) -> Any:
+        self.latest = [receiver.copy() for receiver in self.receivers]
+        return self.build(self.latest)
+
+
+class RunnerHooks:
+    """The hooks :class:`~repro.net.cluster.ClusterRunner` calls on its
+    ``monitor``, all doing nothing: subclass to watch one of them."""
+
+    tracer = None
+
+    def attach(self, runner: Any) -> None:
+        self.runner = runner
+
+    def on_session_start(self, record: Any) -> None:
+        pass
+
+    def on_session_commit(self, record: Any) -> None:
+        pass
+
+    def on_session_end(self, record: Any, result: Any) -> None:
+        pass
+
+    def on_update(self, site: str, obj: int) -> None:
+        pass
+
+    def finalize(self) -> None:
+        pass
+
+
 def session_timing(result: Any) -> Tuple[float, int, int]:
     """A timed session's duration and each party's finish offset from
     its start, the offsets in whole ns: the numbers a replay of the

@@ -23,7 +23,7 @@ from repro.protocols.effects import RECV, Send
 from repro.protocols.messages import Halt
 from repro.protocols.session import run_session
 from repro.protocols.syncs import syncs_receiver, syncs_sender
-from tests.helpers import scripted
+from tests.helpers import ShadowAttempts, scripted
 
 ENC = Encoding(site_bits=8, value_bits=16)
 
@@ -48,27 +48,24 @@ def srv_options(a, b, *, faults, retry=None, tracer=None, fault_seed=None):
         fault_seed=fault_seed)
 
 
-def resumable_options(state, *, faults, retry):
-    """Resumable session over ``state["a"]``/``state["b"]``.
+def resumable_options(a, b, *, faults, retry):
+    """Resumable session pulling ``b`` into ``a``: ``(attempts, options)``.
 
     Implements the rebuild contract: attempts are transactional, so
-    every resume restores the receiver to its pre-session snapshot.
+    each one merges into a fresh copy of ``a``, and ``attempts.latest``
+    holds the receiver the last one wrote.
     """
     channel = ChannelSpec(latency=0.01, bandwidth=1e6, faults=faults)
-    snapshot = state["a"].copy()
-    first = [True]
 
-    def make_pairs():
-        if first:
-            first.pop()
-        else:
-            state["a"] = snapshot.copy()
-        a, b = state["a"], state["b"]
+    def make_pairs(copies):
+        (receiver,) = copies
         return ((syncs_sender(b),
-                 syncs_receiver(a, reconcile=a.compare(b).is_concurrent)),)
+                 syncs_receiver(receiver,
+                                reconcile=receiver.compare(b).is_concurrent)),)
 
-    return SessionOptions(rebuild=make_pairs, channel=channel, encoding=ENC,
-                          retry=retry)
+    attempts = ShadowAttempts([a], make_pairs)
+    return attempts, SessionOptions(rebuild=attempts, channel=channel,
+                                    encoding=ENC, retry=retry)
 
 
 def resume_oracle():
@@ -156,15 +153,16 @@ class TestBudgetsAndResume:
         resumed = 0
         for seed in range(40):
             a, b = divergent_pair(extra=("D", "E", "F", "G"))
-            state = {"a": a, "b": b}
+            attempts, options = resumable_options(
+                a, b, faults=FaultSpec(drop=0.4, seed=seed),
+                retry=RetryPolicy(max_retries=1, initial_rto=0.1,
+                                  max_session_attempts=25))
             try:
-                result = run_timed(resumable_options(
-                    state, faults=FaultSpec(drop=0.4, seed=seed),
-                    retry=RetryPolicy(max_retries=1, initial_rto=0.1,
-                                      max_session_attempts=25)))
+                result = run_timed(options)
             except SessionError:
                 continue
-            assert state["a"].same_values(resume_oracle()), seed
+            (installed,) = attempts.latest
+            assert installed.same_values(resume_oracle()), seed
             resumed += result.stats.resumes > 0 and result.stats.retries > 0
         assert resumed >= 5
 
@@ -172,9 +170,9 @@ class TestBudgetsAndResume:
         a, b = divergent_pair()
         with pytest.raises(SessionError):
             run_timed(resumable_options(
-                {"a": a, "b": b}, faults=FaultSpec(drop=1.0),
+                a, b, faults=FaultSpec(drop=1.0),
                 retry=RetryPolicy(max_retries=1, initial_rto=0.05,
-                                  max_session_attempts=3)))
+                                  max_session_attempts=3))[1])
 
     def test_partition_window_heals(self):
         """Traffic inside the window is lost; the session outlives it."""

@@ -24,7 +24,8 @@ from repro.protocols.syncs import syncs_receiver, syncs_sender
 from repro.net.faults import chaos_faults
 from repro.workload.cluster import (gossip_schedule, site_names,
                                     update_schedule)
-from tests.helpers import build_history, same_objects, session_timing
+from tests.helpers import (ShadowAttempts, build_history, same_objects,
+                           session_timing)
 
 ENC = Encoding(site_bits=8, value_bits=16)
 
@@ -45,28 +46,21 @@ fault_specs = st.builds(
 
 
 def resumable_session(a, b, faults):
-    """One resumable SYNCS session mutating a shared ``state`` dict."""
-    state = {"a": a}
-    snapshot = a.copy()
-    first = [True]
-
-    def make_pairs():
-        if first:
-            first.pop()
-        else:
-            state["a"].restore(snapshot)
-        current = state["a"]
+    """One resumable SYNCS session pulling ``b`` into copies of ``a``."""
+    def make_pairs(copies):
+        (current,) = copies
         reconcile = current.compare(b).is_concurrent
         return ((syncs_sender(b),
                  syncs_receiver(current, reconcile=reconcile)),)
 
+    attempts = ShadowAttempts([a], make_pairs)
     options = SessionOptions(
-        rebuild=make_pairs,
+        rebuild=attempts,
         channel=ChannelSpec(latency=0.01, bandwidth=1e6, faults=faults),
         encoding=ENC,
         retry=RetryPolicy(max_retries=4, initial_rto=0.1,
                           max_session_attempts=8))
-    return state, options
+    return attempts, options
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,14 +79,15 @@ def test_completed_faulted_session_equals_fault_free_run(commands, pair,
                                reconcile=oracle.compare(b).is_concurrent),
                 encoding=ENC)
 
-    state, options = resumable_session(vectors[pair[0]].copy(), b, faults)
+    attempts, options = resumable_session(vectors[pair[0]], b, faults)
     try:
         result = run_timed(options)
     except SessionError:
         # Budget exhausted before completion — the property quantifies
         # over *completed* sessions only; an abort is a loud non-result.
         return
-    assert state["a"].same_values(oracle)
+    (installed,) = attempts.latest
+    assert installed.same_values(oracle)
     stats = result.stats
     assert stats.total_retransmitted_bits \
         == stats.total_bits - stats.total_goodput_bits

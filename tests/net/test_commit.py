@@ -2,10 +2,11 @@
 its final attempt have returned, not when its parties finish draining.
 
 At the commit the receiver holds its whole Δ — ancestor-closed — and
-neither vector is iterated again, so the owner applies §2.2, runs the
-closure oracle and frees the endpoints there.  The parties still drain
-their acks; an abort during that drain completes the attempt, with no
-restore and no resume.
+neither vector is iterated again, so the owner installs the attempt's
+receiver copies, runs the closure oracle, applies §2.2 and frees the
+endpoints there.  The parties still drain their acks; an abort during
+that drain completes the attempt: it has nothing left to deliver, so it
+does not resume.
 """
 
 from dataclasses import replace
@@ -23,7 +24,7 @@ from repro.obs import trace as obs
 from repro.workload.cluster import (SessionRequest, UpdateRequest,
                                     gossip_schedule, site_names,
                                     update_schedule)
-from tests.helpers import same_objects
+from tests.helpers import RunnerHooks, same_objects
 
 ENC = Encoding(site_bits=8, value_bits=16)
 LATENCY, BANDWIDTH = 0.01, 1e5
@@ -122,32 +123,30 @@ class TestAbortAfterCommit:
         assert same_objects(result.objects, objects)
 
 
-class CheckedRunner(ClusterRunner):
+class CommitCheck(RunnerHooks):
     """Checks, at every commit, that the receiver holds exactly the
-    element-wise max of its pre-session state and the sender's."""
+    element-wise max of its pre-session state and the sender's.  The
+    runner calls it once the commit has installed the attempt's copies,
+    before §2.2's self-increment."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self):
         self.pre = {}
         self.commits = 0
 
-    def _build_pairs(self, record):
-        # A resume restores the receiver first, so every build sees the
-        # pre-session state; keep the first.
-        self.pre.setdefault(record.index, [
-            (vv(self.objects[record.dst][obj]),
-             vv(self.objects[record.src][obj])) for obj in record.objects])
-        return super()._build_pairs(record)
+    def on_session_start(self, record):
+        objects = self.runner.objects
+        self.pre[record.index] = [
+            (vv(objects[record.dst][obj]), vv(objects[record.src][obj]))
+            for obj in record.objects]
 
-    def _commit(self, record):
+    def on_session_commit(self, record):
         for obj, (dst_pre, src_state) in zip(record.objects,
                                              self.pre.pop(record.index)):
             expected = dict(dst_pre)
             for site, value in src_state.items():
                 expected[site] = max(value, expected.get(site, 0))
-            assert vv(self.objects[record.dst][obj]) == expected
+            assert vv(self.runner.objects[record.dst][obj]) == expected
         self.commits += 1
-        super()._commit(record)
 
 
 @settings(max_examples=15, deadline=None)
@@ -173,9 +172,10 @@ def test_lossy_fleet_commits_exactly_and_replays(protocol, batch_size, loss,
                               seed=workload_seed, writers=writers,
                               n_objects=n_objects)
     sessions = gossip_schedule(sites, rounds=3, seed=workload_seed + 1)
-    runner = CheckedRunner(sites, config)
-    result = runner.run(sessions, updates)
-    assert runner.commits == len(result.records)
+    check = CommitCheck()
+    result = ClusterRunner(sites, config, monitor=check).run(sessions,
+                                                             updates)
+    assert check.commits == len(result.records)
 
     sequential, objects = replay_sequential(sites, config, result.log)
     assert [r.result.stats for r in result.records] \

@@ -4,9 +4,10 @@ For each registered paper scheme, a session over 1–12 objects at batch
 sizes 1–5 runs four ways: as plain per-object instant sessions, as one
 instant :func:`~repro.protocols.batch.run_batch`, as one timed wire
 through :func:`~repro.net.runner.launch` on a perfect link, and on a
-lossy link under ARQ with a ``rebuild`` that restores the receivers
-before every resume.  Every receiver must end in the same structure each
-way, and no frame may carry more than ``batch_size`` entries.
+lossy link under ARQ with a ``rebuild`` that merges every attempt into
+fresh copies of the receivers.  Every receiver must end in the same
+structure each way, and no frame may carry more than ``batch_size``
+entries.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from repro.net.wire import Encoding
 from repro.protocols import registry
 from repro.protocols.batch import run_batch
 from repro.protocols.session import run_session
-from tests.helpers import build_history
+from tests.helpers import ShadowAttempts, build_history
 
 ENC = Encoding(site_bits=8, value_bits=16, session_header_bits=64)
 SLOW = ChannelSpec(latency=0.02, bandwidth=2e4)
@@ -102,19 +103,16 @@ def test_one_wire_ends_where_every_driver_ends(protocol, histories,
         1 if framed else len(states))
     assert (result.stats.frames > 0) == framed
 
-    lossy = fresh(states)
-    saved = [receiver.copy() for receiver, _ in lossy]
-
-    def rebuild():
-        for (receiver, _), snapshot in zip(lossy, saved):
-            receiver.restore(snapshot)
-        return build_pairs(protocol, lossy)
-
+    senders = [sender for _, sender in states]
+    attempts = ShadowAttempts(
+        [receiver for receiver, _ in states],
+        lambda receivers: build_pairs(protocol,
+                                      list(zip(receivers, senders))))
     # One retry per message: about one case in seven tears an attempt.
     faults = FaultSpec(drop=0.1, duplicate=0.05, reorder=0.1,
                        reorder_window=0.03, seed=fault_seed)
     run_timed(SessionOptions(
-        rebuild=rebuild, batch_size=batch_size, encoding=ENC,
+        rebuild=attempts, batch_size=batch_size, encoding=ENC,
         channel=ChannelSpec(latency=0.02, bandwidth=2e4, faults=faults),
         retry=RetryPolicy(max_retries=1, max_session_attempts=200)))
-    assert structures(lossy) == want
+    assert structures(zip(attempts.latest, senders)) == want

@@ -34,7 +34,7 @@ from repro.obs import Tracer
 from repro.protocols.effects import DRAIN, POLL, RECV, Send
 from repro.protocols.messages import Halt
 from repro.protocols.syncs import syncs_receiver, syncs_sender
-from tests.helpers import scripted
+from tests.helpers import ShadowAttempts, scripted
 
 ENC = Encoding(site_bits=8, value_bits=16, session_header_bits=64)
 SITES = ("A", "B", "C", "D", "E")
@@ -139,18 +139,9 @@ def arq_partition(tracer):
 
 def resumable(tracer, seed, channel):
     (a, b), = states(1, seed)
-    state = {"a": a}
-    snapshot = a.copy()
-    first = [True]
-
-    def rebuild():
-        # Attempts are transactional: a resume restores the receiver.
-        if first:
-            first.pop()
-        else:
-            state["a"] = snapshot.copy()
-        return pairs([(state["a"], b)], tracer)
-
+    # Attempts are transactional: each merges into a fresh copy.
+    rebuild = ShadowAttempts([a], lambda copies: pairs([(copies[0], b)],
+                                                       tracer))
     return SessionOptions(
         rebuild=rebuild, channel=channel, encoding=ENC, tracer=tracer,
         retry=RetryPolicy(max_retries=1, initial_rto=0.1,

@@ -29,6 +29,14 @@ writes at its sender, so the store run's deferred ops fell from 195 to
 115, 46,432 wire bits to 45,510); the audit still finds 0
 read-your-writes and 0 monotonic-reads violations.
 
+The ``fleet.dashboard``, ``fleet.dashboard_truncated``, ``fleet.html``,
+``fleet.otlp`` and ``fleet.series`` digests, and ``tampered.html``, were
+re-pinned when a fleet attempt on a faulted link came to merge into
+copies that its commit installs: a gauge sample taken mid-session at
+such a receiver now reads its committed state, not a half-merged vector.
+15 of the 612 gauge samples moved, at unchanged sample times, and the
+run's sessions, bits and schedule did not.
+
 To re-pin after an intended output change, run this file directly
 (``PYTHONPATH=src python tests/obs/test_observer_golden.py``); it prints
 the new table.
@@ -58,21 +66,21 @@ from repro.workload.clients import StoreWorkloadConfig, run_store_workload
 #: SHA-256 of each output, by name.
 GOLDEN = {
     "fleet.dashboard":
-        "b18acacf81f5094a7f33b6d4c07df741deb3437d08d51e81677867b8e9603c22",
+        "facc8ce7d52e62b7d8c602e6ade04d71314cf8cfbd0dd3b873b029e14584375c",
     "fleet.dashboard_truncated":
-        "98b1a056c3087d4eb7fbbbb5bcbb654f9cc2340bf7c8ea13b8924b9ae09bdd4b",
+        "bebf5f92073e1790b38078e4db8b8bd137357690089af0bc91bafdc5434adfca",
     "fleet.health_summary":
         "1bd23f83f1c092cb670282a837b37488cac33297b4349e7bdca7cd2e389232bf",
     "fleet.html":
-        "573cf387220d9de32893acae54e8a6ab9e47937a63d32e9dc80ff2117c3d036d",
+        "090504846b7b32b1e5c6de6337b2cd165c697773613175503505ecb051915486",
     "fleet.otlp":
-        "a8f74c8d190491db605ad509cd1aa6a016837ec6a527659866eb571feb2f60d9",
+        "7082e8b7c6daa4cda9fffc217cd2da346692d93f4c9a7a2ef28691f0947c1329",
     "fleet.prometheus":
         "a2e9e0616ae52e3dda3cfffdb46cb960893401e22c721a56b0528bf20876c1bd",
     "fleet.registry":
         "a59e85f291553d1e68a5a3e66eb9af286fc358d3420f0e1ed2813171c88ba241",
     "fleet.series":
-        "a627ea622455e8b61b39b8406d8f7f231431e39a6b20c696acf6f0e798faa89f",
+        "be66058e19d5fb4fc23217dbcd2b2ec95fcbba1c15f6f0412e8ec8e06bd29079",
     "store.dashboard":
         "b155e61da2b6a32b63bce117a14af0591afc33550a90a544092566b4f0a392e8",
     "store.dashboard_truncated":
@@ -94,7 +102,7 @@ GOLDEN = {
     "tampered.health_summary":
         "ca0581696e2e8cbf0e7895d28b59929c33f63341cfdcc008fb1b11c842cc7193",
     "tampered.html":
-        "ee1b5d5ce3e789efb158a499ad3b77df361df845f1daa9c2408d3b73b9e71d19",
+        "32452f0feb20cb56d3a23371e702e92c9776953f3811a1a7aec0d64b2ae1a18f",
     "tampered.otlp":
         "f08aaa1a89eaf929f43288c6384623d00d0f8b514a05b2f35a87d4f03c30752d",
     "tampered.prometheus":

@@ -42,7 +42,7 @@ from repro.protocols.syncc import syncc_receiver, syncc_sender
 from repro.protocols.syncg import syncg_receiver, syncg_sender
 from repro.protocols.syncs import syncs_receiver, syncs_sender
 from repro.workload.scenarios import figure3_graphs
-from tests.helpers import build_history, site_name
+from tests.helpers import ShadowAttempts, build_history, site_name
 
 ENC = Encoding(site_bits=8, value_bits=16)
 N_SITES = 5
@@ -179,20 +179,13 @@ def test_step_budget_stops_the_same_batches():
 
 
 def resumable_batch(protocol, inputs, seen, *, deaf, batch_size, loss, seed):
-    """A resumable batched session over ``inputs``; every resume restores
-    the receivers to their pre-session snapshots."""
-    snapshots = [a.copy() for a, _ in inputs]
-    receivers = [a.copy() for a in snapshots]
+    """A resumable batched session over ``inputs`` whose every attempt
+    merges into fresh copies of the receivers."""
     senders = [b for _, b in inputs]
-    first = [True]
-
-    def rebuild():
-        if first:
-            first.pop()
-        else:
-            receivers[:] = [a.copy() for a in snapshots]
-        return tuple(coroutine_pairs(protocol, receivers, senders, seen,
-                                     deaf=deaf))
+    rebuild = ShadowAttempts(
+        [a for a, _ in inputs],
+        lambda receivers: tuple(coroutine_pairs(protocol, receivers,
+                                                senders, seen, deaf=deaf)))
 
     tracer = Tracer()
     options = SessionOptions(
@@ -203,12 +196,12 @@ def resumable_batch(protocol, inputs, seen, *, deaf, batch_size, loss, seed):
         encoding=ENC, tracer=tracer,
         retry=RetryPolicy(max_retries=2, initial_rto=0.05,
                           max_session_attempts=6))
-    return receivers, tracer, options
+    return rebuild, tracer, options
 
 
 def timed_outcome(protocol, inputs, *, deaf, batch_size, loss, seed):
     seen = []
-    receivers, tracer, options = resumable_batch(
+    attempts, tracer, options = resumable_batch(
         protocol, inputs, seen, deaf=deaf, batch_size=batch_size, loss=loss,
         seed=seed)
     try:
@@ -222,7 +215,7 @@ def timed_outcome(protocol, inputs, *, deaf, batch_size, loss, seed):
                    result.receiver_finish)
     events = [(e.kind, e.time, e.party, e.message, e.bits, e.fields)
               for e in tracer.events]
-    return outcome, events, states(receivers), seen
+    return outcome, events, states(attempts.latest), seen
 
 
 @settings(max_examples=40, deadline=None)

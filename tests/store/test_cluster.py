@@ -298,7 +298,7 @@ class TestAbortSafety:
         c.submit(ClientOp(kind="get", site="B", key="k"),
                  on_done=outcomes.append)
         c.run()
-        # The deferred get ran after the abandon — against restored state.
+        # The deferred get ran after the abandon — against untouched state.
         assert outcomes and outcomes[0].result.values == ()
 
     def test_flushed_ops_stay_deferred_behind_a_fresh_session(self):

@@ -5,8 +5,8 @@ client workload with background anti-entropy, read-repair traffic, and
 a closing sweep — all over a channel injecting the standard chaos mix —
 every site holds the identical sibling set and vector for every key.
 The sweep runs on the same faulted channel, so resumes (and the
-transactional snapshot/restore machinery behind them) are in the loop,
-not idealized away.
+attempts over fresh copies behind them) are in the loop, not idealized
+away.
 """
 
 from hypothesis import given, settings
