@@ -2,7 +2,10 @@
 
 Every benchmark regenerates one of the paper's tables/figures (or a shape
 experiment from DESIGN.md §4), prints the report, and persists it under
-``benchmarks/reports/`` so EXPERIMENTS.md can quote the exact output.
+``benchmarks/reports/`` so EXPERIMENTS.md can quote the exact output.  A
+report holds no host-clock value (a test that times something prints the
+time and commits only what it asserts), so regenerating the reports at an
+unchanged tree rewrites no byte.
 """
 
 from __future__ import annotations

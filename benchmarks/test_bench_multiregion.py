@@ -57,6 +57,7 @@ def test_multiregion_fleet_converges_under_loss(report_writer):
     start = time.perf_counter()
     result = runner.run(sessions, updates)
     wall = time.perf_counter() - start
+    print(f"\nwall {wall:.1f} s (budget {WALL_BUDGET_SECONDS:.0f} s)")
 
     # The headline claim: every replica group agrees on every object.
     assert result.consistent()
@@ -72,18 +73,17 @@ def test_multiregion_fleet_converges_under_loss(report_writer):
 
     body = format_table(
         ["sites", "objects", "repl", "sessions", "total bits",
-         "retransmitted", "wall", "converged"],
+         "retransmitted", "converged"],
         [[str(SPEC.n_sites), str(N_OBJECTS), "3", str(result.sessions),
           str(result.total_bits),
-          str(result.totals.total_retransmitted_bits), f"{wall:.1f} s",
-          "yes"]])
+          str(result.totals.total_retransmitted_bits), "yes"]])
     body += (f"\n\nPer-site hosted objects: min {load['min']:.0f} / "
              f"mean {load['mean']:.1f} / max {load['max']:.0f} — the "
              "consistent-hash ring keeps 30k\nreplica slots spread over "
              "1002 sites.  Convergence is closed by the two-phase\n"
              "leader sweep, so it is structural, not a gossip "
-             f"coin-flip.  Wall budget {WALL_BUDGET_SECONDS:.0f} s\n"
-             "(typical ~15 s on the array backend).")
+             f"coin-flip.\nWall budget {WALL_BUDGET_SECONDS:.0f} s; the "
+             "run prints its wall time and does not commit it.")
     report_writer(
         "multiregion_fleet",
         f"multi-region fleet — {N_REGIONS}×{SITES_PER_REGION} sites, "

@@ -68,6 +68,7 @@ def test_n1000_single_shot_converge(report_writer):
     start = time.perf_counter()
     result = ClusterRunner(sites, config).run(sessions, updates)
     wall = time.perf_counter() - start
+    print(f"\nwall {wall:.2f} s (budget {WALL_BUDGET_SECONDS:.0f} s)")
 
     assert result.sessions == 2 * (N_SITES - 1)
     reference = result.objects[sites[0]][0]
@@ -77,15 +78,15 @@ def test_n1000_single_shot_converge(report_writer):
     assert wall < WALL_BUDGET_SECONDS
 
     body = format_table(
-        ["sites", "writers", "sessions", "total bits", "sim time", "wall",
+        ["sites", "writers", "sessions", "total bits", "sim time",
          "converged"],
         [[str(N_SITES), str(N_WRITERS), str(result.sessions),
           str(result.total_bits), f"{result.completion_time:.2f} s",
-          f"{wall:.2f} s", "yes"]])
+          "yes"]])
     body += ("\n\nSingle-shot: each ring link is used exactly once per "
              "direction, so convergence\nhere certifies SYNCS itself at "
              "n=1000 — no anti-entropy round can paper over a\nmissed "
-             f"element.  Wall budget {WALL_BUDGET_SECONDS:.0f} s "
-             "(typical ~0.8 s on the array backend).")
+             f"element.  Wall budget {WALL_BUDGET_SECONDS:.0f} s; the run "
+             "prints its wall time\nand does not commit it.")
     report_writer("n1000_converge",
                   "n=1000 single-shot converge sweep (CI smoke)", body)

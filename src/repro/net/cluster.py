@@ -80,14 +80,12 @@ from repro.workload.cluster import SessionRequest, UpdateRequest
 def check_session_config(config: Any, **minimums: int) -> None:
     """Raise :class:`~repro.errors.ValidationError` unless ``config``
     names a registered ``protocol``, has ``batch_size >= 1``,
-    ``proc_time >= 0``, ``max_steps >= 1`` and each ``field >= minimum``
-    in ``minimums``."""
+    ``max_steps >= 1`` and each ``field >= minimum`` in ``minimums``."""
     if config.protocol not in registry.names():
         raise ValidationError(
             f"unknown protocol {config.protocol!r}; "
             f"expected one of {registry.names()}")
-    for name, minimum in dict(batch_size=1, proc_time=0, max_steps=1,
-                              **minimums).items():
+    for name, minimum in dict(batch_size=1, max_steps=1, **minimums).items():
         value = getattr(config, name)
         if not value >= minimum:
             raise ValidationError(
@@ -105,9 +103,6 @@ class ClusterConfig:
         encoding: wire pricing for every message.
         stop_and_wait: per-item ack baseline instead of pipelining
             (perfect links only; the ARQ on lossy links always pipelines).
-        proc_time: per-received-message processing cost.
-        increment_on_merge: apply §2.2's post-reconciliation self-increment
-            on the pulling site, keeping COMPARE's freshness precondition.
         max_steps: per-session effect budget (livelock guard).
         n_objects: replicated objects in the fleet; a session
             synchronizes every object its pair shares (all of them when
@@ -132,8 +127,6 @@ class ClusterConfig:
     channel: ChannelSpec = field(default_factory=ChannelSpec)
     encoding: Encoding = DEFAULT_ENCODING
     stop_and_wait: bool = False
-    proc_time: float = 0.0
-    increment_on_merge: bool = True
     max_steps: int = 10_000_000
     n_objects: int = 1
     batch_size: int = 1
@@ -237,8 +230,7 @@ def session_options(config: Any, src: str, dst: str, session_id: int, *,
     channel = config.channel if config.topology is None \
         else config.topology.channel_for(src, dst)
     return dict(
-        channel=channel, encoding=config.encoding,
-        proc_time=config.proc_time, max_steps=config.max_steps,
+        channel=channel, encoding=config.encoding, max_steps=config.max_steps,
         tracer=tracer, party_names=(src, dst), retry=config.retry,
         session_id=session_id,
         fault_seed=(derive_seed(channel.faults.seed, session_id
@@ -246,35 +238,35 @@ def session_options(config: Any, src: str, dst: str, session_id: int, *,
                     if channel.faults.enabled else None))
 
 
-def _build_attempt(protocol: str, sending: Dict[int, Any],
-                   receiving: Dict[int, Any], objs: Tuple[int, ...],
-                   shadows: Optional[Dict[int, Any]], *,
-                   tracer: Optional[Tracer] = None
-                   ) -> Tuple[Tuple[Tuple[Any, Any], ...],
-                              Tuple[Ordering, ...], Tuple[bool, ...]]:
-    """One attempt's coroutine pairs over the endpoints' committed state,
-    with each object's verdict and whether its receiver reconciles.
+def build_attempt(spec: Any, triples: Iterable[Tuple[Any, Any, Any]],
+                  shadows: Optional[Dict[Any, Any]], *,
+                  tracer: Optional[Tracer] = None
+                  ) -> Tuple[Tuple[Tuple[Any, Any], ...],
+                             Tuple[Ordering, ...], Tuple[bool, ...]]:
+    """One attempt's coroutine pairs over committed state, with each
+    entry's verdict and whether its receiver reconciles.
 
-    With ``shadows``, every ``BEFORE``/``CONCURRENT`` receiver object
-    merges into a fresh copy, kept there by id for the commit to install;
-    the live one is only read.  Under ``EQUAL``/``AFTER`` the receiver
-    covers the sender: no arriving element is newer than its own, and
-    every registered receiver writes only through ``place_after`` on a
-    newer value, so it is read in place.  ``None`` merges in place, for a
-    link no attempt can tear.
+    ``triples`` yields ``(id, source, target)``: the id names the entry
+    (a fleet object, a store key), ``source`` is the sender's vector and
+    ``target`` the receiver's; ``spec`` is the registry entry that builds
+    the pair.  With ``shadows``, every ``BEFORE``/``CONCURRENT`` receiver
+    merges into a fresh copy, kept there by id for the commit to
+    install; the live one is only read.  Under ``EQUAL``/``AFTER`` the
+    receiver covers the sender: no arriving element is newer than its
+    own, and every registered receiver writes only through
+    ``place_after`` on a newer value, so it is read in place.  ``None``
+    merges in place, for a link no attempt can tear.
     """
-    spec = registry.get(protocol)
     if shadows is not None:
         shadows.clear()
     pairs: List[Tuple[Any, Any]] = []
     verdicts: List[Ordering] = []
     reconciles: List[bool] = []
-    for obj in objs:
-        source, target = sending[obj], receiving[obj]
+    for ident, source, target in triples:
         verdict = target.compare(source)
         if shadows is not None and (verdict is Ordering.BEFORE
                                     or verdict is Ordering.CONCURRENT):
-            target = shadows[obj] = target.copy()
+            target = shadows[ident] = target.copy()
         sender, receiver, reconciled = spec.build(source, target, verdict,
                                                   tracer=tracer)
         pairs.append((sender, receiver))
@@ -596,6 +588,7 @@ class ClusterRunner:
                     f"shard map names sites outside the cluster: "
                     f"{sorted(unknown)}")
         self._all_objects = tuple(range(config.n_objects))
+        self._spec = registry.get(config.protocol)
         self.objects = _new_objects(self.sites, config, shards)
         self.sim = Simulator()
         self._scheduler = SessionScheduler(self.sites, self._start)
@@ -725,15 +718,16 @@ class ClusterRunner:
                      shadows: Optional[Dict[int, Any]]
                      ) -> Tuple[Tuple[Any, Any], ...]:
         """One attempt's coroutine pairs over the endpoints' committed
-        state (:func:`_build_attempt`).
+        state (:func:`build_attempt`).
 
         The record takes their verdicts; an object counts as reconciled
         once any attempt of the session reconciled it.
         """
-        pairs, record.verdicts, reconciles = _build_attempt(
-            self.config.protocol, self.objects[record.src],
-            self.objects[record.dst], record.objects, shadows,
-            tracer=self.tracer)
+        sending, receiving = self.objects[record.src], self.objects[record.dst]
+        pairs, record.verdicts, reconciles = build_attempt(
+            self._spec, ((obj, sending[obj], receiving[obj])
+                         for obj in record.objects),
+            shadows, tracer=self.tracer)
         before = record.reconciled_objects
         if before:
             reconciles = tuple(now or was
@@ -798,19 +792,17 @@ class ClusterRunner:
             # Before the §2.2 self-increment below: the closure oracle
             # expects the receiver to hold exactly max(pre-state, sender).
             self.monitor.on_session_commit(record)
-        if self.config.increment_on_merge:
-            # §2.2: the pulling site increments its own element after an
-            # automatic merge, per reconciled object.  Not logged — replay
-            # derives it from the session verdicts, exactly as here.
-            for obj, reconciled in zip(record.objects,
-                                       record.reconciled_objects):
-                if reconciled:
-                    self.objects[dst][obj].record_update(dst)
-                    if self.tracer is not None:
-                        # New knowledge originating at dst: the causal
-                        # analyzer's convergence frontier must include it.
-                        self.tracer.event("reconcile", party=dst, obj=obj,
-                                          session=record.index)
+        # §2.2: the pulling site increments its own element after an
+        # automatic merge, per reconciled object.  Not logged — replay
+        # derives it from the session verdicts, exactly as here.
+        for obj, reconciled in zip(record.objects, record.reconciled_objects):
+            if reconciled:
+                self.objects[dst][obj].record_update(dst)
+                if self.tracer is not None:
+                    # New knowledge originating at dst: the causal
+                    # analyzer's convergence frontier must include it.
+                    self.tracer.event("reconcile", party=dst, obj=obj,
+                                      session=record.index)
         if self.tracer is not None:
             self.tracer.event("session_commit", party=dst,
                               peer=record.src, session=record.index)
@@ -861,6 +853,7 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
     :attr:`ClusterResult.objects`.
     """
     objects = _new_objects(sites, config, shards)
+    spec = registry.get(config.protocol)
     results: List[TimedSessionResult] = []
     session_index = -1
     for entry in log:
@@ -881,8 +874,10 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
         reconciled: Set[int] = set()
 
         def build() -> Tuple[Tuple[Any, Any], ...]:
-            pairs, _, reconciles = _build_attempt(
-                config.protocol, objects[src], objects[dst], objs, shadows)
+            sending, receiving = objects[src], objects[dst]
+            pairs, _, reconciles = build_attempt(
+                spec, ((obj, sending[obj], receiving[obj]) for obj in objs),
+                shadows)
             reconciled.update(obj for obj, merged in zip(objs, reconciles)
                               if merged)
             return pairs
@@ -894,19 +889,16 @@ def replay_sequential(sites: Iterable[str], config: ClusterConfig,
         receiver = objects[dst]
         if shadows:
             receiver.update(shadows)
-        if config.increment_on_merge:
-            for obj in objs:
-                if obj in reconciled:
-                    receiver[obj].record_update(dst)
+        for obj in objs:
+            if obj in reconciled:
+                receiver[obj].record_update(dst)
     return results, objects
 
 
 def launch_cluster(spec: TopologySpec, *, protocol: str = "srv",
                    n_objects: int = 1, batch_size: int = 1,
                    encoding: Encoding = DEFAULT_ENCODING,
-                   stop_and_wait: bool = False, proc_time: float = 0.0,
-                   increment_on_merge: bool = True,
-                   max_steps: int = 10_000_000,
+                   stop_and_wait: bool = False, max_steps: int = 10_000_000,
                    retry: Optional[RetryPolicy] = None,
                    shard: Optional[bool] = None,
                    tracer: Optional[Tracer] = None,
@@ -924,8 +916,7 @@ def launch_cluster(spec: TopologySpec, *, protocol: str = "srv",
     """
     config = ClusterConfig(
         protocol=protocol, encoding=encoding,
-        stop_and_wait=stop_and_wait, proc_time=proc_time,
-        increment_on_merge=increment_on_merge, max_steps=max_steps,
+        stop_and_wait=stop_and_wait, max_steps=max_steps,
         n_objects=n_objects, batch_size=batch_size,
         retry=retry if retry is not None else RetryPolicy(),
         topology=spec)

@@ -96,8 +96,9 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
 from repro.core.order import Ordering
 from repro.errors import SessionError, ValidationError
 from repro.net.channel import ChannelSpec
-from repro.net.cluster import (SessionScheduler, check_session_config,
-                               session_options, session_run)
+from repro.net.cluster import (SessionScheduler, build_attempt,
+                               check_session_config, session_options,
+                               session_run)
 from repro.net.faults import RetryPolicy
 from repro.net.runner import SessionOptions, TimedSessionResult, launch
 from repro.net.simulator import Simulator, to_ns, to_seconds
@@ -135,11 +136,8 @@ class StoreConfig:
         encoding: wire pricing for every sync message.
         batch_size: the most keys one frame of a session's framed wire
             carries.
-        proc_time: per-received-message processing cost in sessions.
         client_latency: one-way client↔site delay added to every op's
             end-to-end latency (the op itself executes at the site).
-        increment_on_merge: §2.2's post-reconciliation self-increment on
-            the pulling site, per reconciled key.
         coordinated_writes: the coordinating site executes each put as
             an atomic read-modify-write — the client's causal context is
             unioned with the site's current context, so the put
@@ -169,9 +167,7 @@ class StoreConfig:
     channel: ChannelSpec = field(default_factory=ChannelSpec)
     encoding: Encoding = DEFAULT_ENCODING
     batch_size: int = 8
-    proc_time: float = 0.0
     client_latency: float = 0.002
-    increment_on_merge: bool = True
     coordinated_writes: bool = True
     read_repair: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -621,36 +617,6 @@ class StoreCluster:
         if self.metrics is not None:
             self.metrics.counter("store.sessions_abandoned").inc()
 
-    def _build_pairs(self, sent: Dict[str, KeyRecord], dst: str,
-                     record: StoreSessionRecord, shadows: Dict[str, Any]
-                     ) -> Tuple[Tuple[Any, Any], ...]:
-        """Fresh per-key coroutine pairs for one attempt.
-
-        The sender streams the records ``sent`` captured at the start;
-        the receiver merges each ``BEFORE``/``CONCURRENT`` key into a
-        copy of its vector, kept in ``shadows`` for :meth:`_commit` to
-        install, and reads the rest in place (under ``EQUAL``/``AFTER``
-        no receiver writes).  The verdict computed here is the session's
-        own bookkeeping — it decides reconciliation and the sibling fold
-        — and is never used to choose *which* keys a pull streams
-        (:meth:`_start`).
-        """
-        dst_store = self.stores[dst]
-        pairs: List[Tuple[Any, Any]] = []
-        for key, src_record in sent.items():
-            src_vector = src_record.vector
-            dst_vector = dst_store.record(key).vector
-            verdict = dst_vector.compare(src_vector)
-            if verdict is Ordering.BEFORE or verdict is Ordering.CONCURRENT:
-                dst_vector = shadows[key] = dst_vector.copy()
-            sender, receiver, reconciled = self._spec.build(
-                src_vector, dst_vector, verdict, tracer=self.tracer)
-            record.verdicts[key] = verdict
-            record.reconciled[key] = (record.reconciled.get(key, False)
-                                      or reconciled)
-            pairs.append((sender, receiver))
-        return tuple(pairs)
-
     def _start(self, record: StoreSessionRecord) -> None:
         src, dst = record.src, record.dst
         record.started_at = to_seconds(self.sim.now)
@@ -677,12 +643,23 @@ class StoreCluster:
                               session=record.index, keys=len(keys),
                               latency=channel.latency,
                               bandwidth=channel.bandwidth)
+        receiving = self.stores[dst].record
         # The latest attempt's merged copies, by key.
         shadows: Dict[str, Any] = {}
 
         def build_pairs() -> Tuple[Tuple[Any, Any], ...]:
-            shadows.clear()
-            pairs = self._build_pairs(sent, dst, record, shadows)
+            # Every attempt streams the records ``sent`` captured above.
+            # Its verdicts are the session's own bookkeeping — they
+            # decide reconciliation and the sibling fold — and never
+            # choose *which* keys a pull streams.
+            pairs, verdicts, reconciles = build_attempt(
+                self._spec, ((key, sending.vector, receiving(key).vector)
+                             for key, sending in sent.items()),
+                shadows, tracer=self.tracer)
+            record.verdicts.update(zip(sent, verdicts))
+            reconciled = record.reconciled
+            for key, merged in zip(sent, reconciles):
+                reconciled[key] = merged or reconciled.get(key, False)
             if reply is not None:
                 # The sender's knowledge leads the first key's stream
                 # (no extra frame entry, no extra wire); an empty
@@ -725,7 +702,7 @@ class StoreCluster:
             if self.monitor is not None:
                 self.monitor.on_absorb(dst, key, dst_record.updated_at,
                                        to_seconds(self.sim.now))
-            if self.config.increment_on_merge and record.reconciled[key]:
+            if record.reconciled[key]:
                 # §2.2: the pulling site increments its own element after
                 # an automatic merge, per reconciled key.
                 dst_record.vector.record_update(dst)

@@ -62,7 +62,6 @@ class TestValidation:
         ("unknown protocol", lambda: config(protocol="vv")),
         ("n_objects", lambda: config(n_objects=0)),
         ("batch_size", lambda: config(batch_size=0)),
-        ("proc_time", lambda: config(proc_time=-0.001)),
         ("max_steps", lambda: config(max_steps=0)),
         ("duplicate site", lambda: ClusterRunner(["A", "A"], config())),
         ("shard map covers", lambda: ClusterRunner(
@@ -86,8 +85,7 @@ class TestValidation:
         with pytest.raises(ReproError, match=match):
             build()
 
-    @pytest.mark.parametrize("field", [
-        "proc_time", "batch_size", "max_steps", "n_objects"])
+    @pytest.mark.parametrize("field", ["batch_size", "max_steps", "n_objects"])
     def test_nan_rejected(self, field):
         # NaN compares false both ways, so a `value < minimum` check
         # lets it through.

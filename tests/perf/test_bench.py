@@ -95,6 +95,12 @@ class TestRunClusterBench:
         assert all(run["consistent"] in (True, False)
                    for run in document["runs"])
 
+    def test_every_run_moves_bits_in_simulated_time(self):
+        for run in run_cluster_bench(TINY)["runs"]:
+            assert run["total_bits"] > 0
+            assert run["sim_completion_seconds"] > 0
+            assert run["consistent"] or run["updates"] > 0
+
     def test_metrics_are_populated(self):
         metrics = MetricsRegistry()
         run_cluster_bench(BenchConfig(site_counts=(4,), protocols=("srv",),
@@ -121,6 +127,14 @@ class TestBatchedScenario:
         assert runs[0]["traffic"]["frames"] == 0
         assert runs[1]["traffic"]["frames"] > 0
         assert runs[1]["total_bits"] < runs[0]["total_bits"]
+
+    def test_framing_halves_the_wire_bits_per_object(self):
+        # Same fleet and schedule: framing pays one header per pair
+        # encounter and one ack per frame instead of one per object.
+        unbatched, batched = run_cluster_bench(TINY_BATCHED)["runs"]
+        assert unbatched["sessions"] == batched["sessions"]
+        assert batched["wire_bits_per_object"] \
+            < unbatched["wire_bits_per_object"] / 2
 
     def test_empty_batched_sizes_skips_the_scenario(self):
         document = run_cluster_bench(TINY)
