@@ -40,7 +40,7 @@ copies by the same rule.  The two differ in what a session holds: a
 fleet session its objects at both endpoints (an update waits for its own
 object only), a store session one site-wide token at both endpoints and
 its keys at the receiver (a site takes one session at a time; a client
-read waits only for a read-repair into its site).
+read waits only for a read-repair that handed its client a union).
 
 Tracing and metrics reuse the PR 1 instruments: pass a
 :class:`~repro.obs.trace.Tracer` for clock-stamped per-site events and a
@@ -275,16 +275,29 @@ def build_attempt(spec: Any, triples: Iterable[Tuple[Any, Any, Any]],
     return tuple(pairs), tuple(verdicts), tuple(reconciles)
 
 
+def _count(table: Dict[Hashable, int], key: Hashable, step: int) -> None:
+    """Add ``step`` to ``table[key]``, dropping the entry at zero."""
+    value = table.get(key, 0) + step
+    if value:
+        table[key] = value
+    else:
+        del table[key]
+
+
 class SessionScheduler:
     """Admission for pairwise sessions on one clock.
 
     * **Holds.**  ``held[site][resource]`` counts the reasons a resource
       is busy at a site: the live sessions holding it, and each
-      :meth:`hold`.  Work :meth:`admit` gets on a busy one waits FIFO per
-      resource until a release frees it.
+      :meth:`hold`.  Work :meth:`admit` gets on a busy one waits until a
+      release frees it.
+    * **Queues.**  Waiting work queues FIFO per ``(site, resource,
+      client)``: work never overtakes its own client's older work on
+      the resource, and another client's work may.  Work admitted
+      without a ``client`` is one anonymous client.
     * **Reads.**  Work admitted with ``read=True`` waits only for a
-      :meth:`hold` (``barred``) and for older work already waiting on its
-      resource; a session's holds do not stop it, and it never overtakes.
+      :meth:`bar` on its own ``(resource, client)`` (``barred``) and for
+      its queue; holds do not stop it.
     * **Admission.**  A request names its resources; it starts once none
       is held at either endpoint and no older request of the same
       ``(src, dst)`` pair still waits, and the session holds exactly
@@ -304,13 +317,16 @@ class SessionScheduler:
         self._start = start
         self.held: Dict[str, Dict[Hashable, int]] = {
             site: {} for site in sites}
-        #: The :meth:`hold` share of :attr:`held`: what reads wait for.
-        self.barred: Dict[str, Dict[Hashable, int]] = {
+        #: site → ``(resource, client)`` → :meth:`bar` count: what reads
+        #: wait for.
+        self.barred: Dict[str, Dict[Tuple[Hashable, Hashable], int]] = {
             site: {} for site in self.held}
-        #: site → resource → ``(arrival number, work, args, read)``,
-        #: oldest first; a queue exists only while its head is blocked.
-        self._deferred: Dict[str, Dict[Hashable, Deque[Tuple[Any, ...]]]] = {
-            site: {} for site in self.held}
+        #: site → resource → client → ``(arrival number, work, args,
+        #: read)``, oldest first; a queue exists only while its head is
+        #: blocked.
+        self._deferred: Dict[str, Dict[Hashable, Dict[
+            Hashable, Deque[Tuple[Any, ...]]]]] = {
+                site: {} for site in self.held}
         #: Work items ever deferred; also the next arrival number.
         self.deferrals = 0
         # Pending (src, dst, resources, item) entries by arrival number,
@@ -327,37 +343,41 @@ class SessionScheduler:
 
     def admit(self, site: str, resource: Hashable,
               work: Callable[..., None], *args: Any,
-              read: bool = False) -> bool:
+              read: bool = False, client: Hashable = None) -> bool:
         """Run ``work(*args)`` now, or — while ``resource`` is busy at
-        ``site`` (for a ``read``: barred, or with older work waiting) —
-        once a release frees it.  Returns whether it waits."""
-        if read:
-            busy = (resource in self.barred[site]
-                    or resource in self._deferred[site])
-        else:
-            busy = resource in self.held[site]
-        if not busy:
-            work(*args)
-            return False
-        self._deferred[site].setdefault(resource, deque()).append(
-            (self.deferrals, work, args, read))
+        ``site`` (for a ``read``: barred for ``client``), or ``client``
+        has older work waiting on it there — once a release frees it.
+        Returns whether it waits."""
+        queues = self._deferred[site].get(resource)
+        if queues is None or client not in queues:
+            if not ((resource, client) in self.barred[site] if read
+                    else resource in self.held[site]):
+                work(*args)
+                return False
+            queues = self._deferred[site].setdefault(resource, {})
+            queues[client] = deque()
+        queues[client].append((self.deferrals, work, args, read))
         self.deferrals += 1
         return True
 
     def hold(self, site: str, resource: Hashable) -> None:
-        """One more reason ``resource`` is busy at ``site``, for reads as
-        well as other work."""
-        for table in (self.held[site], self.barred[site]):
-            table[resource] = table.get(resource, 0) + 1
+        """One more reason ``resource`` is busy at ``site``; reads pass."""
+        _count(self.held[site], resource, 1)
 
     def unhold(self, site: str, resource: Hashable) -> None:
         """One :meth:`hold` fewer; the work it deferred lands at the next
         :meth:`release` of the resource there."""
-        for table in (self.held[site], self.barred[site]):
-            if table[resource] == 1:
-                del table[resource]
-            else:
-                table[resource] -= 1
+        _count(self.held[site], resource, -1)
+
+    def bar(self, site: str, resource: Hashable, client: Hashable) -> None:
+        """One more reason ``client``'s reads of ``resource`` at ``site``
+        wait."""
+        _count(self.barred[site], (resource, client), 1)
+
+    def unbar(self, site: str, resource: Hashable, client: Hashable) -> None:
+        """One :meth:`bar` fewer; the reads it deferred land at the next
+        :meth:`release` of the resource there."""
+        _count(self.barred[site], (resource, client), -1)
 
     def _flush(self, site: str, resources: Iterable[Hashable]) -> None:
         """Land, in arrival order, the work deferred at ``site`` on those
@@ -368,21 +388,26 @@ class SessionScheduler:
         deferred — running them would mutate state the fresh session's
         coroutines already captured.
         """
-        queues = self._deferred[site]
+        deferred = self._deferred[site]
         held, barred = self.held[site], self.barred[site]
-        heads = [(queues[resource][0][0], resource)
-                 for resource in resources if resource in queues]
+        heads = [(queue[0][0], resource, client)
+                 for resource in resources if resource in deferred
+                 for client, queue in deferred[resource].items()]
         heapify(heads)
         while heads:
-            _, resource = heappop(heads)
-            queue = queues[resource]
-            if resource in (barred if queue[0][3] else held):
+            _, resource, client = heappop(heads)
+            queues = deferred[resource]
+            queue = queues[client]
+            if ((resource, client) in barred if queue[0][3]
+                    else resource in held):
                 continue
             _, work, args, _ = queue.popleft()
             if queue:
-                heappush(heads, (queue[0][0], resource))
+                heappush(heads, (queue[0][0], resource, client))
             else:
-                del queues[resource]
+                del queues[client]
+                if not queues:
+                    del deferred[resource]
             work(*args)
 
     def _free(self, src: str, dst: str,

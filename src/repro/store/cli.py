@@ -95,7 +95,7 @@ def format_store_report(result) -> str:
         + (f", loss {config.loss_rate:g}" if config.loss_rate else ""),
         f"  ops: {result.reads} reads / {result.writes} writes / "
         f"{result.deletes} deletes ({store.ops_deferred} deferred behind "
-        f"busy keys)",
+        f"busy keys, {store.reads_barred} reads barred by repairs)",
         f"  sessions: {store.sessions} "
         f"({store.sessions_abandoned} abandoned), "
         f"{store.read_repairs} read repairs, "

@@ -11,13 +11,14 @@ receiver only, so a client op waits for its own key at most.
 
 * **Client operations** (:class:`ClientOp`) execute against one site's
   table, whose records always hold committed state (below).  A get runs
-  at submit time, mid-session or not, unless a read-repair that pulls
-  its key into its site is queued or running, or an older op on its key
-  still waits there.  A put or delete also waits while a session
-  *receives* its key at its site: the session's commit would overwrite
-  it.  Ops on any other key never wait: clients thread one causal
-  context per key, so per-(site, key) FIFO is all the ordering a client
-  can observe.  The deferral wait is measured per op.
+  at submit time, mid-session or not, unless a read-repair bars its
+  client from its key at its site (below), or an older op of its client
+  on the key still waits there.  A put or delete also waits while its
+  key is held at its site: by a session *receiving* it, whose commit
+  would overwrite the write, or by a read-repair pulling it in.  Ops on
+  any other key never wait: clients thread one causal context per key,
+  so per-(site, key, client) FIFO is all the ordering a client can
+  observe.  The deferral wait is measured per op.
 * **Sessions** synchronize a key set between two sites by running one
   stock SYNC* coroutine pair *per key* through the unified
   :func:`~repro.net.runner.launch` transport — so channel faults, ARQ
@@ -63,15 +64,23 @@ clients never wait.  Every dot such a write mints is above the reply
 snapshot the session carries, so it is beyond the peer's knowledge and
 offered again by the next pull.
 
-A repair holds its key
-----------------------
+A repair bars its readers
+-------------------------
 
 A read-repairing get hands its client the *union* of both replicas —
 values and causal context — while the stale replica catches up only when
 the repair session commits.  Until the session ends, queued or running,
-the repair holds its key at the site it pulls into, so a later get there
-waits for it instead of handing the same client an older context than
-the one it already holds (a monotonic-reads violation).
+the repair bars that client's reads of its key at the site it pulls
+into, so the client waits for it instead of reading an older context
+than the one it already holds (a monotonic-reads violation).  A session
+guarantee is per client, and so is the bar: it covers every client whose
+get returned the repair's union, a get that found the repair already
+queued included, and no one else.  A repair into the reader's peer
+(the reader's replica was the fresher one) bars nobody.  The op's own
+context cannot stand in for the bar: it is captured at submit, so a get
+that an open-loop client submitted before an earlier get of its own
+returned a union carries an older context than the client holds.
+Writes wait for every repair: it holds its key where it pulls into.
 
 Convergence
 -----------
@@ -189,6 +198,9 @@ class ClientOp:
     context: Optional[CausalContext] = None
     #: Peer replica a ``get`` consults for read-repair; ``None`` skips.
     repair_peer: Optional[str] = None
+    #: The issuing client, whose session guarantees the op's admission
+    #: keeps; ``None`` ops are one anonymous client.
+    client: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("get", "put", "delete"):
@@ -277,6 +289,10 @@ class StoreRunResult:
     read_repairs: int
     reconciliations: int
     sessions_abandoned: int
+    #: Gets a read-repair's bar deferred at submit (a share of
+    #: :attr:`ops_deferred`; a get already queued behind its client's
+    #: op when the bar came is not counted).
+    reads_barred: int
 
     @property
     def sessions(self) -> int:
@@ -381,12 +397,14 @@ class StoreCluster:
         #: Every session holds ``_SITE`` at both endpoints, so a site
         #: takes one session at a time, and its keys at the receiver,
         #: where writes wait on them; a read-repair holds its key where
-        #: it pulls into, reads included, from its request to its end.
+        #: it pulls into, and bars its readers there, from its request
+        #: to its end.
         self._scheduler = SessionScheduler(self.sites, self._start)
-        #: (src, dst, key) → record index of each read-repair queued or
-        #: running; keeps hot keys from flooding the queue with duplicate
-        #: repairs, and each holds ``key`` at ``dst``.
-        self._repair_inflight: Dict[Tuple[str, str, str], int] = {}
+        #: (src, dst, key) → (record index, barred clients) of each
+        #: read-repair queued or running; keeps hot keys from flooding
+        #: the queue with duplicate repairs.
+        self._repair_inflight: Dict[Tuple[str, str, str],
+                                    Tuple[int, List[Optional[int]]]] = {}
         #: site → key → the record a live session streams from it.
         self._sending: Dict[str, Dict[str, KeyRecord]] = {}
         self._records: List[StoreSessionRecord] = []
@@ -395,6 +413,7 @@ class StoreCluster:
         self._read_repairs = 0
         self._reconciliations = 0
         self._sessions_abandoned = 0
+        self._reads_barred = 0
 
     # -- client operations -------------------------------------------------
 
@@ -403,19 +422,24 @@ class StoreCluster:
                ) -> None:
         """Submit ``op`` at the current simulated time.
 
-        A get executes immediately unless a read-repair pulling
-        ``op.key`` into ``op.site`` is queued or running, or an older op
-        on the key still waits there.  A write also waits while a
-        session receives the key at ``op.site``.  Deferred ops land FIFO
-        per site and key; an op on any other key has ``queue_wait == 0``.
+        A get executes immediately unless a read-repair bars
+        ``op.client`` from ``op.key`` at ``op.site``, or an older op of
+        the client on the key still waits there.  A write also waits
+        while the key is held at ``op.site``.  Deferred ops land FIFO
+        per site, key and client; an op on any other key has
+        ``queue_wait == 0``.
         """
         if op.site not in self.stores:
             raise ValidationError(f"unknown site {op.site!r}")
-        if self._scheduler.admit(op.site, op.key, self._execute_op,
-                                 op, to_seconds(self.sim.now), on_done,
-                                 read=op.kind == "get") \
-                and self.metrics is not None:
-            self.metrics.counter("store.ops_deferred").inc()
+        read = op.kind == "get"
+        scheduler = self._scheduler
+        barred = read and (op.key, op.client) in scheduler.barred[op.site]
+        if scheduler.admit(op.site, op.key, self._execute_op,
+                           op, to_seconds(self.sim.now), on_done,
+                           read=read, client=op.client):
+            self._reads_barred += barred
+            if self.metrics is not None:
+                self.metrics.counter("store.ops_deferred").inc()
 
     def _execute_op(self, op: ClientOp, submitted_at: float,
                     on_done: Optional[Callable[[OpOutcome], None]]) -> None:
@@ -512,12 +536,14 @@ class StoreCluster:
             triple = (op.site, op.repair_peer, op.key)
         else:
             triple = (op.repair_peer, op.site, op.key)
-        if triple not in self._repair_inflight:
+        repair = self._repair_inflight.get(triple)
+        if repair is None:
             # At most one live repair per (pair, key): a hot key read
             # at every op would otherwise flood the session queue with
             # duplicates that all sync the same divergence.  It holds
             # the key at the stale side (module notes) until its end.
-            self._repair_inflight[triple] = len(self._records)
+            repair = self._repair_inflight[triple] = (len(self._records),
+                                                      [])
             self._scheduler.hold(triple[1], op.key)
             self.request_sync(triple[0], triple[1], keys=(op.key,))
             self._read_repairs += 1
@@ -530,7 +556,10 @@ class StoreCluster:
         if verdict is Ordering.AFTER:
             return local, True
         # The client observed both replicas: its view is the union and
-        # its causal context the element-wise max of both vectors.
+        # its causal context the element-wise max of both vectors, so
+        # its reads here wait for the repair (module notes).
+        repair[1].append(op.client)
+        self._scheduler.bar(op.site, op.key, op.client)
         siblings = (peer_record.siblings if verdict is Ordering.BEFORE
                     else merge_siblings(record.siblings,
                                         peer_record.siblings))
@@ -742,12 +771,15 @@ class StoreCluster:
             self.monitor.on_session_end(to_seconds(self.sim.now))
         src, dst, keys = record.src, record.dst, record.keys
         del self._sending[src]
-        if len(keys) == 1 and self._repair_inflight.get(
-                (src, dst, keys[0])) == record.index:
-            # A read-repair's hold ends with it; the release below lands
-            # the reads it deferred.
-            del self._repair_inflight[(src, dst, keys[0])]
-            self._scheduler.unhold(dst, keys[0])
+        if len(keys) == 1:
+            repair = self._repair_inflight.get((src, dst, keys[0]))
+            if repair is not None and repair[0] == record.index:
+                # A read-repair's hold and bars end with it; the release
+                # below lands the ops they deferred.
+                del self._repair_inflight[(src, dst, keys[0])]
+                self._scheduler.unhold(dst, keys[0])
+                for client in repair[1]:
+                    self._scheduler.unbar(dst, keys[0], client)
         self._scheduler.release(src, dst, (_SITE,), keys)
 
     def _ended(self, record: StoreSessionRecord, bits: int) -> None:
@@ -818,6 +850,7 @@ class StoreCluster:
             read_repairs=self._read_repairs,
             reconciliations=self._reconciliations,
             sessions_abandoned=self._sessions_abandoned,
+            reads_barred=self._reads_barred,
         )
 
 

@@ -340,7 +340,8 @@ def run_store_workload(config: StoreWorkloadConfig, *,
             ClientOp(kind=planned.kind, site=planned.site, key=planned.key,
                      value=planned.value,
                      context=contexts.get((planned.client, planned.key)),
-                     repair_peer=planned.repair_peer),
+                     repair_peer=planned.repair_peer,
+                     client=planned.client),
             on_done=lambda outcome, p=planned: complete(p, outcome))
 
     for planned in plan:

@@ -37,6 +37,13 @@ such a receiver now reads its committed state, not a half-merged vector.
 15 of the 612 gauge samples moved, at unchanged sample times, and the
 run's sessions, bits and schedule did not.
 
+The ``store.*`` digests were re-pinned again when a read-repair came
+to bar only the clients it handed its union, not every read of its key:
+the store run's deferred ops fell from 65 to 20 (12 of them reads a
+repair barred), and its schedule moved (145 sessions to 148, 115
+read-repairs to 118, 45,510 wire bits to 43,580); the audit still finds
+0 read-your-writes and 0 monotonic-reads violations.
+
 To re-pin after an intended output change, run this file directly
 (``PYTHONPATH=src python tests/obs/test_observer_golden.py``); it prints
 the new table.
@@ -82,21 +89,21 @@ GOLDEN = {
     "fleet.series":
         "be66058e19d5fb4fc23217dbcd2b2ec95fcbba1c15f6f0412e8ec8e06bd29079",
     "store.dashboard":
-        "b155e61da2b6a32b63bce117a14af0591afc33550a90a544092566b4f0a392e8",
+        "6929003f86ceb947d60e60305d678d92b1a82af05132579b75a278d954f53ddc",
     "store.dashboard_truncated":
-        "3b521c5098c6fcaeed97943e67500fb0b2cd2697127a2233e9e4c200a3067b23",
+        "6631c58bc3f6d13e008163fe1be2902a89094a86f6bad9fac68f435ea012a802",
     "store.html":
-        "7e4a7f4b907d1b6e36ed88bf41f23b8230815df051ca969f7a5342bee13580df",
+        "54dc4c8c9603e0b1e516b2cee49bf78edce20f2621e9c229c6c567e224120cce",
     "store.otlp":
-        "a94081b3947f7ff083a7acfc8721361bc53caf74d4c836cb1d0ec96a417ddad2",
+        "c1661266896a3482b610318673a8615d0cb232700a2708d8d711270dd641e8d7",
     "store.prometheus":
-        "6efb609a5b74d66ecb15ab3d109332f0a074c0f02732fa83d6045ab06460394e",
+        "84673bba5a4f91a1b4b94e55cbefdc47cb6fbcfb34230cff05606facf2b37e2f",
     "store.registry":
-        "fab675fc38127e03d62bc4e19ac8e6e1351738b8afa9eb2828023276506f2ba3",
+        "5ba1c903fbe969b38a400e1695cec167ca86583cb977b679deb052ea22353e2d",
     "store.series":
-        "6ac72df7674a2829f811f00384dbbe435a10b0f8f56bec94a76066d8553c61e4",
+        "294e4f6759eede9cd31b462c219a549680e21b20903b8c9ebba1732fbcb3756a",
     "store.summary":
-        "d486e0e70650fb679aa64ff39a5831dc356636418ea5b4f4128a4329b8123cee",
+        "7a0f478784ff674bb59261ac48cb421726a45cdf42ef3a88afcf78fca07ccfc5",
     "tampered.dashboard":
         "5a74ad104d002fe6dea5546e61ce21c4a70b7fdbe3423ee65d5769ee611f69b2",
     "tampered.health_summary":

@@ -96,10 +96,15 @@ class TestRunClusterBench:
                    for run in document["runs"])
 
     def test_every_run_moves_bits_in_simulated_time(self):
-        for run in run_cluster_bench(TINY)["runs"]:
+        """Gossip rounds are not meant to converge, so ``consistent`` is
+        pinned only on the runs a closing sweep converges."""
+        swept = [run for config in (TINY_STORE, TINY_MULTIREGION)
+                 for run in run_cluster_bench(config)["runs"]]
+        assert len(swept) == 2
+        for run in run_cluster_bench(TINY)["runs"] + swept:
             assert run["total_bits"] > 0
             assert run["sim_completion_seconds"] > 0
-            assert run["consistent"] or run["updates"] > 0
+        assert all(run["consistent"] is True for run in swept)
 
     def test_metrics_are_populated(self):
         metrics = MetricsRegistry()

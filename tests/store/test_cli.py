@@ -4,6 +4,7 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.store.cli import DEMO_CONFIG, store_main
+from repro.workload.clients import StoreWorkloadConfig, run_store_workload
 
 #: A tiny flag set so CLI tests stay fast.
 FAST = ["--sites", "4", "--keys", "6", "--clients", "8", "--ops", "300",
@@ -17,6 +18,17 @@ class TestStoreMain:
         assert "4 sites × 6 keys" in out
         assert "converged: True" in out
         assert "state sha256:" in out
+
+    def test_ops_line_counts_the_reads_repairs_barred(self, capsys):
+        store_main(FAST)
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  ops:")]
+        store = run_store_workload(StoreWorkloadConfig(
+            n_sites=4, n_keys=6, n_clients=8, ops=300, seed=3)).store
+        assert 0 < store.reads_barred <= store.ops_deferred
+        assert line.endswith(
+            f"({store.ops_deferred} deferred behind busy keys, "
+            f"{store.reads_barred} reads barred by repairs)")
 
     def test_output_is_byte_identical_per_seed(self, capsys):
         store_main(FAST)

@@ -272,6 +272,119 @@ class TestReadRepair:
         assert result.read_repairs == 0
 
 
+class TestRepairBars:
+    """A repair bars the reads of the clients it handed its union, at the
+    site it pulls into, and no one else's."""
+
+    @staticmethod
+    def queued_repair():
+        """B is mid-session over ``j``; client 1's get of ``k`` at B
+        consults idle A, reads A's ``va`` and queues a repair A -> B."""
+        c = cluster()
+        c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
+        c.submit(ClientOp(kind="put", site="C", key="j", value="vj"))
+        c.request_sync("C", "B", keys=("j",))
+        reads = []
+        c.submit(ClientOp(kind="get", site="B", key="k", repair_peer="A",
+                          client=1), on_done=reads.append)
+        (first,) = reads
+        assert first.repaired and first.result.values == ("va",)
+        return c, reads
+
+    def test_the_reader_waits_and_another_client_reads_at_once(self):
+        c, reads = self.queued_repair()
+        for client in (1, 2, None):
+            c.submit(ClientOp(kind="get", site="B", key="k", client=client),
+                     on_done=reads.append)
+        # Client 1 waits; the others read B's stale record at once.
+        assert [(o.op.client, o.result.values) for o in reads[1:]] == [
+            (2, ()), (None, ())]
+        result = c.run()
+        repair = result.records[-1]
+        assert (repair.src, repair.dst, repair.keys) == ("A", "B", ("k",))
+        second = reads[-1]
+        assert second.op.client == 1
+        assert second.executed_at == repair.result.completion_time
+        assert second.result.values == ("va",)
+        assert result.ops_deferred == result.reads_barred == 1
+
+    def test_a_deduplicated_reader_is_barred_too(self):
+        """Client 2's get finds the repair already queued and schedules
+        none, but it too read A's ``va`` and must wait for the repair."""
+        c, reads = self.queued_repair()
+        c.submit(ClientOp(kind="get", site="B", key="k", repair_peer="A",
+                          client=2), on_done=reads.append)
+        assert reads[-1].repaired and reads[-1].result.values == ("va",)
+        for client in (1, 2, 3):
+            c.submit(ClientOp(kind="get", site="B", key="k", client=client),
+                     on_done=reads.append)
+        assert [o.op.client for o in reads] == [1, 2, 3]
+        result = c.run()
+        assert result.read_repairs == 1
+        completion = result.records[-1].result.completion_time
+        assert [(o.op.client, o.executed_at, o.result.values)
+                for o in reads[3:]] == [(1, completion, ("va",)),
+                                        (2, completion, ("va",))]
+        assert result.ops_deferred == result.reads_barred == 2
+
+    def test_a_pipelined_get_waits_for_the_repair_its_elder_queued(self):
+        """Client 1 queues a put, a repairing get and a plain get at B
+        behind a session receiving ``k``.  The flush lands the put and
+        the first get, which reads A's ``va`` and queues a repair; the
+        second get was submitted before that union existed, yet must
+        wait for the repair, not read B's record without ``va``."""
+        c = cluster()
+        c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
+        c.submit(ClientOp(kind="put", site="C", key="k", value="vc"))
+        c.request_sync("C", "B", keys=("k",))  # B receives k
+        reads = []
+        for op in (ClientOp(kind="put", site="B", key="k", value="vb",
+                            client=1),
+                   ClientOp(kind="get", site="B", key="k", repair_peer="A",
+                            client=1),
+                   ClientOp(kind="get", site="B", key="k", client=1)):
+            c.submit(op, on_done=reads.append)
+        assert not reads
+        result = c.run()
+        put, first, second = reads
+        assert first.repaired and "va" in first.result.values
+        repair = result.records[-1]
+        assert (repair.src, repair.dst, repair.keys) == ("A", "B", ("k",))
+        assert put.executed_at == first.executed_at == repair.started_at
+        assert second.executed_at == repair.result.completion_time
+        assert "va" in second.result.values
+        assert all(second.result.context.get(site, 0) >= count
+                   for site, count in first.result.context.items())
+        # Queued behind its client's put at submit, not barred.
+        assert result.ops_deferred == 3 and result.reads_barred == 0
+
+    def test_an_after_repair_bars_no_reads_and_holds_writes(self):
+        """A get at the fresher replica repairs its peer; its client read
+        its own replica, so no one's reads of the peer wait — but a write
+        there waits for the queued repair's hold."""
+        c = cluster()
+        c.submit(ClientOp(kind="put", site="A", key="k", value="va"))
+        c.submit(ClientOp(kind="put", site="C", key="j", value="vj"))
+        c.request_sync("C", "A", keys=("j",))  # A is mid-session over j
+        outcomes = []
+        c.submit(ClientOp(kind="get", site="A", key="k", repair_peer="B",
+                          client=1), on_done=outcomes.append)
+        assert outcomes[0].repaired and outcomes[0].result.values == ("va",)
+        for client in (1, 2, None):
+            c.submit(ClientOp(kind="get", site="B", key="k", client=client),
+                     on_done=outcomes.append)
+        c.submit(ClientOp(kind="put", site="B", key="k", value="vb",
+                          client=2), on_done=outcomes.append)
+        assert [o.queue_wait for o in outcomes] == [0] * 4
+        result = c.run()
+        repair = result.records[-1]
+        assert (repair.src, repair.dst, repair.keys) == ("A", "B", ("k",))
+        put = outcomes[-1]
+        assert put.op.kind == "put"
+        assert put.executed_at == repair.result.completion_time
+        assert result.ops_deferred == 1 and result.reads_barred == 0
+
+
 class TestAbortSafety:
     """Satellite: a mid-session abort must not leave torn state behind."""
 

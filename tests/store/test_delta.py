@@ -53,7 +53,8 @@ class CheckedCluster(StoreCluster):
         self.events = {}
         #: (site, key) -> the state its last write or commit left.
         self.committed = {}
-        #: (site, key) -> ops submitted there and not yet run, in order.
+        #: (site, key, client) -> ops submitted there and not yet run,
+        #: in order.
         self.submitted = defaultdict(deque)
         self.gets_checked = 0
         #: Gets that ran while a live session at their site synced
@@ -89,18 +90,23 @@ class CheckedCluster(StoreCluster):
                     site, key), f"{site}/{key} shows uncommitted state"
 
     def submit(self, op, on_done=None):
-        self.submitted[(op.site, op.key)].append(op)
+        self.submitted[(op.site, op.key, op.client)].append(op)
         super().submit(op, on_done)
 
     def _execute_op(self, op, submitted_at, on_done):
         site, key = op.site, op.key
-        assert self.submitted[(site, key)].popleft() is op, (
-            f"{op.kind} {key} at {site} overtook an op queued on its key")
+        assert self.submitted[(site, key, op.client)].popleft() is op, (
+            f"{op.kind} {key} at {site} overtook an op its client queued "
+            f"on its key")
         self.check_committed()
-        for (_, dst, repaired), index in self._repair_inflight.items():
-            assert (dst, repaired) != (site, key), (
-                f"{op.kind} {key} at {site} ran while read-repair "
-                f"{index} pulls it there")
+        inflight = self._repair_inflight.items()
+        for (_, dst, repaired), (index, readers) in inflight:
+            # A repair holds its key against writes and bars its readers.
+            assert ((dst, repaired) != (site, key) or op.kind == "get"
+                    and op.client not in readers), (
+                f"{op.kind} {key} by client {op.client} at {site} ran "
+                f"while read-repair {index} pulls it there and bars "
+                f"{readers}")
         if op.kind != "get":
             for record, _, _ in self.twins.values():
                 assert record.dst != site or key not in record.keys, (
@@ -221,9 +227,11 @@ def run_steps(n_sites, plan, *, loss=0.0, chaos_seed=0):
                 cluster.sim.call_at(
                     to_ns(clock), lambda s=site, d=peer: cluster.request_sync(s, d))
             continue
+        # Three clients take turns, one of them anonymous.
         op = ClientOp(kind=kind, site=site, key=key,
                       value=f"v{number}" if kind == "put" else None,
-                      repair_peer=peer if kind == "get" else None)
+                      repair_peer=peer if kind == "get" else None,
+                      client=(None, 0, 1)[number % 3])
         cluster.sim.call_at(to_ns(clock), lambda op=op: cluster.submit(op))
     result = cluster.run(converge_via=sites[0])
     for site in sites:

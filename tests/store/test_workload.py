@@ -254,7 +254,8 @@ class TestRunWorkload:
 class TestMonotonicReads:
     """A read-repairing get hands out the union context of two replicas;
     until the repair has run, the stale replica must not serve that key
-    again — or the same client reads an older context than it holds."""
+    to the same client again — or it reads an older context than it
+    holds."""
 
     @pytest.mark.parametrize("n_keys", [32, 1024])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -286,7 +287,7 @@ class TestMonotonicReads:
         assert first.result.values == ("va",)
         assert c.stores["B"].get("k").values == ()  # B itself: stale
         c.submit(get, on_done=reads.append)
-        assert len(reads) == 1  # held by the queued repair
+        assert len(reads) == 1  # barred by the queued repair
         result = c.run()
         repair = result.records[-1]
         assert (repair.src, repair.dst, repair.keys) == ("A", "B", ("k",))
